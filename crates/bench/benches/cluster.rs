@@ -1,15 +1,14 @@
 //! Clustering cost from the paper's 64-channel scale up to the 10k+
-//! connection regime, measured over the exact bulk path a full recluster
-//! round runs: the fit-based knee refresh, per-item log-feature extraction,
-//! the condensed O(n²) distance fill and the nearest-neighbor-chain
-//! agglomeration — all out of retained scratch, as in the controller.
+//! connection regime, measured over the exact path a recluster round runs:
+//! the fit-based knee refresh, per-item log-feature extraction, and the
+//! agglomeration over the *distinct* feature vectors (`class_functions`
+//! has 21 at every width) — all out of retained scratch, as in the
+//! controller.
 
 use std::hint::black_box;
 
 use streambal_bench::Micro;
-use streambal_core::cluster::{
-    condensed_len, fill_condensed, knee_of_function, log_features, ClusterScratch, Clustering,
-};
+use streambal_core::cluster::{knee_of_function, log_features, ClusterScratch, Clustering};
 use streambal_core::function::BlockingRateFunction;
 
 /// Functions from three capacity classes, like Figure 12, with small
@@ -40,27 +39,20 @@ fn main() {
         let resolution = (2 * n).max(1000) as u32;
         let mut funcs = class_functions(n, resolution);
         let mut feat = vec![[0.0f64; 3]; n];
-        let mut dist = vec![0.0f64; condensed_len(n)];
+        let live: Vec<usize> = (0..n).collect();
         let mut scratch = ClusterScratch::new();
         let mut out = Clustering::default();
-        let stats = m.run(&format!("cluster/full_round/{n}"), || {
+        m.run(&format!("cluster/full_round/{n}"), || {
             for (j, f) in funcs.iter_mut().enumerate() {
                 let k = knee_of_function(f);
                 feat[j] = log_features(&k, resolution);
             }
-            fill_condensed(&feat, &mut dist);
-            scratch.cluster_condensed(n, &dist, 0.7, &mut out);
-            black_box(out.num_clusters())
+            black_box(scratch.cluster_features(&live, &feat, 0.7, &mut out))
         });
         assert_eq!(
             out.num_clusters(),
             3.min(n),
             "the three capacity classes must come out as three clusters"
         );
-        // The from-scratch recluster is a transient (growth, membership
-        // change); steady-state rounds ride the incremental path, whose 1 s
-        // cadence budget is asserted in the controller bench. Here we only
-        // require the bulk path to complete and report honestly.
-        black_box(stats);
     }
 }

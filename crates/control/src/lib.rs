@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use streambal_core::controller::{BalancerConfig, LoadBalancer};
+use streambal_core::controller::{BalancerConfig, ClusterOutcome, LoadBalancer};
 use streambal_core::rate::ConnectionSample;
 use streambal_core::weights::WeightVector;
 use streambal_telemetry::{Counter, Gauge, Telemetry, TraceEvent};
@@ -195,7 +195,9 @@ impl ControlPlaneBuilder {
 
     /// Additionally publishes per-round metrics under
     /// `<prefix>.controller.rounds`,
-    /// `<prefix>.conn<id>.{blocking_rate,weight}`, `<prefix>.width` and
+    /// `<prefix>.conn<id>.{blocking_rate,weight}`,
+    /// `<prefix>.recluster.{reused,full}`, `<prefix>.cluster.distinct`,
+    /// `<prefix>.width` and
     /// `<prefix>.autoscale.{grow,shrink,hold,cooldown_suppressed}`
     /// (requires [`telemetry`](Self::telemetry)).
     pub fn metrics(mut self, prefix: &str) -> Self {
@@ -236,6 +238,21 @@ impl ControlPlaneBuilder {
     }
 }
 
+/// Per-round metric handles.
+#[derive(Debug, Clone)]
+struct RoundMetrics {
+    rounds: Counter,
+    /// `(blocking_rate, weight)` per connection slot.
+    per_conn: Vec<(Gauge, Gauge)>,
+    /// Clustered rounds that kept the previous partition.
+    recluster_reused: Counter,
+    /// Clustered rounds that clustered the live connections again.
+    recluster_full: Counter,
+    /// Distinct knee feature vectors at the last full recluster: the size
+    /// of the agglomeration it ran, against `live` connections clustered.
+    cluster_distinct: Gauge,
+}
+
 /// Width-policy metric handles: the `width` gauge plus the
 /// `autoscale.{grow,shrink,hold,cooldown_suppressed}` decision counters.
 #[derive(Debug, Clone)]
@@ -258,7 +275,7 @@ pub struct ControlPlane {
     snapshots: Vec<RoundSnapshot>,
     telemetry: Option<Telemetry>,
     metrics_prefix: Option<String>,
-    metrics: Option<(Counter, Vec<(Gauge, Gauge)>)>,
+    metrics: Option<RoundMetrics>,
     scale_metrics: Option<ScaleMetrics>,
     samples_buf: Vec<ConnectionSample>,
     width_policy: Option<Box<dyn WidthPolicy>>,
@@ -502,12 +519,20 @@ impl ControlPlane {
             let ids: Vec<usize> = (0..self.lb.config().connections()).collect();
             self.bind_metrics(&ids);
         }
-        if let Some((rounds, per_conn)) = &self.metrics {
-            rounds.incr();
+        if let Some(m) = &self.metrics {
+            m.rounds.incr();
             let units = self.lb.weights().units();
-            for (j, (rate_g, weight_g)) in per_conn.iter().enumerate() {
+            for (j, (rate_g, weight_g)) in m.per_conn.iter().enumerate() {
                 rate_g.set(rates[j]);
                 weight_g.set(f64::from(units[j]));
+            }
+            match self.lb.last_cluster_outcome() {
+                Some(ClusterOutcome::Reused) => m.recluster_reused.incr(),
+                Some(ClusterOutcome::Full { distinct, .. }) => {
+                    m.recluster_full.incr();
+                    m.cluster_distinct.set(distinct as f64);
+                }
+                None => {}
             }
         }
         if let Some(sm) = &self.scale_metrics {
@@ -549,7 +574,13 @@ impl ControlPlane {
             hold: reg.counter(&format!("{prefix}.autoscale.hold")),
             cooldown_suppressed: reg.counter(&format!("{prefix}.autoscale.cooldown_suppressed")),
         });
-        self.metrics = Some((rounds, per_conn));
+        self.metrics = Some(RoundMetrics {
+            rounds,
+            per_conn,
+            recluster_reused: reg.counter(&format!("{prefix}.recluster.reused")),
+            recluster_full: reg.counter(&format!("{prefix}.recluster.full")),
+            cluster_distinct: reg.gauge(&format!("{prefix}.cluster.distinct")),
+        });
     }
 
     /// Owns a wall-clock control loop: every `interval`, apply the plane's
@@ -739,6 +770,48 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e, TraceEvent::ControllerRound { .. })));
+    }
+
+    #[test]
+    fn recluster_outcomes_are_counted_and_the_distinct_gauge_follows() {
+        use streambal_core::controller::{BalancerMode, ClusteringConfig};
+        let telemetry = Telemetry::new();
+        // Static mode: with no blocking the knees hold still between
+        // rounds, so exactly the rounds that change something recluster.
+        let cfg = BalancerConfig::builder(40)
+            .mode(BalancerMode::Static)
+            .clustering(ClusteringConfig::default())
+            .build()
+            .unwrap();
+        let mut p = ControlPlane::builder(cfg)
+            .telemetry(&telemetry)
+            .metrics("test")
+            .build();
+        let reg = telemetry.registry();
+        let mut rates = vec![0.0; 40];
+        rates[3] = 0.8;
+        rates[4] = 0.8;
+        p.round(0, &rates);
+        assert_eq!(reg.counter("test.recluster.full").get(), 1);
+        assert_eq!(reg.counter("test.recluster.reused").get(), 0);
+        // 38 idle connections share one vector, the two loaded ones another.
+        assert_eq!(reg.gauge("test.cluster.distinct").get(), 2.0);
+        rates.fill(0.0);
+        for round in 1..4 {
+            p.round(round, &rates);
+        }
+        let full = reg.counter("test.recluster.full").get();
+        let reused = reg.counter("test.recluster.reused").get();
+        assert_eq!(
+            full + reused,
+            4,
+            "every clustered round is one or the other"
+        );
+        assert!(reused >= 1, "quiet rounds keep the partition");
+        // A membership change forces the next round to recluster.
+        assert!(p.detach_connection(3));
+        p.round(4, &rates);
+        assert_eq!(reg.counter("test.recluster.full").get(), full + 1);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! balancer through [`ControlPlane::round`] and across every membership
 //! transition a region sees in production: detach, re-attach, growth and
 //! shrink. The transitions themselves may allocate (fresh functions,
-//! renormalization, scratch re-layout); the steady state before and after
-//! each one must not.
+//! scratch re-layout); the steady state before and after each one must
+//! not, and neither may a round that reclusters because a knee moved. What
+//! a detach allocates is bounded in bytes at the end, on a 2048-wide
+//! region.
 //!
 //! This file deliberately holds exactly one `#[test]`: the counter is
 //! process-global, so any concurrently running test would pollute it.
@@ -14,32 +16,44 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use streambal_control::ControlPlane;
-use streambal_core::controller::{BalancerConfig, ClusteringConfig};
+use streambal_core::controller::{BalancerConfig, ClusterOutcome, ClusteringConfig};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-fn count() {
+fn count(size: usize) {
     if ENABLED.load(Ordering::Relaxed) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(size as u64, Ordering::Relaxed);
     }
+}
+
+/// Runs `f` with the counters on; returns `(allocations, bytes requested)`.
+fn counted(f: impl FnOnce()) -> (u64, u64) {
+    ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
+    ENABLED.store(true, Ordering::SeqCst);
+    f();
+    ENABLED.store(false, Ordering::SeqCst);
+    (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -85,13 +99,11 @@ fn measure_zero(plane: &mut ControlPlane, rates: &[f64], label: &str) {
         "{label}: the live membership must stay above the clustering \
          threshold for this proof to mean anything"
     );
-    ALLOCS.store(0, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
-    for round in 0..20u64 {
-        plane.round(round, rates);
-    }
-    ENABLED.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let (allocs, _) = counted(|| {
+        for round in 0..20u64 {
+            plane.round(round, rates);
+        }
+    });
     assert_eq!(
         allocs, 0,
         "steady-state clustered control-plane rounds must not allocate \
@@ -100,7 +112,7 @@ fn measure_zero(plane: &mut ControlPlane, rates: &[f64], label: &str) {
 }
 
 #[test]
-fn steady_state_clustered_rounds_allocate_nothing_through_the_control_plane() {
+fn clustered_rounds_allocate_nothing_through_the_control_plane() {
     let cfg = BalancerConfig::builder(N)
         .clustering(ClusteringConfig::default())
         .build()
@@ -125,7 +137,7 @@ fn steady_state_clustered_rounds_allocate_nothing_through_the_control_plane() {
     rates.fill(0.0);
     measure_zero(&mut plane, &rates, "after re-attach");
 
-    // Growth re-lays-out the whole scratch (condensed matrix included) and
+    // Growth re-lays-out the whole per-round scratch and
     // may allocate in the act; the steady state at the wider width must be
     // allocation-free again.
     let range = plane.grow_width(8);
@@ -141,8 +153,74 @@ fn steady_state_clustered_rounds_allocate_nothing_through_the_control_plane() {
     rates.fill(0.0);
     measure_zero(&mut plane, &rates, "after shrink");
 
+    // Knee-moving rounds: re-observe connection 0 at a weight it already
+    // has data for with an alternating rate, so its knee value — and with
+    // it the live set's clustering — is redone every round. The weights
+    // settle into a two-cycle, after which the zero samples every round
+    // records land on weights seen before.
+    let key = plane.balancer().function(0).raw_points().last().unwrap().0;
+    let mut flip = false;
+    let mut knee_moving_round = |plane: &mut ControlPlane| {
+        flip = !flip;
+        let rate = if flip { 0.9 } else { 0.1 };
+        plane.balancer_mut().function_mut(0).observe(key, rate);
+        plane.round(0, &rates);
+        assert!(
+            matches!(
+                plane.balancer().last_cluster_outcome(),
+                Some(ClusterOutcome::Full { live: N, .. })
+            ),
+            "a moved knee must recluster"
+        );
+    };
+    for _ in 0..300 {
+        knee_moving_round(&mut plane);
+    }
+    let (allocs, _) = counted(|| {
+        for _ in 0..20 {
+            knee_moving_round(&mut plane);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "a control-plane round that reclusters must not allocate \
+         (got {allocs} over 20 rounds)"
+    );
+
     // The plane still functions after the measured windows.
     rates[0] = 0.9;
     let w = plane.round(1_000, &rates);
     assert_eq!(w.units().iter().sum::<u32>(), 1000);
+
+    // A detach and the round after it on a warmed 2048-wide, 4096-unit
+    // plane: renormalizing used to build and clone every dense predicted
+    // table, about 134 MB.
+    const WIDE: usize = 2048;
+    let cfg = BalancerConfig::builder(WIDE)
+        .resolution(4096)
+        .clustering(ClusteringConfig::default())
+        .build()
+        .unwrap();
+    let mut plane = ControlPlane::builder(cfg).build();
+    let rates: Vec<f64> = (0..WIDE)
+        .map(|j| {
+            if j < 32 {
+                0.3 * (1 + j % 3) as f64
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    for round in 0..30 {
+        plane.round(round, &rates);
+    }
+    let (_, bytes) = counted(|| {
+        assert!(plane.detach_connection(WIDE - 1));
+        plane.round(30, &rates);
+    });
+    assert_eq!(plane.weights().units().iter().sum::<u32>(), 4096);
+    assert!(
+        bytes < 1 << 20,
+        "detach + the following round allocated {bytes} bytes, budget 1 MiB"
+    );
 }

@@ -17,9 +17,16 @@
 //! induces — so the resulting partition is *identical*, not merely
 //! equivalent (property-tested against the retained naive oracle below).
 //!
+//! The controller never builds a matrix over every connection: a wide
+//! region has few distinct function shapes, so
+//! [`ClusterScratch::cluster_features`] collapses identical feature vectors
+//! first and agglomerates only their representatives (exactly — see its
+//! docs).
+//!
 //! All working memory lives in a [`ClusterScratch`] that callers retain
-//! across runs, so a steady-state controller round clusters without heap
-//! allocation.
+//! across runs, so a controller round clusters without heap allocation.
+
+use super::distance::fill_condensed;
 
 /// Number of entries in a condensed (strict upper-triangular, row-major)
 /// pairwise distance matrix over `n` items: `n · (n − 1) / 2`.
@@ -45,7 +52,7 @@ pub struct Clustering {
     /// For each item, the id of its cluster (`0..num_clusters`). Cluster ids
     /// are assigned in order of each cluster's smallest member index, so the
     /// labelling is deterministic. Items outside the clustered set (possible
-    /// only via [`ClusterScratch::cluster_live`]) carry `usize::MAX`.
+    /// only via [`ClusterScratch::cluster_features`]) carry `usize::MAX`.
     pub assignment: Vec<usize>,
     /// The members of each cluster, sorted ascending.
     pub members: Vec<Vec<usize>>,
@@ -80,6 +87,15 @@ pub struct ClusterScratch {
     parent: Vec<u32>,
     /// Packed item → cluster id, filled during the labelling pass.
     cluster_of: Vec<usize>,
+    /// [`cluster_features`](Self::cluster_features): live positions sorted
+    /// by feature vector, so identical vectors sit next to each other.
+    order: Vec<u32>,
+    /// Live position → packed label of its group of identical vectors.
+    packed: Vec<u32>,
+    /// Sort-order group → packed label (`u32::MAX` = not seen yet).
+    label_of: Vec<u32>,
+    /// One feature vector per distinct group, in packed-label order.
+    reps: Vec<[f64; 3]>,
     /// Recycled member vectors (returned via [`recycle`](Self::recycle)).
     pool: Vec<Vec<usize>>,
 }
@@ -137,52 +153,104 @@ impl ClusterScratch {
         self.work.clear();
         self.work.extend_from_slice(condensed);
         self.run(n, threshold);
-        self.emit(n, None, n, out);
+        self.emit(n, n, (0..n).zip(0..n as u32), out);
     }
 
-    /// Clusters the subset `live` (strictly ascending slot indices) of
-    /// `n_slots` items, reading pair distances from a condensed matrix over
-    /// *all* `n_slots` slots. The result is expressed in slot indices:
-    /// `out.assignment` has length `n_slots` with `usize::MAX` for slots not
-    /// in `live`, and `out.members` holds slot indices.
+    /// Clusters the slots `live` (strictly ascending indices into `feat`)
+    /// by their [`log_features`](super::log_features) vectors under the
+    /// knee [`feature_distance`](super::feature_distance), merging while
+    /// the complete-linkage distance is at most `threshold`. The result is
+    /// expressed in slot
+    /// indices: `out.assignment` has length `feat.len()` with `usize::MAX`
+    /// for slots not in `live`. Returns the number of *distinct* vectors
+    /// among the live slots.
+    ///
+    /// Only the distinct vectors are agglomerated: live slots are grouped
+    /// by identical vector (`-0.0` equals `0.0`), each group is represented
+    /// by its smallest slot, and the nearest-neighbor chain runs over a
+    /// local condensed matrix of the `m` representatives. The partition is
+    /// the one a matrix over *all* live slots gives, not an approximation
+    /// of it: the distance is 0 exactly between identical vectors, which
+    /// also have identical distance rows, so complete linkage (ties to the
+    /// smallest label) first merges every group at height 0 — within any
+    /// `threshold >= 0` — and from then on the linkage between two groups
+    /// *is* their representatives' distance, with groups ordered by
+    /// smallest member just as the representatives are.
     ///
     /// # Panics
     ///
-    /// Panics if `condensed.len() != condensed_len(n_slots)`. Debug builds
-    /// also check that `live` is strictly ascending, in bounds, and that the
-    /// gathered distances are finite and non-negative.
-    pub fn cluster_live(
+    /// Panics if `live` is empty or `threshold` is negative or NaN. Debug
+    /// builds also check that `live` is strictly ascending and in bounds
+    /// and that the live features are finite.
+    pub fn cluster_features(
         &mut self,
         live: &[usize],
-        n_slots: usize,
-        condensed: &[f64],
+        feat: &[[f64; 3]],
         threshold: f64,
         out: &mut Clustering,
-    ) {
-        assert_eq!(
-            condensed.len(),
-            condensed_len(n_slots),
-            "condensed matrix must hold n_slots(n_slots-1)/2 entries"
+    ) -> usize {
+        assert!(!live.is_empty(), "need at least one live slot");
+        assert!(threshold >= 0.0, "threshold must be >= 0, got {threshold}");
+        debug_assert!(
+            live.windows(2).all(|w| w[0] < w[1]) && live[live.len() - 1] < feat.len(),
+            "live must be strictly ascending slot indices into feat"
         );
         debug_assert!(
-            live.windows(2).all(|w| w[0] < w[1]) && live.last().is_none_or(|&j| j < n_slots),
-            "live must be strictly ascending slot indices below n_slots"
+            live.iter().all(|&j| feat[j].iter().all(|v| v.is_finite())),
+            "features must be finite"
         );
-        let m = live.len();
-        // Gathering the live pairs doubles as the sub-matrix packing; with
-        // full membership it degenerates to a straight copy.
-        self.work.clear();
-        for (a, &i) in live.iter().enumerate() {
-            for &j in &live[a + 1..] {
-                self.work.push(condensed[condensed_index(n_slots, i, j)]);
+        // Adding +0.0 maps -0.0 to +0.0 and leaves every other value alone,
+        // so `total_cmp` on the result orders equal vectors together.
+        let key = |p: u32| feat[live[p as usize]].map(|v| v + 0.0);
+        let by_vector = |a: &u32, b: &u32| {
+            let (ka, kb) = (key(*a), key(*b));
+            ka[0]
+                .total_cmp(&kb[0])
+                .then(ka[1].total_cmp(&kb[1]))
+                .then(ka[2].total_cmp(&kb[2]))
+        };
+        self.order.clear();
+        self.order.extend(0..live.len() as u32);
+        self.order
+            .sort_unstable_by(|a, b| by_vector(a, b).then(a.cmp(b)));
+        // Number the groups in sort order ...
+        self.packed.clear();
+        self.packed.resize(live.len(), 0);
+        let mut groups = 0u32;
+        for i in 0..self.order.len() {
+            if i > 0 && by_vector(&self.order[i - 1], &self.order[i]).is_ne() {
+                groups += 1;
             }
+            self.packed[self.order[i] as usize] = groups;
         }
-        debug_assert!(
-            self.work.iter().all(|&d| d.is_finite() && d >= 0.0),
-            "distances must be finite and >= 0"
-        );
+        // ... then relabel them in slot order: walking the live slots
+        // ascending meets every group at its smallest member first, so the
+        // packed labels (and `reps`) come out ordered by representative.
+        self.label_of.clear();
+        self.label_of.resize(groups as usize + 1, u32::MAX);
+        self.reps.clear();
+        for (p, &j) in live.iter().enumerate() {
+            let label = &mut self.label_of[self.packed[p] as usize];
+            if *label == u32::MAX {
+                *label = self.reps.len() as u32;
+                self.reps.push(feat[j]);
+            }
+            self.packed[p] = *label;
+        }
+        let m = self.reps.len();
+        self.work.clear();
+        self.work.resize(condensed_len(m), 0.0);
+        fill_condensed(&self.reps, &mut self.work);
         self.run(m, threshold);
-        self.emit(m, Some(live), n_slots, out);
+        let packed = std::mem::take(&mut self.packed);
+        self.emit(
+            m,
+            feat.len(),
+            live.iter().copied().zip(packed.iter().copied()),
+            out,
+        );
+        self.packed = packed;
+        m
     }
 
     /// Builds the full dendrogram for `m` packed items from `self.work`,
@@ -291,28 +359,32 @@ impl ClusterScratch {
         x
     }
 
-    /// Writes the cut partition into `out`, mapping packed items through
-    /// `live` when clustering a subset. Roots are cluster minima and packed
-    /// items are visited ascending, so ids follow each cluster's smallest
-    /// member and member lists come out sorted — the naive labelling.
-    fn emit(&mut self, m: usize, live: Option<&[usize]>, n_out: usize, out: &mut Clustering) {
+    /// Writes the cut partition over `m` packed labels into `out`, given
+    /// every clustered item as `(slot, packed label)` in ascending slot
+    /// order (several slots may share a label). Roots are cluster minima
+    /// and a label's first slot is its smallest, so ids follow each
+    /// cluster's smallest member and member lists come out sorted — the
+    /// naive labelling.
+    fn emit(
+        &mut self,
+        m: usize,
+        n_out: usize,
+        items: impl Iterator<Item = (usize, u32)>,
+        out: &mut Clustering,
+    ) {
         self.recycle(&mut out.members);
         out.assignment.clear();
         out.assignment.resize(n_out, usize::MAX);
         self.cluster_of.clear();
         self.cluster_of.resize(m, usize::MAX);
-        for p in 0..m {
-            let root = self.find(p as u32) as usize;
-            let id = if root == p {
-                let id = out.members.len();
+        for (slot, label) in items {
+            let root = self.find(label) as usize;
+            if self.cluster_of[root] == usize::MAX {
+                self.cluster_of[root] = out.members.len();
                 let fresh = self.grab();
                 out.members.push(fresh);
-                id
-            } else {
-                self.cluster_of[root]
-            };
-            self.cluster_of[p] = id;
-            let slot = live.map_or(p, |l| l[p]);
+            }
+            let id = self.cluster_of[root];
             out.assignment[slot] = id;
             out.members[id].push(slot);
         }
@@ -373,6 +445,7 @@ pub fn cluster(n: usize, distances: &[f64], threshold: f64) -> Clustering {
 #[allow(clippy::erasing_op, clippy::identity_op)]
 mod tests {
     use super::*;
+    use crate::cluster::feature_distance;
 
     /// The original rescan-every-pair implementation, retained verbatim as
     /// the reference oracle for the nearest-neighbor-chain rewrite.
@@ -598,45 +671,101 @@ mod tests {
         assert_matches_naive(512, &d, 0.02, "continuous 512");
     }
 
-    #[test]
-    fn cluster_live_matches_remapped_naive() {
-        let n_slots = 24usize;
-        let square = random_matrix(n_slots, 5, Some(&[0.1, 0.6, 1.3]));
-        let mut condensed = Vec::new();
-        for i in 0..n_slots {
-            condensed.extend_from_slice(&square[i * n_slots + i + 1..(i + 1) * n_slots]);
-        }
-        // Every third slot detached.
-        let live: Vec<usize> = (0..n_slots).filter(|j| j % 3 != 0).collect();
+    /// Checks `cluster_features` over `live` against the naive oracle run
+    /// on the full pairwise matrix of the live slots (duplicates and all),
+    /// remapped to slot indices.
+    fn assert_features_match_naive(
+        scratch: &mut ClusterScratch,
+        out: &mut Clustering,
+        feat: &[[f64; 3]],
+        live: &[usize],
+        threshold: f64,
+        what: &str,
+    ) {
         let m = live.len();
         let mut sub = vec![0.0; m * m];
         for (a, &i) in live.iter().enumerate() {
             for (b, &j) in live.iter().enumerate() {
-                sub[a * m + b] = square[i * n_slots + j];
+                sub[a * m + b] = feature_distance(&feat[i], &feat[j]);
             }
         }
-        let packed = naive_cluster(m, &sub, 0.7);
-
-        let mut scratch = ClusterScratch::new();
-        let mut out = Clustering {
-            assignment: Vec::new(),
-            members: Vec::new(),
-        };
-        scratch.cluster_live(&live, n_slots, &condensed, 0.7, &mut out);
-
-        assert_eq!(out.assignment.len(), n_slots);
+        let packed = naive_cluster(m, &sub, threshold);
+        let mut assignment = vec![usize::MAX; feat.len()];
         for (p, &j) in live.iter().enumerate() {
-            assert_eq!(out.assignment[j], packed.assignment[p], "slot {j}");
+            assignment[j] = packed.assignment[p];
         }
-        for j in (0..n_slots).filter(|j| j % 3 == 0) {
-            assert_eq!(out.assignment[j], usize::MAX, "detached slot {j}");
-        }
-        let expect_members: Vec<Vec<usize>> = packed
+        let members: Vec<Vec<usize>> = packed
             .members
             .iter()
             .map(|ms| ms.iter().map(|&p| live[p]).collect())
             .collect();
-        assert_eq!(out.members, expect_members);
+        let mut distinct: Vec<[u64; 3]> = live
+            .iter()
+            .map(|&j| feat[j].map(|v| (v + 0.0).to_bits()))
+            .collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+
+        let got = scratch.cluster_features(live, feat, threshold, out);
+        assert_eq!(got, distinct.len(), "{what}: distinct count");
+        assert_eq!(out.assignment, assignment, "{what}: assignment");
+        assert_eq!(out.members, members, "{what}: members");
+    }
+
+    #[test]
+    fn cluster_features_matches_naive_on_the_full_live_matrix() {
+        // The populations the collapse must be exact on: a handful of
+        // shapes shared by everyone (the production regime), coordinates
+        // on a grid that puts distances *on* the thresholds, signed zeros,
+        // one shape only, no duplicates at all — each with every slot live
+        // and with a seeded third of the slots detached.
+        let grid = [0.0, 0.35, 0.7, 1.05, 1.4];
+        let zeros = [0.0, -0.0, 0.7, -0.7];
+        let mut scratch = ClusterScratch::new();
+        let mut out = Clustering::default();
+        let mut s = 0x0D15_71C7_u64;
+        for case in 0..240usize {
+            let n = 1 + case % 48;
+            let kind = case % 5;
+            let palette: Vec<[f64; 3]> = (0..1 + case % 6)
+                .map(|_| [0; 3].map(|_| rand_unit(&mut s) * 3.0))
+                .collect();
+            let feat: Vec<[f64; 3]> = (0..n)
+                .map(|_| match kind {
+                    0 => palette[(xorshift(&mut s) % palette.len() as u64) as usize],
+                    1 => [0; 3].map(|_| grid[(xorshift(&mut s) % 5) as usize]),
+                    2 => [0; 3].map(|_| zeros[(xorshift(&mut s) % 4) as usize]),
+                    3 => palette[0],
+                    _ => [0; 3].map(|_| rand_unit(&mut s) * 3.0),
+                })
+                .collect();
+            let everyone: Vec<usize> = (0..n).collect();
+            let mut some: Vec<usize> = (0..n)
+                .filter(|_| !xorshift(&mut s).is_multiple_of(3))
+                .collect();
+            if some.is_empty() {
+                some.push(n - 1);
+            }
+            for threshold in [0.0, 0.35, 0.7, 1.0] {
+                for live in [&everyone, &some] {
+                    let what = format!("case {case} kind {kind} n={n} t={threshold}");
+                    assert_features_match_naive(
+                        &mut scratch,
+                        &mut out,
+                        &feat,
+                        live,
+                        threshold,
+                        &what,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be >= 0")]
+    fn cluster_features_rejects_a_negative_threshold() {
+        ClusterScratch::new().cluster_features(&[0], &[[0.0; 3]], -0.1, &mut Clustering::default());
     }
 
     #[test]

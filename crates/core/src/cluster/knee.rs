@@ -72,6 +72,19 @@ pub fn knee_of(predicted: &[f64]) -> Knee {
 /// the knee refresh off the round's critical path.
 pub fn knee_of_function(f: &mut BlockingRateFunction) -> Knee {
     let r = f.resolution();
+    let service_weight = first_blocking_weight(f).unwrap_or(r).max(1);
+    Knee {
+        service_weight,
+        rate_at_knee: f.value(service_weight).max(DELTA),
+        rate_at_max: f.value(r).max(DELTA),
+    }
+}
+
+/// The first weight at which `f` predicts blocking above [`DELTA`], if
+/// any — the position `predicted().iter().position(|&v| v > DELTA)` finds,
+/// located without the dense table.
+pub(crate) fn first_blocking_weight(f: &mut BlockingRateFunction) -> Option<u32> {
+    let r = f.resolution();
     // The fit is non-decreasing and fit[0] == 0 (the (0, 0) axiom point is
     // the global minimum, so PAVA can never pool block 0 upwards), hence
     // the first fit point above DELTA — if any — ends the segment
@@ -85,27 +98,20 @@ pub fn knee_of_function(f: &mut BlockingRateFunction) -> Knee {
             None => (*xs.last().expect("fit holds the axiom point"), r),
         }
     };
-    let service_weight = if hi > lo && f.value(hi) > DELTA {
-        // First weight in (lo, hi] whose prediction exceeds DELTA; the
-        // invariant value(lo) <= DELTA < value(hi) holds throughout.
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if f.value(mid) > DELTA {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
+    if hi == lo || f.value(hi) <= DELTA {
+        return None;
+    }
+    // First weight in (lo, hi] whose prediction exceeds DELTA; the
+    // invariant value(lo) <= DELTA < value(hi) holds throughout.
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if f.value(mid) > DELTA {
+            hi = mid;
+        } else {
+            lo = mid;
         }
-        hi
-    } else {
-        r
     }
-    .max(1);
-    Knee {
-        service_weight,
-        rate_at_knee: f.value(service_weight).max(DELTA),
-        rate_at_max: f.value(r).max(DELTA),
-    }
+    Some(hi)
 }
 
 #[cfg(test)]

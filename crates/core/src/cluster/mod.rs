@@ -17,6 +17,7 @@ mod knee;
 
 pub use agglomerative::{cluster, condensed_index, condensed_len, ClusterScratch, Clustering};
 pub use distance::{alpha, distance, feature_distance, fill_condensed, log_features};
+pub(crate) use knee::first_blocking_weight;
 pub use knee::{knee_of, knee_of_function, Knee};
 
 use crate::function::{fill_predicted, BlockingRateFunction};

@@ -26,7 +26,7 @@ use streambal_telemetry::{TraceBuffer, TraceEvent};
 use crate::cluster::{self, AggregateScratch, ClusterScratch, Clustering, Knee};
 use crate::function::BlockingRateFunction;
 use crate::rate::ConnectionSample;
-use crate::solver::fox::FoxScratch;
+use crate::solver::fox::{FoxScratch, Limits};
 use crate::solver::{fox, Problem};
 use crate::weights::{WeightVector, DEFAULT_RESOLUTION};
 use crate::DELTA;
@@ -74,6 +74,24 @@ impl Default for ClusteringConfig {
     }
 }
 
+/// What the clustering step of a [`rebalance`](LoadBalancer::rebalance)
+/// round did (see [`LoadBalancer::last_cluster_outcome`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterOutcome {
+    /// No knee value and no membership moved: the previous partition was
+    /// kept as is.
+    Reused,
+    /// The live connections were clustered again.
+    Full {
+        /// Live connections clustered.
+        live: usize,
+        /// Distinct knee feature vectors among them — the size of the
+        /// agglomeration actually run. `live - distinct` connections rode
+        /// along as exact duplicates.
+        distinct: usize,
+    },
+}
+
 /// Error building a [`BalancerConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -83,6 +101,8 @@ pub enum ConfigError {
     BadResolution,
     /// A smoothing/decay factor was outside its valid range.
     BadFactor,
+    /// The clustering distance threshold was negative or not finite.
+    BadThreshold,
 }
 
 impl fmt::Display for ConfigError {
@@ -93,6 +113,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "resolution must be positive and >= connection count")
             }
             ConfigError::BadFactor => write!(f, "smoothing/decay factors must be in (0, 1]"),
+            ConfigError::BadThreshold => {
+                write!(f, "clustering distance threshold must be finite and >= 0")
+            }
         }
     }
 }
@@ -345,6 +368,13 @@ impl BalancerConfigBuilder {
                 return Err(ConfigError::BadFactor);
             }
         }
+        if let Some(c) = self.clustering {
+            // NaN would silently disable every merge, and a negative
+            // threshold would keep identical functions apart.
+            if !(c.distance_threshold.is_finite() && c.distance_threshold >= 0.0) {
+                return Err(ConfigError::BadThreshold);
+            }
+        }
         Ok(BalancerConfig {
             connections: self.connections,
             resolution: self.resolution,
@@ -382,6 +412,7 @@ pub struct LoadBalancer {
     weights: WeightVector,
     round: u64,
     last_clusters: Option<Clustering>,
+    last_outcome: Option<ClusterOutcome>,
     trace: Option<TraceBuffer>,
     pending_rates: Vec<f64>,
     /// Which connection slots are currently members of the region.
@@ -412,8 +443,8 @@ const NO_KNEE: Knee = Knee {
 /// allocation: predicted tables are mirrored into `flat` only when a
 /// function's [`generation`](BlockingRateFunction::generation) moved,
 /// bounds/priority vectors are refilled in place, the Fox solver recycles
-/// its heap, and the clustering distance matrix keeps rows whose knees are
-/// unchanged.
+/// its heap, and the clustering is redone — out of the retained
+/// [`ClusterScratch`] — only when a knee value moved.
 #[derive(Debug, Clone)]
 struct RoundScratch {
     /// Weight snapshot taken at the start of the round (for tracing and
@@ -443,12 +474,6 @@ struct RoundScratch {
     knee_gen: Vec<u64>,
     /// Per-connection log-feature vectors, updated alongside `knees`.
     feat: Vec<[f64; 3]>,
-    /// Cached condensed upper-triangular knee distance matrix over all `n`
-    /// slots (see [`cluster::condensed_index`]); empty when clustering is
-    /// off. Rows are refreshed only for slots whose knee *value* moved.
-    dist: Vec<f64>,
-    /// Live slots whose knee value changed this round.
-    dirty: Vec<usize>,
     /// Cached ascending list of attached slots, keyed on `live_gen`.
     live: Vec<usize>,
     /// The [`LoadBalancer::membership_gen`] the `live` cache was built at
@@ -462,13 +487,6 @@ struct RoundScratch {
     /// Recycled [`Clustering`] buffer, double-buffered against
     /// `LoadBalancer::last_clusters` so a recluster allocates nothing.
     spare_clusters: Clustering,
-    /// Output buffer for the dirty-closure partial recluster.
-    sub_clusters: Clustering,
-    /// Per-slot membership marks for the dirty-closure expansion.
-    in_s: Vec<bool>,
-    /// Slots in the dirty closure, in discovery order (doubles as the BFS
-    /// queue), sorted ascending before the partial recluster.
-    s_list: Vec<usize>,
     /// Pooled-row aggregation working memory (per-cluster PAVA refit).
     agg: AggregateScratch,
     /// Row-major pooled predicted tables, `k × (R + 1)` for the current
@@ -522,20 +540,11 @@ impl RoundScratch {
             } else {
                 Vec::new()
             },
-            dist: if clustered {
-                vec![0.0; cluster::condensed_len(n)]
-            } else {
-                Vec::new()
-            },
-            dirty: Vec::new(),
             live: Vec::new(),
             live_gen: u64::MAX,
             clusters_gen: u64::MAX,
             cluster_scratch: ClusterScratch::new(),
             spare_clusters: Clustering::default(),
-            sub_clusters: Clustering::default(),
-            in_s: Vec::new(),
-            s_list: Vec::new(),
             agg: AggregateScratch::new(),
             cflat: Vec::new(),
             clower: Vec::new(),
@@ -566,6 +575,7 @@ impl LoadBalancer {
             weights,
             round: 0,
             last_clusters: None,
+            last_outcome: None,
             trace: None,
             pending_rates,
             attached,
@@ -664,6 +674,13 @@ impl LoadBalancer {
         self.last_clusters.as_ref()
     }
 
+    /// What the most recent rebalance's clustering step did; `None` when
+    /// that round did not cluster (no data yet, clustering off, or too few
+    /// live connections).
+    pub fn last_cluster_outcome(&self) -> Option<ClusterOutcome> {
+        self.last_outcome
+    }
+
     /// Whether connection slot `j` is currently attached to the region.
     ///
     /// # Panics
@@ -738,7 +755,7 @@ impl LoadBalancer {
         self.attached[j] = false;
         self.membership_gen += 1;
         self.retire_slot(j);
-        self.renormalize_membership(&[]);
+        self.renormalize_membership(0..0);
         if let Some(trace) = &self.trace {
             trace.push(TraceEvent::Custom {
                 name: "membership.detach".to_owned(),
@@ -774,7 +791,7 @@ impl LoadBalancer {
         self.attached[j] = true;
         self.membership_gen += 1;
         self.retire_slot(j);
-        self.renormalize_membership(&[j]);
+        self.renormalize_membership(j..j + 1);
         if let Some(trace) = &self.trace {
             trace.push(TraceEvent::Custom {
                 name: "membership.attach".to_owned(),
@@ -794,9 +811,6 @@ impl LoadBalancer {
         self.scratch.flat_gen[j] = u64::MAX;
         self.scratch.knee_gen[j] = u64::MAX;
         if let Some(k) = self.scratch.knees.get_mut(j) {
-            // The cached distance rows for this slot are stale; the
-            // placeholder makes the next clustered round treat the slot as
-            // dirty and refill them.
             *k = NO_KNEE;
         }
         self.pending_rates[j] = 0.0;
@@ -867,14 +881,13 @@ impl LoadBalancer {
         // batch at the exploration step (attaching one by one would let an
         // earlier newcomer's clean fresh function soak up a full share when
         // a later sibling's renormalization runs).
-        let newcomers: Vec<usize> = (old_n..new_n).collect();
-        for &j in &newcomers {
+        for j in old_n..new_n {
             self.attached[j] = true;
             self.retire_slot(j);
         }
-        self.renormalize_membership(&newcomers);
+        self.renormalize_membership(old_n..new_n);
         if let Some(trace) = &self.trace {
-            for &j in &newcomers {
+            for j in old_n..new_n {
                 trace.push(TraceEvent::Custom {
                     name: "membership.attach".to_owned(),
                     fields: vec![
@@ -956,13 +969,18 @@ impl LoadBalancer {
     /// slots are pinned at `[0, 0]`, attached slots may take anything up to
     /// `R` (the freed capacity has to go *somewhere*, so the per-round
     /// step limits do not apply here), and just-attached newcomers are
-    /// capped at the exploration step — `capped` lists them; a single
-    /// attach passes one slot, a [`grow`](Self::grow) passes every new slot
-    /// so none of the batch can soak up a full share before earning it.
-    /// With no observations yet the even split over the attached slots is
-    /// installed instead, mirroring [`rebalance`](Self::rebalance)'s
-    /// no-data behaviour.
-    fn renormalize_membership(&mut self, capped: &[usize]) {
+    /// capped at the exploration step — `capped` is their slot range; a
+    /// single attach passes one slot, a [`grow`](Self::grow) passes every
+    /// new slot so none of the batch can soak up a full share before
+    /// earning it. With no observations yet the even split over the
+    /// attached slots is installed instead, mirroring
+    /// [`rebalance`](Self::rebalance)'s no-data behaviour.
+    ///
+    /// The solve reads the functions through point queries (and finds each
+    /// clean frontier by bisection), both bit-identical to the dense
+    /// predicted tables — which are therefore never built, let alone
+    /// copied, for a membership change.
+    fn renormalize_membership(&mut self, capped: std::ops::Range<usize>) {
         let n = self.cfg.connections;
         let r = self.cfg.resolution;
         let step = self.cfg.exploration_step;
@@ -971,43 +989,53 @@ impl LoadBalancer {
             .iter()
             .zip(&self.attached)
             .any(|(f, &a)| a && f.raw_len() > 1);
+        let live = self.live_connections() as u32;
+        let scratch = &mut self.scratch;
 
-        let units: Vec<u32> = if has_data {
-            let predicted: Vec<Vec<f64>> = self
-                .functions
-                .iter_mut()
-                .map(|f| f.predicted().to_vec())
-                .collect();
-            let slices: Vec<&[f64]> = predicted.iter().map(Vec::as_slice).collect();
-            let priority: Vec<u64> = predicted
-                .iter()
-                .map(|p| u64::from(Self::clean_frontier(p)))
-                .collect();
-            let lower = vec![0; n];
-            let upper: Vec<u32> = (0..n)
-                .map(|j| {
-                    if !self.attached[j] {
-                        0
-                    } else if capped.contains(&j) {
-                        step.min(r)
-                    } else {
-                        r
-                    }
-                })
-                .collect();
-            let problem = Problem::new(slices, r)
-                .expect("function domains share the balancer's resolution")
-                .with_bounds(lower, upper)
-                .expect("membership bounds are within the resolution")
-                .with_tie_priority(priority)
-                .expect("priority vector matches the connection count");
-            fox::solve(&problem)
-                .expect("at least one attached slot is unbounded, so R units always fit")
-                .weights
+        if has_data {
+            // `lower`/`upper` are rebuilt by every plain round; the clean
+            // frontier written to `priority[j]` is the value the plain
+            // round caches there for the same function generation.
+            scratch.lower.clear();
+            scratch.lower.resize(n, 0);
+            scratch.upper.clear();
+            for j in 0..n {
+                scratch.upper.push(if !self.attached[j] {
+                    0
+                } else if capped.contains(&j) {
+                    step.min(r)
+                } else {
+                    r
+                });
+                if self.attached[j] {
+                    scratch.priority[j] =
+                        u64::from(Self::clean_frontier_of(&mut self.functions[j]));
+                }
+            }
+            debug_assert!(
+                (0..n).any(|j| self.attached[j] && !capped.contains(&j)),
+                "an uncapped attached slot keeps R units feasible"
+            );
+            let functions = &mut self.functions;
+            fox::greedy(
+                &Limits {
+                    resolution: r,
+                    lower: &scratch.lower,
+                    upper: &scratch.upper,
+                    multiplicity: &scratch.ones,
+                    tie_priority: &scratch.priority,
+                },
+                |j, w| functions[j].value(w),
+                &mut scratch.fox,
+            );
+            self.weights
+                .copy_from_units(&scratch.fox.weights)
+                .expect("membership renormalization assigns exactly R units");
         } else {
-            let live = self.live_connections() as u32;
             let (base, rem) = (r / live, r % live);
-            let mut units = vec![0u32; n];
+            let units = &mut scratch.units_tmp;
+            units.clear();
+            units.resize(n, 0);
             let mut idx = 0u32;
             for (j, u) in units.iter_mut().enumerate() {
                 if self.attached[j] {
@@ -1018,7 +1046,7 @@ impl LoadBalancer {
             // Exploration-bounded admission: trim each newcomer to the
             // step and hand the trimmed units back to the incumbents.
             let mut excess = 0u32;
-            for &a in capped {
+            for a in capped.clone() {
                 let cap = step.min(units[a]);
                 excess += units[a] - cap;
                 units[a] = cap;
@@ -1033,11 +1061,10 @@ impl LoadBalancer {
                     }
                 }
             }
-            units
-        };
-        self.weights
-            .copy_from_units(&units)
-            .expect("membership renormalization assigns exactly R units");
+            self.weights
+                .copy_from_units(units)
+                .expect("membership renormalization assigns exactly R units");
+        }
         self.last_clusters = None;
     }
 
@@ -1084,6 +1111,7 @@ impl LoadBalancer {
     /// split is the only defensible prior).
     pub fn rebalance(&mut self) -> &WeightVector {
         self.round += 1;
+        self.last_outcome = None;
         self.scratch.weights_before.clear();
         self.scratch
             .weights_before
@@ -1160,6 +1188,13 @@ impl LoadBalancer {
             .iter()
             .rposition(|&v| v <= crate::DELTA)
             .unwrap_or(0) as u32
+    }
+
+    /// [`clean_frontier`](Self::clean_frontier) of `f`'s predicted table,
+    /// found by bisection on point queries instead of building the table.
+    fn clean_frontier_of(f: &mut BlockingRateFunction) -> u32 {
+        // Weight 0 never blocks, so a first blocking weight is >= 1.
+        cluster::first_blocking_weight(f).map_or(f.resolution(), |w| w - 1)
     }
 
     fn rebalance_plain(&mut self) {
@@ -1282,13 +1317,13 @@ impl LoadBalancer {
             scratch.live_gen = self.membership_gen;
         }
 
-        // 2. Knee refresh and dirtiness. Each live function whose
-        //    generation moved gets a fresh knee via the fit-based fast path
-        //    (no dense table rebuild); a slot is *dirty* only when the knee
-        //    VALUE actually changed — under per-round decay every
-        //    generation moves every round, but knees converge, so value
-        //    comparison is what makes the steady state cheap.
-        scratch.dirty.clear();
+        // 2. Knee refresh. Each live function whose generation moved gets a
+        //    fresh knee via the fit-based fast path (no dense table
+        //    rebuild); what counts is whether a knee VALUE changed — under
+        //    per-round decay every generation moves every round, but knees
+        //    converge, so value comparison is what makes the steady state
+        //    cheap.
+        let mut knee_moved = false;
         for idx in 0..scratch.live.len() {
             let j = scratch.live[idx];
             let f = &mut self.functions[j];
@@ -1302,169 +1337,51 @@ impl LoadBalancer {
             if never || fresh != scratch.knees[j] {
                 scratch.knees[j] = fresh;
                 scratch.feat[j] = cluster::log_features(&fresh, r);
-                scratch.dirty.push(j);
+                knee_moved = true;
             }
         }
 
-        // 3. Refill the condensed distance rows of dirty slots against the
-        //    live set. Invariant: a live–live pair is always current,
-        //    because the only way it can go stale is a knee change (the
-        //    slot lands here) or a re-attach/growth (the slot's knee is
-        //    reset to the placeholder, so it lands here too).
-        for di in 0..scratch.dirty.len() {
-            let j = scratch.dirty[di];
-            let fj = scratch.feat[j];
-            for li in 0..scratch.live.len() {
-                let k = scratch.live[li];
-                if k == j {
-                    continue;
-                }
-                let (a, b) = (j.min(k), j.max(k));
-                scratch.dist[cluster::condensed_index(n, a, b)] =
-                    cluster::feature_distance(&fj, &scratch.feat[k]);
-            }
-        }
-
-        // 4. Maintain the clustering incrementally. `last_clusters` is
+        // 3. Recluster unless nothing can have changed. `last_clusters` is
         //    cleared by every membership change, so `Some` implies the
-        //    previous round clustered this exact live set.
-        let (clustering, changed) = 'cl: {
-            match self.last_clusters.take() {
-                Some(prev) if scratch.dirty.is_empty() => {
-                    // No knee moved: the distance matrix is untouched and
-                    // the partition is identical by construction. Reuse it
-                    // outright (the pooled solve below still runs — member
-                    // data changes every round even when knees do not).
-                    debug_assert_eq!(scratch.clusters_gen, self.membership_gen);
-                    break 'cl (prev, false);
-                }
-                Some(mut prev) => {
-                    debug_assert_eq!(scratch.clusters_gen, self.membership_gen);
-                    // Dirty-cluster fast path. Seed the affected set S with
-                    // the whole previous clusters of the dirty slots, then
-                    // repeatedly pull in the entire previous cluster of any
-                    // live slot within the threshold of S. At the fixpoint
-                    // every S–rest pair is farther than the threshold, so
-                    // complete linkage can never merge across the boundary:
-                    // re-clustering S standalone and keeping the untouched
-                    // previous clusters reproduces the from-scratch result
-                    // exactly (a property test pins this down).
-                    scratch.in_s.clear();
-                    scratch.in_s.resize(n, false);
-                    scratch.s_list.clear();
-                    for di in 0..scratch.dirty.len() {
-                        let c = prev.assignment[scratch.dirty[di]];
-                        for &m in &prev.members[c] {
-                            if !scratch.in_s[m] {
-                                scratch.in_s[m] = true;
-                                scratch.s_list.push(m);
-                            }
-                        }
-                    }
-                    let mut qi = 0;
-                    while qi < scratch.s_list.len() {
-                        let s = scratch.s_list[qi];
-                        qi += 1;
-                        for li in 0..scratch.live.len() {
-                            let u = scratch.live[li];
-                            if scratch.in_s[u] {
-                                continue;
-                            }
-                            let (a, b) = (s.min(u), s.max(u));
-                            if scratch.dist[cluster::condensed_index(n, a, b)] <= threshold {
-                                let c = prev.assignment[u];
-                                for &m in &prev.members[c] {
-                                    if !scratch.in_s[m] {
-                                        scratch.in_s[m] = true;
-                                        scratch.s_list.push(m);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if scratch.s_list.len() < scratch.live.len() {
-                        scratch.s_list.sort_unstable();
-                        let mut sub = std::mem::take(&mut scratch.sub_clusters);
-                        scratch.cluster_scratch.cluster_live(
-                            &scratch.s_list,
-                            n,
-                            &scratch.dist,
-                            threshold,
-                            &mut sub,
-                        );
-                        // Splice: untouched previous clusters merge with the
-                        // re-clustered ones, ordered by smallest member (the
-                        // deterministic labelling both sides already use).
-                        let mut fresh = std::mem::take(&mut scratch.spare_clusters);
-                        scratch.cluster_scratch.recycle(&mut fresh.members);
-                        fresh.assignment.clear();
-                        fresh.assignment.resize(n, usize::MAX);
-                        let (mut oi, mut si) = (0, 0);
-                        loop {
-                            while oi < prev.members.len() && scratch.in_s[prev.members[oi][0]] {
-                                oi += 1;
-                            }
-                            let take_old = match (oi < prev.members.len(), si < sub.members.len()) {
-                                (false, false) => break,
-                                (true, false) => true,
-                                (false, true) => false,
-                                (true, true) => prev.members[oi][0] < sub.members[si][0],
-                            };
-                            fresh.members.push(if take_old {
-                                oi += 1;
-                                std::mem::take(&mut prev.members[oi - 1])
-                            } else {
-                                si += 1;
-                                std::mem::take(&mut sub.members[si - 1])
-                            });
-                        }
-                        for (id, ms) in fresh.members.iter().enumerate() {
-                            for &m in ms {
-                                fresh.assignment[m] = id;
-                            }
-                        }
+        //    previous round clustered this exact live set; with no knee
+        //    moved either, the partition is identical by construction and
+        //    is reused outright (the pooled solve below still runs — member
+        //    data changes every round even when knees do not). Otherwise
+        //    the live slots are clustered again, which costs an
+        //    agglomeration over their *distinct* feature vectors only.
+        let (clustering, changed) = match self.last_clusters.take() {
+            Some(prev) if !knee_moved => {
+                debug_assert_eq!(scratch.clusters_gen, self.membership_gen);
+                self.last_outcome = Some(ClusterOutcome::Reused);
+                (prev, false)
+            }
+            prev => {
+                let mut fresh = std::mem::take(&mut scratch.spare_clusters);
+                let distinct = scratch.cluster_scratch.cluster_features(
+                    &scratch.live,
+                    &scratch.feat,
+                    threshold,
+                    &mut fresh,
+                );
+                self.last_outcome = Some(ClusterOutcome::Full {
+                    live: scratch.live.len(),
+                    distinct,
+                });
+                let changed = match prev {
+                    Some(mut prev) => {
                         let changed = fresh.assignment != prev.assignment;
                         scratch.cluster_scratch.recycle(&mut prev.members);
                         prev.assignment.clear();
                         scratch.spare_clusters = prev;
-                        scratch.cluster_scratch.recycle(&mut sub.members);
-                        sub.assignment.clear();
-                        scratch.sub_clusters = sub;
-                        break 'cl (fresh, changed);
+                        changed
                     }
-                    // The closure swallowed every live slot: recluster all
-                    // of them, keeping `prev` around for the change check.
-                    let mut fresh = std::mem::take(&mut scratch.spare_clusters);
-                    scratch.cluster_scratch.cluster_live(
-                        &scratch.live,
-                        n,
-                        &scratch.dist,
-                        threshold,
-                        &mut fresh,
-                    );
-                    let changed = fresh.assignment != prev.assignment;
-                    scratch.cluster_scratch.recycle(&mut prev.members);
-                    prev.assignment.clear();
-                    scratch.spare_clusters = prev;
-                    (fresh, changed)
-                }
-                None => {
-                    // First clustered round for this membership: full
-                    // nearest-neighbor-chain recluster over the live set.
-                    let mut fresh = std::mem::take(&mut scratch.spare_clusters);
-                    scratch.cluster_scratch.cluster_live(
-                        &scratch.live,
-                        n,
-                        &scratch.dist,
-                        threshold,
-                        &mut fresh,
-                    );
-                    (fresh, true)
-                }
+                    None => true,
+                };
+                (fresh, changed)
             }
         };
 
-        // 5. Pool member data into one predicted row per cluster (in-place
+        // 4. Pool member data into one predicted row per cluster (in-place
         //    PAVA refit, bit-identical to `aggregate_functions`) and build
         //    the per-cluster solver vectors: granting a cluster one unit of
         //    per-connection weight consumes `size` units of resource.
@@ -1510,7 +1427,7 @@ impl LoadBalancer {
         let stats = fox::solve_with(&problem, &mut scratch.fox)
             .expect("keep-current upper bounds always cover R units");
 
-        // 6. Expand per-cluster weights to members and hand out the
+        // 5. Expand per-cluster weights to members and hand out the
         //    remainder (< max cluster size) unit-by-unit, cheapest marginal
         //    cluster first.
         scratch.units_tmp.fill(0);
@@ -2085,14 +2002,44 @@ mod tests {
         assert_eq!(updates, 1, "reused partitions must not re-trace");
     }
 
+    /// The partition the retained matrix entry gives for `lb`'s live slots:
+    /// dense-table knees, a condensed matrix over the live slots only,
+    /// `cluster_condensed`, mapped back to slot indices.
+    fn matrix_form_clusters(lb: &mut LoadBalancer, threshold: f64) -> Clustering {
+        let n = lb.cfg.connections;
+        let r = lb.cfg.resolution;
+        let live: Vec<usize> = (0..n).filter(|&j| lb.is_attached(j)).collect();
+        let feat: Vec<[f64; 3]> = live
+            .iter()
+            .map(|&j| cluster::log_features(&cluster::knee_of(lb.function_mut(j).predicted()), r))
+            .collect();
+        let mut condensed = vec![0.0; cluster::condensed_len(live.len())];
+        cluster::fill_condensed(&feat, &mut condensed);
+        let mut packed = Clustering::default();
+        ClusterScratch::new().cluster_condensed(live.len(), &condensed, threshold, &mut packed);
+        let mut assignment = vec![usize::MAX; n];
+        for (p, &j) in live.iter().enumerate() {
+            assignment[j] = packed.assignment[p];
+        }
+        let members = packed
+            .members
+            .iter()
+            .map(|ms| ms.iter().map(|&p| live[p]).collect())
+            .collect();
+        Clustering {
+            assignment,
+            members,
+        }
+    }
+
     #[test]
-    fn incremental_clustering_matches_from_scratch_recluster() {
-        use crate::cluster::{ClusterScratch, Clustering};
-        // Drive the balancer through quiet rounds (reuse path), sparse knee
-        // movement (dirty-closure path) and membership churn (full
-        // recluster), and after every round rebuild the partition from
-        // scratch out of the public clustering pieces: the incremental
-        // maintenance must be indistinguishable from always reclustering.
+    fn production_clustering_matches_the_matrix_form_under_churn() {
+        // Drive the balancer through quiet rounds (reuse path), knee
+        // movement and membership churn (distinct-vector recluster), and
+        // after every round cluster the live slots again through the
+        // retained matrix entry: the production path must be
+        // indistinguishable from a full condensed matrix over every live
+        // slot.
         let n = 40;
         let cfg = BalancerConfig::builder(n)
             .clustering(ClusteringConfig::default())
@@ -2100,15 +2047,13 @@ mod tests {
             .unwrap();
         let threshold = ClusteringConfig::default().distance_threshold;
         let mut lb = LoadBalancer::new(cfg);
-        let r = lb.cfg.resolution;
         let mut rng = crate::rng::SplitMix64::new(0x1BC2_E57A);
         let tier = |j: usize| match j % 3 {
             0 => 0.0,
             1 => 0.05,
             _ => 0.8,
         };
-        let mut scratch = ClusterScratch::new();
-        let mut condensed = vec![0.0; cluster::condensed_len(n)];
+        let mut full = 0;
         for round in 0..120 {
             match round {
                 40 => {
@@ -2127,7 +2072,7 @@ mod tests {
                     continue;
                 }
                 // Mostly settled tiers; occasional perturbations move a few
-                // knees per round so the dirty closure stays partial.
+                // knees per round.
                 let rate = if rng.frange(0.0, 1.0) < 0.15 {
                     rng.frange(0.0, 1.0)
                 } else {
@@ -2137,21 +2082,211 @@ mod tests {
             }
             lb.rebalance();
             lb.check_invariants().expect("healthy clustered balancer");
-            let live: Vec<usize> = (0..n).filter(|&j| lb.is_attached(j)).collect();
-            let knees: Vec<Knee> = (0..n)
-                .map(|j| cluster::knee_of(lb.function_mut(j).predicted()))
-                .collect();
-            for (pi, &i) in live.iter().enumerate() {
-                for &j in &live[pi + 1..] {
-                    condensed[cluster::condensed_index(n, i, j)] =
-                        cluster::distance(&knees[i], &knees[j], r);
+            match lb.last_cluster_outcome().expect("clustering stays active") {
+                ClusterOutcome::Reused => {}
+                ClusterOutcome::Full { live, distinct } => {
+                    full += 1;
+                    assert_eq!(live, lb.live_connections());
+                    assert!((1..=live).contains(&distinct));
                 }
             }
-            let mut want = Clustering::default();
-            scratch.cluster_live(&live, n, &condensed, threshold, &mut want);
+            let want = matrix_form_clusters(&mut lb, threshold);
             let got = lb.last_clusters().expect("clustering stays active");
             assert_eq!(got.assignment, want.assignment, "round {round}");
             assert_eq!(got.members, want.members, "round {round}");
+        }
+        assert!(full > 0, "the churn must exercise the recluster");
+    }
+
+    #[test]
+    fn bisected_clean_frontier_matches_the_dense_table() {
+        let mut rng = crate::rng::SplitMix64::new(0xF20_4713);
+        for case in 0..300u32 {
+            let resolution = [100, 1000, 4096][(case % 3) as usize];
+            let mut f = BlockingRateFunction::new(resolution, 0.5);
+            for _ in 0..rng.range_usize(0, 12) {
+                // Zero, sub-DELTA and substantial rates, so crossings land
+                // on every side of the noise floor — or nowhere.
+                let rate = match rng.range_usize(0, 3) {
+                    0 => 0.0,
+                    1 => DELTA * 0.4,
+                    2 => rng.frange(0.0, 0.01),
+                    _ => rng.frange(0.0, 10.0),
+                };
+                f.observe(rng.range_u32(1, resolution), rate);
+                if rng.range_usize(0, 2) == 0 {
+                    f.decay_above(rng.range_u32(0, resolution), 0.9);
+                }
+            }
+            let fast = LoadBalancer::clean_frontier_of(&mut f);
+            assert_eq!(
+                fast,
+                LoadBalancer::clean_frontier(f.predicted()),
+                "case {case}"
+            );
+        }
+    }
+
+    impl LoadBalancer {
+        /// The renormalization as it was before the point-query rewrite — dense
+        /// predicted tables, cloned, through the allocating [`fox::solve`] —
+        /// kept as the oracle [`renormalize_membership`](LoadBalancer::renormalize_membership)
+        /// must match unit for unit. Returns the units without installing them.
+        fn renormalize_membership_dense(&mut self, capped: &[usize]) -> Vec<u32> {
+            let n = self.cfg.connections;
+            let r = self.cfg.resolution;
+            let step = self.cfg.exploration_step;
+            let has_data = self
+                .functions
+                .iter()
+                .zip(&self.attached)
+                .any(|(f, &a)| a && f.raw_len() > 1);
+
+            if has_data {
+                let predicted: Vec<Vec<f64>> = self
+                    .functions
+                    .iter_mut()
+                    .map(|f| f.predicted().to_vec())
+                    .collect();
+                let slices: Vec<&[f64]> = predicted.iter().map(Vec::as_slice).collect();
+                let priority: Vec<u64> = predicted
+                    .iter()
+                    .map(|p| u64::from(Self::clean_frontier(p)))
+                    .collect();
+                let lower = vec![0; n];
+                let upper: Vec<u32> = (0..n)
+                    .map(|j| {
+                        if !self.attached[j] {
+                            0
+                        } else if capped.contains(&j) {
+                            step.min(r)
+                        } else {
+                            r
+                        }
+                    })
+                    .collect();
+                let problem = Problem::new(slices, r)
+                    .expect("function domains share the balancer's resolution")
+                    .with_bounds(lower, upper)
+                    .expect("membership bounds are within the resolution")
+                    .with_tie_priority(priority)
+                    .expect("priority vector matches the connection count");
+                fox::solve(&problem)
+                    .expect("at least one attached slot is unbounded, so R units always fit")
+                    .weights
+            } else {
+                let live = self.live_connections() as u32;
+                let (base, rem) = (r / live, r % live);
+                let mut units = vec![0u32; n];
+                let mut idx = 0u32;
+                for (j, u) in units.iter_mut().enumerate() {
+                    if self.attached[j] {
+                        *u = base + u32::from(idx < rem);
+                        idx += 1;
+                    }
+                }
+                // Exploration-bounded admission: trim each newcomer to the
+                // step and hand the trimmed units back to the incumbents.
+                let mut excess = 0u32;
+                for &a in capped {
+                    let cap = step.min(units[a]);
+                    excess += units[a] - cap;
+                    units[a] = cap;
+                }
+                let others = live - capped.len() as u32;
+                if others > 0 && excess > 0 {
+                    let (per, mut extra) = (excess / others, excess % others);
+                    for (j, u) in units.iter_mut().enumerate() {
+                        if self.attached[j] && !capped.contains(&j) {
+                            *u += per + u32::from(extra > 0);
+                            extra = extra.saturating_sub(1);
+                        }
+                    }
+                }
+                units
+            }
+        }
+    }
+
+    /// Runs `op` (a membership change capping the slots `capped(lb)`
+    /// returns) and checks the installed units against the dense oracle,
+    /// evaluated on a clone so the balancer under test keeps its own
+    /// (unbuilt) tables.
+    fn assert_renormalizes_like_the_dense_oracle(
+        lb: &mut LoadBalancer,
+        what: &str,
+        op: impl FnOnce(&mut LoadBalancer) -> Vec<usize>,
+    ) {
+        let capped = op(lb);
+        let want = lb.clone().renormalize_membership_dense(&capped);
+        assert_eq!(lb.weights().units(), want, "{what}");
+        lb.check_invariants()
+            .expect("simplex after membership change");
+    }
+
+    #[test]
+    fn renormalization_matches_the_dense_oracle_under_churn() {
+        // Seeded attach/detach/grow churn, plain (12 slots) and clustered
+        // (40 slots, crossing the 32-connection knee both ways): every
+        // membership change must install exactly the units the retired
+        // dense-table body computes.
+        for (n, clustered) in [(12usize, false), (40, true)] {
+            let mut b = BalancerConfig::builder(n);
+            if clustered {
+                b.clustering(ClusteringConfig::default());
+            }
+            let mut lb = LoadBalancer::new(b.build().unwrap());
+            let mut rng = crate::rng::SplitMix64::new(0xD15C_0000 + n as u64);
+            // A change before any data takes the even-split branch.
+            assert_renormalizes_like_the_dense_oracle(&mut lb, "no-data detach", |lb| {
+                lb.detach_connection(1);
+                vec![]
+            });
+            assert_renormalizes_like_the_dense_oracle(&mut lb, "no-data attach", |lb| {
+                lb.attach_connection(1);
+                vec![1]
+            });
+            for round in 0..400 {
+                let width = lb.cfg.connections;
+                let r = lb.cfg.resolution;
+                for j in 0..width {
+                    if !lb.is_attached(j) || rng.frange(0.0, 1.0) < 0.3 {
+                        continue;
+                    }
+                    // Each slot blocks past its own capacity; together the
+                    // capacities exceed R, so the clean regions overlap
+                    // and the tie priorities decide who gets the units.
+                    let cap = (j as u32 * 37 % 11 + 1) * r / (4 * n as u32);
+                    let w = lb.weights().units()[j];
+                    let rate = if rng.frange(0.0, 1.0) < 0.05 {
+                        rng.frange(0.0, 1.0)
+                    } else {
+                        (f64::from(w.saturating_sub(cap)) / f64::from(r) * 8.0).min(1.0)
+                    };
+                    lb.observe(&[ConnectionSample::new(j, rate)]);
+                }
+                lb.rebalance();
+                if round % 5 != 0 {
+                    continue;
+                }
+                let what = format!("n={n} round {round}");
+                let j = rng.range_usize(0, width - 1);
+                if round % 65 == 0 && width + 3 <= 64 {
+                    assert_renormalizes_like_the_dense_oracle(&mut lb, &what, |lb| {
+                        lb.grow(3).collect()
+                    });
+                } else if !lb.is_attached(j) {
+                    assert_renormalizes_like_the_dense_oracle(&mut lb, &what, |lb| {
+                        lb.attach_connection(j);
+                        vec![j]
+                    });
+                } else if lb.live_connections() > n / 2 {
+                    assert_renormalizes_like_the_dense_oracle(&mut lb, &what, |lb| {
+                        lb.detach_connection(j);
+                        vec![]
+                    });
+                }
+            }
         }
     }
 
@@ -2305,5 +2440,23 @@ mod tests {
                 .unwrap_err(),
             ConfigError::BadFactor
         );
+    }
+
+    #[test]
+    fn clustering_threshold_must_be_finite_and_non_negative() {
+        let build = |distance_threshold: f64| {
+            BalancerConfig::builder(40)
+                .clustering(ClusteringConfig {
+                    min_connections: 32,
+                    distance_threshold,
+                })
+                .build()
+        };
+        for bad in [-0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(build(bad).unwrap_err(), ConfigError::BadThreshold, "{bad}");
+        }
+        // Zero is meaningful: only identical functions share a cluster.
+        assert!(build(0.0).is_ok());
+        assert!(build(0.7).is_ok());
     }
 }

@@ -131,10 +131,47 @@ pub struct FoxStats {
 /// Returns [`SolveError::Infeasible`] when the bounds cannot bracket `R`.
 pub fn solve_with(problem: &Problem<'_>, scratch: &mut FoxScratch) -> Result<FoxStats, SolveError> {
     problem.check_feasible()?;
-    let lower = problem.lower();
-    let upper = problem.upper();
-    let mult = problem.multiplicity();
-    let r = u64::from(problem.resolution());
+    Ok(greedy(
+        &Limits {
+            resolution: problem.resolution(),
+            lower: problem.lower(),
+            upper: problem.upper(),
+            multiplicity: problem.multiplicity(),
+            tie_priority: problem.tie_priority(),
+        },
+        |j, w| problem.function(j)[w as usize],
+        scratch,
+    ))
+}
+
+/// Everything about a RAP instance except its functions.
+pub(crate) struct Limits<'a> {
+    pub(crate) resolution: u32,
+    pub(crate) lower: &'a [u32],
+    pub(crate) upper: &'a [u32],
+    pub(crate) multiplicity: &'a [u32],
+    pub(crate) tie_priority: &'a [u64],
+}
+
+/// The greedy loop itself, over any source of function values: `value(j,
+/// w)` is `F_j(w)`, asked only for `lower[j] < w <= upper[j]` and, once
+/// for the objective, at the final weights. [`solve_with`] reads dense
+/// tables; the controller's membership renormalization answers from each
+/// function's compact fit, so no table is ever built for it. The caller
+/// guarantees well-formed, feasible limits.
+pub(crate) fn greedy(
+    limits: &Limits<'_>,
+    mut value: impl FnMut(usize, u32) -> f64,
+    scratch: &mut FoxScratch,
+) -> FoxStats {
+    let Limits {
+        lower,
+        upper,
+        multiplicity: mult,
+        tie_priority: priority,
+        ..
+    } = *limits;
+    let r = u64::from(limits.resolution);
 
     let weights = &mut scratch.weights;
     weights.clear();
@@ -145,7 +182,6 @@ pub fn solve_with(problem: &Problem<'_>, scratch: &mut FoxScratch) -> Result<Fox
         .map(|(&w, &m)| u64::from(w) * u64::from(m))
         .sum();
 
-    let priority = problem.tie_priority();
     // Recycle the heap's backing vector across solves: take it out of the
     // scratch, refill, and put it back (cleared) when done.
     let mut heap_vec = mem::take(&mut scratch.heap);
@@ -154,7 +190,7 @@ pub fn solve_with(problem: &Problem<'_>, scratch: &mut FoxScratch) -> Result<Fox
     for (j, &w) in weights.iter().enumerate() {
         if w < upper[j] {
             heap.push(Entry {
-                value: problem.function(j)[w as usize + 1],
+                value: value(j, w + 1),
                 priority: priority[j],
                 weight: w + 1,
                 item: j,
@@ -187,7 +223,7 @@ pub fn solve_with(problem: &Problem<'_>, scratch: &mut FoxScratch) -> Result<Fox
         assigned += u64::from(mult[j]);
         if weights[j] < upper[j] {
             heap.push(Entry {
-                value: problem.function(j)[weights[j] as usize + 1],
+                value: value(j, weights[j] + 1),
                 priority: priority[j],
                 weight: weights[j] + 1,
                 item: j,
@@ -195,12 +231,16 @@ pub fn solve_with(problem: &Problem<'_>, scratch: &mut FoxScratch) -> Result<Fox
         }
     }
 
-    let objective = problem.objective(weights);
+    let objective = weights
+        .iter()
+        .enumerate()
+        .map(|(j, &w)| value(j, w))
+        .fold(0.0, f64::max);
     scratch.heap = heap.into_vec();
-    Ok(FoxStats {
+    FoxStats {
         objective,
         assigned,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +388,87 @@ mod tests {
             assert_eq!(stats.objective, one_shot.objective);
             assert_eq!(stats.assigned, one_shot.assigned);
         }
+    }
+
+    #[test]
+    fn point_query_accessor_matches_the_dense_solve() {
+        use crate::function::BlockingRateFunction;
+        use crate::rng::SplitMix64;
+        // The same greedy loop, fed once from dense tables through
+        // `solve_with` and once from `BlockingRateFunction::value` point
+        // queries on functions whose tables were never built: bounded,
+        // prioritised, and (every third case) with multiplicities.
+        let mut rng = SplitMix64::new(0xF0C5_ACCE);
+        let mut dense = FoxScratch::new();
+        let mut sparse = FoxScratch::new();
+        let mut feasible = 0;
+        for case in 0..200u32 {
+            let r = [64u32, 500, 1000][(case % 3) as usize];
+            let n = rng.range_usize(1, 12);
+            let mut functions: Vec<BlockingRateFunction> = (0..n)
+                .map(|_| {
+                    let mut f = BlockingRateFunction::new(r, 0.5);
+                    for _ in 0..rng.range_usize(0, 8) {
+                        let rate = if rng.range_usize(0, 2) == 0 {
+                            0.0
+                        } else {
+                            rng.frange(0.0, 2.0)
+                        };
+                        f.observe(rng.range_u32(1, r), rate);
+                    }
+                    f
+                })
+                .collect();
+            let tables: Vec<Vec<f64>> = functions
+                .iter()
+                .map(|f| f.clone().predicted().to_vec())
+                .collect();
+            let lower: Vec<u32> = (0..n)
+                .map(|_| rng.range_u32(0, r / (2 * n as u32)))
+                .collect();
+            let upper: Vec<u32> = lower.iter().map(|&l| rng.range_u32(l, r)).collect();
+            let priority: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 3)).collect();
+            let mult: Vec<u32> = (0..n)
+                .map(|_| {
+                    if case % 3 == 0 {
+                        rng.range_u32(1, 4)
+                    } else {
+                        1
+                    }
+                })
+                .collect();
+            let problem = Problem::new(tables.iter().map(Vec::as_slice).collect(), r)
+                .unwrap()
+                .with_bounds(lower.clone(), upper.clone())
+                .unwrap()
+                .with_multiplicity(mult.clone())
+                .unwrap()
+                .with_tie_priority(priority.clone())
+                .unwrap();
+            let Ok(want) = solve_with(&problem, &mut dense) else {
+                continue;
+            };
+            feasible += 1;
+            let got = greedy(
+                &Limits {
+                    resolution: r,
+                    lower: &lower,
+                    upper: &upper,
+                    multiplicity: &mult,
+                    tie_priority: &priority,
+                },
+                |j, w| functions[j].value(w),
+                &mut sparse,
+            );
+            assert_eq!(sparse.weights, dense.weights, "case {case}");
+            assert_eq!(
+                got.objective.to_bits(),
+                want.objective.to_bits(),
+                "case {case}"
+            );
+            assert_eq!(got.assigned, want.assigned, "case {case}");
+        }
+        assert!(feasible > 100, "only {feasible} feasible cases");
     }
 
     #[test]

@@ -1,0 +1,180 @@
+//! Exactness of the two matrix-free control-plane paths, checked from
+//! outside `core` against oracles built from its public pieces only:
+//!
+//! - `ClusterScratch::cluster_features` (agglomerate the *distinct* knee
+//!   vectors) must give the partition `cluster_condensed` gives on a full
+//!   condensed matrix over every live slot;
+//! - a membership change (`detach` / `attach` / `grow`) must install the
+//!   units a Fox solve over the dense predicted tables gives.
+//!
+//! The crate-internal versions of both (against the naive O(n⁴) clusterer
+//! and the retired renormalization body) live in `core`'s unit tests; this
+//! file is what `cargo test -q` at the root runs.
+
+use streambal::core::cluster::{condensed_len, fill_condensed, ClusterScratch, Clustering};
+use streambal::core::controller::{BalancerConfig, ClusteringConfig, LoadBalancer};
+use streambal::core::solver::{fox, Problem};
+use streambal::core::{ConnectionSample, SplitMix64, DELTA};
+
+/// `cluster_condensed` over the live slots' full matrix, in slot indices.
+fn matrix_form(live: &[usize], feat: &[[f64; 3]], threshold: f64) -> Clustering {
+    let packed_feat: Vec<[f64; 3]> = live.iter().map(|&j| feat[j]).collect();
+    let mut condensed = vec![0.0; condensed_len(live.len())];
+    fill_condensed(&packed_feat, &mut condensed);
+    let mut packed = Clustering::default();
+    ClusterScratch::new().cluster_condensed(live.len(), &condensed, threshold, &mut packed);
+    let mut assignment = vec![usize::MAX; feat.len()];
+    for (p, &j) in live.iter().enumerate() {
+        assignment[j] = packed.assignment[p];
+    }
+    let members = packed
+        .members
+        .iter()
+        .map(|ms| ms.iter().map(|&p| live[p]).collect())
+        .collect();
+    Clustering {
+        assignment,
+        members,
+    }
+}
+
+#[test]
+fn distinct_vector_clustering_equals_the_full_matrix_form() {
+    let grid = [0.0, 0.35, 0.7, 1.05, 1.4];
+    let zeros = [0.0, -0.0, 0.7, -0.7];
+    let mut rng = SplitMix64::new(0xC1_0571);
+    let mut scratch = ClusterScratch::new();
+    let mut got = Clustering::default();
+    for case in 0..200usize {
+        let n = 1 + case % 96;
+        let palette: Vec<[f64; 3]> = (0..1 + case % 7)
+            .map(|_| [0; 3].map(|_| rng.frange(0.0, 3.0)))
+            .collect();
+        let feat: Vec<[f64; 3]> = (0..n)
+            .map(|_| match case % 5 {
+                // A few shapes shared by everyone: the production regime.
+                0 => palette[rng.range_usize(0, palette.len() - 1)],
+                // Distances that land on the thresholds.
+                1 => [0; 3].map(|_| grid[rng.range_usize(0, 4)]),
+                2 => [0; 3].map(|_| zeros[rng.range_usize(0, 3)]),
+                3 => palette[0],
+                _ => [0; 3].map(|_| rng.frange(0.0, 3.0)),
+            })
+            .collect();
+        let mut live: Vec<usize> = (0..n).filter(|_| rng.range_usize(0, 3) != 0).collect();
+        if live.is_empty() {
+            live.push(0);
+        }
+        for threshold in [0.0, 0.35, 0.7, 1.0] {
+            let distinct = scratch.cluster_features(&live, &feat, threshold, &mut got);
+            assert!((1..=live.len()).contains(&distinct));
+            let want = matrix_form(&live, &feat, threshold);
+            assert_eq!(got, want, "case {case} n={n} threshold={threshold}");
+        }
+    }
+}
+
+/// The units the dense formulation installs for `lb`'s current membership
+/// and functions: full predicted tables, clean frontiers read off them,
+/// newcomers in `capped` bounded by the exploration step (10, the default).
+fn dense_renormalization(lb: &mut LoadBalancer, capped: &[usize]) -> Vec<u32> {
+    let n = lb.config().connections();
+    let r = lb.config().resolution();
+    let attached = lb.attached().to_vec();
+    if !(0..n).any(|j| attached[j] && lb.function(j).raw_len() > 1) {
+        // Even split over the attached slots, remainder to the first ones.
+        let live = lb.live_connections() as u32;
+        let mut units = vec![0u32; n];
+        for (idx, j) in (0..n).filter(|&j| attached[j]).enumerate() {
+            units[j] = r / live + u32::from((idx as u32) < r % live);
+        }
+        // Trim each newcomer to the step, hand the excess to the others.
+        let mut excess = 0;
+        for &a in capped {
+            excess += units[a].saturating_sub(10);
+            units[a] = units[a].min(10);
+        }
+        let others = live - capped.len() as u32;
+        let mut extra = if others > 0 { excess % others } else { 0 };
+        for j in (0..n).filter(|&j| attached[j] && !capped.contains(&j)) {
+            units[j] += excess / others + u32::from(extra > 0);
+            extra = extra.saturating_sub(1);
+        }
+        return units;
+    }
+    let tables: Vec<Vec<f64>> = (0..n)
+        .map(|j| lb.function_mut(j).predicted().to_vec())
+        .collect();
+    let priority = tables
+        .iter()
+        .map(|t| t.iter().rposition(|&v| v <= DELTA).unwrap_or(0) as u64)
+        .collect();
+    let upper = (0..n)
+        .map(|j| match (attached[j], capped.contains(&j)) {
+            (false, _) => 0,
+            (true, true) => 10,
+            (true, false) => r,
+        })
+        .collect();
+    let problem = Problem::new(tables.iter().map(Vec::as_slice).collect(), r)
+        .unwrap()
+        .with_bounds(vec![0; n], upper)
+        .unwrap()
+        .with_tie_priority(priority)
+        .unwrap();
+    fox::solve(&problem).unwrap().weights
+}
+
+#[test]
+fn membership_changes_install_the_dense_solution() {
+    for (n, clustered) in [(10usize, false), (48, true)] {
+        let mut b = BalancerConfig::builder(n);
+        if clustered {
+            b.clustering(ClusteringConfig::default());
+        }
+        let mut lb = LoadBalancer::new(b.build().unwrap());
+        let mut rng = SplitMix64::new(0xE9_0000 + n as u64);
+        let check = |lb: &mut LoadBalancer, capped: &[usize], what: &str| {
+            // The oracle builds dense tables; keep them off the balancer
+            // under test.
+            let want = dense_renormalization(&mut lb.clone(), capped);
+            assert_eq!(lb.weights().units(), want, "{what}");
+        };
+        assert!(lb.detach_connection(2));
+        check(&mut lb, &[], "no-data detach");
+        assert!(lb.attach_connection(2));
+        check(&mut lb, &[2], "no-data attach");
+        for round in 0..300 {
+            let width = lb.config().connections();
+            let r = lb.config().resolution();
+            for j in 0..width {
+                if !lb.is_attached(j) || rng.range_usize(0, 3) == 0 {
+                    continue;
+                }
+                // Slots block past their own capacity; the capacities sum
+                // past R, so tie priorities decide who gets the units.
+                let cap = (j as u32 * 37 % 11 + 1) * r / (4 * n as u32);
+                let w = lb.weights().units()[j];
+                let rate = (f64::from(w.saturating_sub(cap)) / f64::from(r) * 8.0).min(1.0);
+                lb.observe(&[ConnectionSample::new(j, rate)]);
+            }
+            lb.rebalance();
+            if round % 4 != 0 {
+                continue;
+            }
+            let what = format!("n={n} round {round}");
+            let j = rng.range_usize(0, width - 1);
+            if round % 60 == 0 && width + 4 <= 80 {
+                let grown: Vec<usize> = lb.grow(4).collect();
+                check(&mut lb, &grown, &what);
+            } else if !lb.is_attached(j) {
+                lb.attach_connection(j);
+                check(&mut lb, &[j], &what);
+            } else if lb.live_connections() > n / 2 {
+                lb.detach_connection(j);
+                check(&mut lb, &[], &what);
+            }
+            lb.check_invariants().expect("simplex after the change");
+        }
+    }
+}
