@@ -1,19 +1,21 @@
 //! Proxy forwarding cost: one framed request through streambal-proxy to
 //! an echo backend and back, on loopback. This is the per-request price
-//! of the ingress path (frame parse, WRR pick, pooled backend round
+//! of the ingress path (frame parse, WRR pick, pipelined backend round
 //! trip) — the blocking-rate controller itself runs off-path.
 //!
-//! The `proxy/async_round_trip_Nconns` entries repeat the measurement
-//! on the async (readiness-polled) core with N idle connections parked
-//! against the proxy: epoll's O(ready) wakeups mean the per-request
+//! The `proxy/async_round_trip_Nconns` entries take the measurement
+//! with N idle connections parked against the proxy: epoll's O(ready)
+//! wakeups mean the per-request
 //! cost must not grow with the parked fleet, which is the property that
 //! lets one event-loop thread carry a five-figure connection count.
 
 use std::hint::black_box;
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use streambal_bench::Micro;
-use streambal_proxy::{EchoBackend, Proxy, ProxyConfig, ProxyOptions};
+use streambal_proxy::frame::write_frame_deadline;
+use streambal_proxy::{EchoBackend, FrameReader, Proxy, ProxyConfig, ProxyOptions};
 
 fn main() {
     let backends: Vec<EchoBackend> = (0..3)
@@ -28,19 +30,12 @@ fn main() {
     println!("== proxy ==");
     let m = Micro::new().measure_ms(500);
     let payload = vec![0xa5u8; 128];
-    let mut conn = streambal_proxy::BackendConn::connect(
-        handle.addr(),
-        std::time::Duration::from_secs(2),
-        std::sync::Arc::new(streambal_transport::BlockingCounter::new()),
-    )
-    .expect("connect to proxy");
-    m.run("proxy/forward_round_trip", || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let echoed = conn.round_trip(&payload, deadline).expect("round trip");
-        black_box(echoed.len())
-    });
+    let mut conn = TcpStream::connect(handle.addr()).expect("connect to proxy");
+    conn.set_nodelay(true).expect("nodelay");
+    conn.set_nonblocking(true).expect("nonblocking");
+    let mut reader = FrameReader::new();
 
-    // The async core under parked-fleet pressure: the active connection's
+    // The event loop under parked-fleet pressure: the active connection's
     // round trip is measured while N others sit idle in the same event
     // loops. Connections accumulate across the sizes (64 → 1024 → 8192).
     let mut parked: Vec<TcpStream> = Vec::new();
@@ -52,11 +47,15 @@ fn main() {
                 s.set_nodelay(true).expect("nodelay");
                 parked.push(s);
             }
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(2));
         }
         m.run(&format!("proxy/async_round_trip_{n}conns"), || {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            let echoed = conn.round_trip(&payload, deadline).expect("round trip");
+            let deadline = Instant::now() + Duration::from_secs(5);
+            write_frame_deadline(&mut conn, &payload, deadline).expect("request");
+            let echoed = reader
+                .read_frame_deadline(&mut conn, deadline)
+                .expect("response")
+                .expect("proxy closed");
             black_box(echoed.len())
         });
     }

@@ -25,10 +25,9 @@
 //!
 //! Blank lines and `#` comments are ignored; every other line is
 //! `key value`. Only `listen` and at least one `backend` are required.
-//! `core` selects the forwarding engine: `async` (default) multiplexes
-//! every connection on a small set of readiness-polled I/O threads
-//! (`io_threads`); `threaded` keeps the original thread-per-client
-//! path. `backend_send_buffer_bytes` caps the kernel send buffer on
+//! `io_threads` sets how many readiness-polled event-loop threads the
+//! connections are multiplexed on.
+//! `backend_send_buffer_bytes` caps the kernel send buffer on
 //! proxy→backend connections — a small explicit buffer disables kernel
 //! autotuning so back-pressure from a slow backend surfaces as blocked
 //! -write time (the balancer's signal) instead of silent buffering.
@@ -108,30 +107,14 @@ pub struct ProxyConfig {
     /// `autoscale_max_step` and `autoscale_min_backends`;
     /// `max_width` is always the pool size, set at spawn.
     pub autoscale: Option<AutoscalerConfig>,
-    /// Forwarding engine (`core async|threaded`, default async): the
-    /// readiness-polled core multiplexes every connection on
-    /// [`io_threads`](Self::io_threads) event-loop threads; `threaded`
-    /// keeps the original thread-per-client path.
-    pub core: CoreMode,
-    /// Event-loop shard count for the async core (`io_threads`, default
-    /// 1). Ignored by the threaded core.
+    /// Event-loop shard count (`io_threads`, default 1): every client
+    /// and backend socket is multiplexed on this many I/O threads.
     pub io_threads: usize,
     /// Kernel send-buffer cap for proxy→backend connections
     /// (`backend_send_buffer_bytes`); `None` keeps kernel autotuning.
     /// Setting it small makes a slow backend's back-pressure show up
     /// promptly as blocked-write time — the balancer's input signal.
     pub backend_send_buffer: Option<usize>,
-}
-
-/// Which forwarding engine runs the data plane. See
-/// [`ProxyConfig::core`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoreMode {
-    /// Readiness-polled event-loop core (the default).
-    #[default]
-    Async,
-    /// Original thread-per-client core.
-    Threaded,
 }
 
 impl ProxyConfig {
@@ -151,7 +134,6 @@ impl ProxyConfig {
             drain_timeout: Duration::from_millis(5000),
             reload_poll: Duration::from_millis(250),
             autoscale: None,
-            core: CoreMode::Async,
             io_threads: 1,
             backend_send_buffer: None,
         }
@@ -169,7 +151,6 @@ impl ProxyConfig {
         let mut backends: Vec<SocketAddr> = Vec::new();
         let mut ms: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
         let mut eject_after: Option<u32> = None;
-        let mut core: Option<CoreMode> = None;
         let mut io_threads: Option<usize> = None;
         let mut backend_send_buffer: Option<usize> = None;
         let mut autoscale_on = false;
@@ -238,18 +219,6 @@ impl ProxyConfig {
                     auto.min_width = usize::try_from(num(value)?.max(1))
                         .map_err(|_| err(format!("line {}: value too large", lineno + 1)))?;
                 }
-                "core" => {
-                    core = Some(match value {
-                        "async" => CoreMode::Async,
-                        "threaded" => CoreMode::Threaded,
-                        other => {
-                            return Err(err(format!(
-                                "line {}: core must be 'async' or 'threaded', got '{other}'",
-                                lineno + 1
-                            )))
-                        }
-                    });
-                }
                 "io_threads" => {
                     io_threads = Some(usize::try_from(num(value)?.clamp(1, 64)).expect("<= 64"));
                 }
@@ -291,9 +260,6 @@ impl ProxyConfig {
         cfg.metrics = metrics;
         if let Some(n) = eject_after {
             cfg.eject_after = n;
-        }
-        if let Some(mode) = core {
-            cfg.core = mode;
         }
         if let Some(n) = io_threads {
             cfg.io_threads = n;
@@ -468,30 +434,21 @@ eject_after 2
     }
 
     #[test]
-    fn parses_core_selection_and_backend_buffer_keys() {
+    fn parses_io_threads_and_backend_buffer_keys() {
         let base = "listen 127.0.0.1:7100\nbackend 127.0.0.1:7101\n";
         let cfg = ProxyConfig::parse(base).unwrap();
-        assert_eq!(cfg.core, CoreMode::Async, "async is the default");
         assert_eq!(cfg.io_threads, 1);
         assert_eq!(cfg.backend_send_buffer, None);
 
         let cfg = ProxyConfig::parse(&format!(
-            "{base}core threaded\nio_threads 4\nbackend_send_buffer_bytes 8192\n"
+            "{base}io_threads 4\nbackend_send_buffer_bytes 8192\n"
         ))
         .unwrap();
-        assert_eq!(cfg.core, CoreMode::Threaded);
         assert_eq!(cfg.io_threads, 4);
         assert_eq!(cfg.backend_send_buffer, Some(8192));
 
-        let cfg = ProxyConfig::parse(&format!("{base}core async\nbackend_send_buffer_bytes 0\n"))
-            .unwrap();
-        assert_eq!(cfg.core, CoreMode::Async);
+        let cfg = ProxyConfig::parse(&format!("{base}backend_send_buffer_bytes 0\n")).unwrap();
         assert_eq!(cfg.backend_send_buffer, None, "0 means kernel default");
-
-        assert!(ProxyConfig::parse(&format!("{base}core green\n"))
-            .unwrap_err()
-            .message
-            .contains("'async' or 'threaded'"));
     }
 
     #[test]

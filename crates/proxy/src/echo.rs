@@ -10,7 +10,7 @@
 //! rate*: after every read that makes progress the connection stops
 //! reading for the delay. That read-stop is what generates real
 //! back-pressure — the kernel buffers fill and the proxy side
-//! accumulates blocked-write time, on both data-plane cores.
+//! accumulates blocked-write time.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -458,7 +458,7 @@ pub fn run_load_stats(
                             continue;
                         };
                         let deadline = Instant::now() + Duration::from_secs(5);
-                        let sent = write_frame_deadline(stream, &payload, deadline, None);
+                        let sent = write_frame_deadline(stream, &payload, deadline);
                         let echoed =
                             sent.and_then(|()| reader.read_frame_deadline(stream, deadline));
                         match echoed {

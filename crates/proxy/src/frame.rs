@@ -5,19 +5,12 @@
 //! operation here takes an explicit deadline — a proxy must never let a
 //! stalled peer (a backend that stops reading, a client that stops
 //! sending mid-frame) pin one of its threads indefinitely.
-//!
-//! Writes optionally charge their blocked time (the span spent waiting on
-//! `WouldBlock` for the kernel buffer to drain) to a
-//! [`BlockingCounter`] — that is the per-backend writability signal the
-//! blocking-rate balancer feeds on, sampled through the usual
-//! [`streambal_transport::BlockingSampler`] first-difference contract.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
 use streambal_transport::poll::{wait_readable, wait_writable};
-use streambal_transport::BlockingCounter;
 
 /// Maximum accepted frame length (1 MiB), matching the transport layer.
 pub const MAX_FRAME: usize = 1 << 20;
@@ -37,8 +30,7 @@ pub fn encode_into(scratch: &mut Vec<u8>, payload: &[u8]) {
 }
 
 /// Writes one frame to a non-blocking stream, parking on writability
-/// readiness while the kernel buffer is full, up to `deadline`. Time
-/// spent unwritable is charged to `counter` when one is given.
+/// readiness while the kernel buffer is full, up to `deadline`.
 ///
 /// # Errors
 ///
@@ -49,40 +41,30 @@ pub fn write_frame_deadline(
     stream: &mut TcpStream,
     payload: &[u8],
     deadline: Instant,
-    counter: Option<&BlockingCounter>,
 ) -> io::Result<()> {
     let mut frame = Vec::new();
     encode_into(&mut frame, payload);
     let mut rest = &frame[..];
-    let mut blocked_since: Option<Instant> = None;
-    let result = loop {
+    loop {
         match stream.write(rest) {
-            Ok(0) => break Err(io::Error::new(ErrorKind::WriteZero, "peer closed")),
+            Ok(0) => return Err(io::Error::new(ErrorKind::WriteZero, "peer closed")),
             Ok(n) => {
                 rest = &rest[n..];
                 if rest.is_empty() {
-                    break Ok(());
+                    return Ok(());
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                blocked_since.get_or_insert_with(Instant::now);
                 let now = Instant::now();
                 if now >= deadline {
-                    break Err(io::Error::new(ErrorKind::TimedOut, "write deadline"));
+                    return Err(io::Error::new(ErrorKind::TimedOut, "write deadline"));
                 }
-                if let Err(e) = wait_writable(stream, deadline - now) {
-                    break Err(e);
-                }
+                wait_writable(stream, deadline - now)?;
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => break Err(e),
+            Err(e) => return Err(e),
         }
-    };
-    if let (Some(t0), Some(c)) = (blocked_since, counter) {
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        c.add_ns(ns);
     }
-    result
 }
 
 /// How far a [`FrameWriter`] drain got.
@@ -100,8 +82,9 @@ pub enum WriteStatus {
 /// bytes and drain through non-blocking writes, carrying partial-write
 /// state across `WouldBlock` boundaries. The event loop charges the
 /// span between a [`WriteStatus::Blocked`] and the drain completing to
-/// the backend's [`BlockingCounter`] — that span *is* the paper's
-/// blocked-send time, delimited by readiness transitions.
+/// the backend's [`BlockingCounter`](streambal_transport::BlockingCounter)
+/// — that span *is* the paper's blocked-send time, delimited by readiness
+/// transitions.
 #[derive(Debug, Default)]
 pub struct FrameWriter {
     buf: Vec<u8>,
@@ -304,7 +287,7 @@ mod tests {
         let (mut a, mut b) = nonblocking_pair();
         let deadline = Instant::now() + Duration::from_secs(2);
         for i in 0..50u32 {
-            write_frame_deadline(&mut a, &i.to_le_bytes(), deadline, None).unwrap();
+            write_frame_deadline(&mut a, &i.to_le_bytes(), deadline).unwrap();
         }
         let mut reader = FrameReader::new();
         for i in 0..50u32 {
@@ -331,21 +314,19 @@ mod tests {
     }
 
     #[test]
-    fn write_deadline_fires_against_a_stalled_reader_and_charges_blocking() {
+    fn write_deadline_fires_against_a_stalled_reader() {
         let (mut a, _b) = nonblocking_pair();
-        let counter = BlockingCounter::new();
         let payload = vec![0u8; 64 * 1024];
         let deadline = Instant::now() + Duration::from_millis(150);
         // Nobody reads `_b`: the kernel buffers fill and the deadline fires.
         let mut result = Ok(());
         for _ in 0..1024 {
-            result = write_frame_deadline(&mut a, &payload, deadline, Some(&counter));
+            result = write_frame_deadline(&mut a, &payload, deadline);
             if result.is_err() {
                 break;
             }
         }
         assert_eq!(result.unwrap_err().kind(), ErrorKind::TimedOut);
-        assert!(counter.cumulative_ns() > 0, "the wait was charged");
     }
 
     #[test]

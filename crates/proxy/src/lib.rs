@@ -31,13 +31,9 @@
 //! - **`/metrics`** — Prometheus text exposition of the shared registry
 //!   (controller weights and blocking rates included).
 //!
-//! Two data-plane cores implement all of the above behind one config
-//! switch: the default **async core** (`poll_core`, `core async`)
-//! multiplexes every socket on a few readiness-polled event-loop
-//! threads and derives blocked-send time from `EPOLLOUT`-wait spans;
-//! the **threaded core** (`core threaded`) keeps the original
-//! thread-per-client blocking-write path. Both feed the identical
-//! sampler/controller contract.
+//! One data plane implements all of the above: `poll_core` multiplexes
+//! every socket on `io_threads` readiness-polled event-loop threads and
+//! derives blocked-send time from `EPOLLOUT`-wait spans.
 //!
 //! See `docs/PROXY.md` for the operational guide and `examples/proxy.conf`
 //! for the config format.
@@ -53,8 +49,8 @@ pub(crate) mod poll_core;
 pub mod pool;
 pub mod server;
 
-pub use config::{ConfigError, ConfigWatcher, CoreMode, ProxyConfig};
+pub use config::{ConfigError, ConfigWatcher, ProxyConfig};
 pub use echo::{run_load, run_load_stats, scrape, EchoBackend, EchoOptions, LoadReport, LoadStats};
 pub use frame::{FrameReader, FrameWriter, Poll, WriteStatus, MAX_FRAME};
-pub use pool::{Backend, BackendConn, BackendPool, ReloadDiff};
+pub use pool::{Backend, BackendPool, ReloadDiff};
 pub use server::{DrainReport, Proxy, ProxyHandle, ProxyOptions};

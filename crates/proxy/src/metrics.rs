@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use streambal_telemetry::export::metrics_to_prometheus;
 use streambal_telemetry::Telemetry;
+use streambal_transport::poll::wait_readable;
 
 /// Per-request budget for reading the request head and writing the body.
 const HTTP_BUDGET: Duration = Duration::from_secs(2);
@@ -34,7 +35,9 @@ pub(crate) fn serve_metrics(listener: &TcpListener, telemetry: &Telemetry, stop:
                 let _ = serve_one(stream, telemetry);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                // Park on listener readiness; the timeout bounds reaction
+                // to the stop flag.
+                let _ = wait_readable(listener, Duration::from_millis(100));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }

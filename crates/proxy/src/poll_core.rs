@@ -10,24 +10,24 @@
 //!
 //! ## Blocking measurement
 //!
-//! The thread-per-client core charges blocked-send time around blocking
-//! writes. Here the same quantity is derived from readiness: a span
+//! The paper's blocked-send time is derived from readiness: a span
 //! starts when a link write returns `WouldBlock` and ends at the next
 //! successful flush (an `EPOLLOUT` transition). Long spans are flushed
 //! into the [`BlockingCounter`](streambal_transport::BlockingCounter)
 //! incrementally so a sampler mid-span still sees the accumulating
-//! time. The controller, sampler, solver and weight installation are
-//! untouched — only the probe that feeds them changed.
+//! time. One link per backend per shard means at most one span per
+//! backend is open at a time, so a one-shard proxy never charges a
+//! backend more blocked time than wall time.
 //!
 //! ## Failure semantics
 //!
 //! A dead link redispatches every queued request to another backend
-//! (bounded by the same `max(2×width, 4)` attempt budget as the
-//! threaded core) and charges one failure per queued request toward
+//! (bounded by a `max(2×width, 4)` attempt budget) and charges one
+//! failure per queued request toward
 //! ejection. A link that reaches EOF while idle is dropped silently — a
 //! backend closing an idle pooled connection is not evidence of ill
 //! health. Clients whose request exhausts the budget see their
-//! connection close, exactly like the threaded core.
+//! connection close.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -134,8 +134,7 @@ struct Client {
     reader: FrameReader,
     out: FrameWriter,
     /// A request is out on a link; read interest stays off until the
-    /// response completes (one outstanding request per client, like the
-    /// thread-per-client core).
+    /// response completes (one outstanding request per client).
     awaiting: bool,
     /// Start of the in-progress request, for the latency histogram.
     /// `Some` from request receipt until the response fully drains.
@@ -155,6 +154,17 @@ struct Link {
     /// Start of the current unwritable span, when the last write blocked.
     blocked_since: Option<Instant>,
     interest: Interest,
+}
+
+impl Link {
+    /// Ends the current unwritable span, if any, charging it to the
+    /// backend's blocking counter.
+    fn charge_blocked(&mut self, now: Instant) {
+        if let Some(t0) = self.blocked_since.take() {
+            let ns = u64::try_from(now.duration_since(t0).as_nanos()).unwrap_or(u64::MAX);
+            self.backend.counter().add_ns(ns);
+        }
+    }
 }
 
 enum Entry {
@@ -624,10 +634,7 @@ impl Shard {
                 l.out.write_to(&mut l.stream)
             };
             let now = Instant::now();
-            if let Some(t0) = l.blocked_since.take() {
-                let ns = u64::try_from(now.duration_since(t0).as_nanos()).unwrap_or(u64::MAX);
-                l.backend.counter().add_ns(ns);
-            }
+            l.charge_blocked(now);
             if matches!(result, Ok(WriteStatus::Blocked)) {
                 l.blocked_since = Some(now);
             }
@@ -707,8 +714,8 @@ impl Shard {
         self.flush_client(inf.client);
     }
 
-    /// The request ran out of backends: the client connection closes,
-    /// exactly like the threaded core's forward failure.
+    /// The request ran out of backends: the client connection closes and
+    /// the client may retry elsewhere.
     fn fail_request(&mut self, inf: &Inflight) {
         self.shared.metrics.failed_requests.incr();
         if self.client_alive(inf.client, inf.gen) {
@@ -720,17 +727,14 @@ impl Shard {
     /// backend's ejection and goes back to dispatch with this slot on
     /// its skip-list.
     fn fail_link(&mut self, tok: usize) {
-        let Some(Entry::Link(l)) = self.remove(tok) else {
+        let Some(Entry::Link(mut l)) = self.remove(tok) else {
             return;
         };
         let _ = self.poller.deregister(l.stream.as_raw_fd());
         if self.links.get(&l.slot) == Some(&tok) {
             self.links.remove(&l.slot);
         }
-        if let Some(t0) = l.blocked_since {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            l.backend.counter().add_ns(ns);
-        }
+        l.charge_blocked(Instant::now());
         let failures = l.inflight.len().max(1);
         for _ in 0..failures {
             if l.backend.record_failure(
@@ -796,13 +800,11 @@ impl Shard {
                     // a half-open socket) for nothing.
                     Action::Retire
                 } else {
-                    if let Some(t0) = l.blocked_since {
-                        if now.duration_since(t0) >= BLOCKED_FLUSH {
-                            let ns = u64::try_from(now.duration_since(t0).as_nanos())
-                                .unwrap_or(u64::MAX);
-                            l.backend.counter().add_ns(ns);
-                            l.blocked_since = Some(now);
-                        }
+                    if l.blocked_since
+                        .is_some_and(|t0| now.duration_since(t0) >= BLOCKED_FLUSH)
+                    {
+                        l.charge_blocked(now);
+                        l.blocked_since = Some(now);
                     }
                     Action::Nothing
                 }

@@ -1,4 +1,4 @@
-//! The backend pool: per-backend health state, pooled connections, WRR
+//! The backend pool: per-backend health state, WRR
 //! selection over the controller-installed weights, and the reload diff
 //! that maps config changes onto region grow/shrink.
 //!
@@ -9,8 +9,7 @@
 //! pinned to 0) rather than shifting its successors; only trailing
 //! removed slots are actually closed, via region shrink.
 
-use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -18,16 +17,13 @@ use std::time::{Duration, Instant};
 use streambal_core::{WeightVector, WrrScheduler};
 use streambal_transport::BlockingCounter;
 
-use crate::frame::{write_frame_deadline, FrameReader};
-
 /// Weight-simplex resolution, matching the controller default (Σw = 1000).
 const RESOLUTION: u32 = 1000;
 
 /// Cap on the probe-backoff doubling (base × 32).
 const MAX_BACKOFF_MULT: u32 = 32;
 
-/// One backend worker: address, health state, shared blocking counter,
-/// and a small idle-connection cache.
+/// One backend worker: address, health state and shared blocking counter.
 #[derive(Debug)]
 pub struct Backend {
     /// Where the backend listens.
@@ -39,7 +35,6 @@ pub struct Backend {
     backoff_mult: AtomicU32,
     /// Earliest re-admission probe time, as millis since pool start.
     next_probe_ms: AtomicU64,
-    idle: Mutex<Vec<BackendConn>>,
 }
 
 impl Backend {
@@ -52,7 +47,6 @@ impl Backend {
             consecutive_failures: AtomicU32::new(0),
             backoff_mult: AtomicU32::new(1),
             next_probe_ms: AtomicU64::new(0),
-            idle: Mutex::new(Vec::new()),
         }
     }
 
@@ -98,7 +92,6 @@ impl Backend {
         self.next_probe_ms.store(now_ms + delay, Ordering::Release);
         self.backoff_mult
             .store((mult * 2).min(MAX_BACKOFF_MULT), Ordering::Release);
-        self.idle.lock().expect("idle lock").clear();
         true
     }
 
@@ -135,78 +128,6 @@ impl Backend {
         self.backoff_mult
             .store((mult * 2).min(MAX_BACKOFF_MULT), Ordering::Release);
     }
-
-    /// Takes a pooled idle connection, if any.
-    pub fn take_idle(&self) -> Option<BackendConn> {
-        self.idle.lock().expect("idle lock").pop()
-    }
-
-    /// Returns a connection to the idle pool (bounded; excess dropped).
-    pub fn park(&self, conn: BackendConn) {
-        let mut idle = self.idle.lock().expect("idle lock");
-        if idle.len() < 32 {
-            idle.push(conn);
-        }
-    }
-}
-
-/// A pooled connection to one backend, speaking the length-prefixed frame
-/// protocol with blocked-write time charged to the backend's counter.
-#[derive(Debug)]
-pub struct BackendConn {
-    stream: TcpStream,
-    reader: FrameReader,
-    counter: Arc<BlockingCounter>,
-    /// Whether this connection came out of the idle pool (a failure on a
-    /// reused connection may just mean the backend closed an idle socket —
-    /// retry once on a fresh connection before counting it against health).
-    pub reused: bool,
-}
-
-impl BackendConn {
-    /// Opens a fresh connection within `timeout`, with TCP_NODELAY and
-    /// non-blocking mode set, charging future blocked writes to `counter`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect failures (including `TimedOut`).
-    pub fn connect(
-        addr: SocketAddr,
-        timeout: Duration,
-        counter: Arc<BlockingCounter>,
-    ) -> io::Result<Self> {
-        let (stream, _) = streambal_transport::tcp::connect_timeout(addr, timeout)?.into_inner();
-        Ok(BackendConn {
-            stream,
-            reader: FrameReader::new(),
-            counter,
-            reused: false,
-        })
-    }
-
-    /// Caps this connection's kernel send buffer (best-effort). A small
-    /// explicit buffer disables kernel autotuning, so a slow backend's
-    /// back-pressure surfaces as blocked-write time promptly instead of
-    /// being absorbed by a growing buffer.
-    pub fn limit_send_buffer(&self, bytes: usize) {
-        let _ = streambal_transport::poll::set_send_buffer(&self.stream, bytes);
-    }
-
-    /// Sends one request frame and waits for the response frame, all
-    /// within `deadline`. Blocked-write time lands on the backend's
-    /// counter — this is the writability signal the balancer feeds on.
-    ///
-    /// # Errors
-    ///
-    /// `TimedOut` when the deadline passes, `UnexpectedEof` when the
-    /// backend closes instead of answering; the connection must be
-    /// discarded after any error.
-    pub fn round_trip(&mut self, payload: &[u8], deadline: Instant) -> io::Result<Vec<u8>> {
-        write_frame_deadline(&mut self.stream, payload, deadline, Some(&self.counter))?;
-        self.reader
-            .read_frame_deadline(&mut self.stream, deadline)?
-            .ok_or_else(|| io::Error::new(ErrorKind::UnexpectedEof, "backend closed"))
-    }
 }
 
 /// The outcome of applying a reloaded backend list.
@@ -228,7 +149,7 @@ impl ReloadDiff {
     }
 }
 
-/// Shared state between client threads (selection), the control round
+/// Shared state between the I/O shards (selection), the control round
 /// (weights, width, health), the prober, and reload.
 #[derive(Debug)]
 pub struct BackendPool {
@@ -377,7 +298,6 @@ impl BackendPool {
         for (j, b) in slots.iter().enumerate() {
             if !consumed[j] && !b.removed.swap(true, Ordering::AcqRel) {
                 diff.removed += 1;
-                b.idle.lock().expect("idle lock").clear();
             }
         }
         drop(slots);

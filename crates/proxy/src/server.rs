@@ -1,23 +1,18 @@
-//! The proxy server: data-plane spawn (the readiness-polled async core
-//! by default, thread-per-client on request), the `DataPlane` adapter
+//! The proxy server: the event-loop shard spawn, the `DataPlane` adapter
 //! that hands the round lifecycle to [`ControlPlane::run_threaded`],
 //! the re-admission prober, and graceful drain.
 //!
-//! Thread layout (all joined on shutdown except threaded-core client
-//! threads, which exit on the stop flag):
+//! Thread layout (all joined on shutdown):
 //!
 //! ```text
-//! async core:    io-shard×K ──pick/pipeline──▶ BackendPool ◀── controller
-//! threaded core: accept ──spawns──▶ client×N ──────▲             (run_threaded:
-//!                                                  │              sample, round,
-//!                                              prober              install, reload,
-//!                                       (re-admission probes)      grow/shrink)
+//! io-shard×K ──pick/pipeline──▶ BackendPool ◀── controller
+//!                                    ▲           (run_threaded: sample, round,
+//!                                    │            install, reload, grow/shrink)
+//!                                 prober
+//!                          (re-admission probes)
 //! ```
 //!
-//! Both cores answer to the same controller, pool, health ejection,
-//! hot-reload and drain machinery; they differ only in how sockets are
-//! driven and how blocked-send time is measured (see
-//! `poll_core`).
+//! Sockets are driven, and blocked-send time is measured, in `poll_core`.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -30,13 +25,11 @@ use std::time::{Duration, Instant};
 use streambal_control::{Autoscaler, AutoscalerConfig, ControlPlane, DataPlane};
 use streambal_core::{BalancerConfig, WeightVector};
 use streambal_telemetry::{Counter, Gauge, Histogram, Telemetry};
-use streambal_transport::poll::wait_readable;
 use streambal_transport::BlockingSampler;
 
-use crate::config::{ConfigWatcher, CoreMode, ProxyConfig};
-use crate::frame::{write_frame_deadline, FrameReader, Poll};
+use crate::config::{ConfigWatcher, ProxyConfig};
 use crate::metrics::serve_metrics;
-use crate::pool::{BackendConn, BackendPool};
+use crate::pool::BackendPool;
 
 /// How the proxy is launched.
 #[derive(Debug)]
@@ -315,7 +308,7 @@ impl Drop for ProxyHandle {
 pub struct Proxy;
 
 impl Proxy {
-    /// Binds the listener(s) and spawns the accept, controller, prober
+    /// Binds the listener(s) and spawns the controller, prober, I/O shard
     /// and (optionally) metrics threads.
     ///
     /// # Errors
@@ -441,40 +434,28 @@ impl Proxy {
             );
         }
 
-        // Data plane.
-        match cfg.core {
-            CoreMode::Async => {
-                let shards = cfg.io_threads.max(1);
-                let handoff: Vec<crate::poll_core::Handoff> = (0..shards)
-                    .map(|_| Arc::new(std::sync::Mutex::new(Vec::new())))
-                    .collect();
-                let mut listener = Some(listener);
-                for id in 0..shards {
-                    let shard_shared = Arc::clone(&shared);
-                    let shard_handoff = handoff.clone();
-                    let shard_listener = if id == 0 { listener.take() } else { None };
-                    threads.push(
-                        thread::Builder::new()
-                            .name(format!("proxy-io-{id}"))
-                            .spawn(move || {
-                                crate::poll_core::run_shard(
-                                    id,
-                                    shard_listener,
-                                    shard_handoff,
-                                    shard_shared,
-                                );
-                            })?,
-                    );
-                }
-            }
-            CoreMode::Threaded => {
-                let accept_shared = Arc::clone(&shared);
-                threads.push(
-                    thread::Builder::new()
-                        .name("proxy-accept".into())
-                        .spawn(move || run_accept(&listener, &accept_shared))?,
-                );
-            }
+        // Data plane: shard 0 owns the listener and deals connections out.
+        let shards = cfg.io_threads.max(1);
+        let handoff: Vec<crate::poll_core::Handoff> = (0..shards)
+            .map(|_| Arc::new(std::sync::Mutex::new(Vec::new())))
+            .collect();
+        let mut listener = Some(listener);
+        for id in 0..shards {
+            let shard_shared = Arc::clone(&shared);
+            let shard_handoff = handoff.clone();
+            let shard_listener = if id == 0 { listener.take() } else { None };
+            threads.push(
+                thread::Builder::new()
+                    .name(format!("proxy-io-{id}"))
+                    .spawn(move || {
+                        crate::poll_core::run_shard(
+                            id,
+                            shard_listener,
+                            shard_handoff,
+                            shard_shared,
+                        );
+                    })?,
+            );
         }
 
         Ok(ProxyHandle {
@@ -486,160 +467,6 @@ impl Proxy {
             threads,
         })
     }
-}
-
-fn run_accept(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::Acquire) {
-        if shared.draining.load(Ordering::Acquire) {
-            thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.metrics.accepted.incr();
-                shared.active_clients.fetch_add(1, Ordering::AcqRel);
-                let client_shared = Arc::clone(shared);
-                let spawned = thread::Builder::new()
-                    .name("proxy-client".into())
-                    .spawn(move || {
-                        run_client(stream, &client_shared);
-                        client_shared.active_clients.fetch_sub(1, Ordering::AcqRel);
-                    });
-                if spawned.is_err() {
-                    shared.active_clients.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Park on listener readiness instead of sleep-polling;
-                // the timeout bounds reaction to the stop/drain flags.
-                let _ = wait_readable(listener, Duration::from_millis(100));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn run_client(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    shared
-        .metrics
-        .active
-        .set(shared.active_clients.load(Ordering::Acquire) as f64);
-    let mut reader = FrameReader::new();
-    loop {
-        match reader.poll_frame(&mut stream) {
-            Ok(Poll::Frame(request)) => {
-                let t0 = Instant::now();
-                shared.metrics.requests.incr();
-                match forward_with_retries(shared, &request) {
-                    Ok(response) => {
-                        shared
-                            .metrics
-                            .forwarded_bytes
-                            .add((request.len() + response.len()) as u64);
-                        let deadline = Instant::now() + shared.cfg.forward_timeout;
-                        if write_frame_deadline(&mut stream, &response, deadline, None).is_err() {
-                            break;
-                        }
-                        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        shared.metrics.latency_ns.record(ns);
-                    }
-                    Err(_) => {
-                        // Every backend failed us: the client sees the
-                        // connection close and may retry elsewhere.
-                        shared.metrics.failed_requests.incr();
-                        break;
-                    }
-                }
-                if shared.draining.load(Ordering::Acquire) && !reader.mid_frame() {
-                    break;
-                }
-            }
-            Ok(Poll::Pending) => {
-                if shared.stop.load(Ordering::Acquire)
-                    || (shared.draining.load(Ordering::Acquire) && !reader.mid_frame())
-                {
-                    break;
-                }
-                // Park on request readiness; the timeout bounds how long
-                // an idle client delays stop/drain.
-                let _ = wait_readable(&stream, Duration::from_millis(50));
-            }
-            Ok(Poll::Eof) | Err(_) => break,
-        }
-    }
-    shared.metrics.active.set(
-        shared
-            .active_clients
-            .load(Ordering::Acquire)
-            .saturating_sub(1) as f64,
-    );
-}
-
-/// Forwards one request, skipping over failed backends: each failed
-/// attempt puts the backend on the skip-list and picks another, up to
-/// `max(2 × width, 4)` attempts. A failure on a *reused* pooled
-/// connection gets one fresh-connection retry against the same backend
-/// before counting toward ejection — an idle socket the backend closed
-/// is not evidence of ill health.
-fn forward_with_retries(shared: &Arc<Shared>, request: &[u8]) -> io::Result<Vec<u8>> {
-    let mut tried: Vec<usize> = Vec::new();
-    let budget = (2 * shared.pool.width()).max(4);
-    let mut last_err = io::Error::other("no backend available");
-    for attempt in 0..budget {
-        let Some((j, backend)) = shared.pool.pick(&tried) else {
-            break;
-        };
-        if attempt > 0 {
-            shared.metrics.retries.incr();
-        }
-        let deadline = Instant::now() + shared.cfg.forward_timeout;
-        // Reused connection first; its failure only burns the socket.
-        if let Some(mut conn) = backend.take_idle() {
-            match conn.round_trip(request, deadline) {
-                Ok(response) => {
-                    backend.record_success();
-                    backend.park(conn);
-                    return Ok(response);
-                }
-                Err(_) => drop(conn),
-            }
-        }
-        let fresh = BackendConn::connect(
-            backend.addr,
-            shared.cfg.connect_timeout,
-            std::sync::Arc::clone(backend.counter()),
-        )
-        .and_then(|mut conn| {
-            if let Some(bytes) = shared.cfg.backend_send_buffer {
-                conn.limit_send_buffer(bytes);
-            }
-            let deadline = Instant::now() + shared.cfg.forward_timeout;
-            conn.round_trip(request, deadline).map(|r| (conn, r))
-        });
-        match fresh {
-            Ok((conn, response)) => {
-                backend.record_success();
-                backend.park(conn);
-                return Ok(response);
-            }
-            Err(e) => {
-                if backend.record_failure(
-                    shared.cfg.eject_after,
-                    shared.cfg.probe_interval,
-                    shared.pool.now_ms(),
-                ) {
-                    shared.metrics.ejections.incr();
-                }
-                tried.push(j);
-                last_err = e;
-            }
-        }
-    }
-    Err(last_err)
 }
 
 fn run_prober(shared: &Arc<Shared>) {

@@ -3,7 +3,7 @@
 //! [`FrameWriter`]/[`FrameReader`], checking byte-identical reassembly
 //! against the naive wire encoding (4-byte LE length prefix + payload).
 //!
-//! The async proxy core carries every byte through these two state
+//! The proxy's event loop carries every byte through these two state
 //! machines, and the kernel is free to split or stall the stream at any
 //! byte boundary — so the codec must survive *arbitrary* chunkings, not
 //! just the friendly ones loopback produces. Driven by the in-repo

@@ -1,13 +1,14 @@
-//! Idle-CPU regression: an idle proxy (both cores) plus idle echo
-//! backends and parked client connections must cost (almost) no CPU.
+//! Idle-CPU regression: an idle proxy plus idle echo backends and parked
+//! client connections must cost (almost) no CPU.
 //!
-//! This pins the readiness-polling work: the echo backend's accept loop
-//! and the proxy's accept/forward paths used to burn short-sleep spin
-//! loops; all of them now park on readiness with bounded timeouts. The
-//! budget is rusage-based (`process_cpu_time`), so wall-clock load from
-//! elsewhere on the machine doesn't flake it — only CPU *this process*
-//! burns counts. Lives in its own integration binary so no sibling test
-//! threads pollute the measurement.
+//! This pins the readiness-polling work: the echo backend's accept loop,
+//! the proxy's accept/forward paths and the `/metrics` accept loop used
+//! to burn short-sleep spin loops; all of them now park on readiness
+//! with bounded timeouts. The budget is rusage-based
+//! (`process_cpu_time`), so wall-clock load from elsewhere on the
+//! machine doesn't flake it — only CPU *this process* burns counts.
+//! Lives in its own integration binary so no sibling test threads
+//! pollute the measurement.
 
 use std::net::TcpStream;
 use std::time::Duration;
@@ -15,48 +16,32 @@ use std::time::Duration;
 use streambal_proxy::{EchoBackend, Proxy, ProxyConfig, ProxyOptions};
 use streambal_transport::poll::process_cpu_time;
 
-/// CPU budget for ~3 s of idling across one async proxy, one threaded
-/// proxy, six echo loops and 16 parked client connections. An
-/// event-loop stack spends well under 100 ms here (timer wakeups and
-/// 50 ms control rounds); the old spin loops burned whole cores.
-const IDLE_BUDGET: Duration = Duration::from_millis(600);
+/// CPU budget for ~3 s of idling across one proxy (io shard, controller,
+/// prober, metrics endpoint), three echo loops and 16 parked client
+/// connections. An event-loop stack spends well under 100 ms here (timer
+/// wakeups and 50 ms control rounds); the old spin loops burned whole
+/// cores.
+const IDLE_BUDGET: Duration = Duration::from_millis(300);
 const IDLE_SPAN: Duration = Duration::from_secs(3);
-
-fn spawn_proxy(core: &str) -> (Vec<EchoBackend>, streambal_proxy::ProxyHandle) {
-    let backends: Vec<EchoBackend> = (0..3)
-        .map(|_| EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap())
-        .collect();
-    let mut text =
-        format!("listen 127.0.0.1:0\ncore {core}\nio_threads 1\nsample_interval_ms 50\n");
-    for b in &backends {
-        text.push_str(&format!("backend {}\n", b.addr()));
-    }
-    let config = ProxyConfig::parse(&text).unwrap();
-    let handle = Proxy::spawn(ProxyOptions {
-        config,
-        config_path: None,
-        telemetry: None,
-    })
-    .unwrap();
-    (backends, handle)
-}
 
 #[test]
 fn idle_stack_stays_within_the_cpu_budget() {
-    let (async_backends, async_proxy) = spawn_proxy("async");
-    let (threaded_backends, threaded_proxy) = spawn_proxy("threaded");
+    let backends: Vec<EchoBackend> = (0..3)
+        .map(|_| EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap())
+        .collect();
+    let mut text = String::from(
+        "listen 127.0.0.1:0\nmetrics 127.0.0.1:0\nio_threads 1\nsample_interval_ms 50\n",
+    );
+    for b in &backends {
+        text.push_str(&format!("backend {}\n", b.addr()));
+    }
+    let proxy = Proxy::spawn(ProxyOptions::new(ProxyConfig::parse(&text).unwrap())).unwrap();
 
-    // Park idle clients on both proxies: connections held open, no
-    // requests. These exercise the per-connection wait paths (the async
-    // core's Interest bookkeeping, the threaded core's parked reader).
+    // Park idle clients: connections held open, no requests. These
+    // exercise the per-connection Interest bookkeeping.
     let parked: Vec<TcpStream> = (0..16)
-        .map(|i| {
-            let addr = if i % 2 == 0 {
-                async_proxy.addr()
-            } else {
-                threaded_proxy.addr()
-            };
-            let s = TcpStream::connect(addr).unwrap();
+        .map(|_| {
+            let s = TcpStream::connect(proxy.addr()).unwrap();
             s.set_nodelay(true).unwrap();
             s
         })
@@ -70,10 +55,8 @@ fn idle_stack_stays_within_the_cpu_budget() {
     let spent = process_cpu_time().saturating_sub(before);
 
     drop(parked);
-    drop(async_proxy);
-    drop(threaded_proxy);
-    drop(async_backends);
-    drop(threaded_backends);
+    drop(proxy);
+    drop(backends);
 
     assert!(
         spent <= IDLE_BUDGET,

@@ -105,7 +105,7 @@ fn interest_none_with_pending_data_or_half_close_never_wakes() {
         poller.register(b.as_raw_fd(), 3, Interest::NONE).unwrap();
 
         // Unread data alone must not produce events at Interest::NONE —
-        // the async core parks clients this way while their response is
+        // the proxy parks clients this way while their response is
         // in flight.
         a.write_all(b"pending").unwrap();
         let mut events = Vec::new();

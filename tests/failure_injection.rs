@@ -88,7 +88,10 @@ fn downstream_cancellation_stops_the_pipeline() {
 fn tcp_worker_socket_stall_rebalances_and_never_hangs() {
     use std::sync::mpsc;
     use std::time::Duration;
+    use streambal::core::DEFAULT_RESOLUTION;
     use streambal::runtime::tcp_region::TcpRegionBuilder;
+    const INTERVAL_MS: u64 = 20;
+    const LATE_MS: u64 = 150;
 
     // Worker 0 stops reading its socket for 400 ms mid-run: the kernel
     // buffer fills and the splitter's sends to connection 0 block. The run
@@ -99,7 +102,7 @@ fn tcp_worker_socket_stall_rebalances_and_never_hangs() {
         let result = TcpRegionBuilder::new(2)
             .tuple_cost(500)
             .frame_padding(8 * 1024)
-            .sample_interval_ms(20)
+            .sample_interval_ms(INTERVAL_MS)
             .worker_stall(0, 2_000, Duration::from_millis(400))
             .run(40_000);
         let _ = tx.send(result);
@@ -115,9 +118,70 @@ fn tcp_worker_socket_stall_rebalances_and_never_hangs() {
             "the stall must surface as recorded blocking: {:?}",
             report.blocked_ns
         );
+        // Blocked time is charged as it accrues, so a sampled rate is at
+        // most the real time since the previous sample over the nominal
+        // interval — never the whole stall in one lump. LATE_MS absorbs a
+        // splitter wake delayed by a stolen vCPU (and the sender's 5 ms
+        // readiness-wait slice); the aggregate check below is the tight one.
+        let mut prev_ms = 0;
+        for s in &report.snapshots {
+            let bound = (s.elapsed_ms - prev_ms + LATE_MS) as f64 / INTERVAL_MS as f64;
+            assert!(
+                s.rates.iter().all(|&r| r <= bound),
+                "round at {} ms sampled {:?} (bound {bound})",
+                s.elapsed_ms,
+                s.rates
+            );
+            prev_ms = s.elapsed_ms;
+        }
+        // Keyed on the stall itself, not on the whole run (start-up blocking
+        // lands on either connection): the stall is the longest run of
+        // rounds that saw blocking on connection 0. Over it the controller
+        // ends below the weight in force when it began, and never hands
+        // weight back in a round the splitter spent stuck on 0 alone.
+        let rounds: Vec<_> = report.snapshots.iter().enumerate().collect();
+        let stall = rounds
+            .chunk_by(|a, b| (a.1.rates[0] > 0.0) == (b.1.rates[0] > 0.0))
+            .filter(|run| run[0].1.rates[0] > 0.0)
+            .max_by_key(|run| run.len())
+            .expect("the stall must show up as rounds with connection 0 blocked");
+        let before = match stall[0].0 {
+            0 => DEFAULT_RESOLUTION / 2,
+            i => report.snapshots[i - 1].weights[0],
+        };
+        // One splitter thread cannot be blocked for longer than the wall
+        // clock ran: what the stall's rounds charged in total fits in their
+        // span, give or take one interval for a wait slice that began before
+        // the first of them and millisecond rounding. A late wake moves
+        // time between rounds, not into the sum; a span charged twice
+        // doubles it.
+        let began_ms = match stall[0].0 {
+            0 => 0,
+            i => report.snapshots[i - 1].elapsed_ms,
+        };
+        let wall_ms = stall[stall.len() - 1].1.elapsed_ms - began_ms;
+        let charged_ms = stall.iter().map(|(_, s)| s.rates[0]).sum::<f64>() * INTERVAL_MS as f64;
         assert!(
-            report.snapshots.iter().any(|s| s.weights[0] < s.weights[1]),
-            "the controller must shift weight away from the stalled worker"
+            charged_ms <= (wall_ms + INTERVAL_MS) as f64,
+            "{charged_ms:.1} ms of blocking charged to connection 0 in {wall_ms} ms of wall clock"
+        );
+        // (Sabotage used to check this test bites: `.round_robin()` on the
+        // builder for the weight asserts — the region has no balancing
+        // switch — and lump / doubled charging in `finish_blocking` for the
+        // rate asserts.)
+        let mut w0 = before;
+        for (_, s) in stall {
+            assert!(
+                s.weights[0] <= w0 || s.rates[0] < 0.5 || s.rates[1] > 0.0,
+                "weight handed back to the stalled worker at {} ms: {w0} -> {:?}",
+                s.elapsed_ms,
+                s.weights
+            );
+            w0 = s.weights[0];
+        }
+        assert!(
+            w0 < before,
+            "the controller must shift weight away from the stalled worker: {before} -> {w0}"
         );
     }
     // An Err(..) is also acceptable: the failure was surfaced, not hidden.

@@ -3,7 +3,8 @@
 //! and every client request still succeeds via skip-and-retry; the dead
 //! backend's weight drains to zero in the installed simplex; a hot
 //! config reload adds a fourth backend, the region grows live, and the
-//! new backend receives traffic within the reconvergence budget.
+//! new backend receives traffic within the reconvergence budget. Runs
+//! on one io thread and on two (clients handed off across shards).
 
 use std::time::{Duration, Instant};
 
@@ -20,11 +21,11 @@ fn wait_until(budget: Duration, mut done: impl FnMut() -> bool) -> bool {
     done()
 }
 
-fn config_text(backends: &[std::net::SocketAddr]) -> String {
-    let mut text = String::from(
+fn config_text(io_threads: usize, backends: &[std::net::SocketAddr]) -> String {
+    let mut text = format!(
         "listen 127.0.0.1:0\nmetrics 127.0.0.1:0\nsample_interval_ms 50\n\
          forward_timeout_ms 400\nconnect_timeout_ms 300\neject_after 2\n\
-         probe_interval_ms 200\n",
+         probe_interval_ms 200\nio_threads {io_threads}\n",
     );
     for b in backends {
         text.push_str(&format!("backend {b}\n"));
@@ -34,6 +35,13 @@ fn config_text(backends: &[std::net::SocketAddr]) -> String {
 
 #[test]
 fn fleet_survives_backend_death_and_hot_reload_grows_the_region() {
+    for io_threads in [1, 2] {
+        eprintln!("io_threads {io_threads}");
+        scenario(io_threads);
+    }
+}
+
+fn scenario(io_threads: usize) {
     let mut backends: Vec<EchoBackend> = (0..3)
         .map(|_| EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap())
         .collect();
@@ -41,8 +49,8 @@ fn fleet_survives_backend_death_and_hot_reload_grows_the_region() {
 
     // The config lives in a real file so hot reload can watch it.
     let cfg_path = std::env::temp_dir().join(format!("proxy-e2e-{}.conf", std::process::id()));
-    std::fs::write(&cfg_path, config_text(&addrs)).unwrap();
-    let config = ProxyConfig::parse(&config_text(&addrs)).unwrap();
+    std::fs::write(&cfg_path, config_text(io_threads, &addrs)).unwrap();
+    let config = ProxyConfig::parse(&config_text(io_threads, &addrs)).unwrap();
     let handle = Proxy::spawn(ProxyOptions {
         config,
         config_path: Some(cfg_path.clone()),
@@ -107,7 +115,7 @@ fn fleet_survives_backend_death_and_hot_reload_grows_the_region() {
     // one listed; health, not config, keeps it out of rotation).
     let fourth = EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap();
     let mut reload_addrs = vec![addrs[0], victim_addr, addrs[2], fourth.addr()];
-    std::fs::write(&cfg_path, config_text(&reload_addrs)).unwrap();
+    std::fs::write(&cfg_path, config_text(io_threads, &reload_addrs)).unwrap();
     assert!(
         wait_until(Duration::from_secs(10), || pool.width() == 4),
         "reload did not grow the region (width={})",
@@ -134,7 +142,7 @@ fn fleet_survives_backend_death_and_hot_reload_grows_the_region() {
     // mid-list slot, so it stays detached (indices are stable) and the
     // width holds; dropping the *tail* backend then closes a slot.
     reload_addrs.remove(1);
-    std::fs::write(&cfg_path, config_text(&reload_addrs)).unwrap();
+    std::fs::write(&cfg_path, config_text(io_threads, &reload_addrs)).unwrap();
     assert!(
         wait_until(Duration::from_secs(5), || {
             pool.backend(1).is_some_and(|b| b.is_removed())
@@ -143,7 +151,7 @@ fn fleet_survives_backend_death_and_hot_reload_grows_the_region() {
     );
     assert_eq!(pool.width(), 4, "mid-list removal must not shift slots");
     reload_addrs.pop();
-    std::fs::write(&cfg_path, config_text(&reload_addrs)).unwrap();
+    std::fs::write(&cfg_path, config_text(io_threads, &reload_addrs)).unwrap();
     assert!(
         wait_until(Duration::from_secs(10), || pool.width() == 3),
         "tail removal did not shrink the region (width={})",

@@ -1,6 +1,6 @@
-//! Soak tier: a five-figure client fleet against the async proxy core.
+//! Soak tier: a five-figure client fleet against the proxy's event loop.
 //!
-//! The parent test process hosts the proxy (async core, readiness-polled)
+//! The parent test process hosts the proxy (one readiness-polled io thread)
 //! and the echo backends in-process, then re-execs copies of this test
 //! binary as **client drivers** (`soak_child_driver`, gated on
 //! `STREAMBAL_SOAK_DRIVER`) so the client-side file descriptors live in
@@ -498,7 +498,7 @@ fn parse_report(text: &str) -> ParsedReport {
 
 fn config_text(backends: &[SocketAddr]) -> String {
     let mut text = String::from(
-        "listen 127.0.0.1:0\ncore async\nio_threads 1\nsample_interval_ms 50\n\
+        "listen 127.0.0.1:0\nio_threads 1\nsample_interval_ms 50\n\
          forward_timeout_ms 5000\nconnect_timeout_ms 1000\neject_after 200\n\
          probe_interval_ms 500\nreload_poll_ms 200\ndrain_timeout_ms 10000\n\
          backend_send_buffer_bytes 4096\n",
@@ -617,7 +617,7 @@ fn run_soak(total_clients: usize) {
         "grown backend received no traffic"
     );
 
-    // Phase 4 — throttle backend 0's read rate. The async core's
+    // Phase 4 — throttle backend 0's read rate. The event loop's
     // EPOLLOUT-wait spans are the only blocked-send source here; the
     // controller must shift weight off the slot while it stays healthy.
     let w0 = registry.gauge("proxy.conn0.weight");
