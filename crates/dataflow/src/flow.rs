@@ -352,29 +352,13 @@ impl<T: Send + 'static> Flow<T> {
                 }
                 Link::Region(r) => {
                     let sp = r.spawned;
-                    // Elastic shutdown order: the controller's slot opener
-                    // holds sender/merge clones, so it must be stopped and
-                    // joined before the shared sender list is cleared —
-                    // only then can the workers drain out and the merger
-                    // see its channel close.
-                    sp.splitter.join().map_err(|_| FlowError::StagePanicked {
-                        stage: "splitter".into(),
-                    })?;
-                    sp.stop.store(true, Ordering::Release);
-                    let trace = sp.controller.join().map_err(|_| FlowError::StagePanicked {
-                        stage: "controller".into(),
-                    })?;
-                    (sp.disconnect)();
-                    let workers =
-                        std::mem::take(&mut *sp.workers.lock().unwrap_or_else(|e| e.into_inner()));
-                    for w in workers {
-                        w.join().map_err(|_| FlowError::StagePanicked {
-                            stage: "worker".into(),
-                        })?;
-                    }
-                    sp.merger.join().map_err(|_| FlowError::StagePanicked {
-                        stage: "merger".into(),
-                    })?;
+                    let trace = sp
+                        .region
+                        .join(Some(sp.merger))
+                        .map_err(|stage| FlowError::StagePanicked {
+                            stage: stage.into(),
+                        })?
+                        .snapshots;
                     stages.push(StageStats {
                         name: format!(
                             "parallel[{}]",

@@ -10,11 +10,15 @@
 //! still preserves sequential semantics via the same sequence-numbered
 //! merge.
 
-use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 
+use streambal_runtime::ordered::{spawn_worker, Reorder};
+
 use crate::flow::Flow;
+
+/// Why the merger's [`Reorder::push`] cannot meet a duplicate here.
+const STAMPED_ONCE: &str = "the router stamps each sequence number once";
 
 /// FNV-1a, fixed so partitioning is stable across platforms and runs.
 fn stable_hash<K: Hash>(key: &K) -> u64 {
@@ -94,28 +98,19 @@ impl<T: Send + 'static> Flow<T> {
             for op_slot in ops.iter_mut() {
                 let (ptx, prx) = streambal_transport::bounded::<(u64, T)>(capacity);
                 part_tx.push(ptx);
-                let out_tx = out_tx.clone();
-                let mut op = op_slot.take().expect("each operator taken once");
-                handles.push(
-                    std::thread::Builder::new()
-                        .name("streambal-df-keyed".to_owned())
-                        .spawn(move || {
-                            while let Ok((seq, t)) = prx.recv() {
-                                if out_tx.send((seq, op(t))).is_err() {
-                                    return;
-                                }
-                            }
-                        })
-                        .expect("spawning a keyed replica succeeds"),
-                );
+                let op = op_slot.take().expect("each operator taken once");
+                handles.push(spawn_worker(
+                    "streambal-df-keyed".to_owned(),
+                    std::iter::from_fn(move || prx.recv().ok()),
+                    op,
+                    out_tx.clone(),
+                ));
             }
             drop(out_tx);
 
             // Router + in-order merger, interleaved on this stage's thread:
             // route a tuple, then drain whatever is releasable.
-            let mut reorder: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = BinaryHeap::new();
-            let mut pending: Vec<Option<U>> = Vec::new();
-            let mut next = 0u64;
+            let mut reorder = Reorder::default();
             let mut seq = 0u64;
             let mut route = |t: T,
                              seq: &mut u64,
@@ -140,7 +135,7 @@ impl<T: Send + 'static> Flow<T> {
                         // Nothing to route right now: move an output along
                         // (blocking briefly keeps the stage from spinning).
                         match out_rx.recv_timeout(std::time::Duration::from_micros(200)) {
-                            Ok((s, u)) => stash(&mut pending, s, u, &mut reorder),
+                            Ok((s, u)) => reorder.push(s, u).expect(STAMPED_ONCE),
                             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
                             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
                         }
@@ -148,9 +143,9 @@ impl<T: Send + 'static> Flow<T> {
                     Err(streambal_transport::TryRecvError::Disconnected) => break,
                 }
                 while let Ok((s, u)) = out_rx.try_recv() {
-                    stash(&mut pending, s, u, &mut reorder);
+                    reorder.push(s, u).expect(STAMPED_ONCE);
                 }
-                if !release(&mut pending, &mut reorder, &mut next, &tx, &emitted) {
+                if !release(&mut reorder, &tx, &emitted) {
                     return;
                 }
             }
@@ -160,46 +155,23 @@ impl<T: Send + 'static> Flow<T> {
                 let _ = h.join();
             }
             while let Ok((s, u)) = out_rx.recv() {
-                stash(&mut pending, s, u, &mut reorder);
+                reorder.push(s, u).expect(STAMPED_ONCE);
             }
-            let _ = release(&mut pending, &mut reorder, &mut next, &tx, &emitted);
+            let _ = release(&mut reorder, &tx, &emitted);
         })
     }
 }
 
-fn stash<U>(
-    pending: &mut Vec<Option<U>>,
-    seq: u64,
-    value: U,
-    reorder: &mut BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-) {
-    let slot = pending.iter().position(|v| v.is_none()).unwrap_or_else(|| {
-        pending.push(None);
-        pending.len() - 1
-    });
-    pending[slot] = Some(value);
-    reorder.push(std::cmp::Reverse((seq, slot)));
-}
-
 fn release<U: Send + 'static>(
-    pending: &mut [Option<U>],
-    reorder: &mut BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    next: &mut u64,
+    reorder: &mut Reorder<U>,
     tx: &streambal_transport::Sender<U>,
     emitted: &std::sync::Arc<std::sync::atomic::AtomicU64>,
 ) -> bool {
-    while reorder
-        .peek()
-        .map(|std::cmp::Reverse((s, _))| *s == *next)
-        .unwrap_or(false)
-    {
-        let std::cmp::Reverse((_, slot)) = reorder.pop().expect("peeked");
-        let value = pending[slot].take().expect("stashed value present");
+    while let Some(value) = reorder.pop_ready() {
         if tx.send_recording(value).is_err() {
             return false;
         }
         emitted.fetch_add(1, Ordering::Relaxed);
-        *next += 1;
     }
     true
 }

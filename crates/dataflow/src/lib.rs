@@ -33,6 +33,14 @@
 //! assert!(report.stages.len() >= 4);
 //! ```
 //!
+//! [`Flow::parallel`] is the ordered-region skeleton of `streambal-runtime`
+//! (its crate docs draw the splitter / hub / controller / merger diagram)
+//! with this crate's parts plugged in: the source is the upstream channel,
+//! the links are instrumented channels, a worker runs one replica of the
+//! operator, and a merger thread releases into the downstream channel.
+//! [`Flow::parallel_keyed`] pins routing by key hash and shares only the
+//! worker loop and the reorder buffer.
+//!
 //! The parallel region preserves **sequential semantics**: tuples leave it
 //! in exactly the order they entered, whatever the relative speeds of the
 //! replicas (verified by the `ordering_holds_under_*` tests).

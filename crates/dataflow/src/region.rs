@@ -2,23 +2,16 @@
 //! with a balancing controller — the dataflow-level counterpart of the
 //! paper's Figure 3.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use streambal_control::{ControlPlane, DataPlane, ScriptedWidth};
-use streambal_core::controller::{BalancerConfig, BalancerMode};
-use streambal_core::weights::{WeightVector, WrrScheduler};
+use streambal_control::ScriptedWidth;
+use streambal_core::controller::BalancerMode;
+use streambal_runtime::ordered::{self, Slot, Spec};
 use streambal_telemetry::Telemetry;
-use streambal_transport::{bounded, BlockingCounter, BlockingSampler, Receiver, Sender};
-
-use crate::report::RoundSnapshot;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use streambal_transport::{bounded, Receiver, Sender};
 
 /// Configuration of an ordered data-parallel region.
 ///
@@ -118,130 +111,25 @@ impl ParallelConfig {
 }
 
 /// Aggregated stage counters shared by the region's threads.
+#[derive(Clone, Default)]
 pub(crate) struct RegionCounters {
-    pub split_in: AtomicU64,
-    pub worked: AtomicU64,
-    pub merged_out: AtomicU64,
+    pub split_in: Arc<AtomicU64>,
+    pub worked: Arc<AtomicU64>,
+    pub merged_out: Arc<AtomicU64>,
 }
 
-/// Everything `Flow::parallel` spawns; joined by the terminal stage.
-///
-/// Shutdown order matters for elastic regions: join `splitter`, set
-/// `stop`, join `controller` (it may hold sender clones through its slot
-/// opener), call `disconnect` to drop every replica sender, then join
-/// `workers` and finally `merger`.
+/// Everything `Flow::parallel` spawns; the terminal stage joins `region`
+/// with `merger`, in the skeleton's teardown order.
 pub(crate) struct SpawnedRegion {
-    pub splitter: thread::JoinHandle<()>,
-    pub workers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    pub region: ordered::Region,
     pub merger: thread::JoinHandle<()>,
-    pub controller: thread::JoinHandle<Vec<RoundSnapshot>>,
-    pub counters: Arc<RegionCounters>,
-    pub stop: Arc<AtomicBool>,
-    /// Drops every splitter→replica sender so the workers drain and exit
-    /// (type-erased: the senders carry the region's tuple type).
-    pub disconnect: Box<dyn FnOnce() + Send>,
-}
-
-/// The region's [`DataPlane`]: blocking rates from the replica
-/// connections' counters, weights into the splitter's mutex, delivered
-/// counts from the merger's stage counter.
-///
-/// When `opener`/`closer` are set the plane is *elastic*: the
-/// [`ScriptedWidth`] policy installed on the control plane decides
-/// resizes, and the control loop applies them by opening fresh replicas
-/// (operator instance + channel + thread) or retiring the highest slot,
-/// whose queued tuples drain in order.
-struct ReplicaPlane {
-    blocking: Vec<Arc<BlockingCounter>>,
-    samplers: Vec<BlockingSampler>,
-    weights: Arc<Mutex<WeightVector>>,
-    counters: Arc<RegionCounters>,
-    #[allow(clippy::type_complexity)]
-    opener: Option<Box<dyn FnMut(usize) -> Option<Arc<BlockingCounter>> + Send>>,
-    #[allow(clippy::type_complexity)]
-    closer: Option<Box<dyn FnMut(usize) -> bool + Send>>,
-}
-
-impl DataPlane for ReplicaPlane {
-    fn connections(&self) -> usize {
-        self.blocking.len()
-    }
-
-    fn open_slot(&mut self) -> bool {
-        let j = self.blocking.len();
-        let Some(open) = self.opener.as_mut() else {
-            return false;
-        };
-        let Some(counter) = open(j) else {
-            return false;
-        };
-        self.blocking.push(counter);
-        self.samplers.push(BlockingSampler::new());
-        true
-    }
-
-    fn close_slot(&mut self) -> bool {
-        let j = self.blocking.len();
-        if j <= 1 {
-            return false;
-        }
-        let Some(close) = self.closer.as_mut() else {
-            return false;
-        };
-        if !close(j - 1) {
-            return false;
-        }
-        self.blocking.pop();
-        self.samplers.pop();
-        true
-    }
-
-    fn sample(&mut self, interval_ns: u64, rates: &mut [f64]) {
-        for ((c, s), rate) in self.blocking.iter().zip(&mut self.samplers).zip(rates) {
-            *rate = s.sample(c, interval_ns);
-        }
-    }
-
-    fn install_weights(&mut self, weights: &WeightVector) {
-        *lock(&self.weights) = weights.clone();
-    }
-
-    fn delivered(&self) -> u64 {
-        self.counters.merged_out.load(Ordering::Relaxed)
-    }
-}
-
-/// Spawns one replica: receives sequenced tuples, applies `op`, forwards
-/// the sequenced results to the merger. Used both at region start and by
-/// the controller's slot opener when the region grows mid-run.
-fn spawn_replica<T, U, Op>(
-    rx: Receiver<(u64, T)>,
-    merge_tx: mpsc::Sender<(u64, U)>,
-    mut op: Op,
-    counters: Arc<RegionCounters>,
-) -> thread::JoinHandle<()>
-where
-    T: Send + 'static,
-    U: Send + 'static,
-    Op: FnMut(T) -> U + Send + 'static,
-{
-    thread::Builder::new()
-        .name("streambal-df-worker".to_owned())
-        .spawn(move || {
-            while let Ok((seq, t)) = rx.recv() {
-                let u = op(t);
-                counters.worked.fetch_add(1, Ordering::Relaxed);
-                if merge_tx.send((seq, u)).is_err() {
-                    break;
-                }
-            }
-        })
-        .expect("spawning a worker thread succeeds")
+    pub counters: RegionCounters,
 }
 
 /// Spawns an ordered parallel region reading `T` from `input`, applying a
 /// per-replica operator produced by `factory`, and writing `U` in input
-/// order into `output`.
+/// order into `output`: the [`ordered`] skeleton over instrumented channels,
+/// fed from `input` until it closes, with the merger on a thread of its own.
 pub(crate) fn spawn<T, U, F, Op>(
     cfg: &ParallelConfig,
     input: Receiver<T>,
@@ -254,274 +142,86 @@ where
     F: Fn() -> Op + Send + 'static,
     Op: FnMut(T) -> U + Send + 'static,
 {
-    let n = cfg.replicas;
-    let counters = Arc::new(RegionCounters {
-        split_in: AtomicU64::new(0),
-        worked: AtomicU64::new(0),
-        merged_out: AtomicU64::new(0),
-    });
-
-    // Replica connections (instrumented: the balancer reads their blocking
-    // counters) and the shared worker -> merger channel (memory-bounded at
-    // the merger, per the paper's design). The sender list is shared so the
-    // controller can open/close slots while the splitter routes.
-    let mut conn_tx: Vec<Sender<(u64, T)>> = Vec::with_capacity(n);
-    let mut conn_rx: Vec<Option<Receiver<(u64, T)>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = bounded(cfg.channel_capacity);
-        conn_tx.push(tx);
-        conn_rx.push(Some(rx));
-    }
+    let counters = RegionCounters::default();
+    // The shared worker -> merger channel is memory-bounded at the merger,
+    // per the paper's design.
     let (merge_tx, merge_rx) = mpsc::channel::<(u64, U)>();
-    if let Some(t) = &cfg.telemetry {
-        for (j, s) in conn_tx.iter().enumerate() {
-            s.instrument(t.registry(), &format!("replica{j}"));
-        }
-    }
-    let blocking: Vec<_> = conn_tx.iter().map(Sender::blocking_counter).collect();
-
-    let weights = Arc::new(Mutex::new(WeightVector::even(
-        n,
-        streambal_core::DEFAULT_RESOLUTION,
-    )));
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // Workers.
-    let workers = Arc::new(Mutex::new(Vec::with_capacity(n)));
-    for rx_slot in conn_rx.iter_mut() {
-        let rx = rx_slot.take().expect("each receiver taken once");
-        lock(&workers).push(spawn_replica(
-            rx,
-            merge_tx.clone(),
-            factory(),
-            Arc::clone(&counters),
-        ));
-    }
-    let senders = Arc::new(Mutex::new(conn_tx));
-
-    // Splitter.
-    let splitter = {
-        let weights = Arc::clone(&weights);
-        let senders = Arc::clone(&senders);
-        let counters = Arc::clone(&counters);
-        let stop = Arc::clone(&stop);
-        thread::Builder::new()
-            .name("streambal-df-splitter".to_owned())
-            .spawn(move || {
-                let mut current = lock(&weights).clone();
-                let mut wrr = WrrScheduler::new(&current);
-                let mut txs: Vec<Sender<(u64, T)>> = lock(&senders).clone();
-                let mut seq = 0u64;
-                while let Ok(t) = input.recv() {
-                    {
-                        let w = lock(&weights);
-                        if *w != current {
-                            if w.len() == current.len() {
-                                wrr.set_weights(&w);
-                            } else {
-                                wrr.resize(&w);
-                            }
-                            current = w.clone();
-                        }
-                    }
-                    // Grown slots are opened before the wider weights are
-                    // installed, so the shared list always covers `current`.
-                    if txs.len() != current.len() {
-                        txs = lock(&senders).clone();
-                    }
-                    let j = wrr.pick();
-                    counters.split_in.fetch_add(1, Ordering::Relaxed);
-                    if txs[j].send_recording((seq, t)).is_err() {
-                        break;
-                    }
-                    seq += 1;
-                }
-                // Input is exhausted: begin the drain. Stopping under the
-                // senders lock keeps the controller's opener from racing a
-                // new slot past the clear; dropping the senders lets the
-                // replicas drain their queues in order and exit.
-                let mut shared = lock(&senders);
-                stop.store(true, Ordering::Release);
-                shared.clear();
-            })
-            .expect("spawning the splitter thread succeeds")
-    };
-
-    // Controller.
-    let controller = {
-        let weights = Arc::clone(&weights);
-        let stop = Arc::clone(&stop);
-        let interval = cfg.sample_interval;
-        let balanced = cfg.balanced;
-        let mode = cfg.mode;
-        let telemetry = cfg.telemetry.clone();
-        let counters = Arc::clone(&counters);
-        let mut script = cfg.width_script.clone();
-        script.sort();
+    let make_slot = {
         let capacity = cfg.channel_capacity;
-        let started = Instant::now();
-
-        let opener: Box<dyn FnMut(usize) -> Option<Arc<BlockingCounter>> + Send> = {
-            let senders = Arc::clone(&senders);
-            let workers = Arc::clone(&workers);
-            let counters = Arc::clone(&counters);
-            let merge_tx = merge_tx.clone();
-            let telemetry = cfg.telemetry.clone();
-            let stop = Arc::clone(&stop);
-            Box::new(move |j| {
-                // Checked under the senders lock: once the splitter has
-                // started the drain (stop + clear), no new slot may open,
-                // or its replica would never see its channel close.
-                let mut txs = lock(&senders);
-                if stop.load(Ordering::Acquire) {
-                    return None;
-                }
-                let (tx, rx) = bounded(capacity);
-                if let Some(t) = &telemetry {
-                    tx.instrument(t.registry(), &format!("replica{j}"));
-                }
-                let counter = tx.blocking_counter();
-                lock(&workers).push(spawn_replica(
-                    rx,
-                    merge_tx.clone(),
-                    factory(),
-                    Arc::clone(&counters),
-                ));
-                txs.push(tx);
-                Some(counter)
+        let telemetry = cfg.telemetry.clone();
+        let worked = Arc::clone(&counters.worked);
+        move |j: usize| {
+            let (tx, rx) = bounded(capacity);
+            if let Some(t) = &telemetry {
+                tx.instrument(t.registry(), &format!("replica{j}"));
+            }
+            let (mut op, worked) = (factory(), Arc::clone(&worked));
+            let worker = ordered::spawn_worker(
+                "streambal-df-worker".to_owned(),
+                std::iter::from_fn(move || rx.recv().ok()),
+                move |t| {
+                    let u = op(t);
+                    worked.fetch_add(1, Ordering::Relaxed);
+                    u
+                },
+                merge_tx.clone(),
+            );
+            Ok(Slot {
+                link: tx,
+                worker,
+                load: None,
             })
-        };
-        let closer: Box<dyn FnMut(usize) -> bool + Send> = {
-            let senders = Arc::clone(&senders);
-            Box::new(move |_j| {
-                let mut txs = lock(&senders);
-                if txs.len() > 1 {
-                    // Dropping the sender lets the replica drain its queue
-                    // in order and exit; its handle is joined at shutdown.
-                    txs.pop();
-                    true
-                } else {
-                    false
-                }
-            })
-        };
-
-        thread::Builder::new()
-            .name("streambal-df-controller".to_owned())
-            .spawn(move || {
-                let lb_cfg = BalancerConfig::builder(blocking.len())
-                    .mode(mode)
-                    .build()
-                    .expect("region-sized balancer config is valid");
-                let mut builder = ControlPlane::builder(lb_cfg)
-                    .rate_cap(10.0)
-                    .keep_snapshots(true);
-                if let Some(t) = &telemetry {
-                    builder = builder.telemetry(t);
-                }
-                if !balanced {
-                    builder = builder.round_robin();
-                }
-                if !script.is_empty() {
-                    builder = builder.width_policy(Box::new(script));
-                }
-                let mut plane = builder.build();
-                let n = blocking.len();
-                let mut dp = ReplicaPlane {
-                    blocking,
-                    samplers: vec![BlockingSampler::new(); n],
-                    weights,
-                    counters: Arc::clone(&counters),
-                    opener: Some(opener),
-                    closer: Some(closer),
-                };
-                plane.run_threaded(&mut dp, interval, &stop, started);
-                if let Some(t) = &telemetry {
-                    let reg = t.registry();
-                    reg.counter("dataflow.split_in")
-                        .add(counters.split_in.load(Ordering::Relaxed));
-                    reg.counter("dataflow.worked")
-                        .add(counters.worked.load(Ordering::Relaxed));
-                    reg.counter("dataflow.merged_out")
-                        .add(counters.merged_out.load(Ordering::Relaxed));
-                }
-                plane.into_snapshots()
-            })
-            .expect("spawning the controller thread succeeds")
+        }
     };
-    drop(merge_tx);
+    let source = {
+        let split_in = Arc::clone(&counters.split_in);
+        std::iter::from_fn(move || input.recv().ok()).inspect(move |_| {
+            split_in.fetch_add(1, Ordering::Relaxed);
+        })
+    };
+    let spec = Spec {
+        width: cfg.replicas,
+        mode: cfg.mode,
+        balancing: cfg.balanced,
+        interval: cfg.sample_interval,
+        width_script: cfg.width_script.clone(),
+        telemetry: cfg.telemetry.clone(),
+        delivered: Some(Arc::clone(&counters.merged_out)),
+        ..Spec::default()
+    };
+    let region = ordered::spawn(spec, source, make_slot)
+        .expect("opening an in-process channel slot cannot fail");
 
-    // Merger: strict in-order release into the downstream channel.
+    // The merger is the last of the region's threads to see its input
+    // close, so the stage counters are final when it publishes them.
     let merger = {
-        let counters = Arc::clone(&counters);
-        let stop = Arc::clone(&stop);
+        let telemetry = cfg.telemetry.clone();
+        let counters = counters.clone();
         thread::Builder::new()
             .name("streambal-df-merger".to_owned())
             .spawn(move || {
-                let mut reorder: BinaryHeap<std::cmp::Reverse<SeqItem<U>>> = BinaryHeap::new();
-                let mut next = 0u64;
-                while let Ok((seq, u)) = merge_rx.recv() {
-                    reorder.push(std::cmp::Reverse(SeqItem { seq, item: u }));
-                    while reorder
-                        .peek()
-                        .map(|std::cmp::Reverse(it)| it.seq == next)
-                        .unwrap_or(false)
-                    {
-                        let std::cmp::Reverse(it) = reorder.pop().expect("peeked");
-                        next += 1;
-                        counters.merged_out.fetch_add(1, Ordering::Relaxed);
-                        if output.send_recording(it.item).is_err() {
-                            stop.store(true, Ordering::Release);
-                            return;
-                        }
+                ordered::merge(&merge_rx, |u| {
+                    counters.merged_out.fetch_add(1, Ordering::Relaxed);
+                    output.send_recording(u).is_ok()
+                });
+                if let Some(t) = &telemetry {
+                    for (name, count) in [
+                        ("dataflow.split_in", &counters.split_in),
+                        ("dataflow.worked", &counters.worked),
+                        ("dataflow.merged_out", &counters.merged_out),
+                    ] {
+                        let count = count.load(Ordering::Relaxed);
+                        t.registry().counter(name).add(count);
                     }
                 }
-                debug_assert!(reorder.is_empty(), "merger must drain completely");
-                stop.store(true, Ordering::Release);
             })
             .expect("spawning the merger thread succeeds")
     };
 
-    let disconnect: Box<dyn FnOnce() + Send> = {
-        let senders = Arc::clone(&senders);
-        Box::new(move || lock(&senders).clear())
-    };
-
     SpawnedRegion {
-        splitter,
-        workers,
+        region,
         merger,
-        controller,
         counters,
-        stop,
-        disconnect,
-    }
-}
-
-/// A sequence-keyed item; ordered by sequence number only.
-#[derive(Debug)]
-struct SeqItem<U> {
-    seq: u64,
-    item: U,
-}
-
-impl<U> PartialEq for SeqItem<U> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl<U> Eq for SeqItem<U> {}
-
-impl<U> PartialOrd for SeqItem<U> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<U> Ord for SeqItem<U> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.seq.cmp(&other.seq)
     }
 }
 
@@ -542,13 +242,5 @@ mod tests {
     #[should_panic(expected = "at least one replica")]
     fn zero_replicas_rejected() {
         let _ = ParallelConfig::new(0);
-    }
-
-    #[test]
-    fn seq_item_orders_by_seq() {
-        let a = SeqItem { seq: 1, item: "b" };
-        let b = SeqItem { seq: 2, item: "a" };
-        assert!(a < b);
-        assert!(a == SeqItem { seq: 1, item: "z" });
     }
 }

@@ -15,6 +15,32 @@
 //! over real loopback TCP sockets, so the kernel's own socket buffers
 //! provide the back-pressure and the blocking signal.
 //!
+//! # One skeleton, three regions
+//!
+//! The ordered-region protocol is written once, in the `ordered` module.
+//! The splitter never holds a lock across a send; a resize reaches it
+//! through the hub — *open the slot, then widen; narrow, then close*:
+//!
+//! ```text
+//!              ┌──── hub (one mutex): weights · opened links · keep · draining ────┐
+//!   install_weights / open_slot / close_slot            adopt links, pick up weights
+//!              │                                                                   ▼
+//!   controller: CounterPlane under         source ──► splitter: stamp seq, WRR pick,
+//!   ControlPlane::run_threaded                        send_recording on links it owns
+//!              │ make_slot(j)                             │ Link    │ Link    │ Link
+//!              ▼                                          ▼         ▼         ▼
+//!   Slot { link, worker, load }                        worker    worker    worker
+//!                                                         └── (seq, item) ───┘
+//!                                                                   ▼
+//!                                                 merge: Reorder, release by seq ──► sink
+//! ```
+//!
+//! | region | source | link | worker | sink |
+//! |---|---|---|---|---|
+//! | [`region`] | `0..total` | `transport::Sender` | spin × live load | count, on the caller |
+//! | [`tcp_region`] | `0..total` | framed `TcpSender` | decode, spin, scripted stall | count, on the caller |
+//! | `dataflow::Flow::parallel` | upstream channel | `transport::Sender` | the replica's operator | downstream channel, on a merger thread |
+//!
 //! # Example
 //!
 //! ```
@@ -34,6 +60,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod ordered;
 pub mod region;
 pub mod tcp_region;
 pub mod workload;

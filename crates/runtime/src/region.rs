@@ -1,31 +1,26 @@
-//! The threaded parallel region: splitter → workers → in-order merger, with
-//! a balancing control thread.
+//! The threaded parallel region over in-process channels: the
+//! `ordered` skeleton (see the crate docs) with bounded, instrumented channels
+//! as links and spin-multiply workers behind them.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::io;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
-use streambal_control::{ControlPlane, DataPlane, ScriptedWidth};
-use streambal_core::controller::{BalancerConfig, BalancerMode};
-use streambal_core::weights::{WeightVector, WrrScheduler};
+use streambal_control::ScriptedWidth;
+use streambal_core::controller::BalancerMode;
 use streambal_telemetry::Telemetry;
-use streambal_transport::{bounded, BlockingCounter, BlockingSampler, Receiver, Sender};
+use streambal_transport::bounded;
 
 pub use streambal_control::RoundSnapshot;
 
+use crate::ordered::{self, Link, Slot, Spec};
 use crate::workload::spin_multiplies;
-
-/// Locks a mutex, ignoring poisoning (a panicked peer thread is surfaced
-/// as [`RegionError::WorkerPanicked`] at join time instead).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Load multipliers are stored as fixed-point thousandths in an atomic so
 /// they can change mid-run.
-const LOAD_SCALE: f64 = 1_000.0;
+pub(crate) const LOAD_SCALE: f64 = 1_000.0;
 
 /// Error starting or finishing a region run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +29,10 @@ pub enum RegionError {
     NoWorkers,
     /// A worker thread panicked.
     WorkerPanicked,
-    /// The merger observed a sequence gap (should be impossible).
-    OutOfOrder,
+    /// The region could not be set up: a socket failed to open or connect,
+    /// or ([`io::ErrorKind::InvalidInput`]) a scheduled [`LoadChange`]
+    /// names a worker the region can never have.
+    Io(io::ErrorKind),
 }
 
 impl fmt::Display for RegionError {
@@ -43,142 +40,12 @@ impl fmt::Display for RegionError {
         match self {
             RegionError::NoWorkers => write!(f, "region needs at least one worker"),
             RegionError::WorkerPanicked => write!(f, "a region thread panicked"),
-            RegionError::OutOfOrder => write!(f, "merger released tuples out of order"),
+            RegionError::Io(kind) => write!(f, "setting the region up failed: {kind}"),
         }
     }
 }
 
 impl std::error::Error for RegionError {}
-
-/// The [`DataPlane`] both threaded regions hand to [`ControlPlane`]:
-/// blocking rates come from the transport senders' counters, weights are
-/// installed into the mutex the splitter polls, and scheduled external
-/// load changes apply at the top of each round.
-///
-/// When `opener`/`closer` are set the plane is *elastic*: a
-/// [`WidthPolicy`](streambal_control::WidthPolicy) installed on the
-/// control plane (the builder's `grow_after`/`shrink_after` script, or an
-/// autoscaler) decides resizes, and the control loop applies them by
-/// calling [`DataPlane::open_slot`] (spawn a real connection + worker
-/// thread) or [`DataPlane::close_slot`] (retire the highest slot; its
-/// queued tuples drain in order before the worker exits).
-pub(crate) struct CounterPlane {
-    pub(crate) counters: Vec<Arc<BlockingCounter>>,
-    pub(crate) samplers: Vec<BlockingSampler>,
-    pub(crate) weights: Arc<Mutex<WeightVector>>,
-    pub(crate) loads: Vec<Arc<AtomicU32>>,
-    pub(crate) changes: Vec<LoadChange>,
-    pub(crate) next_change: usize,
-    /// Opens slot `j`: wire a fresh connection and worker, returning its
-    /// blocking counter. `None` on failure (growth is refused cleanly).
-    #[allow(clippy::type_complexity)]
-    pub(crate) opener: Option<Box<dyn FnMut(usize) -> Option<Arc<BlockingCounter>> + Send>>,
-    /// Closes slot `j` (always the current highest): drop its sender so
-    /// the worker drains and exits.
-    #[allow(clippy::type_complexity)]
-    pub(crate) closer: Option<Box<dyn FnMut(usize) -> bool + Send>>,
-}
-
-impl CounterPlane {
-    /// A fixed-width plane (no elasticity) over the given counters.
-    pub(crate) fn fixed(
-        counters: Vec<Arc<BlockingCounter>>,
-        weights: Arc<Mutex<WeightVector>>,
-        loads: Vec<Arc<AtomicU32>>,
-        changes: Vec<LoadChange>,
-    ) -> Self {
-        let n = counters.len();
-        CounterPlane {
-            samplers: vec![BlockingSampler::new(); n],
-            counters,
-            weights,
-            loads,
-            changes,
-            next_change: 0,
-            opener: None,
-            closer: None,
-        }
-    }
-}
-
-impl DataPlane for CounterPlane {
-    fn connections(&self) -> usize {
-        self.counters.len()
-    }
-
-    fn begin_round(&mut self, elapsed: Duration) {
-        while self.next_change < self.changes.len()
-            && self.changes[self.next_change].after <= elapsed
-        {
-            let c = self.changes[self.next_change];
-            self.loads[c.worker].store((c.factor * LOAD_SCALE) as u32, Ordering::Relaxed);
-            self.next_change += 1;
-        }
-    }
-
-    fn open_slot(&mut self) -> bool {
-        let j = self.counters.len();
-        let Some(open) = self.opener.as_mut() else {
-            return false;
-        };
-        let Some(counter) = open(j) else {
-            return false;
-        };
-        self.counters.push(counter);
-        self.samplers.push(BlockingSampler::new());
-        true
-    }
-
-    fn close_slot(&mut self) -> bool {
-        let j = self.counters.len();
-        if j <= 1 {
-            return false;
-        }
-        let Some(close) = self.closer.as_mut() else {
-            return false;
-        };
-        if !close(j - 1) {
-            return false;
-        }
-        self.counters.pop();
-        self.samplers.pop();
-        true
-    }
-
-    fn sample(&mut self, interval_ns: u64, rates: &mut [f64]) {
-        for ((c, s), rate) in self.counters.iter().zip(&mut self.samplers).zip(rates) {
-            *rate = s.sample(c, interval_ns);
-        }
-    }
-
-    fn install_weights(&mut self, weights: &WeightVector) {
-        *lock(&self.weights) = weights.clone();
-    }
-}
-
-/// Spawns one worker thread: receive, spin the configured cost (scaled by
-/// the slot's live load factor), forward to the merger. Used both for the
-/// initial slots and for slots opened mid-run.
-fn spawn_channel_worker(
-    j: usize,
-    rx: Receiver<u64>,
-    merge_tx: mpsc::Sender<u64>,
-    load: Arc<AtomicU32>,
-    cost: u64,
-) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name(format!("streambal-worker-{j}"))
-        .spawn(move || {
-            while let Ok(seq) = rx.recv() {
-                let factor = f64::from(load.load(Ordering::Relaxed)) / LOAD_SCALE;
-                spin_multiplies((cost as f64 * factor) as u64);
-                if merge_tx.send(seq).is_err() {
-                    break;
-                }
-            }
-        })
-        .expect("spawning a worker thread succeeds")
-}
 
 /// The outcome of a threaded region run.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,6 +100,7 @@ pub struct RegionBuilder {
     initial_loads: Vec<f64>,
     load_changes: Vec<LoadChange>,
     width_script: ScriptedWidth,
+    scripted_grows: usize,
     balancer_mode: BalancerMode,
     balancing: bool,
     reroute: bool,
@@ -250,6 +118,7 @@ impl RegionBuilder {
             initial_loads: vec![1.0; workers],
             load_changes: Vec::new(),
             width_script: ScriptedWidth::new(),
+            scripted_grows: 0,
             balancer_mode: BalancerMode::default(),
             balancing: true,
             reroute: false,
@@ -290,7 +159,10 @@ impl RegionBuilder {
         self
     }
 
-    /// Schedules an external-load change during the run.
+    /// Schedules an external-load change during the run. The target may be
+    /// a worker that a [`grow_after`](Self::grow_after) step adds; a change
+    /// that falls due while its worker is not running is skipped, and
+    /// [`run`](Self::run) rejects one whose worker can never exist.
     pub fn load_change(&mut self, change: LoadChange) -> &mut Self {
         self.load_changes.push(change);
         self
@@ -302,6 +174,7 @@ impl RegionBuilder {
     /// [`ScriptedWidth`] policy.
     pub fn grow_after(&mut self, after: Duration, count: usize) -> &mut Self {
         self.width_script.grow_after(after, count);
+        self.scripted_grows += count;
         self
     }
 
@@ -350,256 +223,102 @@ impl RegionBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`RegionError::NoWorkers`] for an empty region or
-    /// [`RegionError::WorkerPanicked`] if any thread dies.
+    /// Returns [`RegionError::NoWorkers`] for an empty region,
+    /// [`RegionError::Io`] with [`io::ErrorKind::InvalidInput`] if a
+    /// [`LoadChange`] names a worker beyond the initial and scripted ones,
+    /// or [`RegionError::WorkerPanicked`] if any thread dies.
     pub fn run(&self, total_tuples: u64) -> Result<RegionReport, RegionError> {
         if self.workers == 0 {
             return Err(RegionError::NoWorkers);
         }
-        let n = self.workers;
-
-        // Connections: splitter -> worker (instrumented) and a shared
-        // worker -> merger channel (the merger reorders in memory, so its
-        // input does not need per-connection flow control — see the sim
-        // crate's merge-capacity discussion). The sender list lives behind
-        // a mutex so the control loop can open and close slots mid-run.
-        let senders: Arc<Mutex<Vec<Sender<u64>>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
-        let mut receivers: Vec<Option<Receiver<u64>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded(self.channel_capacity);
-            lock(&senders).push(tx);
-            receivers.push(Some(rx));
-        }
-        let (merge_tx, merge_rx) = mpsc::channel::<u64>();
-        if let Some(t) = &self.telemetry {
-            for (j, s) in lock(&senders).iter().enumerate() {
-                s.instrument(t.registry(), &format!("conn{j}"));
-            }
+        let widest = self.workers + self.scripted_grows;
+        if self.load_changes.iter().any(|c| c.worker >= widest) {
+            return Err(RegionError::Io(io::ErrorKind::InvalidInput));
         }
 
-        let loads: Vec<Arc<AtomicU32>> = self
-            .initial_loads
-            .iter()
-            .map(|&f| Arc::new(AtomicU32::new((f * LOAD_SCALE) as u32)))
-            .collect();
-        let weights = Arc::new(Mutex::new(WeightVector::even(
-            n,
-            streambal_core::DEFAULT_RESOLUTION,
-        )));
-        let stop = Arc::new(AtomicBool::new(false));
-        let started = Instant::now();
-
-        // Worker threads. Slots opened mid-run push their handles here too.
-        let worker_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(n)));
-        for (j, rx_slot) in receivers.iter_mut().enumerate() {
-            let rx = rx_slot.take().expect("receiver taken once");
-            let handle = spawn_channel_worker(
-                j,
-                rx,
-                merge_tx.clone(),
-                Arc::clone(&loads[j]),
-                self.tuple_cost,
-            );
-            lock(&worker_handles).push(handle);
-        }
-
-        // Splitter thread.
-        let splitter_weights = Arc::clone(&weights);
-        let shared_senders = Arc::clone(&senders);
-        let reroute = self.reroute;
-        let rerouted = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let rerouted_in = Arc::clone(&rerouted);
-        let splitter = thread::Builder::new()
-            .name("streambal-splitter".to_owned())
-            .spawn(move || {
-                let mut current = lock(&splitter_weights).clone();
-                let mut wrr = WrrScheduler::new(&current);
-                let mut splitter_senders: Vec<Sender<u64>> = lock(&shared_senders).clone();
-                'tuples: for seq in 0..total_tuples {
-                    // Pick up new weights between tuples; a length change
-                    // means the region was resized, so refresh the sender
-                    // list too (slots are opened before the wider weights
-                    // land, and closed only after narrower ones did).
-                    {
-                        let w = lock(&splitter_weights);
-                        if *w != current {
-                            if w.len() == current.len() {
-                                wrr.set_weights(&w);
-                            } else {
-                                wrr.resize(&w);
-                            }
-                            current = w.clone();
-                        }
-                    }
-                    if splitter_senders.len() != current.len() {
-                        splitter_senders = lock(&shared_senders).clone();
-                    }
-                    let j = wrr.pick();
-                    if reroute {
-                        // MSG_DONTWAIT-style attempt, then siblings, then
-                        // block on the original (the paper's §4.4 baseline).
-                        let mut seq_val = seq;
-                        match splitter_senders[j].try_send(seq_val) {
-                            Ok(()) => continue 'tuples,
-                            Err(streambal_transport::TrySendError::Disconnected(_)) => return,
-                            Err(streambal_transport::TrySendError::Full(v)) => seq_val = v,
-                        }
-                        for k in 1..splitter_senders.len() {
-                            let c = (j + k) % splitter_senders.len();
-                            match splitter_senders[c].try_send(seq_val) {
-                                Ok(()) => {
-                                    rerouted_in.fetch_add(1, Ordering::Relaxed);
-                                    continue 'tuples;
-                                }
-                                Err(streambal_transport::TrySendError::Disconnected(_)) => return,
-                                Err(streambal_transport::TrySendError::Full(v)) => seq_val = v,
-                            }
-                        }
-                        if splitter_senders[j].send_recording(seq_val).is_err() {
-                            return;
-                        }
-                    } else if splitter_senders[j].send_recording(seq).is_err() {
-                        return;
-                    }
-                }
-            })
-            .expect("spawning the splitter thread succeeds");
-
-        // Controller thread: sample blocking rates, rebalance, apply
-        // scheduled load changes and width steps (opening/closing real
-        // slots through the plane's opener/closer).
-        let controller = {
-            let counters: Vec<_> = lock(&senders)
-                .iter()
-                .map(Sender::blocking_counter)
-                .collect();
-            let weights = Arc::clone(&weights);
-            let stop = Arc::clone(&stop);
-            let interval = self.sample_interval;
-            let balancing = self.balancing;
-            let mode = self.balancer_mode;
-            let loads: Vec<Arc<AtomicU32>> = loads.iter().map(Arc::clone).collect();
-            let mut changes = self.load_changes.clone();
-            changes.sort_by_key(|c| c.after);
-            let mut script = self.width_script.clone();
-            script.sort();
+        // One shared worker -> merger channel: the merger reorders in
+        // memory, so its input does not need per-connection flow control —
+        // see the sim crate's merge-capacity discussion.
+        let (merge_tx, merge_rx) = mpsc::channel();
+        let make_slot = {
+            let capacity = self.channel_capacity;
+            let cost = self.tuple_cost;
+            let initial_loads = self.initial_loads.clone();
             let telemetry = self.telemetry.clone();
-            let opener = {
-                let senders = Arc::clone(&senders);
-                let handles = Arc::clone(&worker_handles);
-                let merge_tx = merge_tx.clone();
-                let capacity = self.channel_capacity;
-                let cost = self.tuple_cost;
-                let telemetry = self.telemetry.clone();
-                move |j: usize| {
-                    let (tx, rx) = bounded(capacity);
-                    if let Some(t) = &telemetry {
-                        tx.instrument(t.registry(), &format!("conn{j}"));
-                    }
-                    let load = Arc::new(AtomicU32::new(LOAD_SCALE as u32));
-                    let handle = spawn_channel_worker(j, rx, merge_tx.clone(), load, cost);
-                    let counter = tx.blocking_counter();
-                    lock(&handles).push(handle);
-                    lock(&senders).push(tx);
-                    Some(counter)
+            move |j: usize| {
+                let (tx, rx) = bounded(capacity);
+                if let Some(t) = &telemetry {
+                    tx.instrument(t.registry(), &format!("conn{j}"));
                 }
-            };
-            let closer = {
-                let senders = Arc::clone(&senders);
-                move |_j: usize| {
-                    let mut txs = lock(&senders);
-                    if txs.len() <= 1 {
-                        return false;
-                    }
-                    // Dropping the sender closes the channel; the worker
-                    // drains its queue in order and exits.
-                    txs.pop();
-                    true
-                }
-            };
-            thread::Builder::new()
-                .name("streambal-controller".to_owned())
-                .spawn(move || {
-                    let cfg = BalancerConfig::builder(counters.len())
-                        .mode(mode)
-                        .build()
-                        .expect("region-sized balancer config is valid");
-                    let mut builder = ControlPlane::builder(cfg)
-                        .rate_cap(10.0)
-                        .keep_snapshots(true);
-                    if let Some(t) = &telemetry {
-                        builder = builder.telemetry(t).metrics("runtime");
-                    }
-                    if !balancing {
-                        builder = builder.round_robin();
-                    }
-                    if !script.is_empty() {
-                        builder = builder.width_policy(Box::new(script));
-                    }
-                    let mut plane = builder.build();
-                    let mut dp = CounterPlane::fixed(counters, weights, loads, changes);
-                    dp.opener = Some(Box::new(opener));
-                    dp.closer = Some(Box::new(closer));
-                    plane.run_threaded(&mut dp, interval, &stop, started);
-                    plane.into_snapshots()
+                let factor = initial_loads.get(j).copied().unwrap_or(1.0);
+                let load = Arc::new(AtomicU32::new((factor * LOAD_SCALE) as u32));
+                // The worker spins the tuple cost scaled by its live load.
+                let live = Arc::clone(&load);
+                let op = move |()| {
+                    let factor = f64::from(live.load(Ordering::Relaxed)) / LOAD_SCALE;
+                    spin_multiplies((cost as f64 * factor) as u64);
+                };
+                let inbox = std::iter::from_fn(move || rx.recv().ok());
+                let name = format!("streambal-worker-{j}");
+                Ok(Slot {
+                    link: tx,
+                    worker: ordered::spawn_worker(name, inbox, op, merge_tx.clone()),
+                    load: Some(load),
                 })
-                .expect("spawning the controller thread succeeds")
+            }
         };
-        drop(merge_tx);
-
-        // Merger (on this thread): strict in-order release.
-        let mut reorder = std::collections::BinaryHeap::new();
-        let mut next_expected = 0u64;
-        let mut delivered = 0u64;
-        let mut in_order = true;
-        while delivered < total_tuples {
-            let Ok(seq) = merge_rx.recv() else { break };
-            reorder.push(std::cmp::Reverse(seq));
-            while reorder.peek() == Some(&std::cmp::Reverse(next_expected)) {
-                reorder.pop();
-                next_expected += 1;
-                delivered += 1;
-            }
-            if reorder.len() > total_tuples as usize {
-                in_order = false; // duplicate or gap: bail out of the check
-                break;
-            }
-        }
-        let duration = started.elapsed();
-
-        // Shutdown: splitter is done (or failed). Stop the controller
-        // first — it holds sender clones through its opener — then drop
-        // every sender so workers drain and exit.
-        splitter.join().map_err(|_| RegionError::WorkerPanicked)?;
-        let blocked_ns: Vec<u64> = lock(&senders)
-            .iter()
-            .map(|s| s.blocking_counter().cumulative_ns())
-            .collect();
-        stop.store(true, Ordering::Release);
-        let snapshots = controller.join().map_err(|_| RegionError::WorkerPanicked)?;
-        lock(&senders).clear();
-        let handles = std::mem::take(&mut *lock(&worker_handles));
-        for h in handles {
-            h.join().map_err(|_| RegionError::WorkerPanicked)?;
-        }
-
-        in_order &= delivered == total_tuples && next_expected == total_tuples;
+        let spec = Spec {
+            width: self.workers,
+            mode: self.balancer_mode,
+            balancing: self.balancing,
+            reroute: self.reroute,
+            interval: self.sample_interval,
+            width_script: self.width_script.clone(),
+            telemetry: self.telemetry.clone(),
+            metrics_prefix: Some("runtime"),
+            load_changes: self.load_changes.clone(),
+            ..Spec::default()
+        };
+        let report = run_to_completion(spec, make_slot, &merge_rx, total_tuples)?;
         if let Some(t) = &self.telemetry {
-            t.registry().counter("runtime.delivered").add(delivered);
+            t.registry()
+                .counter("runtime.delivered")
+                .add(report.delivered);
             t.registry()
                 .gauge("runtime.duration_s")
-                .set(duration.as_secs_f64());
+                .set(report.duration.as_secs_f64());
         }
-        Ok(RegionReport {
-            delivered,
-            in_order,
-            duration,
-            snapshots,
-            blocked_ns,
-            rerouted: rerouted.load(Ordering::Relaxed),
-        })
+        Ok(report)
     }
+}
+
+/// What both threaded regions do with their spec and slots: start the
+/// skeleton over `total_tuples` unit items, merge strictly in order on the
+/// calling thread until all are out, stop the clock, tear the region down.
+pub(crate) fn run_to_completion<L: Link<Item = ()>>(
+    spec: Spec,
+    make_slot: impl FnMut(usize) -> io::Result<Slot<L>> + Send + 'static,
+    merge_rx: &mpsc::Receiver<(u64, ())>,
+    total_tuples: u64,
+) -> Result<RegionReport, RegionError> {
+    let region = ordered::spawn(spec, (0..total_tuples).map(|_| ()), make_slot)
+        .map_err(|e| RegionError::Io(e.kind()))?;
+    let mut delivered = 0u64;
+    let clean = total_tuples == 0
+        || ordered::merge(merge_rx, |()| {
+            delivered += 1;
+            delivered < total_tuples
+        });
+    let duration = region.started.elapsed();
+    let done = region.join(None).map_err(|_| RegionError::WorkerPanicked)?;
+    Ok(RegionReport {
+        delivered,
+        in_order: clean && delivered == total_tuples,
+        duration,
+        snapshots: done.snapshots,
+        blocked_ns: done.blocked_ns,
+        rerouted: done.rerouted,
+    })
 }
 
 #[cfg(test)]
@@ -700,54 +419,6 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::ControllerRound { .. })));
-    }
-
-    #[test]
-    fn region_grows_mid_run_and_keeps_order() {
-        // Start at 2 workers, open 2 more slots (real channels + threads)
-        // 50 ms in: the run must stay in exact order and the final split
-        // must cover — and actually use — all four slots.
-        let report = RegionBuilder::new(2)
-            .tuple_cost(5_000)
-            .sample_interval_ms(10)
-            .grow_after(Duration::from_millis(50), 2)
-            .run(80_000)
-            .unwrap();
-        assert_eq!(report.delivered, 80_000);
-        assert!(report.in_order, "growth must not break ordering");
-        let w = report.final_weights().expect("controller ran");
-        assert_eq!(w.len(), 4, "region should have grown: {w:?}");
-        assert_eq!(w.iter().sum::<u32>(), 1_000);
-        // Real threads are noisy — a single round may park a blocked slot
-        // at 0 — but every grown slot must be admitted with positive
-        // weight in at least one round.
-        for j in 2..4 {
-            assert!(
-                report
-                    .snapshots
-                    .iter()
-                    .any(|s| s.weights.len() == 4 && s.weights[j] > 0),
-                "grown slot {j} never carried weight"
-            );
-        }
-        assert_eq!(report.blocked_ns.len(), 4);
-    }
-
-    #[test]
-    fn region_shrinks_mid_run_and_keeps_order() {
-        // Start at 4, retire 2 slots 50 ms in: the retired workers drain
-        // their queues in order and the final split covers the survivors.
-        let report = RegionBuilder::new(4)
-            .tuple_cost(5_000)
-            .sample_interval_ms(10)
-            .shrink_after(Duration::from_millis(50), 2)
-            .run(80_000)
-            .unwrap();
-        assert_eq!(report.delivered, 80_000);
-        assert!(report.in_order, "shrink must not break ordering");
-        let w = report.final_weights().expect("controller ran");
-        assert_eq!(w.len(), 2, "region should have shrunk: {w:?}");
-        assert_eq!(w.iter().sum::<u32>(), 1_000);
     }
 
     #[test]

@@ -5,21 +5,45 @@
 //! memory-bounded either way; the balancing signal lives entirely on the
 //! splitter's sending side).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use streambal_control::{ControlPlane, ScriptedWidth};
-use streambal_core::controller::{BalancerConfig, BalancerMode};
-use streambal_core::weights::{WeightVector, WrrScheduler};
-use streambal_transport::tcp::{connect, listen, Incoming, TcpSender};
+use streambal_control::ScriptedWidth;
+use streambal_core::controller::BalancerMode;
+use streambal_transport::tcp::{connect, listen, TcpSender};
+use streambal_transport::BlockingCounter;
 
-use crate::region::{CounterPlane, RegionError, RegionReport};
+use crate::ordered::{self, Closed, Link, Slot, Spec};
+use crate::region::{run_to_completion, RegionError, RegionReport};
 use crate::workload::spin_multiplies;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// A TCP connection as a [`Link`]: each tuple travels as one frame, the
+/// 8-byte sequence number followed by the configured padding.
+struct TcpLink {
+    tx: TcpSender,
+    frame: Vec<u8>,
+}
+
+impl Link for TcpLink {
+    type Item = ();
+
+    fn send_recording(&mut self, seq: u64, (): ()) -> Result<(), Closed> {
+        self.frame[..8].copy_from_slice(&seq.to_le_bytes());
+        self.tx.send_recording(&self.frame).map_err(|_| Closed)
+    }
+
+    fn try_send(&mut self, seq: u64, (): ()) -> Result<Option<()>, Closed> {
+        self.frame[..8].copy_from_slice(&seq.to_le_bytes());
+        match self.tx.try_send(&self.frame) {
+            Ok(sent) => Ok((!sent).then_some(())),
+            Err(_) => Err(Closed),
+        }
+    }
+
+    fn blocking_counter(&self) -> Arc<BlockingCounter> {
+        self.tx.blocking_counter()
+    }
 }
 
 /// Builder for a TCP-backed parallel region run.
@@ -47,44 +71,6 @@ pub struct TcpRegionBuilder {
     mode: BalancerMode,
     stall: Option<(usize, u64, Duration)>,
     width_script: ScriptedWidth,
-}
-
-/// Spawns one TCP worker thread: accept the loopback connection, decode
-/// frames, spin the configured cost, forward sequence numbers to the
-/// merger. Used both for the initial slots and for slots opened mid-run.
-fn spawn_tcp_worker(
-    j: usize,
-    incoming: Incoming,
-    cost: u64,
-    stall: Option<(u64, Duration)>,
-    merge_tx: mpsc::Sender<u64>,
-) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name(format!("streambal-tcp-worker-{j}"))
-        .spawn(move || {
-            let Ok(mut rx) = incoming.accept() else {
-                return;
-            };
-            let mut processed = 0u64;
-            while let Ok(Some(frame)) = rx.recv_frame() {
-                if frame.len() < 8 {
-                    return;
-                }
-                let seq =
-                    u64::from_le_bytes(frame[..8].try_into().expect("frame has 8-byte header"));
-                spin_multiplies(cost);
-                if merge_tx.send(seq).is_err() {
-                    return;
-                }
-                processed += 1;
-                if let Some((after, d)) = stall {
-                    if processed == after {
-                        thread::sleep(d);
-                    }
-                }
-            }
-        })
-        .expect("spawning a worker thread succeeds")
 }
 
 impl TcpRegionBuilder {
@@ -189,209 +175,61 @@ impl TcpRegionBuilder {
     /// # Errors
     ///
     /// Returns [`RegionError::NoWorkers`] for an empty region,
-    /// [`RegionError::WorkerPanicked`] if any thread dies, or
-    /// [`RegionError::OutOfOrder`] if sockets could not be set up (socket
-    /// errors surface as a failed region).
+    /// [`RegionError::Io`] if the initial sockets could not be set up, or
+    /// [`RegionError::WorkerPanicked`] if any thread dies.
     pub fn run(&self, total_tuples: u64) -> Result<RegionReport, RegionError> {
         if self.workers == 0 {
             return Err(RegionError::NoWorkers);
         }
-        let n = self.workers;
-        let started = Instant::now();
-
-        // Real TCP connections, one per worker. The sender list lives
-        // behind a mutex so the control loop can open and close slots
-        // mid-run (the splitter locks it per tuple; a TCP send dwarfs the
-        // uncontended lock).
-        let senders: Arc<Mutex<Vec<TcpSender>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
-        let (merge_tx, merge_rx) = mpsc::channel::<u64>();
-        let worker_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(n)));
-        for j in 0..n {
-            let (addr, incoming) = listen().map_err(|_| RegionError::OutOfOrder)?;
-            let cost = (self.tuple_cost as f64 * self.loads[j]) as u64;
-            let stall = self
-                .stall
-                .and_then(|(w, after, d)| (w == j).then_some((after, d)));
-            lock(&worker_handles).push(spawn_tcp_worker(
-                j,
-                incoming,
-                cost,
-                stall,
-                merge_tx.clone(),
-            ));
-            lock(&senders).push(connect(addr).map_err(|_| RegionError::OutOfOrder)?);
-        }
-
-        let weights = Arc::new(Mutex::new(WeightVector::even(
-            n,
-            streambal_core::DEFAULT_RESOLUTION,
-        )));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        // Controller samples the TCP senders' counters; width steps open
-        // real sockets (listen + connect + worker-thread spawn) or retire
-        // the highest connection.
-        let controller = {
-            let counters: Vec<_> = lock(&senders)
-                .iter()
-                .map(TcpSender::blocking_counter)
-                .collect();
-            let weights = Arc::clone(&weights);
-            let stop = Arc::clone(&stop);
-            let interval = self.sample_interval;
-            let balancing = self.balancing;
-            let mode = self.mode;
-            let mut script = self.width_script.clone();
-            script.sort();
-            let opener = {
-                let senders = Arc::clone(&senders);
-                let handles = Arc::clone(&worker_handles);
-                let merge_tx = merge_tx.clone();
-                let cost = self.tuple_cost;
-                move |j: usize| {
-                    let (addr, incoming) = listen().ok()?;
-                    let handle = spawn_tcp_worker(j, incoming, cost, None, merge_tx.clone());
-                    let sender = connect(addr).ok()?;
-                    let counter = sender.blocking_counter();
-                    lock(&handles).push(handle);
-                    lock(&senders).push(sender);
-                    Some(counter)
-                }
-            };
-            let closer = {
-                let senders = Arc::clone(&senders);
-                move |_j: usize| {
-                    let mut txs = lock(&senders);
-                    if txs.len() <= 1 {
-                        return false;
-                    }
-                    // Dropping the sender closes the socket; the worker
-                    // drains the kernel buffer in order, sees EOF and exits.
-                    txs.pop();
-                    true
-                }
-            };
-            thread::Builder::new()
-                .name("streambal-tcp-controller".to_owned())
-                .spawn(move || {
-                    let cfg = BalancerConfig::builder(counters.len())
-                        .mode(mode)
-                        .build()
-                        .expect("region-sized balancer config is valid");
-                    let mut builder = ControlPlane::builder(cfg)
-                        .rate_cap(10.0)
-                        .keep_snapshots(true);
-                    if !balancing {
-                        builder = builder.round_robin();
-                    }
-                    if !script.is_empty() {
-                        builder = builder.width_policy(Box::new(script));
-                    }
-                    let mut plane = builder.build();
-                    let mut dp = CounterPlane::fixed(counters, weights, Vec::new(), Vec::new());
-                    dp.opener = Some(Box::new(opener));
-                    dp.closer = Some(Box::new(closer));
-                    plane.run_threaded(&mut dp, interval, &stop, started);
-                    plane.into_snapshots()
-                })
-                .expect("spawning the controller thread succeeds")
-        };
-        drop(merge_tx);
-
-        // Splitter: frame = 8-byte seq + padding; route by WRR over real
-        // sockets, electing to block (and record) on a full kernel buffer.
-        let splitter = {
-            let weights = Arc::clone(&weights);
-            let senders = Arc::clone(&senders);
+        // One real connection per slot: bind, connect, accept (the kernel
+        // has the connection queued by then), and only then start the
+        // worker — so a socket error leaves no thread behind.
+        let (merge_tx, merge_rx) = mpsc::channel();
+        let make_slot = {
+            let base_cost = self.tuple_cost as f64;
+            let loads = self.loads.clone();
             let padding = self.frame_padding;
-            thread::Builder::new()
-                .name("streambal-tcp-splitter".to_owned())
-                .spawn(move || {
-                    let mut frame = vec![0u8; 8 + padding];
-                    let mut current = lock(&weights).clone();
-                    let mut wrr = WrrScheduler::new(&current);
-                    for seq in 0..total_tuples {
-                        {
-                            let w = lock(&weights);
-                            if *w != current {
-                                if w.len() == current.len() {
-                                    wrr.set_weights(&w);
-                                } else {
-                                    wrr.resize(&w);
-                                }
-                                current = w.clone();
-                            }
-                        }
-                        frame[..8].copy_from_slice(&seq.to_le_bytes());
-                        let mut j = wrr.pick();
-                        loop {
-                            {
-                                let mut txs = lock(&senders);
-                                if let Some(tx) = txs.get_mut(j) {
-                                    if tx.send_recording(&frame).is_err() {
-                                        return;
-                                    }
-                                    break;
-                                }
-                            }
-                            // The region shrank between pick and send:
-                            // pick up the narrower weights and re-pick.
-                            {
-                                let w = lock(&weights);
-                                if *w != current {
-                                    if w.len() == current.len() {
-                                        wrr.set_weights(&w);
-                                    } else {
-                                        wrr.resize(&w);
-                                    }
-                                    current = w.clone();
-                                }
-                            }
-                            j = wrr.pick();
-                            thread::yield_now();
-                        }
+            let stall = self.stall;
+            move |j: usize| {
+                let (addr, incoming) = listen()?;
+                let tx = connect(addr)?;
+                let mut rx = incoming.accept()?;
+                // A frame too short to carry a sequence number ends the stream.
+                let inbox = std::iter::from_fn(move || {
+                    let frame = rx.recv_frame().ok()??;
+                    let seq = frame.get(..8)?.try_into().ok()?;
+                    Some((u64::from_le_bytes(seq), ()))
+                });
+                let cost = (base_cost * loads.get(j).copied().unwrap_or(1.0)) as u64;
+                let stall = stall.filter(|&(worker, ..)| worker == j);
+                let mut processed = 0u64;
+                let op = move |()| {
+                    if let Some((_, _, pause)) = stall.filter(|&(_, after, _)| after == processed) {
+                        thread::sleep(pause);
                     }
+                    processed += 1;
+                    spin_multiplies(cost);
+                };
+                let name = format!("streambal-tcp-worker-{j}");
+                Ok(Slot {
+                    link: TcpLink {
+                        tx,
+                        frame: vec![0u8; 8 + padding],
+                    },
+                    worker: ordered::spawn_worker(name, inbox, op, merge_tx.clone()),
+                    load: None,
                 })
-                .expect("spawning the splitter thread succeeds")
-        };
-
-        // Merger on this thread.
-        let mut reorder = std::collections::BinaryHeap::new();
-        let mut next_expected = 0u64;
-        let mut delivered = 0u64;
-        while delivered < total_tuples {
-            let Ok(seq) = merge_rx.recv() else { break };
-            reorder.push(std::cmp::Reverse(seq));
-            while reorder.peek() == Some(&std::cmp::Reverse(next_expected)) {
-                reorder.pop();
-                next_expected += 1;
-                delivered += 1;
             }
-        }
-        let duration = started.elapsed();
-
-        splitter.join().map_err(|_| RegionError::WorkerPanicked)?;
-        let blocked_ns: Vec<u64> = lock(&senders)
-            .iter()
-            .map(|s| s.blocking_counter().cumulative_ns())
-            .collect();
-        stop.store(true, Ordering::Release);
-        let snapshots = controller.join().map_err(|_| RegionError::WorkerPanicked)?;
-        lock(&senders).clear(); // closes the sockets; workers see EOF and exit
-        let handles = std::mem::take(&mut *lock(&worker_handles));
-        for h in handles {
-            h.join().map_err(|_| RegionError::WorkerPanicked)?;
-        }
-
-        Ok(RegionReport {
-            delivered,
-            in_order: delivered == total_tuples && next_expected == total_tuples,
-            duration,
-            snapshots,
-            blocked_ns,
-            rerouted: 0,
-        })
+        };
+        let spec = Spec {
+            width: self.workers,
+            mode: self.mode,
+            balancing: self.balancing,
+            interval: self.sample_interval,
+            width_script: self.width_script.clone(),
+            ..Spec::default()
+        };
+        run_to_completion(spec, make_slot, &merge_rx, total_tuples)
     }
 }
 
@@ -442,52 +280,5 @@ mod tests {
             TcpRegionBuilder::new(0).run(10).unwrap_err(),
             RegionError::NoWorkers
         );
-    }
-
-    #[test]
-    fn tcp_region_grows_four_to_eight_mid_run() {
-        // The issue's acceptance demo: start at width 4 over real loopback
-        // sockets, open four more connections (listen + connect + worker
-        // spawn) 60 ms in, and finish with zero merge-order violations and
-        // an 8-way split where every slot carries weight.
-        let report = TcpRegionBuilder::new(4)
-            .tuple_cost(4_000)
-            .sample_interval_ms(15)
-            .grow_after(Duration::from_millis(60), 4)
-            .run(80_000)
-            .unwrap();
-        assert_eq!(report.delivered, 80_000);
-        assert!(report.in_order, "growth must not break merge order");
-        let w = report.final_weights().expect("controller ran");
-        assert_eq!(w.len(), 8, "region should have grown to 8: {w:?}");
-        assert_eq!(w.iter().sum::<u32>(), 1_000);
-        // Real sockets are noisy — the minimax solve may park a blocked
-        // slot at 0 in any single round — but every grown slot must be
-        // admitted with positive weight in at least one round.
-        for j in 4..8 {
-            assert!(
-                report
-                    .snapshots
-                    .iter()
-                    .any(|s| s.weights.len() == 8 && s.weights[j] > 0),
-                "grown slot {j} never carried weight"
-            );
-        }
-        assert_eq!(report.blocked_ns.len(), 8);
-    }
-
-    #[test]
-    fn tcp_region_shrinks_mid_run_and_stays_ordered() {
-        let report = TcpRegionBuilder::new(4)
-            .tuple_cost(4_000)
-            .sample_interval_ms(15)
-            .shrink_after(Duration::from_millis(60), 2)
-            .run(60_000)
-            .unwrap();
-        assert_eq!(report.delivered, 60_000);
-        assert!(report.in_order, "shrink must not break merge order");
-        let w = report.final_weights().expect("controller ran");
-        assert_eq!(w.len(), 2, "region should have shrunk to 2: {w:?}");
-        assert_eq!(w.iter().sum::<u32>(), 1_000);
     }
 }

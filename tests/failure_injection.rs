@@ -2,7 +2,11 @@
 //! system must fail *loudly* (errors surfaced) rather than hang or deliver
 //! silently-wrong output.
 
+use std::time::Duration;
+
 use streambal::dataflow::{source, ParallelConfig, RangeSource};
+use streambal::runtime::region::{RegionError, RegionReport};
+use streambal::runtime::tcp_region::TcpRegionBuilder;
 use streambal::transport::{bounded, SendError, TrySendError};
 
 #[test]
@@ -84,32 +88,41 @@ fn downstream_cancellation_stops_the_pipeline() {
     );
 }
 
+const INTERVAL_MS: u64 = 20;
+/// Slack for a wake delayed by a stolen vCPU (and the sender's 5 ms
+/// readiness-wait slice).
+const LATE_MS: u64 = 150;
+
+/// The stall scenario both tests below build on: worker 0 of a 2-worker
+/// TCP region stops reading its socket for 400 ms after 2 000 tuples, so
+/// the kernel buffer fills and the splitter's sends to connection 0 block.
+fn stalled_region() -> TcpRegionBuilder {
+    let mut b = TcpRegionBuilder::new(2);
+    b.tuple_cost(500)
+        .frame_padding(8 * 1024)
+        .sample_interval_ms(INTERVAL_MS)
+        .worker_stall(0, 2_000, Duration::from_millis(400));
+    b
+}
+
+/// Runs the region on a thread of its own under a watchdog: it must finish
+/// or error, never hang.
+fn run_watched(builder: TcpRegionBuilder, tuples: u64) -> Result<RegionReport, RegionError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(builder.run(tuples));
+    });
+    rx.recv_timeout(Duration::from_secs(120))
+        .expect("stalled region must finish or error, not hang (watchdog)")
+}
+
 #[test]
 fn tcp_worker_socket_stall_rebalances_and_never_hangs() {
-    use std::sync::mpsc;
-    use std::time::Duration;
     use streambal::core::DEFAULT_RESOLUTION;
-    use streambal::runtime::tcp_region::TcpRegionBuilder;
-    const INTERVAL_MS: u64 = 20;
-    const LATE_MS: u64 = 150;
 
-    // Worker 0 stops reading its socket for 400 ms mid-run: the kernel
-    // buffer fills and the splitter's sends to connection 0 block. The run
-    // must finish (watchdog below), surfacing the stall as measured
+    // The run must finish (watchdog), surfacing the stall as measured
     // blocking and a rebalance — or as an error — never as a hang.
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let result = TcpRegionBuilder::new(2)
-            .tuple_cost(500)
-            .frame_padding(8 * 1024)
-            .sample_interval_ms(INTERVAL_MS)
-            .worker_stall(0, 2_000, Duration::from_millis(400))
-            .run(40_000);
-        let _ = tx.send(result);
-    });
-    let result = rx
-        .recv_timeout(Duration::from_secs(120))
-        .expect("stalled region must finish or error, not hang (watchdog)");
+    let result = run_watched(stalled_region(), 40_000);
     if let Ok(report) = result {
         assert_eq!(report.delivered, 40_000);
         assert!(report.in_order);
@@ -121,8 +134,7 @@ fn tcp_worker_socket_stall_rebalances_and_never_hangs() {
         // Blocked time is charged as it accrues, so a sampled rate is at
         // most the real time since the previous sample over the nominal
         // interval — never the whole stall in one lump. LATE_MS absorbs a
-        // splitter wake delayed by a stolen vCPU (and the sender's 5 ms
-        // readiness-wait slice); the aggregate check below is the tight one.
+        // late splitter wake; the aggregate check below is the tight one.
         let mut prev_ms = 0;
         for s in &report.snapshots {
             let bound = (s.elapsed_ms - prev_ms + LATE_MS) as f64 / INTERVAL_MS as f64;
@@ -185,6 +197,51 @@ fn tcp_worker_socket_stall_rebalances_and_never_hangs() {
         );
     }
     // An Err(..) is also acceptable: the failure was surfaced, not hidden.
+}
+
+#[test]
+fn control_loop_keeps_its_cadence_while_a_slot_opens_during_a_stall() {
+    // A third connection is scripted to open 250 ms in, while the splitter
+    // sits blocked on connection 0. Opening it must not wait for that send:
+    // the controller hands the new link over through the weights mutex,
+    // which the splitter never holds across a send.
+    let mut builder = stalled_region();
+    builder.grow_after(Duration::from_millis(250), 1);
+    let Ok(report) = run_watched(builder, 40_000) else {
+        return; // the failure was surfaced, not hidden
+    };
+    assert_eq!(report.delivered, 40_000);
+    assert!(report.in_order);
+    // Keyed on the stall, not on the clock: whenever the region widened,
+    // connection 0 must still show up blocked in a later round.
+    let grown = report
+        .snapshots
+        .iter()
+        .position(|s| s.weights.len() == 3)
+        .expect("the region must have grown");
+    assert!(
+        report.snapshots[grown + 1..]
+            .iter()
+            .any(|s| s.rates[0] >= 0.5),
+        "width 3 was first recorded at {} ms, only after the stall had ended",
+        report.snapshots[grown].elapsed_ms
+    );
+    // And no round inside the stall — the longest run of rounds that saw
+    // blocking on connection 0 — went missing.
+    let stall = report
+        .snapshots
+        .chunk_by(|a, b| (a.rates[0] > 0.0) == (b.rates[0] > 0.0))
+        .filter(|run| run[0].rates[0] > 0.0)
+        .max_by_key(|run| run.len())
+        .expect("the stall must show up as rounds with connection 0 blocked");
+    for pair in stall.windows(2) {
+        let gap = pair[1].elapsed_ms - pair[0].elapsed_ms;
+        assert!(
+            gap <= INTERVAL_MS + LATE_MS,
+            "the control loop froze for {gap} ms at {} ms",
+            pair[0].elapsed_ms
+        );
+    }
 }
 
 #[test]

@@ -3,7 +3,9 @@
 
 use std::time::Duration;
 
-use streambal::runtime::region::{LoadChange, RegionBuilder};
+use streambal::core::DEFAULT_RESOLUTION;
+use streambal::runtime::region::{LoadChange, RegionBuilder, RegionError, RegionReport};
+use streambal::runtime::tcp_region::TcpRegionBuilder;
 
 #[test]
 fn ordering_and_conservation_hold() {
@@ -80,4 +82,132 @@ fn load_change_recovers_weight() {
         w[0] > 100,
         "worker 0 should recover weight after the load vanishes: {w:?}"
     );
+}
+
+/// One elastic run on either transport: `start` workers, `delta` more
+/// (or, negative, fewer) shortly into the run.
+fn elastic_run(tcp: bool, start: usize, delta: isize, tuples: u64) -> RegionReport {
+    let count = delta.unsigned_abs();
+    if tcp {
+        // Real loopback sockets: a grown slot is a listen + connect +
+        // worker spawn, a retired one drains its kernel buffer in order.
+        let at = Duration::from_millis(60);
+        let mut b = TcpRegionBuilder::new(start);
+        b.tuple_cost(4_000).sample_interval_ms(15);
+        if delta > 0 {
+            b.grow_after(at, count);
+        } else {
+            b.shrink_after(at, count);
+        }
+        b.run(tuples)
+    } else {
+        let at = Duration::from_millis(50);
+        let mut b = RegionBuilder::new(start);
+        b.tuple_cost(5_000).sample_interval_ms(10);
+        if delta > 0 {
+            b.grow_after(at, count);
+        } else {
+            b.shrink_after(at, count);
+        }
+        b.run(tuples)
+    }
+    .unwrap()
+}
+
+#[test]
+fn regions_resize_mid_run_and_keep_order_on_both_transports() {
+    for (tcp, start, delta, tuples) in [
+        (false, 2usize, 2isize, 80_000),
+        (false, 4, -2, 80_000),
+        (true, 4, 4, 80_000),
+        (true, 4, -2, 60_000),
+    ] {
+        let case = format!("tcp={tcp} {start}{delta:+}");
+        let end = start.checked_add_signed(delta).unwrap();
+        let report = elastic_run(tcp, start, delta, tuples);
+        assert_eq!(report.delivered, tuples, "{case}");
+        assert!(report.in_order, "{case}: a resize must not break ordering");
+        let w = report.final_weights().expect("controller ran");
+        assert_eq!(w.len(), end, "{case}: region should end at {end}: {w:?}");
+        assert_eq!(report.blocked_ns.len(), end, "{case}");
+        for s in &report.snapshots {
+            assert_eq!(
+                s.weights.iter().sum::<u32>(),
+                DEFAULT_RESOLUTION,
+                "{case}: round at {} ms left the simplex: {:?}",
+                s.elapsed_ms,
+                s.weights
+            );
+        }
+        // Real threads and sockets are noisy — the minimax solve may park a
+        // blocked slot at 0 in any single round — but every grown slot must
+        // be admitted with positive weight in at least one round.
+        for j in start..end {
+            assert!(
+                report
+                    .snapshots
+                    .iter()
+                    .any(|s| s.weights.len() == end && s.weights[j] > 0),
+                "{case}: grown slot {j} never carried weight"
+            );
+        }
+    }
+}
+
+#[test]
+fn load_change_reaches_a_worker_added_by_growth() {
+    // Workers 2 and 3 join 60 ms in; 90 ms later worker 3 turns 50x
+    // slower. The change must land on the grown worker's load handle and
+    // the balancer must throttle it — not kill the controller thread.
+    let report = RegionBuilder::new(2)
+        .tuple_cost(5_000)
+        .sample_interval_ms(20)
+        .grow_after(Duration::from_millis(60), 2)
+        .load_change(LoadChange {
+            after: Duration::from_millis(150),
+            worker: 3,
+            factor: 50.0,
+        })
+        .run(150_000)
+        .expect("a load change on a grown worker is legitimate");
+    assert!(report.in_order);
+    assert_eq!(report.delivered, 150_000);
+    let w = report.final_weights().expect("controller ran");
+    assert_eq!(w.len(), 4, "region should have grown: {w:?}");
+    assert!(
+        w[3] < DEFAULT_RESOLUTION / 8,
+        "the slowed grown worker must end well below an even share: {w:?}"
+    );
+}
+
+#[test]
+fn load_change_on_a_worker_that_never_exists_is_rejected_or_skipped() {
+    let change = |after_ms, worker| LoadChange {
+        after: Duration::from_millis(after_ms),
+        worker,
+        factor: 20.0,
+    };
+    // Decidable up front: 2 workers + 1 scripted grow never reach index 3.
+    let err = RegionBuilder::new(2)
+        .grow_after(Duration::from_millis(40), 1)
+        .load_change(change(10, 3))
+        .run(1_000)
+        .unwrap_err();
+    assert_eq!(err, RegionError::Io(std::io::ErrorKind::InvalidInput));
+    // Not decidable: worker 2 will exist, but not yet when the change falls
+    // due. It is skipped; the controller lives and keeps balancing.
+    let report = RegionBuilder::new(2)
+        .tuple_cost(2_000)
+        .sample_interval_ms(10)
+        .grow_after(Duration::from_millis(80), 1)
+        .load_change(change(20, 2))
+        .run(60_000)
+        .expect("a change that falls due early is skipped, not fatal");
+    assert!(report.in_order);
+    let rounds_after = report
+        .snapshots
+        .iter()
+        .filter(|s| s.elapsed_ms > 20)
+        .count();
+    assert!(rounds_after > 0, "the control loop must outlive the change");
 }
