@@ -315,3 +315,74 @@ fn convergence_is_seed_robust() {
         );
     }
 }
+
+/// Pins the processor-sharing (coupled multi-region) path bit for bit: two
+/// adaptive-balancer regions oversubscribe one 8-thread host, one grows
+/// mid-interval and the other shrinks exactly on a sampling tick. The
+/// digest covers every counter and every sample of both regions, so any
+/// change to event ordering, host-rate rescaling or resize handling moves
+/// it. (The tolerance tests of the coupled engine live in `crates/sim` and
+/// `crates/cluster`, which tier-1 never runs.)
+#[test]
+fn coupled_regions_digest_is_pinned() {
+    use streambal::sim::multi::{
+        run_multi_elastic, MultiConfig, MultiRegionSpec, ResizeEvent, WidthChange,
+    };
+    use streambal::sim::{Host, Policy};
+
+    let mut loaded = MultiRegionSpec::uniform(4, 0, 1_000, 500.0);
+    loaded.load[1] = 6.0;
+    let cfg = MultiConfig {
+        hosts: vec![Host::slow()],
+        regions: vec![loaded, MultiRegionSpec::uniform(6, 0, 1_500, 500.0)],
+        sample_interval_ns: SECOND_NS,
+        duration_ns: 10 * SECOND_NS,
+    };
+    let resizes = [
+        ResizeEvent {
+            t_ns: 7 * SECOND_NS / 2,
+            region: 0,
+            change: WidthChange::Grow { host: 0, count: 2 },
+        },
+        ResizeEvent {
+            t_ns: 6 * SECOND_NS,
+            region: 1,
+            change: WidthChange::Shrink { count: 2 },
+        },
+    ];
+    let policies: Vec<Box<dyn Policy>> = [4, 6]
+        .into_iter()
+        .map(|n| {
+            Box::new(BalancerPolicy::adaptive(
+                BalancerConfig::builder(n).build().unwrap(),
+            )) as Box<dyn Policy>
+        })
+        .collect();
+    let results = run_multi_elastic(&cfg, policies, &resizes).unwrap();
+
+    // FNV-1a over the little-endian bytes of every pinned quantity.
+    let mut digest = 0xCBF2_9CE4_8422_2325u64;
+    let mut mix = |v: u64| {
+        for b in v.to_le_bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for r in &results {
+        mix(r.delivered);
+        mix(r.sent);
+        r.blocked_ns.iter().for_each(|&v| mix(v));
+        r.worker_busy_ns.iter().for_each(|&v| mix(v));
+        for s in &r.samples {
+            mix(s.t_ns);
+            s.weights.iter().for_each(|&w| mix(u64::from(w)));
+            s.rates.iter().for_each(|&x| mix(x.to_bits()));
+            mix(s.delivered);
+        }
+    }
+    assert_eq!(results[0].samples.last().unwrap().weights.len(), 6);
+    assert_eq!(results[1].samples.last().unwrap().weights.len(), 4);
+    assert_eq!(
+        digest, 17_357_272_957_796_607_731,
+        "coupled-engine behaviour changed"
+    );
+}
