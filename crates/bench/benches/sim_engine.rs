@@ -1,10 +1,13 @@
-//! Raw discrete-event engine throughput (simulated tuples per wall second),
-//! plus the telemetry overhead check: instrumenting the splitter/merger hot
+//! Raw discrete-event engine throughput (simulated tuples per wall second)
+//! with dedicated workers and on shared processor-sharing hosts, plus the
+//! telemetry overhead check: instrumenting the splitter/merger hot
 //! path must cost < 5% (the observability budget).
 
 use streambal_bench::Micro;
 use streambal_sim::config::{RegionConfig, StopCondition};
-use streambal_sim::policy::RoundRobinPolicy;
+use streambal_sim::multi::{run_multi, MultiConfig, MultiRegionSpec};
+use streambal_sim::policy::{Policy, RoundRobinPolicy};
+use streambal_sim::{Host, SECOND_NS};
 use streambal_telemetry::Telemetry;
 
 fn region(n: usize, tuples: u64) -> RegionConfig {
@@ -28,6 +31,26 @@ fn main() {
         });
         stats.report_throughput(tuples);
     }
+
+    // Shared hosts: two 8-PE regions oversubscribe one 8-thread host, so
+    // every start and finish rescales the host's in-flight completions.
+    let coupled = MultiConfig {
+        hosts: vec![Host::slow()],
+        regions: vec![MultiRegionSpec::uniform(8, 0, 1_000, 200.0); 2],
+        sample_interval_ns: SECOND_NS,
+        duration_ns: SECOND_NS,
+    };
+    let mut delivered = 0;
+    let stats = m.run("sim_engine/coupled/2x8", || {
+        let policies: Vec<Box<dyn Policy>> = vec![
+            Box::new(RoundRobinPolicy::new()),
+            Box::new(RoundRobinPolicy::new()),
+        ];
+        let results = run_multi(&coupled, policies).unwrap();
+        delivered = results.iter().map(|r| r.delivered).sum();
+        delivered
+    });
+    stats.report_throughput(delivered);
 
     // Telemetry overhead: same run, with the registry + trace instrumented.
     // The hub is reused across iterations so only the per-event atomic cost

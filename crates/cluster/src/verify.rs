@@ -166,8 +166,8 @@ pub fn co_simulate(
 }
 
 /// Simulates the whole placement in **one coupled event loop**: the
-/// processor-sharing multi-region engine ([`streambal_sim::multi`]) lets
-/// regions contend for host threads tuple-by-tuple, so idle periods free
+/// simulator's shared-host mode ([`streambal_sim::multi`]) lets regions
+/// contend for host threads tuple-by-tuple, so idle periods free
 /// capacity in real time. This is the exact version of what
 /// [`co_simulate`] approximates with a utilization fixed point.
 ///

@@ -10,11 +10,10 @@
 //!   the policy a [`WidthView`] — the solved minimax blocking rate, the
 //!   observed blocking, the current width and liveness — and the policy
 //!   answers with a [`WidthDecision`].
-//! - [`ScriptedWidth`] is the adapter every previously-scripted layer now
-//!   rides: `grow_after`/`shrink_after` builder calls, the simulator's
-//!   `ResizeEvent` lists and the chaos harness's `WorkerAdd`/`WorkerRemove`
-//!   events all become scripted steps fired by elapsed time (or popped
-//!   one-by-one by engines that own their own event clock).
+//! - [`ScriptedWidth`] is the adapter the wall-clock layers' scripted
+//!   resizes ride: `grow_after`/`shrink_after` builder calls become
+//!   scripted steps fired by elapsed time. (The discrete-event simulator
+//!   owns its clock and schedules its scripted resizes as events.)
 //! - [`Autoscaler`] is the production closed-loop policy: high/low
 //!   watermarks on the scaling pressure ([`WidthView::pressure`] — solved
 //!   minimax blocking or total observed blocking, whichever is worse), a
@@ -136,14 +135,10 @@ struct ScriptedStep {
 /// T" steps, fired by elapsed time through the normal [`WidthPolicy`]
 /// round hook.
 ///
-/// This is the *only* representation of scripted resizes left in the
-/// workspace: the `grow_after`/`shrink_after` builders of the threaded
-/// runtime, the TCP runtime and the dataflow pipeline, the simulator's
-/// `ResizeEvent` lists, and the chaos harness's `WorkerAdd`/`WorkerRemove`
-/// events all compile down to one of these. Engines that own their own
-/// event clock (the discrete-event simulators schedule a wakeup at the
-/// exact step time) pop steps with [`fire_next`](Self::fire_next) instead
-/// of polling [`decide`](WidthPolicy::decide).
+/// The `grow_after`/`shrink_after` builders of the threaded runtime, the
+/// TCP runtime and the dataflow pipeline all compile down to one of
+/// these. The discrete-event simulator does not: it owns its event clock,
+/// so its scripted resizes are heap events applied at their exact time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScriptedWidth {
     steps: Vec<ScriptedStep>,
@@ -167,17 +162,6 @@ impl ScriptedWidth {
         self.push(after, false, count)
     }
 
-    /// Appends a step from a virtual-time instant (ns), for engines whose
-    /// clock is simulated.
-    pub fn step_at_ns(&mut self, t_ns: u64, grow: bool, count: usize) -> &mut Self {
-        self.steps.push(ScriptedStep {
-            after_ms: t_ns / 1_000_000,
-            grow,
-            count,
-        });
-        self
-    }
-
     fn push(&mut self, after: Duration, grow: bool, count: usize) -> &mut Self {
         self.steps.push(ScriptedStep {
             after_ms: u64::try_from(after.as_millis()).unwrap_or(u64::MAX),
@@ -197,22 +181,6 @@ impl ScriptedWidth {
     /// by builders once the script is complete.
     pub fn sort(&mut self) {
         self.steps.sort_by_key(|s| s.after_ms);
-    }
-
-    /// Pops the next step unconditionally — for engines that schedule
-    /// their own wakeup at the step's exact time and just need the
-    /// decision. Returns [`WidthDecision::Hold`] when the script is
-    /// exhausted.
-    pub fn fire_next(&mut self) -> WidthDecision {
-        let Some(step) = self.steps.get(self.next) else {
-            return WidthDecision::Hold;
-        };
-        self.next += 1;
-        if step.grow {
-            WidthDecision::Grow(step.count)
-        } else {
-            WidthDecision::Shrink(step.count)
-        }
     }
 }
 
@@ -507,16 +475,6 @@ mod tests {
         t.grow_after(Duration::from_millis(10), 1)
             .shrink_after(Duration::from_millis(20), 1);
         assert_eq!(t.decide(&mut_view(25)), WidthDecision::Hold);
-    }
-
-    #[test]
-    fn scripted_fire_next_pops_in_order() {
-        let mut s = ScriptedWidth::new();
-        s.step_at_ns(5_000_000_000, true, 2)
-            .step_at_ns(9_000_000_000, false, 1);
-        assert_eq!(s.fire_next(), WidthDecision::Grow(2));
-        assert_eq!(s.fire_next(), WidthDecision::Shrink(1));
-        assert_eq!(s.fire_next(), WidthDecision::Hold, "exhausted");
     }
 
     #[test]

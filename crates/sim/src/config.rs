@@ -65,6 +65,14 @@ pub enum ConfigError {
     /// worker/connection or carried a non-positive parameter. The payload
     /// is the offending event's index in the plan.
     BadChaosEvent(usize),
+    /// A multi-region run (see [`crate::multi`]) was handed a policy list
+    /// that does not have exactly one policy per region.
+    PolicyCount {
+        /// Regions in the configuration.
+        regions: usize,
+        /// Policies supplied.
+        policies: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -82,6 +90,10 @@ impl fmt::Display for ConfigError {
             ConfigError::BadChaosEvent(i) => write!(
                 f,
                 "chaos event {i} references an unknown worker/connection or has a bad parameter"
+            ),
+            ConfigError::PolicyCount { regions, policies } => write!(
+                f,
+                "{regions} regions need one policy each, got {policies} policies"
             ),
         }
     }

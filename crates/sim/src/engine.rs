@@ -1,6 +1,7 @@
-//! The discrete-event engine simulating one ordered parallel region.
+//! The discrete-event engine: one event heap and one clock driving every
+//! ordered parallel region of a run.
 //!
-//! Three event types drive the simulation:
+//! Three event types drive each region:
 //!
 //! - `SendNext` — the splitter routes its next tuple (or blocks on a full
 //!   connection buffer, to be woken by that worker's next dequeue);
@@ -12,6 +13,21 @@
 //! All state transitions that free a resource (worker dequeues a tuple,
 //! merger pops a reorder slot) eagerly wake whoever was waiting on it, so
 //! the simulation is work-conserving exactly like the real runtime.
+//!
+//! Every region keeps its own splitter, connection buffers, merger and
+//! policy; the only thing the two kinds of run disagree on is how a started
+//! tuple gets its completion time:
+//!
+//! - **dedicated workers** ([`run`], [`run_chaos`]) draw a service time
+//!   once, from the worker's static
+//!   [`effective_speeds`](RegionConfig::effective_speeds) share;
+//! - **shared hosts** ([`run_multi`](crate::multi::run_multi)) are
+//!   processor-sharing: a host with `threads` hardware threads and `b`
+//!   *currently busy* PEs runs each at `speed × min(1, threads / b)`.
+//!   Whenever a worker starts or finishes a tuple, the remaining work of
+//!   every in-flight tuple on that host is settled at the old rate and its
+//!   completion re-scheduled at the new one. Regions couple *only* through
+//!   this contention, exactly as co-located PEs do.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -24,26 +40,32 @@ use streambal_control::WidthDecision;
 
 use crate::chaos::{ChaosPlan, FaultKind, RoundObserver, RoundView, Sabotage};
 use crate::config::{ConfigError, RegionConfig, StopCondition};
+use crate::host::Host;
 use crate::metrics::{RunResult, SampleTrace};
+use crate::multi::{ResizeEvent, WidthChange};
 use crate::policy::{Policy, PolicySample, SampleContext};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     SendNext,
-    /// Worker `j` finishes the tuple it started in lifetime `epoch`; stale
-    /// completions (the worker died and restarted since) are ignored.
+    /// Worker `j` finishes the tuple whose completion was scheduled under
+    /// this stamp; completions overtaken since (the worker died, or its
+    /// shared host's rate changed) carry an old stamp and are ignored.
     WorkerDone(usize, u64),
     Sample,
     /// The chaos plan's `events[i]` fires.
     Fault(usize),
     /// A stalled connection becomes usable again.
     ConnResume(usize),
+    /// A scripted width change fires.
+    Resize(WidthChange),
 }
 
 #[derive(Debug, PartialEq, Eq)]
 struct Scheduled {
     t: u64,
     tie: u64,
+    region: usize,
     ev: Ev,
 }
 
@@ -56,6 +78,25 @@ impl PartialOrd for Scheduled {
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         self.t.cmp(&other.t).then_with(|| self.tie.cmp(&other.tie))
+    }
+}
+
+/// The event heap; same-time events fire in scheduling order.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<Scheduled>>,
+    tie: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, t: u64, region: usize, ev: Ev) {
+        self.tie += 1;
+        self.heap.push(Reverse(Scheduled {
+            t,
+            tie: self.tie,
+            region,
+            ev,
+        }));
     }
 }
 
@@ -79,8 +120,7 @@ impl Ord for Scheduled {
 /// assert_eq!(result.delivered, 1_000);
 /// ```
 pub fn run(cfg: &RegionConfig, policy: &mut dyn Policy) -> Result<RunResult, ConfigError> {
-    cfg.validate()?;
-    Ok(Engine::new(cfg, policy, None).run())
+    run_chaos(cfg, policy, &ChaosPlan::default(), None, None)
 }
 
 /// Runs one simulation with a telemetry hub attached: splitter/merger hot
@@ -116,9 +156,7 @@ pub fn run_with_telemetry(
     policy: &mut dyn Policy,
     telemetry: &Telemetry,
 ) -> Result<RunResult, ConfigError> {
-    cfg.validate()?;
-    policy.attach_telemetry(telemetry);
-    Ok(Engine::new(cfg, policy, Some(telemetry.clone())).run())
+    run_chaos(cfg, policy, &ChaosPlan::default(), Some(telemetry), None)
 }
 
 /// Runs one simulation with a chaos [`ChaosPlan`] injected into the event
@@ -150,15 +188,17 @@ pub fn run_chaos<'c>(
     if let Some(t) = telemetry {
         policy.attach_telemetry(t);
     }
-    let mut engine = Engine::new(cfg, policy, telemetry.cloned());
+    let mut engine = Engine::new(std::slice::from_ref(cfg), [policy], None, &[], telemetry);
     engine.chaos = Some(plan);
     engine.observer = observer;
-    Ok(engine.run())
+    Ok(engine.run().pop().expect("one region in, one result out"))
 }
 
-/// Pre-resolved metric handles for the engine's hot paths, looked up once
+/// Pre-resolved metric handles for one region's hot paths, looked up once
 /// at start-of-run so per-tuple work is a single atomic op.
 struct Instruments {
+    /// `sim` for a dedicated run, `sim.region<r>` on shared hosts.
+    prefix: String,
     sent: Counter,
     delivered: Counter,
     rerouted: Counter,
@@ -170,269 +210,235 @@ struct Instruments {
 }
 
 impl Instruments {
-    fn new(telemetry: &Telemetry, n: usize) -> Self {
+    fn new(telemetry: &Telemetry, prefix: String, n: usize) -> Self {
         let reg = telemetry.registry();
-        Instruments {
-            sent: reg.counter("sim.splitter.sent"),
-            delivered: reg.counter("sim.merger.delivered"),
-            rerouted: reg.counter("sim.splitter.rerouted"),
-            blocked_ns: reg.counter("sim.splitter.blocked_ns"),
-            block_events: reg.counter("sim.splitter.block_events"),
-            latency_ns: reg.histogram("sim.latency_ns"),
-            rounds: reg.counter("sim.controller.rounds"),
-            per_conn: (0..n)
-                .map(|j| {
-                    (
-                        reg.gauge(&format!("sim.conn{j}.blocking_rate")),
-                        reg.gauge(&format!("sim.conn{j}.weight")),
-                    )
-                })
-                .collect(),
+        let mut inst = Instruments {
+            sent: reg.counter(&format!("{prefix}.splitter.sent")),
+            delivered: reg.counter(&format!("{prefix}.merger.delivered")),
+            rerouted: reg.counter(&format!("{prefix}.splitter.rerouted")),
+            blocked_ns: reg.counter(&format!("{prefix}.splitter.blocked_ns")),
+            block_events: reg.counter(&format!("{prefix}.splitter.block_events")),
+            latency_ns: reg.histogram(&format!("{prefix}.latency_ns")),
+            rounds: reg.counter(&format!("{prefix}.controller.rounds")),
+            per_conn: Vec::new(),
+            prefix,
+        };
+        inst.bind_conns(telemetry, n);
+        inst
+    }
+
+    /// Resolves the per-connection gauges up to width `n`.
+    fn bind_conns(&mut self, telemetry: &Telemetry, n: usize) {
+        let reg = telemetry.registry();
+        for j in self.per_conn.len()..n {
+            self.per_conn.push((
+                reg.gauge(&format!("{}.conn{j}.blocking_rate", self.prefix)),
+                reg.gauge(&format!("{}.conn{j}.weight", self.prefix)),
+            ));
         }
     }
 }
 
-struct Engine<'c> {
+/// Whether tuple `seq`'s entry-to-ordered-exit latency is recorded.
+fn latency_sampled(seq: u64) -> bool {
+    seq.is_multiple_of(16)
+}
+
+/// One worker PE with its connection buffer and its reorder queue.
+#[derive(Default)]
+struct Worker {
+    conn_q: VecDeque<u64>,
+    merge_q: VecDeque<u64>,
+    busy: bool,
+    /// Sequence number of the tuple in service.
+    seq: u64,
+    /// A finished tuple held back by a full reorder queue.
+    stalled: Option<u64>,
+    /// Cumulative time the splitter spent blocked on this connection.
+    blocked_ns: u64,
+    blocked_ns_at_sample: u64,
+    busy_ns: u64,
+    /// Cost multiplier overriding the configured schedule (fraction events
+    /// and load spikes).
+    load_override: Option<f64>,
+    alive: bool,
+    /// Stamp of the one valid scheduled completion: bumped by a death and
+    /// by every shared-host rescale.
+    stamp: u64,
+    /// The connection passes no tuples to the worker before this time.
+    resume_at: u64,
+    /// Host-slowdown service-time multiplier (1.0 = healthy).
+    slowdown: f64,
+    host: usize,
+    /// Dedicated workers: the static effective speed.
+    speed: f64,
+    /// Shared hosts: work left in the in-flight tuple (ns at rate 1.0) as
+    /// of `updated_at`, and when the tuple started.
+    remaining: f64,
+    updated_at: u64,
+    started_at: u64,
+}
+
+impl Worker {
+    fn new(host: usize, speed: f64) -> Self {
+        Worker {
+            alive: true,
+            slowdown: 1.0,
+            host,
+            speed,
+            ..Worker::default()
+        }
+    }
+
+    /// Brings the remaining work up to date at `now` under the rate that
+    /// has applied since the last update.
+    fn settle(&mut self, now: u64, rate: f64) {
+        let elapsed = (now - self.updated_at) as f64;
+        self.remaining = (self.remaining - elapsed * rate).max(0.0);
+        self.updated_at = now;
+    }
+}
+
+/// The processor-sharing hosts of a coupled run.
+struct SharedHosts<'c> {
+    hosts: &'c [Host],
+    /// Busy-worker count per host.
+    busy: Vec<u32>,
+    /// Per host, the workers placed on it as `(region, index)`, in
+    /// creation order.
+    members: Vec<Vec<(usize, usize)>>,
+}
+
+impl SharedHosts<'_> {
+    fn rate(&self, host: usize) -> f64 {
+        let h = self.hosts[host];
+        let busy = self.busy[host].max(1);
+        h.speed * (f64::from(h.threads) / f64::from(busy)).min(1.0)
+    }
+}
+
+/// One ordered parallel region: splitter, workers, merger, control loop.
+struct Region<'c> {
     cfg: &'c RegionConfig,
     policy: &'c mut dyn Policy,
     telemetry: Option<(Telemetry, Instruments)>,
-    eff_speed: Vec<f64>,
-    now: u64,
-    events: BinaryHeap<Reverse<Scheduled>>,
-    tie: u64,
     rng: SplitMix64,
 
     // Splitter.
     wrr: WrrScheduler,
     weights: Vec<u32>,
-    next_seq: u64,
+    resolution: u32,
+    /// Tuples routed so far, which is also the next sequence number.
     sent: u64,
     rerouted: u64,
-    splitter_done: bool,
     /// `(connection, blocked-since, pending tuple seq)` while blocked.
     blocked_on: Option<(usize, u64, u64)>,
-    blocked_ns: Vec<u64>,
-    blocked_ns_at_sample: Vec<u64>,
 
-    // Connections and workers.
-    conn_q: Vec<VecDeque<u64>>,
-    worker_busy: Vec<bool>,
-    worker_seq: Vec<u64>,
-    worker_stalled: Vec<Option<u64>>,
+    /// Physical worker slots. They only ever grow: a removed tail keeps
+    /// its dormant state so queued tuples drain in order, and is revived
+    /// before fresh slots are appended on a later grow.
+    workers: Vec<Worker>,
+    /// Logical region width: the connections the splitter routes to and
+    /// the control loop samples.
+    width: usize,
 
     // Merger.
-    merge_q: Vec<VecDeque<u64>>,
     heads: BinaryHeap<Reverse<(u64, usize)>>,
     next_expected: u64,
+    delivered: u64,
+    delivered_at_sample: u64,
+    /// Splitter entry times of the tuples whose latency is recorded (every
+    /// 16th), drained in order by the merger.
+    entry_times: VecDeque<u64>,
+    latencies_ns: Vec<u64>,
 
-    // Workload-progress-triggered load changes.
-    load_override: Vec<Option<f64>>,
-    fraction_thresholds: Vec<(u64, usize, f64)>,
-    next_fraction: usize,
+    /// Pending workload-progress-triggered load changes as `(delivered
+    /// threshold, worker, factor)`, the next one to fire last.
+    fractions: Vec<(u64, usize, f64)>,
 
-    /// Logical region width: the connections the splitter routes to and
-    /// the control loop samples. `WorkerAdd`/`WorkerRemove` move it; the
-    /// per-worker vectors only ever grow (a removed tail keeps its
-    /// dormant state so queued tuples drain in order).
-    width: usize,
+    // Control loop.
+    samples: Vec<SampleTrace>,
+    last_sample_ns: u64,
+    round: u64,
+    /// Sampling-clock jitter amplitude (0 = exact clock).
+    sample_jitter_ns: u64,
+
+    // Chaos (all inert unless a plan is attached; see crate::chaos).
+    last_fault_ns: Option<u64>,
     /// The lowest slot index ever added by growth (for
     /// [`Sabotage::StarveNewSlots`]).
     starve_from: Option<usize>,
     /// Next thrash direction for [`Sabotage::FlappingWidth`] (grow first,
     /// so the width never dips below its configured floor).
     flap_grow: bool,
-
-    // Chaos (all inert unless a plan is attached; see crate::chaos).
-    chaos: Option<&'c ChaosPlan>,
-    observer: Option<&'c mut dyn RoundObserver>,
-    worker_alive: Vec<bool>,
-    /// Bumped on every death; cancels the in-flight `WorkerDone`.
-    worker_epoch: Vec<u64>,
-    /// Connection `j` passes no tuples to its worker before this time.
-    conn_resume_at: Vec<u64>,
-    /// Host-slowdown service-time multiplier (1.0 = healthy).
-    chaos_slowdown: Vec<f64>,
-    /// Sampling-clock jitter amplitude (0 = exact clock).
-    sample_jitter_ns: u64,
-    last_sample_ns: u64,
-    round: u64,
-    last_fault_ns: Option<u64>,
-    resolution: u32,
-
-    // Sink.
-    delivered: u64,
-    delivered_at_sample: u64,
-    samples: Vec<SampleTrace>,
-
-    // Latency accounting: splitter entry times, drained in order by the
-    // merger; every 16th tuple's latency is recorded.
-    entry_times: VecDeque<u64>,
-    latencies_ns: Vec<u64>,
-    worker_busy_ns: Vec<u64>,
 }
 
-impl<'c> Engine<'c> {
+impl<'c> Region<'c> {
     fn new(
         cfg: &'c RegionConfig,
         policy: &'c mut dyn Policy,
-        telemetry: Option<Telemetry>,
+        workers: Vec<Worker>,
+        telemetry: Option<(Telemetry, Instruments)>,
     ) -> Self {
-        let n = cfg.num_workers();
-        let initial = policy.initial_weights(n);
-        let wrr = WrrScheduler::new(&initial);
-        Engine {
-            eff_speed: cfg.effective_speeds(),
+        let initial = policy.initial_weights(workers.len());
+        let total = match cfg.stop {
+            StopCondition::Tuples(n) => n,
+            StopCondition::Duration(_) => 0,
+        };
+        let mut fractions: Vec<(u64, usize, f64)> = cfg
+            .fraction_events
+            .iter()
+            .map(|e| ((e.fraction * total as f64) as u64, e.worker, e.factor))
+            .collect();
+        fractions.sort_by_key(|&(at, _, _)| at);
+        fractions.reverse();
+        Region {
+            cfg,
             policy,
-            telemetry: telemetry.map(|t| {
-                let inst = Instruments::new(&t, n);
-                (t, inst)
-            }),
-            now: 0,
-            events: BinaryHeap::new(),
-            tie: 0,
+            telemetry,
             rng: SplitMix64::new(cfg.seed),
+            wrr: WrrScheduler::new(&initial),
             weights: initial.units().to_vec(),
-            wrr,
-            next_seq: 0,
+            resolution: initial.resolution(),
             sent: 0,
             rerouted: 0,
-            splitter_done: false,
             blocked_on: None,
-            blocked_ns: vec![0; n],
-            blocked_ns_at_sample: vec![0; n],
-            conn_q: (0..n).map(|_| VecDeque::new()).collect(),
-            worker_busy: vec![false; n],
-            worker_seq: vec![0; n],
-            worker_stalled: vec![None; n],
-            merge_q: (0..n).map(|_| VecDeque::new()).collect(),
+            width: workers.len(),
+            workers,
             heads: BinaryHeap::new(),
             next_expected: 0,
-            width: n,
-            starve_from: None,
-            flap_grow: true,
-            chaos: None,
-            observer: None,
-            worker_alive: vec![true; n],
-            worker_epoch: vec![0; n],
-            conn_resume_at: vec![0; n],
-            chaos_slowdown: vec![1.0; n],
-            sample_jitter_ns: 0,
-            last_sample_ns: 0,
-            round: 0,
-            last_fault_ns: None,
-            resolution: initial.resolution(),
-            load_override: vec![None; n],
-            fraction_thresholds: {
-                let mut t: Vec<(u64, usize, f64)> = cfg
-                    .fraction_events
-                    .iter()
-                    .map(|e| {
-                        let total = match cfg.stop {
-                            StopCondition::Tuples(n) => n,
-                            StopCondition::Duration(_) => 0,
-                        };
-                        ((e.fraction * total as f64) as u64, e.worker, e.factor)
-                    })
-                    .collect();
-                t.sort_by_key(|&(at, _, _)| at);
-                t
-            },
-            next_fraction: 0,
             delivered: 0,
             delivered_at_sample: 0,
-            samples: Vec::new(),
             entry_times: VecDeque::new(),
             latencies_ns: Vec::new(),
-            worker_busy_ns: vec![0; n],
-            cfg,
+            fractions,
+            samples: Vec::new(),
+            last_sample_ns: 0,
+            round: 0,
+            sample_jitter_ns: 0,
+            last_fault_ns: None,
+            starve_from: None,
+            flap_grow: true,
         }
     }
 
-    fn schedule(&mut self, t: u64, ev: Ev) {
-        self.tie += 1;
-        self.events.push(Reverse(Scheduled {
-            t,
-            tie: self.tie,
-            ev,
-        }));
-    }
-
-    fn run(mut self) -> RunResult {
-        self.schedule(0, Ev::SendNext);
-        self.schedule(self.cfg.sample_interval_ns, Ev::Sample);
-        if let Some(plan) = self.chaos {
-            for (i, ev) in plan.events.iter().enumerate() {
-                self.schedule(ev.t_ns, Ev::Fault(i));
-            }
-        }
-
-        let duration_limit = match self.cfg.stop {
-            StopCondition::Duration(d) => Some(d),
-            StopCondition::Tuples(_) => None,
-        };
-
-        while let Some(Reverse(s)) = self.events.pop() {
-            if let Some(limit) = duration_limit {
-                if s.t > limit {
-                    self.now = limit;
-                    break;
-                }
-            }
-            self.now = s.t;
-            match s.ev {
-                Ev::SendNext => self.on_send_next(),
-                Ev::WorkerDone(j, epoch) => self.on_worker_done(j, epoch),
-                Ev::Sample => self.on_sample(),
-                Ev::Fault(i) => self.on_fault(i),
-                Ev::ConnResume(j) => self.maybe_start_worker(j),
-            }
-            while self.next_fraction < self.fraction_thresholds.len()
-                && self.fraction_thresholds[self.next_fraction].0 <= self.delivered
-            {
-                let (_, worker, factor) = self.fraction_thresholds[self.next_fraction];
-                self.load_override[worker] = Some(factor);
-                self.next_fraction += 1;
-            }
-            if let StopCondition::Tuples(n) = self.cfg.stop {
-                if self.delivered >= n {
-                    break;
-                }
-            }
-        }
-
-        // Fold any in-progress blocked span into the totals.
-        if let Some((conn, since, _)) = self.blocked_on.take() {
-            self.blocked_ns[conn] += self.now.saturating_sub(since);
-            if let Some((_, inst)) = &self.telemetry {
-                inst.blocked_ns.add(self.now.saturating_sub(since));
-            }
-        }
-
-        RunResult {
-            policy: self.policy.name().to_owned(),
-            duration_ns: self.now,
-            delivered: self.delivered,
-            sent: self.sent,
-            rerouted: self.rerouted,
-            blocked_ns: self.blocked_ns,
-            samples: self.samples,
-            latencies_ns: self.latencies_ns,
-            worker_busy_ns: self.worker_busy_ns,
-        }
-    }
-
-    /// Service time of one tuple started now by worker `j`. Workers added
-    /// by growth have no config entry and run unloaded until a fault says
-    /// otherwise.
-    fn service_ns(&mut self, j: usize) -> u64 {
-        let factor = self.load_override[j].unwrap_or_else(|| {
+    /// Work in one tuple started at `now` by worker `j`, in ns at speed
+    /// 1.0. Workers added by growth have no config entry and run unloaded
+    /// until a fault says otherwise.
+    fn work_ns(&self, now: u64, j: usize) -> f64 {
+        let factor = self.workers[j].load_override.unwrap_or_else(|| {
             self.cfg
                 .workers
                 .get(j)
-                .map_or(1.0, |w| w.load.factor_at(self.now))
+                .map_or(1.0, |w| w.load.factor_at(now))
         });
-        let base = self.cfg.base_cost as f64 * self.cfg.mult_ns * factor * self.chaos_slowdown[j]
-            / self.eff_speed[j];
+        self.cfg.base_cost as f64 * self.cfg.mult_ns * factor * self.workers[j].slowdown
+    }
+
+    /// A dedicated worker's service time for `work_ns` of work, drawn once
+    /// at start of service.
+    fn service_ns(&mut self, work_ns: f64, speed: f64) -> u64 {
+        let base = work_ns / speed;
         let jitter = self.cfg.jitter;
         let mult = if jitter > 0.0 {
             1.0 + self.rng.frange(-jitter, jitter)
@@ -445,347 +451,6 @@ impl<'c> Engine<'c> {
             0
         };
         (base * mult).max(1.0) as u64 + hiccup
-    }
-
-    fn workload_exhausted(&self) -> bool {
-        match self.cfg.stop {
-            StopCondition::Tuples(n) => self.sent >= n,
-            StopCondition::Duration(_) => false,
-        }
-    }
-
-    fn on_send_next(&mut self) {
-        if self.splitter_done || self.blocked_on.is_some() {
-            return;
-        }
-        if self.workload_exhausted() {
-            self.splitter_done = true;
-            return;
-        }
-        let j = self.wrr.pick();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.sent += 1;
-        if let Some((_, inst)) = &self.telemetry {
-            inst.sent.incr();
-        }
-        self.entry_times.push_back(self.now);
-
-        if self.conn_q[j].len() < self.cfg.conn_capacity {
-            self.enqueue(j, seq);
-            self.schedule(self.now + self.cfg.send_overhead_ns, Ev::SendNext);
-            return;
-        }
-
-        if self.policy.reroute_on_block() {
-            // §4.4: try the sibling connections instead of blocking.
-            let n = self.width;
-            for k in 1..n {
-                let c = (j + k) % n;
-                if self.conn_q[c].len() < self.cfg.conn_capacity {
-                    self.rerouted += 1;
-                    if let Some((_, inst)) = &self.telemetry {
-                        inst.rerouted.incr();
-                    }
-                    self.enqueue(c, seq);
-                    self.schedule(self.now + self.cfg.send_overhead_ns, Ev::SendNext);
-                    return;
-                }
-            }
-        }
-
-        // Elect to block on the originally chosen connection; the pending
-        // tuple is delivered when that worker frees a buffer slot.
-        self.blocked_on = Some((j, self.now, seq));
-        if let Some((_, inst)) = &self.telemetry {
-            inst.block_events.incr();
-        }
-    }
-
-    fn enqueue(&mut self, j: usize, seq: u64) {
-        debug_assert!(self.conn_q[j].len() < self.cfg.conn_capacity);
-        self.conn_q[j].push_back(seq);
-        self.maybe_start_worker(j);
-    }
-
-    fn maybe_start_worker(&mut self, j: usize) {
-        if self.worker_busy[j] || self.worker_stalled[j].is_some() {
-            return;
-        }
-        if !self.worker_alive[j] || self.now < self.conn_resume_at[j] {
-            // Dead workers and stalled connections pass nothing on; a
-            // scheduled restart/resume event retries this exact call.
-            return;
-        }
-        let Some(seq) = self.conn_q[j].pop_front() else {
-            return;
-        };
-        self.worker_seq[j] = seq;
-        self.worker_busy[j] = true;
-        let service = self.service_ns(j);
-        self.worker_busy_ns[j] += service;
-        self.schedule(self.now + service, Ev::WorkerDone(j, self.worker_epoch[j]));
-        self.wake_splitter(j);
-    }
-
-    /// Delivers the splitter's pending tuple once connection `j` has buffer
-    /// space again, charging the blocked span to `j`'s counter.
-    fn wake_splitter(&mut self, j: usize) {
-        let Some((conn, since, seq)) = self.blocked_on else {
-            return;
-        };
-        if conn != j || self.conn_q[j].len() >= self.cfg.conn_capacity {
-            return;
-        }
-        self.blocked_on = None;
-        self.blocked_ns[j] += self.now - since;
-        if let Some((_, inst)) = &self.telemetry {
-            inst.blocked_ns.add(self.now - since);
-        }
-        // The freed slot takes the pending tuple; the worker may be idle if
-        // the queue had drained completely while we were blocked.
-        self.conn_q[j].push_back(seq);
-        self.maybe_start_worker(j);
-        self.schedule(self.now + self.cfg.send_overhead_ns, Ev::SendNext);
-    }
-
-    fn on_worker_done(&mut self, j: usize, epoch: u64) {
-        if epoch != self.worker_epoch[j] {
-            // The worker died after starting this tuple; the tuple went
-            // back to the connection queue and this completion is void.
-            return;
-        }
-        debug_assert!(self.worker_busy[j]);
-        self.worker_busy[j] = false;
-        let seq = self.worker_seq[j];
-        if self.merge_q[j].len() < self.cfg.merge_capacity {
-            self.push_merge(j, seq);
-            self.try_release();
-            self.maybe_start_worker(j);
-        } else {
-            // Reorder queue full: the worker holds its output and stalls
-            // until the merger drains a slot (Figure 3's gating).
-            self.worker_stalled[j] = Some(seq);
-        }
-    }
-
-    fn push_merge(&mut self, j: usize, seq: u64) {
-        if self.merge_q[j].is_empty() {
-            self.heads.push(Reverse((seq, j)));
-        }
-        self.merge_q[j].push_back(seq);
-    }
-
-    fn try_release(&mut self) {
-        while let Some(&Reverse((seq, k))) = self.heads.peek() {
-            if seq != self.next_expected {
-                break;
-            }
-            self.heads.pop();
-            let released = self.merge_q[k].pop_front();
-            debug_assert_eq!(released, Some(seq), "merger must release in order");
-            let entered = self
-                .entry_times
-                .pop_front()
-                .expect("every delivered tuple was sent");
-            if seq % 16 == 0 {
-                self.latencies_ns.push(self.now - entered);
-                if let Some((_, inst)) = &self.telemetry {
-                    inst.latency_ns.record(self.now - entered);
-                }
-            }
-            self.delivered += 1;
-            if let Some((_, inst)) = &self.telemetry {
-                inst.delivered.incr();
-            }
-            self.next_expected += 1;
-
-            // A freed reorder slot un-stalls the worker.
-            if let Some(held) = self.worker_stalled[k].take() {
-                self.merge_q[k].push_back(held);
-                self.maybe_start_worker(k);
-            }
-            if let Some(&head) = self.merge_q[k].front() {
-                self.heads.push(Reverse((head, k)));
-            }
-        }
-    }
-
-    /// Applies the chaos plan's `events[i]`.
-    fn on_fault(&mut self, i: usize) {
-        let fault = self
-            .chaos
-            .expect("fault events only exist with a plan")
-            .events[i]
-            .fault;
-        self.last_fault_ns = Some(self.now);
-        if let Some((t, _)) = &self.telemetry {
-            // Leave the fault in the decision trace so violations show
-            // what disturbed the controller and when.
-            let mut fields = vec![("t_ns".to_owned(), self.now as f64)];
-            match fault {
-                FaultKind::WorkerDeath { worker } => {
-                    fields.push(("death".to_owned(), worker as f64));
-                }
-                FaultKind::WorkerRestart { worker } => {
-                    fields.push(("restart".to_owned(), worker as f64));
-                }
-                FaultKind::Slowdown { worker, factor } => {
-                    fields.push(("slowdown".to_owned(), worker as f64));
-                    fields.push(("factor".to_owned(), factor));
-                }
-                FaultKind::ConnectionStall { conn, duration_ns } => {
-                    fields.push(("stall".to_owned(), conn as f64));
-                    fields.push(("duration_ns".to_owned(), duration_ns as f64));
-                }
-                FaultKind::LoadSpike { worker, factor } => {
-                    fields.push(("spike".to_owned(), worker as f64));
-                    fields.push(("factor".to_owned(), factor));
-                }
-                FaultKind::SampleJitter { amplitude_ns } => {
-                    fields.push(("jitter_ns".to_owned(), amplitude_ns as f64));
-                }
-                FaultKind::WorkerAdd { count } => {
-                    fields.push(("add".to_owned(), count as f64));
-                }
-                FaultKind::WorkerRemove { count } => {
-                    fields.push(("remove".to_owned(), count as f64));
-                }
-            }
-            t.trace().push(TraceEvent::Custom {
-                name: "chaos.fault".to_owned(),
-                fields,
-            });
-        }
-        match fault {
-            FaultKind::WorkerDeath { worker } => {
-                if self.worker_alive[worker] {
-                    self.worker_alive[worker] = false;
-                    if self.worker_busy[worker] {
-                        // Crash-restart semantics: the in-flight tuple is
-                        // lost from the worker but not from the stream —
-                        // it goes back to the head of the connection
-                        // queue, and the scheduled completion is voided
-                        // via the epoch counter.
-                        self.worker_busy[worker] = false;
-                        self.worker_epoch[worker] += 1;
-                        self.conn_q[worker].push_front(self.worker_seq[worker]);
-                    }
-                    // Real membership: retire the dead connection and
-                    // renormalize the survivors immediately. The sabotage
-                    // keeps the legacy no-detach path so the simplex
-                    // oracle's mutation test still has a bug to catch.
-                    let sabotaged = matches!(
-                        self.chaos.and_then(|p| p.sabotage),
-                        Some(Sabotage::SkipRenormalization)
-                    );
-                    if !sabotaged {
-                        if let Some(lb) = self.policy.balancer_mut() {
-                            if lb.is_attached(worker) && lb.live_connections() > 1 {
-                                lb.detach_connection(worker);
-                                self.install_balancer_weights();
-                            }
-                        }
-                    }
-                }
-            }
-            FaultKind::WorkerRestart { worker } => {
-                if !self.worker_alive[worker] {
-                    self.worker_alive[worker] = true;
-                    self.maybe_start_worker(worker);
-                    if let Some(lb) = self.policy.balancer_mut() {
-                        if !lb.is_attached(worker) {
-                            lb.attach_connection(worker);
-                            self.install_balancer_weights();
-                        }
-                    }
-                }
-            }
-            FaultKind::Slowdown { worker, factor } => {
-                self.chaos_slowdown[worker] = factor;
-            }
-            FaultKind::ConnectionStall { conn, duration_ns } => {
-                let until = self.now + duration_ns;
-                if until > self.conn_resume_at[conn] {
-                    self.conn_resume_at[conn] = until;
-                    self.schedule(until, Ev::ConnResume(conn));
-                }
-            }
-            FaultKind::LoadSpike { worker, factor } => {
-                self.load_override[worker] = Some(factor);
-            }
-            FaultKind::SampleJitter { amplitude_ns } => {
-                self.sample_jitter_ns = amplitude_ns;
-            }
-            FaultKind::WorkerAdd { count } => self.grow_region(count),
-            FaultKind::WorkerRemove { count } => self.shrink_region(count),
-        }
-    }
-
-    /// Grows the region by `count` workers: dormant tail slots (left by an
-    /// earlier `WorkerRemove`) are revived first, then every per-worker
-    /// vector is extended. New workers run at full speed on the default
-    /// host until a fault says otherwise.
-    fn grow_region(&mut self, count: usize) {
-        let new_width = self.width + count;
-        while self.conn_q.len() < new_width {
-            self.eff_speed.push(1.0);
-            self.conn_q.push(VecDeque::new());
-            self.worker_busy.push(false);
-            self.worker_seq.push(0);
-            self.worker_stalled.push(None);
-            self.merge_q.push(VecDeque::new());
-            self.blocked_ns.push(0);
-            self.blocked_ns_at_sample.push(0);
-            self.load_override.push(None);
-            self.worker_alive.push(true);
-            self.worker_epoch.push(0);
-            self.conn_resume_at.push(0);
-            self.chaos_slowdown.push(1.0);
-            self.worker_busy_ns.push(0);
-        }
-        for j in self.width..new_width {
-            // A revived slot comes back healthy and unloaded.
-            self.worker_alive[j] = true;
-            self.chaos_slowdown[j] = 1.0;
-            self.load_override[j] = None;
-        }
-        if let Some((t, inst)) = &mut self.telemetry {
-            let reg = t.registry();
-            for j in inst.per_conn.len()..new_width {
-                inst.per_conn.push((
-                    reg.gauge(&format!("sim.conn{j}.blocking_rate")),
-                    reg.gauge(&format!("sim.conn{j}.weight")),
-                ));
-            }
-        }
-        self.starve_from.get_or_insert(self.width);
-        self.width = new_width;
-        self.apply_resize();
-        for j in self.width - count..self.width {
-            self.maybe_start_worker(j);
-        }
-    }
-
-    /// Shrinks the region by `count` tail workers. The splitter stops
-    /// routing to the removed slots immediately (their weight returns to
-    /// the survivors); tuples already queued there drain in order through
-    /// the still-running dormant workers.
-    fn shrink_region(&mut self, count: usize) {
-        let new_width = self.width.saturating_sub(count).max(1);
-        if new_width == self.width {
-            return;
-        }
-        if let Some(lb) = self.policy.balancer_mut() {
-            let live_survivors = (0..new_width).filter(|&j| lb.is_attached(j)).count();
-            if live_survivors == 0 {
-                // Shrinking away the only live connections would leave the
-                // balancer with nothing to allocate to; skip the event.
-                return;
-            }
-        }
-        self.width = new_width;
-        self.apply_resize();
     }
 
     /// Resizes the policy and splitter to the current logical width,
@@ -810,98 +475,621 @@ impl<'c> Engine<'c> {
         }
         self.wrr.set_units(&self.weights);
     }
+}
 
-    fn on_sample(&mut self) {
-        if matches!(
-            self.chaos.and_then(|p| p.sabotage),
-            Some(Sabotage::FlappingWidth)
-        ) {
+pub(crate) struct Engine<'c> {
+    now: u64,
+    events: EventQueue,
+    regions: Vec<Region<'c>>,
+    /// `Some` when the regions' workers time-share hosts; `None` gives
+    /// every worker its static share.
+    shared: Option<SharedHosts<'c>>,
+    resizes: &'c [ResizeEvent],
+    /// Faults to inject; only dedicated runs ([`run_chaos`]) carry a plan.
+    chaos: Option<&'c ChaosPlan>,
+    observer: Option<&'c mut dyn RoundObserver>,
+}
+
+impl<'c> Engine<'c> {
+    /// One engine over `cfgs[r]` under `policies[r]`. With `shared_hosts`
+    /// the workers' host indices refer to those hosts and contend for
+    /// their threads; `resizes` are scheduled width changes.
+    pub(crate) fn new(
+        cfgs: &'c [RegionConfig],
+        policies: impl IntoIterator<Item = &'c mut dyn Policy>,
+        shared_hosts: Option<&'c [Host]>,
+        resizes: &'c [ResizeEvent],
+        telemetry: Option<&Telemetry>,
+    ) -> Self {
+        let mut shared = shared_hosts.map(|hosts| SharedHosts {
+            hosts,
+            busy: vec![0; hosts.len()],
+            members: vec![Vec::new(); hosts.len()],
+        });
+        let regions = cfgs
+            .iter()
+            .zip(policies)
+            .enumerate()
+            .map(|(r, (cfg, policy))| {
+                let workers: Vec<Worker> = cfg
+                    .workers
+                    .iter()
+                    .zip(cfg.effective_speeds())
+                    .enumerate()
+                    .map(|(j, (w, speed))| {
+                        if let Some(sh) = &mut shared {
+                            sh.members[w.host].push((r, j));
+                        }
+                        Worker::new(w.host, speed)
+                    })
+                    .collect();
+                let prefix = match shared {
+                    Some(_) => format!("sim.region{r}"),
+                    None => "sim".to_owned(),
+                };
+                let telemetry =
+                    telemetry.map(|t| (t.clone(), Instruments::new(t, prefix, workers.len())));
+                Region::new(cfg, policy, workers, telemetry)
+            })
+            .collect();
+        Engine {
+            now: 0,
+            events: EventQueue::default(),
+            regions,
+            shared,
+            resizes,
+            chaos: None,
+            observer: None,
+        }
+    }
+
+    /// Runs to the stop condition; one [`RunResult`] per region.
+    pub(crate) fn run(mut self) -> Vec<RunResult> {
+        for r in 0..self.regions.len() {
+            self.events.push(0, r, Ev::SendNext);
+        }
+        for ev in self.resizes {
+            self.events.push(ev.t_ns, ev.region, Ev::Resize(ev.change));
+        }
+        for r in 0..self.regions.len() {
+            let first = self.regions[r].cfg.sample_interval_ns;
+            self.events.push(first, r, Ev::Sample);
+        }
+        if let Some(plan) = self.chaos {
+            for (i, ev) in plan.events.iter().enumerate() {
+                self.events.push(ev.t_ns, 0, Ev::Fault(i));
+            }
+        }
+
+        // The regions of one run share its stop condition.
+        let duration_limit = match self.regions[0].cfg.stop {
+            StopCondition::Duration(d) => Some(d),
+            StopCondition::Tuples(_) => None,
+        };
+
+        while let Some(Reverse(s)) = self.events.heap.pop() {
+            if let Some(limit) = duration_limit {
+                if s.t > limit {
+                    self.now = limit;
+                    break;
+                }
+            }
+            self.now = s.t;
+            let r = s.region;
+            match s.ev {
+                Ev::SendNext => self.on_send_next(r),
+                Ev::WorkerDone(j, stamp) => self.on_worker_done(r, j, stamp),
+                Ev::Sample => self.on_sample(r),
+                Ev::Fault(i) => self.on_fault(r, i),
+                Ev::ConnResume(j) => self.maybe_start_worker(r, j),
+                Ev::Resize(WidthChange::Grow { host, count }) => {
+                    self.grow_region(r, Some(host), count);
+                }
+                Ev::Resize(WidthChange::Shrink { count }) => self.shrink_region(r, count),
+            }
+            let reg = &mut self.regions[r];
+            while (reg.fractions.last()).is_some_and(|&(at, _, _)| at <= reg.delivered) {
+                let (_, worker, factor) = reg.fractions.pop().expect("just peeked");
+                reg.workers[worker].load_override = Some(factor);
+            }
+            if let StopCondition::Tuples(n) = reg.cfg.stop {
+                if reg.delivered >= n {
+                    break;
+                }
+            }
+        }
+
+        let now = self.now;
+        self.regions
+            .into_iter()
+            .map(|mut reg| {
+                // Fold any in-progress blocked span into the totals.
+                if let Some((conn, since, _)) = reg.blocked_on.take() {
+                    reg.workers[conn].blocked_ns += now.saturating_sub(since);
+                    if let Some((_, inst)) = &reg.telemetry {
+                        inst.blocked_ns.add(now.saturating_sub(since));
+                    }
+                }
+                RunResult {
+                    policy: reg.policy.name().to_owned(),
+                    duration_ns: now,
+                    delivered: reg.delivered,
+                    sent: reg.sent,
+                    rerouted: reg.rerouted,
+                    blocked_ns: reg.workers.iter().map(|w| w.blocked_ns).collect(),
+                    samples: reg.samples,
+                    latencies_ns: reg.latencies_ns,
+                    worker_busy_ns: reg.workers.iter().map(|w| w.busy_ns).collect(),
+                }
+            })
+            .collect()
+    }
+
+    fn on_send_next(&mut self, r: usize) {
+        let now = self.now;
+        let reg = &mut self.regions[r];
+        let exhausted = matches!(reg.cfg.stop, StopCondition::Tuples(n) if reg.sent >= n);
+        if exhausted || reg.blocked_on.is_some() {
+            return;
+        }
+        let j = reg.wrr.pick();
+        let seq = reg.sent;
+        reg.sent += 1;
+        if let Some((_, inst)) = &reg.telemetry {
+            inst.sent.incr();
+        }
+        if latency_sampled(seq) {
+            reg.entry_times.push_back(now);
+        }
+
+        let capacity = reg.cfg.conn_capacity;
+        let mut target = (reg.workers[j].conn_q.len() < capacity).then_some(j);
+        if target.is_none() && reg.policy.reroute_on_block() {
+            // §4.4: try the sibling connections instead of blocking.
+            let n = reg.width;
+            target = (1..n)
+                .map(|k| (j + k) % n)
+                .find(|&c| reg.workers[c].conn_q.len() < capacity);
+            if target.is_some() {
+                reg.rerouted += 1;
+                if let Some((_, inst)) = &reg.telemetry {
+                    inst.rerouted.incr();
+                }
+            }
+        }
+        let Some(c) = target else {
+            // Elect to block on the originally chosen connection; the
+            // pending tuple is delivered when that worker frees a slot.
+            reg.blocked_on = Some((j, now, seq));
+            if let Some((_, inst)) = &reg.telemetry {
+                inst.block_events.incr();
+            }
+            return;
+        };
+        self.enqueue(r, c, seq);
+    }
+
+    /// The splitter puts `seq` on connection `j` and, after the routing
+    /// overhead, turns to its next tuple.
+    fn enqueue(&mut self, r: usize, j: usize, seq: u64) {
+        let reg = &mut self.regions[r];
+        debug_assert!(reg.workers[j].conn_q.len() < reg.cfg.conn_capacity);
+        reg.workers[j].conn_q.push_back(seq);
+        let next_send = self.now + reg.cfg.send_overhead_ns;
+        self.maybe_start_worker(r, j);
+        self.events.push(next_send, r, Ev::SendNext);
+    }
+
+    fn maybe_start_worker(&mut self, r: usize, j: usize) {
+        let now = self.now;
+        let reg = &mut self.regions[r];
+        let w = &mut reg.workers[j];
+        if w.busy || w.stalled.is_some() {
+            return;
+        }
+        if !w.alive || now < w.resume_at {
+            // Dead workers and stalled connections pass nothing on; a
+            // scheduled restart/resume event retries this exact call.
+            return;
+        }
+        let Some(seq) = w.conn_q.pop_front() else {
+            return;
+        };
+        w.seq = seq;
+        w.busy = true;
+        let work = reg.work_ns(now, j);
+        if let Some(sh) = &mut self.shared {
+            let w = &mut reg.workers[j];
+            let host = w.host;
+            let old_rate = sh.rate(host);
+            w.remaining = work;
+            w.updated_at = now;
+            w.started_at = now;
+            sh.busy[host] += 1;
+            // Everyone on the host (including this worker) now runs at
+            // the new shared rate.
+            self.rescale_host(host, old_rate);
+        } else {
+            let service = reg.service_ns(work, reg.workers[j].speed);
+            let w = &mut reg.workers[j];
+            w.busy_ns += service;
+            self.events
+                .push(now + service, r, Ev::WorkerDone(j, w.stamp));
+        }
+        self.wake_splitter(r, j);
+    }
+
+    /// After a shared host's busy set changed, re-settles and re-schedules
+    /// every in-flight completion on it. `old_rate` applied until now.
+    fn rescale_host(&mut self, host: usize, old_rate: f64) {
+        let now = self.now;
+        let sh = self.shared.as_ref().expect("only shared hosts rescale");
+        let new_rate = sh.rate(host);
+        for &(r, j) in &sh.members[host] {
+            let w = &mut self.regions[r].workers[j];
+            if !w.busy {
+                continue;
+            }
+            w.settle(now, old_rate);
+            w.stamp += 1;
+            let finish = now + (w.remaining / new_rate).ceil() as u64;
+            self.events
+                .push(finish.max(now + 1), r, Ev::WorkerDone(j, w.stamp));
+        }
+    }
+
+    /// Delivers the splitter's pending tuple once connection `j` has buffer
+    /// space again, charging the blocked span to `j`'s counter.
+    fn wake_splitter(&mut self, r: usize, j: usize) {
+        let now = self.now;
+        let reg = &mut self.regions[r];
+        let Some((conn, since, seq)) = reg.blocked_on else {
+            return;
+        };
+        if conn != j || reg.workers[j].conn_q.len() >= reg.cfg.conn_capacity {
+            return;
+        }
+        reg.blocked_on = None;
+        reg.workers[j].blocked_ns += now - since;
+        if let Some((_, inst)) = &reg.telemetry {
+            inst.blocked_ns.add(now - since);
+        }
+        // The freed slot takes the pending tuple; the worker may be idle if
+        // the queue had drained completely while we were blocked.
+        self.enqueue(r, j, seq);
+    }
+
+    fn on_worker_done(&mut self, r: usize, j: usize, stamp: u64) {
+        let now = self.now;
+        let reg = &mut self.regions[r];
+        let w = &mut reg.workers[j];
+        if stamp != w.stamp {
+            // The worker died after starting this tuple (it went back to
+            // the connection queue), or its host's rate has changed since
+            // this completion was scheduled: void.
+            return;
+        }
+        debug_assert!(w.busy);
+        if let Some(sh) = &self.shared {
+            let rate = sh.rate(w.host);
+            w.settle(now, rate);
+            if w.remaining > 1.0 {
+                // Numerical guard: not actually finished (ceil slack); re-arm.
+                w.stamp += 1;
+                let finish = now + (w.remaining / rate).ceil() as u64;
+                self.events
+                    .push(finish.max(now + 1), r, Ev::WorkerDone(j, w.stamp));
+                return;
+            }
+            w.busy_ns += now - w.started_at;
+        }
+        w.busy = false;
+        if let Some(sh) = &mut self.shared {
+            // The worker leaves its host: everyone left on it speeds up.
+            let host = w.host;
+            let old_rate = sh.rate(host);
+            sh.busy[host] -= 1;
+            self.rescale_host(host, old_rate);
+        }
+
+        let reg = &mut self.regions[r];
+        let w = &mut reg.workers[j];
+        if w.merge_q.len() < reg.cfg.merge_capacity {
+            if w.merge_q.is_empty() {
+                reg.heads.push(Reverse((w.seq, j)));
+            }
+            w.merge_q.push_back(w.seq);
+            self.try_release(r);
+            self.maybe_start_worker(r, j);
+        } else {
+            // Reorder queue full: the worker holds its output and stalls
+            // until the merger drains a slot (Figure 3's gating).
+            w.stalled = Some(w.seq);
+        }
+    }
+
+    fn try_release(&mut self, r: usize) {
+        let now = self.now;
+        loop {
+            let reg = &mut self.regions[r];
+            let Some(&Reverse((seq, k))) = reg.heads.peek() else {
+                break;
+            };
+            if seq != reg.next_expected {
+                break;
+            }
+            reg.heads.pop();
+            let released = reg.workers[k].merge_q.pop_front();
+            debug_assert_eq!(released, Some(seq), "merger must release in order");
+            if latency_sampled(seq) {
+                let entered = (reg.entry_times.pop_front()).expect("sampled tuples were stamped");
+                reg.latencies_ns.push(now - entered);
+                if let Some((_, inst)) = &reg.telemetry {
+                    inst.latency_ns.record(now - entered);
+                }
+            }
+            reg.delivered += 1;
+            if let Some((_, inst)) = &reg.telemetry {
+                inst.delivered.incr();
+            }
+            reg.next_expected += 1;
+
+            // A freed reorder slot un-stalls the worker.
+            if let Some(held) = reg.workers[k].stalled.take() {
+                reg.workers[k].merge_q.push_back(held);
+                self.maybe_start_worker(r, k);
+            }
+            let reg = &mut self.regions[r];
+            if let Some(&head) = reg.workers[k].merge_q.front() {
+                reg.heads.push(Reverse((head, k)));
+            }
+        }
+    }
+
+    /// Applies the chaos plan's `events[i]`.
+    fn on_fault(&mut self, r: usize, i: usize) {
+        let now = self.now;
+        let plan = self.chaos.expect("fault events only exist with a plan");
+        let fault = plan.events[i].fault;
+        let reg = &mut self.regions[r];
+        reg.last_fault_ns = Some(now);
+        if let Some((t, _)) = &reg.telemetry {
+            // Leave the fault in the decision trace so violations show
+            // what disturbed the controller and when.
+            let (what, subject, detail) = match fault {
+                FaultKind::WorkerDeath { worker } => ("death", worker as f64, None),
+                FaultKind::WorkerRestart { worker } => ("restart", worker as f64, None),
+                FaultKind::Slowdown { worker, factor } => {
+                    ("slowdown", worker as f64, Some(("factor", factor)))
+                }
+                FaultKind::ConnectionStall { conn, duration_ns } => (
+                    "stall",
+                    conn as f64,
+                    Some(("duration_ns", duration_ns as f64)),
+                ),
+                FaultKind::LoadSpike { worker, factor } => {
+                    ("spike", worker as f64, Some(("factor", factor)))
+                }
+                FaultKind::SampleJitter { amplitude_ns } => {
+                    ("jitter_ns", amplitude_ns as f64, None)
+                }
+                FaultKind::WorkerAdd { count } => ("add", count as f64, None),
+                FaultKind::WorkerRemove { count } => ("remove", count as f64, None),
+            };
+            let fields = [("t_ns", now as f64), (what, subject)]
+                .into_iter()
+                .chain(detail)
+                .map(|(name, value)| (name.to_owned(), value))
+                .collect();
+            t.trace().push(TraceEvent::Custom {
+                name: "chaos.fault".to_owned(),
+                fields,
+            });
+        }
+        match fault {
+            FaultKind::WorkerDeath { worker } => {
+                let w = &mut reg.workers[worker];
+                if !w.alive {
+                    return;
+                }
+                w.alive = false;
+                if w.busy {
+                    // Crash-restart semantics: the in-flight tuple is lost
+                    // from the worker but not from the stream — it goes
+                    // back to the head of the connection queue, and the
+                    // scheduled completion is voided via its stamp.
+                    w.busy = false;
+                    w.stamp += 1;
+                    w.conn_q.push_front(w.seq);
+                }
+                // Real membership: retire the dead connection and
+                // renormalize the survivors immediately. The sabotage
+                // keeps the legacy no-detach path so the simplex oracle's
+                // mutation test still has a bug to catch.
+                if plan.sabotage != Some(Sabotage::SkipRenormalization) {
+                    if let Some(lb) = reg.policy.balancer_mut() {
+                        if lb.is_attached(worker) && lb.live_connections() > 1 {
+                            lb.detach_connection(worker);
+                            reg.install_balancer_weights();
+                        }
+                    }
+                }
+            }
+            FaultKind::WorkerRestart { worker } => {
+                if !reg.workers[worker].alive {
+                    reg.workers[worker].alive = true;
+                    self.maybe_start_worker(r, worker);
+                    let reg = &mut self.regions[r];
+                    if let Some(lb) = reg.policy.balancer_mut() {
+                        if !lb.is_attached(worker) {
+                            lb.attach_connection(worker);
+                            reg.install_balancer_weights();
+                        }
+                    }
+                }
+            }
+            FaultKind::Slowdown { worker, factor } => reg.workers[worker].slowdown = factor,
+            FaultKind::ConnectionStall { conn, duration_ns } => {
+                let until = now + duration_ns;
+                if until > reg.workers[conn].resume_at {
+                    reg.workers[conn].resume_at = until;
+                    self.events.push(until, r, Ev::ConnResume(conn));
+                }
+            }
+            FaultKind::LoadSpike { worker, factor } => {
+                reg.workers[worker].load_override = Some(factor);
+            }
+            FaultKind::SampleJitter { amplitude_ns } => reg.sample_jitter_ns = amplitude_ns,
+            FaultKind::WorkerAdd { count } => self.grow_region(r, None, count),
+            FaultKind::WorkerRemove { count } => self.shrink_region(r, count),
+        }
+    }
+
+    /// Grows region `r` by `count` workers: dormant tail slots (left by an
+    /// earlier shrink) are revived first, then fresh PEs are appended on
+    /// `host` — by default (policy decisions, chaos) the host of the
+    /// region's last slot. A fresh dedicated worker runs at full speed
+    /// until a fault says otherwise; on shared hosts it contends for
+    /// `host` like everyone placed there.
+    fn grow_region(&mut self, r: usize, host: Option<usize>, count: usize) {
+        let reg = &mut self.regions[r];
+        let old = reg.width;
+        let host = host.unwrap_or(reg.workers[old - 1].host);
+        let new_width = old + count;
+        while reg.workers.len() < new_width {
+            if let Some(sh) = &mut self.shared {
+                sh.members[host].push((r, reg.workers.len()));
+            }
+            reg.workers.push(Worker::new(host, 1.0));
+        }
+        for w in &mut reg.workers[old..new_width] {
+            // A revived slot comes back healthy and unloaded.
+            w.alive = true;
+            w.slowdown = 1.0;
+            w.load_override = None;
+        }
+        if let Some((t, inst)) = &mut reg.telemetry {
+            inst.bind_conns(t, new_width);
+        }
+        reg.starve_from.get_or_insert(old);
+        reg.width = new_width;
+        reg.apply_resize();
+        for j in old..new_width {
+            self.maybe_start_worker(r, j);
+        }
+    }
+
+    /// Shrinks region `r` by `count` tail workers. The splitter stops
+    /// routing to the removed slots immediately (their weight returns to
+    /// the survivors); tuples already queued there drain in order through
+    /// the still-running dormant workers.
+    fn shrink_region(&mut self, r: usize, count: usize) {
+        let reg = &mut self.regions[r];
+        let new_width = reg.width.saturating_sub(count).max(1);
+        if new_width == reg.width {
+            return;
+        }
+        if let Some(lb) = reg.policy.balancer_mut() {
+            if !(0..new_width).any(|j| lb.is_attached(j)) {
+                // Shrinking away the only live connections would leave the
+                // balancer with nothing to allocate to; skip the event.
+                return;
+            }
+        }
+        reg.width = new_width;
+        reg.apply_resize();
+    }
+
+    fn on_sample(&mut self, r: usize) {
+        let sabotage = self.chaos.and_then(|p| p.sabotage);
+        if sabotage == Some(Sabotage::FlappingWidth) {
             // Deliberate thrash for oracle mutation testing: a width
             // policy with no hysteresis, reversing direction every round.
             // Each individual resize is legal, so only the flapping
             // oracle's oscillation budget can catch it.
-            if self.flap_grow {
-                self.grow_region(1);
+            if self.regions[r].flap_grow {
+                self.grow_region(r, None, 1);
             } else {
-                self.shrink_region(1);
+                self.shrink_region(r, 1);
             }
-            self.flap_grow = !self.flap_grow;
+            self.regions[r].flap_grow ^= true;
         }
-        let interval = self.cfg.sample_interval_ns;
+        let now = self.now;
+        let reg = &mut self.regions[r];
+        let interval = reg.cfg.sample_interval_ns;
         // Attribute any in-progress blocked span up to now, so long blocks
         // show up smoothly across intervals (like the paper's select
         // timeouts).
-        if let Some((conn, since, seq)) = self.blocked_on {
-            self.blocked_ns[conn] += self.now - since;
-            if let Some((_, inst)) = &self.telemetry {
-                inst.blocked_ns.add(self.now - since);
+        if let Some((conn, since, seq)) = reg.blocked_on {
+            reg.workers[conn].blocked_ns += now - since;
+            if let Some((_, inst)) = &reg.telemetry {
+                inst.blocked_ns.add(now - since);
             }
-            self.blocked_on = Some((conn, self.now, seq));
+            reg.blocked_on = Some((conn, now, seq));
         }
 
-        let n = self.width;
+        let n = reg.width;
         // With a jittered sampling clock the interval actually elapsed can
         // differ from the nominal one; rates are always per elapsed time.
         // Without jitter this is exactly `interval`, bit for bit.
-        let elapsed = (self.now - self.last_sample_ns).max(1);
+        let elapsed = (now - reg.last_sample_ns).max(1);
         let mut policy_samples = Vec::with_capacity(n);
         let mut rates = Vec::with_capacity(n);
-        for j in 0..n {
-            let delta = self.blocked_ns[j] - self.blocked_ns_at_sample[j];
-            let rate = delta as f64 / elapsed as f64;
+        for (j, w) in reg.workers[..n].iter_mut().enumerate() {
+            let rate = (w.blocked_ns - w.blocked_ns_at_sample) as f64 / elapsed as f64;
             rates.push(rate);
             policy_samples.push(PolicySample {
                 connection: j,
                 rate,
-                weight: self.weights[j],
+                weight: reg.weights[j],
             });
-            self.blocked_ns_at_sample[j] = self.blocked_ns[j];
+            w.blocked_ns_at_sample = w.blocked_ns;
         }
 
         let ctx = SampleContext {
-            now_ns: self.now,
-            delivered: self.delivered,
-            workload: match self.cfg.stop {
+            now_ns: now,
+            delivered: reg.delivered,
+            workload: match reg.cfg.stop {
                 StopCondition::Tuples(n) => Some(n),
                 StopCondition::Duration(_) => None,
             },
         };
-        if let Some(new_weights) = self.policy.on_sample(&ctx, &policy_samples) {
+        if let Some(new_weights) = reg.policy.on_sample(&ctx, &policy_samples) {
             assert_eq!(new_weights.len(), n, "policy changed the region width");
-            self.weights.clear();
-            self.weights.extend_from_slice(new_weights.units());
-            self.wrr.set_weights(&new_weights);
+            reg.weights.clear();
+            reg.weights.extend_from_slice(new_weights.units());
+            reg.wrr.set_weights(&new_weights);
         }
 
-        match self.chaos.and_then(|p| p.sabotage) {
+        match sabotage {
             Some(Sabotage::SkipRenormalization) => {
                 // Deliberate bug for oracle mutation testing: dead
                 // connections lose their weight with no redistribution, so
                 // the installed allocation sums below the resolution.
                 let mut mutated = false;
                 for j in 0..n {
-                    if !self.worker_alive[j] && self.weights[j] > 0 {
-                        self.weights[j] = 0;
+                    if !reg.workers[j].alive && reg.weights[j] > 0 {
+                        reg.weights[j] = 0;
                         mutated = true;
                     }
                 }
-                if mutated && self.weights.iter().any(|&u| u > 0) {
-                    self.wrr.set_units(&self.weights);
+                if mutated && reg.weights.iter().any(|&u| u > 0) {
+                    reg.wrr.set_units(&reg.weights);
                 }
             }
             Some(Sabotage::StarveNewSlots) => {
                 // Deliberate bug: the slots added by growth are folded back
                 // onto connection 0 every round. The simplex stays intact —
                 // only the width oracle's starvation check can see it.
-                if let Some(from) = self.starve_from {
+                if let Some(from) = reg.starve_from {
                     let mut moved = 0u32;
                     for j in from..n {
-                        moved += self.weights[j];
-                        self.weights[j] = 0;
+                        moved += reg.weights[j];
+                        reg.weights[j] = 0;
                     }
                     if moved > 0 {
-                        self.weights[0] += moved;
-                        self.wrr.set_units(&self.weights);
+                        reg.weights[0] += moved;
+                        reg.wrr.set_units(&reg.weights);
                     }
                 }
             }
@@ -909,13 +1097,13 @@ impl<'c> Engine<'c> {
         }
 
         let sample = SampleTrace {
-            t_ns: self.now,
-            weights: self.weights.clone(),
+            t_ns: now,
+            weights: reg.weights.clone(),
             rates,
-            delivered: self.delivered - self.delivered_at_sample,
-            clusters: self.policy.cluster_assignment(),
+            delivered: reg.delivered - reg.delivered_at_sample,
+            clusters: reg.policy.cluster_assignment(),
         };
-        if let Some((t, inst)) = &self.telemetry {
+        if let Some((t, inst)) = &reg.telemetry {
             inst.rounds.incr();
             for (j, (rate_g, weight_g)) in inst.per_conn.iter().take(n).enumerate() {
                 rate_g.set(sample.rates[j]);
@@ -924,7 +1112,7 @@ impl<'c> Engine<'c> {
             // Mirror the in-memory SampleTrace exactly, so a run can be
             // reconstructed from the exported trace alone.
             t.trace().push(TraceEvent::Sample {
-                region: 0,
+                region: r,
                 t_ns: sample.t_ns,
                 weights: sample.weights.clone(),
                 rates: sample.rates.clone(),
@@ -932,53 +1120,55 @@ impl<'c> Engine<'c> {
                 clusters: sample.clusters.clone(),
             });
         }
-        self.samples.push(sample);
-        self.delivered_at_sample = self.delivered;
-        self.round += 1;
+        reg.samples.push(sample);
+        reg.delivered_at_sample = reg.delivered;
+        reg.round += 1;
 
-        if self.observer.is_some() {
-            let occupancy: Vec<usize> = self.merge_q.iter().take(n).map(VecDeque::len).collect();
-            let last = self.samples.last().expect("sample pushed above");
-            let mut view = RoundView {
-                round: self.round,
-                t_ns: self.now,
-                resolution: self.resolution,
-                weights: &self.weights,
+        if let Some(obs) = self.observer.as_deref_mut() {
+            let workers = &reg.workers[..n];
+            let occupancy: Vec<usize> = workers.iter().map(|w| w.merge_q.len()).collect();
+            let alive: Vec<bool> = workers.iter().map(|w| w.alive).collect();
+            let last = reg.samples.last().expect("sample pushed above");
+            obs.on_round(&mut RoundView {
+                round: reg.round,
+                t_ns: now,
+                resolution: reg.resolution,
+                weights: &reg.weights,
                 rates: &last.rates,
-                delivered: self.delivered,
-                next_expected: self.next_expected,
+                delivered: reg.delivered,
+                next_expected: reg.next_expected,
                 merge_occupancy: &occupancy,
-                merge_capacity: self.cfg.merge_capacity,
-                worker_alive: &self.worker_alive[..n],
-                last_fault_ns: self.last_fault_ns,
-                balancer: self.policy.balancer_mut(),
-            };
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_round(&mut view);
-            }
+                merge_capacity: reg.cfg.merge_capacity,
+                worker_alive: &alive,
+                last_fault_ns: reg.last_fault_ns,
+                balancer: reg.policy.balancer_mut(),
+            });
         }
 
         // Width-policy hook: the policy decides at the end of the round,
         // the engine applies by resizing the region, which calls back into
         // `Policy::on_resize` so the policy tracks its own width. The
         // default implementation holds, so fixed-width runs are untouched.
-        match self.policy.decide_width(&ctx) {
-            WidthDecision::Grow(count) if count > 0 => self.grow_region(count),
-            WidthDecision::Shrink(count) if count > 0 => self.shrink_region(count),
+        match reg.policy.decide_width(&ctx) {
+            WidthDecision::Grow(count) if count > 0 => {
+                self.grow_region(r, None, count);
+            }
+            WidthDecision::Shrink(count) if count > 0 => self.shrink_region(r, count),
             _ => {}
         }
 
-        self.last_sample_ns = self.now;
-        let next = if self.sample_jitter_ns > 0 {
+        let reg = &mut self.regions[r];
+        reg.last_sample_ns = now;
+        let next = if reg.sample_jitter_ns > 0 {
             // Jitter draws come from the run's seeded RNG, so jittered
             // runs replay exactly; runs without jitter draw nothing and
             // keep their original stream.
-            let amp = self.sample_jitter_ns.min(interval.saturating_sub(1));
-            interval - amp + self.rng.range_u64(0, 2 * amp)
+            let amp = reg.sample_jitter_ns.min(interval.saturating_sub(1));
+            interval - amp + reg.rng.range_u64(0, 2 * amp)
         } else {
             interval
         };
-        self.schedule(self.now + next, Ev::Sample);
+        self.events.push(now + next, r, Ev::Sample);
     }
 }
 

@@ -2,29 +2,26 @@
 //! ordered parallel regions run in one event loop, their workers competing
 //! for the hardware threads of shared hosts.
 //!
-//! Where [`engine`](crate::engine) simulates one region with fixed
-//! effective speeds, this engine models the §8 cluster reality: a host with
-//! `threads` hardware threads and `b` *currently busy* PEs runs each of
-//! them at `speed × min(1, threads / b)`. Whenever a worker starts or
-//! finishes a tuple, the remaining work of every in-flight tuple on that
-//! host is re-scaled — the classic processor-sharing discrete-event scheme
-//! with versioned completion events.
+//! This is the [`engine`](crate::engine) built with shared hosts: where a
+//! single-region run gives every worker a fixed effective speed, a coupled
+//! run models the §8 cluster reality — a host with `threads` hardware
+//! threads and `b` *currently busy* PEs runs each of them at
+//! `speed × min(1, threads / b)`, re-scaled whenever a worker starts or
+//! finishes a tuple. Everything else (splitter, bounded connection
+//! buffers, in-order merger, control loop, resizes) is the one engine's
+//! code, so each region behaves exactly like a single-region run whose
+//! workers happen to have neighbours.
 //!
-//! Each region keeps its own splitter (WRR + blocking accounting), bounded
-//! connection buffers, in-order merger and balancing [`Policy`]; regions
-//! couple *only* through host contention, exactly as co-located PEs do.
+//! This module holds the coupled run's configuration and its entry points.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use streambal_telemetry::Telemetry;
 
-use streambal_control::{ScriptedWidth, WidthDecision};
-use streambal_core::weights::{WeightVector, WrrScheduler};
-use streambal_telemetry::{Telemetry, TraceEvent};
-
-use crate::config::ConfigError;
+use crate::config::{ConfigError, RegionConfig, StopCondition, WorkerSpec};
+use crate::engine::Engine;
 use crate::host::Host;
-use crate::metrics::{RunResult, SampleTrace};
-use crate::policy::{Policy, PolicySample, SampleContext};
+use crate::load::LoadSchedule;
+use crate::metrics::RunResult;
+use crate::policy::Policy;
 
 /// One region of a multi-region simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,10 +53,32 @@ impl MultiRegionSpec {
         }
     }
 
-    fn work_ns(&self, worker: usize) -> f64 {
-        // Workers added by a mid-run grow have no load entry: unloaded.
-        let load = self.load.get(worker).copied().unwrap_or(1.0);
-        self.base_cost as f64 * self.mult_ns * load
+    /// This region as the engine's [`RegionConfig`]: constant loads, exact
+    /// service times (the coupling is the only noise source), a reorder
+    /// queue that never gates, and the run's shared clock settings.
+    fn lower(&self, run: &MultiConfig) -> RegionConfig {
+        let workers = self.workers.iter().zip(&self.load);
+        RegionConfig {
+            workers: workers
+                .map(|(&host, &factor)| WorkerSpec {
+                    host,
+                    load: LoadSchedule::constant(factor),
+                })
+                .collect(),
+            hosts: run.hosts.clone(),
+            base_cost: self.base_cost,
+            mult_ns: self.mult_ns,
+            send_overhead_ns: self.send_overhead_ns,
+            conn_capacity: self.conn_capacity,
+            merge_capacity: usize::MAX,
+            sample_interval_ns: run.sample_interval_ns,
+            stop: StopCondition::Duration(run.duration_ns),
+            fraction_events: Vec::new(),
+            jitter: 0.0,
+            hiccup_prob: 0.0,
+            hiccup_ns: 0,
+            seed: 0,
+        }
     }
 }
 
@@ -174,77 +193,28 @@ fn validate_resizes(cfg: &MultiConfig, resizes: &[ResizeEvent]) -> Result<(), Co
     Ok(())
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
-    SendNext(usize),
-    WorkerDone { worker: usize, version: u64 },
-    Sample,
-    Resize(usize),
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct Scheduled {
-    t: u64,
-    tie: u64,
-    ev: Ev,
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// Validates, lowers every region to the [`RegionConfig`] the engine runs
+/// and drives them on one shared-host engine.
+fn run_coupled(
+    cfg: &MultiConfig,
+    mut policies: Vec<Box<dyn Policy>>,
+    resizes: &[ResizeEvent],
+    telemetry: Option<&Telemetry>,
+) -> Result<Vec<RunResult>, ConfigError> {
+    cfg.validate()?;
+    if policies.len() != cfg.regions.len() {
+        return Err(ConfigError::PolicyCount {
+            regions: cfg.regions.len(),
+            policies: policies.len(),
+        });
     }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.t.cmp(&other.t).then_with(|| self.tie.cmp(&other.tie))
+    validate_resizes(cfg, resizes)?;
+    let regions: Vec<RegionConfig> = cfg.regions.iter().map(|r| r.lower(cfg)).collect();
+    if let Some(t) = telemetry {
+        policies.iter_mut().for_each(|p| p.attach_telemetry(t));
     }
-}
-
-/// A worker PE's processor-sharing execution state.
-struct WorkerState {
-    region: usize,
-    index_in_region: usize,
-    host: usize,
-    /// Sequence number of the tuple in flight, if busy.
-    current: Option<u64>,
-    /// Remaining work (ns at speed 1.0) of the in-flight tuple.
-    remaining: f64,
-    /// When `remaining` was last brought up to date.
-    updated_at: u64,
-    /// When the in-flight tuple started (for busy-time accounting).
-    started_at: u64,
-    /// Completion-event version; stale events are ignored.
-    version: u64,
-}
-
-/// Per-region plumbing.
-///
-/// `width` is the region's *logical* width — the slots the splitter feeds.
-/// The physical per-slot vectors only ever grow: a shrunk tail stays
-/// dormant (draining its queued tuples in order) and is revived before
-/// fresh slots are appended on a later grow.
-struct RegionState {
-    width: usize,
-    resolution: u32,
-    wrr: WrrScheduler,
-    weights: Vec<u32>,
-    policy: Box<dyn Policy>,
-    next_seq: u64,
-    blocked_on: Option<(usize, u64, u64)>,
-    blocked_ns: Vec<u64>,
-    blocked_at_sample: Vec<u64>,
-    conn_q: Vec<VecDeque<u64>>,
-    merge_q: Vec<VecDeque<u64>>,
-    heads: BinaryHeap<Reverse<(u64, usize)>>,
-    next_expected: u64,
-    delivered: u64,
-    delivered_at_sample: u64,
-    sent: u64,
-    samples: Vec<SampleTrace>,
-    /// Global ids of this region's workers.
-    worker_ids: Vec<usize>,
-    worker_busy_ns: Vec<u64>,
+    let policies = policies.iter_mut().map(|p| &mut **p as &mut dyn Policy);
+    Ok(Engine::new(&regions, policies, Some(&cfg.hosts), resizes, telemetry).run())
 }
 
 /// Runs a coupled multi-region simulation; one policy per region.
@@ -254,17 +224,13 @@ struct RegionState {
 /// # Errors
 ///
 /// Returns a [`ConfigError`] when the configuration is invalid or the
-/// policy count does not match the region count (reported as
-/// [`ConfigError::NoWorkers`]).
+/// policy count does not match the region count
+/// ([`ConfigError::PolicyCount`]).
 pub fn run_multi(
     cfg: &MultiConfig,
     policies: Vec<Box<dyn Policy>>,
 ) -> Result<Vec<RunResult>, ConfigError> {
-    cfg.validate()?;
-    if policies.len() != cfg.regions.len() {
-        return Err(ConfigError::NoWorkers);
-    }
-    Ok(MultiEngine::new(cfg, policies, None, Vec::new()).run())
+    run_coupled(cfg, policies, &[], None)
 }
 
 /// Like [`run_multi`], with a schedule of live width changes: regions
@@ -282,18 +248,14 @@ pub fn run_multi_elastic(
     policies: Vec<Box<dyn Policy>>,
     resizes: &[ResizeEvent],
 ) -> Result<Vec<RunResult>, ConfigError> {
-    cfg.validate()?;
-    if policies.len() != cfg.regions.len() {
-        return Err(ConfigError::NoWorkers);
-    }
-    validate_resizes(cfg, resizes)?;
-    Ok(MultiEngine::new(cfg, policies, None, resizes.to_vec()).run())
+    run_coupled(cfg, policies, resizes, None)
 }
 
-/// Like [`run_multi`], with a telemetry hub attached: each region's control
-/// rounds leave [`TraceEvent::Sample`] records tagged with the region index,
-/// per-region totals are published under `sim.region<r>.*`, and each policy
-/// gets [`Policy::attach_telemetry`].
+/// Like [`run_multi`], with a telemetry hub attached: each region publishes
+/// the single-region metric families under `sim.region<r>.*`, its control
+/// rounds leave [`TraceEvent::Sample`](streambal_telemetry::TraceEvent)
+/// records tagged with the region index, and each policy gets
+/// [`Policy::attach_telemetry`].
 ///
 /// # Errors
 ///
@@ -301,451 +263,10 @@ pub fn run_multi_elastic(
 /// policy count does not match the region count.
 pub fn run_multi_with_telemetry(
     cfg: &MultiConfig,
-    mut policies: Vec<Box<dyn Policy>>,
+    policies: Vec<Box<dyn Policy>>,
     telemetry: &Telemetry,
 ) -> Result<Vec<RunResult>, ConfigError> {
-    cfg.validate()?;
-    if policies.len() != cfg.regions.len() {
-        return Err(ConfigError::NoWorkers);
-    }
-    for p in &mut policies {
-        p.attach_telemetry(telemetry);
-    }
-    Ok(MultiEngine::new(cfg, policies, Some(telemetry.clone()), Vec::new()).run())
-}
-
-struct MultiEngine<'c> {
-    cfg: &'c MultiConfig,
-    telemetry: Option<Telemetry>,
-    now: u64,
-    events: BinaryHeap<Reverse<Scheduled>>,
-    tie: u64,
-    regions: Vec<RegionState>,
-    workers: Vec<WorkerState>,
-    /// Busy-worker count per host.
-    host_busy: Vec<u32>,
-    /// Scheduled live width changes, indexed by [`Ev::Resize`]. The
-    /// events carry the *where* (region, host placement, wakeup time);
-    /// the *what* lives in the per-region [`ScriptedWidth`] adapters.
-    resizes: Vec<ResizeEvent>,
-    /// Per-region scripted-width policies compiled from `resizes` in
-    /// firing order; each [`Ev::Resize`] wakeup pops the region's next
-    /// step via [`ScriptedWidth::fire_next`], so every width mutation
-    /// goes through a [`WidthDecision`] like the other layers.
-    scripts: Vec<ScriptedWidth>,
-}
-
-impl<'c> MultiEngine<'c> {
-    fn new(
-        cfg: &'c MultiConfig,
-        policies: Vec<Box<dyn Policy>>,
-        telemetry: Option<Telemetry>,
-        resizes: Vec<ResizeEvent>,
-    ) -> Self {
-        let mut workers = Vec::new();
-        let mut regions = Vec::new();
-        for (ri, (spec, policy)) in cfg.regions.iter().zip(policies).enumerate() {
-            let n = spec.workers.len();
-            let initial = policy.initial_weights(n);
-            let mut worker_ids = Vec::with_capacity(n);
-            for (i, &host) in spec.workers.iter().enumerate() {
-                worker_ids.push(workers.len());
-                workers.push(WorkerState {
-                    region: ri,
-                    index_in_region: i,
-                    host,
-                    current: None,
-                    remaining: 0.0,
-                    updated_at: 0,
-                    started_at: 0,
-                    version: 0,
-                });
-            }
-            regions.push(RegionState {
-                width: n,
-                resolution: initial.resolution(),
-                wrr: WrrScheduler::new(&initial),
-                weights: initial.units().to_vec(),
-                policy,
-                next_seq: 0,
-                blocked_on: None,
-                blocked_ns: vec![0; n],
-                blocked_at_sample: vec![0; n],
-                conn_q: (0..n).map(|_| VecDeque::new()).collect(),
-                merge_q: (0..n).map(|_| VecDeque::new()).collect(),
-                heads: BinaryHeap::new(),
-                next_expected: 0,
-                delivered: 0,
-                delivered_at_sample: 0,
-                sent: 0,
-                samples: Vec::new(),
-                worker_ids,
-                worker_busy_ns: vec![0; n],
-            });
-        }
-        // Compile each region's schedule into a ScriptedWidth adapter in
-        // firing order (time, then plan order — the same tie-break as the
-        // event heap), so each Resize wakeup pops exactly its own step.
-        let mut scripts = vec![ScriptedWidth::new(); cfg.regions.len()];
-        let mut order: Vec<usize> = (0..resizes.len()).collect();
-        order.sort_by_key(|&i| (resizes[i].t_ns, i));
-        for i in order {
-            let ev = resizes[i];
-            match ev.change {
-                WidthChange::Grow { count, .. } => {
-                    scripts[ev.region].step_at_ns(ev.t_ns, true, count);
-                }
-                WidthChange::Shrink { count } => {
-                    scripts[ev.region].step_at_ns(ev.t_ns, false, count);
-                }
-            }
-        }
-        MultiEngine {
-            cfg,
-            telemetry,
-            now: 0,
-            events: BinaryHeap::new(),
-            tie: 0,
-            regions,
-            workers,
-            host_busy: vec![0; cfg.hosts.len()],
-            resizes,
-            scripts,
-        }
-    }
-
-    fn schedule(&mut self, t: u64, ev: Ev) {
-        self.tie += 1;
-        self.events.push(Reverse(Scheduled {
-            t,
-            tie: self.tie,
-            ev,
-        }));
-    }
-
-    fn host_rate(&self, host: usize) -> f64 {
-        let h = self.cfg.hosts[host];
-        let busy = self.host_busy[host].max(1);
-        h.speed * (f64::from(h.threads) / f64::from(busy)).min(1.0)
-    }
-
-    /// Brings a worker's remaining work up to date at `now` under the rate
-    /// that has applied since its last update.
-    fn settle(&mut self, w: usize, rate: f64) {
-        let elapsed = (self.now - self.workers[w].updated_at) as f64;
-        self.workers[w].remaining = (self.workers[w].remaining - elapsed * rate).max(0.0);
-        self.workers[w].updated_at = self.now;
-    }
-
-    /// After a host's busy-set changed, re-settle and re-schedule every
-    /// in-flight completion on it. `old_rate` applied until `now`.
-    fn rescale_host(&mut self, host: usize, old_rate: f64) {
-        let new_rate = self.host_rate(host);
-        let ids: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| self.workers[w].host == host && self.workers[w].current.is_some())
-            .collect();
-        for w in ids {
-            self.settle(w, old_rate);
-            self.workers[w].version += 1;
-            let finish = self.now + (self.workers[w].remaining / new_rate).ceil() as u64;
-            let version = self.workers[w].version;
-            self.schedule(
-                finish.max(self.now + 1),
-                Ev::WorkerDone { worker: w, version },
-            );
-        }
-    }
-
-    fn run(mut self) -> Vec<RunResult> {
-        for r in 0..self.regions.len() {
-            self.schedule(0, Ev::SendNext(r));
-        }
-        for i in 0..self.resizes.len() {
-            self.schedule(self.resizes[i].t_ns, Ev::Resize(i));
-        }
-        self.schedule(self.cfg.sample_interval_ns, Ev::Sample);
-
-        while let Some(Reverse(s)) = self.events.pop() {
-            if s.t > self.cfg.duration_ns {
-                self.now = self.cfg.duration_ns;
-                break;
-            }
-            self.now = s.t;
-            match s.ev {
-                Ev::SendNext(r) => self.on_send_next(r),
-                Ev::WorkerDone { worker, version } => self.on_worker_done(worker, version),
-                Ev::Sample => self.on_sample(),
-                Ev::Resize(i) => self.on_resize(i),
-            }
-        }
-
-        let now = self.now;
-        let telemetry = self.telemetry.take();
-        self.regions
-            .iter_mut()
-            .enumerate()
-            .map(|(ri, r)| {
-                if let Some((conn, since, _)) = r.blocked_on.take() {
-                    r.blocked_ns[conn] += now.saturating_sub(since);
-                }
-                if let Some(t) = &telemetry {
-                    let reg = t.registry();
-                    reg.counter(&format!("sim.region{ri}.delivered"))
-                        .add(r.delivered);
-                    reg.counter(&format!("sim.region{ri}.sent")).add(r.sent);
-                    reg.counter(&format!("sim.region{ri}.blocked_ns"))
-                        .add(r.blocked_ns.iter().sum());
-                }
-                RunResult {
-                    policy: r.policy.name().to_owned(),
-                    duration_ns: now,
-                    delivered: r.delivered,
-                    sent: r.sent,
-                    rerouted: 0,
-                    blocked_ns: std::mem::take(&mut r.blocked_ns),
-                    samples: std::mem::take(&mut r.samples),
-                    latencies_ns: Vec::new(),
-                    worker_busy_ns: std::mem::take(&mut r.worker_busy_ns),
-                }
-            })
-            .collect()
-    }
-
-    fn on_send_next(&mut self, r: usize) {
-        if self.regions[r].blocked_on.is_some() {
-            return;
-        }
-        let j = self.regions[r].wrr.pick();
-        let seq = self.regions[r].next_seq;
-        self.regions[r].next_seq += 1;
-        self.regions[r].sent += 1;
-        if self.regions[r].conn_q[j].len() < self.cfg.regions[r].conn_capacity {
-            self.regions[r].conn_q[j].push_back(seq);
-            self.maybe_start_worker(r, j);
-            let overhead = self.cfg.regions[r].send_overhead_ns;
-            self.schedule(self.now + overhead, Ev::SendNext(r));
-        } else {
-            self.regions[r].blocked_on = Some((j, self.now, seq));
-        }
-    }
-
-    fn maybe_start_worker(&mut self, r: usize, j: usize) {
-        let w = self.regions[r].worker_ids[j];
-        if self.workers[w].current.is_some() {
-            return;
-        }
-        let Some(seq) = self.regions[r].conn_q[j].pop_front() else {
-            return;
-        };
-        let host = self.workers[w].host;
-        let old_rate = self.host_rate(host);
-        self.workers[w].current = Some(seq);
-        self.workers[w].remaining = self.cfg.regions[r].work_ns(j);
-        self.workers[w].updated_at = self.now;
-        self.workers[w].started_at = self.now;
-        self.host_busy[host] += 1;
-        // Everyone on the host (including this worker) now runs at the new
-        // shared rate.
-        self.rescale_host(host, old_rate);
-        self.wake_splitter(r, j);
-    }
-
-    fn wake_splitter(&mut self, r: usize, j: usize) {
-        let Some((conn, since, seq)) = self.regions[r].blocked_on else {
-            return;
-        };
-        if conn != j || self.regions[r].conn_q[j].len() >= self.cfg.regions[r].conn_capacity {
-            return;
-        }
-        self.regions[r].blocked_on = None;
-        self.regions[r].blocked_ns[j] += self.now - since;
-        self.regions[r].conn_q[j].push_back(seq);
-        self.maybe_start_worker(r, j);
-        let overhead = self.cfg.regions[r].send_overhead_ns;
-        self.schedule(self.now + overhead, Ev::SendNext(r));
-    }
-
-    fn on_worker_done(&mut self, w: usize, version: u64) {
-        if self.workers[w].version != version || self.workers[w].current.is_none() {
-            return; // stale completion from before a rescale
-        }
-        let host = self.workers[w].host;
-        let old_rate = self.host_rate(host);
-        self.settle(w, old_rate);
-        if self.workers[w].remaining > 1.0 {
-            // Numerical guard: not actually finished (ceil slack); re-arm.
-            self.workers[w].version += 1;
-            let finish = self.now + (self.workers[w].remaining / old_rate).ceil() as u64;
-            let version = self.workers[w].version;
-            self.schedule(
-                finish.max(self.now + 1),
-                Ev::WorkerDone { worker: w, version },
-            );
-            return;
-        }
-        let seq = self.workers[w].current.take().expect("checked busy");
-        let (r, j) = (self.workers[w].region, self.workers[w].index_in_region);
-        self.regions[r].worker_busy_ns[j] += self.now - self.workers[w].started_at;
-        self.host_busy[host] -= 1;
-        self.workers[w].version += 1;
-        self.rescale_host(host, old_rate);
-
-        // Merge (memory-bounded reorder, as in the single-region engine).
-        if self.regions[r].merge_q[j].is_empty() {
-            self.regions[r].heads.push(Reverse((seq, j)));
-        }
-        self.regions[r].merge_q[j].push_back(seq);
-        self.try_release(r);
-        self.maybe_start_worker(r, j);
-    }
-
-    fn try_release(&mut self, r: usize) {
-        while let Some(&Reverse((seq, k))) = self.regions[r].heads.peek() {
-            if seq != self.regions[r].next_expected {
-                break;
-            }
-            self.regions[r].heads.pop();
-            let released = self.regions[r].merge_q[k].pop_front();
-            debug_assert_eq!(released, Some(seq), "merger must release in order");
-            self.regions[r].delivered += 1;
-            self.regions[r].next_expected += 1;
-            if let Some(&head) = self.regions[r].merge_q[k].front() {
-                self.regions[r].heads.push(Reverse((head, k)));
-            }
-        }
-    }
-
-    fn on_resize(&mut self, i: usize) {
-        let ev = self.resizes[i];
-        // The event only carries placement; the step itself comes from the
-        // region's scripted-width policy, like every other resize path.
-        match self.scripts[ev.region].fire_next() {
-            WidthDecision::Grow(count) => {
-                let host = match ev.change {
-                    WidthChange::Grow { host, .. } => host,
-                    WidthChange::Shrink { .. } => 0,
-                };
-                self.grow_region(ev.region, host, count);
-            }
-            WidthDecision::Shrink(count) => self.shrink_region(ev.region, count),
-            WidthDecision::Hold => {}
-        }
-    }
-
-    fn grow_region(&mut self, r: usize, host: usize, count: usize) {
-        let old = self.regions[r].width;
-        let new_width = old + count;
-        // Physical slots only ever grow: revive any dormant (previously
-        // shrunk) tail first, then append fresh PEs on `host`.
-        while self.regions[r].conn_q.len() < new_width {
-            let j = self.regions[r].conn_q.len();
-            let id = self.workers.len();
-            self.regions[r].worker_ids.push(id);
-            self.workers.push(WorkerState {
-                region: r,
-                index_in_region: j,
-                host,
-                current: None,
-                remaining: 0.0,
-                updated_at: self.now,
-                started_at: self.now,
-                version: 0,
-            });
-            self.regions[r].blocked_ns.push(0);
-            self.regions[r].blocked_at_sample.push(0);
-            self.regions[r].conn_q.push(VecDeque::new());
-            self.regions[r].merge_q.push(VecDeque::new());
-            self.regions[r].worker_busy_ns.push(0);
-        }
-        self.regions[r].width = new_width;
-        self.apply_resize(r);
-        for j in old..new_width {
-            self.maybe_start_worker(r, j);
-        }
-    }
-
-    fn shrink_region(&mut self, r: usize, count: usize) {
-        let old = self.regions[r].width;
-        let new_width = old.saturating_sub(count).max(1);
-        if new_width == old {
-            return;
-        }
-        // The retired tail keeps draining whatever it already queued (the
-        // merger still releases those tuples in order); the splitter just
-        // stops feeding it.
-        self.regions[r].width = new_width;
-        self.apply_resize(r);
-    }
-
-    fn apply_resize(&mut self, r: usize) {
-        let region = &mut self.regions[r];
-        let width = region.width;
-        let weights = region
-            .policy
-            .on_resize(width)
-            .unwrap_or_else(|| WeightVector::even(width, region.resolution));
-        region.weights.clear();
-        region.weights.extend_from_slice(weights.units());
-        region.wrr.resize(&weights);
-    }
-
-    fn on_sample(&mut self) {
-        let interval = self.cfg.sample_interval_ns;
-        let now = self.now;
-        for r in 0..self.regions.len() {
-            if let Some((conn, since, seq)) = self.regions[r].blocked_on {
-                self.regions[r].blocked_ns[conn] += now - since;
-                self.regions[r].blocked_on = Some((conn, now, seq));
-            }
-            let n = self.regions[r].width;
-            let mut rates = Vec::with_capacity(n);
-            let mut samples = Vec::with_capacity(n);
-            for j in 0..n {
-                let delta = self.regions[r].blocked_ns[j] - self.regions[r].blocked_at_sample[j];
-                let rate = delta as f64 / interval as f64;
-                rates.push(rate);
-                samples.push(PolicySample {
-                    connection: j,
-                    rate,
-                    weight: self.regions[r].weights[j],
-                });
-                self.regions[r].blocked_at_sample[j] = self.regions[r].blocked_ns[j];
-            }
-            let ctx = SampleContext {
-                now_ns: now,
-                delivered: self.regions[r].delivered,
-                workload: None,
-            };
-            let region = &mut self.regions[r];
-            if let Some(new_weights) = region.policy.on_sample(&ctx, &samples) {
-                region.weights.clear();
-                region.weights.extend_from_slice(new_weights.units());
-                region.wrr.set_weights(&new_weights);
-            }
-            let delivered_delta = region.delivered - region.delivered_at_sample;
-            region.delivered_at_sample = region.delivered;
-            let clusters = region.policy.cluster_assignment();
-            let sample = SampleTrace {
-                t_ns: now,
-                weights: region.weights.clone(),
-                rates,
-                delivered: delivered_delta,
-                clusters,
-            };
-            if let Some(t) = &self.telemetry {
-                t.trace().push(TraceEvent::Sample {
-                    region: r,
-                    t_ns: sample.t_ns,
-                    weights: sample.weights.clone(),
-                    rates: sample.rates.clone(),
-                    delivered: sample.delivered,
-                    clusters: sample.clusters.clone(),
-                });
-            }
-            region.samples.push(sample);
-        }
-        self.schedule(now + interval, Ev::Sample);
-    }
+    run_coupled(cfg, policies, &[], Some(telemetry))
 }
 
 #[cfg(test)]
@@ -753,6 +274,8 @@ mod tests {
     use super::*;
     use crate::policy::{BalancerPolicy, RoundRobinPolicy};
     use crate::SECOND_NS;
+    use std::time::Duration;
+    use streambal_control::ScriptedWidth;
     use streambal_core::controller::BalancerConfig;
 
     fn rr() -> Box<dyn Policy> {
@@ -1000,6 +523,128 @@ mod tests {
             },
         ];
         assert!(run_multi_elastic(&cfg, vec![rr()], &ok).is_ok());
+    }
+
+    #[test]
+    fn policy_count_mismatch_names_both_counts() {
+        let cfg = MultiConfig {
+            hosts: vec![Host::slow()],
+            regions: vec![MultiRegionSpec::uniform(2, 0, 1_000, 500.0); 2],
+            sample_interval_ns: SECOND_NS,
+            duration_ns: SECOND_NS,
+        };
+        let expected = ConfigError::PolicyCount {
+            regions: 2,
+            policies: 1,
+        };
+        assert_eq!(run_multi(&cfg, vec![rr()]).unwrap_err(), expected);
+        assert_eq!(
+            run_multi_elastic(&cfg, vec![rr()], &[]).unwrap_err(),
+            expected
+        );
+        let telemetry = Telemetry::new();
+        assert_eq!(
+            run_multi_with_telemetry(&cfg, vec![rr()], &telemetry).unwrap_err(),
+            expected
+        );
+        let message = expected.to_string();
+        assert!(
+            message.contains("2 regions") && message.contains("1 policies"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn rerouting_works_inside_the_coupled_engine() {
+        // Worker 0 is 100x loaded, so its buffer fills long before its
+        // sibling's: the §4.4 baseline must hand those tuples over instead
+        // of blocking, exactly as it does in a single-region run.
+        let mut spec = MultiRegionSpec::uniform(2, 0, 1_000, 500.0);
+        spec.load[0] = 100.0;
+        let cfg = MultiConfig {
+            hosts: vec![Host::slow()],
+            regions: vec![spec],
+            sample_interval_ns: SECOND_NS,
+            duration_ns: 10 * SECOND_NS,
+        };
+        let plain = run_multi(&cfg, vec![rr()]).unwrap();
+        assert_eq!(plain[0].rerouted, 0);
+        let rerouting: Box<dyn Policy> = Box::new(RoundRobinPolicy::with_reroute());
+        let r = &run_multi(&cfg, vec![rerouting]).unwrap()[0];
+        assert!(r.rerouted > 0, "rerouting baseline must reroute");
+        assert!(
+            (r.rerouted as f64) < 0.5 * r.sent as f64,
+            "rerouting is a rare event: {} of {}",
+            r.rerouted,
+            r.sent
+        );
+    }
+
+    #[test]
+    fn policy_grown_slots_contend_on_the_tail_slots_host() {
+        // One PE on a 1-thread host, one on an 8-thread host; the region's
+        // own width policy asks for two more at t=3s. Policy-grown slots
+        // land on the host of the region's last slot, so which host comes
+        // last decides whether the newcomers time-share the small host
+        // (3 PEs on 1 thread) or fit on the big one.
+        let run = |workers: Vec<usize>| {
+            let mut spec = MultiRegionSpec::uniform(2, 0, 1_000, 500.0);
+            spec.workers = workers;
+            let cfg = MultiConfig {
+                hosts: vec![Host::new(1, 1.0), Host::slow()],
+                regions: vec![spec],
+                sample_interval_ns: SECOND_NS,
+                duration_ns: 20 * SECOND_NS,
+            };
+            let mut script = ScriptedWidth::new();
+            script.grow_after(Duration::from_secs(3), 2);
+            let lb = BalancerPolicy::adaptive(BalancerConfig::builder(2).build().unwrap())
+                .with_width_policy(Box::new(script));
+            run_multi(&cfg, vec![Box::new(lb)]).unwrap().remove(0)
+        };
+        let crowded = run(vec![1, 0]);
+        let roomy = run(vec![0, 1]);
+        for r in [&crowded, &roomy] {
+            let last = r.samples.last().unwrap();
+            assert_eq!(last.weights.len(), 4, "the policy's grow was applied");
+            assert!(last.weights[2] > 0 && last.weights[3] > 0);
+            assert!(r.worker_busy_ns[2] > 0 && r.worker_busy_ns[3] > 0);
+        }
+        // Identical until the grow; then 1 + 3x(1/3) against 4 full-speed PEs.
+        assert_eq!(crowded.samples[1], roomy.samples[1]);
+        assert!(
+            crowded.final_throughput(5) < 0.75 * roomy.final_throughput(5),
+            "newcomers must contend on the small host: {} vs {}",
+            crowded.final_throughput(5),
+            roomy.final_throughput(5)
+        );
+    }
+
+    #[test]
+    fn coupled_regions_publish_the_single_region_metric_families() {
+        let cfg = MultiConfig {
+            hosts: vec![Host::slow()],
+            regions: vec![
+                MultiRegionSpec::uniform(2, 0, 1_000, 500.0),
+                MultiRegionSpec::uniform(3, 0, 1_000, 500.0),
+            ],
+            sample_interval_ns: SECOND_NS,
+            duration_ns: 3 * SECOND_NS,
+        };
+        let telemetry = Telemetry::new();
+        let results = run_multi_with_telemetry(&cfg, vec![rr(), rr()], &telemetry).unwrap();
+        let reg = telemetry.registry();
+        for (r, result) in results.iter().enumerate() {
+            let counter = |name: &str| reg.counter(&format!("sim.region{r}.{name}")).get();
+            assert_eq!(counter("merger.delivered"), result.delivered);
+            assert_eq!(counter("splitter.sent"), result.sent);
+            assert_eq!(
+                counter("splitter.blocked_ns"),
+                result.blocked_ns.iter().sum::<u64>()
+            );
+            assert_eq!(counter("controller.rounds"), 3);
+            assert!(!result.latencies_ns.is_empty(), "latencies are sampled");
+        }
     }
 
     #[test]
