@@ -7,7 +7,8 @@
 //! runtime, a TCP runtime, a dataflow pipeline. [`ControlPlane`] owns that
 //! round lifecycle exactly once:
 //!
-//! 1. ingest one interval's blocking rates (optionally capped),
+//! 1. ingest one interval's blocking rates (capped at 10.0 on their way into
+//!    the model),
 //! 2. [`LoadBalancer::observe`] + [`LoadBalancer::rebalance`],
 //! 3. install the weights into the routing fabric (via [`DataPlane`]),
 //! 4. emit metrics and trace events to [`streambal_telemetry`], and
@@ -54,6 +55,14 @@ pub use width::{
     WidthView,
 };
 
+/// Observed blocking rates are capped at this value before they reach the
+/// model: a wall-clock plane divides blocked time by the *nominal* interval,
+/// so a late round reads as a rate above 1, and the cap keeps such a spike
+/// from dominating a function's fit. Rates measured over the true interval
+/// (the simulators') never exceed 1, so for them this is a no-op. Snapshots,
+/// gauges and trace events carry the raw rates.
+const RATE_CAP: f64 = 10.0;
+
 /// One control round's outcome, shared by every data plane's report type
 /// (`runtime`'s snapshots and `dataflow`'s region traces are aliases of
 /// this).
@@ -81,12 +90,6 @@ pub trait DataPlane {
     /// [`open_slot`](Self::open_slot) / [`close_slot`](Self::close_slot)
     /// change the width itself).
     fn connections(&self) -> usize;
-
-    /// Stable per-slot identifiers, used to label per-connection metrics.
-    /// Defaults to `0..connections()`.
-    fn connection_ids(&self) -> Vec<usize> {
-        (0..self.connections()).collect()
-    }
 
     /// Called at the top of each round, before sampling (apply scheduled
     /// load changes, etc.). Defaults to a no-op.
@@ -154,7 +157,6 @@ pub trait DataPlane {
 pub struct ControlPlaneBuilder {
     cfg: BalancerConfig,
     balancing: bool,
-    rate_cap: Option<f64>,
     keep_snapshots: bool,
     telemetry: Option<Telemetry>,
     metrics_prefix: Option<String>,
@@ -166,14 +168,6 @@ impl ControlPlaneBuilder {
     /// observes or rebalances (round-robin baselines).
     pub fn round_robin(mut self) -> Self {
         self.balancing = false;
-        self
-    }
-
-    /// Caps observed blocking rates before they reach the model (the
-    /// wall-clock runtimes clamp noisy spikes at 10.0). Snapshots, gauges
-    /// and trace events still carry the raw rates.
-    pub fn rate_cap(mut self, cap: f64) -> Self {
-        self.rate_cap = Some(cap);
         self
     }
 
@@ -225,20 +219,20 @@ impl ControlPlaneBuilder {
         ControlPlane {
             lb,
             balancing: self.balancing,
-            rate_cap: self.rate_cap,
             keep_snapshots: self.keep_snapshots,
             snapshots: Vec::new(),
             telemetry: self.telemetry,
             metrics_prefix: self.metrics_prefix,
             metrics: None,
-            scale_metrics: None,
             samples_buf: Vec::with_capacity(n),
             width_policy: self.width_policy,
         }
     }
 }
 
-/// Per-round metric handles.
+/// Metric handles, bound together at the current width: the per-round
+/// families, the `width` gauge and the
+/// `autoscale.{grow,shrink,hold,cooldown_suppressed}` decision counters.
 #[derive(Debug, Clone)]
 struct RoundMetrics {
     rounds: Counter,
@@ -251,12 +245,6 @@ struct RoundMetrics {
     /// Distinct knee feature vectors at the last full recluster: the size
     /// of the agglomeration it ran, against `live` connections clustered.
     cluster_distinct: Gauge,
-}
-
-/// Width-policy metric handles: the `width` gauge plus the
-/// `autoscale.{grow,shrink,hold,cooldown_suppressed}` decision counters.
-#[derive(Debug, Clone)]
-struct ScaleMetrics {
     width: Gauge,
     grow: Counter,
     shrink: Counter,
@@ -270,13 +258,11 @@ struct ScaleMetrics {
 pub struct ControlPlane {
     lb: LoadBalancer,
     balancing: bool,
-    rate_cap: Option<f64>,
     keep_snapshots: bool,
     snapshots: Vec<RoundSnapshot>,
     telemetry: Option<Telemetry>,
     metrics_prefix: Option<String>,
     metrics: Option<RoundMetrics>,
-    scale_metrics: Option<ScaleMetrics>,
     samples_buf: Vec<ConnectionSample>,
     width_policy: Option<Box<dyn WidthPolicy>>,
 }
@@ -287,7 +273,6 @@ impl ControlPlane {
         ControlPlaneBuilder {
             cfg,
             balancing: true,
-            rate_cap: None,
             keep_snapshots: false,
             telemetry: None,
             metrics_prefix: None,
@@ -310,12 +295,6 @@ impl ControlPlane {
         self.lb.weights()
     }
 
-    /// Whether this plane actively balances (false for round-robin
-    /// baselines).
-    pub fn balancing(&self) -> bool {
-        self.balancing
-    }
-
     /// Attaches a telemetry hub after construction (the simulator hands the
     /// hub to its policies once the run starts). Equivalent to
     /// [`ControlPlaneBuilder::telemetry`].
@@ -323,18 +302,12 @@ impl ControlPlane {
         self.lb.attach_trace(telemetry.trace().clone());
         self.telemetry = Some(telemetry.clone());
         self.metrics = None;
-        self.scale_metrics = None;
     }
 
     /// Installs (or replaces) the plane's [`WidthPolicy`] after
     /// construction. Equivalent to [`ControlPlaneBuilder::width_policy`].
     pub fn set_width_policy(&mut self, policy: Box<dyn WidthPolicy>) {
         self.width_policy = Some(policy);
-    }
-
-    /// Whether a [`WidthPolicy`] is installed.
-    pub fn has_width_policy(&self) -> bool {
-        self.width_policy.is_some()
     }
 
     /// Snapshots retained so far (empty unless
@@ -370,7 +343,6 @@ impl ControlPlane {
     pub fn grow_width(&mut self, added: usize) -> std::ops::Range<usize> {
         let range = self.lb.grow(added);
         self.metrics = None;
-        self.scale_metrics = None;
         range
     }
 
@@ -380,7 +352,6 @@ impl ControlPlane {
     pub fn shrink_width(&mut self, removed: usize) -> usize {
         let n = self.lb.shrink(removed);
         self.metrics = None;
-        self.scale_metrics = None;
         n
     }
 
@@ -400,7 +371,7 @@ impl ControlPlane {
         }
         if opened > 0 {
             self.grow_width(opened);
-            self.bind_metrics(&plane.connection_ids());
+            self.bind_metrics();
             plane.install_weights(self.lb.weights());
         }
         opened
@@ -429,7 +400,7 @@ impl ControlPlane {
             }
             closed += 1;
         }
-        self.bind_metrics(&plane.connection_ids());
+        self.bind_metrics();
         closed
     }
 
@@ -453,11 +424,8 @@ impl ControlPlane {
                 if !self.lb.is_attached(j) {
                     continue;
                 }
-                let rate = match self.rate_cap {
-                    Some(cap) => rate.min(cap),
-                    None => rate,
-                };
-                self.samples_buf.push(ConnectionSample::new(j, rate));
+                self.samples_buf
+                    .push(ConnectionSample::new(j, rate.min(RATE_CAP)));
             }
             self.lb.observe(&self.samples_buf);
             self.lb.rebalance();
@@ -497,7 +465,7 @@ impl ControlPlane {
             weights: self.lb.weights().units(),
         };
         let decision = policy.decide(&view);
-        if let Some(sm) = &self.scale_metrics {
+        if let Some(sm) = &self.metrics {
             match decision {
                 WidthDecision::Grow(_) => sm.grow.incr(),
                 WidthDecision::Shrink(_) => sm.shrink.incr(),
@@ -515,10 +483,7 @@ impl ControlPlane {
 
     /// Emits metrics and retains the snapshot for one completed round.
     fn emit(&mut self, elapsed_ms: u64, rates: &[f64]) {
-        if self.metrics.is_none() && self.metrics_prefix.is_some() {
-            let ids: Vec<usize> = (0..self.lb.config().connections()).collect();
-            self.bind_metrics(&ids);
-        }
+        self.bind_metrics();
         if let Some(m) = &self.metrics {
             m.rounds.incr();
             let units = self.lb.weights().units();
@@ -534,9 +499,7 @@ impl ControlPlane {
                 }
                 None => {}
             }
-        }
-        if let Some(sm) = &self.scale_metrics {
-            sm.width.set(self.lb.config().connections() as f64);
+            m.width.set(self.lb.config().connections() as f64);
         }
         if self.keep_snapshots {
             self.snapshots.push(RoundSnapshot {
@@ -547,9 +510,9 @@ impl ControlPlane {
         }
     }
 
-    /// Resolves the per-connection metric handles against the given stable
-    /// ids (no-op without a telemetry hub and a metrics prefix).
-    fn bind_metrics(&mut self, ids: &[usize]) {
+    /// Resolves the metric handles at the current width (no-op when already
+    /// bound, or without a telemetry hub and a metrics prefix).
+    fn bind_metrics(&mut self) {
         if self.metrics.is_some() {
             return;
         }
@@ -558,8 +521,7 @@ impl ControlPlane {
         };
         let reg = t.registry();
         let rounds = reg.counter(&format!("{prefix}.controller.rounds"));
-        let per_conn = ids
-            .iter()
+        let per_conn = (0..self.lb.config().connections())
             .map(|id| {
                 (
                     reg.gauge(&format!("{prefix}.conn{id}.blocking_rate")),
@@ -567,19 +529,17 @@ impl ControlPlane {
                 )
             })
             .collect();
-        self.scale_metrics = Some(ScaleMetrics {
-            width: reg.gauge(&format!("{prefix}.width")),
-            grow: reg.counter(&format!("{prefix}.autoscale.grow")),
-            shrink: reg.counter(&format!("{prefix}.autoscale.shrink")),
-            hold: reg.counter(&format!("{prefix}.autoscale.hold")),
-            cooldown_suppressed: reg.counter(&format!("{prefix}.autoscale.cooldown_suppressed")),
-        });
         self.metrics = Some(RoundMetrics {
             rounds,
             per_conn,
             recluster_reused: reg.counter(&format!("{prefix}.recluster.reused")),
             recluster_full: reg.counter(&format!("{prefix}.recluster.full")),
             cluster_distinct: reg.gauge(&format!("{prefix}.cluster.distinct")),
+            width: reg.gauge(&format!("{prefix}.width")),
+            grow: reg.counter(&format!("{prefix}.autoscale.grow")),
+            shrink: reg.counter(&format!("{prefix}.autoscale.shrink")),
+            hold: reg.counter(&format!("{prefix}.autoscale.hold")),
+            cooldown_suppressed: reg.counter(&format!("{prefix}.autoscale.cooldown_suppressed")),
         });
     }
 
@@ -613,79 +573,115 @@ impl ControlPlane {
             self.lb.config().connections(),
             "plane width must match the balancer"
         );
-        self.bind_metrics(&plane.connection_ids());
+        self.bind_metrics();
         let mut rates = vec![0.0; n];
         let interval_ns = u64::try_from(interval.as_nanos()).unwrap_or(u64::MAX);
         while !stop.load(Ordering::Acquire) {
             thread::sleep(interval);
-            let target = plane.target_connections().max(1);
-            let current = self.lb.config().connections();
-            if target > current {
-                self.grow(plane, target - current);
-            } else if target < current {
-                self.shrink(plane, current - target);
-            }
-            let width = self.lb.config().connections();
-            if rates.len() != width {
-                rates.resize(width, 0.0);
-            }
-            // Health-state hook: reconcile per-slot membership with the
-            // plane's view before sampling, so an ejected backend's weight
-            // is renormalized away this round and a recovered one re-enters
-            // exploration-bounded.
-            let mut membership_changed = false;
-            for j in 0..width {
-                let healthy = plane.slot_healthy(j);
-                if healthy && !self.lb.is_attached(j) {
-                    membership_changed |= self.lb.attach_connection(j);
-                } else if !healthy && self.lb.is_attached(j) && self.lb.live_connections() > 1 {
-                    membership_changed |= self.lb.detach_connection(j);
-                }
-            }
-            if membership_changed && self.balancing {
-                plane.install_weights(self.lb.weights());
-            }
+            self.reconcile_width(plane);
+            self.reconcile_membership(plane);
             let elapsed = started.elapsed();
-            plane.begin_round(elapsed);
-            plane.sample(interval_ns, &mut rates);
             let elapsed_ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
+            self.sample(plane, elapsed, interval_ns, &mut rates);
             self.round(elapsed_ms, &rates);
-            if self.balancing {
-                plane.install_weights(self.lb.weights());
+            self.install(plane);
+            self.apply_width_decision(plane, elapsed_ms, &rates);
+            self.trace_sample(plane, elapsed, &rates);
+        }
+    }
+
+    /// Opens or closes tail slots until the width is the plane's target.
+    fn reconcile_width<P: DataPlane + ?Sized>(&mut self, plane: &mut P) {
+        let target = plane.target_connections().max(1);
+        let current = self.lb.config().connections();
+        if target > current {
+            self.grow(plane, target - current);
+        } else if target < current {
+            self.shrink(plane, current - target);
+        }
+    }
+
+    /// Health-state hook: reconciles per-slot membership with the plane's
+    /// view before sampling, so an ejected backend's weight is renormalized
+    /// away this round and a recovered one re-enters exploration-bounded.
+    fn reconcile_membership<P: DataPlane + ?Sized>(&mut self, plane: &mut P) {
+        let mut changed = false;
+        for j in 0..self.lb.config().connections() {
+            let healthy = plane.slot_healthy(j);
+            if healthy && !self.lb.is_attached(j) {
+                changed |= self.lb.attach_connection(j);
+            } else if !healthy && self.lb.is_attached(j) && self.lb.live_connections() > 1 {
+                changed |= self.lb.detach_connection(j);
             }
-            // Width-policy hook: the freshly solved round is the policy's
-            // input; its decision flows through the same grow/shrink
-            // ordering rules as the target reconcile above. The rates
-            // buffer re-sizes at the top of the next iteration.
-            match self.decide_width(elapsed_ms, &rates) {
-                WidthDecision::Grow(n) if n > 0 => {
-                    self.grow(plane, n);
+        }
+        if changed {
+            self.install(plane);
+        }
+    }
+
+    /// Runs the plane's round prelude and reads one interval's rates, at
+    /// the width the reconcile stages left.
+    fn sample<P: DataPlane + ?Sized>(
+        &self,
+        plane: &mut P,
+        elapsed: Duration,
+        interval_ns: u64,
+        rates: &mut Vec<f64>,
+    ) {
+        rates.resize(self.lb.config().connections(), 0.0);
+        plane.begin_round(elapsed);
+        plane.sample(interval_ns, rates);
+    }
+
+    /// Hands the current weights to the routing fabric (a round-robin
+    /// plane keeps its initial split).
+    fn install<P: DataPlane + ?Sized>(&self, plane: &mut P) {
+        if self.balancing {
+            plane.install_weights(self.lb.weights());
+        }
+    }
+
+    /// Width-policy hook: the freshly solved round is the policy's input;
+    /// its decision flows through the same grow/shrink ordering rules as
+    /// the target reconcile. The rates buffer re-sizes at the next sample.
+    fn apply_width_decision<P: DataPlane + ?Sized>(
+        &mut self,
+        plane: &mut P,
+        elapsed_ms: u64,
+        rates: &[f64],
+    ) {
+        match self.decide_width(elapsed_ms, rates) {
+            WidthDecision::Grow(n) if n > 0 => {
+                self.grow(plane, n);
+            }
+            WidthDecision::Shrink(n) if n > 0 => {
+                let width = self.lb.config().connections();
+                let mut n = n.min(width.saturating_sub(1));
+                // Never close the slots holding the only live
+                // connections: back the step off until a live survivor
+                // remains outside the closed tail.
+                while n > 0 && !(0..width - n).any(|j| self.lb.is_attached(j)) {
+                    n -= 1;
                 }
-                WidthDecision::Shrink(n) if n > 0 => {
-                    let width = self.lb.config().connections();
-                    let mut n = n.min(width.saturating_sub(1));
-                    // Never close the slots holding the only live
-                    // connections: back the step off until a live survivor
-                    // remains outside the closed tail.
-                    while n > 0 && !(0..width - n).any(|j| self.lb.is_attached(j)) {
-                        n -= 1;
-                    }
-                    if n > 0 {
-                        self.shrink(plane, n);
-                    }
+                if n > 0 {
+                    self.shrink(plane, n);
                 }
-                _ => {}
             }
-            if let Some(t) = &self.telemetry {
-                t.trace().push(TraceEvent::Sample {
-                    region: 0,
-                    t_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-                    weights: self.lb.weights().units().to_vec(),
-                    rates: rates.clone(),
-                    delivered: plane.delivered(),
-                    clusters: self.lb.last_clusters().map(|c| c.assignment.clone()),
-                });
-            }
+            _ => {}
+        }
+    }
+
+    /// Pushes the [`TraceEvent::Sample`] mirroring the round.
+    fn trace_sample<P: DataPlane + ?Sized>(&self, plane: &P, elapsed: Duration, rates: &[f64]) {
+        if let Some(t) = &self.telemetry {
+            t.trace().push(TraceEvent::Sample {
+                region: 0,
+                t_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+                weights: self.lb.weights().units().to_vec(),
+                rates: rates.to_vec(),
+                delivered: plane.delivered(),
+                clusters: self.lb.last_clusters().map(|c| c.assignment.clone()),
+            });
         }
     }
 }
@@ -720,9 +716,8 @@ mod tests {
     }
 
     #[test]
-    fn rate_cap_applies_to_the_model_but_not_the_snapshot() {
+    fn the_rate_cap_applies_to_the_model_but_not_the_snapshot() {
         let mut p = ControlPlane::builder(BalancerConfig::builder(2).build().unwrap())
-            .rate_cap(10.0)
             .keep_snapshots(true)
             .build();
         p.round(7, &[25.0, 0.0]);
@@ -731,7 +726,7 @@ mod tests {
         assert_eq!(p.snapshots()[0].rates, vec![25.0, 0.0], "snapshot uncapped");
         let pts: Vec<(u32, f64)> = p.balancer().function(0).raw_points().collect();
         assert!(
-            pts.iter().all(|&(_, r)| r <= 10.0),
+            pts.iter().all(|&(_, r)| r <= RATE_CAP),
             "model sees capped rates: {pts:?}"
         );
     }

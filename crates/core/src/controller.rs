@@ -26,8 +26,7 @@ use streambal_telemetry::{TraceBuffer, TraceEvent};
 use crate::cluster::{self, AggregateScratch, ClusterScratch, Clustering, Knee};
 use crate::function::BlockingRateFunction;
 use crate::rate::ConnectionSample;
-use crate::solver::fox::{FoxScratch, Limits};
-use crate::solver::{fox, Problem};
+use crate::solver::fox::{self, FoxScratch, Limits};
 use crate::weights::{WeightVector, DEFAULT_RESOLUTION};
 use crate::DELTA;
 
@@ -225,11 +224,8 @@ pub struct BalancerConfig {
     resolution: u32,
     smoothing: f64,
     mode: BalancerMode,
-    max_step_up: Option<u32>,
-    max_step_down: Option<u32>,
     exploration_step: u32,
     clustering: Option<ClusteringConfig>,
-    record_zero_rates: bool,
 }
 
 impl BalancerConfig {
@@ -240,11 +236,8 @@ impl BalancerConfig {
             resolution: DEFAULT_RESOLUTION,
             smoothing: 0.5,
             mode: BalancerMode::default(),
-            max_step_up: None,
-            max_step_down: None,
             exploration_step: 10,
             clustering: None,
-            record_zero_rates: true,
         }
     }
 
@@ -271,11 +264,8 @@ pub struct BalancerConfigBuilder {
     resolution: u32,
     smoothing: f64,
     mode: BalancerMode,
-    max_step_up: Option<u32>,
-    max_step_down: Option<u32>,
     exploration_step: u32,
     clustering: Option<ClusteringConfig>,
-    record_zero_rates: bool,
 }
 
 impl BalancerConfigBuilder {
@@ -297,18 +287,6 @@ impl BalancerConfigBuilder {
         self
     }
 
-    /// Limits how many units a connection's weight may *gain* per round.
-    pub fn max_step_up(&mut self, units: u32) -> &mut Self {
-        self.max_step_up = Some(units);
-        self
-    }
-
-    /// Limits how many units a connection's weight may *lose* per round.
-    pub fn max_step_down(&mut self, units: u32) -> &mut Self {
-        self.max_step_down = Some(units);
-        self
-    }
-
     /// Sets how far (in units) a connection's weight may push past its
     /// *knowledge frontier* — the largest weight where its function still
     /// predicts no blocking — in one round (default 10, i.e. 1%).
@@ -324,27 +302,8 @@ impl BalancerConfigBuilder {
     }
 
     /// Enables clustering with the given configuration.
-    ///
-    /// Per-round step limits are ignored while clustering is active (the
-    /// cluster optimization re-derives bounds from cluster sizes).
     pub fn clustering(&mut self, clustering: ClusteringConfig) -> &mut Self {
         self.clustering = Some(clustering);
-        self
-    }
-
-    /// Whether samples with (near-)zero blocking rates are recorded as data
-    /// points at the connection's current weight (default `true`).
-    ///
-    /// Zero observations are what let a throttled connection *recover*: the
-    /// paper's Figure 8 describes the climb back to an even distribution as
-    /// "slow because its function still indicates that blocking is probable
-    /// at higher allocation weights, and the new data is slowly changing
-    /// that function" — without recording no-blocking rounds, stale
-    /// pessimism at or below the current weight would never erode (the
-    /// exploration decay only touches weights *above* it). Setting this to
-    /// `false` restricts data to connections that actually blocked.
-    pub fn record_zero_rates(&mut self, record: bool) -> &mut Self {
-        self.record_zero_rates = record;
         self
     }
 
@@ -380,11 +339,8 @@ impl BalancerConfigBuilder {
             resolution: self.resolution,
             smoothing: self.smoothing,
             mode: self.mode,
-            max_step_up: self.max_step_up,
-            max_step_down: self.max_step_down,
             exploration_step: self.exploration_step,
             clustering: self.clustering,
-            record_zero_rates: self.record_zero_rates,
         })
     }
 }
@@ -427,6 +383,16 @@ pub struct LoadBalancer {
     scratch: RoundScratch,
 }
 
+/// A round's upper weight bound for one solver item. Decreases are
+/// unconstrained. Increases may go anywhere the item's function predicts no
+/// blocking (up to its clean `frontier`), plus at most `step` units into
+/// predicted-blocking territory — and an item may always keep its `current`
+/// weight, which keeps the problem feasible even when every function
+/// predicts blocking.
+fn explore_upper(frontier: u32, current: u32, step: u32, r: u32) -> u32 {
+    frontier.max(current).saturating_add(step).min(r)
+}
+
 /// The knee value stored for a slot whose function has never been looked
 /// at. Real knees have `service_weight >= 1`, so comparing against this
 /// placeholder always reads as "changed".
@@ -440,32 +406,28 @@ const NO_KNEE: Knee = Knee {
 ///
 /// Every buffer the control round needs lives here and is reused across
 /// rounds, so a steady-state round (no topology change) performs no heap
-/// allocation: predicted tables are mirrored into `flat` only when a
-/// function's [`generation`](BlockingRateFunction::generation) moved,
-/// bounds/priority vectors are refilled in place, the Fox solver recycles
-/// its heap, and the clustering is redone — out of the retained
-/// [`ClusterScratch`] — only when a knee value moved.
+/// allocation: the solver's item vectors are refilled in place, the Fox
+/// solver recycles its heap, per-slot solves read each function where it
+/// lives (no table is built or copied for them), and the clustering is
+/// redone — out of the retained [`ClusterScratch`] — only when a knee
+/// value moved.
 #[derive(Debug, Clone)]
 struct RoundScratch {
     /// Weight snapshot taken at the start of the round (for tracing and
     /// exploration detection).
     weights_before: Vec<u32>,
-    /// Per-connection lower weight bounds for this round.
+    /// The solver's per-item vectors. An item is a connection slot in a
+    /// per-slot solve and a cluster in a clustered one; a round runs one
+    /// or the other, so one set serves both. Lower bounds are all zero (a
+    /// connection may always be throttled, even straight to zero, as in
+    /// the paper's Figure 8).
     lower: Vec<u32>,
-    /// Per-connection upper weight bounds for this round.
+    /// Per-item upper weight bounds for this solve.
     upper: Vec<u32>,
-    /// Per-connection clean frontiers, doubling as solver tie priorities.
-    /// Cached alongside `flat` under the same generation key.
+    /// Per-item multiplicities: 1 per slot, the member count per cluster.
+    mult: Vec<u32>,
+    /// Per-item clean frontiers, doubling as solver tie priorities.
     priority: Vec<u64>,
-    /// All-ones multiplicity vector for the plain (unclustered) solve.
-    ones: Vec<u32>,
-    /// Row-major mirror of the predicted tables, `n × (R + 1)`; row `j` is
-    /// refreshed only when function `j`'s generation changes. Empty when
-    /// clustering is active (the clustered path solves over pooled
-    /// functions instead).
-    flat: Vec<f64>,
-    /// Generation of each mirrored row (`u64::MAX` = never filled).
-    flat_gen: Vec<u64>,
     /// Fox solver state (result weights, heap pool).
     fox: FoxScratch,
     /// Per-connection knees for clustering (empty when clustering is off).
@@ -492,12 +454,6 @@ struct RoundScratch {
     /// Row-major pooled predicted tables, `k × (R + 1)` for the current
     /// cluster count `k` (grows monotonically to the largest `k` seen).
     cflat: Vec<f64>,
-    /// Per-cluster solver vectors (the plain path's `lower`/`upper`/
-    /// `priority` are indexed by slot and cannot be reused here).
-    clower: Vec<u32>,
-    cupper: Vec<u32>,
-    csize: Vec<u32>,
-    cprio: Vec<u64>,
     /// Cluster ordering for the remainder hand-out.
     corder: Vec<usize>,
     /// Expansion buffer for per-connection units in the clustered path.
@@ -511,7 +467,6 @@ struct RoundScratch {
 impl RoundScratch {
     fn new(cfg: &BalancerConfig) -> Self {
         let n = cfg.connections;
-        let width = cfg.resolution as usize + 1;
         let clustered = cfg
             .clustering
             .map(|c| n >= c.min_connections)
@@ -520,14 +475,8 @@ impl RoundScratch {
             weights_before: Vec::with_capacity(n),
             lower: Vec::with_capacity(n),
             upper: Vec::with_capacity(n),
-            priority: vec![0; n],
-            ones: vec![1; n],
-            flat: if clustered {
-                Vec::new()
-            } else {
-                vec![0.0; n * width]
-            },
-            flat_gen: vec![u64::MAX; n],
+            mult: Vec::with_capacity(n),
+            priority: Vec::with_capacity(n),
             fox: FoxScratch::new(),
             knees: if clustered {
                 vec![NO_KNEE; n]
@@ -547,15 +496,27 @@ impl RoundScratch {
             spare_clusters: Clustering::default(),
             agg: AggregateScratch::new(),
             cflat: Vec::new(),
-            clower: Vec::new(),
-            cupper: Vec::new(),
-            csize: Vec::new(),
-            cprio: Vec::new(),
             corder: Vec::new(),
             units_tmp: vec![0; n],
             spare_rates: Vec::new(),
             spare_units: Vec::new(),
         }
+    }
+
+    /// Empties the solver's item vectors ahead of a bound stage.
+    fn clear_items(&mut self) {
+        self.lower.clear();
+        self.upper.clear();
+        self.mult.clear();
+        self.priority.clear();
+    }
+
+    /// Appends one solver item bounded to `[0, upper]`.
+    fn push_item(&mut self, upper: u32, mult: u32, frontier: u32) {
+        self.lower.push(0);
+        self.upper.push(upper);
+        self.mult.push(mult);
+        self.priority.push(u64::from(frontier));
     }
 }
 
@@ -808,7 +769,6 @@ impl LoadBalancer {
     /// per-slot cache keyed on its generation.
     fn retire_slot(&mut self, j: usize) {
         self.functions[j] = BlockingRateFunction::new(self.cfg.resolution, self.cfg.smoothing);
-        self.scratch.flat_gen[j] = u64::MAX;
         self.scratch.knee_gen[j] = u64::MAX;
         if let Some(k) = self.scratch.knees.get_mut(j) {
             *k = NO_KNEE;
@@ -965,21 +925,17 @@ impl LoadBalancer {
         self.scratch.spare_units = spare_units;
     }
 
-    /// Re-solves the allocation right after a membership change: detached
-    /// slots are pinned at `[0, 0]`, attached slots may take anything up to
-    /// `R` (the freed capacity has to go *somewhere*, so the per-round
-    /// step limits do not apply here), and just-attached newcomers are
-    /// capped at the exploration step — `capped` is their slot range; a
-    /// single attach passes one slot, a [`grow`](Self::grow) passes every
-    /// new slot so none of the batch can soak up a full share before
-    /// earning it. With no observations yet the even split over the
-    /// attached slots is installed instead, mirroring
-    /// [`rebalance`](Self::rebalance)'s no-data behaviour.
-    ///
-    /// The solve reads the functions through point queries (and finds each
-    /// clean frontier by bisection), both bit-identical to the dense
-    /// predicted tables — which are therefore never built, let alone
-    /// copied, for a membership change.
+    /// Re-solves the allocation right after a membership change. It is the
+    /// round's per-slot solve under different upper bounds: attached slots
+    /// may take anything up to `R` (the freed capacity has to go
+    /// *somewhere*, so the per-round exploration bound does not apply
+    /// here), except just-attached newcomers, which are capped at the
+    /// exploration step — `capped` is their slot range; a single attach
+    /// passes one slot, a [`grow`](Self::grow) passes every new slot so
+    /// none of the batch can soak up a full share before earning it. With
+    /// no observations yet the even split over the attached slots is
+    /// installed instead, mirroring [`rebalance`](Self::rebalance)'s
+    /// no-data behaviour.
     fn renormalize_membership(&mut self, capped: std::ops::Range<usize>) {
         let n = self.cfg.connections;
         let r = self.cfg.resolution;
@@ -989,94 +945,64 @@ impl LoadBalancer {
             .iter()
             .zip(&self.attached)
             .any(|(f, &a)| a && f.raw_len() > 1);
-        let live = self.live_connections() as u32;
-        let scratch = &mut self.scratch;
 
         if has_data {
-            // `lower`/`upper` are rebuilt by every plain round; the clean
-            // frontier written to `priority[j]` is the value the plain
-            // round caches there for the same function generation.
-            scratch.lower.clear();
-            scratch.lower.resize(n, 0);
-            scratch.upper.clear();
-            for j in 0..n {
-                scratch.upper.push(if !self.attached[j] {
-                    0
-                } else if capped.contains(&j) {
-                    step.min(r)
-                } else {
-                    r
-                });
-                if self.attached[j] {
-                    scratch.priority[j] =
-                        u64::from(Self::clean_frontier_of(&mut self.functions[j]));
-                }
-            }
             debug_assert!(
                 (0..n).any(|j| self.attached[j] && !capped.contains(&j)),
                 "an uncapped attached slot keeps R units feasible"
             );
-            let functions = &mut self.functions;
-            fox::greedy(
-                &Limits {
-                    resolution: r,
-                    lower: &scratch.lower,
-                    upper: &scratch.upper,
-                    multiplicity: &scratch.ones,
-                    tie_priority: &scratch.priority,
-                },
-                |j, w| functions[j].value(w),
-                &mut scratch.fox,
-            );
-            self.weights
-                .copy_from_units(&scratch.fox.weights)
-                .expect("membership renormalization assigns exactly R units");
-        } else {
-            let (base, rem) = (r / live, r % live);
-            let units = &mut scratch.units_tmp;
-            units.clear();
-            units.resize(n, 0);
-            let mut idx = 0u32;
-            for (j, u) in units.iter_mut().enumerate() {
-                if self.attached[j] {
-                    *u = base + u32::from(idx < rem);
-                    idx += 1;
-                }
-            }
-            // Exploration-bounded admission: trim each newcomer to the
-            // step and hand the trimmed units back to the incumbents.
-            let mut excess = 0u32;
-            for a in capped.clone() {
-                let cap = step.min(units[a]);
-                excess += units[a] - cap;
-                units[a] = cap;
-            }
-            let others = live - capped.len() as u32;
-            if others > 0 && excess > 0 {
-                let (per, mut extra) = (excess / others, excess % others);
-                for (j, u) in units.iter_mut().enumerate() {
-                    if self.attached[j] && !capped.contains(&j) {
-                        *u += per + u32::from(extra > 0);
-                        extra = extra.saturating_sub(1);
-                    }
-                }
-            }
-            self.weights
-                .copy_from_units(units)
-                .expect("membership renormalization assigns exactly R units");
+            self.bound_slots(|j, _, _| if capped.contains(&j) { step.min(r) } else { r });
+            self.solve(false);
+            self.install(None);
+            return;
         }
+        let live = self.live_connections() as u32;
+        let (base, rem) = (r / live, r % live);
+        let units = &mut self.scratch.units_tmp;
+        units.clear();
+        units.resize(n, 0);
+        let mut idx = 0u32;
+        for (j, u) in units.iter_mut().enumerate() {
+            if self.attached[j] {
+                *u = base + u32::from(idx < rem);
+                idx += 1;
+            }
+        }
+        // Exploration-bounded admission: trim each newcomer to the
+        // step and hand the trimmed units back to the incumbents.
+        let mut excess = 0u32;
+        for a in capped.clone() {
+            let cap = step.min(units[a]);
+            excess += units[a] - cap;
+            units[a] = cap;
+        }
+        let others = live - capped.len() as u32;
+        if others > 0 && excess > 0 {
+            let (per, mut extra) = (excess / others, excess % others);
+            for (j, u) in units.iter_mut().enumerate() {
+                if self.attached[j] && !capped.contains(&j) {
+                    *u += per + u32::from(extra > 0);
+                    extra = extra.saturating_sub(1);
+                }
+            }
+        }
+        self.weights
+            .copy_from_units(units)
+            .expect("membership renormalization assigns exactly R units");
         self.last_clusters = None;
     }
 
     /// Folds one sampling interval's blocking-rate measurements into the
     /// model at the connections' current weights.
     ///
-    /// By default every sample is recorded, including (EWMA-smoothed)
-    /// zeros — a no-blocking round at the current weight is evidence the
-    /// connection can sustain that weight, and is what erodes stale
-    /// pessimism at low weights after a load disappears. With
-    /// `record_zero_rates(false)`, rates at or below the noise floor
-    /// ([`DELTA`]) are treated as "no data" instead.
+    /// Every sample is recorded, including (EWMA-smoothed) zeros. Zero
+    /// observations are what let a throttled connection *recover*: the
+    /// paper's Figure 8 describes the climb back to an even distribution as
+    /// "slow because its function still indicates that blocking is probable
+    /// at higher allocation weights, and the new data is slowly changing
+    /// that function" — without recording no-blocking rounds, stale
+    /// pessimism at or below the current weight would never erode (the
+    /// exploration decay only touches weights *above* it).
     ///
     /// # Panics
     ///
@@ -1095,9 +1021,6 @@ impl LoadBalancer {
                 continue;
             }
             let rate = s.rate.value();
-            if rate <= DELTA && !self.cfg.record_zero_rates {
-                continue;
-            }
             let w = self.weights.units()[s.connection];
             self.functions[s.connection].observe(w, rate);
             self.pending_rates[s.connection] = rate;
@@ -1110,48 +1033,312 @@ impl LoadBalancer {
     /// (with no data every allocation is equally "optimal", and an even
     /// split is the only defensible prior).
     pub fn rebalance(&mut self) -> &WeightVector {
+        self.begin_round();
+        self.decay();
+        let solved = self.functions.iter().any(|f| f.raw_len() > 1);
+        if solved {
+            let partition = self.partition();
+            self.bound(partition.as_ref());
+            let assigned = self.solve(partition.is_some());
+            if let Some(clustering) = &partition {
+                self.expand(clustering, assigned);
+            }
+            self.install(partition);
+        }
+        self.trace_round(solved);
+        &self.weights
+    }
+
+    /// Stage 1: counts the round and snapshots the weights it starts from.
+    fn begin_round(&mut self) {
         self.round += 1;
         self.last_outcome = None;
-        self.scratch.weights_before.clear();
-        self.scratch
-            .weights_before
-            .extend_from_slice(self.weights.units());
+        let before = &mut self.scratch.weights_before;
+        before.clear();
+        before.extend_from_slice(self.weights.units());
+    }
 
-        if let BalancerMode::Adaptive { decay } = self.cfg.mode {
-            for (j, f) in self.functions.iter_mut().enumerate() {
-                f.decay_above(self.weights.units()[j], decay);
-            }
-            if let Some(trace) = &self.trace {
-                trace.push(TraceEvent::Decay {
-                    round: self.round,
-                    decay,
-                });
-            }
+    /// Stage 2 (adaptive mode only): the exploration decay — every function
+    /// forgets a share of what it believes above its current weight.
+    fn decay(&mut self) {
+        let BalancerMode::Adaptive { decay } = self.cfg.mode else {
+            return;
+        };
+        for (j, f) in self.functions.iter_mut().enumerate() {
+            f.decay_above(self.weights.units()[j], decay);
         }
-
-        let has_data = self.functions.iter().any(|f| f.raw_len() > 1);
-        if has_data {
-            // Clustering activates on the *live* membership, not the
-            // configured width: detaches can drop a wide region below the
-            // threshold (back to the plain per-connection solve) and
-            // attaches can push it over again.
-            let clustering_active = self
-                .cfg
-                .clustering
-                .map(|c| self.live_connections() >= c.min_connections)
-                .unwrap_or(false);
-
-            if clustering_active {
-                self.rebalance_clustered();
-            } else {
-                self.rebalance_plain();
-            }
-        }
-
         if let Some(trace) = &self.trace {
+            trace.push(TraceEvent::Decay {
+                round: self.round,
+                decay,
+            });
+        }
+    }
+
+    /// Stage 3: the partition of the live slots this round solves over, or
+    /// `None` when it solves per slot. Clustering activates on the *live*
+    /// membership, not the configured width: detaches can drop a wide
+    /// region below the threshold (back to the per-slot solve) and
+    /// attaches can push it over again.
+    ///
+    /// The previous partition is reused unless something can have changed.
+    /// `last_clusters` is cleared by every membership change, so `Some`
+    /// implies the previous round clustered this exact live set; with no
+    /// knee moved either, the partition is identical by construction (the
+    /// pooled solve still runs — member data changes every round even when
+    /// knees do not). Otherwise the live slots are clustered again, which
+    /// costs an agglomeration over their *distinct* feature vectors only.
+    fn partition(&mut self) -> Option<Clustering> {
+        let threshold = self
+            .cfg
+            .clustering
+            .filter(|c| self.live_connections() >= c.min_connections)?
+            .distance_threshold;
+        let knee_moved = self.refresh_knees();
+        let scratch = &mut self.scratch;
+        match self.last_clusters.take() {
+            Some(prev) if !knee_moved => {
+                debug_assert_eq!(scratch.clusters_gen, self.membership_gen);
+                self.last_outcome = Some(ClusterOutcome::Reused);
+                Some(prev)
+            }
+            prev => {
+                let mut fresh = std::mem::take(&mut scratch.spare_clusters);
+                let distinct = scratch.cluster_scratch.cluster_features(
+                    &scratch.live,
+                    &scratch.feat,
+                    threshold,
+                    &mut fresh,
+                );
+                self.last_outcome = Some(ClusterOutcome::Full {
+                    live: scratch.live.len(),
+                    distinct,
+                });
+                let changed = match prev {
+                    Some(mut prev) => {
+                        let changed = fresh.assignment != prev.assignment;
+                        scratch.cluster_scratch.recycle(&mut prev.members);
+                        prev.assignment.clear();
+                        scratch.spare_clusters = prev;
+                        changed
+                    }
+                    None => true,
+                };
+                if let (true, Some(trace)) = (changed, &self.trace) {
+                    trace.push(TraceEvent::ClusterUpdate {
+                        round: self.round,
+                        assignment: fresh.assignment.clone(),
+                    });
+                }
+                Some(fresh)
+            }
+        }
+    }
+
+    /// Brings the live-slot list and every live slot's knee up to date;
+    /// returns whether a knee *value* changed. Each live function whose
+    /// generation moved gets a fresh knee via the fit-based fast path (no
+    /// dense table rebuild). Under per-round decay every generation moves
+    /// every round, but knees converge, so comparing values is what makes
+    /// the steady state cheap.
+    fn refresh_knees(&mut self) -> bool {
+        let scratch = &mut self.scratch;
+        // Keyed on the membership generation, so rounds with detached slots
+        // do not rebuild the index list either.
+        if scratch.live_gen != self.membership_gen {
+            scratch.live.clear();
+            scratch
+                .live
+                .extend((0..self.cfg.connections).filter(|&j| self.attached[j]));
+            scratch.live_gen = self.membership_gen;
+        }
+        let mut knee_moved = false;
+        for &j in &scratch.live {
+            let f = &mut self.functions[j];
+            let gen = f.generation();
+            if scratch.knee_gen[j] == gen {
+                continue;
+            }
+            let fresh = cluster::knee_of_function(f);
+            let never = scratch.knee_gen[j] == u64::MAX;
+            scratch.knee_gen[j] = gen;
+            if never || fresh != scratch.knees[j] {
+                scratch.knees[j] = fresh;
+                scratch.feat[j] = cluster::log_features(&fresh, self.cfg.resolution);
+                knee_moved = true;
+            }
+        }
+        knee_moved
+    }
+
+    /// Stage 4: this round's solver items — one per slot, or one per
+    /// cluster of `partition` — each bounded by [`explore_upper`].
+    fn bound(&mut self, partition: Option<&Clustering>) {
+        let (r, step) = (self.cfg.resolution, self.cfg.exploration_step);
+        match partition {
+            None => self.bound_slots(|_, frontier, w| explore_upper(frontier, w, step, r)),
+            Some(clustering) => self.bound_clusters(clustering),
+        }
+    }
+
+    /// One solver item per connection slot: detached slots are pinned at
+    /// `[0, 0]` (they hold no units and the solver may not grant them any),
+    /// attached slot `j` gets `[0, upper(j, frontier, current weight)]` and
+    /// its clean frontier as tie priority. The frontier is bisected on
+    /// point queries, so no predicted table is built.
+    fn bound_slots(&mut self, upper: impl Fn(usize, u32, u32) -> u32) {
+        let scratch = &mut self.scratch;
+        scratch.clear_items();
+        for (j, &w) in self.weights.units().iter().enumerate() {
+            if self.attached[j] {
+                let frontier = Self::clean_frontier_of(&mut self.functions[j]);
+                scratch.push_item(upper(j, frontier, w), 1, frontier);
+            } else {
+                scratch.push_item(0, 1, 0);
+            }
+        }
+    }
+
+    /// One solver item per cluster: member data is pooled into one
+    /// predicted row (in-place PAVA refit, bit-identical to
+    /// `aggregate_functions`), and granting the cluster one unit of
+    /// per-connection weight consumes `size` units of resource. The weight a
+    /// cluster may always keep is its best-served member's.
+    fn bound_clusters(&mut self, clustering: &Clustering) {
+        let (r, step) = (self.cfg.resolution, self.cfg.exploration_step);
+        let width = r as usize + 1;
+        let scratch = &mut self.scratch;
+        let k = clustering.members.len();
+        if scratch.cflat.len() < k * width {
+            scratch.cflat.resize(k * width, 0.0);
+        }
+        scratch.clear_items();
+        for (c, members) in clustering.members.iter().enumerate() {
+            let row = &mut scratch.cflat[c * width..(c + 1) * width];
+            scratch.agg.pooled_row(&self.functions, members, row);
+            let frontier = Self::clean_frontier(row);
+            let keep = members
+                .iter()
+                .map(|&m| self.weights.units()[m])
+                .max()
+                .unwrap_or(0);
+            let upper = explore_upper(frontier, keep, step, r);
+            scratch.push_item(upper, members.len() as u32, frontier);
+        }
+    }
+
+    /// Stage 5: Fox's greedy over the items the bound stage left in the
+    /// scratch, into `scratch.fox.weights`; returns the units assigned.
+    /// Slot items read `F_j(w)` from the functions themselves (the dense
+    /// table when one happens to be built, the compact fit otherwise — bit
+    /// for bit the same value); cluster items read their pooled rows. One
+    /// greedy instance per source keeps the table read out of a loop that
+    /// also carries the point query.
+    fn solve(&mut self, pooled: bool) -> u64 {
+        let width = self.cfg.resolution as usize + 1;
+        let scratch = &mut self.scratch;
+        let (functions, cflat) = (&mut self.functions, &scratch.cflat);
+        let limits = Limits {
+            resolution: self.cfg.resolution,
+            lower: &scratch.lower,
+            upper: &scratch.upper,
+            multiplicity: &scratch.mult,
+            tie_priority: &scratch.priority,
+        };
+        let stats = if pooled {
+            fox::greedy(
+                &limits,
+                |j, w| cflat[j * width + w as usize],
+                &mut scratch.fox,
+            )
+        } else {
+            fox::greedy(&limits, |j, w| functions[j].value(w), &mut scratch.fox)
+        };
+        stats.assigned
+    }
+
+    /// Stage 6 (clusters only): expands per-cluster weights to the members
+    /// in `scratch.units_tmp` and hands out the remainder (less than the
+    /// largest cluster) unit by unit, cheapest marginal cluster first.
+    fn expand(&mut self, clustering: &Clustering, assigned: u64) {
+        let r = self.cfg.resolution;
+        let width = r as usize + 1;
+        let scratch = &mut self.scratch;
+        scratch.units_tmp.fill(0);
+        for (c, members) in clustering.members.iter().enumerate() {
+            for &m in members {
+                scratch.units_tmp[m] = scratch.fox.weights[c];
+            }
+        }
+        let mut remainder = (u64::from(r) - assigned) as u32;
+        if remainder == 0 {
+            return;
+        }
+        scratch.corder.clear();
+        scratch.corder.extend(0..clustering.members.len());
+        let (cflat, priority, weights) = (&scratch.cflat, &scratch.priority, &scratch.fox.weights);
+        scratch.corder.sort_unstable_by(|&a, &b| {
+            let next = |c: usize| cflat[c * width + (weights[c] + 1).min(r) as usize];
+            next(a)
+                .total_cmp(&next(b))
+                .then(priority[b].cmp(&priority[a]))
+                .then(a.cmp(&b))
+        });
+        'outer: for &c in &scratch.corder {
+            for &m in &clustering.members[c] {
+                if remainder == 0 {
+                    break 'outer;
+                }
+                if scratch.units_tmp[m] < r {
+                    scratch.units_tmp[m] += 1;
+                    remainder -= 1;
+                }
+            }
+        }
+    }
+
+    /// Stage 7: installs the solved units — per slot straight from the
+    /// solver, per cluster from the expansion — and records the partition
+    /// they were solved over.
+    fn install(&mut self, partition: Option<Clustering>) {
+        let units = match partition {
+            Some(_) => &self.scratch.units_tmp,
+            None => &self.scratch.fox.weights,
+        };
+        self.weights
+            .copy_from_units(units)
+            .expect("bounds that let every item keep its weight always fit R units");
+        if partition.is_some() {
+            self.scratch.clusters_gen = self.membership_gen;
+        }
+        self.last_clusters = partition;
+    }
+
+    /// Stage 8: the round's trace events — an [`Exploration`] per slot a
+    /// per-slot solve pushed past its clean frontier (the controller
+    /// probing predicted-blocking territory), then the [`ControllerRound`]
+    /// itself — and the reset of the rates it reported.
+    ///
+    /// [`Exploration`]: TraceEvent::Exploration
+    /// [`ControllerRound`]: TraceEvent::ControllerRound
+    fn trace_round(&mut self, solved: bool) {
+        let scratch = &mut self.scratch;
+        if let Some(trace) = &self.trace {
+            if solved && self.last_clusters.is_none() {
+                let after = self.weights.units();
+                for (j, (&old, &new)) in scratch.weights_before.iter().zip(after).enumerate() {
+                    if new > old && u64::from(new) > scratch.priority[j] {
+                        trace.push(TraceEvent::Exploration {
+                            round: self.round,
+                            connection: j,
+                            from: old,
+                            to: new,
+                        });
+                    }
+                }
+            }
             // Assemble the round event from recycled vectors (reclaimed
             // below from whatever the ring evicts) rather than fresh ones.
-            let scratch = &mut self.scratch;
             let mut rates = scratch.spare_rates.pop().unwrap_or_default();
             rates.clear();
             rates.extend_from_slice(&self.pending_rates);
@@ -1178,16 +1365,12 @@ impl LoadBalancer {
             }
         }
         self.pending_rates.fill(0.0);
-        &self.weights
     }
 
     /// The largest weight at which `predicted` (monotone) still forecasts
     /// no blocking.
     fn clean_frontier(predicted: &[f64]) -> u32 {
-        predicted
-            .iter()
-            .rposition(|&v| v <= crate::DELTA)
-            .unwrap_or(0) as u32
+        predicted.iter().rposition(|&v| v <= DELTA).unwrap_or(0) as u32
     }
 
     /// [`clean_frontier`](Self::clean_frontier) of `f`'s predicted table,
@@ -1196,294 +1379,13 @@ impl LoadBalancer {
         // Weight 0 never blocks, so a first blocking weight is >= 1.
         cluster::first_blocking_weight(f).map_or(f.resolution(), |w| w - 1)
     }
-
-    fn rebalance_plain(&mut self) {
-        let n = self.cfg.connections;
-        let r = self.cfg.resolution;
-        let width = r as usize + 1;
-        let scratch = &mut self.scratch;
-
-        // A region built wide enough for clustering starts with no flat
-        // mirror; detaches can still drop its live membership below the
-        // threshold, so allocate the mirror on the first plain round after
-        // such a crossing (a membership-induced, hence permitted,
-        // allocation — every later plain round reuses it).
-        if scratch.flat.is_empty() {
-            scratch.flat = vec![0.0; n * width];
-            scratch.flat_gen.fill(u64::MAX);
-        }
-
-        // Mirror predicted tables (and their clean frontiers, which double
-        // as tie priorities) into the flat matrix, touching only rows whose
-        // functions actually changed since the last round.
-        for (j, f) in self.functions.iter_mut().enumerate() {
-            let gen = f.generation();
-            if scratch.flat_gen[j] != gen {
-                let row = f.predicted();
-                scratch.flat[j * width..(j + 1) * width].copy_from_slice(row);
-                scratch.priority[j] = u64::from(Self::clean_frontier(row));
-                scratch.flat_gen[j] = gen;
-            }
-        }
-
-        // Per-connection weight bounds for this round. Decreases are
-        // unconstrained (a connection may always be throttled, even
-        // straight to zero, as in the paper's Figure 8). Increases may go
-        // anywhere the function predicts no blocking, plus at most
-        // `exploration_step` units into predicted-blocking territory — and
-        // a connection may always keep its current weight, which keeps the
-        // problem feasible even when every function predicts blocking.
-        let step = self.cfg.exploration_step;
-        scratch.lower.clear();
-        scratch.upper.clear();
-        for (j, &w) in self.weights.units().iter().enumerate() {
-            if !self.attached[j] {
-                // Detached slots are pinned: they hold no units and the
-                // solver may not grant them any.
-                scratch.lower.push(0);
-                scratch.upper.push(0);
-                continue;
-            }
-            scratch.lower.push(match self.cfg.max_step_down {
-                Some(d) => w.saturating_sub(d),
-                None => 0,
-            });
-            let frontier = scratch.priority[j] as u32;
-            let mut up = frontier
-                .saturating_add(step)
-                .max(w.saturating_add(step))
-                .min(r);
-            if let Some(u) = self.cfg.max_step_up {
-                up = up.min(w.saturating_add(u)).max(w);
-            }
-            scratch.upper.push(up);
-        }
-
-        let problem = Problem::from_flat_parts(
-            &scratch.flat,
-            n,
-            r,
-            &scratch.lower,
-            &scratch.upper,
-            &scratch.ones,
-            &scratch.priority,
-        )
-        .expect("scratch vectors are sized and bounded by construction");
-        fox::solve_with(&problem, &mut scratch.fox)
-            .expect("bounds bracketing the current weights are always feasible");
-        self.weights
-            .copy_from_units(&scratch.fox.weights)
-            .expect("fox assigns exactly R units for multiplicity-1 problems");
-        self.last_clusters = None;
-
-        if let Some(trace) = &self.trace {
-            // An exploration step is a weight increase past the clean
-            // frontier — the controller probing predicted-blocking
-            // territory.
-            for (j, (&old, &new)) in scratch
-                .weights_before
-                .iter()
-                .zip(self.weights.units())
-                .enumerate()
-            {
-                if new > old && u64::from(new) > scratch.priority[j] {
-                    trace.push(TraceEvent::Exploration {
-                        round: self.round,
-                        connection: j,
-                        from: old,
-                        to: new,
-                    });
-                }
-            }
-        }
-    }
-
-    fn rebalance_clustered(&mut self) {
-        let cfg = self
-            .cfg
-            .clustering
-            .expect("clustered rebalance requires clustering config");
-        let threshold = cfg.distance_threshold;
-        let r = self.cfg.resolution;
-        let n = self.cfg.connections;
-        let width = r as usize + 1;
-        let scratch = &mut self.scratch;
-
-        // 1. Live-slot cache, keyed on the membership generation: rounds
-        //    with detached slots no longer rebuild the index list.
-        if scratch.live_gen != self.membership_gen {
-            scratch.live.clear();
-            scratch.live.extend((0..n).filter(|&j| self.attached[j]));
-            scratch.live_gen = self.membership_gen;
-        }
-
-        // 2. Knee refresh. Each live function whose generation moved gets a
-        //    fresh knee via the fit-based fast path (no dense table
-        //    rebuild); what counts is whether a knee VALUE changed — under
-        //    per-round decay every generation moves every round, but knees
-        //    converge, so value comparison is what makes the steady state
-        //    cheap.
-        let mut knee_moved = false;
-        for idx in 0..scratch.live.len() {
-            let j = scratch.live[idx];
-            let f = &mut self.functions[j];
-            let gen = f.generation();
-            if scratch.knee_gen[j] == gen {
-                continue;
-            }
-            let fresh = cluster::knee_of_function(f);
-            let never = scratch.knee_gen[j] == u64::MAX;
-            scratch.knee_gen[j] = gen;
-            if never || fresh != scratch.knees[j] {
-                scratch.knees[j] = fresh;
-                scratch.feat[j] = cluster::log_features(&fresh, r);
-                knee_moved = true;
-            }
-        }
-
-        // 3. Recluster unless nothing can have changed. `last_clusters` is
-        //    cleared by every membership change, so `Some` implies the
-        //    previous round clustered this exact live set; with no knee
-        //    moved either, the partition is identical by construction and
-        //    is reused outright (the pooled solve below still runs — member
-        //    data changes every round even when knees do not). Otherwise
-        //    the live slots are clustered again, which costs an
-        //    agglomeration over their *distinct* feature vectors only.
-        let (clustering, changed) = match self.last_clusters.take() {
-            Some(prev) if !knee_moved => {
-                debug_assert_eq!(scratch.clusters_gen, self.membership_gen);
-                self.last_outcome = Some(ClusterOutcome::Reused);
-                (prev, false)
-            }
-            prev => {
-                let mut fresh = std::mem::take(&mut scratch.spare_clusters);
-                let distinct = scratch.cluster_scratch.cluster_features(
-                    &scratch.live,
-                    &scratch.feat,
-                    threshold,
-                    &mut fresh,
-                );
-                self.last_outcome = Some(ClusterOutcome::Full {
-                    live: scratch.live.len(),
-                    distinct,
-                });
-                let changed = match prev {
-                    Some(mut prev) => {
-                        let changed = fresh.assignment != prev.assignment;
-                        scratch.cluster_scratch.recycle(&mut prev.members);
-                        prev.assignment.clear();
-                        scratch.spare_clusters = prev;
-                        changed
-                    }
-                    None => true,
-                };
-                (fresh, changed)
-            }
-        };
-
-        // 4. Pool member data into one predicted row per cluster (in-place
-        //    PAVA refit, bit-identical to `aggregate_functions`) and build
-        //    the per-cluster solver vectors: granting a cluster one unit of
-        //    per-connection weight consumes `size` units of resource.
-        let k = clustering.members.len();
-        if scratch.cflat.len() < k * width {
-            scratch.cflat.resize(k * width, 0.0);
-        }
-        scratch.clower.clear();
-        scratch.cupper.clear();
-        scratch.csize.clear();
-        scratch.cprio.clear();
-        let step = self.cfg.exploration_step;
-        for (c, members) in clustering.members.iter().enumerate() {
-            let row = &mut scratch.cflat[c * width..(c + 1) * width];
-            scratch.agg.pooled_row(&self.functions, members, row);
-            let frontier = Self::clean_frontier(row);
-            let keep = members
-                .iter()
-                .map(|&m| self.weights.units()[m])
-                .max()
-                .unwrap_or(0);
-            scratch.clower.push(0);
-            scratch.cupper.push(
-                frontier
-                    .saturating_add(step)
-                    .max(keep.saturating_add(step))
-                    .min(r),
-            );
-            scratch.csize.push(members.len() as u32);
-            scratch.cprio.push(u64::from(frontier));
-        }
-
-        let problem = Problem::from_flat_parts(
-            &scratch.cflat[..k * width],
-            k,
-            r,
-            &scratch.clower,
-            &scratch.cupper,
-            &scratch.csize,
-            &scratch.cprio,
-        )
-        .expect("cluster scratch vectors are sized and bounded by construction");
-        let stats = fox::solve_with(&problem, &mut scratch.fox)
-            .expect("keep-current upper bounds always cover R units");
-
-        // 5. Expand per-cluster weights to members and hand out the
-        //    remainder (< max cluster size) unit-by-unit, cheapest marginal
-        //    cluster first.
-        scratch.units_tmp.fill(0);
-        for (c, members) in clustering.members.iter().enumerate() {
-            for &m in members {
-                scratch.units_tmp[m] = scratch.fox.weights[c];
-            }
-        }
-        let mut remainder = (u64::from(r) - stats.assigned) as u32;
-        if remainder > 0 {
-            scratch.corder.clear();
-            scratch.corder.extend(0..k);
-            let cflat = &scratch.cflat;
-            let cprio = &scratch.cprio;
-            let weights = &scratch.fox.weights;
-            scratch.corder.sort_unstable_by(|&a, &b| {
-                let next = |c: usize| cflat[c * width + (weights[c] + 1).min(r) as usize];
-                next(a)
-                    .total_cmp(&next(b))
-                    .then(cprio[b].cmp(&cprio[a]))
-                    .then(a.cmp(&b))
-            });
-            'outer: for ci in 0..scratch.corder.len() {
-                let c = scratch.corder[ci];
-                for &m in &clustering.members[c] {
-                    if remainder == 0 {
-                        break 'outer;
-                    }
-                    if scratch.units_tmp[m] < r {
-                        scratch.units_tmp[m] += 1;
-                        remainder -= 1;
-                    }
-                }
-            }
-        }
-
-        self.weights
-            .copy_from_units(&scratch.units_tmp)
-            .expect("cluster expansion plus remainder distribution totals R");
-        if changed {
-            if let Some(trace) = &self.trace {
-                trace.push(TraceEvent::ClusterUpdate {
-                    round: self.round,
-                    assignment: clustering.assignment.clone(),
-                });
-            }
-        }
-        self.last_clusters = Some(clustering);
-        scratch.clusters_gen = self.membership_gen;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rate::ConnectionSample;
+    use crate::solver::Problem;
 
     fn balancer(n: usize) -> LoadBalancer {
         LoadBalancer::new(BalancerConfig::builder(n).build().unwrap())
@@ -1517,16 +1419,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_rates_can_be_ignored_by_config() {
-        let cfg = BalancerConfig::builder(3)
-            .record_zero_rates(false)
-            .build()
-            .unwrap();
-        let mut lb = LoadBalancer::new(cfg);
-        lb.observe(&[ConnectionSample::new(0, 0.0)]);
-        assert_eq!(lb.function(0).raw_len(), 1, "zero sample discarded");
-        let cfg = BalancerConfig::builder(3).build().unwrap();
-        let mut lb = LoadBalancer::new(cfg);
+    fn zero_rates_are_recorded() {
+        let mut lb = balancer(3);
         lb.observe(&[ConnectionSample::new(0, 0.0)]);
         assert_eq!(lb.function(0).raw_len(), 2, "zero sample recorded");
     }
@@ -1550,21 +1444,6 @@ mod tests {
             lb.rebalance();
             assert_eq!(lb.weights().units().iter().sum::<u32>(), 1000);
         }
-    }
-
-    #[test]
-    fn step_limits_bound_weight_changes() {
-        let cfg = BalancerConfig::builder(2)
-            .max_step_down(100)
-            .max_step_up(100)
-            .build()
-            .unwrap();
-        let mut lb = LoadBalancer::new(cfg);
-        lb.observe(&[ConnectionSample::new(0, 0.99)]);
-        lb.rebalance();
-        assert_eq!(lb.weights().units(), &[400, 600]);
-        lb.rebalance();
-        assert_eq!(lb.weights().units(), &[300, 700]);
     }
 
     #[test]

@@ -64,6 +64,10 @@ pub struct BlockingRateFunction {
     ws: Vec<f64>,
     fit: Vec<f64>,
     pava: PavaScratch,
+    /// The fit segment that answered the last point query (`seg` is the
+    /// first raw point at or above the queried weight). The solver asks
+    /// for consecutive weights, so it usually answers the next one too.
+    seg: usize,
 }
 
 impl BlockingRateFunction {
@@ -97,6 +101,7 @@ impl BlockingRateFunction {
             ws: vec![1.0],
             fit: vec![0.0],
             pava: PavaScratch::new(),
+            seg: 0,
         }
     }
 
@@ -312,31 +317,36 @@ impl BlockingRateFunction {
     /// Evaluates one weight from the fit, with arithmetic identical to
     /// [`fill_table`](Self::fill_table) so point queries are bit-identical
     /// to reading the dense table.
-    fn point_from_fit(&self, weight: u32) -> f64 {
+    fn point_from_fit(&mut self, weight: u32) -> f64 {
         let xs = &self.xs;
         let fit = &self.fit;
-        match xs.binary_search(&weight) {
-            Ok(k) => fit[k],
-            Err(k) if k < xs.len() => {
-                // Interpolate inside the segment xs[k-1]..xs[k]. k >= 1
-                // because xs always starts at weight 0.
-                let x0 = xs[k - 1] as usize;
-                let x1 = xs[k] as usize;
-                let (y0, y1) = (fit[k - 1], fit[k]);
-                let span = (x1 - x0) as f64;
-                y0 + (y1 - y0) * (weight as usize - x0) as f64 / span
-            }
-            Err(_) => {
-                // Extrapolate past the last raw point.
-                let last = *xs.last().expect("raw always contains weight 0") as usize;
-                let slope = if xs.len() >= 2 {
-                    let x0 = xs[xs.len() - 2] as usize;
-                    (fit[xs.len() - 1] - fit[xs.len() - 2]) / (last - x0) as f64
-                } else {
-                    0.0
-                };
-                fit[xs.len() - 1] + slope * (weight as usize - last) as f64
-            }
+        // k = the first raw point at or above `weight` (xs.len() if none).
+        let mut k = self.seg;
+        if !(k <= xs.len() && (k == 0 || xs[k - 1] < weight) && (k == xs.len() || weight <= xs[k]))
+        {
+            k = xs.partition_point(|&x| x < weight);
+            self.seg = k;
+        }
+        if k == xs.len() {
+            // Extrapolate past the last raw point.
+            let last = *xs.last().expect("raw always contains weight 0") as usize;
+            let slope = if xs.len() >= 2 {
+                let x0 = xs[xs.len() - 2] as usize;
+                (fit[xs.len() - 1] - fit[xs.len() - 2]) / (last - x0) as f64
+            } else {
+                0.0
+            };
+            fit[xs.len() - 1] + slope * (weight as usize - last) as f64
+        } else if xs[k] == weight {
+            fit[k]
+        } else {
+            // Interpolate inside the segment xs[k-1]..xs[k]. k >= 1
+            // because xs always starts at weight 0.
+            let x0 = xs[k - 1] as usize;
+            let x1 = xs[k] as usize;
+            let (y0, y1) = (fit[k - 1], fit[k]);
+            let span = (x1 - x0) as f64;
+            y0 + (y1 - y0) * (weight as usize - x0) as f64 / span
         }
     }
 }
@@ -547,14 +557,27 @@ mod tests {
             b.observe(w, v);
         }
         // `a` is queried point-by-point while dirty; `b` rebuilds the table.
-        let table: Vec<f64> = b.predicted().to_vec();
-        for w in 0..=100u32 {
-            assert_eq!(
-                a.value(w).to_bits(),
-                table[w as usize].to_bits(),
-                "mismatch at weight {w}"
-            );
+        // Ascending (the remembered segment answers most queries), then
+        // descending and in jumps of 37 (it rarely does), then again after
+        // the raw points — and with them the segments — changed.
+        let sweep = |a: &mut BlockingRateFunction, b: &mut BlockingRateFunction| {
+            let table: Vec<f64> = b.predicted().to_vec();
+            let jumps = (0..=100u32).map(|i| i * 37 % 101);
+            for w in (0..=100u32).chain((0..=100).rev()).chain(jumps) {
+                assert_eq!(
+                    a.value(w).to_bits(),
+                    table[w as usize].to_bits(),
+                    "mismatch at weight {w}"
+                );
+            }
+        };
+        sweep(&mut a, &mut b);
+        for f in [&mut a, &mut b] {
+            f.observe(5, 0.3);
+            f.observe(95, 0.1);
+            f.decay_above(40, 0.5);
         }
+        sweep(&mut a, &mut b);
     }
 
     #[test]

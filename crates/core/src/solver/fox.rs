@@ -155,10 +155,11 @@ pub(crate) struct Limits<'a> {
 
 /// The greedy loop itself, over any source of function values: `value(j,
 /// w)` is `F_j(w)`, asked only for `lower[j] < w <= upper[j]` and, once
-/// for the objective, at the final weights. [`solve_with`] reads dense
-/// tables; the controller's membership renormalization answers from each
-/// function's compact fit, so no table is ever built for it. The caller
-/// guarantees well-formed, feasible limits.
+/// for the objective, at the final weights. [`solve_with`] reads a
+/// [`Problem`]'s dense tables; the [controller](crate::controller) — whose
+/// only solver entry this is — answers slot items from the functions
+/// themselves and cluster items from pooled rows. The caller guarantees
+/// well-formed, feasible limits.
 pub(crate) fn greedy(
     limits: &Limits<'_>,
     mut value: impl FnMut(usize, u32) -> f64,

@@ -26,7 +26,6 @@ pub mod brute;
 pub mod fox;
 pub mod galil_megiddo;
 
-use std::borrow::Cow;
 use std::fmt;
 
 /// Error constructing or solving a [`Problem`].
@@ -91,48 +90,20 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// How a [`Problem`] stores its function slices.
-#[derive(Debug, Clone)]
-enum FunctionSet<'a> {
-    /// One borrowed slice per item.
-    PerItem(Vec<&'a [f64]>),
-    /// All items packed row-major into one slice of `items × (R + 1)`
-    /// values — the zero-allocation form the controller feeds from a
-    /// persistent flat buffer.
-    Flat { data: &'a [f64], items: usize },
-}
-
-impl<'a> FunctionSet<'a> {
-    fn items(&self) -> usize {
-        match self {
-            FunctionSet::PerItem(v) => v.len(),
-            FunctionSet::Flat { items, .. } => *items,
-        }
-    }
-
-    fn row(&self, j: usize, width: usize) -> &'a [f64] {
-        match self {
-            FunctionSet::PerItem(v) => v[j],
-            FunctionSet::Flat { data, .. } => &data[j * width..(j + 1) * width],
-        }
-    }
-}
-
 /// A minimax separable RAP instance.
 ///
 /// Functions are borrowed slices of length `R + 1`, assumed non-decreasing
 /// (the model guarantees this via monotone regression; solvers do not
-/// re-check in release builds). Bounds, multiplicities and tie priorities
-/// are copy-on-write: the builder-style setters own their vectors, while
-/// [`from_flat_parts`](Self::from_flat_parts) borrows everything so a
-/// problem can be assembled every control round without allocating.
+/// re-check in release builds). The [controller](crate::controller) does
+/// not build one of these: it hands its per-round scratch to the greedy
+/// loop directly.
 #[derive(Debug, Clone)]
 pub struct Problem<'a> {
-    functions: FunctionSet<'a>,
-    lower: Cow<'a, [u32]>,
-    upper: Cow<'a, [u32]>,
-    multiplicity: Cow<'a, [u32]>,
-    tie_priority: Cow<'a, [u64]>,
+    functions: Vec<&'a [f64]>,
+    lower: Vec<u32>,
+    upper: Vec<u32>,
+    multiplicity: Vec<u32>,
+    tie_priority: Vec<u64>,
     resolution: u32,
 }
 
@@ -163,77 +134,11 @@ impl<'a> Problem<'a> {
         }
         let n = functions.len();
         Ok(Problem {
-            functions: FunctionSet::PerItem(functions),
-            lower: Cow::Owned(vec![0; n]),
-            upper: Cow::Owned(vec![resolution; n]),
-            multiplicity: Cow::Owned(vec![1; n]),
-            tie_priority: Cow::Owned(vec![0; n]),
-            resolution,
-        })
-    }
-
-    /// Creates a fully-borrowed multiplicity-`multiplicity` problem over a
-    /// flat row-major function matrix (`items` rows of `R + 1` values
-    /// each). Performs no allocation: every vector is borrowed from the
-    /// caller, which is what lets the controller set up its per-round solve
-    /// from persistent scratch buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Empty`] for zero items,
-    /// [`SolveError::BadFunctionLength`] when `data` is not exactly
-    /// `items × (R + 1)` long, [`SolveError::BadVectorLength`] /
-    /// [`SolveError::BadBounds`] / [`SolveError::ZeroMultiplicity`] on
-    /// malformed bound, priority or multiplicity vectors.
-    #[allow(clippy::similar_names)]
-    pub fn from_flat_parts(
-        data: &'a [f64],
-        items: usize,
-        resolution: u32,
-        lower: &'a [u32],
-        upper: &'a [u32],
-        multiplicity: &'a [u32],
-        tie_priority: &'a [u64],
-    ) -> Result<Self, SolveError> {
-        if items == 0 {
-            return Err(SolveError::Empty);
-        }
-        let expected = resolution as usize + 1;
-        if data.len() != items * expected {
-            return Err(SolveError::BadFunctionLength {
-                index: 0,
-                len: data.len() / items,
-                expected,
-            });
-        }
-        if lower.len() != items
-            || upper.len() != items
-            || multiplicity.len() != items
-            || tie_priority.len() != items
-        {
-            return Err(SolveError::BadVectorLength);
-        }
-        for (index, (&l, &u)) in lower.iter().zip(upper).enumerate() {
-            if l > u || u > resolution {
-                return Err(SolveError::BadBounds { index });
-            }
-        }
-        for (index, &m) in multiplicity.iter().enumerate() {
-            if m == 0 {
-                return Err(SolveError::ZeroMultiplicity { index });
-            }
-        }
-        debug_assert!(
-            data.chunks_exact(expected)
-                .all(|row| row.windows(2).all(|w| w[0] <= w[1] + 1e-9)),
-            "flat function rows must be non-decreasing"
-        );
-        Ok(Problem {
-            functions: FunctionSet::Flat { data, items },
-            lower: Cow::Borrowed(lower),
-            upper: Cow::Borrowed(upper),
-            multiplicity: Cow::Borrowed(multiplicity),
-            tie_priority: Cow::Borrowed(tie_priority),
+            functions,
+            lower: vec![0; n],
+            upper: vec![resolution; n],
+            multiplicity: vec![1; n],
+            tie_priority: vec![0; n],
             resolution,
         })
     }
@@ -253,8 +158,8 @@ impl<'a> Problem<'a> {
                 return Err(SolveError::BadBounds { index });
             }
         }
-        self.lower = Cow::Owned(lower);
-        self.upper = Cow::Owned(upper);
+        self.lower = lower;
+        self.upper = upper;
         Ok(self)
     }
 
@@ -277,13 +182,13 @@ impl<'a> Problem<'a> {
                 return Err(SolveError::ZeroMultiplicity { index });
             }
         }
-        self.multiplicity = Cow::Owned(multiplicity);
+        self.multiplicity = multiplicity;
         Ok(self)
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.functions.items()
+        self.functions.len()
     }
 
     /// Always `false`: problems have at least one function.
@@ -302,37 +207,13 @@ impl<'a> Problem<'a> {
     ///
     /// Panics if `j >= self.len()`.
     pub fn function(&self, j: usize) -> &'a [f64] {
-        self.functions.row(j, self.resolution as usize + 1)
+        self.functions[j]
     }
 
-    /// The function slices, materialized as one vector. Allocates; solvers
-    /// that iterate items should prefer [`function`](Self::function).
+    /// The function slices as one vector. Allocates; solvers that iterate
+    /// items should prefer [`function`](Self::function).
     pub fn functions_vec(&self) -> Vec<&'a [f64]> {
-        match &self.functions {
-            FunctionSet::PerItem(v) => v.clone(),
-            FunctionSet::Flat { data, items } => {
-                let width = self.resolution as usize + 1;
-                (0..*items)
-                    .map(|j| &data[j * width..(j + 1) * width])
-                    .collect()
-            }
-        }
-    }
-
-    /// Evaluates `max_j F_j(w_j)` for a candidate assignment without
-    /// materializing the function slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != self.len()` or a weight exceeds `R`.
-    pub fn objective(&self, weights: &[u32]) -> f64 {
-        assert_eq!(weights.len(), self.len(), "length mismatch");
-        let width = self.resolution as usize + 1;
-        weights
-            .iter()
-            .enumerate()
-            .map(|(j, &w)| self.functions.row(j, width)[w as usize])
-            .fold(0.0, f64::max)
+        self.functions.clone()
     }
 
     /// Per-item lower bounds.
@@ -368,7 +249,7 @@ impl<'a> Problem<'a> {
         if priority.len() != self.len() {
             return Err(SolveError::BadVectorLength);
         }
-        self.tie_priority = Cow::Owned(priority);
+        self.tie_priority = priority;
         Ok(self)
     }
 
@@ -489,50 +370,6 @@ mod tests {
         let f1 = vec![0.0, 0.5, 0.9];
         let obj = minimax_objective(&[&f0, &f1], &[2, 1]);
         assert!((obj - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flat_parts_match_per_item_view() {
-        let rows = [vec![0.0, 0.1, 0.2], vec![0.0, 0.5, 0.9]];
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let lower = [0u32, 0];
-        let upper = [2u32, 2];
-        let mult = [1u32, 1];
-        let prio = [7u64, 3];
-        let p = Problem::from_flat_parts(&flat, 2, 2, &lower, &upper, &mult, &prio).unwrap();
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.function(0), rows[0].as_slice());
-        assert_eq!(p.function(1), rows[1].as_slice());
-        assert_eq!(
-            p.functions_vec(),
-            vec![rows[0].as_slice(), rows[1].as_slice()]
-        );
-        assert_eq!(p.tie_priority(), &prio);
-        assert!((p.objective(&[2, 1]) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flat_parts_validation() {
-        let flat = vec![0.0; 5];
-        let v1 = [0u32];
-        let p1 = [0u64];
-        assert!(matches!(
-            Problem::from_flat_parts(&flat, 1, 2, &v1, &v1, &[1], &p1).unwrap_err(),
-            SolveError::BadFunctionLength { .. }
-        ));
-        let flat = vec![0.0; 3];
-        assert!(matches!(
-            Problem::from_flat_parts(&flat, 1, 2, &[3], &[2], &[1], &p1).unwrap_err(),
-            SolveError::BadBounds { index: 0 }
-        ));
-        assert!(matches!(
-            Problem::from_flat_parts(&flat, 1, 2, &v1, &[2], &[0], &p1).unwrap_err(),
-            SolveError::ZeroMultiplicity { index: 0 }
-        ));
-        assert_eq!(
-            Problem::from_flat_parts(&flat, 0, 2, &[], &[], &[], &[]).unwrap_err(),
-            SolveError::Empty
-        );
     }
 
     #[test]

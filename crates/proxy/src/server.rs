@@ -383,7 +383,6 @@ impl Proxy {
                         .build()
                         .expect("a non-empty backend list yields a valid width");
                     let mut builder = ControlPlane::builder(bcfg)
-                        .rate_cap(10.0)
                         .telemetry(&controller_telemetry)
                         .metrics("proxy");
                     if let Some(auto) = controller_shared.cfg.autoscale {

@@ -374,9 +374,7 @@ pub fn spawn<L: Link>(
                     .mode(spec.mode)
                     .build()
                     .expect("region-sized balancer config is valid");
-                let mut builder = ControlPlane::builder(cfg)
-                    .rate_cap(10.0)
-                    .keep_snapshots(true);
+                let mut builder = ControlPlane::builder(cfg).keep_snapshots(true);
                 if let Some(t) = &spec.telemetry {
                     builder = builder.telemetry(t);
                 }

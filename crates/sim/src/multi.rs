@@ -105,16 +105,13 @@ impl MultiConfig {
         if self.regions.is_empty() || self.regions.iter().any(|r| r.workers.is_empty()) {
             return Err(ConfigError::NoWorkers);
         }
-        for (ri, r) in self.regions.iter().enumerate() {
+        for r in &self.regions {
             if r.workers.len() != r.load.len() {
                 return Err(ConfigError::ZeroParameter("load vector width"));
             }
-            for (&h, &f) in r.workers.iter().zip(&r.load) {
-                if h >= self.hosts.len() {
-                    return Err(ConfigError::UnknownHost {
-                        worker: ri,
-                        host: h,
-                    });
+            for (worker, (&host, &f)) in r.workers.iter().zip(&r.load).enumerate() {
+                if host >= self.hosts.len() {
+                    return Err(ConfigError::UnknownHost { worker, host });
                 }
                 if !f.is_finite() || f <= 0.0 {
                     return Err(ConfigError::ZeroParameter("load factor"));
@@ -663,5 +660,19 @@ mod tests {
             duration_ns: SECOND_NS,
         };
         assert!(run_multi(&cfg, vec![rr()]).is_err());
+        // The unknown host is reported against the worker that names it,
+        // not against its region's index.
+        let mut bad = MultiRegionSpec::uniform(4, 0, 1_000, 500.0);
+        bad.workers[2] = 9;
+        let cfg = MultiConfig {
+            hosts: vec![Host::slow()],
+            regions: vec![MultiRegionSpec::uniform(3, 0, 1_000, 500.0), bad],
+            sample_interval_ns: SECOND_NS,
+            duration_ns: SECOND_NS,
+        };
+        assert_eq!(
+            cfg.validate().unwrap_err(),
+            ConfigError::UnknownHost { worker: 2, host: 9 }
+        );
     }
 }

@@ -313,11 +313,6 @@ impl BalancerPolicy {
         self.plane.balancer()
     }
 
-    /// The wrapped control plane (for membership changes).
-    pub fn plane_mut(&mut self) -> &mut ControlPlane {
-        &mut self.plane
-    }
-
     /// Installs a [`WidthPolicy`] on the wrapped plane: each round, after
     /// the weight solve, [`Policy::decide_width`] consults it and the
     /// engine applies the decision (resizing the region end-to-end).

@@ -202,7 +202,7 @@ fn clustered_width_64_digest_is_pinned() {
         .unwrap();
     let telemetry = Telemetry::new();
     let mut plane = ControlPlane::builder(cfg).telemetry(&telemetry).build();
-    let mut rng = SplitMix64::new(0xC1A5_5E5);
+    let mut rng = SplitMix64::new(0x0C1A_55E5);
     let mut digest = Digest::new();
     let base: Vec<u32> = (0..n).map(|j| [6, 14, 22, 22][j % 4]).collect();
     let mut caps = base.clone();
@@ -247,7 +247,7 @@ fn clustered_width_64_digest_is_pinned() {
 #[test]
 fn width_change_digest_is_pinned() {
     let mut digest = Digest::new();
-    let mut rng = SplitMix64::new(0x51DE_5);
+    let mut rng = SplitMix64::new(0x0005_1DE5);
 
     let cfg = BalancerConfig::builder(4).build().unwrap();
     let mut plane = ControlPlane::builder(cfg).build();
