@@ -5,9 +5,9 @@
 
 use streambal_bench::Micro;
 use streambal_sim::config::{RegionConfig, StopCondition};
-use streambal_sim::multi::{run_multi, MultiConfig, MultiRegionSpec};
+use streambal_sim::multi::run_coupled;
 use streambal_sim::policy::{Policy, RoundRobinPolicy};
-use streambal_sim::{Host, SECOND_NS};
+use streambal_sim::{ChaosPlan, Host, SECOND_NS};
 use streambal_telemetry::Telemetry;
 
 fn region(n: usize, tuples: u64) -> RegionConfig {
@@ -34,19 +34,20 @@ fn main() {
 
     // Shared hosts: two 8-PE regions oversubscribe one 8-thread host, so
     // every start and finish rescales the host's in-flight completions.
-    let coupled = MultiConfig {
-        hosts: vec![Host::slow()],
-        regions: vec![MultiRegionSpec::uniform(8, 0, 1_000, 200.0); 2],
-        sample_interval_ns: SECOND_NS,
-        duration_ns: SECOND_NS,
-    };
+    let mut b = RegionConfig::builder(8);
+    b.hosts(vec![Host::slow()])
+        .base_cost(1_000)
+        .mult_ns(200.0)
+        .merge_capacity(usize::MAX)
+        .stop(StopCondition::Duration(SECOND_NS));
+    let coupled = [b.build().unwrap(), b.build().unwrap()];
     let mut delivered = 0;
     let stats = m.run("sim_engine/coupled/2x8", || {
         let policies: Vec<Box<dyn Policy>> = vec![
             Box::new(RoundRobinPolicy::new()),
             Box::new(RoundRobinPolicy::new()),
         ];
-        let results = run_multi(&coupled, policies).unwrap();
+        let results = run_coupled(&coupled, policies, &[], None).unwrap();
         delivered = results.iter().map(|r| r.delivered).sum();
         delivered
     });
@@ -62,9 +63,10 @@ fn main() {
         streambal_sim::run(&cfg, &mut p).unwrap().delivered
     });
     let telemetry = Telemetry::new();
+    let plan = ChaosPlan::default();
     let instrumented = m.run("sim_engine/telemetry_on/16", || {
         let mut p = RoundRobinPolicy::new();
-        streambal_sim::run_with_telemetry(&cfg, &mut p, &telemetry)
+        streambal_sim::run_chaos(&cfg, &mut p, &plan, Some(&telemetry), None)
             .unwrap()
             .delivered
     });

@@ -1,4 +1,4 @@
-//! Shared plumbing for the experiment binaries.
+//! Shared plumbing for the experiment runner (`all_experiments`).
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -8,11 +8,13 @@ use streambal_sim::metrics::RunResult;
 use streambal_workloads::policies::PolicyKind;
 use streambal_workloads::scenarios::Scenario;
 
-/// Where CSV outputs go: `$STREAMBAL_RESULTS` or `./results`.
+/// Where CSV outputs go: `$STREAMBAL_RESULTS` or `./target/results`. The
+/// committed goldens in `results/` are rewritten only on request
+/// (`STREAMBAL_RESULTS=results`), so a local run cannot dirty them.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("STREAMBAL_RESULTS")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
+        .unwrap_or_else(|| PathBuf::from("target/results"))
 }
 
 /// Whether a quick (scaled-down) run was requested via `--quick` on the

@@ -1,13 +1,14 @@
 //! # streambal-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of the
-//! paper's evaluation (§6). Each figure has a standalone binary
-//! (`cargo run --release -p streambal-bench --bin fig09`) and they are all
-//! callable from `all_experiments`, which writes CSV series/tables under
-//! `results/` and prints the same rows the paper reports.
+//! paper's evaluation (§6). Each figure is a module under [`experiments`]
+//! and a name of the one binary, `all_experiments [NAME…]`
+//! (`cargo run --release -p streambal-bench --bin all_experiments -- fig09`;
+//! no name runs them all), which writes CSV series/tables under
+//! [`results_dir`] and prints the same rows the paper reports.
 //!
-//! Pass `--quick` (or set `STREAMBAL_QUICK=1`) to any binary to scale the
-//! workloads down ~8× for a fast smoke run; shapes persist, noise grows.
+//! Pass `--quick` (or set `STREAMBAL_QUICK=1`) to scale the workloads down
+//! ~8× for a fast smoke run; shapes persist, noise grows.
 //!
 //! Micro-benchmarks for the algorithmic components (solvers, monotone
 //! regression, function updates, clustering, the event engine) live in

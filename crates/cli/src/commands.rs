@@ -106,26 +106,19 @@ fn simulate(a: SimulateArgs) -> Result<(), Box<dyn Error>> {
     };
 
     let telemetry = (a.metrics.is_some() || a.trace.is_some()).then(Telemetry::new);
-    let result = if a.grows.is_empty() {
-        match &telemetry {
-            Some(t) => streambal_sim::run_with_telemetry(&cfg, policy.as_mut(), t)?,
-            None => streambal_sim::run(&cfg, policy.as_mut())?,
-        }
-    } else {
-        // Live growth rides the chaos WorkerAdd path: fresh connections and
-        // workers appear at the scheduled rounds and the balancer admits
-        // them exploration-bounded.
-        let events = a
-            .grows
-            .iter()
-            .map(|&(round, count)| TimedFault {
-                t_ns: round * cfg.sample_interval_ns,
-                fault: FaultKind::WorkerAdd { count },
-            })
-            .collect();
-        let plan = ChaosPlan::new(events);
-        streambal_sim::run_chaos(&cfg, policy.as_mut(), &plan, telemetry.as_ref(), None)?
-    };
+    // Live growth rides the chaos WorkerAdd path: fresh connections and
+    // workers appear at the scheduled rounds and the balancer admits them
+    // exploration-bounded. Without `--grow-at` the plan is empty.
+    let events = a
+        .grows
+        .iter()
+        .map(|&(round, count)| TimedFault {
+            t_ns: round * cfg.sample_interval_ns,
+            fault: FaultKind::WorkerAdd { count },
+        })
+        .collect();
+    let plan = ChaosPlan::new(events);
+    let result = streambal_sim::run_chaos(&cfg, policy.as_mut(), &plan, telemetry.as_ref(), None)?;
     println!(
         "policy {} delivered {} tuples in {:.1} simulated seconds \
          ({:.0} tuples/s mean, {:.0} tuples/s final)",

@@ -9,7 +9,7 @@
 use streambal_sim::config::{ConfigError, RegionConfig, StopCondition};
 use streambal_sim::host::Host;
 use streambal_sim::metrics::RunResult;
-use streambal_sim::multi::{run_multi, MultiConfig, MultiRegionSpec};
+use streambal_sim::multi::run_coupled;
 use streambal_sim::policy::{BalancerPolicy, Policy};
 use streambal_sim::SECOND_NS;
 
@@ -186,28 +186,25 @@ pub fn co_simulate_coupled(
     placement: &Placement,
     seconds: u64,
 ) -> Result<Vec<RunResult>, ConfigError> {
-    let regions: Vec<MultiRegionSpec> = spec
+    let regions = spec
         .regions()
         .iter()
         .zip(placement.assignment())
         .map(|(r, hosts)| {
             assert_eq!(hosts.len(), r.pes, "placement width mismatch");
-            MultiRegionSpec {
-                base_cost: r.base_cost,
-                mult_ns: r.mult_ns,
-                send_overhead_ns: r.send_overhead_ns,
-                conn_capacity: 64,
-                workers: hosts.clone(),
-                load: vec![1.0; r.pes],
+            let mut b = RegionConfig::builder(r.pes);
+            b.hosts(spec.hosts().to_vec())
+                .base_cost(r.base_cost)
+                .mult_ns(r.mult_ns)
+                .send_overhead_ns(r.send_overhead_ns)
+                .merge_capacity(usize::MAX)
+                .stop(StopCondition::Duration(seconds * SECOND_NS));
+            for (j, &h) in hosts.iter().enumerate() {
+                b.worker_host(j, h);
             }
+            b.build()
         })
-        .collect();
-    let cfg = MultiConfig {
-        hosts: spec.hosts().to_vec(),
-        regions,
-        sample_interval_ns: SECOND_NS,
-        duration_ns: seconds * SECOND_NS,
-    };
+        .collect::<Result<Vec<_>, _>>()?;
     let policies: Vec<Box<dyn Policy>> = spec
         .regions()
         .iter()
@@ -219,7 +216,7 @@ pub fn co_simulate_coupled(
             )) as Box<dyn Policy>
         })
         .collect();
-    run_multi(&cfg, policies)
+    run_coupled(&regions, policies, &[], None)
 }
 
 #[cfg(test)]

@@ -73,6 +73,9 @@ pub enum ConfigError {
         /// Policies supplied.
         policies: usize,
     },
+    /// Region `r` of a coupled run (see [`crate::multi`]) carries `hosts`
+    /// or a `stop` that differ from region 0's; the regions share both.
+    CoupledMismatch(usize),
 }
 
 impl fmt::Display for ConfigError {
@@ -94,6 +97,10 @@ impl fmt::Display for ConfigError {
             ConfigError::PolicyCount { regions, policies } => write!(
                 f,
                 "{regions} regions need one policy each, got {policies} policies"
+            ),
+            ConfigError::CoupledMismatch(r) => write!(
+                f,
+                "region {r}'s hosts or stop condition differ from region 0's"
             ),
         }
     }
@@ -155,7 +162,7 @@ impl RegionConfig {
     /// Starts a builder for a region with `workers` worker PEs, all on one
     /// sufficiently large "slow" host, with the paper's defaults.
     pub fn builder(workers: usize) -> RegionConfigBuilder {
-        RegionConfigBuilder {
+        RegionConfigBuilder(RegionConfig {
             workers: (0..workers)
                 .map(|_| WorkerSpec {
                     host: 0,
@@ -175,7 +182,7 @@ impl RegionConfig {
             hiccup_prob: 0.0,
             hiccup_ns: 2_000_000,
             seed: 42,
-        }
+        })
     }
 
     /// Number of worker PEs (= connections).
@@ -255,29 +262,15 @@ impl RegionConfig {
     }
 }
 
-/// Builder for [`RegionConfig`].
+/// Builder for [`RegionConfig`]: the configuration under construction,
+/// validated by [`build`](Self::build).
 #[derive(Debug, Clone)]
-pub struct RegionConfigBuilder {
-    workers: Vec<WorkerSpec>,
-    hosts: Vec<Host>,
-    base_cost: u64,
-    mult_ns: f64,
-    send_overhead_ns: u64,
-    conn_capacity: usize,
-    merge_capacity: usize,
-    sample_interval_ns: u64,
-    stop: StopCondition,
-    fraction_events: Vec<FractionEvent>,
-    jitter: f64,
-    hiccup_prob: f64,
-    hiccup_ns: u64,
-    seed: u64,
-}
+pub struct RegionConfigBuilder(RegionConfig);
 
 impl RegionConfigBuilder {
     /// Replaces the host list (workers default to host 0).
     pub fn hosts(&mut self, hosts: Vec<Host>) -> &mut Self {
-        self.hosts = hosts;
+        self.0.hosts = hosts;
         self
     }
 
@@ -287,7 +280,7 @@ impl RegionConfigBuilder {
     ///
     /// Panics if `j` is out of range.
     pub fn worker_host(&mut self, j: usize, host: usize) -> &mut Self {
-        self.workers[j].host = host;
+        self.0.workers[j].host = host;
         self
     }
 
@@ -297,7 +290,7 @@ impl RegionConfigBuilder {
     ///
     /// Panics if `j` is out of range or the factor is invalid.
     pub fn worker_load(&mut self, j: usize, factor: f64) -> &mut Self {
-        self.workers[j].load = LoadSchedule::constant(factor);
+        self.0.workers[j].load = LoadSchedule::constant(factor);
         self
     }
 
@@ -307,77 +300,77 @@ impl RegionConfigBuilder {
     ///
     /// Panics if `j` is out of range.
     pub fn worker_load_schedule(&mut self, j: usize, schedule: LoadSchedule) -> &mut Self {
-        self.workers[j].load = schedule;
+        self.0.workers[j].load = schedule;
         self
     }
 
     /// Sets the per-tuple base cost in integer multiplies.
     pub fn base_cost(&mut self, multiplies: u64) -> &mut Self {
-        self.base_cost = multiplies;
+        self.0.base_cost = multiplies;
         self
     }
 
     /// Sets the simulated cost of one multiply at speed 1.0, in ns.
     pub fn mult_ns(&mut self, ns: f64) -> &mut Self {
-        self.mult_ns = ns;
+        self.0.mult_ns = ns;
         self
     }
 
     /// Sets the splitter's per-tuple routing cost in ns. `0` (the default)
     /// derives it as 1/64 of the unloaded tuple service time.
     pub fn send_overhead_ns(&mut self, ns: u64) -> &mut Self {
-        self.send_overhead_ns = ns;
+        self.0.send_overhead_ns = ns;
         self
     }
 
     /// Sets the per-connection buffer capacity in tuples.
     pub fn conn_capacity(&mut self, tuples: usize) -> &mut Self {
-        self.conn_capacity = tuples;
+        self.0.conn_capacity = tuples;
         self
     }
 
     /// Sets the merger's per-connection reorder-queue capacity.
     pub fn merge_capacity(&mut self, tuples: usize) -> &mut Self {
-        self.merge_capacity = tuples;
+        self.0.merge_capacity = tuples;
         self
     }
 
     /// Sets the control-loop sampling interval in ns.
     pub fn sample_interval_ns(&mut self, ns: u64) -> &mut Self {
-        self.sample_interval_ns = ns;
+        self.0.sample_interval_ns = ns;
         self
     }
 
     /// Sets the stop condition.
     pub fn stop(&mut self, stop: StopCondition) -> &mut Self {
-        self.stop = stop;
+        self.0.stop = stop;
         self
     }
 
     /// Adds a workload-progress-triggered load change (see
     /// [`FractionEvent`]); requires a [`StopCondition::Tuples`] stop.
     pub fn fraction_event(&mut self, event: FractionEvent) -> &mut Self {
-        self.fraction_events.push(event);
+        self.0.fraction_events.push(event);
         self
     }
 
     /// Sets the relative service-time jitter.
     pub fn jitter(&mut self, jitter: f64) -> &mut Self {
-        self.jitter = jitter;
+        self.0.jitter = jitter;
         self
     }
 
     /// Enables scheduler hiccups: with probability `prob` per tuple, a
     /// worker's service takes an extra `extra_ns`.
     pub fn hiccups(&mut self, prob: f64, extra_ns: u64) -> &mut Self {
-        self.hiccup_prob = prob;
-        self.hiccup_ns = extra_ns;
+        self.0.hiccup_prob = prob;
+        self.0.hiccup_ns = extra_ns;
         self
     }
 
     /// Sets the RNG seed.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.seed = seed;
+        self.0.seed = seed;
         self
     }
 
@@ -387,27 +380,10 @@ impl RegionConfigBuilder {
     ///
     /// Returns the first [`ConfigError`] found.
     pub fn build(&self) -> Result<RegionConfig, ConfigError> {
-        let send_overhead_ns = if self.send_overhead_ns == 0 {
-            ((self.base_cost as f64 * self.mult_ns) / 64.0).max(1.0) as u64
-        } else {
-            self.send_overhead_ns
-        };
-        let cfg = RegionConfig {
-            workers: self.workers.clone(),
-            hosts: self.hosts.clone(),
-            base_cost: self.base_cost,
-            mult_ns: self.mult_ns,
-            send_overhead_ns,
-            conn_capacity: self.conn_capacity,
-            merge_capacity: self.merge_capacity,
-            sample_interval_ns: self.sample_interval_ns,
-            stop: self.stop,
-            fraction_events: self.fraction_events.clone(),
-            jitter: self.jitter,
-            hiccup_prob: self.hiccup_prob,
-            hiccup_ns: self.hiccup_ns,
-            seed: self.seed,
-        };
+        let mut cfg = self.0.clone();
+        if cfg.send_overhead_ns == 0 {
+            cfg.send_overhead_ns = (cfg.base_service_ns() / 64.0).max(1.0) as u64;
+        }
         cfg.validate()?;
         Ok(cfg)
     }

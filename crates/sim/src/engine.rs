@@ -21,7 +21,7 @@
 //! - **dedicated workers** ([`run`], [`run_chaos`]) draw a service time
 //!   once, from the worker's static
 //!   [`effective_speeds`](RegionConfig::effective_speeds) share;
-//! - **shared hosts** ([`run_multi`](crate::multi::run_multi)) are
+//! - **shared hosts** ([`run_coupled`](crate::multi::run_coupled)) are
 //!   processor-sharing: a host with `threads` hardware threads and `b`
 //!   *currently busy* PEs runs each at `speed × min(1, threads / b)`.
 //!   Whenever a worker starts or finishes a tuple, the remaining work of
@@ -123,44 +123,9 @@ pub fn run(cfg: &RegionConfig, policy: &mut dyn Policy) -> Result<RunResult, Con
     run_chaos(cfg, policy, &ChaosPlan::default(), None, None)
 }
 
-/// Runs one simulation with a telemetry hub attached: splitter/merger hot
-/// paths publish counters under `sim.*`, every control round leaves a
-/// [`TraceEvent::Sample`] in the hub's trace buffer (mirroring the returned
-/// [`SampleTrace`]s exactly), and the policy gets a chance to attach its own
-/// decision trace via [`Policy::attach_telemetry`].
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] when the configuration is invalid.
-///
-/// # Examples
-///
-/// ```
-/// use streambal_sim::config::{RegionConfig, StopCondition};
-/// use streambal_sim::policy::RoundRobinPolicy;
-/// use streambal_telemetry::Telemetry;
-///
-/// let cfg = RegionConfig::builder(2)
-///     .stop(StopCondition::Tuples(1_000))
-///     .build()
-///     .unwrap();
-/// let telemetry = Telemetry::new();
-/// let result =
-///     streambal_sim::run_with_telemetry(&cfg, &mut RoundRobinPolicy::new(), &telemetry)
-///         .unwrap();
-/// assert_eq!(result.delivered, 1_000);
-/// assert_eq!(telemetry.registry().counter("sim.merger.delivered").get(), 1_000);
-/// ```
-pub fn run_with_telemetry(
-    cfg: &RegionConfig,
-    policy: &mut dyn Policy,
-    telemetry: &Telemetry,
-) -> Result<RunResult, ConfigError> {
-    run_chaos(cfg, policy, &ChaosPlan::default(), Some(telemetry), None)
-}
-
-/// Runs one simulation with a chaos [`ChaosPlan`] injected into the event
-/// loop and an optional [`RoundObserver`] (usually an
+/// Runs one simulation on dedicated workers with a chaos [`ChaosPlan`]
+/// injected into the event loop (an empty plan is a plain [`run`]), an
+/// optional telemetry hub, and an optional [`RoundObserver`] (usually an
 /// [`OracleSuite`](crate::chaos::OracleSuite)) called after every control
 /// round.
 ///
@@ -172,10 +137,36 @@ pub fn run_with_telemetry(
 /// deterministic: the same config, plan and seed replay the same trace
 /// byte for byte.
 ///
+/// With `telemetry`, the splitter/merger hot paths publish counters under
+/// `sim.*`, every control round leaves a [`TraceEvent::Sample`] in the
+/// hub's trace buffer (mirroring the returned [`SampleTrace`]s exactly),
+/// and the policy gets [`Policy::attach_telemetry`].
+///
 /// # Errors
 ///
 /// Returns a [`ConfigError`] when the configuration is invalid or the plan
 /// references unknown workers ([`ConfigError::BadChaosEvent`]).
+///
+/// # Examples
+///
+/// ```
+/// use streambal_sim::config::{RegionConfig, StopCondition};
+/// use streambal_sim::policy::RoundRobinPolicy;
+/// use streambal_sim::ChaosPlan;
+/// use streambal_telemetry::Telemetry;
+///
+/// let cfg = RegionConfig::builder(2)
+///     .stop(StopCondition::Tuples(1_000))
+///     .build()
+///     .unwrap();
+/// let telemetry = Telemetry::new();
+/// let plan = ChaosPlan::default();
+/// let mut policy = RoundRobinPolicy::new();
+/// let result =
+///     streambal_sim::run_chaos(&cfg, &mut policy, &plan, Some(&telemetry), None).unwrap();
+/// assert_eq!(result.delivered, 1_000);
+/// assert_eq!(telemetry.registry().counter("sim.merger.delivered").get(), 1_000);
+/// ```
 pub fn run_chaos<'c>(
     cfg: &'c RegionConfig,
     policy: &'c mut dyn Policy,

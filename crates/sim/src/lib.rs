@@ -67,7 +67,7 @@ pub mod policy;
 
 pub use chaos::{ChaosPlan, FaultKind, Sabotage, TimedFault};
 pub use config::{RegionConfig, StopCondition};
-pub use engine::{run, run_chaos, run_with_telemetry};
+pub use engine::{run, run_chaos};
 pub use host::Host;
 pub use load::LoadSchedule;
 pub use metrics::{RunResult, SampleTrace};

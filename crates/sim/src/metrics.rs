@@ -27,7 +27,7 @@ pub struct SampleTrace {
 
 impl SampleTrace {
     /// The equivalent telemetry event (what
-    /// [`run_with_telemetry`](crate::run_with_telemetry) pushes each round).
+    /// [`run_chaos`](crate::run_chaos) with telemetry pushes each round).
     pub fn to_trace_event(&self) -> TraceEvent {
         TraceEvent::Sample {
             region: 0,

@@ -12,129 +12,23 @@
 //! code, so each region behaves exactly like a single-region run whose
 //! workers happen to have neighbours.
 //!
-//! This module holds the coupled run's configuration and its entry points.
+//! A coupled region is an ordinary [`RegionConfig`]; this module holds the
+//! coupled run's entry point, [`run_coupled`], and its resize schedule.
 
 use streambal_telemetry::Telemetry;
 
-use crate::config::{ConfigError, RegionConfig, StopCondition, WorkerSpec};
+use crate::config::{ConfigError, RegionConfig};
 use crate::engine::Engine;
-use crate::host::Host;
-use crate::load::LoadSchedule;
 use crate::metrics::RunResult;
 use crate::policy::Policy;
 
-/// One region of a multi-region simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiRegionSpec {
-    /// Per-tuple base cost in integer multiplies.
-    pub base_cost: u64,
-    /// Simulated ns per multiply at host speed 1.0.
-    pub mult_ns: f64,
-    /// Splitter per-tuple routing cost, ns.
-    pub send_overhead_ns: u64,
-    /// Per-connection buffer capacity in tuples.
-    pub conn_capacity: usize,
-    /// Host index (into [`MultiConfig::hosts`]) of each worker PE.
-    pub workers: Vec<usize>,
-    /// Constant external-load cost multiplier per worker.
-    pub load: Vec<f64>,
-}
-
-impl MultiRegionSpec {
-    /// A region with every worker on `host`, unloaded.
-    pub fn uniform(pes: usize, host: usize, base_cost: u64, mult_ns: f64) -> Self {
-        MultiRegionSpec {
-            base_cost,
-            mult_ns,
-            send_overhead_ns: ((base_cost as f64 * mult_ns) / 64.0).max(1.0) as u64,
-            conn_capacity: 64,
-            workers: vec![host; pes],
-            load: vec![1.0; pes],
-        }
-    }
-
-    /// This region as the engine's [`RegionConfig`]: constant loads, exact
-    /// service times (the coupling is the only noise source), a reorder
-    /// queue that never gates, and the run's shared clock settings.
-    fn lower(&self, run: &MultiConfig) -> RegionConfig {
-        let workers = self.workers.iter().zip(&self.load);
-        RegionConfig {
-            workers: workers
-                .map(|(&host, &factor)| WorkerSpec {
-                    host,
-                    load: LoadSchedule::constant(factor),
-                })
-                .collect(),
-            hosts: run.hosts.clone(),
-            base_cost: self.base_cost,
-            mult_ns: self.mult_ns,
-            send_overhead_ns: self.send_overhead_ns,
-            conn_capacity: self.conn_capacity,
-            merge_capacity: usize::MAX,
-            sample_interval_ns: run.sample_interval_ns,
-            stop: StopCondition::Duration(run.duration_ns),
-            fraction_events: Vec::new(),
-            jitter: 0.0,
-            hiccup_prob: 0.0,
-            hiccup_ns: 0,
-            seed: 0,
-        }
-    }
-}
-
-/// Configuration of a coupled multi-region run (duration-stopped).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiConfig {
-    /// The shared compute nodes.
-    pub hosts: Vec<Host>,
-    /// The regions competing for them.
-    pub regions: Vec<MultiRegionSpec>,
-    /// Control-loop sampling interval, ns (per region).
-    pub sample_interval_ns: u64,
-    /// Simulated run length, ns.
-    pub duration_ns: u64,
-}
-
-impl MultiConfig {
-    /// Checks structural validity.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] describing the first problem found.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.regions.is_empty() || self.regions.iter().any(|r| r.workers.is_empty()) {
-            return Err(ConfigError::NoWorkers);
-        }
-        for r in &self.regions {
-            if r.workers.len() != r.load.len() {
-                return Err(ConfigError::ZeroParameter("load vector width"));
-            }
-            for (worker, (&host, &f)) in r.workers.iter().zip(&r.load).enumerate() {
-                if host >= self.hosts.len() {
-                    return Err(ConfigError::UnknownHost { worker, host });
-                }
-                if !f.is_finite() || f <= 0.0 {
-                    return Err(ConfigError::ZeroParameter("load factor"));
-                }
-            }
-            if r.base_cost == 0 || r.mult_ns.is_nan() || r.mult_ns <= 0.0 || r.conn_capacity == 0 {
-                return Err(ConfigError::ZeroParameter("region parameters"));
-            }
-        }
-        if self.sample_interval_ns == 0 || self.duration_ns == 0 {
-            return Err(ConfigError::ZeroParameter("intervals"));
-        }
-        Ok(())
-    }
-}
-
-/// A scheduled live width change for one region of a multi-region run
-/// (see [`run_multi_elastic`]).
+/// A scheduled live width change for one region of a coupled run (see
+/// [`run_coupled`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResizeEvent {
     /// When the change takes effect (simulated ns).
     pub t_ns: u64,
-    /// Index into [`MultiConfig::regions`].
+    /// Index into the coupled run's regions.
     pub region: usize,
     /// What happens to the region's width.
     pub change: WidthChange,
@@ -145,7 +39,7 @@ pub struct ResizeEvent {
 pub enum WidthChange {
     /// Open `count` fresh worker slots, all placed on `host`.
     Grow {
-        /// Host index (into [`MultiConfig::hosts`]) for the new PEs.
+        /// Host index (into the regions' shared `hosts`) for the new PEs.
         host: usize,
         /// How many slots to open (must be positive).
         count: usize,
@@ -161,19 +55,20 @@ pub enum WidthChange {
 /// Replays the resize schedule against the starting widths, rejecting
 /// events that reference an unknown region or host, carry a zero count,
 /// or would shrink a region below one worker.
-fn validate_resizes(cfg: &MultiConfig, resizes: &[ResizeEvent]) -> Result<(), ConfigError> {
-    let mut widths: Vec<usize> = cfg.regions.iter().map(|r| r.workers.len()).collect();
+fn validate_resizes(regions: &[RegionConfig], resizes: &[ResizeEvent]) -> Result<(), ConfigError> {
+    let hosts = regions[0].hosts.len();
+    let mut widths: Vec<usize> = regions.iter().map(RegionConfig::num_workers).collect();
     let mut order: Vec<usize> = (0..resizes.len()).collect();
     order.sort_by_key(|&i| (resizes[i].t_ns, i));
     for i in order {
         let ev = &resizes[i];
         let ok = match ev.change {
             WidthChange::Grow { host, count } => {
-                let ok = count > 0 && host < cfg.hosts.len();
+                let ok = count > 0 && host < hosts;
                 if let Some(w) = widths.get_mut(ev.region) {
                     *w += count;
                 }
-                ok && ev.region < cfg.regions.len()
+                ok && ev.region < regions.len()
             }
             WidthChange::Shrink { count } => match widths.get_mut(ev.region) {
                 Some(w) if count > 0 && count < *w => {
@@ -190,85 +85,62 @@ fn validate_resizes(cfg: &MultiConfig, resizes: &[ResizeEvent]) -> Result<(), Co
     Ok(())
 }
 
-/// Validates, lowers every region to the [`RegionConfig`] the engine runs
-/// and drives them on one shared-host engine.
-fn run_coupled(
-    cfg: &MultiConfig,
+/// Runs a coupled multi-region simulation: `regions[r]` under
+/// `policies[r]`, every worker contending for the threads of the regions'
+/// common `hosts` (a worker's `host` indexes them), until the regions'
+/// common `stop`. `resizes` grow or shrink regions mid-run, and each
+/// region's [`Policy`] is told via [`Policy::on_resize`]. With `telemetry`
+/// each region publishes the single-region metric families under
+/// `sim.region<r>.*`, its control rounds leave
+/// [`TraceEvent::Sample`](streambal_telemetry::TraceEvent) records tagged
+/// with the region index, and each policy gets
+/// [`Policy::attach_telemetry`].
+///
+/// Service on a shared host is exact: `jitter`, `hiccup_*` and `seed` have
+/// no effect (the coupling is the only noise source).
+///
+/// Returns one [`RunResult`] per region.
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] when there are no regions or a region is
+/// invalid, when a region's `hosts` or `stop` differ from region 0's
+/// ([`ConfigError::CoupledMismatch`] with the region's index), when the
+/// policy count does not match the region count
+/// ([`ConfigError::PolicyCount`]), or when a resize event is malformed
+/// ([`ConfigError::BadChaosEvent`] with the event's index).
+pub fn run_coupled(
+    regions: &[RegionConfig],
     mut policies: Vec<Box<dyn Policy>>,
     resizes: &[ResizeEvent],
     telemetry: Option<&Telemetry>,
 ) -> Result<Vec<RunResult>, ConfigError> {
-    cfg.validate()?;
-    if policies.len() != cfg.regions.len() {
+    let first = regions.first().ok_or(ConfigError::NoWorkers)?;
+    for (r, cfg) in regions.iter().enumerate() {
+        cfg.validate()?;
+        if cfg.hosts != first.hosts || cfg.stop != first.stop {
+            return Err(ConfigError::CoupledMismatch(r));
+        }
+    }
+    if policies.len() != regions.len() {
         return Err(ConfigError::PolicyCount {
-            regions: cfg.regions.len(),
+            regions: regions.len(),
             policies: policies.len(),
         });
     }
-    validate_resizes(cfg, resizes)?;
-    let regions: Vec<RegionConfig> = cfg.regions.iter().map(|r| r.lower(cfg)).collect();
+    validate_resizes(regions, resizes)?;
     if let Some(t) = telemetry {
         policies.iter_mut().for_each(|p| p.attach_telemetry(t));
     }
     let policies = policies.iter_mut().map(|p| &mut **p as &mut dyn Policy);
-    Ok(Engine::new(&regions, policies, Some(&cfg.hosts), resizes, telemetry).run())
-}
-
-/// Runs a coupled multi-region simulation; one policy per region.
-///
-/// Returns one [`RunResult`] per region (all sharing the run's duration).
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] when the configuration is invalid or the
-/// policy count does not match the region count
-/// ([`ConfigError::PolicyCount`]).
-pub fn run_multi(
-    cfg: &MultiConfig,
-    policies: Vec<Box<dyn Policy>>,
-) -> Result<Vec<RunResult>, ConfigError> {
-    run_coupled(cfg, policies, &[], None)
-}
-
-/// Like [`run_multi`], with a schedule of live width changes: regions
-/// grow (fresh PEs on a chosen host) or shrink (tail slots drained and
-/// retired) mid-run, and each region's [`Policy`] is told via
-/// [`Policy::on_resize`] so balancers re-solve at the new width.
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] when the configuration is invalid, the
-/// policy count does not match the region count, or a resize event is
-/// malformed ([`ConfigError::BadChaosEvent`] with the event's index).
-pub fn run_multi_elastic(
-    cfg: &MultiConfig,
-    policies: Vec<Box<dyn Policy>>,
-    resizes: &[ResizeEvent],
-) -> Result<Vec<RunResult>, ConfigError> {
-    run_coupled(cfg, policies, resizes, None)
-}
-
-/// Like [`run_multi`], with a telemetry hub attached: each region publishes
-/// the single-region metric families under `sim.region<r>.*`, its control
-/// rounds leave [`TraceEvent::Sample`](streambal_telemetry::TraceEvent)
-/// records tagged with the region index, and each policy gets
-/// [`Policy::attach_telemetry`].
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] when the configuration is invalid or the
-/// policy count does not match the region count.
-pub fn run_multi_with_telemetry(
-    cfg: &MultiConfig,
-    policies: Vec<Box<dyn Policy>>,
-    telemetry: &Telemetry,
-) -> Result<Vec<RunResult>, ConfigError> {
-    run_coupled(cfg, policies, &[], Some(telemetry))
+    Ok(Engine::new(regions, policies, Some(&first.hosts), resizes, telemetry).run())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{RegionConfigBuilder, StopCondition};
+    use crate::host::Host;
     use crate::policy::{BalancerPolicy, RoundRobinPolicy};
     use crate::SECOND_NS;
     use std::time::Duration;
@@ -279,17 +151,27 @@ mod tests {
         Box::new(RoundRobinPolicy::new())
     }
 
+    /// `pes` unloaded workers on host 0 of `hosts` for `seconds`: the
+    /// coupled region every test starts from (2 k tuples/s per worker).
+    fn region(pes: usize, hosts: &[Host], seconds: u64) -> RegionConfigBuilder {
+        let mut b = RegionConfig::builder(pes);
+        b.hosts(hosts.to_vec())
+            .base_cost(1_000)
+            .mult_ns(500.0)
+            .merge_capacity(usize::MAX)
+            .stop(StopCondition::Duration(seconds * SECOND_NS));
+        b
+    }
+
+    fn run(regions: &[RegionConfig], policies: Vec<Box<dyn Policy>>) -> Vec<RunResult> {
+        run_coupled(regions, policies, &[], None).unwrap()
+    }
+
     #[test]
     fn single_region_matches_dedicated_host_rate() {
         // 2 workers on an 8-thread host at 2k tuples/s each -> ~4k/s.
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![MultiRegionSpec::uniform(2, 0, 1_000, 500.0)],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 10 * SECOND_NS,
-        };
-        let results = run_multi(&cfg, vec![rr()]).unwrap();
-        let tput = results[0].mean_throughput();
+        let cfg = region(2, &[Host::slow()], 10).build().unwrap();
+        let tput = run(&[cfg], vec![rr()])[0].mean_throughput();
         assert!((3_500.0..4_500.0).contains(&tput), "got {tput}");
     }
 
@@ -297,16 +179,8 @@ mod tests {
     fn contending_regions_share_a_small_host() {
         // Two 4-PE regions on a 4-thread host: 8 busy PEs time-share, so
         // each region gets about half of what it would get alone.
-        let cfg = MultiConfig {
-            hosts: vec![Host::new(4, 1.0)],
-            regions: vec![
-                MultiRegionSpec::uniform(4, 0, 1_000, 500.0),
-                MultiRegionSpec::uniform(4, 0, 1_000, 500.0),
-            ],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 10 * SECOND_NS,
-        };
-        let results = run_multi(&cfg, vec![rr(), rr()]).unwrap();
+        let cfg = region(4, &[Host::new(4, 1.0)], 10).build().unwrap();
+        let results = run(&[cfg.clone(), cfg], vec![rr(), rr()]);
         let (a, b) = (results[0].mean_throughput(), results[1].mean_throughput());
         // Alone: 4 x 2k = 8k/s. Shared: ~4k/s each.
         assert!((3_000.0..5_000.0).contains(&a), "region 0 got {a}");
@@ -319,15 +193,13 @@ mod tests {
         // Region 0 is splitter-capped at ~500 tuples/s (PEs mostly idle);
         // region 1 should get nearly the whole host despite 8 PEs being
         // placed on 4 threads.
-        let mut capped = MultiRegionSpec::uniform(4, 0, 1_000, 500.0);
-        capped.send_overhead_ns = 2_000_000;
-        let cfg = MultiConfig {
-            hosts: vec![Host::new(4, 1.0)],
-            regions: vec![capped, MultiRegionSpec::uniform(4, 0, 1_000, 500.0)],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 10 * SECOND_NS,
-        };
-        let results = run_multi(&cfg, vec![rr(), rr()]).unwrap();
+        let hosts = [Host::new(4, 1.0)];
+        let capped = region(4, &hosts, 10)
+            .send_overhead_ns(2_000_000)
+            .build()
+            .unwrap();
+        let busy = region(4, &hosts, 10).build().unwrap();
+        let results = run(&[capped, busy], vec![rr(), rr()]);
         let busy_region = results[1].mean_throughput();
         assert!(
             busy_region > 6_000.0,
@@ -338,17 +210,12 @@ mod tests {
 
     #[test]
     fn ordering_and_conservation_hold_per_region() {
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![
-                MultiRegionSpec::uniform(3, 0, 1_000, 500.0),
-                MultiRegionSpec::uniform(2, 0, 2_000, 500.0),
-            ],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 5 * SECOND_NS,
-        };
-        let results = run_multi(&cfg, vec![rr(), rr()]).unwrap();
-        for r in &results {
+        let hosts = [Host::slow()];
+        let regions = [
+            region(3, &hosts, 5).build().unwrap(),
+            region(2, &hosts, 5).base_cost(2_000).build().unwrap(),
+        ];
+        for r in &run(&regions, vec![rr(), rr()]) {
             // The merger's debug_assert verifies exact order; delivered
             // lags sent only by in-flight tuples.
             assert!(r.sent >= r.delivered);
@@ -360,18 +227,13 @@ mod tests {
     fn balancer_works_inside_the_coupled_engine() {
         // Region 0's worker 0 is 50x loaded; the adaptive balancer should
         // throttle it even while another region shares the host.
-        let mut loaded = MultiRegionSpec::uniform(2, 0, 1_000, 500.0);
-        loaded.load[0] = 50.0;
-        let cfg = MultiConfig {
-            hosts: vec![Host::new(4, 1.0)],
-            regions: vec![loaded, MultiRegionSpec::uniform(2, 0, 1_000, 500.0)],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 30 * SECOND_NS,
-        };
+        let hosts = [Host::new(4, 1.0)];
+        let loaded = region(2, &hosts, 30).worker_load(0, 50.0).build().unwrap();
+        let idle = region(2, &hosts, 30).build().unwrap();
         let lb: Box<dyn Policy> = Box::new(BalancerPolicy::adaptive(
             BalancerConfig::builder(2).build().unwrap(),
         ));
-        let results = run_multi(&cfg, vec![lb, rr()]).unwrap();
+        let results = run(&[loaded, idle], vec![lb, rr()]);
         let last = results[0].samples.last().unwrap();
         assert!(
             last.weights[0] < 200,
@@ -384,12 +246,7 @@ mod tests {
     fn a_region_grows_mid_run_and_uses_the_new_slots() {
         // 2 PEs on an 8-thread host, 2 more arrive at t=4s: the balancer
         // re-solves at width 4 and the new slots carry real weight.
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![MultiRegionSpec::uniform(2, 0, 1_000, 500.0)],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 12 * SECOND_NS,
-        };
+        let cfg = region(2, &[Host::slow()], 12).build().unwrap();
         let resizes = vec![ResizeEvent {
             t_ns: 4 * SECOND_NS,
             region: 0,
@@ -398,7 +255,7 @@ mod tests {
         let lb: Box<dyn Policy> = Box::new(BalancerPolicy::adaptive(
             BalancerConfig::builder(2).build().unwrap(),
         ));
-        let results = run_multi_elastic(&cfg, vec![lb], &resizes).unwrap();
+        let results = run_coupled(&[cfg], vec![lb], &resizes, None).unwrap();
         let last = results[0].samples.last().unwrap();
         assert_eq!(last.weights.len(), 4);
         assert_eq!(last.weights.iter().sum::<u32>(), 1000);
@@ -421,18 +278,13 @@ mod tests {
         // 4 PEs shrink to 2 at t=4s; the retired tail drains in order
         // (the merger's debug_assert enforces exact sequence) and the
         // installed split covers only the surviving width.
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![MultiRegionSpec::uniform(4, 0, 1_000, 500.0)],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 12 * SECOND_NS,
-        };
+        let cfg = region(4, &[Host::slow()], 12).build().unwrap();
         let resizes = vec![ResizeEvent {
             t_ns: 4 * SECOND_NS,
             region: 0,
             change: WidthChange::Shrink { count: 2 },
         }];
-        let results = run_multi_elastic(&cfg, vec![rr()], &resizes).unwrap();
+        let results = run_coupled(&[cfg], vec![rr()], &resizes, None).unwrap();
         let r = &results[0];
         let last = r.samples.last().unwrap();
         assert_eq!(last.weights.len(), 2);
@@ -444,12 +296,7 @@ mod tests {
     fn grow_then_shrink_revives_dormant_slots_cleanly() {
         // Shrink retires slots 2..4; a later grow revives them before the
         // run ends, and the final split spans the full width again.
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![MultiRegionSpec::uniform(4, 0, 1_000, 500.0)],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 14 * SECOND_NS,
-        };
+        let cfg = region(4, &[Host::slow()], 14).build().unwrap();
         let resizes = vec![
             ResizeEvent {
                 t_ns: 3 * SECOND_NS,
@@ -462,7 +309,7 @@ mod tests {
                 change: WidthChange::Grow { host: 0, count: 3 },
             },
         ];
-        let results = run_multi_elastic(&cfg, vec![rr()], &resizes).unwrap();
+        let results = run_coupled(&[cfg], vec![rr()], &resizes, None).unwrap();
         let last = results[0].samples.last().unwrap();
         assert_eq!(last.weights.len(), 5);
         assert!(last.weights.iter().all(|&w| w > 0));
@@ -470,12 +317,7 @@ mod tests {
 
     #[test]
     fn invalid_resizes_rejected() {
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![MultiRegionSpec::uniform(2, 0, 1_000, 500.0)],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: SECOND_NS,
-        };
+        let cfg = region(2, &[Host::slow()], 1).build().unwrap();
         let bad = [
             // Unknown region.
             ResizeEvent {
@@ -502,8 +344,9 @@ mod tests {
                 change: WidthChange::Shrink { count: 2 },
             },
         ];
+        let regions = std::slice::from_ref(&cfg);
         for ev in bad {
-            let err = run_multi_elastic(&cfg, vec![rr()], &[ev]).unwrap_err();
+            let err = run_coupled(regions, vec![rr()], &[ev], None).unwrap_err();
             assert_eq!(err, ConfigError::BadChaosEvent(0), "{ev:?}");
         }
         // A shrink covered by an earlier grow is fine.
@@ -519,29 +362,24 @@ mod tests {
                 change: WidthChange::Shrink { count: 3 },
             },
         ];
-        assert!(run_multi_elastic(&cfg, vec![rr()], &ok).is_ok());
+        assert!(run_coupled(regions, vec![rr()], &ok, None).is_ok());
     }
 
     #[test]
     fn policy_count_mismatch_names_both_counts() {
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![MultiRegionSpec::uniform(2, 0, 1_000, 500.0); 2],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: SECOND_NS,
-        };
+        let cfg = region(2, &[Host::slow()], 1).build().unwrap();
+        let regions = [cfg.clone(), cfg];
         let expected = ConfigError::PolicyCount {
             regions: 2,
             policies: 1,
         };
-        assert_eq!(run_multi(&cfg, vec![rr()]).unwrap_err(), expected);
         assert_eq!(
-            run_multi_elastic(&cfg, vec![rr()], &[]).unwrap_err(),
+            run_coupled(&regions, vec![rr()], &[], None).unwrap_err(),
             expected
         );
         let telemetry = Telemetry::new();
         assert_eq!(
-            run_multi_with_telemetry(&cfg, vec![rr()], &telemetry).unwrap_err(),
+            run_coupled(&regions, vec![rr()], &[], Some(&telemetry)).unwrap_err(),
             expected
         );
         let message = expected.to_string();
@@ -556,18 +394,14 @@ mod tests {
         // Worker 0 is 100x loaded, so its buffer fills long before its
         // sibling's: the §4.4 baseline must hand those tuples over instead
         // of blocking, exactly as it does in a single-region run.
-        let mut spec = MultiRegionSpec::uniform(2, 0, 1_000, 500.0);
-        spec.load[0] = 100.0;
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![spec],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 10 * SECOND_NS,
-        };
-        let plain = run_multi(&cfg, vec![rr()]).unwrap();
-        assert_eq!(plain[0].rerouted, 0);
+        let cfg = region(2, &[Host::slow()], 10)
+            .worker_load(0, 100.0)
+            .build()
+            .unwrap();
+        let regions = std::slice::from_ref(&cfg);
+        assert_eq!(run(regions, vec![rr()])[0].rerouted, 0);
         let rerouting: Box<dyn Policy> = Box::new(RoundRobinPolicy::with_reroute());
-        let r = &run_multi(&cfg, vec![rerouting]).unwrap()[0];
+        let r = &run(regions, vec![rerouting])[0];
         assert!(r.rerouted > 0, "rerouting baseline must reroute");
         assert!(
             (r.rerouted as f64) < 0.5 * r.sent as f64,
@@ -584,23 +418,20 @@ mod tests {
         // land on the host of the region's last slot, so which host comes
         // last decides whether the newcomers time-share the small host
         // (3 PEs on 1 thread) or fit on the big one.
-        let run = |workers: Vec<usize>| {
-            let mut spec = MultiRegionSpec::uniform(2, 0, 1_000, 500.0);
-            spec.workers = workers;
-            let cfg = MultiConfig {
-                hosts: vec![Host::new(1, 1.0), Host::slow()],
-                regions: vec![spec],
-                sample_interval_ns: SECOND_NS,
-                duration_ns: 20 * SECOND_NS,
-            };
+        let run = |hosts: [usize; 2]| {
+            let cfg = region(2, &[Host::new(1, 1.0), Host::slow()], 20)
+                .worker_host(0, hosts[0])
+                .worker_host(1, hosts[1])
+                .build()
+                .unwrap();
             let mut script = ScriptedWidth::new();
             script.grow_after(Duration::from_secs(3), 2);
             let lb = BalancerPolicy::adaptive(BalancerConfig::builder(2).build().unwrap())
                 .with_width_policy(Box::new(script));
-            run_multi(&cfg, vec![Box::new(lb)]).unwrap().remove(0)
+            run(&[cfg], vec![Box::new(lb)]).remove(0)
         };
-        let crowded = run(vec![1, 0]);
-        let roomy = run(vec![0, 1]);
+        let crowded = run([1, 0]);
+        let roomy = run([0, 1]);
         for r in [&crowded, &roomy] {
             let last = r.samples.last().unwrap();
             assert_eq!(last.weights.len(), 4, "the policy's grow was applied");
@@ -619,17 +450,13 @@ mod tests {
 
     #[test]
     fn coupled_regions_publish_the_single_region_metric_families() {
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![
-                MultiRegionSpec::uniform(2, 0, 1_000, 500.0),
-                MultiRegionSpec::uniform(3, 0, 1_000, 500.0),
-            ],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: 3 * SECOND_NS,
-        };
+        let hosts = [Host::slow()];
+        let regions = [
+            region(2, &hosts, 3).build().unwrap(),
+            region(3, &hosts, 3).build().unwrap(),
+        ];
         let telemetry = Telemetry::new();
-        let results = run_multi_with_telemetry(&cfg, vec![rr(), rr()], &telemetry).unwrap();
+        let results = run_coupled(&regions, vec![rr(), rr()], &[], Some(&telemetry)).unwrap();
         let reg = telemetry.registry();
         for (r, result) in results.iter().enumerate() {
             let counter = |name: &str| reg.counter(&format!("sim.region{r}.{name}")).get();
@@ -646,33 +473,92 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: SECOND_NS,
-        };
-        assert!(run_multi(&cfg, vec![]).is_err());
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![MultiRegionSpec::uniform(2, 5, 1_000, 500.0)],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: SECOND_NS,
-        };
-        assert!(run_multi(&cfg, vec![rr()]).is_err());
+        assert_eq!(
+            run_coupled(&[], vec![], &[], None).unwrap_err(),
+            ConfigError::NoWorkers
+        );
+        let hosts = [Host::slow()];
+        let mut zero = region(2, &hosts, 1).build().unwrap();
+        zero.conn_capacity = 0;
+        assert_eq!(
+            run_coupled(&[zero], vec![rr()], &[], None).unwrap_err(),
+            ConfigError::ZeroParameter("conn_capacity")
+        );
         // The unknown host is reported against the worker that names it,
         // not against its region's index.
-        let mut bad = MultiRegionSpec::uniform(4, 0, 1_000, 500.0);
-        bad.workers[2] = 9;
-        let cfg = MultiConfig {
-            hosts: vec![Host::slow()],
-            regions: vec![MultiRegionSpec::uniform(3, 0, 1_000, 500.0), bad],
-            sample_interval_ns: SECOND_NS,
-            duration_ns: SECOND_NS,
-        };
+        let mut bad = region(4, &hosts, 1).build().unwrap();
+        bad.workers[2].host = 9;
+        let regions = [region(3, &hosts, 1).build().unwrap(), bad];
         assert_eq!(
-            cfg.validate().unwrap_err(),
+            run_coupled(&regions, vec![rr(), rr()], &[], None).unwrap_err(),
             ConfigError::UnknownHost { worker: 2, host: 9 }
         );
+    }
+
+    #[test]
+    fn a_region_on_other_hosts_is_rejected_by_index() {
+        // Every region's `hosts` are the shared hosts; region 1 naming a
+        // different list would otherwise be silently ignored.
+        let shared = region(2, &[Host::slow()], 5).build().unwrap();
+        let other = region(2, &[Host::new(4, 1.0)], 5).build().unwrap();
+        let regions = [shared.clone(), other];
+        let err = run_coupled(&regions, vec![rr(), rr()], &[], None).unwrap_err();
+        assert_eq!(err, ConfigError::CoupledMismatch(1));
+        assert!(err.to_string().contains("region 1"), "{err}");
+        // Same hosts listed twice is a different list, too.
+        let doubled = region(2, &[Host::slow(), Host::slow()], 5).build().unwrap();
+        let regions = [shared, doubled];
+        let err = run_coupled(&regions, vec![rr(), rr()], &[], None).unwrap_err();
+        assert_eq!(err, ConfigError::CoupledMismatch(1));
+    }
+
+    #[test]
+    fn a_region_with_its_own_stop_is_rejected_by_index() {
+        // The regions share one stop condition; region 2's differing one
+        // would otherwise be silently ignored.
+        let hosts = [Host::slow()];
+        let cfg = region(2, &hosts, 5).build().unwrap();
+        for stop in [
+            StopCondition::Duration(6 * SECOND_NS),
+            StopCondition::Tuples(1_000),
+        ] {
+            let own = region(2, &hosts, 5).stop(stop).build().unwrap();
+            let regions = [cfg.clone(), cfg.clone(), own];
+            assert_eq!(
+                run_coupled(&regions, vec![rr(), rr(), rr()], &[], None).unwrap_err(),
+                ConfigError::CoupledMismatch(2)
+            );
+        }
+    }
+
+    #[test]
+    fn jitter_hiccups_and_seed_do_not_reach_shared_hosts() {
+        // Shared-host service is exact, so callers need not zero the
+        // dedicated-worker noise knobs: both runs replay bit for bit.
+        let hosts = [Host::new(4, 1.0)];
+        let exact = |pes| {
+            region(pes, &hosts, 6)
+                .jitter(0.0)
+                .hiccups(0.0, 0)
+                .seed(0)
+                .build()
+                .unwrap()
+        };
+        let noisy = |pes| {
+            region(pes, &hosts, 6)
+                .jitter(0.3)
+                .hiccups(0.2, 5_000_000)
+                .seed(99)
+                .build()
+                .unwrap()
+        };
+        let lb = || -> Box<dyn Policy> {
+            Box::new(BalancerPolicy::adaptive(
+                BalancerConfig::builder(3).build().unwrap(),
+            ))
+        };
+        let a = run(&[exact(3), exact(2)], vec![lb(), rr()]);
+        let b = run(&[noisy(3), noisy(2)], vec![lb(), rr()]);
+        assert_eq!(a, b);
     }
 }

@@ -62,7 +62,8 @@ pub trait Policy {
         None
     }
 
-    /// Called by [`run_with_telemetry`](crate::run_with_telemetry) before
+    /// Called by [`run_chaos`](crate::run_chaos) and
+    /// [`run_coupled`](crate::multi::run_coupled) with a telemetry hub before
     /// the run starts; policies with internal decision state (e.g. the
     /// balancer's controller trace) hook it into the hub here. The default
     /// does nothing.

@@ -175,16 +175,18 @@ fn blocked_time_bounded_by_duration() {
 #[test]
 fn telemetry_run_is_observation_only() {
     use streambal_sim::metrics::SampleTrace;
+    use streambal_sim::ChaosPlan;
     use streambal_telemetry::Telemetry;
 
+    let plan = ChaosPlan::default();
     let mut rng = SplitMix64::new(0x51A_0007);
     for _ in 0..8 {
         let cfg = random_region(&mut rng);
         let plain = streambal_sim::run(&cfg, &mut RoundRobinPolicy::new()).unwrap();
         let telemetry = Telemetry::new();
+        let mut policy = RoundRobinPolicy::new();
         let instrumented =
-            streambal_sim::run_with_telemetry(&cfg, &mut RoundRobinPolicy::new(), &telemetry)
-                .unwrap();
+            streambal_sim::run_chaos(&cfg, &mut policy, &plan, Some(&telemetry), None).unwrap();
         assert_eq!(plain, instrumented);
         let reconstructed = SampleTrace::series_from_events(&telemetry.trace().events());
         assert_eq!(reconstructed, instrumented.samples);

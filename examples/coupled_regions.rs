@@ -7,24 +7,28 @@
 //! Run with: `cargo run --release --example coupled_regions`
 
 use streambal::core::BalancerConfig;
+use streambal::sim::config::{RegionConfig, StopCondition};
 use streambal::sim::host::Host;
-use streambal::sim::multi::{run_multi, MultiConfig, MultiRegionSpec};
+use streambal::sim::multi::run_coupled;
 use streambal::sim::policy::{BalancerPolicy, Policy};
 use streambal::sim::SECOND_NS;
 
 fn main() {
     // One 8-thread host; two 6-PE regions (12 PEs -> oversubscribed when
     // both are busy). Region 0 is splitter-capped to a third of its demand.
-    let mut bursty = MultiRegionSpec::uniform(6, 0, 1_000, 500.0);
-    bursty.send_overhead_ns = 250_000; // ~4k tuples/s cap
-    let hungry = MultiRegionSpec::uniform(6, 0, 1_000, 500.0);
-
-    let cfg = MultiConfig {
-        hosts: vec![Host::slow()],
-        regions: vec![bursty, hungry],
-        sample_interval_ns: SECOND_NS,
-        duration_ns: 30 * SECOND_NS,
+    let region = |send_overhead_ns| {
+        RegionConfig::builder(6)
+            .hosts(vec![Host::slow()])
+            .base_cost(1_000)
+            .mult_ns(500.0)
+            .send_overhead_ns(send_overhead_ns)
+            .merge_capacity(usize::MAX)
+            .stop(StopCondition::Duration(30 * SECOND_NS))
+            .build()
+            .expect("valid region")
     };
+    let bursty = region(250_000); // ~4k tuples/s cap
+    let hungry = region(0); // 0 derives the default splitter overhead
     let policies: Vec<Box<dyn Policy>> = (0..2)
         .map(|_| {
             Box::new(BalancerPolicy::adaptive(
@@ -32,7 +36,8 @@ fn main() {
             )) as Box<dyn Policy>
         })
         .collect();
-    let results = run_multi(&cfg, policies).expect("coupled simulation runs");
+    let results =
+        run_coupled(&[bursty, hungry], policies, &[], None).expect("coupled simulation runs");
 
     for (r, run) in results.iter().enumerate() {
         println!(

@@ -325,19 +325,22 @@ fn convergence_is_seed_robust() {
 /// `crates/cluster`, which tier-1 never runs.)
 #[test]
 fn coupled_regions_digest_is_pinned() {
-    use streambal::sim::multi::{
-        run_multi_elastic, MultiConfig, MultiRegionSpec, ResizeEvent, WidthChange,
-    };
+    use streambal::sim::multi::{run_coupled, ResizeEvent, WidthChange};
     use streambal::sim::{Host, Policy};
 
-    let mut loaded = MultiRegionSpec::uniform(4, 0, 1_000, 500.0);
-    loaded.load[1] = 6.0;
-    let cfg = MultiConfig {
-        hosts: vec![Host::slow()],
-        regions: vec![loaded, MultiRegionSpec::uniform(6, 0, 1_500, 500.0)],
-        sample_interval_ns: SECOND_NS,
-        duration_ns: 10 * SECOND_NS,
+    let region = |pes: usize, base_cost: u64| {
+        let mut b = RegionConfig::builder(pes);
+        b.hosts(vec![Host::slow()])
+            .base_cost(base_cost)
+            .mult_ns(500.0)
+            .merge_capacity(usize::MAX)
+            .stop(StopCondition::Duration(10 * SECOND_NS));
+        b
     };
+    let regions = [
+        region(4, 1_000).worker_load(1, 6.0).build().unwrap(),
+        region(6, 1_500).build().unwrap(),
+    ];
     let resizes = [
         ResizeEvent {
             t_ns: 7 * SECOND_NS / 2,
@@ -358,7 +361,7 @@ fn coupled_regions_digest_is_pinned() {
             )) as Box<dyn Policy>
         })
         .collect();
-    let results = run_multi_elastic(&cfg, policies, &resizes).unwrap();
+    let results = run_coupled(&regions, policies, &resizes, None).unwrap();
 
     // FNV-1a over the little-endian bytes of every pinned quantity.
     let mut digest = 0xCBF2_9CE4_8422_2325u64;

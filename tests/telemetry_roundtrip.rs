@@ -8,7 +8,7 @@ use streambal::core::controller::BalancerConfig;
 use streambal::sim::config::{RegionConfig, StopCondition};
 use streambal::sim::load::LoadSchedule;
 use streambal::sim::policy::BalancerPolicy;
-use streambal::sim::{SampleTrace, SECOND_NS};
+use streambal::sim::{ChaosPlan, SampleTrace, SECOND_NS};
 use streambal::telemetry::{export, MetricValue, Telemetry, TraceEvent};
 
 /// A scaled-down Figure 8 (top): 3 PEs, one under heavy external load that
@@ -29,7 +29,9 @@ fn exported_trace_reconstructs_weight_and_rate_trajectories() {
     let cfg = fig08_style();
     let telemetry = Telemetry::new();
     let mut policy = BalancerPolicy::adaptive(BalancerConfig::builder(3).build().unwrap());
-    let result = streambal::sim::run_with_telemetry(&cfg, &mut policy, &telemetry).unwrap();
+    let plan = ChaosPlan::default();
+    let result =
+        streambal::sim::run_chaos(&cfg, &mut policy, &plan, Some(&telemetry), None).unwrap();
     assert!(result.samples.len() >= 60, "one control round per second");
 
     // Export the trace to JSON-lines and parse it back, as an external
@@ -83,7 +85,9 @@ fn exported_metrics_match_run_result() {
     let cfg = fig08_style();
     let telemetry = Telemetry::new();
     let mut policy = BalancerPolicy::adaptive(BalancerConfig::builder(3).build().unwrap());
-    let result = streambal::sim::run_with_telemetry(&cfg, &mut policy, &telemetry).unwrap();
+    let plan = ChaosPlan::default();
+    let result =
+        streambal::sim::run_chaos(&cfg, &mut policy, &plan, Some(&telemetry), None).unwrap();
     result.publish(telemetry.registry());
 
     let jsonl = export::metrics_to_jsonl(&telemetry.registry().snapshot());
