@@ -14,8 +14,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use streambal_bench::Micro;
-use streambal_proxy::frame::write_frame_deadline;
 use streambal_proxy::{EchoBackend, FrameReader, Proxy, ProxyConfig, ProxyOptions};
+use streambal_transport::frame::write_frame_deadline;
 
 fn main() {
     let backends: Vec<EchoBackend> = (0..3)

@@ -20,9 +20,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use streambal_transport::frame::{
+    write_frame_deadline, FrameReader, FrameWriter, Poll, WriteStatus,
+};
 use streambal_transport::poll::{set_recv_buffer, Interest, Poller};
-
-use crate::frame::{write_frame_deadline, FrameReader, FrameWriter, Poll, WriteStatus};
 
 const LISTENER_TOKEN: usize = usize::MAX;
 /// Upper bound on how long the loop sleeps: bounds reaction time to

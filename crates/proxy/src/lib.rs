@@ -4,8 +4,8 @@
 //! controller (the paper's §3 balancer, aimed at real sockets instead of
 //! in-process channels).
 //!
-//! Clients speak the workspace's length-prefixed frame protocol to one
-//! listening address; each request is forwarded to a backend chosen by
+//! Clients speak the workspace's length-prefixed frame protocol
+//! ([`streambal_transport::frame`]) to one listening address; each request is forwarded to a backend chosen by
 //! smooth WRR over the weights the [`streambal_control::ControlPlane`]
 //! installs. The per-backend signal is the same one the paper's regions
 //! use: cumulative blocked-write time (socket writability) on the
@@ -43,7 +43,6 @@
 
 pub mod config;
 pub mod echo;
-pub mod frame;
 pub mod metrics;
 pub(crate) mod poll_core;
 pub mod pool;
@@ -51,6 +50,6 @@ pub mod server;
 
 pub use config::{ConfigError, ConfigWatcher, ProxyConfig};
 pub use echo::{run_load, run_load_stats, scrape, EchoBackend, EchoOptions, LoadReport, LoadStats};
-pub use frame::{FrameReader, FrameWriter, Poll, WriteStatus, MAX_FRAME};
 pub use pool::{Backend, BackendPool, ReloadDiff};
 pub use server::{DrainReport, Proxy, ProxyHandle, ProxyOptions};
+pub use streambal_transport::frame::{FrameReader, FrameWriter, Poll, WriteStatus, MAX_FRAME};

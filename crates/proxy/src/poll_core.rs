@@ -37,11 +37,11 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use streambal_transport::frame::{FrameReader, FrameWriter, Poll, WriteStatus};
 use streambal_transport::poll::{
     connect_finished, connect_nonblocking, set_send_buffer, Event, Interest, Poller,
 };
 
-use crate::frame::{FrameReader, FrameWriter, Poll, WriteStatus};
 use crate::pool::Backend;
 use crate::server::Shared;
 

@@ -11,11 +11,11 @@
 //! real scheduler noise: tuples cost real *integer multiplies* (the paper's
 //! workload), external load is a per-worker cost multiplier that can change
 //! mid-run, and the splitter's blocking is measured exactly as in §3.
-//! [`tcp_region`] goes one step further and runs the splitter→worker links
-//! over real loopback TCP sockets, so the kernel's own socket buffers
-//! provide the back-pressure and the blocking signal.
+//! With [`Transport::Tcp`] the splitter→worker links are real loopback TCP
+//! sockets instead, so the kernel's own socket buffers provide the
+//! back-pressure and the blocking signal.
 //!
-//! # One skeleton, three regions
+//! # One skeleton, two regions
 //!
 //! The ordered-region protocol is written once, in the `ordered` module.
 //! The splitter never holds a lock across a send; a resize reaches it
@@ -37,8 +37,7 @@
 //!
 //! | region | source | link | worker | sink |
 //! |---|---|---|---|---|
-//! | [`region`] | `0..total` | `transport::Sender` | spin × live load | count, on the caller |
-//! | [`tcp_region`] | `0..total` | framed `TcpSender` | decode, spin, scripted stall | count, on the caller |
+//! | [`region`] | `0..total` | per [`Transport`]: `transport::Sender`, or framed `TcpSender` | spin × live load, scripted stall | count, on the caller |
 //! | `dataflow::Flow::parallel` | upstream channel | `transport::Sender` | the replica's operator | downstream channel, on a merger thread |
 //!
 //! # Example
@@ -63,8 +62,7 @@
 #[doc(hidden)]
 pub mod ordered;
 pub mod region;
-pub mod tcp_region;
+mod tcp_region;
 pub mod workload;
 
-pub use region::{RegionBuilder, RegionReport};
-pub use tcp_region::TcpRegionBuilder;
+pub use region::{RegionBuilder, RegionReport, Transport};

@@ -1,21 +1,25 @@
-//! The threaded parallel region over in-process channels: the
-//! `ordered` skeleton (see the crate docs) with bounded, instrumented channels
-//! as links and spin-multiply workers behind them.
+//! The threaded parallel region: the `ordered` skeleton (see the crate
+//! docs) with spin-multiply workers behind links of either [`Transport`] —
+//! bounded, instrumented channels or real loopback TCP sockets.
 
 use std::fmt;
 use std::io;
+use std::iter;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::Duration;
 
 use streambal_control::ScriptedWidth;
 use streambal_core::controller::BalancerMode;
 use streambal_telemetry::Telemetry;
-use streambal_transport::bounded;
+use streambal_transport::frame::MAX_FRAME;
+use streambal_transport::{bounded, BlockingCounter};
 
 pub use streambal_control::RoundSnapshot;
 
-use crate::ordered::{self, Link, Slot, Spec};
+use crate::ordered::{self, Closed, Link, Slot, Spec};
+use crate::tcp_region::TcpLink;
 use crate::workload::spin_multiplies;
 
 /// Load multipliers are stored as fixed-point thousandths in an atomic so
@@ -88,6 +92,23 @@ pub struct LoadChange {
     pub factor: f64,
 }
 
+/// The splitter→worker connections a region runs over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// In-process bounded channels.
+    Channel {
+        /// Per-connection capacity in tuples.
+        capacity: usize,
+    },
+    /// Real loopback TCP sockets, whose kernel buffers provide the
+    /// back-pressure, as in the paper's deployment.
+    Tcp {
+        /// Bytes after each tuple frame's 8-byte sequence number. Larger
+        /// frames make the buffers hold fewer tuples, like real records do.
+        frame_padding: usize,
+    },
+}
+
 /// Builder for a threaded parallel region run.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -95,10 +116,11 @@ pub struct LoadChange {
 pub struct RegionBuilder {
     workers: usize,
     tuple_cost: u64,
-    channel_capacity: usize,
+    transport: Transport,
     sample_interval: Duration,
     initial_loads: Vec<f64>,
     load_changes: Vec<LoadChange>,
+    stall: Option<(usize, u64, Duration)>,
     width_script: ScriptedWidth,
     scripted_grows: usize,
     balancer_mode: BalancerMode,
@@ -113,10 +135,11 @@ impl RegionBuilder {
         RegionBuilder {
             workers,
             tuple_cost: 1_000,
-            channel_capacity: 64,
+            transport: Transport::Channel { capacity: 64 },
             sample_interval: Duration::from_millis(100),
             initial_loads: vec![1.0; workers],
             load_changes: Vec::new(),
+            stall: None,
             width_script: ScriptedWidth::new(),
             scripted_grows: 0,
             balancer_mode: BalancerMode::default(),
@@ -132,9 +155,9 @@ impl RegionBuilder {
         self
     }
 
-    /// Sets the per-connection channel capacity in tuples (default 64).
-    pub fn channel_capacity(&mut self, tuples: usize) -> &mut Self {
-        self.channel_capacity = tuples;
+    /// Sets the splitter→worker transport (default channels of 64 tuples).
+    pub fn transport(&mut self, transport: Transport) -> &mut Self {
+        self.transport = transport;
         self
     }
 
@@ -168,9 +191,23 @@ impl RegionBuilder {
         self
     }
 
+    /// Injects a mid-run stall: after `after_tuples` tuples, worker `j`
+    /// stops draining its connection for `stall`. The splitter's sends to
+    /// it block, which the region must surface as measured blocking (and a
+    /// rebalance), never as a hang.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range.
+    pub fn worker_stall(&mut self, j: usize, after_tuples: u64, stall: Duration) -> &mut Self {
+        assert!(j < self.workers, "worker index out of range");
+        self.stall = Some((j, after_tuples, stall));
+        self
+    }
+
     /// Schedules live growth: at `after` into the run, `count` fresh
-    /// worker threads (with their own channels) join the region and the
-    /// balancer re-solves at the wider width. Scripted via the shared
+    /// worker threads (each with its own connection) join the region and
+    /// the balancer re-solves at the wider width. Scripted via the shared
     /// [`ScriptedWidth`] policy.
     pub fn grow_after(&mut self, after: Duration, count: usize) -> &mut Self {
         self.width_script.grow_after(after, count);
@@ -199,8 +236,8 @@ impl RegionBuilder {
         self
     }
 
-    /// Attaches a telemetry hub: per-connection blocking metrics are
-    /// published under `transport.conn<j>.*`, the controller reports
+    /// Attaches a telemetry hub: channel links publish their blocking
+    /// metrics under `transport.conn<j>.*`, the controller reports
     /// per-round gauges under `runtime.*` and its decision trace (including
     /// a [`streambal_telemetry::TraceEvent::Sample`] per control round) goes to the hub's trace
     /// buffer.
@@ -223,16 +260,22 @@ impl RegionBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`RegionError::NoWorkers`] for an empty region,
+    /// [`RegionError::NoWorkers`] for an empty region;
     /// [`RegionError::Io`] with [`io::ErrorKind::InvalidInput`] if a
-    /// [`LoadChange`] names a worker beyond the initial and scripted ones,
-    /// or [`RegionError::WorkerPanicked`] if any thread dies.
+    /// [`LoadChange`] names a worker beyond the initial and scripted ones or
+    /// the [`Transport`] cannot carry a tuple (no capacity, a frame over
+    /// [`MAX_FRAME`]), or with the socket's error if one fails to open;
+    /// [`RegionError::WorkerPanicked`] if any thread dies.
     pub fn run(&self, total_tuples: u64) -> Result<RegionReport, RegionError> {
         if self.workers == 0 {
             return Err(RegionError::NoWorkers);
         }
         let widest = self.workers + self.scripted_grows;
-        if self.load_changes.iter().any(|c| c.worker >= widest) {
+        let unusable = match self.transport {
+            Transport::Channel { capacity } => capacity == 0,
+            Transport::Tcp { frame_padding } => frame_padding > MAX_FRAME - 8,
+        };
+        if unusable || self.load_changes.iter().any(|c| c.worker >= widest) {
             return Err(RegionError::Io(io::ErrorKind::InvalidInput));
         }
 
@@ -241,27 +284,48 @@ impl RegionBuilder {
         // see the sim crate's merge-capacity discussion.
         let (merge_tx, merge_rx) = mpsc::channel();
         let make_slot = {
-            let capacity = self.channel_capacity;
+            let transport = self.transport;
             let cost = self.tuple_cost;
             let initial_loads = self.initial_loads.clone();
+            let stall = self.stall;
             let telemetry = self.telemetry.clone();
             move |j: usize| {
-                let (tx, rx) = bounded(capacity);
-                if let Some(t) = &telemetry {
-                    tx.instrument(t.registry(), &format!("conn{j}"));
-                }
+                // Open the connection before spawning the worker, so a
+                // socket error leaves no thread behind.
+                let (link, inbox): (Box<dyn Link<Item = ()>>, Inbox) = match transport {
+                    Transport::Channel { capacity } => {
+                        let (tx, rx) = bounded(capacity);
+                        if let Some(t) = &telemetry {
+                            tx.instrument(t.registry(), &format!("conn{j}"));
+                        }
+                        (
+                            Box::new(tx),
+                            Box::new(iter::from_fn(move || rx.recv().ok())),
+                        )
+                    }
+                    Transport::Tcp { frame_padding } => {
+                        let (link, inbox) = TcpLink::open(frame_padding)?;
+                        (Box::new(link), Box::new(inbox))
+                    }
+                };
                 let factor = initial_loads.get(j).copied().unwrap_or(1.0);
                 let load = Arc::new(AtomicU32::new((factor * LOAD_SCALE) as u32));
-                // The worker spins the tuple cost scaled by its live load.
+                // The worker spins the tuple cost scaled by its live load,
+                // after its scripted stall if this is the tuple to stall at.
                 let live = Arc::clone(&load);
+                let stall = stall.filter(|&(worker, ..)| worker == j);
+                let mut processed = 0u64;
                 let op = move |()| {
+                    if let Some((_, _, pause)) = stall.filter(|&(_, after, _)| after == processed) {
+                        thread::sleep(pause);
+                    }
+                    processed += 1;
                     let factor = f64::from(live.load(Ordering::Relaxed)) / LOAD_SCALE;
                     spin_multiplies((cost as f64 * factor) as u64);
                 };
-                let inbox = std::iter::from_fn(move || rx.recv().ok());
                 let name = format!("streambal-worker-{j}");
                 Ok(Slot {
-                    link: tx,
+                    link,
                     worker: ordered::spawn_worker(name, inbox, op, merge_tx.clone()),
                     load: Some(load),
                 })
@@ -279,7 +343,24 @@ impl RegionBuilder {
             load_changes: self.load_changes.clone(),
             ..Spec::default()
         };
-        let report = run_to_completion(spec, make_slot, &merge_rx, total_tuples)?;
+        let region = ordered::spawn(spec, (0..total_tuples).map(|_| ()), make_slot)
+            .map_err(|e| RegionError::Io(e.kind()))?;
+        let mut delivered = 0u64;
+        let clean = total_tuples == 0
+            || ordered::merge(&merge_rx, |()| {
+                delivered += 1;
+                delivered < total_tuples
+            });
+        let duration = region.started.elapsed();
+        let done = region.join(None).map_err(|_| RegionError::WorkerPanicked)?;
+        let report = RegionReport {
+            delivered,
+            in_order: clean && delivered == total_tuples,
+            duration,
+            snapshots: done.snapshots,
+            blocked_ns: done.blocked_ns,
+            rerouted: done.rerouted,
+        };
         if let Some(t) = &self.telemetry {
             t.registry()
                 .counter("runtime.delivered")
@@ -292,33 +373,24 @@ impl RegionBuilder {
     }
 }
 
-/// What both threaded regions do with their spec and slots: start the
-/// skeleton over `total_tuples` unit items, merge strictly in order on the
-/// calling thread until all are out, stop the clock, tear the region down.
-pub(crate) fn run_to_completion<L: Link<Item = ()>>(
-    spec: Spec,
-    make_slot: impl FnMut(usize) -> io::Result<Slot<L>> + Send + 'static,
-    merge_rx: &mpsc::Receiver<(u64, ())>,
-    total_tuples: u64,
-) -> Result<RegionReport, RegionError> {
-    let region = ordered::spawn(spec, (0..total_tuples).map(|_| ()), make_slot)
-        .map_err(|e| RegionError::Io(e.kind()))?;
-    let mut delivered = 0u64;
-    let clean = total_tuples == 0
-        || ordered::merge(merge_rx, |()| {
-            delivered += 1;
-            delivered < total_tuples
-        });
-    let duration = region.started.elapsed();
-    let done = region.join(None).map_err(|_| RegionError::WorkerPanicked)?;
-    Ok(RegionReport {
-        delivered,
-        in_order: clean && delivered == total_tuples,
-        duration,
-        snapshots: done.snapshots,
-        blocked_ns: done.blocked_ns,
-        rerouted: done.rerouted,
-    })
+/// A worker's stream of stamped tuples, whichever transport carries them.
+type Inbox = Box<dyn Iterator<Item = (u64, ())> + Send>;
+
+/// A link of either transport, behind one type.
+impl Link for Box<dyn Link<Item = ()>> {
+    type Item = ();
+
+    fn send_recording(&mut self, seq: u64, (): ()) -> Result<(), Closed> {
+        (**self).send_recording(seq, ())
+    }
+
+    fn try_send(&mut self, seq: u64, (): ()) -> Result<Option<()>, Closed> {
+        (**self).try_send(seq, ())
+    }
+
+    fn blocking_counter(&self) -> Arc<BlockingCounter> {
+        (**self).blocking_counter()
+    }
 }
 
 #[cfg(test)]
@@ -385,7 +457,7 @@ mod tests {
             .tuple_cost(4_000)
             .initial_load(0, 40.0)
             .reroute()
-            .channel_capacity(8)
+            .transport(Transport::Channel { capacity: 8 })
             .sample_interval_ms(20)
             .run(30_000)
             .unwrap();

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use streambal_telemetry::{Counter, Histogram, MetricsRegistry};
 
-use crate::counters::BlockingCounter;
+use crate::counters::{BlockingCounter, WAIT_SLICE};
 
 /// Locks a mutex, ignoring poisoning (the queues hold plain data; a
 /// panicked peer cannot leave them logically inconsistent).
@@ -199,37 +199,42 @@ impl<T> Sender<T> {
             Err(TrySendError::Disconnected(v)) => return Err(SendError(v)),
             Err(TrySendError::Full(v)) => v,
         };
-        // Slow path: elect to block and record for how long.
-        let start = Instant::now();
+        // Slow path: elect to block, charging the time on every wake (as TCP).
+        let mut since = Instant::now();
+        let mut total = 0;
         let mut q = lock(&self.shared.queue);
-        loop {
+        let sent = loop {
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
-                self.record_elapsed(start);
-                return Err(SendError(value));
+                break Err(SendError(value));
             }
             if q.len() < self.shared.capacity {
                 q.push_back(value);
-                drop(q);
-                self.record_elapsed(start);
-                self.shared.not_empty.notify_one();
-                return Ok(());
+                break Ok(());
             }
-            q = self
-                .shared
-                .not_full
-                .wait(q)
-                .unwrap_or_else(PoisonError::into_inner);
+            let woke = self.shared.not_full.wait_timeout(q, WAIT_SLICE);
+            q = woke.unwrap_or_else(PoisonError::into_inner).0;
+            total += self.charge(&mut since);
+        };
+        drop(q);
+        total += self.charge(&mut since);
+        if let Some(inst) = self.shared.instrument.get() {
+            inst.block_waits.incr();
+            inst.wait_ns.record(total);
         }
+        self.shared.not_empty.notify_one();
+        sent
     }
 
-    fn record_elapsed(&self, start: Instant) {
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    /// Charges the time blocked since `since`, and restarts `since` there.
+    fn charge(&self, since: &mut Instant) -> u64 {
+        let now = Instant::now();
+        let ns = u64::try_from((now - *since).as_nanos()).unwrap_or(u64::MAX);
+        *since = now;
         self.shared.counter.add_ns(ns);
         if let Some(inst) = self.shared.instrument.get() {
             inst.blocked_ns.add(ns);
-            inst.block_waits.incr();
-            inst.wait_ns.record(ns);
         }
+        ns
     }
 
     /// Publishes this connection's blocking signal into `registry` under
@@ -282,6 +287,9 @@ impl<T> Clone for Sender<T> {
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Take the lock first: a receiver between its check and its wait
+            // would otherwise miss this wake-up and wait forever.
+            drop(lock(&self.shared.queue));
             self.shared.not_empty.notify_all();
         }
     }

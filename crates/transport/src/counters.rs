@@ -8,6 +8,13 @@
 //! periodically); the sampler is reset-aware.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
+
+/// Budget for one wait inside an elective blocking send, on either link.
+/// Blocked time reaches the counter once per wake, so this is also the
+/// granularity at which a stall becomes visible to a sampler — keep it
+/// well under the shortest sampling interval in use (20 ms in the tests).
+pub(crate) const WAIT_SLICE: Duration = Duration::from_millis(5);
 
 /// A monotone (between resets) cumulative blocking-time counter, in
 /// nanoseconds. Cheap to update from the sending thread and to read from a

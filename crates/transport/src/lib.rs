@@ -21,7 +21,9 @@
 //!
 //! For full fidelity, [`tcp`] runs the same protocol over *real* loopback
 //! TCP sockets — the kernel's socket buffers provide the back-pressure and
-//! the blocking signal, exactly as in the paper's deployment. At high
+//! the blocking signal, exactly as in the paper's deployment. Every socket
+//! in the workspace speaks one wire format, the I/O-free codec in
+//! [`frame`]. At high
 //! connection counts the [`poll`] module supplies the readiness substrate
 //! (`epoll`/`poll(2)`, dependency-free): blocked-write time becomes "time
 //! spent with the socket unwritable", measured from readiness transitions
@@ -36,6 +38,7 @@
 
 pub mod chan;
 pub mod counters;
+pub mod frame;
 pub mod poll;
 pub mod tcp;
 

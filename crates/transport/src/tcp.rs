@@ -2,35 +2,20 @@
 //!
 //! Where [`chan`](crate::chan) models a connection with an in-process
 //! bounded buffer, this module runs the *actual* §3 protocol against the
-//! kernel's socket buffers:
-//!
-//! 1. a non-blocking `write` (the `MSG_DONTWAIT` analogue — on Unix,
-//!    `set_nonblocking(true)` makes `write` return `WouldBlock` exactly
-//!    when `send(…, MSG_DONTWAIT)` would);
-//! 2. when the buffer is full, an *elective*, timed wait until the kernel
-//!    drains it, charged to the connection's [`BlockingCounter`].
-//!
-//! Tuples are length-prefixed byte frames; the receiver reassembles them
-//! from the stream. Socket buffers are real, so back-pressure — and hence
-//! the blocking signal the balancer feeds on — is the genuine article.
+//! kernel's socket buffers: a non-blocking `write` (the `MSG_DONTWAIT`
+//! analogue), then, when the buffer is full, an *elective*, timed wait
+//! until the kernel drains it, charged to the connection's
+//! [`BlockingCounter`]. The sender drains a [`FrameWriter`] and the
+//! receiver is a [`FrameReader`] over its blocking stream, so back-pressure
+//! — and the blocking signal the balancer feeds on — is the genuine article.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::counters::BlockingCounter;
-
-/// Maximum accepted frame length (1 MiB), a sanity bound against corrupt
-/// length prefixes.
-const MAX_FRAME: usize = 1 << 20;
-
-/// Budget for one readiness wait inside an elective blocking send. The
-/// wait is a kernel `poll` on writability, so the span is exact; blocked
-/// time reaches the counter once per wake, so this is also the granularity
-/// at which a stall becomes visible to a sampler — keep it well under the
-/// shortest sampling interval in use (20 ms in the tests).
-const WRITABLE_WAIT: Duration = Duration::from_millis(5);
+use crate::counters::{BlockingCounter, WAIT_SLICE};
+use crate::frame::{FrameReader, FrameWriter, Poll, WriteStatus};
 
 /// The sending half of an instrumented TCP connection.
 ///
@@ -50,6 +35,7 @@ const WRITABLE_WAIT: Duration = Duration::from_millis(5);
 #[derive(Debug)]
 pub struct TcpSender {
     stream: TcpStream,
+    out: FrameWriter,
     counter: Arc<BlockingCounter>,
 }
 
@@ -57,8 +43,7 @@ pub struct TcpSender {
 #[derive(Debug)]
 pub struct TcpReceiver {
     stream: TcpStream,
-    buf: Vec<u8>,
-    filled: usize,
+    reader: FrameReader,
 }
 
 /// A bound listener waiting for the peer PE to connect.
@@ -89,8 +74,7 @@ impl Incoming {
         stream.set_nodelay(true)?;
         Ok(TcpReceiver {
             stream,
-            buf: vec![0; 64 * 1024],
-            filled: 0,
+            reader: FrameReader::new(),
         })
     }
 }
@@ -106,6 +90,7 @@ pub fn connect(addr: std::net::SocketAddr) -> io::Result<TcpSender> {
     stream.set_nonblocking(true)?;
     Ok(TcpSender {
         stream,
+        out: FrameWriter::new(),
         counter: Arc::new(BlockingCounter::new()),
     })
 }
@@ -126,19 +111,18 @@ impl TcpSender {
     ///
     /// Propagates socket errors other than `WouldBlock`.
     pub fn try_send(&mut self, payload: &[u8]) -> io::Result<bool> {
-        let frame = encode(payload);
-        match self.stream.write(&frame) {
-            Ok(0) => Err(io::Error::new(ErrorKind::WriteZero, "peer closed")),
-            Ok(n) if n == frame.len() => Ok(true),
-            Ok(n) => {
-                // Partial write: the frame must be completed (recording the
-                // wait), otherwise the stream would de-frame.
-                self.finish_blocking(&frame[n..])?;
-                Ok(true)
+        self.out.enqueue(payload);
+        let whole = self.out.pending();
+        if self.out.write_to(&mut self.stream)? == WriteStatus::Blocked {
+            if self.out.pending() == whole {
+                self.out.clear();
+                return Ok(false);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
-            Err(e) => Err(e),
+            // Partial write: the frame must be completed (recording the
+            // wait), otherwise the stream would de-frame.
+            self.finish_blocking()?;
         }
+        Ok(true)
     }
 
     /// Sends a frame, electing to block (and recording for how long) when
@@ -148,45 +132,27 @@ impl TcpSender {
     ///
     /// Propagates socket errors.
     pub fn send_recording(&mut self, payload: &[u8]) -> io::Result<()> {
-        let frame = encode(payload);
-        match self.stream.write(&frame) {
-            Ok(n) if n == frame.len() => Ok(()),
-            Ok(0) => Err(io::Error::new(ErrorKind::WriteZero, "peer closed")),
-            Ok(n) => self.finish_blocking(&frame[n..]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => self.finish_blocking(&frame),
-            Err(e) => Err(e),
+        self.out.enqueue(payload);
+        if self.out.write_to(&mut self.stream)? == WriteStatus::Blocked {
+            self.finish_blocking()?;
         }
+        Ok(())
     }
 
-    /// Completes a write that the kernel refused, charging the elapsed time
-    /// to the blocking counter. The wait between retries parks in the
-    /// kernel until the socket's readiness transitions back to writable
-    /// (no sleep-polling), so the charged span is the genuine
-    /// unwritable-socket time. It is charged on every wake, not once per
-    /// frame: a sampler mid-stall sees the time as it accrues, and (late
-    /// wake-ups aside) no sampled rate exceeds
-    /// `1 + WRITABLE_WAIT / interval`.
-    fn finish_blocking(&mut self, mut rest: &[u8]) -> io::Result<()> {
+    /// Drains a frame the kernel refused, parking on writability (no
+    /// sleep-polling) and charging the time to the blocking counter on
+    /// every wake, so a sampler mid-stall sees it accrue and (late wake-ups
+    /// aside) no sampled rate exceeds `1 + WAIT_SLICE / interval`.
+    fn finish_blocking(&mut self) -> io::Result<()> {
         let mut since = Instant::now();
         loop {
-            let step = match self.stream.write(rest) {
-                Ok(0) => Err(io::Error::new(ErrorKind::WriteZero, "peer closed")),
-                Ok(n) => {
-                    rest = &rest[n..];
-                    Ok(())
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    crate::poll::wait_writable(&self.stream, WRITABLE_WAIT).map(|_| ())
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => Ok(()),
-                Err(e) => Err(e),
-            };
+            let step = crate::poll::wait_writable(&self.stream, WAIT_SLICE)
+                .and_then(|_| self.out.write_to(&mut self.stream));
             let now = Instant::now();
             let ns = u64::try_from(now.duration_since(since).as_nanos()).unwrap_or(u64::MAX);
             self.counter.add_ns(ns);
             since = now;
-            step?;
-            if rest.is_empty() {
+            if step? == WriteStatus::Drained {
                 return Ok(());
             }
         }
@@ -199,64 +165,25 @@ impl TcpReceiver {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors, and rejects frames over 1 MiB as corrupt.
+    /// Propagates socket errors, and rejects frames over
+    /// [`MAX_FRAME`](crate::frame::MAX_FRAME) as corrupt.
     pub fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        // Read the 4-byte length prefix, then the body.
-        while self.filled < 4 {
-            if !self.fill_more()? {
-                return if self.filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(io::Error::new(ErrorKind::UnexpectedEof, "truncated frame"))
-                };
-            }
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(ErrorKind::InvalidData, "frame too large"));
-        }
-        while self.filled < 4 + len {
-            if self.buf.len() < 4 + len {
-                self.buf.resize(4 + len, 0);
-            }
-            if !self.fill_more()? {
-                return Err(io::Error::new(ErrorKind::UnexpectedEof, "truncated frame"));
-            }
-        }
-        let payload = self.buf[4..4 + len].to_vec();
-        self.buf.copy_within(4 + len..self.filled, 0);
-        self.filled -= 4 + len;
-        Ok(Some(payload))
-    }
-
-    fn fill_more(&mut self) -> io::Result<bool> {
-        if self.filled == self.buf.len() {
-            self.buf.resize(self.buf.len() * 2, 0);
-        }
-        match self.stream.read(&mut self.buf[self.filled..]) {
-            Ok(0) => Ok(false),
-            Ok(n) => {
-                self.filled += n;
-                Ok(true)
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(true),
-            Err(e) => Err(e),
+        match self.reader.poll_frame(&mut self.stream)? {
+            Poll::Frame(frame) => Ok(Some(frame)),
+            Poll::Eof => Ok(None),
+            // The stream blocks, so it never reports `WouldBlock`.
+            Poll::Pending => Err(ErrorKind::WouldBlock.into()),
         }
     }
-}
-
-fn encode(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::thread;
+    use std::time::Duration;
 
     fn pair() -> (TcpSender, TcpReceiver) {
         let (addr, incoming) = listen().unwrap();
@@ -356,9 +283,10 @@ mod tests {
         let rescuer = {
             let done = Arc::clone(&done);
             thread::spawn(move || {
+                let mut sink = vec![0u8; 64 * 1024];
                 while !done.load(Ordering::Acquire) {
                     if counter.cumulative_ns() > 0 {
-                        while matches!(rx.stream.read(&mut rx.buf), Ok(n) if n > 0) {}
+                        while matches!(rx.stream.read(&mut sink), Ok(n) if n > 0) {}
                     }
                     thread::sleep(Duration::from_millis(1));
                 }

@@ -5,14 +5,16 @@
 //!
 //! Run with: `cargo run --release --example tcp_sockets`
 
-use streambal::runtime::tcp_region::TcpRegionBuilder;
+use streambal::runtime::region::{RegionBuilder, Transport};
 
 fn main() {
     // Three workers over real sockets; worker 0 is 50x slower.
-    let report = TcpRegionBuilder::new(3)
+    let report = RegionBuilder::new(3)
+        .transport(Transport::Tcp {
+            frame_padding: 4 * 1024, // realistic tuple size; buffers hold fewer
+        })
         .tuple_cost(2_000)
-        .worker_load(0, 50.0)
-        .frame_padding(4 * 1024) // realistic tuple size; buffers hold fewer
+        .initial_load(0, 50.0)
         .sample_interval_ms(25)
         .run(120_000)
         .expect("TCP region runs");

@@ -5,8 +5,7 @@
 use std::time::Duration;
 
 use streambal::dataflow::{source, ParallelConfig, RangeSource};
-use streambal::runtime::region::{RegionError, RegionReport};
-use streambal::runtime::tcp_region::TcpRegionBuilder;
+use streambal::runtime::region::{RegionBuilder, RegionError, RegionReport, Transport};
 use streambal::transport::{bounded, SendError, TrySendError};
 
 #[test]
@@ -93,13 +92,22 @@ const INTERVAL_MS: u64 = 20;
 /// readiness-wait slice).
 const LATE_MS: u64 = 150;
 
+/// Both transports the stall tests run on: a real socket whose kernel
+/// buffer fills, and an in-process channel whose queue does.
+const STALL_TRANSPORTS: [Transport; 2] = [
+    Transport::Tcp {
+        frame_padding: 8 * 1024,
+    },
+    Transport::Channel { capacity: 64 },
+];
+
 /// The stall scenario both tests below build on: worker 0 of a 2-worker
-/// TCP region stops reading its socket for 400 ms after 2 000 tuples, so
-/// the kernel buffer fills and the splitter's sends to connection 0 block.
-fn stalled_region() -> TcpRegionBuilder {
-    let mut b = TcpRegionBuilder::new(2);
-    b.tuple_cost(500)
-        .frame_padding(8 * 1024)
+/// region stops draining its connection for 400 ms after 2 000 tuples, so
+/// the connection fills and the splitter's sends to connection 0 block.
+fn stalled_region(transport: Transport) -> RegionBuilder {
+    let mut b = RegionBuilder::new(2);
+    b.transport(transport)
+        .tuple_cost(500)
         .sample_interval_ms(INTERVAL_MS)
         .worker_stall(0, 2_000, Duration::from_millis(400));
     b
@@ -107,7 +115,7 @@ fn stalled_region() -> TcpRegionBuilder {
 
 /// Runs the region on a thread of its own under a watchdog: it must finish
 /// or error, never hang.
-fn run_watched(builder: TcpRegionBuilder, tuples: u64) -> Result<RegionReport, RegionError> {
+fn run_watched(builder: RegionBuilder, tuples: u64) -> Result<RegionReport, RegionError> {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(builder.run(tuples));
@@ -118,11 +126,20 @@ fn run_watched(builder: TcpRegionBuilder, tuples: u64) -> Result<RegionReport, R
 
 #[test]
 fn tcp_worker_socket_stall_rebalances_and_never_hangs() {
+    // Both links charge blocked time by one rule, so the stall must read
+    // the same on a channel as on a socket.
+    for transport in STALL_TRANSPORTS {
+        eprintln!("stall on {transport:?}");
+        stall_rebalances_and_never_hangs(transport);
+    }
+}
+
+fn stall_rebalances_and_never_hangs(transport: Transport) {
     use streambal::core::DEFAULT_RESOLUTION;
 
     // The run must finish (watchdog), surfacing the stall as measured
     // blocking and a rebalance — or as an error — never as a hang.
-    let result = run_watched(stalled_region(), 40_000);
+    let result = run_watched(stalled_region(transport), 40_000);
     if let Ok(report) = result {
         assert_eq!(report.delivered, 40_000);
         assert!(report.in_order);
@@ -178,9 +195,11 @@ fn tcp_worker_socket_stall_rebalances_and_never_hangs() {
             "{charged_ms:.1} ms of blocking charged to connection 0 in {wall_ms} ms of wall clock"
         );
         // (Sabotage used to check this test bites: `.round_robin()` on the
-        // builder for the weight asserts — the region has no balancing
-        // switch — and lump / doubled charging in `finish_blocking` for the
-        // rate asserts.)
+        // builder for the weight asserts, and for the rate asserts doubled
+        // charging or lump charging — one charge when the blocked send
+        // completes, in `chan::Sender::send_recording` or `TcpSender`'s
+        // wait loop. On the channel, lump charging reads one round at
+        // ≈ 400/20 = 20 against a bound of ≈ 8.5.)
         let mut w0 = before;
         for (_, s) in stall {
             assert!(
@@ -201,11 +220,18 @@ fn tcp_worker_socket_stall_rebalances_and_never_hangs() {
 
 #[test]
 fn control_loop_keeps_its_cadence_while_a_slot_opens_during_a_stall() {
+    for transport in STALL_TRANSPORTS {
+        eprintln!("stall on {transport:?}");
+        cadence_holds_while_a_slot_opens(transport);
+    }
+}
+
+fn cadence_holds_while_a_slot_opens(transport: Transport) {
     // A third connection is scripted to open 250 ms in, while the splitter
     // sits blocked on connection 0. Opening it must not wait for that send:
     // the controller hands the new link over through the weights mutex,
     // which the splitter never holds across a send.
-    let mut builder = stalled_region();
+    let mut builder = stalled_region(transport);
     builder.grow_after(Duration::from_millis(250), 1);
     let Ok(report) = run_watched(builder, 40_000) else {
         return; // the failure was surfaced, not hidden

@@ -4,8 +4,8 @@
 use std::time::Duration;
 
 use streambal::core::DEFAULT_RESOLUTION;
-use streambal::runtime::region::{LoadChange, RegionBuilder, RegionError, RegionReport};
-use streambal::runtime::tcp_region::TcpRegionBuilder;
+use streambal::runtime::region::{LoadChange, RegionBuilder, RegionError, RegionReport, Transport};
+use streambal::transport::frame::MAX_FRAME;
 
 #[test]
 fn ordering_and_conservation_hold() {
@@ -88,30 +88,31 @@ fn load_change_recovers_weight() {
 /// (or, negative, fewer) shortly into the run.
 fn elastic_run(tcp: bool, start: usize, delta: isize, tuples: u64) -> RegionReport {
     let count = delta.unsigned_abs();
-    if tcp {
-        // Real loopback sockets: a grown slot is a listen + connect +
-        // worker spawn, a retired one drains its kernel buffer in order.
-        let at = Duration::from_millis(60);
-        let mut b = TcpRegionBuilder::new(start);
-        b.tuple_cost(4_000).sample_interval_ms(15);
-        if delta > 0 {
-            b.grow_after(at, count);
-        } else {
-            b.shrink_after(at, count);
-        }
-        b.run(tuples)
+    // Over real loopback sockets a grown slot is a listen + connect +
+    // worker spawn, and a retired one drains its kernel buffer in order.
+    let (transport, at_ms, cost, interval_ms) = if tcp {
+        (
+            Transport::Tcp {
+                frame_padding: 1024,
+            },
+            60,
+            4_000,
+            15,
+        )
     } else {
-        let at = Duration::from_millis(50);
-        let mut b = RegionBuilder::new(start);
-        b.tuple_cost(5_000).sample_interval_ms(10);
-        if delta > 0 {
-            b.grow_after(at, count);
-        } else {
-            b.shrink_after(at, count);
-        }
-        b.run(tuples)
+        (Transport::Channel { capacity: 64 }, 50, 5_000, 10)
+    };
+    let at = Duration::from_millis(at_ms);
+    let mut b = RegionBuilder::new(start);
+    b.transport(transport)
+        .tuple_cost(cost)
+        .sample_interval_ms(interval_ms);
+    if delta > 0 {
+        b.grow_after(at, count);
+    } else {
+        b.shrink_after(at, count);
     }
-    .unwrap()
+    b.run(tuples).unwrap()
 }
 
 #[test]
@@ -210,4 +211,24 @@ fn load_change_on_a_worker_that_never_exists_is_rejected_or_skipped() {
         .filter(|s| s.elapsed_ms > 20)
         .count();
     assert!(rounds_after > 0, "the control loop must outlive the change");
+}
+
+#[test]
+fn a_tcp_frame_over_the_wire_limit_is_rejected_up_front() {
+    // The worker's receiver would refuse the first frame as corrupt and the
+    // run would end silently short; the builder refuses to start instead,
+    // the way it refuses an impossible load change.
+    let tcp = |frame_padding| {
+        let mut b = RegionBuilder::new(2);
+        b.transport(Transport::Tcp { frame_padding });
+        b
+    };
+    let err = tcp(2 << 20).run(200).unwrap_err();
+    assert_eq!(err, RegionError::Io(std::io::ErrorKind::InvalidInput));
+    let err = tcp(MAX_FRAME - 7).run(200).unwrap_err();
+    assert_eq!(err, RegionError::Io(std::io::ErrorKind::InvalidInput));
+    // The largest frame the wire carries still runs.
+    let report = tcp(MAX_FRAME - 8).run(20).unwrap();
+    assert_eq!(report.delivered, 20);
+    assert!(report.in_order);
 }
