@@ -7,8 +7,7 @@
 //! runtime, a TCP runtime, a dataflow pipeline. [`ControlPlane`] owns that
 //! round lifecycle exactly once:
 //!
-//! 1. ingest one interval's blocking rates (capped at 10.0 on their way into
-//!    the model),
+//! 1. ingest one interval's blocking rates,
 //! 2. [`LoadBalancer::observe`] + [`LoadBalancer::rebalance`],
 //! 3. install the weights into the routing fabric (via [`DataPlane`]),
 //! 4. emit metrics and trace events to [`streambal_telemetry`], and
@@ -17,7 +16,7 @@
 //! Data planes that drive their own cadence (the simulators, where time is
 //! virtual) call [`ControlPlane::round`] directly; wall-clock planes hand a
 //! [`DataPlane`] implementation to [`ControlPlane::run_threaded`], which
-//! owns the sleep/sample/round loop until told to stop.
+//! paces rounds on a [`Clock`] and turns the plane's counters into rates.
 //!
 //! Dynamic membership ([`ControlPlane::attach_connection`] /
 //! [`ControlPlane::detach_connection`]) passes through to the balancer: a
@@ -42,26 +41,40 @@
 pub mod width;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use streambal_core::controller::{BalancerConfig, ClusterOutcome, LoadBalancer};
 use streambal_core::rate::ConnectionSample;
 use streambal_core::weights::WeightVector;
-use streambal_telemetry::{Counter, Gauge, Telemetry, TraceEvent};
+use streambal_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceEvent};
+use streambal_transport::{BlockingCounter, BlockingSampler};
 
 pub use width::{
     Autoscaler, AutoscalerConfig, ReactiveWidth, ScriptedWidth, WidthDecision, WidthPolicy,
     WidthView,
 };
 
-/// Observed blocking rates are capped at this value before they reach the
-/// model: a wall-clock plane divides blocked time by the *nominal* interval,
-/// so a late round reads as a rate above 1, and the cap keeps such a spike
-/// from dominating a function's fit. Rates measured over the true interval
-/// (the simulators') never exceed 1, so for them this is a no-op. Snapshots,
-/// gauges and trace events carry the raw rates.
-const RATE_CAP: f64 = 10.0;
+/// Where [`ControlPlane::run_threaded`] reads the time and waits.
+pub trait Clock {
+    /// The time since the clock's origin.
+    fn now(&self) -> Duration;
+
+    /// Returns once [`now`](Self::now) has reached `deadline`.
+    fn sleep_until(&self, deadline: Duration);
+}
+
+/// The wall clock, read as the time since this instant.
+impl Clock for Instant {
+    fn now(&self) -> Duration {
+        self.elapsed()
+    }
+
+    fn sleep_until(&self, deadline: Duration) {
+        thread::sleep(deadline.saturating_sub(self.elapsed()));
+    }
+}
 
 /// One control round's outcome, shared by every data plane's report type
 /// (`runtime`'s snapshots and `dataflow`'s region traces are aliases of
@@ -72,12 +85,12 @@ pub struct RoundSnapshot {
     pub elapsed_ms: u64,
     /// The allocation weights installed after this round.
     pub weights: Vec<u32>,
-    /// Per-connection blocking rates observed over the interval (uncapped).
+    /// Per-connection blocking rates observed over the interval.
     pub rates: Vec<f64>,
 }
 
-/// What the control plane needs from a routing fabric: a way to sample
-/// blocking, a place to install weights, and stable connection identities.
+/// What the control plane needs from a routing fabric: blocked-time
+/// counters, a place to install weights, and stable connection identities.
 ///
 /// Implementations wrap whatever the plane actually is — per-connection
 /// blocking counters and a weights mutex for the threaded runtimes, for
@@ -97,9 +110,9 @@ pub trait DataPlane {
         let _ = elapsed;
     }
 
-    /// Fills `rates` (length [`connections`](Self::connections)) with the
-    /// blocking rates observed over the last `interval_ns` nanoseconds.
-    fn sample(&mut self, interval_ns: u64, rates: &mut [f64]);
+    /// Slot `j`'s cumulative blocked-send counter, read once, when the slot
+    /// is first sampled: slots open and close at the tail only.
+    fn counter(&self, j: usize) -> Arc<BlockingCounter>;
 
     /// Installs freshly computed weights into the routing fabric. The
     /// vector's length is the balancer's current width; a growable fabric
@@ -191,9 +204,9 @@ impl ControlPlaneBuilder {
     /// `<prefix>.controller.rounds`,
     /// `<prefix>.conn<id>.{blocking_rate,weight}`,
     /// `<prefix>.recluster.{reused,full}`, `<prefix>.cluster.distinct`,
-    /// `<prefix>.width` and
-    /// `<prefix>.autoscale.{grow,shrink,hold,cooldown_suppressed}`
-    /// (requires [`telemetry`](Self::telemetry)).
+    /// `<prefix>.width`,
+    /// `<prefix>.autoscale.{grow,shrink,hold,cooldown_suppressed}` and
+    /// `<prefix>.round.lag_ns` (requires [`telemetry`](Self::telemetry)).
     pub fn metrics(mut self, prefix: &str) -> Self {
         self.metrics_prefix = Some(prefix.to_owned());
         self
@@ -250,6 +263,7 @@ struct RoundMetrics {
     shrink: Counter,
     hold: Counter,
     cooldown_suppressed: Counter,
+    lag_ns: Histogram,
 }
 
 /// The control plane: owns the [`LoadBalancer`] and the full round
@@ -424,8 +438,7 @@ impl ControlPlane {
                 if !self.lb.is_attached(j) {
                     continue;
                 }
-                self.samples_buf
-                    .push(ConnectionSample::new(j, rate.min(RATE_CAP)));
+                self.samples_buf.push(ConnectionSample::new(j, rate));
             }
             self.lb.observe(&self.samples_buf);
             self.lb.rebalance();
@@ -540,53 +553,67 @@ impl ControlPlane {
             shrink: reg.counter(&format!("{prefix}.autoscale.shrink")),
             hold: reg.counter(&format!("{prefix}.autoscale.hold")),
             cooldown_suppressed: reg.counter(&format!("{prefix}.autoscale.cooldown_suppressed")),
+            lag_ns: reg.histogram(&format!("{prefix}.round.lag_ns")),
         });
     }
 
-    /// Owns a wall-clock control loop: every `interval`, apply the plane's
-    /// round prelude ([`DataPlane::begin_round`]), sample blocking rates,
-    /// run [`round`](Self::round), install the weights, and push a
-    /// [`TraceEvent::Sample`] mirroring the round. Returns when `stop` is
-    /// set.
+    /// Owns a wall-clock control loop until `stop` is set: each round, apply
+    /// the plane's prelude ([`DataPlane::begin_round`]), sample, run
+    /// [`round`](Self::round), install the weights, and push a
+    /// [`TraceEvent::Sample`] mirroring the round.
     ///
-    /// Once per round the loop reconciles the region width against
-    /// [`DataPlane::target_connections`]: a larger target opens the
-    /// missing slots ([`grow`](Self::grow)), a smaller one closes tail
-    /// slots ([`shrink`](Self::shrink)). It then reconciles per-slot
-    /// membership against [`DataPlane::slot_healthy`], detaching slots the
-    /// plane reports unhealthy (weight pinned to 0, never the last live
-    /// one) and re-attaching recovered ones exploration-bounded. After the
-    /// round's solve the installed [`WidthPolicy`] (if any) is consulted
-    /// via [`decide_width`](Self::decide_width) and its decision applied
-    /// through the same grow/shrink ordering rules. Width and membership
-    /// changes allocate; the steady state in between does not.
-    pub fn run_threaded<P: DataPlane + ?Sized>(
+    /// Round *k* is due at `t0 + k·interval` (`t0`: `clock`'s reading at the
+    /// start; `interval` must be positive). Due times a round overran are
+    /// skipped, never replayed, and the grid never drifts; the
+    /// `<prefix>.round.lag_ns` histogram records each wake's distance from
+    /// the earliest due time not yet served. A rate is the first difference
+    /// of a slot's [`DataPlane::counter`] over the time `clock` measured
+    /// since the previous sample.
+    ///
+    /// Each round first reconciles the width with
+    /// [`DataPlane::target_connections`] ([`grow`](Self::grow) /
+    /// [`shrink`](Self::shrink)) and membership with
+    /// [`DataPlane::slot_healthy`] (never detaching the last live slot);
+    /// after the solve it applies the [`WidthPolicy`]'s decision through the
+    /// same ordering rules. Width and membership changes allocate; the
+    /// steady state in between does not.
+    pub fn run_threaded<P: DataPlane + ?Sized, C: Clock + ?Sized>(
         &mut self,
         plane: &mut P,
         interval: Duration,
         stop: &AtomicBool,
-        started: Instant,
+        clock: &C,
     ) {
-        let n = plane.connections();
-        assert_eq!(
-            n,
-            self.lb.config().connections(),
-            "plane width must match the balancer"
-        );
+        assert!(!interval.is_zero(), "the round interval must be positive");
+        let n = self.lb.config().connections();
+        assert_eq!(plane.connections(), n, "plane and balancer widths differ");
         self.bind_metrics();
         let mut rates = vec![0.0; n];
-        let interval_ns = u64::try_from(interval.as_nanos()).unwrap_or(u64::MAX);
+        let mut samplers = Vec::with_capacity(n);
+        let mut sampled = clock.now();
+        // The earliest due time not yet served.
+        let mut due = sampled + interval;
         while !stop.load(Ordering::Acquire) {
-            thread::sleep(interval);
+            let fire = next_due(due, clock.now(), interval);
+            clock.sleep_until(fire);
+            let wake = clock.now();
+            if let Some(m) = &self.metrics {
+                m.lag_ns.record(nanos(wake.saturating_sub(due)));
+            }
+            due = fire + interval;
             self.reconcile_width(plane);
             self.reconcile_membership(plane);
-            let elapsed = started.elapsed();
-            let elapsed_ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
-            self.sample(plane, elapsed, interval_ns, &mut rates);
+            plane.begin_round(wake);
+            let now = clock.now();
+            self.sample(&*plane, &mut samplers, now - sampled, &mut rates);
+            sampled = now;
+            let elapsed_ms = u64::try_from(now.as_millis()).unwrap_or(u64::MAX);
             self.round(elapsed_ms, &rates);
             self.install(plane);
             self.apply_width_decision(plane, elapsed_ms, &rates);
-            self.trace_sample(plane, elapsed, &rates);
+            // A slot closed here may reopen on a fresh counter by the next sample.
+            samplers.truncate(self.lb.config().connections());
+            self.trace_sample(plane, now, &rates);
         }
     }
 
@@ -619,18 +646,22 @@ impl ControlPlane {
         }
     }
 
-    /// Runs the plane's round prelude and reads one interval's rates, at
-    /// the width the reconcile stages left.
+    /// Reads each slot's first difference over `since`, at the width the
+    /// reconcile stages left; a slot new since the last sample gets a sampler.
     fn sample<P: DataPlane + ?Sized>(
         &self,
-        plane: &mut P,
-        elapsed: Duration,
-        interval_ns: u64,
+        plane: &P,
+        samplers: &mut Vec<(Arc<BlockingCounter>, BlockingSampler)>,
+        since: Duration,
         rates: &mut Vec<f64>,
     ) {
-        rates.resize(self.lb.config().connections(), 0.0);
-        plane.begin_round(elapsed);
-        plane.sample(interval_ns, rates);
+        let width = self.lb.config().connections();
+        samplers.truncate(width);
+        let opened = samplers.len()..width;
+        samplers.extend(opened.map(|j| (plane.counter(j), BlockingSampler::new())));
+        let since_ns = nanos(since).max(1);
+        rates.clear();
+        rates.extend(samplers.iter_mut().map(|(c, s)| s.sample(c, since_ns)));
     }
 
     /// Hands the current weights to the routing fabric (a round-robin
@@ -676,7 +707,7 @@ impl ControlPlane {
         if let Some(t) = &self.telemetry {
             t.trace().push(TraceEvent::Sample {
                 region: 0,
-                t_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+                t_ns: nanos(elapsed),
                 weights: self.lb.weights().units().to_vec(),
                 rates: rates.to_vec(),
                 delivered: plane.delivered(),
@@ -686,13 +717,57 @@ impl ControlPlane {
     }
 }
 
+/// The first time at or after `now` on the grid `due + k·interval`.
+fn next_due(due: Duration, now: Duration, interval: Duration) -> Duration {
+    let behind = now.saturating_sub(due).as_nanos();
+    due + interval * u32::try_from(behind.div_ceil(interval.as_nanos())).unwrap_or(u32::MAX)
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::cell::Cell;
 
     fn plane(n: usize) -> ControlPlane {
         ControlPlane::builder(BalancerConfig::builder(n).build().unwrap()).build()
+    }
+
+    /// A clock that moves only when the loop waits: `sleep_until` jumps
+    /// straight to the deadline.
+    #[derive(Default)]
+    struct ManualClock(Cell<Duration>);
+
+    impl Clock for ManualClock {
+        fn now(&self) -> Duration {
+            self.0.get()
+        }
+        fn sleep_until(&self, deadline: Duration) {
+            self.0.set(self.0.get().max(deadline));
+        }
+    }
+
+    /// Runs `plane` under `p` on a fresh manual clock in 5 ms rounds, until
+    /// the plane sets `stop`.
+    fn run_manual<P: DataPlane>(p: &mut ControlPlane, plane: &mut P, stop: &AtomicBool) {
+        p.run_threaded(
+            plane,
+            Duration::from_millis(5),
+            stop,
+            &ManualClock::default(),
+        );
+    }
+
+    /// A counter nothing is ever charged to.
+    fn idle() -> Arc<BlockingCounter> {
+        Arc::new(BlockingCounter::new())
+    }
+
+    fn ms(elapsed: Duration) -> u128 {
+        elapsed.as_millis()
     }
 
     #[test]
@@ -713,22 +788,6 @@ mod tests {
             assert_eq!(w.units(), &[500, 500]);
         }
         assert_eq!(p.balancer().round(), 0, "no rebalance rounds consumed");
-    }
-
-    #[test]
-    fn the_rate_cap_applies_to_the_model_but_not_the_snapshot() {
-        let mut p = ControlPlane::builder(BalancerConfig::builder(2).build().unwrap())
-            .keep_snapshots(true)
-            .build();
-        p.round(7, &[25.0, 0.0]);
-        assert_eq!(p.snapshots().len(), 1);
-        assert_eq!(p.snapshots()[0].elapsed_ms, 7);
-        assert_eq!(p.snapshots()[0].rates, vec![25.0, 0.0], "snapshot uncapped");
-        let pts: Vec<(u32, f64)> = p.balancer().function(0).raw_points().collect();
-        assert!(
-            pts.iter().all(|&(_, r)| r <= RATE_CAP),
-            "model sees capped rates: {pts:?}"
-        );
     }
 
     #[test]
@@ -834,8 +893,8 @@ mod tests {
             fn connections(&self) -> usize {
                 2
             }
-            fn sample(&mut self, _interval_ns: u64, rates: &mut [f64]) {
-                rates.fill(0.0);
+            fn counter(&self, _j: usize) -> Arc<BlockingCounter> {
+                idle()
             }
             fn install_weights(&mut self, _weights: &WeightVector) {}
         }
@@ -846,58 +905,46 @@ mod tests {
 
     #[test]
     fn run_threaded_reconciles_width_with_the_planes_target() {
-        struct GrowingPlane {
-            rates: Vec<f64>,
-            target: Arc<std::sync::atomic::AtomicUsize>,
-            installed: Arc<std::sync::Mutex<Vec<u32>>>,
+        struct GrowingPlane<'a> {
+            width: usize,
+            target: usize,
+            installed: Vec<u32>,
+            stop: &'a AtomicBool,
         }
-        impl DataPlane for GrowingPlane {
+        impl DataPlane for GrowingPlane<'_> {
             fn connections(&self) -> usize {
-                self.rates.len()
+                self.width
+            }
+            fn begin_round(&mut self, elapsed: Duration) {
+                if ms(elapsed) >= 30 {
+                    self.target = 4;
+                }
+                self.stop.store(ms(elapsed) >= 90, Ordering::Release);
             }
             fn target_connections(&self) -> usize {
-                self.target.load(Ordering::Acquire)
+                self.target
             }
             fn open_slot(&mut self) -> bool {
-                self.rates.push(0.0);
+                self.width += 1;
                 true
             }
-            fn close_slot(&mut self) -> bool {
-                if self.rates.len() > 1 {
-                    self.rates.pop();
-                    true
-                } else {
-                    false
-                }
-            }
-            fn sample(&mut self, _interval_ns: u64, rates: &mut [f64]) {
-                rates.copy_from_slice(&self.rates);
+            fn counter(&self, _j: usize) -> Arc<BlockingCounter> {
+                idle()
             }
             fn install_weights(&mut self, weights: &WeightVector) {
-                *self.installed.lock().unwrap() = weights.units().to_vec();
+                self.installed = weights.units().to_vec();
             }
         }
-        let installed = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let target = Arc::new(std::sync::atomic::AtomicUsize::new(2));
+        let stop = AtomicBool::new(false);
         let mut dp = GrowingPlane {
-            rates: vec![0.0, 0.0],
-            target: Arc::clone(&target),
-            installed: Arc::clone(&installed),
+            width: 2,
+            target: 2,
+            installed: Vec::new(),
+            stop: &stop,
         };
         let mut p = plane(2);
-        let stop = AtomicBool::new(false);
-        let started = Instant::now();
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                p.run_threaded(&mut dp, Duration::from_millis(5), &stop, started);
-            });
-            thread::sleep(Duration::from_millis(30));
-            target.store(4, Ordering::Release);
-            thread::sleep(Duration::from_millis(60));
-            stop.store(true, Ordering::Release);
-            handle.join().unwrap();
-        });
-        let w = installed.lock().unwrap().clone();
+        run_manual(&mut p, &mut dp, &stop);
+        let w = dp.installed;
         assert_eq!(w.len(), 4, "region grew to the target width: {w:?}");
         assert_eq!(w.iter().map(|&u| u64::from(u)).sum::<u64>(), 1000);
         assert_eq!(p.balancer().config().connections(), 4);
@@ -906,86 +953,73 @@ mod tests {
 
     #[test]
     fn run_threaded_reconciles_membership_with_slot_health() {
-        struct HealthPlane {
-            healthy: Arc<[std::sync::atomic::AtomicBool; 3]>,
-            installed: Arc<std::sync::Mutex<Vec<u32>>>,
+        struct HealthPlane<'a> {
+            sick: bool,
+            installed: Vec<u32>,
+            /// What was installed in the last round before slot 1 recovered.
+            while_sick: Vec<u32>,
+            stop: &'a AtomicBool,
         }
-        impl DataPlane for HealthPlane {
+        impl DataPlane for HealthPlane<'_> {
             fn connections(&self) -> usize {
                 3
             }
-            fn slot_healthy(&self, j: usize) -> bool {
-                self.healthy[j].load(Ordering::Acquire)
+            fn begin_round(&mut self, elapsed: Duration) {
+                self.sick = (30..70).contains(&ms(elapsed));
+                if ms(elapsed) < 70 {
+                    self.while_sick.clone_from(&self.installed);
+                }
+                self.stop.store(ms(elapsed) >= 110, Ordering::Release);
             }
-            fn sample(&mut self, _interval_ns: u64, rates: &mut [f64]) {
-                rates.fill(0.0);
+            fn slot_healthy(&self, j: usize) -> bool {
+                j != 1 || !self.sick
+            }
+            fn counter(&self, _j: usize) -> Arc<BlockingCounter> {
+                idle()
             }
             fn install_weights(&mut self, weights: &WeightVector) {
-                *self.installed.lock().unwrap() = weights.units().to_vec();
+                self.installed = weights.units().to_vec();
             }
         }
-        let healthy: Arc<[std::sync::atomic::AtomicBool; 3]> = Arc::new([
-            std::sync::atomic::AtomicBool::new(true),
-            std::sync::atomic::AtomicBool::new(true),
-            std::sync::atomic::AtomicBool::new(true),
-        ]);
-        let installed = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let stop = AtomicBool::new(false);
         let mut dp = HealthPlane {
-            healthy: Arc::clone(&healthy),
-            installed: Arc::clone(&installed),
+            sick: false,
+            installed: Vec::new(),
+            while_sick: Vec::new(),
+            stop: &stop,
         };
         let mut p = plane(3);
-        let stop = AtomicBool::new(false);
-        let started = Instant::now();
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                p.run_threaded(&mut dp, Duration::from_millis(5), &stop, started);
-            });
-            thread::sleep(Duration::from_millis(30));
-            healthy[1].store(false, Ordering::Release);
-            thread::sleep(Duration::from_millis(40));
-            {
-                let w = installed.lock().unwrap().clone();
-                assert_eq!(w.len(), 3);
-                assert_eq!(w[1], 0, "unhealthy slot leaves the simplex: {w:?}");
-                assert_eq!(w.iter().map(|&u| u64::from(u)).sum::<u64>(), 1000);
-            }
-            healthy[1].store(true, Ordering::Release);
-            thread::sleep(Duration::from_millis(40));
-            stop.store(true, Ordering::Release);
-            handle.join().unwrap();
-        });
+        run_manual(&mut p, &mut dp, &stop);
+        let w = dp.while_sick;
+        assert_eq!(w.len(), 3);
+        assert_eq!(w[1], 0, "unhealthy slot leaves the simplex: {w:?}");
+        assert_eq!(w.iter().map(|&u| u64::from(u)).sum::<u64>(), 1000);
         assert!(p.balancer().is_attached(1), "recovered slot re-attached");
-        let w = installed.lock().unwrap().clone();
+        let w = dp.installed;
         assert_eq!(w.iter().map(|&u| u64::from(u)).sum::<u64>(), 1000);
     }
 
     #[test]
     fn slot_health_never_detaches_the_last_live_connection() {
-        struct AllSickPlane;
-        impl DataPlane for AllSickPlane {
+        struct AllSickPlane<'a>(&'a AtomicBool);
+        impl DataPlane for AllSickPlane<'_> {
             fn connections(&self) -> usize {
                 2
+            }
+            fn begin_round(&mut self, elapsed: Duration) {
+                self.0.store(ms(elapsed) >= 40, Ordering::Release);
             }
             fn slot_healthy(&self, _j: usize) -> bool {
                 false
             }
-            fn sample(&mut self, _interval_ns: u64, rates: &mut [f64]) {
-                rates.fill(0.0);
+            fn counter(&self, _j: usize) -> Arc<BlockingCounter> {
+                idle()
             }
             fn install_weights(&mut self, _weights: &WeightVector) {}
         }
         let mut p = plane(2);
         let stop = AtomicBool::new(false);
-        let started = Instant::now();
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                p.run_threaded(&mut AllSickPlane, Duration::from_millis(5), &stop, started);
-            });
-            thread::sleep(Duration::from_millis(40));
-            stop.store(true, Ordering::Release);
-            handle.join().unwrap();
-        });
+        run_manual(&mut p, &mut AllSickPlane(&stop), &stop);
         assert_eq!(
             p.balancer().live_connections(),
             1,
@@ -996,105 +1030,96 @@ mod tests {
 
     #[test]
     fn run_threaded_drives_a_data_plane() {
-        struct MutexPlane {
-            rates: Vec<f64>,
-            installed: Arc<std::sync::Mutex<Vec<u32>>>,
+        /// Slot 0 blocks for 80 % of the time, slot 1 never.
+        struct LoadedPlane<'a> {
+            counters: [Arc<BlockingCounter>; 2],
+            charged: Duration,
+            installed: Vec<u32>,
+            stop: &'a AtomicBool,
         }
-        impl DataPlane for MutexPlane {
+        impl DataPlane for LoadedPlane<'_> {
             fn connections(&self) -> usize {
-                self.rates.len()
+                2
             }
-            fn sample(&mut self, _interval_ns: u64, rates: &mut [f64]) {
-                rates.copy_from_slice(&self.rates);
+            fn begin_round(&mut self, elapsed: Duration) {
+                self.counters[0].add_ns(nanos(elapsed - self.charged) / 5 * 4);
+                self.charged = elapsed;
+                self.stop.store(ms(elapsed) >= 60, Ordering::Release);
+            }
+            fn counter(&self, j: usize) -> Arc<BlockingCounter> {
+                Arc::clone(&self.counters[j])
             }
             fn install_weights(&mut self, weights: &WeightVector) {
-                *self.installed.lock().unwrap() = weights.units().to_vec();
+                self.installed = weights.units().to_vec();
             }
         }
-        let installed = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut dp = MutexPlane {
-            rates: vec![0.8, 0.0],
-            installed: Arc::clone(&installed),
+        let stop = AtomicBool::new(false);
+        let mut dp = LoadedPlane {
+            counters: [idle(), idle()],
+            charged: Duration::ZERO,
+            installed: Vec::new(),
+            stop: &stop,
         };
         let mut p = ControlPlane::builder(BalancerConfig::builder(2).build().unwrap())
             .keep_snapshots(true)
             .build();
-        let stop = AtomicBool::new(false);
-        let started = Instant::now();
-        // Drive a few rounds on this thread, then stop.
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                p.run_threaded(&mut dp, Duration::from_millis(5), &stop, started);
-            });
-            thread::sleep(Duration::from_millis(60));
-            stop.store(true, Ordering::Release);
-            handle.join().unwrap();
-        });
-        let w = installed.lock().unwrap().clone();
+        run_manual(&mut p, &mut dp, &stop);
+        let w = dp.installed;
         assert_eq!(w.iter().map(|&u| u64::from(u)).sum::<u64>(), 1000);
         assert!(w[0] < w[1], "overloaded connection throttled: {w:?}");
         assert!(!p.snapshots().is_empty());
     }
 
-    /// An elastic plane that just tracks its width, for width-policy tests.
-    struct ElasticPlane {
-        rates: Vec<f64>,
-        installed: Arc<std::sync::Mutex<Vec<u32>>>,
-    }
-    impl DataPlane for ElasticPlane {
-        fn connections(&self) -> usize {
-            self.rates.len()
-        }
-        fn open_slot(&mut self) -> bool {
-            self.rates.push(0.0);
-            true
-        }
-        fn close_slot(&mut self) -> bool {
-            if self.rates.len() > 1 {
-                self.rates.pop();
-                true
-            } else {
-                false
-            }
-        }
-        fn sample(&mut self, _interval_ns: u64, rates: &mut [f64]) {
-            rates.copy_from_slice(&self.rates);
-        }
-        fn install_weights(&mut self, weights: &WeightVector) {
-            *self.installed.lock().unwrap() = weights.units().to_vec();
-        }
-    }
-
     #[test]
     fn run_threaded_applies_a_scripted_width_policy() {
+        /// An elastic plane that just tracks its width.
+        struct ElasticPlane<'a> {
+            width: usize,
+            installed: Vec<u32>,
+            stop: &'a AtomicBool,
+        }
+        impl DataPlane for ElasticPlane<'_> {
+            fn connections(&self) -> usize {
+                self.width
+            }
+            fn begin_round(&mut self, elapsed: Duration) {
+                self.stop.store(ms(elapsed) >= 120, Ordering::Release);
+            }
+            fn open_slot(&mut self) -> bool {
+                self.width += 1;
+                true
+            }
+            fn close_slot(&mut self) -> bool {
+                self.width -= 1;
+                true
+            }
+            fn counter(&self, _j: usize) -> Arc<BlockingCounter> {
+                idle()
+            }
+            fn install_weights(&mut self, weights: &WeightVector) {
+                self.installed = weights.units().to_vec();
+            }
+        }
         let mut script = ScriptedWidth::new();
         script
             .grow_after(Duration::from_millis(20), 2)
             .shrink_after(Duration::from_millis(60), 1);
-        let installed = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let stop = AtomicBool::new(false);
         let mut dp = ElasticPlane {
-            rates: vec![0.0, 0.0],
-            installed: Arc::clone(&installed),
+            width: 2,
+            installed: Vec::new(),
+            stop: &stop,
         };
         let mut p = ControlPlane::builder(BalancerConfig::builder(2).build().unwrap())
             .width_policy(Box::new(script))
             .build();
-        let stop = AtomicBool::new(false);
-        let started = Instant::now();
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                p.run_threaded(&mut dp, Duration::from_millis(5), &stop, started);
-            });
-            thread::sleep(Duration::from_millis(120));
-            stop.store(true, Ordering::Release);
-            handle.join().unwrap();
-        });
+        run_manual(&mut p, &mut dp, &stop);
         assert_eq!(
             p.balancer().config().connections(),
             3,
             "grew by 2, shrank by 1"
         );
-        let w = installed.lock().unwrap().clone();
+        let w = dp.installed;
         assert_eq!(w.len(), 3);
         assert_eq!(w.iter().map(|&u| u64::from(u)).sum::<u64>(), 1000);
     }

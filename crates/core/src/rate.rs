@@ -3,8 +3,8 @@
 //! The data transport layer tracks a *cumulative blocking time* per
 //! connection (the total time the splitter has spent blocked in `send`).
 //! The balancer samples this counter periodically; first differences divided
-//! by the sampling interval yield the **blocking rate** — the fraction of a
-//! sampling interval the splitter spent blocked on that connection. This
+//! by the time elapsed between samples yield the **blocking rate** — the
+//! fraction of that time the splitter spent blocked on that connection. This
 //! module provides the sample type and the exponential smoothing the paper
 //! applies before feeding rates into the model.
 
@@ -30,16 +30,6 @@ impl BlockingRate {
             "blocking rate must be finite and >= 0"
         );
         BlockingRate(rate)
-    }
-
-    /// Computes a rate from a blocked duration within an interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_ns == 0`.
-    pub fn from_blocked_ns(blocked_ns: u64, interval_ns: u64) -> Self {
-        assert!(interval_ns > 0, "interval must be positive");
-        BlockingRate(blocked_ns as f64 / interval_ns as f64)
     }
 
     /// The raw rate value.
@@ -140,18 +130,6 @@ impl Ewma {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rate_from_blocked_ns() {
-        let r = BlockingRate::from_blocked_ns(250_000_000, 1_000_000_000);
-        assert!((r.value() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "interval must be positive")]
-    fn rate_rejects_zero_interval() {
-        let _ = BlockingRate::from_blocked_ns(1, 0);
-    }
 
     #[test]
     #[should_panic(expected = "finite")]

@@ -9,9 +9,9 @@
 //! smooth WRR over the weights the [`streambal_control::ControlPlane`]
 //! installs. The per-backend signal is the same one the paper's regions
 //! use: cumulative blocked-write time (socket writability) on the
-//! proxy→backend connections, sampled through the first-difference
-//! [`streambal_transport::BlockingSampler`] contract. The control plane
-//! owns the round lifecycle unchanged — the proxy is "just" a
+//! proxy→backend connections, one [`streambal_transport::BlockingCounter`]
+//! per backend, which the control plane samples as a first difference.
+//! The control plane owns the round lifecycle unchanged — the proxy is "just" a
 //! [`streambal_control::DataPlane`] whose slots are backends.
 //!
 //! On top of the balancer the proxy layers the operational pieces a real

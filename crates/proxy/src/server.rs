@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! io-shard×K ──pick/pipeline──▶ BackendPool ◀── controller
-//!                                    ▲           (run_threaded: sample, round,
-//!                                    │            install, reload, grow/shrink)
+//!                                    ▲           (run_threaded: reload, sample,
+//!                                    │            round, install, grow/shrink)
 //!                                 prober
 //!                          (re-admission probes)
 //! ```
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use streambal_control::{Autoscaler, AutoscalerConfig, ControlPlane, DataPlane};
 use streambal_core::{BalancerConfig, WeightVector};
 use streambal_telemetry::{Counter, Gauge, Histogram, Telemetry};
-use streambal_transport::BlockingSampler;
+use streambal_transport::BlockingCounter;
 
 use crate::config::{ConfigWatcher, ProxyConfig};
 use crate::metrics::serve_metrics;
@@ -101,14 +101,12 @@ pub(crate) struct Shared {
     pub metrics: ProxyMetrics,
 }
 
-/// The `DataPlane` adapter: the control plane owns the round lifecycle
-/// (sleep → reload/width/membership reconcile → sample → round →
-/// install) exactly as it does for in-process regions; the proxy only
+/// The `DataPlane` adapter: [`ControlPlane::run_threaded`] owns the round
+/// lifecycle exactly as it does for in-process regions; the proxy only
 /// answers its hooks.
 struct ProxyPlane {
     shared: Arc<Shared>,
     watcher: Option<ConfigWatcher>,
-    samplers: Vec<BlockingSampler>,
     reload_generation: u64,
     /// Whether a width policy (autoscaler) owns grow/shrink. When set,
     /// reload-added backends land in `reserve` instead of growing the
@@ -117,23 +115,6 @@ struct ProxyPlane {
     /// Pool backends currently not live (autoscaling only): the head is
     /// the next to open, so a freshly closed backend reopens first.
     reserve: Vec<SocketAddr>,
-}
-
-impl ProxyPlane {
-    fn sync_samplers(&mut self) {
-        let width = self.shared.pool.width();
-        while self.samplers.len() < width {
-            let j = self.samplers.len();
-            let mut s = BlockingSampler::new();
-            if let Some(b) = self.shared.pool.backend(j) {
-                // Start from the counter's current value: a slot opened
-                // mid-run must not report its whole history as one round.
-                s.resync(b.counter());
-            }
-            self.samplers.push(s);
-        }
-        self.samplers.truncate(width);
-    }
 }
 
 impl DataPlane for ProxyPlane {
@@ -172,14 +153,9 @@ impl DataPlane for ProxyPlane {
             .set(self.shared.pool.width() as f64);
     }
 
-    fn sample(&mut self, interval_ns: u64, rates: &mut [f64]) {
-        self.sync_samplers();
-        for (j, rate) in rates.iter_mut().enumerate() {
-            *rate = match (self.samplers.get_mut(j), self.shared.pool.backend(j)) {
-                (Some(s), Some(b)) => s.sample(b.counter(), interval_ns),
-                _ => 0.0,
-            };
-        }
+    fn counter(&self, j: usize) -> Arc<BlockingCounter> {
+        let backend = self.shared.pool.backend(j).expect("slot j is open");
+        Arc::clone(backend.counter())
     }
 
     fn install_weights(&mut self, weights: &WeightVector) {
@@ -201,7 +177,6 @@ impl DataPlane for ProxyPlane {
             self.shared.pool.push_pending(self.reserve.remove(0));
             self.shared.pool.open_pending();
         }
-        self.sync_samplers();
         true
     }
 
@@ -220,7 +195,6 @@ impl DataPlane for ProxyPlane {
             }
         }
         self.shared.pool.close_tail(width - 1);
-        self.sync_samplers();
         true
     }
 
@@ -395,21 +369,18 @@ impl Proxy {
                         builder = builder.width_policy(Box::new(Autoscaler::new(auto)));
                     }
                     let mut cp = builder.build();
-                    let interval = controller_shared.cfg.sample_interval;
                     let mut plane = ProxyPlane {
                         shared: Arc::clone(&controller_shared),
                         watcher,
-                        samplers: Vec::new(),
                         reload_generation: 0,
                         autoscaling: controller_shared.cfg.autoscale.is_some(),
                         reserve,
                     };
-                    plane.sync_samplers();
                     cp.run_threaded(
                         &mut plane,
-                        interval,
+                        controller_shared.cfg.sample_interval,
                         &controller_shared.stop,
-                        Instant::now(),
+                        &Instant::now(),
                     );
                 })?,
         );

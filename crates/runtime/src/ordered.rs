@@ -14,7 +14,7 @@ use streambal_control::{ControlPlane, DataPlane, RoundSnapshot, ScriptedWidth};
 use streambal_core::controller::{BalancerConfig, BalancerMode};
 use streambal_core::weights::{WeightVector, WrrScheduler};
 use streambal_telemetry::Telemetry;
-use streambal_transport::{BlockingCounter, BlockingSampler, Sender, TrySendError};
+use streambal_transport::{BlockingCounter, Sender, TrySendError};
 
 use crate::region::{LoadChange, LOAD_SCALE};
 
@@ -197,12 +197,11 @@ fn split<L: Link>(
 /// What the plane keeps per open slot.
 struct Booked {
     counter: Arc<BlockingCounter>,
-    sampler: BlockingSampler,
     load: Option<Arc<AtomicU32>>,
 }
 
-/// The one [`DataPlane`]: blocking rates from the links' counters, weights
-/// and resizes into the hub, scheduled load changes at the top of a round.
+/// The one [`DataPlane`]: the links' blocking counters, weights and
+/// resizes into the hub, scheduled load changes at the top of a round.
 struct CounterPlane<L> {
     hub: Arc<Mutex<Hub<L>>>,
     make_slot: Box<dyn FnMut(usize) -> io::Result<Slot<L>> + Send>,
@@ -226,7 +225,6 @@ impl<L: Link> CounterPlane<L> {
         }
         self.slots.push(Booked {
             counter: slot.link.blocking_counter(),
-            sampler: BlockingSampler::new(),
             load: slot.load,
         });
         hub.opened.push(slot.link);
@@ -272,10 +270,8 @@ impl<L: Link> DataPlane for CounterPlane<L> {
         true
     }
 
-    fn sample(&mut self, interval_ns: u64, rates: &mut [f64]) {
-        for (slot, rate) in self.slots.iter_mut().zip(rates) {
-            *rate = slot.sampler.sample(&slot.counter, interval_ns);
-        }
+    fn counter(&self, j: usize) -> Arc<BlockingCounter> {
+        Arc::clone(&self.slots[j].counter)
     }
 
     fn install_weights(&mut self, weights: &WeightVector) {
@@ -388,7 +384,7 @@ pub fn spawn<L: Link>(
                     builder = builder.width_policy(Box::new(script));
                 }
                 let mut control = builder.build();
-                control.run_threaded(&mut plane, spec.interval, &stop, started);
+                control.run_threaded(&mut plane, spec.interval, &stop, &started);
                 let blocked_ns = plane
                     .slots
                     .iter()

@@ -88,8 +88,10 @@ fn downstream_cancellation_stops_the_pipeline() {
 }
 
 const INTERVAL_MS: u64 = 20;
-/// Slack for a wake delayed by a stolen vCPU (and the sender's 5 ms
-/// readiness-wait slice).
+/// Slack for a late *sender* wake: blocked time reaches the counter when
+/// the sender wakes (every 5 ms readiness-wait slice, later on a stolen
+/// vCPU), so a round can be charged a span that began before its own
+/// measured interval.
 const LATE_MS: u64 = 150;
 
 /// Both transports the stall tests run on: a real socket whose kernel
@@ -148,20 +150,25 @@ fn stall_rebalances_and_never_hangs(transport: Transport) {
             "the stall must surface as recorded blocking: {:?}",
             report.blocked_ns
         );
-        // Blocked time is charged as it accrues, so a sampled rate is at
-        // most the real time since the previous sample over the nominal
-        // interval — never the whole stall in one lump. LATE_MS absorbs a
-        // late splitter wake; the aggregate check below is the tight one.
-        let mut prev_ms = 0;
-        for s in &report.snapshots {
-            let bound = (s.elapsed_ms - prev_ms + LATE_MS) as f64 / INTERVAL_MS as f64;
+        // Δ: the interval round `i` measured its rates over.
+        let step_ms = |i: usize| {
+            let prev_ms = i
+                .checked_sub(1)
+                .map_or(0, |p| report.snapshots[p].elapsed_ms);
+            report.snapshots[i].elapsed_ms - prev_ms
+        };
+        // Blocked time is charged as it accrues and a rate divides by Δ, so
+        // one splitter reads at most 1 — never the whole stall in one lump.
+        // LATE_MS absorbs a late sender wake; the aggregate check below is
+        // the tight one.
+        for (i, s) in report.snapshots.iter().enumerate() {
+            let bound = (step_ms(i) + LATE_MS) as f64 / step_ms(i) as f64;
             assert!(
                 s.rates.iter().all(|&r| r <= bound),
                 "round at {} ms sampled {:?} (bound {bound})",
                 s.elapsed_ms,
                 s.rates
             );
-            prev_ms = s.elapsed_ms;
         }
         // Keyed on the stall itself, not on the whole run (start-up blocking
         // lands on either connection): the stall is the longest run of
@@ -179,17 +186,16 @@ fn stall_rebalances_and_never_hangs(transport: Transport) {
             i => report.snapshots[i - 1].weights[0],
         };
         // One splitter thread cannot be blocked for longer than the wall
-        // clock ran: what the stall's rounds charged in total fits in their
-        // span, give or take one interval for a wait slice that began before
-        // the first of them and millisecond rounding. A late wake moves
-        // time between rounds, not into the sum; a span charged twice
-        // doubles it.
-        let began_ms = match stall[0].0 {
-            0 => 0,
-            i => report.snapshots[i - 1].elapsed_ms,
-        };
-        let wall_ms = stall[stall.len() - 1].1.elapsed_ms - began_ms;
-        let charged_ms = stall.iter().map(|(_, s)| s.rates[0]).sum::<f64>() * INTERVAL_MS as f64;
+        // clock ran: what the stall's rounds charged in total (each rate
+        // times its measured interval) fits in their span, give or take one
+        // interval for a wait slice that began before the first of them and
+        // millisecond rounding. A late wake moves time between rounds, not
+        // into the sum; a span charged twice doubles it.
+        let wall_ms: u64 = stall.iter().map(|&(i, _)| step_ms(i)).sum();
+        let charged_ms: f64 = stall
+            .iter()
+            .map(|&(i, s)| s.rates[0] * step_ms(i) as f64)
+            .sum();
         assert!(
             charged_ms <= (wall_ms + INTERVAL_MS) as f64,
             "{charged_ms:.1} ms of blocking charged to connection 0 in {wall_ms} ms of wall clock"
