@@ -8,11 +8,26 @@
 //! concentration is deliberate: queued bytes pile onto one socket, so a
 //! slow backend turns into measurable *unwritable time* on its link.
 //!
+//! ## Readiness model
+//!
+//! Every client and link socket is registered once, edge-triggered for
+//! reading, writing and the peer's FIN, and never re-registered; only
+//! the listener is level-triggered (it pauses, rarely, on fd pressure
+//! and on drain). An edge sets the socket's `readable` flag, and a read
+//! clears it when it comes back short or `WouldBlock` — a short read
+//! means the receive queue ran dry — unless an edge reported the peer's
+//! FIN, which stays readable until a read reaches it. Reads happen only
+//! while the flag is set, and a frame already in the reader's buffer is
+//! taken without one. Writes run until `WouldBlock` and resume on the
+//! next writable edge; a writable edge with nothing queued does nothing.
+//! A client has one request outstanding: the next one waits, in its
+//! reader or the kernel, until the response drains.
+//!
 //! ## Blocking measurement
 //!
 //! The paper's blocked-send time is derived from readiness: a span
-//! starts when a link write returns `WouldBlock` and ends at the next
-//! successful flush (an `EPOLLOUT` transition). Long spans are flushed
+//! starts when a link write returns `WouldBlock` and ends at the flush
+//! the next `EPOLLOUT` edge triggers. Long spans are flushed
 //! into the [`BlockingCounter`](streambal_transport::BlockingCounter)
 //! incrementally so a sampler mid-span still sees the accumulating
 //! time. One link per backend per shard means at most one span per
@@ -27,7 +42,7 @@
 //! ejection. A link that reaches EOF while idle is dropped silently — a
 //! backend closing an idle pooled connection is not evidence of ill
 //! health. Clients whose request exhausts the budget see their
-//! connection close.
+//! connection close; an error or hangup on a client closes it at once.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -129,31 +144,70 @@ struct Inflight {
     deadline: Instant,
 }
 
-struct Client {
+/// A nonblocking socket with its frame codec and edge-triggered read
+/// readiness: the part clients and links share.
+struct Conn {
     stream: TcpStream,
     reader: FrameReader,
     out: FrameWriter,
-    /// A request is out on a link; read interest stays off until the
-    /// response completes (one outstanding request per client).
+    /// Set by an edge, cleared by a read that drained the socket.
+    readable: bool,
+    /// An edge reported the peer's FIN, a hangup or an error. It is
+    /// reported once, possibly with the last data, so reads stay allowed
+    /// until one reaches it.
+    read_closed: bool,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            reader: FrameReader::new(),
+            out: FrameWriter::new(),
+            readable: false,
+            read_closed: false,
+        }
+    }
+
+    fn note(&mut self, ev: Event) {
+        self.read_closed |= ev.read_closed || ev.closed;
+        self.readable |= ev.readable || self.read_closed;
+    }
+
+    /// The next frame: one already buffered, else one read from the
+    /// socket while it is readable.
+    fn next_frame(&mut self) -> io::Result<Poll> {
+        if let Some(frame) = self.reader.take_buffered()? {
+            return Ok(Poll::Frame(frame));
+        }
+        if !self.readable {
+            return Ok(Poll::Pending);
+        }
+        let polled = self.reader.poll_frame(&mut self.stream);
+        self.readable = self.read_closed || !self.reader.drained();
+        polled
+    }
+}
+
+struct Client {
+    conn: Conn,
+    /// A request is out on a link; the next one is not taken until the
+    /// response drains (one outstanding request per client).
     awaiting: bool,
     /// Start of the in-progress request, for the latency histogram.
     /// `Some` from request receipt until the response fully drains.
     started: Option<Instant>,
-    interest: Interest,
 }
 
 struct Link {
     slot: usize,
     backend: Arc<Backend>,
-    stream: TcpStream,
+    conn: Conn,
     connecting: bool,
     connect_deadline: Instant,
-    reader: FrameReader,
-    out: FrameWriter,
     inflight: VecDeque<Inflight>,
     /// Start of the current unwritable span, when the last write blocked.
     blocked_since: Option<Instant>,
-    interest: Interest,
 }
 
 impl Link {
@@ -228,79 +282,27 @@ impl Shard {
             && matches!(self.entries.get(tok), Some(Some(Entry::Client(_))))
     }
 
-    /// Recomputes and applies an entry's interest set from its state.
-    fn update_interest(&mut self, tok: usize) {
-        let Some(entry) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
-            return;
-        };
-        let (fd, want, cur) = match entry {
-            Entry::Client(c) => {
-                let want = if !c.out.is_empty() {
-                    Interest::WRITABLE
-                } else if c.awaiting {
-                    Interest::NONE
-                } else {
-                    Interest::READABLE
-                };
-                (c.stream.as_raw_fd(), want, &mut c.interest)
-            }
-            Entry::Link(l) => {
-                let want = if l.connecting {
-                    Interest::WRITABLE
-                } else if l.out.is_empty() {
-                    Interest::READABLE
-                } else {
-                    Interest::BOTH
-                };
-                (l.stream.as_raw_fd(), want, &mut l.interest)
-            }
-        };
-        if *cur != want && self.poller.reregister(fd, tok, want).is_ok() {
-            *cur = want;
-        }
-    }
-
     fn handle_event(&mut self, ev: Event) {
         if ev.token == LISTENER_TOKEN {
-            self.accept_ready();
-            return;
+            return self.accept_ready();
         }
-        let kind = match self.entries.get(ev.token).and_then(Option::as_ref) {
-            Some(Entry::Client(_)) => 0,
+        match self.entries.get_mut(ev.token).and_then(Option::as_mut) {
+            Some(Entry::Client(_)) if ev.closed => self.close_client(ev.token),
+            Some(Entry::Client(c)) => {
+                c.conn.note(ev);
+                self.serve_client(ev.token, ev.writable);
+            }
             Some(Entry::Link(l)) => {
+                l.conn.note(ev);
                 if l.connecting {
-                    2
-                } else {
-                    1
+                    return self.link_connect_ready(ev.token);
                 }
-            }
-            None => return,
-        };
-        match kind {
-            0 => {
-                if ev.readable {
-                    self.client_readable(ev.token);
-                }
-                if ev.writable && self.entries.get(ev.token).is_some_and(Option::is_some) {
-                    self.flush_client(ev.token);
-                }
-                if ev.closed
-                    && !ev.readable
-                    && !ev.writable
-                    && self.entries.get(ev.token).is_some_and(Option::is_some)
-                {
-                    self.close_client(ev.token);
-                }
-            }
-            1 => {
-                if ev.readable || ev.closed {
-                    self.link_readable(ev.token);
-                }
-                if ev.writable && self.entries.get(ev.token).is_some_and(Option::is_some) {
+                self.link_readable(ev.token);
+                if ev.writable {
                     self.flush_link(ev.token);
                 }
             }
-            _ => self.link_connect_ready(ev.token),
+            None => {}
         }
     }
 
@@ -396,14 +398,11 @@ impl Shard {
         }
         let fd = stream.as_raw_fd();
         let tok = self.insert(Entry::Client(Client {
-            stream,
-            reader: FrameReader::new(),
-            out: FrameWriter::new(),
+            conn: Conn::new(stream),
             awaiting: false,
             started: None,
-            interest: Interest::READABLE,
         }));
-        if self.poller.register(fd, tok, Interest::READABLE).is_err() {
+        if self.poller.register_edge(fd, tok).is_err() {
             self.remove(tok);
             self.drop_client_conn();
         }
@@ -417,94 +416,55 @@ impl Shard {
 
     // ---- client path ------------------------------------------------
 
-    fn client_readable(&mut self, tok: usize) {
-        enum Step {
-            Request(Vec<u8>),
-            Idle,
-            Close,
-        }
-        let step = {
-            let Some(Entry::Client(c)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
-                return;
-            };
-            if c.awaiting || !c.out.is_empty() {
-                return;
-            }
-            match c.reader.poll_frame(&mut c.stream) {
-                Ok(Poll::Frame(request)) => {
-                    c.awaiting = true;
-                    c.started = Some(Instant::now());
-                    Step::Request(request)
-                }
-                Ok(Poll::Pending) => Step::Idle,
-                Ok(Poll::Eof) | Err(_) => Step::Close,
-            }
+    /// Drains the client's response when `writable` says its socket
+    /// takes bytes, then takes its next request.
+    fn serve_client(&mut self, tok: usize, writable: bool) {
+        let Some(Entry::Client(c)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
+            return;
         };
-        match step {
-            Step::Request(request) => {
+        if c.awaiting {
+            return;
+        }
+        if !c.conn.out.is_empty() {
+            if !writable {
+                return;
+            }
+            match c.conn.out.write_to(&mut c.conn.stream) {
+                Ok(WriteStatus::Drained) => {}
+                Ok(WriteStatus::Blocked) => return,
+                Err(_) => return self.close_client(tok),
+            }
+            if let Some(t0) = c.started.take() {
+                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                self.shared.metrics.latency_ns.record(ns);
+            }
+            if self.shared.draining.load(Ordering::Acquire) && !c.conn.reader.mid_frame() {
+                return self.close_client(tok);
+            }
+        }
+        match c.conn.next_frame() {
+            Ok(Poll::Frame(request)) => {
+                let now = Instant::now();
+                c.awaiting = true;
+                c.started = Some(now);
                 self.shared.metrics.requests.incr();
-                self.update_interest(tok);
                 self.redq.push_back(Inflight {
                     client: tok,
                     gen: self.gens[tok],
                     request,
                     tried: Vec::new(),
                     attempts: 0,
-                    deadline: Instant::now() + self.shared.cfg.forward_timeout,
+                    deadline: now + self.shared.cfg.forward_timeout,
                 });
             }
-            Step::Idle => self.update_interest(tok),
-            Step::Close => self.close_client(tok),
-        }
-    }
-
-    fn flush_client(&mut self, tok: usize) {
-        enum Step {
-            Done(Option<Instant>),
-            Blocked,
-            Close,
-        }
-        let step = {
-            let Some(Entry::Client(c)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
-                return;
-            };
-            if c.out.is_empty() {
-                Step::Done(c.started.take())
-            } else {
-                match c.out.write_to(&mut c.stream) {
-                    Ok(WriteStatus::Drained) => Step::Done(c.started.take()),
-                    Ok(WriteStatus::Blocked) => Step::Blocked,
-                    Err(_) => Step::Close,
-                }
-            }
-        };
-        match step {
-            Step::Done(started) => {
-                if let Some(t0) = started {
-                    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    self.shared.metrics.latency_ns.record(ns);
-                }
-                let mid_frame = match self.entries.get(tok).and_then(Option::as_ref) {
-                    Some(Entry::Client(c)) => c.reader.mid_frame(),
-                    _ => return,
-                };
-                if self.shared.draining.load(Ordering::Acquire) && !mid_frame {
-                    self.close_client(tok);
-                } else {
-                    self.update_interest(tok);
-                    // The next request may already sit in the reader's
-                    // buffer, invisible to the poller — pull it now.
-                    self.client_readable(tok);
-                }
-            }
-            Step::Blocked => self.update_interest(tok),
-            Step::Close => self.close_client(tok),
+            Ok(Poll::Pending) => {}
+            Ok(Poll::Eof) | Err(_) => self.close_client(tok),
         }
     }
 
     fn close_client(&mut self, tok: usize) {
         if let Some(Entry::Client(c)) = self.remove(tok) {
-            let _ = self.poller.deregister(c.stream.as_raw_fd());
+            let _ = self.poller.deregister(c.conn.stream.as_raw_fd());
             self.drop_client_conn();
         }
     }
@@ -539,12 +499,10 @@ impl Shard {
                     else {
                         return self.fail_request(&inf);
                     };
-                    l.out.enqueue(&inf.request);
+                    l.conn.out.enqueue(&inf.request);
                     let connecting = l.connecting;
                     l.inflight.push_back(inf);
-                    if connecting {
-                        self.update_interest(tok);
-                    } else {
+                    if !connecting {
                         self.flush_link(tok);
                     }
                     return;
@@ -585,16 +543,15 @@ impl Shard {
         let tok = self.insert(Entry::Link(Link {
             slot,
             backend: Arc::clone(backend),
-            stream,
+            conn: Conn::new(stream),
             connecting: true,
             connect_deadline: Instant::now() + self.shared.cfg.connect_timeout,
-            reader: FrameReader::new(),
-            out: FrameWriter::new(),
             inflight: VecDeque::new(),
             blocked_since: None,
-            interest: Interest::WRITABLE,
         }));
-        if let Err(e) = self.poller.register(fd, tok, Interest::WRITABLE) {
+        // Connect completion or failure arrives as the first writable or
+        // error edge.
+        if let Err(e) = self.poller.register_edge(fd, tok) {
             self.remove(tok);
             return Err(e);
         }
@@ -607,7 +564,7 @@ impl Shard {
             let Some(Entry::Link(l)) = self.entries.get(tok).and_then(Option::as_ref) else {
                 return;
             };
-            connect_finished(&l.stream)
+            connect_finished(&l.conn.stream)
         };
         match finished {
             Ok(true) => {
@@ -624,77 +581,43 @@ impl Shard {
     /// Writes as much of the link's out-queue as the socket accepts,
     /// charging unwritable spans into the backend's blocking counter.
     fn flush_link(&mut self, tok: usize) {
-        let result = {
-            let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
-                return;
-            };
-            let result = if l.out.is_empty() {
-                Ok(WriteStatus::Drained)
-            } else {
-                l.out.write_to(&mut l.stream)
-            };
-            let now = Instant::now();
-            l.charge_blocked(now);
-            if matches!(result, Ok(WriteStatus::Blocked)) {
-                l.blocked_since = Some(now);
-            }
-            result
+        let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
+            return;
         };
+        // Nothing queued means no span is open either.
+        if l.conn.out.is_empty() {
+            return;
+        }
+        let result = l.conn.out.write_to(&mut l.conn.stream);
+        let now = Instant::now();
+        l.charge_blocked(now);
         match result {
-            Ok(_) => self.update_interest(tok),
+            Ok(WriteStatus::Drained) => {}
+            Ok(WriteStatus::Blocked) => l.blocked_since = Some(now),
             Err(_) => self.fail_link(tok),
         }
     }
 
     fn link_readable(&mut self, tok: usize) {
         loop {
-            enum Step {
-                Response(Vec<u8>),
-                Idle,
-                QuietEof,
-                Fail,
-            }
-            let step = {
-                let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut)
-                else {
-                    return;
-                };
-                match l.reader.poll_frame(&mut l.stream) {
-                    Ok(Poll::Frame(response)) => Step::Response(response),
-                    Ok(Poll::Pending) => Step::Idle,
-                    Ok(Poll::Eof) => {
-                        if l.inflight.is_empty() && l.out.is_empty() {
-                            Step::QuietEof
-                        } else {
-                            Step::Fail
-                        }
-                    }
-                    Err(_) => Step::Fail,
-                }
+            let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
+                return;
             };
-            match step {
-                Step::Response(response) => {
-                    let popped = {
-                        let Some(Entry::Link(l)) =
-                            self.entries.get_mut(tok).and_then(Option::as_mut)
-                        else {
-                            return;
-                        };
-                        l.backend.record_success();
-                        l.inflight.pop_front()
-                    };
-                    match popped {
+            match l.conn.next_frame() {
+                Ok(Poll::Frame(response)) => {
+                    l.backend.record_success();
+                    match l.inflight.pop_front() {
                         Some(inf) => self.complete_request(inf, &response),
-                        None => {
-                            // A response with nothing queued: protocol
-                            // confusion — drop the link, quietly.
-                            return self.remove_link_quiet(tok);
-                        }
+                        // A response with nothing queued: protocol
+                        // confusion — drop the link, quietly.
+                        None => return self.remove_link_quiet(tok),
                     }
                 }
-                Step::Idle => return,
-                Step::QuietEof => return self.remove_link_quiet(tok),
-                Step::Fail => return self.fail_link(tok),
+                Ok(Poll::Pending) => return,
+                Ok(Poll::Eof) if l.inflight.is_empty() && l.conn.out.is_empty() => {
+                    return self.remove_link_quiet(tok)
+                }
+                Ok(Poll::Eof) | Err(_) => return self.fail_link(tok),
             }
         }
     }
@@ -708,10 +631,10 @@ impl Shard {
             .forwarded_bytes
             .add((inf.request.len() + response.len()) as u64);
         if let Some(Entry::Client(c)) = self.entries.get_mut(inf.client).and_then(Option::as_mut) {
-            c.out.enqueue(response);
+            c.conn.out.enqueue(response);
             c.awaiting = false;
         }
-        self.flush_client(inf.client);
+        self.serve_client(inf.client, true);
     }
 
     /// The request ran out of backends: the client connection closes and
@@ -730,7 +653,7 @@ impl Shard {
         let Some(Entry::Link(mut l)) = self.remove(tok) else {
             return;
         };
-        let _ = self.poller.deregister(l.stream.as_raw_fd());
+        let _ = self.poller.deregister(l.conn.stream.as_raw_fd());
         if self.links.get(&l.slot) == Some(&tok) {
             self.links.remove(&l.slot);
         }
@@ -755,7 +678,7 @@ impl Shard {
     /// Drops an idle link without blaming the backend.
     fn remove_link_quiet(&mut self, tok: usize) {
         if let Some(Entry::Link(l)) = self.remove(tok) {
-            let _ = self.poller.deregister(l.stream.as_raw_fd());
+            let _ = self.poller.deregister(l.conn.stream.as_raw_fd());
             if self.links.get(&l.slot) == Some(&tok) {
                 self.links.remove(&l.slot);
             }
@@ -793,7 +716,7 @@ impl Shard {
                 {
                     Action::Fail
                 } else if l.inflight.is_empty()
-                    && l.out.is_empty()
+                    && l.conn.out.is_empty()
                     && (l.backend.is_removed() || l.backend.is_ejected())
                 {
                     // An idle link to a retired backend holds an fd (and
@@ -827,7 +750,7 @@ impl Shard {
             for tok in 0..self.entries.len() {
                 let idle = match self.entries.get(tok).and_then(Option::as_ref) {
                     Some(Entry::Client(c)) => {
-                        !c.awaiting && c.out.is_empty() && !c.reader.mid_frame()
+                        !c.awaiting && c.conn.out.is_empty() && !c.conn.reader.mid_frame()
                     }
                     _ => false,
                 };

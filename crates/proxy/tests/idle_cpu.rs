@@ -38,7 +38,7 @@ fn idle_stack_stays_within_the_cpu_budget() {
     let proxy = Proxy::spawn(ProxyOptions::new(ProxyConfig::parse(&text).unwrap())).unwrap();
 
     // Park idle clients: connections held open, no requests. These
-    // exercise the per-connection Interest bookkeeping.
+    // exercise the per-connection readiness bookkeeping.
     let parked: Vec<TcpStream> = (0..16)
         .map(|_| {
             let s = TcpStream::connect(proxy.addr()).unwrap();

@@ -142,6 +142,7 @@ pub enum Poll {
 pub struct FrameReader {
     buf: Vec<u8>,
     filled: usize,
+    drained: bool,
 }
 
 impl FrameReader {
@@ -159,9 +160,21 @@ impl FrameReader {
         self.filled > 0
     }
 
+    /// Whether the last read left the stream empty: it returned
+    /// `WouldBlock`, EOF, or fewer bytes than offered. A short read means
+    /// the socket's receive queue ran dry, so an edge-triggered owner can
+    /// stop reading until its next readable edge without a read that
+    /// returns `WouldBlock` — unless the peer's FIN came with the same
+    /// edge ([`Event::read_closed`](crate::poll::Event::read_closed)).
+    #[must_use]
+    pub fn drained(&self) -> bool {
+        self.drained
+    }
+
     /// Reads what the stream has and returns [`Poll::Frame`] once a whole
-    /// frame is buffered, [`Poll::Pending`] if the stream reports
-    /// `WouldBlock` first, or [`Poll::Eof`] on a clean close.
+    /// frame is buffered (one already buffered is returned without a
+    /// read), [`Poll::Pending`] if the stream reports `WouldBlock` first,
+    /// or [`Poll::Eof`] on a clean close.
     ///
     /// # Errors
     ///
@@ -176,16 +189,24 @@ impl FrameReader {
             if self.filled == self.buf.len() {
                 self.buf.resize((self.buf.len() * 2).max(INITIAL_BUF), 0);
             }
+            let offered = self.buf.len() - self.filled;
             match stream.read(&mut self.buf[self.filled..]) {
                 Ok(0) => {
+                    self.drained = true;
                     return if self.filled == 0 {
                         Ok(Poll::Eof)
                     } else {
                         Err(io::Error::new(ErrorKind::UnexpectedEof, "truncated frame"))
                     };
                 }
-                Ok(n) => self.filled += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(Poll::Pending),
+                Ok(n) => {
+                    self.filled += n;
+                    self.drained = n < offered;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.drained = true;
+                    return Ok(Poll::Pending);
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -219,9 +240,15 @@ impl FrameReader {
         }
     }
 
-    /// Extracts one complete frame from the reassembly buffer, if any.
+    /// The next complete frame already in the reassembly buffer, if any,
+    /// without reading the stream.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when the buffered length prefix exceeds
+    /// [`MAX_FRAME`].
     #[inline]
-    fn take_buffered(&mut self) -> io::Result<Option<Vec<u8>>> {
+    pub fn take_buffered(&mut self) -> io::Result<Option<Vec<u8>>> {
         if self.filled < 4 {
             return Ok(None);
         }

@@ -25,9 +25,10 @@
 //! in the workspace speaks one wire format, the I/O-free codec in
 //! [`frame`]. At high
 //! connection counts the [`poll`] module supplies the readiness substrate
-//! (`epoll`/`poll(2)`, dependency-free): blocked-write time becomes "time
-//! spent with the socket unwritable", measured from readiness transitions
-//! instead of sleep-loops, feeding the same sampler contract.
+//! (Linux `epoll`, dependency-free, level- or edge-triggered):
+//! blocked-write time becomes "time spent with the socket unwritable",
+//! measured from readiness transitions instead of sleep-loops, feeding
+//! the same sampler contract.
 //!
 //! `unsafe` is denied crate-wide and allowed in exactly one place: the
 //! [`poll`] module's thin syscall wrappers (readiness polling has no
@@ -44,4 +45,4 @@ pub mod tcp;
 
 pub use chan::{bounded, Receiver, RecvError, SendError, Sender, TryRecvError, TrySendError};
 pub use counters::{BlockingCounter, BlockingSampler};
-pub use poll::{Event, Interest, PollBackend, Poller};
+pub use poll::{Event, Interest, Poller};

@@ -1,7 +1,14 @@
 //! Readiness polling without dependencies: a small event-loop substrate
-//! (`epoll` on Linux, portable `poll(2)` everywhere else on Unix) plus
-//! the socket plumbing an async data path needs — non-blocking connect,
-//! one-shot writability waits, fd-limit and CPU-accounting helpers.
+//! over Linux `epoll` plus the socket plumbing an async data path needs
+//! — non-blocking connect, one-shot readiness waits (`poll(2)` on one
+//! fd), fd-limit and CPU-accounting helpers.
+//!
+//! A registration is either level-triggered with an [`Interest`]
+//! ([`Poller::register`], changed by [`Poller::reregister`]) or
+//! edge-triggered on everything ([`Poller::register_edge`]): the latter
+//! is made once per socket and reports each readiness *transition* once,
+//! so its owner reads until the socket drains and writes until
+//! `WouldBlock`, then waits for the next edge.
 //!
 //! This is the measurement substrate for the paper's blocking signal at
 //! high connection counts: instead of a thread sleeping in short bursts
@@ -17,15 +24,14 @@
 
 #![allow(unsafe_code)]
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::time::Duration;
 
-#[cfg(unix)]
-use std::os::fd::{AsRawFd, FromRawFd, RawFd};
-
-#[cfg(not(unix))]
-compile_error!("streambal_transport::poll supports Unix targets only");
+#[cfg(not(target_os = "linux"))]
+compile_error!("streambal_transport::poll supports Linux only (epoll)");
 
 /// Raw syscall declarations against the libc that std already links.
 mod sys {
@@ -38,7 +44,6 @@ mod sys {
 
     /// `struct epoll_event`. x86-64 Linux declares it packed; other
     /// architectures use natural alignment.
-    #[cfg(target_os = "linux")]
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
     #[derive(Clone, Copy)]
@@ -105,23 +110,16 @@ mod sys {
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
+    pub const EPOLLET: u32 = 1 << 31;
     pub const EPOLL_CLOEXEC: c_int = 0x80000;
 
     pub const POLLIN: i16 = 0x001;
     pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
 
     pub const AF_INET: c_int = 2;
-    #[cfg(target_os = "linux")]
     pub const AF_INET6: c_int = 10;
-    #[cfg(not(target_os = "linux"))]
-    pub const AF_INET6: c_int = 30;
     pub const SOCK_STREAM: c_int = 1;
     pub const EINPROGRESS: c_int = 115;
-    #[cfg(not(target_os = "linux"))]
-    pub const EINPROGRESS_ALT: c_int = 36;
 
     pub const SOL_SOCKET: c_int = 1;
     pub const SO_SNDBUF: c_int = 7;
@@ -134,11 +132,8 @@ mod sys {
     pub const RUSAGE_SELF: c_int = 0;
 
     extern "C" {
-        #[cfg(target_os = "linux")]
         pub fn epoll_create1(flags: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_wait(
             epfd: c_int,
             events: *mut epoll_event,
@@ -217,130 +212,59 @@ pub struct Event {
     /// Error or hangup: the peer closed or the socket failed. The next
     /// read/write surfaces the specific error.
     pub closed: bool,
+    /// The peer shut down its sending half, or the connection hung up
+    /// (`EPOLLRDHUP`/`EPOLLHUP`): reading ends in EOF or an error. An edge
+    /// registration reports this once, possibly on the same event as the
+    /// last data, so an owner that stops reading after a short read must
+    /// remember it.
+    pub read_closed: bool,
 }
 
-/// Which kernel mechanism backs a [`Poller`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollBackend {
-    /// Linux `epoll`: O(ready) wakeups, the production backend.
-    Epoll,
-    /// Portable `poll(2)`: O(registered) per wait, the fallback (and the
-    /// differential-testing reference for the epoll backend).
-    PollSyscall,
-}
-
-enum Inner {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epfd: RawFd,
-        /// fd → token, for `registered()` and re-registration checks.
-        fds: std::collections::HashMap<RawFd, usize>,
-        buf: Vec<sys::epoll_event>,
-    },
-    Poll {
-        fds: Vec<sys::pollfd>,
-        tokens: Vec<usize>,
-        index: std::collections::HashMap<RawFd, usize>,
-    },
-}
-
-/// A level-triggered readiness poller over raw fds.
+/// An `epoll` instance over raw fds.
 ///
 /// Registration is by `RawFd` + caller token; the poller never owns the
 /// fd (the caller's `TcpStream`/`TcpListener` keeps ownership) and a
 /// registration must be [`deregister`](Self::deregister)ed before the fd
 /// is closed.
 pub struct Poller {
-    inner: Inner,
+    epfd: RawFd,
+    /// fd → token, for `registered()` and re-registration checks.
+    fds: HashMap<RawFd, usize>,
+    buf: Vec<sys::epoll_event>,
 }
 
 impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Poller")
-            .field("backend", &self.backend())
             .field("registered", &self.registered())
             .finish()
     }
 }
 
 impl Poller {
-    /// The platform's best backend: `epoll` on Linux, `poll(2)` elsewhere.
+    /// A new, empty `epoll` instance.
     ///
     /// # Errors
     ///
     /// Propagates `epoll_create1` failure.
     pub fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            Poller::with_backend(PollBackend::Epoll)
+        // SAFETY: epoll_create1 takes a flag word and returns a new fd or
+        // -1; no pointers are involved.
+        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Poller::with_backend(PollBackend::PollSyscall)
-        }
-    }
-
-    /// A poller on a specific backend (tests run both and compare).
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported` when asking for `Epoll` off Linux; propagates
-    /// `epoll_create1` failure.
-    pub fn with_backend(backend: PollBackend) -> io::Result<Poller> {
-        match backend {
-            PollBackend::Epoll => {
-                #[cfg(target_os = "linux")]
-                {
-                    // SAFETY: epoll_create1 takes a flag word and returns a
-                    // new fd or -1; no pointers are involved.
-                    let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-                    if epfd < 0 {
-                        return Err(io::Error::last_os_error());
-                    }
-                    Ok(Poller {
-                        inner: Inner::Epoll {
-                            epfd,
-                            fds: std::collections::HashMap::new(),
-                            buf: Vec::new(),
-                        },
-                    })
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "epoll is Linux-only",
-                    ))
-                }
-            }
-            PollBackend::PollSyscall => Ok(Poller {
-                inner: Inner::Poll {
-                    fds: Vec::new(),
-                    tokens: Vec::new(),
-                    index: std::collections::HashMap::new(),
-                },
-            }),
-        }
-    }
-
-    /// Which mechanism this poller uses.
-    #[must_use]
-    pub fn backend(&self) -> PollBackend {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            Inner::Epoll { .. } => PollBackend::Epoll,
-            Inner::Poll { .. } => PollBackend::PollSyscall,
-        }
+        Ok(Poller {
+            epfd,
+            fds: HashMap::new(),
+            buf: Vec::new(),
+        })
     }
 
     /// How many fds are currently registered.
     #[must_use]
     pub fn registered(&self) -> usize {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            Inner::Epoll { fds, .. } => fds.len(),
-            Inner::Poll { fds, .. } => fds.len(),
-        }
+        self.fds.len()
     }
 
     /// Registers `fd` under `token`. Level-triggered: while the fd stays
@@ -351,45 +275,35 @@ impl Poller {
     /// `AlreadyExists` when the fd is already registered; propagates
     /// syscall failures.
     pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match &mut self.inner {
-            #[cfg(target_os = "linux")]
-            Inner::Epoll { epfd, fds, .. } => {
-                if fds.contains_key(&fd) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::AlreadyExists,
-                        "fd already registered",
-                    ));
-                }
-                let mut ev = sys::epoll_event {
-                    events: epoll_mask(interest),
-                    data: token as u64,
-                };
-                // SAFETY: `ev` is a valid epoll_event for the duration of
-                // the call; the kernel copies it.
-                let rc = unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                fds.insert(fd, token);
-                Ok(())
-            }
-            Inner::Poll { fds, tokens, index } => {
-                if index.contains_key(&fd) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::AlreadyExists,
-                        "fd already registered",
-                    ));
-                }
-                index.insert(fd, fds.len());
-                fds.push(sys::pollfd {
-                    fd,
-                    events: poll_mask(interest),
-                    revents: 0,
-                });
-                tokens.push(token);
-                Ok(())
-            }
+        self.add(fd, token, epoll_mask(interest))
+    }
+
+    /// Registers `fd` under `token` for every readiness transition,
+    /// edge-triggered: a `wait` reports the fd once per change (new
+    /// bytes, freed send space, the peer's FIN, an error), not while it
+    /// stays ready. The owner reads until the socket drains and writes
+    /// until `WouldBlock`; the next edge says when to try again. Such a
+    /// registration is made once and never re-registered.
+    ///
+    /// # Errors
+    ///
+    /// `AlreadyExists` when the fd is already registered; propagates
+    /// syscall failures.
+    pub fn register_edge(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
+        let all = epoll_mask(Interest::BOTH) | sys::EPOLLET;
+        self.add(fd, token, all)
+    }
+
+    fn add(&mut self, fd: RawFd, token: usize, events: u32) -> io::Result<()> {
+        if self.fds.contains_key(&fd) {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "fd already registered",
+            ));
         }
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, events)?;
+        self.fds.insert(fd, token);
+        Ok(())
     }
 
     /// Updates the interest (and token) of a registered fd.
@@ -399,33 +313,12 @@ impl Poller {
     /// `NotFound` when the fd is not registered; propagates syscall
     /// failures.
     pub fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match &mut self.inner {
-            #[cfg(target_os = "linux")]
-            Inner::Epoll { epfd, fds, .. } => {
-                if !fds.contains_key(&fd) {
-                    return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-                }
-                let mut ev = sys::epoll_event {
-                    events: epoll_mask(interest),
-                    data: token as u64,
-                };
-                // SAFETY: as in `register`.
-                let rc = unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, &mut ev) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                fds.insert(fd, token);
-                Ok(())
-            }
-            Inner::Poll { fds, tokens, index } => {
-                let &i = index
-                    .get(&fd)
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-                fds[i].events = poll_mask(interest);
-                tokens[i] = token;
-                Ok(())
-            }
+        if !self.fds.contains_key(&fd) {
+            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
         }
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, epoll_mask(interest))?;
+        self.fds.insert(fd, token);
+        Ok(())
     }
 
     /// Removes a registration. Must be called before the fd is closed.
@@ -435,33 +328,25 @@ impl Poller {
     /// `NotFound` when the fd is not registered; propagates syscall
     /// failures.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.inner {
-            #[cfg(target_os = "linux")]
-            Inner::Epoll { epfd, fds, .. } => {
-                if fds.remove(&fd).is_none() {
-                    return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-                }
-                let mut ev = sys::epoll_event { events: 0, data: 0 };
-                // SAFETY: DEL ignores the event but old kernels demand a
-                // non-null pointer.
-                let rc = unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            Inner::Poll { fds, tokens, index } => {
-                let i = index
-                    .remove(&fd)
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-                fds.swap_remove(i);
-                tokens.swap_remove(i);
-                if let Some(moved) = fds.get(i) {
-                    index.insert(moved.fd, i);
-                }
-                Ok(())
-            }
+        if self.fds.remove(&fd).is_none() {
+            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
         }
+        // DEL ignores the event, but old kernels demand a non-null one.
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, token: usize, events: u32) -> io::Result<()> {
+        let mut ev = sys::epoll_event {
+            events,
+            data: token as u64,
+        };
+        // SAFETY: `ev` is a valid epoll_event for the duration of the
+        // call; the kernel copies it.
+        let rc = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
@@ -478,106 +363,58 @@ impl Poller {
         timeout: Option<Duration>,
     ) -> io::Result<usize> {
         events.clear();
-        let timeout_ms = timeout_to_ms(timeout);
-        match &mut self.inner {
-            #[cfg(target_os = "linux")]
-            Inner::Epoll { epfd, fds, buf } => {
-                let cap = fds.len().clamp(1, 1024);
-                buf.resize(cap, sys::epoll_event { events: 0, data: 0 });
-                // SAFETY: `buf` holds `cap` writable epoll_events; the
-                // kernel fills at most `cap` of them.
-                let n = unsafe { sys::epoll_wait(*epfd, buf.as_mut_ptr(), cap as i32, timeout_ms) };
-                if n < 0 {
-                    let e = io::Error::last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        return Ok(0);
-                    }
-                    return Err(e);
-                }
-                for ev in &buf[..n as usize] {
-                    let bits = ev.events;
-                    events.push(Event {
-                        token: ev.data as usize,
-                        readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
-                        writable: bits & sys::EPOLLOUT != 0,
-                        closed: bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    });
-                }
-                Ok(events.len())
+        let cap = self.fds.len().clamp(1, 1024);
+        self.buf
+            .resize(cap, sys::epoll_event { events: 0, data: 0 });
+        // SAFETY: `buf` holds `cap` writable epoll_events; the kernel
+        // fills at most `cap` of them.
+        let n = unsafe {
+            sys::epoll_wait(
+                self.epfd,
+                self.buf.as_mut_ptr(),
+                cap as i32,
+                timeout_to_ms(timeout),
+            )
+        };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(0);
             }
-            Inner::Poll { fds, tokens, .. } => {
-                if fds.is_empty() {
-                    // Nothing registered: sleep out the timeout like a
-                    // kernel wait would instead of busy-returning.
-                    if let Some(t) = timeout {
-                        std::thread::sleep(t);
-                        return Ok(0);
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "waiting forever on an empty poller",
-                    ));
-                }
-                // SAFETY: `fds` is a contiguous array of len() pollfds.
-                let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                if n < 0 {
-                    let e = io::Error::last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        return Ok(0);
-                    }
-                    return Err(e);
-                }
-                for (pfd, &token) in fds.iter().zip(tokens.iter()) {
-                    let r = pfd.revents;
-                    if r == 0 {
-                        continue;
-                    }
-                    events.push(Event {
-                        token,
-                        readable: r & sys::POLLIN != 0,
-                        writable: r & sys::POLLOUT != 0,
-                        closed: r & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0,
-                    });
-                }
-                Ok(events.len())
-            }
+            return Err(e);
         }
+        for ev in &self.buf[..n as usize] {
+            let bits = ev.events;
+            events.push(Event {
+                token: ev.data as usize,
+                readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
+                writable: bits & sys::EPOLLOUT != 0,
+                closed: bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                read_closed: bits & (sys::EPOLLRDHUP | sys::EPOLLHUP) != 0,
+            });
+        }
+        Ok(events.len())
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Inner::Epoll { epfd, .. } = &self.inner {
-            // SAFETY: epfd was returned by epoll_create1 and is closed
-            // exactly once, here.
-            unsafe { sys::close(*epfd) };
-        }
+        // SAFETY: epfd was returned by epoll_create1 and is closed exactly
+        // once, here.
+        unsafe { sys::close(self.epfd) };
     }
 }
 
-#[cfg(target_os = "linux")]
 fn epoll_mask(interest: Interest) -> u32 {
     // RDHUP rides along with read interest only: a half-closed peer must
     // not level-trigger wakeups on a socket whose owner has read interest
-    // off (e.g. a proxy client awaiting its response).
+    // off (a connection parked at `Interest::NONE`).
     let mut m = 0u32;
     if interest.is_readable() {
         m |= sys::EPOLLIN | sys::EPOLLRDHUP;
     }
     if interest.is_writable() {
         m |= sys::EPOLLOUT;
-    }
-    m
-}
-
-fn poll_mask(interest: Interest) -> i16 {
-    let mut m = 0i16;
-    if interest.is_readable() {
-        m |= sys::POLLIN;
-    }
-    if interest.is_writable() {
-        m |= sys::POLLOUT;
     }
     m
 }
@@ -701,10 +538,7 @@ pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
     };
     if rc != 0 {
         let e = io::Error::last_os_error();
-        let in_progress = e.raw_os_error() == Some(sys::EINPROGRESS);
-        #[cfg(not(target_os = "linux"))]
-        let in_progress = in_progress || e.raw_os_error() == Some(sys::EINPROGRESS_ALT);
-        if !in_progress {
+        if e.raw_os_error() != Some(sys::EINPROGRESS) {
             return Err(e);
         }
     }
@@ -849,71 +683,147 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::TcpListener;
 
-    fn both_backends() -> Vec<Poller> {
-        let mut v = vec![Poller::with_backend(PollBackend::PollSyscall).unwrap()];
-        if let Ok(p) = Poller::with_backend(PollBackend::Epoll) {
-            v.push(p);
-        }
-        v
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (b, _) = listener.accept().unwrap();
+        a.set_nonblocking(true).unwrap();
+        b.set_nonblocking(true).unwrap();
+        (a, b)
     }
 
     #[test]
     fn readable_event_fires_with_the_registered_token() {
-        for mut poller in both_backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let mut a = TcpStream::connect(addr).unwrap();
-            let (mut b, _) = listener.accept().unwrap();
-            b.set_nonblocking(true).unwrap();
-            poller
-                .register(b.as_raw_fd(), 7, Interest::READABLE)
-                .unwrap();
+        let mut poller = Poller::new().unwrap();
+        let (mut a, mut b) = pair();
+        poller
+            .register(b.as_raw_fd(), 7, Interest::READABLE)
+            .unwrap();
 
-            let mut events = Vec::new();
-            // Nothing to read yet: the wait times out with no events.
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert_eq!(n, 0, "{:?}", poller.backend());
+        let mut events = Vec::new();
+        // Nothing to read yet: the wait times out with no events.
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0);
 
-            a.write_all(b"x").unwrap();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .unwrap();
-            assert_eq!(n, 1, "{:?}", poller.backend());
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
-            let mut buf = [0u8; 8];
-            assert_eq!(b.read(&mut buf).unwrap(), 1);
-            poller.deregister(b.as_raw_fd()).unwrap();
-            assert_eq!(poller.registered(), 0);
-        }
+        a.write_all(b"x").unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
+        let mut buf = [0u8; 8];
+        assert_eq!(b.read(&mut buf).unwrap(), 1);
+        poller.deregister(b.as_raw_fd()).unwrap();
+        assert_eq!(poller.registered(), 0);
     }
 
     #[test]
     fn writability_interest_toggles_via_reregister() {
-        for mut poller in both_backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let _b = listener.accept().unwrap();
-            a.set_nonblocking(true).unwrap();
-            poller.register(a.as_raw_fd(), 1, Interest::NONE).unwrap();
-            let mut events = Vec::new();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert_eq!(n, 0, "no interest, no events ({:?})", poller.backend());
-            poller
-                .reregister(a.as_raw_fd(), 2, Interest::WRITABLE)
-                .unwrap();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .unwrap();
-            assert_eq!(n, 1);
-            assert_eq!(events[0].token, 2);
-            assert!(events[0].writable);
-            poller.deregister(a.as_raw_fd()).unwrap();
+        let mut poller = Poller::new().unwrap();
+        let (a, _b) = pair();
+        poller.register(a.as_raw_fd(), 1, Interest::NONE).unwrap();
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0, "no interest, no events");
+        poller
+            .reregister(a.as_raw_fd(), 2, Interest::WRITABLE)
+            .unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, 2);
+        assert!(events[0].writable);
+        poller.deregister(a.as_raw_fd()).unwrap();
+    }
+
+    /// One bounded wait that must report exactly one event, for `token`.
+    fn one_event(poller: &mut Poller, token: usize) -> Event {
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(n, 1, "expected one event, got {events:?}");
+        assert_eq!(events[0].token, token);
+        events[0]
+    }
+
+    fn no_event(poller: &mut Poller) {
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0, "unexpected events {events:?}");
+    }
+
+    #[test]
+    fn edge_registration_reports_unread_data_once_and_new_bytes_again() {
+        let mut poller = Poller::new().unwrap();
+        let (mut a, mut b) = pair();
+        poller.register_edge(b.as_raw_fd(), 9).unwrap();
+        // Registering reports the state at that moment: writable.
+        assert!(one_event(&mut poller, 9).writable);
+        no_event(&mut poller);
+
+        a.write_all(b"x").unwrap();
+        let ev = one_event(&mut poller, 9);
+        assert!(ev.readable && !ev.read_closed && !ev.closed);
+        // The byte is still unread, but the edge was reported.
+        no_event(&mut poller);
+
+        a.write_all(b"y").unwrap();
+        assert!(one_event(&mut poller, 9).readable);
+        let mut buf = [0u8; 8];
+        assert_eq!(b.read(&mut buf).unwrap(), 2);
+
+        a.shutdown(std::net::Shutdown::Write).unwrap();
+        let ev = one_event(&mut poller, 9);
+        assert!(ev.readable && ev.read_closed && !ev.closed);
+        no_event(&mut poller);
+        poller.deregister(b.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn edge_registration_reports_writable_after_the_peer_drains() {
+        let mut poller = Poller::new().unwrap();
+        let (mut a, mut b) = pair();
+        set_send_buffer(&a, 4 * 1024).unwrap();
+        poller.register_edge(a.as_raw_fd(), 4).unwrap();
+        assert!(one_event(&mut poller, 4).writable);
+
+        let chunk = [7u8; 1024];
+        let mut sent = 0usize;
+        loop {
+            match a.write(&chunk) {
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("write: {e}"),
+            }
+            assert!(sent < 64 << 20, "the socket never blocked");
         }
+        no_event(&mut poller);
+
+        let mut got = 0usize;
+        let mut buf = [0u8; 16 * 1024];
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while got < sent {
+            assert!(std::time::Instant::now() < deadline, "peer drain stalled");
+            match b.read(&mut buf) {
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::yield_now();
+                }
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+        let ev = one_event(&mut poller, 4);
+        assert!(ev.writable && !ev.readable);
+        poller.deregister(a.as_raw_fd()).unwrap();
     }
 
     #[test]

@@ -283,3 +283,74 @@ fn one_byte_per_read_reassembles_every_frame() {
         assert_eq!(out, frames, "case {case}: slow-drip reassembly diverged");
     }
 }
+
+// What a read tells an edge-triggered owner: whether the socket ran dry.
+
+/// A reader that fills every buffer it is offered, from an endless run of
+/// 8-byte frames.
+struct Firehose;
+
+impl Read for Firehose {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = if i % 12 == 0 { 8 } else { 0 };
+        }
+        Ok(buf.len())
+    }
+}
+
+/// A reader that must never be read.
+struct NoRead;
+
+impl Read for NoRead {
+    fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+        panic!("read a stream while a complete frame was buffered");
+    }
+}
+
+#[test]
+fn a_short_read_reports_drained() {
+    let mut stream = Script(VecDeque::from([Some(reference_encoding(&[vec![1; 20]]))]));
+    let mut reader = FrameReader::new();
+    assert_eq!(
+        reader.poll_frame(&mut stream).unwrap(),
+        Poll::Frame(vec![1; 20])
+    );
+    assert!(reader.drained());
+}
+
+#[test]
+fn a_read_that_fills_the_offered_buffer_is_not_drained() {
+    let mut reader = FrameReader::new();
+    assert_eq!(
+        reader.poll_frame(&mut Firehose).unwrap(),
+        Poll::Frame(vec![0; 8])
+    );
+    assert!(!reader.drained());
+}
+
+#[test]
+fn would_block_reports_drained() {
+    let mut stream = Script(VecDeque::from([Some(prefix(10)), None]));
+    let mut reader = FrameReader::new();
+    assert_eq!(reader.poll_frame(&mut stream).unwrap(), Poll::Pending);
+    assert!(reader.drained());
+}
+
+#[test]
+fn buffered_frames_are_taken_without_reading() {
+    let frames = vec![vec![1; 3], vec![2; 5], vec![3; 7]];
+    let mut stream = Script(VecDeque::from([Some(reference_encoding(&frames))]));
+    let mut reader = FrameReader::new();
+    assert_eq!(
+        reader.poll_frame(&mut stream).unwrap(),
+        Poll::Frame(frames[0].clone())
+    );
+    assert_eq!(reader.take_buffered().unwrap(), Some(frames[1].clone()));
+    assert_eq!(
+        reader.poll_frame(&mut NoRead).unwrap(),
+        Poll::Frame(frames[2].clone())
+    );
+    assert_eq!(reader.take_buffered().unwrap(), None);
+    assert!(!reader.mid_frame());
+}

@@ -1,8 +1,8 @@
 //! Poller churn properties: registration/deregistration cycles leak no
 //! file descriptors, a socket parked at [`Interest::NONE`] never
 //! livelocks the wait loop (even with unread data or a half-closed
-//! peer — the regression the async proxy core's await-response state
-//! depends on), and a re-arm delivers its event. Seeded with the
+//! peer — the state the echo backend and the load generators park
+//! connections in), and a re-arm delivers its event. Seeded with the
 //! in-repo [`SplitMix64`]; every case reproduces by re-running.
 
 use std::io::Write;
@@ -11,17 +11,9 @@ use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 use streambal_core::SplitMix64;
-use streambal_transport::poll::{Interest, PollBackend, Poller};
+use streambal_transport::poll::{Interest, Poller};
 
 const SEED: u64 = 0xC0DE_90CC;
-
-fn both_backends() -> Vec<Poller> {
-    let mut v = vec![Poller::with_backend(PollBackend::PollSyscall).unwrap()];
-    if let Ok(p) = Poller::with_backend(PollBackend::Epoll) {
-        v.push(p);
-    }
-    v
-}
 
 fn pair(listener: &TcpListener) -> (TcpStream, TcpStream) {
     let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -41,114 +33,96 @@ fn open_fds() -> Option<usize> {
 fn registration_churn_leaks_no_fds_and_keeps_the_poller_consistent() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let mut rng = SplitMix64::new(SEED);
-    for mut poller in both_backends() {
-        // Warm up allocators and fd tables before taking the baseline.
-        let warm = pair(&listener);
-        drop(warm);
-        let baseline = open_fds();
+    let mut poller = Poller::new().unwrap();
+    // Warm up allocators and fd tables before taking the baseline.
+    let warm = pair(&listener);
+    drop(warm);
+    let baseline = open_fds();
 
-        let mut events = Vec::new();
-        for round in 0..50 {
-            let live: Vec<(TcpStream, TcpStream)> = (0..rng.range_usize(1, 8))
-                .map(|_| pair(&listener))
-                .collect();
-            for (i, (_, b)) in live.iter().enumerate() {
-                let interest = match rng.below(3) {
-                    0 => Interest::READABLE,
-                    1 => Interest::WRITABLE,
-                    _ => Interest::NONE,
-                };
-                poller.register(b.as_raw_fd(), i, interest).unwrap();
+    let mut events = Vec::new();
+    for round in 0..50 {
+        let live: Vec<(TcpStream, TcpStream)> = (0..rng.range_usize(1, 8))
+            .map(|_| pair(&listener))
+            .collect();
+        for (i, (_, b)) in live.iter().enumerate() {
+            let fd = b.as_raw_fd();
+            match rng.below(4) {
+                0 => poller.register(fd, i, Interest::READABLE).unwrap(),
+                1 => poller.register(fd, i, Interest::WRITABLE).unwrap(),
+                2 => poller.register(fd, i, Interest::NONE).unwrap(),
+                _ => poller.register_edge(fd, i).unwrap(),
             }
-            assert_eq!(poller.registered(), live.len(), "round {round}");
-            // Random token remaps mid-flight: events must carry the
-            // *current* token, never a stale one.
-            for (i, (_, b)) in live.iter().enumerate() {
-                if rng.chance(0.5) {
-                    poller
-                        .reregister(b.as_raw_fd(), 100 + i, Interest::READABLE)
-                        .unwrap();
-                }
-            }
-            let _ = poller
-                .wait(&mut events, Some(Duration::from_millis(1)))
-                .unwrap();
-            for ev in &events {
-                assert!(
-                    ev.token < live.len() || (100..100 + live.len()).contains(&ev.token),
-                    "round {round}: stale token {} ({:?})",
-                    ev.token,
-                    poller.backend()
-                );
-            }
-            for (_, b) in &live {
-                poller.deregister(b.as_raw_fd()).unwrap();
-            }
-            assert_eq!(poller.registered(), 0, "round {round}");
         }
-        if let (Some(before), Some(after)) = (baseline, open_fds()) {
-            assert_eq!(
-                before,
-                after,
-                "fd leak across churn ({:?})",
-                poller.backend()
+        assert_eq!(poller.registered(), live.len(), "round {round}");
+        // Random token remaps mid-flight: events must carry the
+        // *current* token, never a stale one.
+        for (i, (_, b)) in live.iter().enumerate() {
+            if rng.chance(0.5) {
+                poller
+                    .reregister(b.as_raw_fd(), 100 + i, Interest::READABLE)
+                    .unwrap();
+            }
+        }
+        let _ = poller
+            .wait(&mut events, Some(Duration::from_millis(1)))
+            .unwrap();
+        for ev in &events {
+            assert!(
+                ev.token < live.len() || (100..100 + live.len()).contains(&ev.token),
+                "round {round}: stale token {}",
+                ev.token
             );
         }
+        for (_, b) in &live {
+            poller.deregister(b.as_raw_fd()).unwrap();
+        }
+        assert_eq!(poller.registered(), 0, "round {round}");
+    }
+    if let (Some(before), Some(after)) = (baseline, open_fds()) {
+        assert_eq!(before, after, "fd leak across churn");
     }
 }
 
 #[test]
 fn interest_none_with_pending_data_or_half_close_never_wakes() {
-    for mut poller in both_backends() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (mut a, b) = pair(&listener);
-        poller.register(b.as_raw_fd(), 3, Interest::NONE).unwrap();
+    let mut poller = Poller::new().unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (mut a, b) = pair(&listener);
+    poller.register(b.as_raw_fd(), 3, Interest::NONE).unwrap();
 
-        // Unread data alone must not produce events at Interest::NONE —
-        // the proxy parks clients this way while their response is
-        // in flight.
-        a.write_all(b"pending").unwrap();
-        let mut events = Vec::new();
-        for _ in 0..5 {
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert_eq!(
-                n,
-                0,
-                "pending data woke an Interest::NONE socket ({:?})",
-                poller.backend()
-            );
-        }
-
-        // A half-closed peer (FIN received) must not either: EPOLLRDHUP
-        // may only be armed alongside read interest, else a parked
-        // socket level-triggers a busy loop.
-        a.shutdown(std::net::Shutdown::Write).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        for _ in 0..5 {
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert_eq!(
-                n,
-                0,
-                "half-close woke an Interest::NONE socket ({:?})",
-                poller.backend()
-            );
-        }
-
-        // Re-arming read interest delivers everything that was parked:
-        // the buffered bytes and the FIN.
-        poller
-            .reregister(b.as_raw_fd(), 4, Interest::READABLE)
-            .unwrap();
+    // Unread data alone must not produce events at Interest::NONE — the
+    // echo backend and the load generators park sockets this way.
+    a.write_all(b"pending").unwrap();
+    let mut events = Vec::new();
+    for _ in 0..5 {
         let n = poller
-            .wait(&mut events, Some(Duration::from_secs(2)))
+            .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
-        assert_eq!(n, 1, "re-arm delivered nothing ({:?})", poller.backend());
-        assert_eq!(events[0].token, 4);
-        assert!(events[0].readable);
-        poller.deregister(b.as_raw_fd()).unwrap();
+        assert_eq!(n, 0, "pending data woke an Interest::NONE socket");
     }
+
+    // A half-closed peer (FIN received) must not either: EPOLLRDHUP
+    // may only be armed alongside read interest, else a parked
+    // socket level-triggers a busy loop.
+    a.shutdown(std::net::Shutdown::Write).unwrap();
+    std::thread::sleep(Duration::from_millis(10));
+    for _ in 0..5 {
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0, "half-close woke an Interest::NONE socket");
+    }
+
+    // Re-arming read interest delivers everything that was parked:
+    // the buffered bytes and the FIN.
+    poller
+        .reregister(b.as_raw_fd(), 4, Interest::READABLE)
+        .unwrap();
+    let n = poller
+        .wait(&mut events, Some(Duration::from_secs(2)))
+        .unwrap();
+    assert_eq!(n, 1, "re-arm delivered nothing");
+    assert_eq!(events[0].token, 4);
+    assert!(events[0].readable);
+    poller.deregister(b.as_raw_fd()).unwrap();
 }
