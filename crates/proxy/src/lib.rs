@@ -19,9 +19,9 @@
 //!
 //! - **Health checking** — consecutive forward failures eject a backend
 //!   ([`pool::Backend::record_failure`]); the control plane detaches it
-//!   (weight → 0, renormalized away) via the `slot_healthy` hook; a
-//!   prober re-admits it after a successful connect, with doubling
-//!   backoff.
+//!   (weight → 0, renormalized away) via the `slot_healthy` hook; shard
+//!   0 re-admits it after a successful nonblocking connect probe, with
+//!   doubling backoff.
 //! - **Skip-and-retry** — a failed forward retries on the next healthy
 //!   backend (skip-list), so one dead backend costs latency, not errors.
 //! - **Hot reload** — the config file is polled; added backends map onto
@@ -32,8 +32,9 @@
 //!   (controller weights and blocking rates included).
 //!
 //! One data plane implements all of the above: `poll_core` multiplexes
-//! every socket on `io_threads` readiness-polled event-loop threads and
-//! derives blocked-send time from `EPOLLOUT`-wait spans.
+//! every socket on `io_threads` readiness-polled event-loop threads, each
+//! accepting for itself and waiting only in its own poller, and derives
+//! blocked-send time from `EPOLLOUT`-wait spans.
 //!
 //! See `docs/PROXY.md` for the operational guide and `examples/proxy.conf`
 //! for the config format.

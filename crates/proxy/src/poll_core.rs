@@ -8,20 +8,26 @@
 //! concentration is deliberate: queued bytes pile onto one socket, so a
 //! slow backend turns into measurable *unwritable time* on its link.
 //!
+//! A shard's only inputs are its own poller and clock: every shard
+//! accepts on its own clone of the listener, shard 0 also runs the
+//! re-admission probes as nonblocking connects, and every shard leaves
+//! its loop on its own once the drain is done or out of time.
+//!
 //! ## Readiness model
 //!
-//! Every client and link socket is registered once, edge-triggered for
-//! reading, writing and the peer's FIN, and never re-registered; only
-//! the listener is level-triggered (it pauses, rarely, on fd pressure
-//! and on drain). An edge sets the socket's `readable` flag, and a read
-//! clears it when it comes back short or `WouldBlock` — a short read
-//! means the receive queue ran dry — unless an edge reported the peer's
-//! FIN, which stays readable until a read reaches it. Reads happen only
-//! while the flag is set, and a frame already in the reader's buffer is
-//! taken without one. Writes run until `WouldBlock` and resume on the
-//! next writable edge; a writable edge with nothing queued does nothing.
-//! A client has one request outstanding: the next one waits, in its
-//! reader or the kernel, until the response drains.
+//! Every client, link and probe socket is registered once,
+//! edge-triggered for reading, writing and the peer's FIN, and never
+//! re-registered; only the listener is level-triggered (it pauses,
+//! rarely, on fd pressure and on drain). An edge sets the socket's
+//! `readable` flag, and a read clears it when it comes back short or
+//! `WouldBlock` — a short read means the receive queue ran dry — unless
+//! an edge reported the peer's FIN, which stays readable until a read
+//! reaches it. Reads happen only while the flag is set, and a frame
+//! already in the reader's buffer is taken without one. Writes run until
+//! `WouldBlock` and resume on the next writable edge; a writable edge
+//! with nothing queued does nothing. A client has one request
+//! outstanding: the next one waits, in its reader or the kernel, until
+//! the response drains.
 //!
 //! ## Blocking measurement
 //!
@@ -49,7 +55,7 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use streambal_transport::frame::{FrameReader, FrameWriter, Poll, WriteStatus};
@@ -61,10 +67,9 @@ use crate::pool::Backend;
 use crate::server::Shared;
 
 const LISTENER_TOKEN: usize = usize::MAX;
-/// Idle wait bound: reaction time to stop/drain flags and deadlines.
+/// Wait bound: reaction time to the stop flag, the drain and deadlines,
+/// and shard 0's probe tick.
 const IDLE_WAIT: Duration = Duration::from_millis(50);
-/// Wait bound with multiple shards: bounds connection-handoff latency.
-const HANDOFF_WAIT: Duration = Duration::from_millis(15);
 /// A link still unwritable after this long has its accumulated span
 /// flushed into the counter, so samplers see blocking as it happens
 /// rather than one lump when the socket finally drains.
@@ -73,65 +78,46 @@ const BLOCKED_FLUSH: Duration = Duration::from_millis(20);
 /// level-triggered readable, so without a pause the loop would spin.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
-/// Hand-off queue for moving accepted connections between shards.
-pub(crate) type Handoff = Arc<Mutex<Vec<TcpStream>>>;
-
-/// Runs one event-loop shard until the stop flag. Shard 0 owns the
-/// listener and deals accepted connections round-robin across shards
-/// (including itself) via the `handoff` queues.
-pub(crate) fn run_shard(
-    id: usize,
-    listener: Option<TcpListener>,
-    handoff: Vec<Handoff>,
-    shared: Arc<Shared>,
-) {
-    let poller = match Poller::new() {
+/// Runs one event-loop shard on its own clone of the listener until the
+/// stop flag, or until the drain ends. Shard 0 also probes ejected
+/// backends for re-admission.
+pub(crate) fn run_shard(id: usize, listener: TcpListener, shared: Arc<Shared>) {
+    let poller = Poller::new().and_then(|mut p| {
+        p.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
+        Ok(p)
+    });
+    let poller = match poller {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("streambal-proxy: shard {id}: poller failed: {e}");
+            eprintln!("streambal-proxy: shard {id}: cannot poll the listener: {e}");
             return;
         }
     };
     let mut shard = Shard {
-        id,
         shared,
         poller,
         entries: Vec::new(),
         gens: Vec::new(),
         free: Vec::new(),
         links: HashMap::new(),
+        probes: Vec::new(),
+        next_probe: (id == 0).then(Instant::now),
         redq: VecDeque::new(),
         listener,
         accept_paused_until: None,
         accepting: true,
-        handoff,
-        next_shard: 0,
-        was_draining: false,
     };
-    if let Some(l) = &shard.listener {
-        if shard
-            .poller
-            .register(l.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)
-            .is_err()
-        {
-            eprintln!("streambal-proxy: shard {id}: cannot register listener");
-            return;
-        }
-    }
     let mut events = Vec::new();
-    while !shard.shared.stop.load(Ordering::Acquire) {
-        let timeout = shard.wait_timeout();
-        let _ = shard.poller.wait(&mut events, Some(timeout));
+    while !shard.done() {
+        let _ = shard.poller.wait(&mut events, Some(IDLE_WAIT));
         for &ev in &events {
             shard.handle_event(ev);
         }
         shard.drain_redispatch();
-        shard.take_handoff();
-        shard.drain_redispatch();
         shard.scan();
         shard.drain_redispatch();
     }
-    // Dropping the shard closes every client and link socket.
+    // Dropping the shard closes every client, link and probe socket.
 }
 
 /// One request queued on (or bouncing between) backend links.
@@ -221,13 +207,23 @@ impl Link {
     }
 }
 
+/// A re-admission probe: a nonblocking connect to an ejected backend,
+/// dropped as soon as it resolves.
+struct Probe {
+    backend: Arc<Backend>,
+    stream: TcpStream,
+    /// The pool clock when the probe started; a failure backs off from it.
+    started_ms: u64,
+    deadline: Instant,
+}
+
 enum Entry {
     Client(Client),
     Link(Link),
+    Probe(Probe),
 }
 
 struct Shard {
-    id: usize,
     shared: Arc<Shared>,
     poller: Poller,
     entries: Vec<Option<Entry>>,
@@ -238,26 +234,26 @@ struct Shard {
     free: Vec<usize>,
     /// backend slot → link token, this shard's pipelined links.
     links: HashMap<usize, usize>,
+    /// Tokens of the probes in flight, at most one per backend.
+    probes: Vec<usize>,
+    /// When the next probe round is due; `Some` on shard 0 only.
+    next_probe: Option<Instant>,
     /// Requests awaiting (re)dispatch to a link.
     redq: VecDeque<Inflight>,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     accept_paused_until: Option<Instant>,
     /// Whether the listener's read interest is currently armed.
     accepting: bool,
-    handoff: Vec<Handoff>,
-    next_shard: usize,
-    was_draining: bool,
 }
 
 impl Shard {
-    fn wait_timeout(&self) -> Duration {
-        if self.was_draining {
-            return Duration::from_millis(5);
-        }
-        if self.handoff.len() > 1 {
-            return HANDOFF_WAIT;
-        }
-        IDLE_WAIT
+    /// Stopped, or draining with no client left or no time left.
+    fn done(&self) -> bool {
+        self.shared.stop.load(Ordering::Acquire)
+            || self.shared.drain_deadline.get().is_some_and(|&deadline| {
+                self.shared.active_clients.load(Ordering::Acquire) == 0
+                    || Instant::now() >= deadline
+            })
     }
 
     fn insert(&mut self, entry: Entry) -> usize {
@@ -302,29 +298,26 @@ impl Shard {
                     self.flush_link(ev.token);
                 }
             }
+            Some(Entry::Probe(_)) => self.probe_ready(ev.token),
             None => {}
         }
     }
 
     // ---- accept path ------------------------------------------------
 
+    /// Every shard accepts on its own clone of the listener: the shard
+    /// that wakes first takes the connection and keeps it.
     fn accept_ready(&mut self) {
-        let draining = self.shared.draining.load(Ordering::Acquire);
+        let draining = self.shared.drain_deadline.get().is_some();
         loop {
-            let accepted = match &self.listener {
-                Some(l) => l.accept(),
-                None => return,
-            };
-            match accepted {
+            match self.listener.accept() {
+                // Draining: a new connection is closed at once.
+                Ok(_) if draining => {}
                 Ok((stream, _)) => {
-                    if draining {
-                        drop(stream);
-                        continue;
-                    }
                     self.shared.metrics.accepted.incr();
                     let n = self.shared.active_clients.fetch_add(1, Ordering::AcqRel) + 1;
                     self.shared.metrics.active.set(n as f64);
-                    self.route_conn(stream);
+                    self.adopt(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => {
@@ -340,53 +333,14 @@ impl Shard {
         if self.accepting == on {
             return;
         }
-        if let Some(l) = &self.listener {
-            let want = if on {
-                Interest::READABLE
-            } else {
-                Interest::NONE
-            };
-            if self
-                .poller
-                .reregister(l.as_raw_fd(), LISTENER_TOKEN, want)
-                .is_ok()
-            {
-                self.accepting = on;
-            }
-        }
-    }
-
-    fn route_conn(&mut self, stream: TcpStream) {
-        let shards = self.handoff.len().max(1);
-        let target = self.next_shard % shards;
-        self.next_shard = self.next_shard.wrapping_add(1);
-        if target == self.id || target >= self.handoff.len() {
-            return self.adopt(stream);
-        }
-        let leftover = match self.handoff[target].lock() {
-            Ok(mut q) => {
-                q.push(stream);
-                None
-            }
-            // A poisoned hand-off queue (a crashed shard) must not lose
-            // the connection; serve it here.
-            Err(_) => Some(stream),
+        let want = if on {
+            Interest::READABLE
+        } else {
+            Interest::NONE
         };
-        if let Some(stream) = leftover {
-            self.adopt(stream);
-        }
-    }
-
-    fn take_handoff(&mut self) {
-        if self.handoff.len() <= 1 {
-            return;
-        }
-        let incoming: Vec<TcpStream> = match self.handoff.get(self.id).map(|m| m.lock()) {
-            Some(Ok(mut q)) => std::mem::take(&mut *q),
-            _ => return,
-        };
-        for stream in incoming {
-            self.adopt(stream);
+        let fd = self.listener.as_raw_fd();
+        if self.poller.reregister(fd, LISTENER_TOKEN, want).is_ok() {
+            self.accepting = on;
         }
     }
 
@@ -438,7 +392,7 @@ impl Shard {
                 let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 self.shared.metrics.latency_ns.record(ns);
             }
-            if self.shared.draining.load(Ordering::Acquire) && !c.conn.reader.mid_frame() {
+            if self.shared.drain_deadline.get().is_some() && !c.conn.reader.mid_frame() {
                 return self.close_client(tok);
             }
         }
@@ -508,13 +462,7 @@ impl Shard {
                     return;
                 }
                 Err(_) => {
-                    if backend.record_failure(
-                        self.shared.cfg.eject_after,
-                        self.shared.cfg.probe_interval,
-                        self.shared.pool.now_ms(),
-                    ) {
-                        self.shared.metrics.ejections.incr();
-                    }
+                    self.record_failure(&backend);
                     inf.tried.push(slot);
                     inf.attempts += 1;
                 }
@@ -658,20 +606,22 @@ impl Shard {
             self.links.remove(&l.slot);
         }
         l.charge_blocked(Instant::now());
-        let failures = l.inflight.len().max(1);
-        for _ in 0..failures {
-            if l.backend.record_failure(
-                self.shared.cfg.eject_after,
-                self.shared.cfg.probe_interval,
-                self.shared.pool.now_ms(),
-            ) {
-                self.shared.metrics.ejections.incr();
-            }
+        for _ in 0..l.inflight.len().max(1) {
+            self.record_failure(&l.backend);
         }
         for mut inf in l.inflight {
             inf.tried.push(l.slot);
             inf.attempts += 1;
             self.redq.push_back(inf);
+        }
+    }
+
+    /// Counts one forward failure toward the backend's ejection.
+    fn record_failure(&self, backend: &Backend) {
+        let cfg = &self.shared.cfg;
+        let now_ms = self.shared.pool.now_ms();
+        if backend.record_failure(cfg.eject_after, cfg.probe_interval, now_ms) {
+            self.shared.metrics.ejections.incr();
         }
     }
 
@@ -685,6 +635,73 @@ impl Shard {
         }
     }
 
+    // ---- re-admission probes (shard 0) -------------------------------
+
+    /// Starts a connect to every backend due for a probe that has none in
+    /// flight. A connect that fails at once is a failed probe.
+    fn start_probes(&mut self, now: Instant) {
+        let now_ms = self.shared.pool.now_ms();
+        for (_, backend) in self.shared.pool.slots() {
+            let in_flight = self.probes.iter().any(|&tok| {
+                self.probe(tok)
+                    .is_some_and(|p| Arc::ptr_eq(&p.backend, &backend))
+            });
+            if in_flight || !backend.probe_due(now_ms) {
+                continue;
+            }
+            let Ok(stream) = connect_nonblocking(backend.addr) else {
+                backend.probe_failed(self.shared.cfg.probe_interval, now_ms);
+                continue;
+            };
+            let fd = stream.as_raw_fd();
+            let tok = self.insert(Entry::Probe(Probe {
+                backend,
+                stream,
+                started_ms: now_ms,
+                deadline: now + self.shared.cfg.connect_timeout,
+            }));
+            // Like a link's, the connect resolves on the first writable
+            // or error edge.
+            if self.poller.register_edge(fd, tok).is_ok() {
+                self.probes.push(tok);
+            } else {
+                self.end_probe(tok, false);
+            }
+        }
+    }
+
+    fn probe(&self, tok: usize) -> Option<&Probe> {
+        match self.entries.get(tok) {
+            Some(Some(Entry::Probe(p))) => Some(p),
+            _ => None,
+        }
+    }
+
+    fn probe_ready(&mut self, tok: usize) {
+        match self.probe(tok).map(|p| connect_finished(&p.stream)) {
+            Some(Ok(true)) => self.end_probe(tok, true),
+            Some(Err(_)) => self.end_probe(tok, false),
+            Some(Ok(false)) | None => {}
+        }
+    }
+
+    /// Drops a probe: a connect re-admits its backend, a failure (or the
+    /// connect timeout) backs the next probe off.
+    fn end_probe(&mut self, tok: usize, connected: bool) {
+        let Some(Entry::Probe(p)) = self.remove(tok) else {
+            return;
+        };
+        let _ = self.poller.deregister(p.stream.as_raw_fd());
+        self.probes.retain(|&t| t != tok);
+        if connected {
+            p.backend.readmit();
+            self.shared.metrics.readmissions.incr();
+        } else {
+            p.backend
+                .probe_failed(self.shared.cfg.probe_interval, p.started_ms);
+        }
+    }
+
     // ---- periodic scan ----------------------------------------------
 
     fn scan(&mut self) {
@@ -693,60 +710,53 @@ impl Shard {
         // Re-arm a paused listener.
         if self.accept_paused_until.is_some_and(|t| now >= t) {
             self.accept_paused_until = None;
-            if !self.shared.draining.load(Ordering::Acquire) {
+            if self.shared.drain_deadline.get().is_none() {
                 self.set_accepting(true);
             }
+        }
+
+        // Probe timeouts, then this tick's new probes.
+        for i in (0..self.probes.len()).rev() {
+            let tok = self.probes[i];
+            if self.probe(tok).is_some_and(|p| now >= p.deadline) {
+                self.end_probe(tok, false);
+            }
+        }
+        if self.next_probe.is_some_and(|t| now >= t) {
+            self.next_probe = Some(now + IDLE_WAIT);
+            self.start_probes(now);
         }
 
         // Link deadlines, blocked-span flushes, and retired backends.
         let link_toks: Vec<usize> = self.links.values().copied().collect();
         for tok in link_toks {
-            enum Action {
-                Nothing,
-                Fail,
-                Retire,
-            }
-            let action = {
-                let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut)
-                else {
-                    continue;
-                };
-                if (l.connecting && now >= l.connect_deadline)
-                    || l.inflight.front().is_some_and(|inf| now >= inf.deadline)
-                {
-                    Action::Fail
-                } else if l.inflight.is_empty()
-                    && l.conn.out.is_empty()
-                    && (l.backend.is_removed() || l.backend.is_ejected())
-                {
-                    // An idle link to a retired backend holds an fd (and
-                    // a half-open socket) for nothing.
-                    Action::Retire
-                } else {
-                    if l.blocked_since
-                        .is_some_and(|t0| now.duration_since(t0) >= BLOCKED_FLUSH)
-                    {
-                        l.charge_blocked(now);
-                        l.blocked_since = Some(now);
-                    }
-                    Action::Nothing
-                }
+            let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
+                continue;
             };
-            match action {
-                Action::Nothing => {}
-                Action::Fail => self.fail_link(tok),
-                Action::Retire => self.remove_link_quiet(tok),
+            if (l.connecting && now >= l.connect_deadline)
+                || l.inflight.front().is_some_and(|inf| now >= inf.deadline)
+            {
+                self.fail_link(tok);
+            } else if l.inflight.is_empty()
+                && l.conn.out.is_empty()
+                && (l.backend.is_removed() || l.backend.is_ejected())
+            {
+                // An idle link to a retired backend holds an fd (and a
+                // half-open socket) for nothing.
+                self.remove_link_quiet(tok);
+            } else if l
+                .blocked_since
+                .is_some_and(|t0| now.duration_since(t0) >= BLOCKED_FLUSH)
+            {
+                l.charge_blocked(now);
+                l.blocked_since = Some(now);
             }
         }
 
         // Drain: stop accepting, close idle clients; in-flight clients
-        // close when their response drains (see flush_client).
-        let draining = self.shared.draining.load(Ordering::Acquire);
-        if draining {
-            if !self.was_draining {
-                self.was_draining = true;
-                self.set_accepting(false);
-            }
+        // close when their response drains (see serve_client).
+        if self.shared.drain_deadline.get().is_some() {
+            self.set_accepting(false);
             for tok in 0..self.entries.len() {
                 let idle = match self.entries.get(tok).and_then(Option::as_ref) {
                     Some(Entry::Client(c)) => {

@@ -87,11 +87,7 @@ impl Backend {
         if failures < eject_after || self.ejected.swap(true, Ordering::AcqRel) {
             return false;
         }
-        let mult = self.backoff_mult.load(Ordering::Acquire);
-        let delay = probe_interval.as_millis() as u64 * u64::from(mult);
-        self.next_probe_ms.store(now_ms + delay, Ordering::Release);
-        self.backoff_mult
-            .store((mult * 2).min(MAX_BACKOFF_MULT), Ordering::Release);
+        self.schedule_probe(probe_interval, now_ms);
         true
     }
 
@@ -122,6 +118,12 @@ impl Backend {
     /// Pushes a probe time into the future without re-admitting (failed
     /// probe).
     pub fn probe_failed(&self, probe_interval: Duration, now_ms: u64) {
+        self.schedule_probe(probe_interval, now_ms);
+    }
+
+    /// Sets the next probe `probe_interval × backoff` after `now_ms` and
+    /// doubles the backoff, up to ×32.
+    fn schedule_probe(&self, probe_interval: Duration, now_ms: u64) {
         let mult = self.backoff_mult.load(Ordering::Acquire);
         let delay = probe_interval.as_millis() as u64 * u64::from(mult);
         self.next_probe_ms.store(now_ms + delay, Ordering::Release);
@@ -149,8 +151,9 @@ impl ReloadDiff {
     }
 }
 
-/// Shared state between the I/O shards (selection), the control round
-/// (weights, width, health), the prober, and reload.
+/// Shared state between the I/O shards (selection, and shard 0's
+/// re-admission probes), the control round (weights, width, health), and
+/// reload.
 #[derive(Debug)]
 pub struct BackendPool {
     slots: RwLock<Vec<Arc<Backend>>>,

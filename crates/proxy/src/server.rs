@@ -1,24 +1,24 @@
 //! The proxy server: the event-loop shard spawn, the `DataPlane` adapter
-//! that hands the round lifecycle to [`ControlPlane::run_threaded`],
-//! the re-admission prober, and graceful drain.
+//! that hands the round lifecycle to [`ControlPlane::run_threaded`], and
+//! graceful drain.
 //!
 //! Thread layout (all joined on shutdown):
 //!
 //! ```text
 //! io-shard×K ──pick/pipeline──▶ BackendPool ◀── controller
-//!                                    ▲           (run_threaded: reload, sample,
-//!                                    │            round, install, grow/shrink)
-//!                                 prober
-//!                          (re-admission probes)
+//! (each accepts; shard 0       (health)        (run_threaded: reload, sample,
+//!  also probes ejected                           round, install, grow/shrink)
+//!  backends)
 //! ```
 //!
-//! Sockets are driven, and blocked-send time is measured, in `poll_core`.
+//! Sockets are driven, probes run, and blocked-send time is measured in
+//! `poll_core`. A shard's only inputs are its poller and its clock.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -94,7 +94,9 @@ impl ProxyMetrics {
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub stop: AtomicBool,
-    pub draining: AtomicBool,
+    /// Set once by [`ProxyHandle::shutdown`]: shards stop accepting and
+    /// leave their loops when no client is left or at this instant.
+    pub drain_deadline: OnceLock<Instant>,
     pub active_clients: AtomicUsize,
     pub pool: Arc<BackendPool>,
     pub cfg: ProxyConfig,
@@ -221,6 +223,8 @@ pub struct ProxyHandle {
     telemetry: Telemetry,
     pool: Arc<BackendPool>,
     shared: Arc<Shared>,
+    shards: Vec<JoinHandle<()>>,
+    /// The controller and, when configured, the metrics endpoint.
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -252,16 +256,15 @@ impl ProxyHandle {
     /// Graceful shutdown: stop accepting, let in-flight clients finish
     /// (up to `drain_timeout`), then stop every thread and join them.
     pub fn shutdown(mut self) -> DrainReport {
-        self.shared.draining.store(true, Ordering::Release);
         let deadline = Instant::now() + self.shared.cfg.drain_timeout;
-        while self.shared.active_clients.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(2));
-        }
-        let abandoned = self.shared.active_clients.load(Ordering::Acquire);
-        self.shared.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
+        let _ = self.shared.drain_deadline.set(deadline);
+        // Each shard leaves its loop once drained or out of time; the
+        // clients still counted then were abandoned.
+        for t in self.shards.drain(..) {
             let _ = t.join();
         }
+        let abandoned = self.shared.active_clients.load(Ordering::Acquire);
+        // Dropping `self` stops and joins the controller and metrics threads.
         DrainReport {
             drained: abandoned == 0,
             abandoned,
@@ -272,7 +275,7 @@ impl ProxyHandle {
 impl Drop for ProxyHandle {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
+        for t in self.shards.drain(..).chain(self.threads.drain(..)) {
             let _ = t.join();
         }
     }
@@ -282,8 +285,8 @@ impl Drop for ProxyHandle {
 pub struct Proxy;
 
 impl Proxy {
-    /// Binds the listener(s) and spawns the controller, prober, I/O shard
-    /// and (optionally) metrics threads.
+    /// Binds the listener(s) and spawns the controller, I/O shard and
+    /// (optionally) metrics threads.
     ///
     /// # Errors
     ///
@@ -331,7 +334,7 @@ impl Proxy {
 
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
+            drain_deadline: OnceLock::new(),
             active_clients: AtomicUsize::new(0),
             pool: Arc::clone(&pool),
             cfg: cfg.clone(),
@@ -385,14 +388,6 @@ impl Proxy {
                 })?,
         );
 
-        // Prober: re-admits ejected backends that accept a connect again.
-        let prober_shared = Arc::clone(&shared);
-        threads.push(
-            thread::Builder::new()
-                .name("proxy-prober".into())
-                .spawn(move || run_prober(&prober_shared))?,
-        );
-
         // Metrics endpoint.
         if let Some(l) = metrics_listener {
             let metrics_shared = Arc::clone(&shared);
@@ -404,26 +399,16 @@ impl Proxy {
             );
         }
 
-        // Data plane: shard 0 owns the listener and deals connections out.
-        let shards = cfg.io_threads.max(1);
-        let handoff: Vec<crate::poll_core::Handoff> = (0..shards)
-            .map(|_| Arc::new(std::sync::Mutex::new(Vec::new())))
-            .collect();
-        let mut listener = Some(listener);
-        for id in 0..shards {
+        // Data plane: every shard accepts on its own clone of the listener.
+        let mut shards = Vec::new();
+        for id in 0..cfg.io_threads.max(1) {
             let shard_shared = Arc::clone(&shared);
-            let shard_handoff = handoff.clone();
-            let shard_listener = if id == 0 { listener.take() } else { None };
-            threads.push(
+            let shard_listener = listener.try_clone()?;
+            shards.push(
                 thread::Builder::new()
                     .name(format!("proxy-io-{id}"))
                     .spawn(move || {
-                        crate::poll_core::run_shard(
-                            id,
-                            shard_listener,
-                            shard_handoff,
-                            shard_shared,
-                        );
+                        crate::poll_core::run_shard(id, shard_listener, shard_shared);
                     })?,
             );
         }
@@ -434,26 +419,8 @@ impl Proxy {
             telemetry,
             pool,
             shared,
+            shards,
             threads,
         })
-    }
-}
-
-fn run_prober(shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::Acquire) {
-        let now_ms = shared.pool.now_ms();
-        for (_, backend) in shared.pool.slots() {
-            if !backend.probe_due(now_ms) {
-                continue;
-            }
-            match TcpStream::connect_timeout(&backend.addr, shared.cfg.connect_timeout) {
-                Ok(_) => {
-                    backend.readmit();
-                    shared.metrics.readmissions.incr();
-                }
-                Err(_) => backend.probe_failed(shared.cfg.probe_interval, now_ms),
-            }
-        }
-        thread::sleep(Duration::from_millis(20));
     }
 }

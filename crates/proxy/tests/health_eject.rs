@@ -81,6 +81,14 @@ fn stalled_backend_is_ejected_within_the_probe_budget() {
 
 #[test]
 fn ejected_backend_is_readmitted_after_recovery() {
+    // Shard 0 runs the probes, alone and beside another shard.
+    for io_threads in [1, 2] {
+        eprintln!("io_threads {io_threads}");
+        readmission(io_threads);
+    }
+}
+
+fn readmission(io_threads: usize) {
     let a = EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap();
     let b = EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap();
 
@@ -89,6 +97,7 @@ fn ejected_backend_is_readmitted_after_recovery() {
     cfg.forward_timeout = Duration::from_millis(200);
     cfg.eject_after = 2;
     cfg.probe_interval = Duration::from_millis(100);
+    cfg.io_threads = io_threads;
     let handle = Proxy::spawn(ProxyOptions::new(cfg)).unwrap();
 
     b.stall();
@@ -121,6 +130,38 @@ fn ejected_backend_is_readmitted_after_recovery() {
     assert!(
         b.served() > before,
         "re-admitted backend received no traffic"
+    );
+
+    handle.shutdown();
+}
+
+#[test]
+fn a_refused_probe_keeps_a_dead_backend_out() {
+    let a = EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap();
+    let b = EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap();
+
+    let mut cfg = ProxyConfig::new("127.0.0.1:0".parse().unwrap(), vec![a.addr(), b.addr()]);
+    cfg.sample_interval = Duration::from_millis(50);
+    cfg.eject_after = 2;
+    cfg.probe_interval = Duration::from_millis(50);
+    let handle = Proxy::spawn(ProxyOptions::new(cfg)).unwrap();
+
+    // A dead backend refuses every connect: forwards fail over to `a`
+    // until `b` is ejected, and every probe after that is refused.
+    b.kill();
+    let pool = handle.pool().clone();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while pool.slot_healthy(1) && Instant::now() < deadline {
+        assert_eq!(run_load(handle.addr(), 2, 10, 64).failed, 0);
+    }
+    assert!(!pool.slot_healthy(1), "the dead backend was never ejected");
+
+    std::thread::sleep(6 * Duration::from_millis(50));
+    let readmissions = handle.telemetry().registry().counter("proxy.readmissions");
+    assert_eq!(readmissions.get(), 0, "a refused probe re-admitted");
+    assert!(
+        !pool.slot_healthy(1),
+        "the dead backend is back in rotation"
     );
 
     handle.shutdown();

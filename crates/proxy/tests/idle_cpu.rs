@@ -16,9 +16,9 @@ use std::time::Duration;
 use streambal_proxy::{EchoBackend, Proxy, ProxyConfig, ProxyOptions};
 use streambal_transport::poll::process_cpu_time;
 
-/// CPU budget for ~3 s of idling across one proxy (io shard, controller,
-/// prober, metrics endpoint), three echo loops and 16 parked client
-/// connections. An event-loop stack spends well under 100 ms here (timer
+/// CPU budget for ~3 s of idling across one proxy (io shard, which also
+/// runs the re-admission probes, controller, metrics endpoint), three
+/// echo loops and 16 parked client connections. An event-loop stack spends well under 100 ms here (timer
 /// wakeups and 50 ms control rounds); the old spin loops burned whole
 /// cores.
 const IDLE_BUDGET: Duration = Duration::from_millis(300);

@@ -4,7 +4,7 @@
 //! backend's weight drains to zero in the installed simplex; a hot
 //! config reload adds a fourth backend, the region grows live, and the
 //! new backend receives traffic within the reconvergence budget. Runs
-//! on one io thread and on two (clients handed off across shards).
+//! on one io thread and on two (each shard accepting its own clients).
 
 use std::time::{Duration, Instant};
 

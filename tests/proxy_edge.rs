@@ -5,13 +5,18 @@
 //! with the last request, responses larger than the client's socket
 //! buffers, two responses in one backend write. Every client read has a
 //! timeout, so a lost wakeup fails the test instead of hanging it.
+//!
+//! Two waits outside a socket's edges ride along: a fresh connection on
+//! a multi-shard proxy, and a drain that runs out of time.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use streambal::proxy::{EchoBackend, Proxy, ProxyConfig, ProxyHandle, ProxyOptions, MAX_FRAME};
+use streambal::proxy::{
+    DrainReport, EchoBackend, Proxy, ProxyConfig, ProxyHandle, ProxyOptions, MAX_FRAME,
+};
 use streambal::transport::poll::set_recv_buffer;
 
 /// Bound on any single wait for the proxy: far above a loopback round
@@ -171,4 +176,80 @@ fn two_responses_in_one_backend_write_complete_both_clients() {
         Ok(()) => {}
         Err(e) => std::panic::resume_unwind(e),
     }
+}
+
+/// Every shard accepts for itself, so a fresh connection is served by the
+/// shard that took it. When shard 0 accepted every connection and handed
+/// the others over through a queue each shard checked every 15 ms, 19–20
+/// of these 40 connections took ≥ 5 ms (about 15 ms each) at two shards
+/// and 28–29 at four.
+#[test]
+fn fresh_connections_do_not_wait_for_a_hand_off() {
+    let backends: Vec<EchoBackend> = (0..3)
+        .map(|_| EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap())
+        .collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(EchoBackend::addr).collect();
+    for io_threads in [2, 4] {
+        let mut config = ProxyConfig::new("127.0.0.1:0".parse().unwrap(), addrs.clone());
+        config.io_threads = io_threads;
+        let proxy = Proxy::spawn(ProxyOptions::new(config)).unwrap();
+        let mut slow = Vec::new();
+        for i in 0..40u8 {
+            let t0 = Instant::now();
+            let mut c = client(&proxy);
+            let request = payload(i, 64);
+            c.write_all(&frame(&request)).unwrap();
+            assert_eq!(read_frame(&mut c, "response"), request, "connection {i}");
+            let took = t0.elapsed();
+            if took >= Duration::from_millis(5) {
+                slow.push(took);
+            }
+        }
+        assert!(
+            slow.len() <= 2,
+            "{io_threads} shards: {} of 40 fresh connections took >= 5 ms: {slow:?}",
+            slow.len()
+        );
+    }
+}
+
+#[test]
+fn a_drain_gives_up_on_a_half_sent_request_at_its_deadline() {
+    let backend = EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap();
+    let mut config = ProxyConfig::new("127.0.0.1:0".parse().unwrap(), vec![backend.addr()]);
+    config.drain_timeout = Duration::from_millis(300);
+    let draining = Proxy::spawn(ProxyOptions::new(config)).unwrap();
+    let mut c = client(&draining);
+    c.write_all(&frame(b"ping")).unwrap();
+    assert_eq!(read_frame(&mut c, "ping"), b"ping");
+    // Half a frame, held: the client is neither idle nor awaiting a
+    // response, so only the deadline ends the drain.
+    let request = frame(&payload(7, 64));
+    c.write_all(&request[..request.len() / 2]).unwrap();
+    thread::sleep(Duration::from_millis(100));
+
+    let t0 = Instant::now();
+    let report = draining.shutdown();
+    let took = t0.elapsed();
+    assert_eq!(
+        report,
+        DrainReport {
+            drained: false,
+            abandoned: 1
+        }
+    );
+    assert!(
+        took >= Duration::from_millis(300) && took <= Duration::from_millis(800),
+        "shutdown took {took:?} against a 300 ms drain"
+    );
+
+    // With no client, the drain ends at once, not at its deadline.
+    let idle = proxy(backend.addr());
+    let t0 = Instant::now();
+    assert!(idle.shutdown().drained);
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "an idle proxy took {took:?} to shut down"
+    );
 }
