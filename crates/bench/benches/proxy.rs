@@ -3,6 +3,10 @@
 //! of the ingress path (frame parse, WRR pick, pipelined backend round
 //! trip) — the blocking-rate controller itself runs off-path.
 //!
+//! `proxy/round_trip_256KiB` sends one 256 KiB request the same way: at
+//! that size the bytes the proxy copies, not its fixed per-request work,
+//! set the price.
+//!
 //! The `proxy/async_round_trip_Nconns` entries take the measurement
 //! with N idle connections parked against the proxy: epoll's O(ready)
 //! wakeups mean the per-request
@@ -34,6 +38,17 @@ fn main() {
     conn.set_nodelay(true).expect("nodelay");
     conn.set_nonblocking(true).expect("nonblocking");
     let mut reader = FrameReader::new();
+
+    let large = vec![0x5au8; 256 * 1024];
+    m.run("proxy/round_trip_256KiB", || {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        write_frame_deadline(&mut conn, &large, deadline).expect("request");
+        let echoed = reader
+            .read_frame_deadline(&mut conn, deadline)
+            .expect("response")
+            .expect("proxy closed");
+        black_box(echoed.len())
+    });
 
     // The event loop under parked-fleet pressure: the active connection's
     // round trip is measured while N others sit idle in the same event

@@ -24,10 +24,11 @@
 //! an edge reported the peer's FIN, which stays readable until a read
 //! reaches it. Reads happen only while the flag is set, and a frame
 //! already in the reader's buffer is taken without one. Writes run until
-//! `WouldBlock` and resume on the next writable edge; a writable edge
-//! with nothing queued does nothing. A client has one request
-//! outstanding: the next one waits, in its reader or the kernel, until
-//! the response drains.
+//! `WouldBlock` and resume on the next writable edge. A client has one
+//! request outstanding, kept in its `FrameReader` until the response is
+//! forwarded: every (re)dispatch writes it from there, a response goes to
+//! its client straight from the link's reader, and a `FrameWriter` holds
+//! only what its socket refused or a connecting link cannot take yet.
 //!
 //! ## Blocking measurement
 //!
@@ -44,13 +45,13 @@
 //!
 //! A dead link redispatches every queued request to another backend
 //! (bounded by a `max(2×width, 4)` attempt budget) and charges one
-//! failure per queued request toward
-//! ejection. A link that reaches EOF while idle is dropped silently — a
-//! backend closing an idle pooled connection is not evidence of ill
-//! health. Clients whose request exhausts the budget see their
-//! connection close; an error or hangup on a client closes it at once.
+//! failure per queued request toward ejection. A link that reaches EOF
+//! while idle is dropped silently — a backend closing an idle pooled
+//! connection is not evidence of ill health. Clients whose request
+//! exhausts the budget see their connection close; an error or hangup on
+//! a client closes it at once.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -58,6 +59,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use streambal_telemetry::Counter;
 use streambal_transport::frame::{FrameReader, FrameWriter, Poll, WriteStatus};
 use streambal_transport::poll::{
     connect_finished, connect_nonblocking, set_send_buffer, Event, Interest, Poller,
@@ -99,7 +101,7 @@ pub(crate) fn run_shard(id: usize, listener: TcpListener, shared: Arc<Shared>) {
         entries: Vec::new(),
         gens: Vec::new(),
         free: Vec::new(),
-        links: HashMap::new(),
+        links: Vec::new(),
         probes: Vec::new(),
         next_probe: (id == 0).then(Instant::now),
         redq: VecDeque::new(),
@@ -120,11 +122,12 @@ pub(crate) fn run_shard(id: usize, listener: TcpListener, shared: Arc<Shared>) {
     // Dropping the shard closes every client, link and probe socket.
 }
 
-/// One request queued on (or bouncing between) backend links.
+/// One request queued on (or bouncing between) backend links; its bytes
+/// stay in the client's reader.
 struct Inflight {
     client: usize,
     gen: u64,
-    request: Vec<u8>,
+    len: usize,
     tried: Vec<usize>,
     attempts: usize,
     deadline: Instant,
@@ -160,18 +163,34 @@ impl Conn {
         self.readable |= ev.readable || self.read_closed;
     }
 
-    /// The next frame: one already buffered, else one read from the
-    /// socket while it is readable.
-    fn next_frame(&mut self) -> io::Result<Poll> {
-        if let Some(frame) = self.reader.take_buffered()? {
-            return Ok(Poll::Frame(frame));
+    /// Whether a frame is at the front of the reader: one already
+    /// buffered, else one read from the socket while it is readable.
+    fn next_frame(&mut self) -> io::Result<Poll<()>> {
+        if self.reader.buffered()? {
+            return Ok(Poll::Frame(()));
         }
         if !self.readable {
             return Ok(Poll::Pending);
         }
-        let polled = self.reader.poll_frame(&mut self.stream);
+        let polled = self.reader.poll_front(&mut self.stream);
         self.readable = self.read_closed || !self.reader.drained();
         polled
+    }
+
+    /// Writes `from`'s front frame to this socket, counting what `out`
+    /// had to keep: the tail refused, or the whole frame behind a queue.
+    fn forward(&mut self, from: &FrameReader, queued: &Counter) -> io::Result<WriteStatus> {
+        let behind = !self.out.is_empty();
+        let written = self.out.forward(from, &mut self.stream);
+        let kept = if behind {
+            from.encoded().map_or(0, <[u8]>::len)
+        } else {
+            self.out.pending()
+        };
+        if kept > 0 {
+            queued.add(kept as u64);
+        }
+        written
     }
 }
 
@@ -205,6 +224,37 @@ impl Link {
             self.backend.counter().add_ns(ns);
         }
     }
+
+    /// Sends `from`'s front frame: queued while the link connects, else
+    /// written through and booked.
+    fn send(&mut self, from: &FrameReader, queued: &Counter) -> io::Result<()> {
+        if self.connecting {
+            self.conn.out.queue(from);
+            queued.add(from.encoded().map_or(0, <[u8]>::len) as u64);
+            return Ok(());
+        }
+        let written = self.conn.forward(from, queued);
+        self.book(written)
+    }
+
+    /// Books every link write: the open unwritable span ends here, and a
+    /// write that blocked opens the next; one place charges the counter.
+    fn book(&mut self, written: io::Result<WriteStatus>) -> io::Result<()> {
+        let now = Instant::now();
+        self.charge_blocked(now);
+        if written? == WriteStatus::Blocked {
+            self.blocked_since = Some(now);
+        }
+        Ok(())
+    }
+}
+
+/// A client and a link entry at once, for a forward between them.
+fn pair(entries: &mut [Option<Entry>], c: usize, l: usize) -> Option<(&mut Client, &mut Link)> {
+    match entries.get_disjoint_mut([c, l]) {
+        Ok([Some(Entry::Client(c)), Some(Entry::Link(l))]) => Some((c, l)),
+        _ => None,
+    }
 }
 
 /// A re-admission probe: a nonblocking connect to an ejected backend,
@@ -232,8 +282,8 @@ struct Shard {
     /// of completing whoever reused the slot.
     gens: Vec<u64>,
     free: Vec<usize>,
-    /// backend slot → link token, this shard's pipelined links.
-    links: HashMap<usize, usize>,
+    /// Backend slot → link token: this shard's pipelined links.
+    links: Vec<Option<usize>>,
     /// Tokens of the probes in flight, at most one per backend.
     probes: Vec<usize>,
     /// When the next probe round is due; `Some` on shard 0 only.
@@ -388,16 +438,17 @@ impl Shard {
                 Ok(WriteStatus::Blocked) => return,
                 Err(_) => return self.close_client(tok),
             }
-            if let Some(t0) = c.started.take() {
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.shared.metrics.latency_ns.record(ns);
-            }
+        }
+        // The response has drained, whichever call wrote it.
+        if let Some(t0) = c.started.take() {
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.shared.metrics.latency_ns.record(ns);
             if self.shared.drain_deadline.get().is_some() && !c.conn.reader.mid_frame() {
                 return self.close_client(tok);
             }
         }
         match c.conn.next_frame() {
-            Ok(Poll::Frame(request)) => {
+            Ok(Poll::Frame(())) => {
                 let now = Instant::now();
                 c.awaiting = true;
                 c.started = Some(now);
@@ -405,7 +456,7 @@ impl Shard {
                 self.redq.push_back(Inflight {
                     client: tok,
                     gen: self.gens[tok],
-                    request,
+                    len: c.conn.reader.payload().map_or(0, <[u8]>::len),
                     tried: Vec::new(),
                     attempts: 0,
                     deadline: now + self.shared.cfg.forward_timeout,
@@ -449,15 +500,13 @@ impl Shard {
             match self.ensure_link(slot, &backend) {
                 Ok(tok) => {
                     inf.deadline = Instant::now() + self.shared.cfg.forward_timeout;
-                    let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut)
-                    else {
+                    let Some((c, l)) = pair(&mut self.entries, inf.client, tok) else {
                         return self.fail_request(&inf);
                     };
-                    l.conn.out.enqueue(&inf.request);
-                    let connecting = l.connecting;
+                    let sent = l.send(&c.conn.reader, &self.shared.metrics.queued_bytes);
                     l.inflight.push_back(inf);
-                    if !connecting {
-                        self.flush_link(tok);
+                    if sent.is_err() {
+                        self.fail_link(tok);
                     }
                     return;
                 }
@@ -474,7 +523,7 @@ impl Shard {
     /// new one if needed. A stale link (the slot was closed and reopened
     /// with a different backend) is failed over first.
     fn ensure_link(&mut self, slot: usize, backend: &Arc<Backend>) -> io::Result<usize> {
-        if let Some(&tok) = self.links.get(&slot) {
+        if let Some(tok) = self.links.get(slot).copied().flatten() {
             if let Some(Entry::Link(l)) = self.entries.get(tok).and_then(Option::as_ref) {
                 if Arc::ptr_eq(&l.backend, backend) {
                     return Ok(tok);
@@ -503,22 +552,18 @@ impl Shard {
             self.remove(tok);
             return Err(e);
         }
-        self.links.insert(slot, tok);
+        self.links.resize(self.links.len().max(slot + 1), None);
+        self.links[slot] = Some(tok);
         Ok(tok)
     }
 
     fn link_connect_ready(&mut self, tok: usize) {
-        let finished = {
-            let Some(Entry::Link(l)) = self.entries.get(tok).and_then(Option::as_ref) else {
-                return;
-            };
-            connect_finished(&l.conn.stream)
+        let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
+            return;
         };
-        match finished {
+        match connect_finished(&l.conn.stream) {
             Ok(true) => {
-                if let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut) {
-                    l.connecting = false;
-                }
+                l.connecting = false;
                 self.flush_link(tok);
             }
             Ok(false) => {}
@@ -536,13 +581,9 @@ impl Shard {
         if l.conn.out.is_empty() {
             return;
         }
-        let result = l.conn.out.write_to(&mut l.conn.stream);
-        let now = Instant::now();
-        l.charge_blocked(now);
-        match result {
-            Ok(WriteStatus::Drained) => {}
-            Ok(WriteStatus::Blocked) => l.blocked_since = Some(now),
-            Err(_) => self.fail_link(tok),
+        let written = l.conn.out.write_to(&mut l.conn.stream);
+        if l.book(written).is_err() {
+            self.fail_link(tok);
         }
     }
 
@@ -552,37 +593,46 @@ impl Shard {
                 return;
             };
             match l.conn.next_frame() {
-                Ok(Poll::Frame(response)) => {
+                Ok(Poll::Frame(())) => {
                     l.backend.record_success();
                     match l.inflight.pop_front() {
-                        Some(inf) => self.complete_request(inf, &response),
+                        Some(inf) => self.complete_request(tok, inf),
                         // A response with nothing queued: protocol
                         // confusion — drop the link, quietly.
-                        None => return self.remove_link_quiet(tok),
+                        None => return drop(self.remove_link(tok)),
                     }
                 }
                 Ok(Poll::Pending) => return,
                 Ok(Poll::Eof) if l.inflight.is_empty() && l.conn.out.is_empty() => {
-                    return self.remove_link_quiet(tok)
+                    return drop(self.remove_link(tok))
                 }
                 Ok(Poll::Eof) | Err(_) => return self.fail_link(tok),
             }
         }
     }
 
-    fn complete_request(&mut self, inf: Inflight, response: &[u8]) {
-        if !self.client_alive(inf.client, inf.gen) {
+    /// Forwards link `tok`'s front response to its client, then consumes
+    /// it and the request the client's reader kept for redispatch. A dead
+    /// client's response is consumed too, keeping the link's FIFO in step.
+    fn complete_request(&mut self, tok: usize, inf: Inflight) {
+        let alive = self.client_alive(inf.client, inf.gen);
+        let metrics = &self.shared.metrics;
+        let Some((c, l)) = pair(&mut self.entries, inf.client, tok).filter(|_| alive) else {
+            if let Some(Some(Entry::Link(l))) = self.entries.get_mut(tok) {
+                l.conn.reader.consume();
+            }
             return;
+        };
+        let written = c.conn.forward(&l.conn.reader, &metrics.queued_bytes);
+        let response = l.conn.reader.payload().map_or(0, <[u8]>::len);
+        metrics.forwarded_bytes.add((inf.len + response) as u64);
+        l.conn.reader.consume();
+        c.conn.reader.consume();
+        c.awaiting = false;
+        match written {
+            Ok(_) => self.serve_client(inf.client, false),
+            Err(_) => self.close_client(inf.client),
         }
-        self.shared
-            .metrics
-            .forwarded_bytes
-            .add((inf.request.len() + response.len()) as u64);
-        if let Some(Entry::Client(c)) = self.entries.get_mut(inf.client).and_then(Option::as_mut) {
-            c.conn.out.enqueue(response);
-            c.awaiting = false;
-        }
-        self.serve_client(inf.client, true);
     }
 
     /// The request ran out of backends: the client connection closes and
@@ -598,13 +648,9 @@ impl Shard {
     /// backend's ejection and goes back to dispatch with this slot on
     /// its skip-list.
     fn fail_link(&mut self, tok: usize) {
-        let Some(Entry::Link(mut l)) = self.remove(tok) else {
+        let Some(mut l) = self.remove_link(tok) else {
             return;
         };
-        let _ = self.poller.deregister(l.conn.stream.as_raw_fd());
-        if self.links.get(&l.slot) == Some(&tok) {
-            self.links.remove(&l.slot);
-        }
         l.charge_blocked(Instant::now());
         for _ in 0..l.inflight.len().max(1) {
             self.record_failure(&l.backend);
@@ -625,14 +671,17 @@ impl Shard {
         }
     }
 
-    /// Drops an idle link without blaming the backend.
-    fn remove_link_quiet(&mut self, tok: usize) {
-        if let Some(Entry::Link(l)) = self.remove(tok) {
-            let _ = self.poller.deregister(l.conn.stream.as_raw_fd());
-            if self.links.get(&l.slot) == Some(&tok) {
-                self.links.remove(&l.slot);
-            }
+    /// Takes link `tok` out of the shard; on its own, that drops an idle
+    /// link without blaming the backend.
+    fn remove_link(&mut self, tok: usize) -> Option<Link> {
+        let Some(Entry::Link(l)) = self.remove(tok) else {
+            return None;
+        };
+        let _ = self.poller.deregister(l.conn.stream.as_raw_fd());
+        if self.links.get(l.slot) == Some(&Some(tok)) {
+            self.links[l.slot] = None;
         }
+        Some(l)
     }
 
     // ---- re-admission probes (shard 0) -------------------------------
@@ -728,8 +777,10 @@ impl Shard {
         }
 
         // Link deadlines, blocked-span flushes, and retired backends.
-        let link_toks: Vec<usize> = self.links.values().copied().collect();
-        for tok in link_toks {
+        for slot in 0..self.links.len() {
+            let Some(tok) = self.links[slot] else {
+                continue;
+            };
             let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
                 continue;
             };
@@ -743,7 +794,7 @@ impl Shard {
             {
                 // An idle link to a retired backend holds an fd (and a
                 // half-open socket) for nothing.
-                self.remove_link_quiet(tok);
+                self.remove_link(tok);
             } else if l
                 .blocked_since
                 .is_some_and(|t0| now.duration_since(t0) >= BLOCKED_FLUSH)
@@ -758,14 +809,10 @@ impl Shard {
         if self.shared.drain_deadline.get().is_some() {
             self.set_accepting(false);
             for tok in 0..self.entries.len() {
-                let idle = match self.entries.get(tok).and_then(Option::as_ref) {
-                    Some(Entry::Client(c)) => {
-                        !c.awaiting && c.conn.out.is_empty() && !c.conn.reader.mid_frame()
+                if let Some(Some(Entry::Client(c))) = self.entries.get(tok) {
+                    if !c.awaiting && c.conn.out.is_empty() && !c.conn.reader.mid_frame() {
+                        self.close_client(tok);
                     }
-                    _ => false,
-                };
-                if idle {
-                    self.close_client(tok);
                 }
             }
         }

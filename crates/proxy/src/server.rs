@@ -63,6 +63,9 @@ pub(crate) struct ProxyMetrics {
     pub requests: Counter,
     pub failed_requests: Counter,
     pub forwarded_bytes: Counter,
+    /// Bytes a `FrameWriter` had to keep: refused by a socket, or queued
+    /// on a link still connecting.
+    pub queued_bytes: Counter,
     pub retries: Counter,
     pub ejections: Counter,
     pub readmissions: Counter,
@@ -80,6 +83,7 @@ impl ProxyMetrics {
             requests: reg.counter("proxy.requests"),
             failed_requests: reg.counter("proxy.failed_requests"),
             forwarded_bytes: reg.counter("proxy.forwarded_bytes"),
+            queued_bytes: reg.counter("proxy.forward.queued_bytes"),
             retries: reg.counter("proxy.retries"),
             ejections: reg.counter("proxy.ejections"),
             readmissions: reg.counter("proxy.readmissions"),

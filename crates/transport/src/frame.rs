@@ -1,10 +1,12 @@
 //! The workspace's one wire format: a 4-byte little-endian length prefix,
 //! then the payload, at most [`MAX_FRAME`] bytes. [`FrameWriter::enqueue`]
-//! is the only code that writes it and [`FrameReader`] the only code that
-//! parses it. Both are generic over `Write`/`Read` and never wait: a
-//! `WouldBlock` comes back as [`WriteStatus::Blocked`] or [`Poll::Pending`]
-//! and the caller — an event loop, [`tcp`](crate::tcp), a deadline helper
-//! below, a scripted test stream — decides what waiting means.
+//! is the only code that writes a prefix and [`FrameReader`] the only code
+//! that parses one; [`FrameWriter::forward`] passes on a frame, prefix and
+//! all, that a reader validated. Both are generic over `Write`/`Read` and
+//! never wait: a `WouldBlock` comes back as [`WriteStatus::Blocked`] or
+//! [`Poll::Pending`] and the caller — an event loop, [`tcp`](crate::tcp),
+//! a deadline helper below, a scripted test stream — decides what waiting
+//! means.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -88,15 +90,38 @@ impl FrameWriter {
     /// Queues one payload as a length-prefixed frame.
     #[inline]
     pub fn enqueue(&mut self, payload: &[u8]) {
-        // Compact leading drained bytes before growing the tail.
-        if self.pos > 0 {
-            self.buf.copy_within(self.pos.., 0);
-            self.buf.truncate(self.buf.len() - self.pos);
-            self.pos = 0;
-        }
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.buf.extend_from_slice(payload);
+    }
+
+    /// Queues the frame at the front of `from`, prefix included, without
+    /// writing (for a stream still connecting). Panics without one.
+    pub fn queue(&mut self, from: &FrameReader) {
+        let frame = from.encoded().expect("caller holds a whole frame");
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        self.buf.extend_from_slice(frame);
+    }
+
+    /// Writes the frame at the front of `from` to `w` behind anything
+    /// queued; with nothing queued, straight from `from`'s buffer, copying
+    /// only the tail `w` refuses. `from` keeps the frame until consumed.
+    /// Errors are [`write_to`](Self::write_to)'s.
+    pub fn forward(&mut self, from: &FrameReader, w: &mut impl Write) -> io::Result<WriteStatus> {
+        if !self.is_empty() {
+            self.queue(from);
+            return self.write_to(w);
+        }
+        let (frame, mut at) = (from.encoded().expect("caller holds a whole frame"), 0);
+        let status = drain(w, frame, &mut at)?;
+        if status == WriteStatus::Blocked {
+            self.clear();
+            self.buf.extend_from_slice(&frame[at..]);
+        }
+        Ok(status)
     }
 
     /// Drops everything queued; sound only while none of it is on the wire.
@@ -112,25 +137,34 @@ impl FrameWriter {
     /// Propagates socket errors; a clean `Ok(0)` from the peer is
     /// `WriteZero` (the connection is dead mid-frame).
     pub fn write_to(&mut self, w: &mut impl Write) -> io::Result<WriteStatus> {
-        while self.pos < self.buf.len() {
-            match w.write(&self.buf[self.pos..]) {
-                Ok(0) => return Err(io::Error::new(ErrorKind::WriteZero, "peer closed")),
-                Ok(n) => self.pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(WriteStatus::Blocked),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+        let status = drain(w, &self.buf, &mut self.pos)?;
+        if status == WriteStatus::Drained {
+            self.clear();
         }
-        self.clear();
-        Ok(WriteStatus::Drained)
+        Ok(status)
     }
 }
 
-/// One non-blocking poll step of [`FrameReader::poll_frame`].
+/// Writes `bytes[*at..]` to `w`, advancing `at`, until done or `WouldBlock`.
+fn drain(w: &mut impl Write, bytes: &[u8], at: &mut usize) -> io::Result<WriteStatus> {
+    while *at < bytes.len() {
+        match w.write(&bytes[*at..]) {
+            Ok(0) => return Err(io::Error::new(ErrorKind::WriteZero, "peer closed")),
+            Ok(n) => *at += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(WriteStatus::Blocked),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(WriteStatus::Drained)
+}
+
+/// One non-blocking poll step of a [`FrameReader`]; `Poll<()>` when the
+/// frame stays in the reader ([`FrameReader::poll_front`]).
 #[derive(Debug, PartialEq, Eq)]
-pub enum Poll {
+pub enum Poll<F = Vec<u8>> {
     /// A complete frame arrived.
-    Frame(Vec<u8>),
+    Frame(F),
     /// No complete frame is available right now; try again later.
     Pending,
     /// The peer closed the connection cleanly at a frame boundary.
@@ -153,8 +187,8 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Whether a frame is partially buffered (bytes received, frame not
-    /// complete) — a drain decision should wait for the frame to finish.
+    /// Whether any bytes are buffered: part of a frame, or a whole one not
+    /// yet consumed — a drain decision should wait for the frame.
     #[must_use]
     pub fn mid_frame(&self) -> bool {
         self.filled > 0
@@ -182,9 +216,19 @@ impl FrameReader {
     /// [`MAX_FRAME`] as `InvalidData` as soon as it arrives, and an EOF
     /// mid-frame as `UnexpectedEof`.
     pub fn poll_frame(&mut self, stream: &mut impl Read) -> io::Result<Poll> {
+        Ok(match self.poll_front(stream)? {
+            Poll::Frame(()) => Poll::Frame(self.take_buffered()?.unwrap_or_default()),
+            Poll::Pending => Poll::Pending,
+            Poll::Eof => Poll::Eof,
+        })
+    }
+
+    /// As [`poll_frame`](Self::poll_frame), errors included, but the
+    /// frame stays at the front of the buffer until [`consume`](Self::consume).
+    pub fn poll_front(&mut self, stream: &mut impl Read) -> io::Result<Poll<()>> {
         loop {
-            if let Some(frame) = self.take_buffered()? {
-                return Ok(Poll::Frame(frame));
+            if self.buffered()? {
+                return Ok(Poll::Frame(()));
             }
             if self.filled == self.buf.len() {
                 self.buf.resize((self.buf.len() * 2).max(INITIAL_BUF), 0);
@@ -249,23 +293,52 @@ impl FrameReader {
     /// [`MAX_FRAME`].
     #[inline]
     pub fn take_buffered(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.filled < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        let frame = self
+            .buffered()?
+            .then(|| self.payload().unwrap_or_default().to_vec());
+        self.consume();
+        Ok(frame)
+    }
+
+    /// Whether a complete frame is at the front of the buffer, without
+    /// reading the stream; sizes the buffer for it once its prefix is in.
+    /// Errors are [`take_buffered`](Self::take_buffered)'s.
+    pub fn buffered(&mut self) -> io::Result<bool> {
+        let Some(len) = self.announced() else {
+            return Ok(false);
+        };
         if len > MAX_FRAME {
             return Err(io::Error::new(ErrorKind::InvalidData, "frame too large"));
         }
         if self.buf.len() < 4 + len {
             self.buf.resize(4 + len, 0);
         }
-        if self.filled < 4 + len {
-            return Ok(None);
+        Ok(self.filled >= 4 + len)
+    }
+
+    /// The complete frame at the front of the buffer, prefix included.
+    pub fn encoded(&self) -> Option<&[u8]> {
+        let end = 4 + self.announced().filter(|&len| len <= MAX_FRAME)?;
+        (end <= self.filled).then(|| &self.buf[..end])
+    }
+
+    /// The payload of the complete frame at the front of the buffer.
+    pub fn payload(&self) -> Option<&[u8]> {
+        self.encoded().map(|frame| &frame[4..])
+    }
+
+    /// Drops the complete frame at the front of the buffer, if any.
+    pub fn consume(&mut self) {
+        if let Some(end) = self.encoded().map(<[u8]>::len) {
+            self.buf.copy_within(end..self.filled, 0);
+            self.filled -= end;
         }
-        let frame = self.buf[4..4 + len].to_vec();
-        self.buf.copy_within(4 + len..self.filled, 0);
-        self.filled -= 4 + len;
-        Ok(Some(frame))
+    }
+
+    /// The length a whole buffered prefix announces: the one parser.
+    fn announced(&self) -> Option<usize> {
+        let prefix = self.buf.get(..4).filter(|_| self.filled >= 4)?;
+        Some(u32::from_le_bytes(prefix.try_into().expect("sliced to four bytes")) as usize)
     }
 }
 

@@ -1,7 +1,9 @@
 //! Property tests for the event-loop frame codec: seeded fuzz of
 //! partial writes, partial reads and `WouldBlock` interleavings through
 //! [`FrameWriter`]/[`FrameReader`], checking byte-identical reassembly
-//! against the naive wire encoding (4-byte LE length prefix + payload).
+//! against the naive wire encoding (4-byte LE length prefix + payload),
+//! and that a frame passed on from a reader's buffer by
+//! [`FrameWriter::forward`] reaches the wire exactly as `enqueue` puts it.
 //!
 //! The proxy's event loop carries every byte through these two state
 //! machines, and the kernel is free to split or stall the stream at any
@@ -162,6 +164,108 @@ fn reader_reassembles_byte_identical_frames_from_any_chunking() {
             }
         }
         assert_eq!(out, frames, "case {case}: reassembly diverged");
+    }
+}
+
+#[test]
+fn the_borrowed_view_plus_consume_sees_what_poll_frame_returns() {
+    let mut rng = SplitMix64::new(SEED ^ 0xF00D);
+    for case in 0..CASES {
+        let frames = random_frames(&mut rng);
+        let wire = reference_encoding(&frames);
+        let chunking = rng.fork();
+        let mut copying = ChunkedReader {
+            rng: chunking.clone(),
+            wire: wire.clone(),
+            pos: 0,
+        };
+        let mut borrowing = ChunkedReader {
+            rng: chunking,
+            wire,
+            pos: 0,
+        };
+        let (mut a, mut b) = (FrameReader::new(), FrameReader::new());
+        let mut seen = 0;
+        loop {
+            let polled = a.poll_frame(&mut copying).unwrap();
+            let front = b.poll_front(&mut borrowing).unwrap();
+            match (polled, front) {
+                (Poll::Frame(f), Poll::Frame(())) => {
+                    assert_eq!(b.payload(), Some(&f[..]), "case {case}, frame {seen}");
+                    let encoded = reference_encoding(std::slice::from_ref(&f));
+                    assert_eq!(b.encoded(), Some(&encoded[..]), "case {case}");
+                    assert_eq!(f, frames[seen], "case {case}, frame {seen}");
+                    b.consume();
+                    seen += 1;
+                }
+                (Poll::Pending, Poll::Pending) => {}
+                (Poll::Eof, Poll::Eof) => break,
+                (p, q) => panic!("case {case}: poll_frame gave {p:?}, poll_front {q:?}"),
+            }
+        }
+        assert_eq!(seen, frames.len(), "case {case}");
+        assert!(!b.mid_frame() && b.payload().is_none(), "case {case}");
+    }
+}
+
+/// Reads frames off a scripted stream until one is at the front.
+fn next_front(reader: &mut FrameReader, source: &mut ChunkedReader) -> bool {
+    loop {
+        match reader.poll_front(source).unwrap() {
+            Poll::Frame(()) => return true,
+            Poll::Pending => {}
+            Poll::Eof => return false,
+        }
+    }
+}
+
+#[test]
+fn forward_puts_the_bytes_enqueue_would_on_the_wire() {
+    let mut rng = SplitMix64::new(SEED ^ 0xF0D0);
+    for case in 0..CASES {
+        let frames = random_frames(&mut rng);
+        let mut source = ChunkedReader {
+            rng: rng.fork(),
+            wire: reference_encoding(&frames),
+            pos: 0,
+        };
+        let mut reader = FrameReader::new();
+        let mut writer = FrameWriter::new();
+        let mut sink = ThrottlingWriter {
+            rng: rng.fork(),
+            accepted: Vec::new(),
+        };
+        while next_front(&mut reader, &mut source) {
+            let (queued, sent) = (writer.pending(), sink.accepted.len());
+            let frame_len = reader.encoded().unwrap().len();
+            if rng.chance(0.2) {
+                // A stream still connecting: a plain append.
+                writer.queue(&reader);
+                assert_eq!(writer.pending(), queued + frame_len, "case {case}");
+            } else {
+                let status = writer.forward(&reader, &mut sink).unwrap();
+                let wrote = sink.accepted.len() - sent;
+                match status {
+                    // What the writer holds is exactly what the sink
+                    // refused.
+                    WriteStatus::Blocked => {
+                        assert_eq!(writer.pending(), queued + frame_len - wrote, "case {case}");
+                    }
+                    WriteStatus::Drained => assert!(writer.is_empty(), "case {case}"),
+                }
+            }
+            reader.consume();
+            // Sometimes a writable edge lets the queue drain in between.
+            if rng.chance(0.3) {
+                writer.write_to(&mut sink).unwrap();
+            }
+        }
+        while writer.write_to(&mut sink).unwrap() == WriteStatus::Blocked {}
+        assert_eq!(
+            sink.accepted,
+            reference_encoding(&frames),
+            "case {case}: forwarded bytes diverge from the enqueued encoding"
+        );
     }
 }
 

@@ -4,16 +4,31 @@
 //! peer — the state the echo backend and the load generators park
 //! connections in), and a re-arm delivers its event. Seeded with the
 //! in-repo [`SplitMix64`]; every case reproduces by re-running.
+//!
+//! The leak check counts the whole process's fds, so every test here
+//! holds [`SOCKETS`] while it has sockets open: a test running alongside
+//! would otherwise move the count.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use streambal_core::SplitMix64;
 use streambal_transport::poll::{Interest, Poller};
 
 const SEED: u64 = 0xC0DE_90CC;
+
+/// Held by each test for as long as it opens or closes sockets.
+static SOCKETS: Mutex<()> = Mutex::new(());
+
+fn exclusive_sockets() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock must not fail the others.
+    SOCKETS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn pair(listener: &TcpListener) -> (TcpStream, TcpStream) {
     let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -31,6 +46,7 @@ fn open_fds() -> Option<usize> {
 
 #[test]
 fn registration_churn_leaks_no_fds_and_keeps_the_poller_consistent() {
+    let _sockets = exclusive_sockets();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let mut rng = SplitMix64::new(SEED);
     let mut poller = Poller::new().unwrap();
@@ -85,6 +101,7 @@ fn registration_churn_leaks_no_fds_and_keeps_the_poller_consistent() {
 
 #[test]
 fn interest_none_with_pending_data_or_half_close_never_wakes() {
+    let _sockets = exclusive_sockets();
     let mut poller = Poller::new().unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let (mut a, b) = pair(&listener);

@@ -7,10 +7,14 @@
 //! timeout, so a lost wakeup fails the test instead of hanging it.
 //!
 //! Two waits outside a socket's edges ride along: a fresh connection on
-//! a multi-shard proxy, and a drain that runs out of time.
+//! a multi-shard proxy, and a drain that runs out of time. So does a
+//! request redispatched off a link that died, which must reach its client
+//! byte for byte.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -176,6 +180,60 @@ fn two_responses_in_one_backend_write_complete_both_clients() {
         Ok(()) => {}
         Err(e) => std::panic::resume_unwind(e),
     }
+}
+
+/// A request stays in its client's reader until it is answered, so a
+/// request redispatched off a dead link is written again from there. A
+/// client only sees its own bytes back if that copy is its own request,
+/// whole: `tests/proxy_e2e.rs` cannot tell, because its clients resend
+/// on a mismatch.
+#[test]
+fn a_request_redispatched_off_a_dead_link_reaches_its_client_intact() {
+    // Backend A reads one whole request off each link, then closes it
+    // unanswered; backend B echoes.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let dead_addr = listener.local_addr().unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_dead = Arc::clone(&stop);
+    let dead = thread::spawn(move || {
+        while !stop_dead.load(Ordering::Relaxed) {
+            match listener.accept() {
+                Ok((mut link, _)) => {
+                    // A re-admission probe sends nothing: it just closes.
+                    link.set_nonblocking(false).unwrap();
+                    link.set_read_timeout(Some(WAIT)).unwrap();
+                    let mut prefix = [0u8; 4];
+                    if link.read_exact(&mut prefix).is_ok() {
+                        let mut body = vec![0u8; u32::from_le_bytes(prefix) as usize];
+                        let _ = link.read_exact(&mut body);
+                    }
+                }
+                Err(_) => thread::sleep(Duration::from_millis(1)),
+            }
+        }
+    });
+    let echo = EchoBackend::spawn("127.0.0.1:0".parse().unwrap()).unwrap();
+    let config = ProxyConfig::new("127.0.0.1:0".parse().unwrap(), vec![dead_addr, echo.addr()]);
+    let proxy = Proxy::spawn(ProxyOptions::new(config)).unwrap();
+
+    let requests: Vec<Vec<u8>> = (0..4u8).map(|i| payload(i * 61, 64 * 1024)).collect();
+    let mut clients: Vec<TcpStream> = requests.iter().map(|_| client(&proxy)).collect();
+    for (c, request) in clients.iter_mut().zip(&requests) {
+        c.write_all(&frame(request)).unwrap();
+    }
+    for (i, (c, request)) in clients.iter_mut().zip(&requests).enumerate() {
+        let response = read_frame(c, "response");
+        assert!(response == *request, "client {i} got someone else's bytes");
+    }
+    let retries = proxy.telemetry().registry().counter("proxy.retries").get();
+    assert!(
+        retries >= 1,
+        "no request was redispatched ({retries} retries)"
+    );
+    drop(proxy);
+    stop.store(true, Ordering::Relaxed);
+    dead.join().unwrap();
 }
 
 /// Every shard accepts for itself, so a fresh connection is served by the
