@@ -95,11 +95,11 @@ fn simulate(a: SimulateArgs) -> Result<(), Box<dyn Error>> {
                 // Close the loop on width: the engine polls the policy
                 // every control round and applies its grow/shrink
                 // decisions live.
-                p = p.with_width_policy(Box::new(Autoscaler::new(AutoscalerConfig {
+                p = p.with_width_policy(Autoscaler::new(AutoscalerConfig {
                     min_width: a.workers,
                     max_width: max,
                     ..AutoscalerConfig::default()
-                })));
+                }));
             }
             Box::new(p)
         }

@@ -173,7 +173,7 @@ pub struct ControlPlaneBuilder {
     keep_snapshots: bool,
     telemetry: Option<Telemetry>,
     metrics_prefix: Option<String>,
-    width_policy: Option<Box<dyn WidthPolicy>>,
+    width_policy: Option<WidthPolicy>,
 }
 
 impl ControlPlaneBuilder {
@@ -217,8 +217,8 @@ impl ControlPlaneBuilder {
     /// [`run_threaded`](ControlPlane::run_threaded) applies it through the
     /// elastic grow/shrink ordering rules. Planes with virtual time poll
     /// [`ControlPlane::decide_width`] themselves.
-    pub fn width_policy(mut self, policy: Box<dyn WidthPolicy>) -> Self {
-        self.width_policy = Some(policy);
+    pub fn width_policy(mut self, policy: impl Into<WidthPolicy>) -> Self {
+        self.width_policy = Some(policy.into());
         self
     }
 
@@ -278,7 +278,7 @@ pub struct ControlPlane {
     metrics_prefix: Option<String>,
     metrics: Option<RoundMetrics>,
     samples_buf: Vec<ConnectionSample>,
-    width_policy: Option<Box<dyn WidthPolicy>>,
+    width_policy: Option<WidthPolicy>,
 }
 
 impl ControlPlane {
@@ -320,8 +320,8 @@ impl ControlPlane {
 
     /// Installs (or replaces) the plane's [`WidthPolicy`] after
     /// construction. Equivalent to [`ControlPlaneBuilder::width_policy`].
-    pub fn set_width_policy(&mut self, policy: Box<dyn WidthPolicy>) {
-        self.width_policy = Some(policy);
+    pub fn set_width_policy(&mut self, policy: impl Into<WidthPolicy>) {
+        self.width_policy = Some(policy.into());
     }
 
     /// Snapshots retained so far (empty unless
@@ -451,13 +451,16 @@ impl ControlPlane {
     /// solved minimax blocking, the observed rates, the current width and
     /// liveness) and returns its decision — [`WidthDecision::Hold`] when no
     /// policy is installed. Increments the
-    /// `autoscale.{grow,shrink,hold,cooldown_suppressed}` counters. The
-    /// caller applies the decision through the grow/shrink ordering rules
-    /// ([`run_threaded`](Self::run_threaded) does this itself; virtual-time
-    /// planes apply it to their own fabric).
+    /// `autoscale.{grow,shrink,hold,cooldown_suppressed}` counters, and
+    /// gives every grow or shrink its reason: a `width.decision` trace
+    /// event carrying the view's `width`, `live`, `solved_blocking`,
+    /// `observed_blocking` and `pressure`, and the signed `step` (positive
+    /// grows, negative shrinks). The caller applies the decision through
+    /// the grow/shrink ordering rules ([`run_threaded`](Self::run_threaded)
+    /// does this itself; virtual-time planes apply it to their own fabric).
     ///
-    /// Call after [`round`](Self::round) so the solve is fresh; performs no
-    /// heap allocation.
+    /// Call after [`round`](Self::round) so the solve is fresh; a hold
+    /// performs no heap allocation.
     pub fn decide_width(&mut self, elapsed_ms: u64, rates: &[f64]) -> WidthDecision {
         let Some(mut policy) = self.width_policy.take() else {
             return WidthDecision::Hold;
@@ -478,6 +481,24 @@ impl ControlPlane {
             weights: self.lb.weights().units(),
         };
         let decision = policy.decide(&view);
+        let step = match decision {
+            WidthDecision::Grow(n) => Some(n as f64),
+            WidthDecision::Shrink(n) => Some(-(n as f64)),
+            WidthDecision::Hold => None,
+        };
+        if let (Some(step), Some(t)) = (step, &self.telemetry) {
+            t.trace().push(TraceEvent::Custom {
+                name: "width.decision".to_owned(),
+                fields: vec![
+                    ("width".to_owned(), view.width as f64),
+                    ("live".to_owned(), view.live as f64),
+                    ("solved_blocking".to_owned(), view.solved_blocking),
+                    ("observed_blocking".to_owned(), view.observed_blocking),
+                    ("pressure".to_owned(), view.pressure()),
+                    ("step".to_owned(), step),
+                ],
+            });
+        }
         if let Some(sm) = &self.metrics {
             match decision {
                 WidthDecision::Grow(_) => sm.grow.incr(),
@@ -1111,7 +1132,7 @@ mod tests {
             stop: &stop,
         };
         let mut p = ControlPlane::builder(BalancerConfig::builder(2).build().unwrap())
-            .width_policy(Box::new(script))
+            .width_policy(script)
             .build();
         run_manual(&mut p, &mut dp, &stop);
         assert_eq!(
@@ -1130,12 +1151,12 @@ mod tests {
         let mut p = ControlPlane::builder(BalancerConfig::builder(2).build().unwrap())
             .telemetry(&telemetry)
             .metrics("test")
-            .width_policy(Box::new(Autoscaler::new(AutoscalerConfig {
+            .width_policy(Autoscaler::new(AutoscalerConfig {
                 confirm_rounds: 1,
                 cooldown_rounds: 2,
                 high_watermark: 0.15,
                 ..AutoscalerConfig::default()
-            })))
+            }))
             .build();
         // Saturate both slots so the solved minimax blocking stays high.
         let rates = [5.0, 5.0];
@@ -1154,5 +1175,36 @@ mod tests {
         assert_eq!(reg.counter("test.autoscale.hold").get(), 2);
         assert_eq!(reg.counter("test.autoscale.cooldown_suppressed").get(), 2);
         assert!(reg.gauge("test.width").get() >= 2.0);
+        // Each grow carries its reason in the trace; holds push nothing.
+        let reasons: Vec<Vec<(String, f64)>> = telemetry
+            .trace()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Custom { name, fields } if name == "width.decision" => Some(fields),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reasons.len(), 2, "one event per grow: {reasons:?}");
+        for fields in &reasons {
+            let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "width",
+                    "live",
+                    "solved_blocking",
+                    "observed_blocking",
+                    "pressure",
+                    "step"
+                ]
+            );
+            let field = |k: &str| fields.iter().find(|(n, _)| n == k).unwrap().1;
+            assert_eq!(field("width"), 2.0, "the plane itself was never grown");
+            assert_eq!(field("live"), 2.0);
+            assert_eq!(field("observed_blocking"), 5.0);
+            assert_eq!(field("pressure"), field("solved_blocking").max(1.0));
+            assert_eq!(field("step"), 2.0, "default max_step");
+        }
     }
 }

@@ -6,10 +6,10 @@
 //! rules end-to-end), but every layer still *scripted* its resizes. This
 //! module makes width a policy decision:
 //!
-//! - [`WidthPolicy`] is the trait: once per control round the plane shows
-//!   the policy a [`WidthView`] — the solved minimax blocking rate, the
-//!   observed blocking, the current width and liveness — and the policy
-//!   answers with a [`WidthDecision`].
+//! - [`WidthPolicy`] is the closed set of policies: once per control round
+//!   the plane shows the policy a [`WidthView`] — the solved minimax
+//!   blocking rate, the observed blocking, the current width and
+//!   liveness — and the policy answers with a [`WidthDecision`].
 //! - [`ScriptedWidth`] is the adapter the wall-clock layers' scripted
 //!   resizes ride: `grow_after`/`shrink_after` builder calls become
 //!   scripted steps fired by elapsed time. (The discrete-event simulator
@@ -96,27 +96,52 @@ impl WidthView<'_> {
 /// [`WidthDecision`] the control plane applies through the elastic
 /// grow/shrink ordering rules.
 ///
-/// Implementations must be deterministic in `(view history, config)` so
-/// runs replay exactly.
-pub trait WidthPolicy: std::fmt::Debug + Send {
+/// Every policy is deterministic in `(view history, config)`, so runs
+/// replay exactly.
+#[derive(Debug, Clone)]
+pub enum WidthPolicy {
+    /// Scripted steps fired by elapsed time.
+    Scripted(ScriptedWidth),
+    /// The production closed-loop policy.
+    Autoscaler(Autoscaler),
+    /// The reactive baseline.
+    Reactive(ReactiveWidth),
+}
+
+impl WidthPolicy {
     /// Decides this round's width change.
-    fn decide(&mut self, view: &WidthView<'_>) -> WidthDecision;
+    pub fn decide(&mut self, view: &WidthView<'_>) -> WidthDecision {
+        match self {
+            WidthPolicy::Scripted(p) => p.decide(view),
+            WidthPolicy::Autoscaler(p) => p.decide(view),
+            WidthPolicy::Reactive(p) => p.decide(view),
+        }
+    }
 
     /// Whether the most recent [`Hold`](WidthDecision::Hold) was a resize
     /// suppressed by a cooldown window (feeds the
-    /// `autoscale.cooldown_suppressed` counter). Defaults to `false`.
-    fn suppressed_by_cooldown(&self) -> bool {
-        false
+    /// `autoscale.cooldown_suppressed` counter).
+    #[must_use]
+    pub fn suppressed_by_cooldown(&self) -> bool {
+        matches!(self, WidthPolicy::Autoscaler(a) if a.suppressed_by_cooldown())
     }
-
-    /// Clones the policy into a fresh box (width policies ride inside the
-    /// clonable [`ControlPlane`](crate::ControlPlane)).
-    fn clone_box(&self) -> Box<dyn WidthPolicy>;
 }
 
-impl Clone for Box<dyn WidthPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+impl From<ScriptedWidth> for WidthPolicy {
+    fn from(p: ScriptedWidth) -> Self {
+        WidthPolicy::Scripted(p)
+    }
+}
+
+impl From<Autoscaler> for WidthPolicy {
+    fn from(p: Autoscaler) -> Self {
+        WidthPolicy::Autoscaler(p)
+    }
+}
+
+impl From<ReactiveWidth> for WidthPolicy {
+    fn from(p: ReactiveWidth) -> Self {
+        WidthPolicy::Reactive(p)
     }
 }
 
@@ -182,13 +207,11 @@ impl ScriptedWidth {
     pub fn sort(&mut self) {
         self.steps.sort_by_key(|s| s.after_ms);
     }
-}
 
-impl WidthPolicy for ScriptedWidth {
     /// Fires every step due at `view.elapsed_ms` and returns the *net*
     /// change — identical to the old `grow_after`/`shrink_after` target
     /// reconciliation, where a round applied the net of all due steps.
-    fn decide(&mut self, view: &WidthView<'_>) -> WidthDecision {
+    pub fn decide(&mut self, view: &WidthView<'_>) -> WidthDecision {
         let mut net = 0i64;
         while let Some(step) = self.steps.get(self.next) {
             if step.after_ms > view.elapsed_ms {
@@ -206,10 +229,6 @@ impl WidthPolicy for ScriptedWidth {
             n if n < 0 => WidthDecision::Shrink((-n) as usize),
             _ => WidthDecision::Hold,
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn WidthPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -314,16 +333,9 @@ impl Autoscaler {
     pub fn config(&self) -> &AutoscalerConfig {
         &self.cfg
     }
-}
 
-impl Default for Autoscaler {
-    fn default() -> Self {
-        Autoscaler::new(AutoscalerConfig::default())
-    }
-}
-
-impl WidthPolicy for Autoscaler {
-    fn decide(&mut self, view: &WidthView<'_>) -> WidthDecision {
+    /// Decides this round's width change.
+    pub fn decide(&mut self, view: &WidthView<'_>) -> WidthDecision {
         self.suppressed = false;
         let signal = view.pressure();
         let beyond = signal > self.cfg.high_watermark || signal < self.cfg.low_watermark;
@@ -373,12 +385,17 @@ impl WidthPolicy for Autoscaler {
         WidthDecision::Hold
     }
 
-    fn suppressed_by_cooldown(&self) -> bool {
+    /// Whether the most recent [`Hold`](WidthDecision::Hold) was a resize
+    /// suppressed by the cooldown window.
+    #[must_use]
+    pub fn suppressed_by_cooldown(&self) -> bool {
         self.suppressed
     }
+}
 
-    fn clone_box(&self) -> Box<dyn WidthPolicy> {
-        Box::new(self.clone())
+impl Default for Autoscaler {
+    fn default() -> Self {
+        Autoscaler::new(AutoscalerConfig::default())
     }
 }
 
@@ -411,10 +428,9 @@ impl ReactiveWidth {
             max_width,
         }
     }
-}
 
-impl WidthPolicy for ReactiveWidth {
-    fn decide(&mut self, view: &WidthView<'_>) -> WidthDecision {
+    /// Decides this round's width change.
+    pub fn decide(&mut self, view: &WidthView<'_>) -> WidthDecision {
         if view.observed_blocking > self.high && view.width < self.max_width {
             WidthDecision::Grow(1)
         } else if view.observed_blocking < self.low && view.width > self.min_width {
@@ -422,10 +438,6 @@ impl WidthPolicy for ReactiveWidth {
         } else {
             WidthDecision::Hold
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn WidthPolicy> {
-        Box::new(self.clone())
     }
 }
 

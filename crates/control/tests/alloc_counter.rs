@@ -2,7 +2,9 @@
 //! end-to-end companion of `core/tests/alloc_counter.rs`, driving the
 //! balancer the way every data plane does: through
 //! [`ControlPlane::round`]. Membership changes (detach/attach) are allowed
-//! to allocate; the steady state before and after them is not.
+//! to allocate; the steady state before and after them is not. A width
+//! decision that holds allocates nothing either, even with telemetry
+//! attached.
 //!
 //! This file deliberately holds exactly one `#[test]`: the counter is
 //! process-global, so any concurrently running test would pollute it.
@@ -10,8 +12,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use streambal_control::ControlPlane;
+use streambal_control::{Autoscaler, ControlPlane, WidthDecision};
 use streambal_core::controller::BalancerConfig;
+use streambal_telemetry::Telemetry;
 
 struct CountingAlloc;
 
@@ -128,4 +131,41 @@ fn steady_state_rounds_allocate_nothing_through_the_control_plane() {
     rates[0] = 0.9;
     let w = plane.round(1_000, &rates);
     assert_eq!(w.units().iter().sum::<u32>(), 1000);
+
+    // Width decisions: only a grow or shrink pushes its traced reason.
+    let telemetry = Telemetry::new();
+    let mut plane = ControlPlane::builder(BalancerConfig::builder(4).build().unwrap())
+        .telemetry(&telemetry)
+        .metrics("alloc")
+        .width_policy(Autoscaler::default())
+        .build();
+    let decide = |plane: &mut ControlPlane, round: u64, rates: &[f64]| {
+        plane.round(round, rates);
+        ALLOCS.store(0, Ordering::SeqCst);
+        ENABLED.store(true, Ordering::SeqCst);
+        let decision = plane.decide_width(round, rates);
+        ENABLED.store(false, Ordering::SeqCst);
+        (decision, ALLOCS.load(Ordering::SeqCst))
+    };
+    // Pressure between the default watermarks: every round holds.
+    for round in 0..20u64 {
+        let (decision, allocs) = decide(&mut plane, round, &[0.01; 4]);
+        assert_eq!(decision, WidthDecision::Hold, "round {round}");
+        assert_eq!(
+            allocs, 0,
+            "a holding width decision allocated (round {round})"
+        );
+    }
+    // Saturated: the third confirming round grows, and that one allocates.
+    let mut grew = false;
+    for round in 20..23u64 {
+        let (decision, allocs) = decide(&mut plane, round, &[0.9; 4]);
+        if decision == WidthDecision::Hold {
+            assert_eq!(allocs, 0, "round {round}");
+        } else {
+            assert!(allocs > 0, "the grow's trace event was not built");
+            grew = true;
+        }
+    }
+    assert!(grew, "a saturated region must grow after confirmation");
 }

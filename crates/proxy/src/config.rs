@@ -13,7 +13,6 @@
 //! eject_after 3
 //! probe_interval_ms 250
 //! drain_timeout_ms 5000
-//! reload_poll_ms 250
 //! autoscale on
 //! autoscale_high 0.15
 //! autoscale_low 0.02
@@ -35,8 +34,8 @@
 //! **Hot reload** is file-watch polling, not SIGHUP: signal handling is
 //! kept out of the proxy (the workspace confines `unsafe` FFI to the
 //! transport crate's readiness-poll module), so the control loop
-//! re-reads the file every `reload_poll_ms` and applies the diff when
-//! the contents change. Only the `backend` set is applied
+//! re-reads the file once per control round (`sample_interval_ms`) and
+//! applies the diff when the contents change. Only the `backend` set is applied
 //! live — added backends grow the region, dropped backends are detached
 //! (and tail slots closed); changes to any other key are ignored until
 //! restart, with a warning on stderr.
@@ -96,9 +95,6 @@ pub struct ProxyConfig {
     /// How long shutdown waits for in-flight requests
     /// (`drain_timeout_ms`, default 5000).
     pub drain_timeout: Duration,
-    /// Config-file polling cadence for hot reload (`reload_poll_ms`,
-    /// default 250).
-    pub reload_poll: Duration,
     /// Closed-loop autoscaling over the backend pool (`autoscale on`):
     /// the `backend` lines define the *pool*, the autoscaler decides how
     /// many of them are live. `None` (the default) keeps every backend
@@ -132,7 +128,6 @@ impl ProxyConfig {
             eject_after: 3,
             probe_interval: Duration::from_millis(250),
             drain_timeout: Duration::from_millis(5000),
-            reload_poll: Duration::from_millis(250),
             autoscale: None,
             io_threads: 1,
             backend_send_buffer: None,
@@ -236,15 +231,14 @@ impl ProxyConfig {
                         })?);
                 }
                 "sample_interval_ms" | "connect_timeout_ms" | "forward_timeout_ms"
-                | "probe_interval_ms" | "drain_timeout_ms" | "reload_poll_ms" => {
+                | "probe_interval_ms" | "drain_timeout_ms" => {
                     ms.insert(
                         match key {
                             "sample_interval_ms" => "sample",
                             "connect_timeout_ms" => "connect",
                             "forward_timeout_ms" => "forward",
                             "probe_interval_ms" => "probe",
-                            "drain_timeout_ms" => "drain",
-                            _ => "reload",
+                            _ => "drain",
                         },
                         num(value)?.max(1),
                     );
@@ -271,7 +265,6 @@ impl ProxyConfig {
         cfg.forward_timeout = get("forward", cfg.forward_timeout);
         cfg.probe_interval = get("probe", cfg.probe_interval);
         cfg.drain_timeout = get("drain", cfg.drain_timeout);
-        cfg.reload_poll = get("reload", cfg.reload_poll);
         if autoscale_on {
             if auto.low_watermark > auto.high_watermark {
                 return Err(err("autoscale_low above autoscale_high"));

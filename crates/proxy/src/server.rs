@@ -36,7 +36,7 @@ use crate::pool::BackendPool;
 pub struct ProxyOptions {
     /// The (initial) configuration.
     pub config: ProxyConfig,
-    /// When set, the file is polled every `reload_poll` for hot reload.
+    /// When set, the file is polled once per control round for hot reload.
     pub config_path: Option<PathBuf>,
     /// Telemetry hub; a fresh one is created when absent.
     pub telemetry: Option<Telemetry>,
@@ -373,7 +373,7 @@ impl Proxy {
                             max_width: controller_shared.cfg.backends.len(),
                             ..auto
                         };
-                        builder = builder.width_policy(Box::new(Autoscaler::new(auto)));
+                        builder = builder.width_policy(Autoscaler::new(auto));
                     }
                     let mut cp = builder.build();
                     let mut plane = ProxyPlane {

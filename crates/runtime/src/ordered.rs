@@ -381,7 +381,7 @@ pub fn spawn<L: Link>(
                     builder = builder.round_robin();
                 }
                 if !script.is_empty() {
-                    builder = builder.width_policy(Box::new(script));
+                    builder = builder.width_policy(script);
                 }
                 let mut control = builder.build();
                 control.run_threaded(&mut plane, spec.interval, &stop, &started);

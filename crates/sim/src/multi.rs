@@ -427,7 +427,7 @@ mod tests {
             let mut script = ScriptedWidth::new();
             script.grow_after(Duration::from_secs(3), 2);
             let lb = BalancerPolicy::adaptive(BalancerConfig::builder(2).build().unwrap())
-                .with_width_policy(Box::new(script));
+                .with_width_policy(script);
             run(&[cfg], vec![Box::new(lb)]).remove(0)
         };
         let crowded = run([1, 0]);

@@ -317,7 +317,7 @@ impl BalancerPolicy {
     /// Installs a [`WidthPolicy`] on the wrapped plane: each round, after
     /// the weight solve, [`Policy::decide_width`] consults it and the
     /// engine applies the decision (resizing the region end-to-end).
-    pub fn with_width_policy(mut self, policy: Box<dyn WidthPolicy>) -> Self {
+    pub fn with_width_policy(mut self, policy: impl Into<WidthPolicy>) -> Self {
         self.plane.set_width_policy(policy);
         self
     }

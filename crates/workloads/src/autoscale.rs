@@ -172,16 +172,14 @@ impl AutoscalePolicyKind {
         );
         match self {
             AutoscalePolicyKind::Fixed => policy,
-            AutoscalePolicyKind::Reactive => {
-                policy.with_width_policy(Box::new(ReactiveWidth::new(
-                    REACTIVE_THRESHOLD,
-                    REACTIVE_THRESHOLD,
-                    BASE_WIDTH,
-                    PEAK_WIDTH,
-                )))
-            }
+            AutoscalePolicyKind::Reactive => policy.with_width_policy(ReactiveWidth::new(
+                REACTIVE_THRESHOLD,
+                REACTIVE_THRESHOLD,
+                BASE_WIDTH,
+                PEAK_WIDTH,
+            )),
             AutoscalePolicyKind::Autoscaler => {
-                policy.with_width_policy(Box::new(Autoscaler::new(ramp_autoscaler_config())))
+                policy.with_width_policy(Autoscaler::new(ramp_autoscaler_config()))
             }
         }
     }

@@ -3,12 +3,11 @@
 //!
 //! Three parts (see `docs/TOURNAMENT.md` for the playbook):
 //!
-//! 1. [`strategy`] — a [`Strategy`] trait with cheap per-tuple baselines
-//!    (random, least-outstanding, power-of-two-choices, PKG-style
-//!    two-choice hashing), the [`StrategyPolicy`] adapter that plugs any
-//!    of them into `sim::run` / `sim::run_chaos`, and the
-//!    [`StrategyKind`] roster that also covers the existing round-robin
-//!    policy and the adaptive controller.
+//! 1. [`strategy`] — the [`StrategyKind`] roster: the adaptive
+//!    controller, round-robin, and four cheap per-tuple baselines (random,
+//!    least-outstanding, power-of-two-choices, PKG-style two-choice
+//!    hashing) sampled into a `sim::Policy` that runs under `sim::run` /
+//!    `sim::run_chaos`.
 //! 2. [`scenarios`] — a curated library of six seeded disturbance
 //!    patterns (diurnal ramp, flash crowd, heavy-tailed costs, correlated
 //!    failure, stragglers, hotspot churn) beyond the paper's figures.
@@ -22,4 +21,4 @@ pub mod strategy;
 
 pub use runner::{csv_table, markdown_report, run_cell, run_matrix, CellOutcome, CellStats};
 pub use scenarios::{library, TournamentScenario};
-pub use strategy::{SlotView, Strategy, StrategyKind, StrategyPolicy};
+pub use strategy::StrategyKind;

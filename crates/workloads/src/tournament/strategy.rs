@@ -1,27 +1,26 @@
-//! Baseline balancing strategies behind a common [`Strategy`] trait, and
-//! the [`StrategyPolicy`] adapter that plugs them into the simulator.
+//! The tournament roster: the paper's controller, round-robin, and four
+//! classic per-tuple balancers sampled into the simulator's weight
+//! contract.
 //!
 //! The engine routes every tuple through a smooth weighted round-robin
 //! scheduler and lets the installed policy replace the weight vector once
 //! per control round ([`Policy::on_sample`]). Classic per-tuple balancers
 //! — random, least-outstanding, power-of-two-choices, partial-key-grouping
-//! two-choice hashing — do not speak weights natively, so the adapter
+//! two-choice hashing — do not speak weights natively, so the tournament
 //! *samples* them: each round it routes one simulated tuple per weight
-//! unit through the strategy and installs the resulting pick histogram as
-//! the next weight vector. Blocked connections charge more pressure per
-//! assigned unit, so load-sensitive strategies steer away from them at
-//! round granularity exactly as they would per tuple.
+//! unit through the balancer's decision rule and installs the resulting
+//! pick histogram as the next weight vector. Blocked connections charge
+//! more pressure per assigned unit, so load-sensitive rules steer away
+//! from them at round granularity exactly as they would per tuple.
 //!
 //! | Kind | Report name | Decision rule |
 //! |---|---|---|
 //! | [`StrategyKind::RoundRobin`] | *RR* | even split, never changes |
-//! | [`StrategyKind::Random`] | *Random* | uniform pick over attached slots |
+//! | [`StrategyKind::Random`] | *Random* | uniform pick over the slots |
 //! | [`StrategyKind::LeastOutstanding`] | *Least-out* | min outstanding + pressure |
 //! | [`StrategyKind::PowerOfTwoChoices`] | *P2C* | best of two sampled slots |
 //! | [`StrategyKind::TwoChoiceHashing`] | *PKG-2C* | best of the key's two hash slots |
 //! | [`StrategyKind::Controller`] | *LB-adaptive* | the paper's blocking-rate model |
-
-use std::collections::HashMap;
 
 use streambal_core::controller::{BalancerConfig, ClusteringConfig};
 use streambal_core::rng::SplitMix64;
@@ -31,450 +30,114 @@ use streambal_sim::policy::{
     BalancerPolicy, Policy, PolicySample, RoundRobinPolicy, SampleContext,
 };
 
-/// What a [`Strategy`] sees when routing one tuple.
+/// Size of the synthetic routing-key space the sampled rules draw from.
+/// Small enough that hot keys repeat within a round (exercising two-choice
+/// hashing's key bindings), large enough to spread over any region width
+/// the tournament uses.
+const KEY_SPACE: usize = 64;
+
+/// How many times power-of-two-choices redraws its second candidate when
+/// it lands on the first.
+const REDRAWS: usize = 16;
+
+/// How much one fully-blocked interval inflates a slot's per-unit
+/// pressure cost. A connection that blocked the whole interval costs
+/// `1 + PRESSURE_GAIN` per assigned unit, so load-sensitive rules give it
+/// roughly `1 / (1 + PRESSURE_GAIN)` of an even share.
+const PRESSURE_GAIN: f64 = 8.0;
+
+/// A per-tuple decision rule, sampled by [`SampledPolicy`].
+///
+/// Every sampled tuple of a round completes at the round's end, so a
+/// slot's outstanding count is the number of tuples the round has picked
+/// for it so far, and a two-choice-hashing key stays bound to its first
+/// slot for the rest of the round.
 #[derive(Debug)]
-pub struct SlotView<'a> {
-    /// Which slots may receive tuples; detached slots must never be
-    /// picked.
-    pub attached: &'a [bool],
-    /// Estimated outstanding work per slot, in tuple-cost units. Slots
-    /// whose connection blocked recently accumulate pressure faster, so
-    /// load-sensitive strategies shift work away from them.
-    pub pressure: &'a [f64],
+enum TupleRule {
+    /// Uniform random pick.
+    Random(SplitMix64),
+    /// Least-outstanding (least-connections): the slot with the fewest
+    /// outstanding tuples, pressure-adjusted; ties go to the lowest index.
+    LeastOutstanding,
+    /// Power-of-two-choices: sample two distinct slots, keep the one with
+    /// less outstanding work (*The Power of Both Choices*, PAPERS.md).
+    PowerOfTwoChoices(SplitMix64),
+    /// Partial-key-grouping-style two-choice hashing: every key hashes to
+    /// two candidate slots and binds to the less-loaded one, so a key's
+    /// tuples are never in flight on two slots at once. A drained key may
+    /// rebind next round, which lets the rule follow hotspot churn.
+    TwoChoiceHashing {
+        /// Salts of the two hash functions.
+        salts: [u64; 2],
+    },
 }
 
-impl SlotView<'_> {
-    /// Number of slots in the region.
-    pub fn width(&self) -> usize {
-        self.attached.len()
-    }
-}
-
-/// A per-tuple routing strategy, adapted to the engine's round-based
-/// weight-vector contract by [`StrategyPolicy`].
-pub trait Strategy {
-    /// Display name used in reports.
-    fn name(&self) -> &'static str;
-
-    /// Routes one tuple carrying routing key `key` to a slot.
-    fn pick(&mut self, key: u64, view: &SlotView<'_>) -> usize;
-
-    /// The tuple previously routed to `slot` under `key` finished
-    /// processing. Strategies tracking outstanding work release it here.
-    fn complete(&mut self, key: u64, slot: usize) {
-        let _ = (key, slot);
-    }
-
-    /// The tuple previously routed to `from` under `key` was handed back
-    /// (a worker-death requeue) and re-routed to `to`; outstanding counts
-    /// must move with it, not leak.
-    fn requeue(&mut self, key: u64, from: usize, to: usize) {
-        let _ = (key, from, to);
-    }
-
-    /// The region was resized to `new_width` slots.
-    fn on_resize(&mut self, new_width: usize) {
-        let _ = new_width;
-    }
-}
-
-/// Deterministic scan fallback: the first attached slot (slot 0 when the
-/// mask is — invalidly — all false).
-fn first_attached(view: &SlotView<'_>) -> usize {
-    view.attached.iter().position(|&a| a).unwrap_or(0)
-}
-
-/// How many rejection-sampling attempts the randomized strategies make
-/// before falling back to a deterministic scan over attached slots.
-const SAMPLE_TRIES: usize = 16;
-
-/// Uniform random pick over the attached slots.
-#[derive(Debug)]
-pub struct RandomStrategy {
-    rng: SplitMix64,
-}
-
-impl RandomStrategy {
-    /// Creates the strategy with its own seeded pick stream.
-    pub fn new(seed: u64) -> Self {
-        RandomStrategy {
-            rng: SplitMix64::new(seed),
-        }
-    }
-}
-
-impl Strategy for RandomStrategy {
-    fn name(&self) -> &'static str {
-        "Random"
-    }
-
-    fn pick(&mut self, _key: u64, view: &SlotView<'_>) -> usize {
-        let n = view.width();
-        for _ in 0..SAMPLE_TRIES {
-            let j = self.rng.below(n as u64) as usize;
-            if view.attached[j] {
-                return j;
+impl TupleRule {
+    /// Routes one tuple carrying routing key `key`, given the round's
+    /// picks so far (`units`), their pressure and the key bindings.
+    fn pick(
+        &mut self,
+        key: usize,
+        units: &[u32],
+        pressure: &[f64],
+        bound: &mut [Option<usize>; KEY_SPACE],
+    ) -> usize {
+        let n = units.len();
+        let score = |j: usize| f64::from(units[j]) + pressure[j];
+        match self {
+            TupleRule::Random(rng) => rng.below(n as u64) as usize,
+            TupleRule::LeastOutstanding => {
+                (1..n).fold(0, |best, j| if score(j) < score(best) { j } else { best })
             }
-        }
-        // Dense detachment: scan from a random start so the fallback does
-        // not bias toward low indices.
-        let start = self.rng.below(n as u64) as usize;
-        for d in 0..n {
-            let j = (start + d) % n;
-            if view.attached[j] {
-                return j;
-            }
-        }
-        first_attached(view)
-    }
-}
-
-/// Least-outstanding (least-connections): route to the attached slot with
-/// the fewest outstanding tuples, pressure-adjusted.
-#[derive(Debug)]
-pub struct LeastOutstandingStrategy {
-    outstanding: Vec<u64>,
-}
-
-impl LeastOutstandingStrategy {
-    /// Creates the strategy for a region of `width` slots.
-    pub fn new(width: usize) -> Self {
-        LeastOutstandingStrategy {
-            outstanding: vec![0; width],
-        }
-    }
-
-    /// The per-slot outstanding counters (picks minus completions, with
-    /// requeues moving counts between slots).
-    pub fn outstanding(&self) -> &[u64] {
-        &self.outstanding
-    }
-}
-
-impl Strategy for LeastOutstandingStrategy {
-    fn name(&self) -> &'static str {
-        "Least-out"
-    }
-
-    fn pick(&mut self, _key: u64, view: &SlotView<'_>) -> usize {
-        let mut best: Option<(usize, f64)> = None;
-        for (j, &att) in view.attached.iter().enumerate() {
-            if !att {
-                continue;
-            }
-            let score = self.outstanding.get(j).copied().unwrap_or(0) as f64 + view.pressure[j];
-            match best {
-                Some((_, s)) if score >= s => {}
-                _ => best = Some((j, score)),
-            }
-        }
-        let j = best.map_or_else(|| first_attached(view), |(j, _)| j);
-        if let Some(c) = self.outstanding.get_mut(j) {
-            *c += 1;
-        }
-        j
-    }
-
-    fn complete(&mut self, _key: u64, slot: usize) {
-        if let Some(c) = self.outstanding.get_mut(slot) {
-            *c = c.saturating_sub(1);
-        }
-    }
-
-    fn requeue(&mut self, _key: u64, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        let moved = match self.outstanding.get_mut(from) {
-            Some(c) if *c > 0 => {
-                *c -= 1;
-                true
-            }
-            _ => false,
-        };
-        if moved {
-            if let Some(c) = self.outstanding.get_mut(to) {
-                *c += 1;
-            }
-        }
-    }
-
-    fn on_resize(&mut self, new_width: usize) {
-        self.outstanding.resize(new_width, 0);
-    }
-}
-
-/// Power-of-two-choices: sample two attached slots, route to the one with
-/// less outstanding work (*The Power of Both Choices*, PAPERS.md).
-#[derive(Debug)]
-pub struct PowerOfTwoStrategy {
-    rng: SplitMix64,
-    outstanding: Vec<u64>,
-}
-
-impl PowerOfTwoStrategy {
-    /// Creates the strategy with its own seeded candidate stream.
-    pub fn new(width: usize, seed: u64) -> Self {
-        PowerOfTwoStrategy {
-            rng: SplitMix64::new(seed),
-            outstanding: vec![0; width],
-        }
-    }
-
-    /// The per-slot outstanding counters.
-    pub fn outstanding(&self) -> &[u64] {
-        &self.outstanding
-    }
-
-    /// Samples one attached slot (rejection sampling with a deterministic
-    /// scan fallback so a detached slot is never returned).
-    fn sample_attached(&mut self, view: &SlotView<'_>) -> usize {
-        let n = view.width();
-        for _ in 0..SAMPLE_TRIES {
-            let j = self.rng.below(n as u64) as usize;
-            if view.attached[j] {
-                return j;
-            }
-        }
-        let start = self.rng.below(n as u64) as usize;
-        for d in 0..n {
-            let j = (start + d) % n;
-            if view.attached[j] {
-                return j;
-            }
-        }
-        first_attached(view)
-    }
-}
-
-impl Strategy for PowerOfTwoStrategy {
-    fn name(&self) -> &'static str {
-        "P2C"
-    }
-
-    fn pick(&mut self, _key: u64, view: &SlotView<'_>) -> usize {
-        let a = self.sample_attached(view);
-        let mut b = self.sample_attached(view);
-        for _ in 0..SAMPLE_TRIES {
-            if b != a {
-                break;
-            }
-            b = self.sample_attached(view);
-        }
-        let score =
-            |j: usize| self.outstanding.get(j).copied().unwrap_or(0) as f64 + view.pressure[j];
-        let j = if score(b) < score(a) { b } else { a };
-        if let Some(c) = self.outstanding.get_mut(j) {
-            *c += 1;
-        }
-        j
-    }
-
-    fn complete(&mut self, _key: u64, slot: usize) {
-        if let Some(c) = self.outstanding.get_mut(slot) {
-            *c = c.saturating_sub(1);
-        }
-    }
-
-    fn requeue(&mut self, _key: u64, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        let moved = match self.outstanding.get_mut(from) {
-            Some(c) if *c > 0 => {
-                *c -= 1;
-                true
-            }
-            _ => false,
-        };
-        if moved {
-            if let Some(c) = self.outstanding.get_mut(to) {
-                *c += 1;
-            }
-        }
-    }
-
-    fn on_resize(&mut self, new_width: usize) {
-        self.outstanding.resize(new_width, 0);
-    }
-}
-
-/// Partial-key-grouping-style two-choice hashing: every key hashes to two
-/// candidate slots; the first tuple of a key binds it to the less-loaded
-/// candidate, and the binding holds while any tuple of that key is
-/// outstanding — so a key's tuples are never in flight on two slots at
-/// once (per-key ordering). A fully drained key may rebind, which is what
-/// lets the strategy follow hotspot churn.
-#[derive(Debug)]
-pub struct TwoChoiceHashStrategy {
-    salt1: u64,
-    salt2: u64,
-    outstanding: Vec<u64>,
-    /// `key -> (bound slot, outstanding tuples of that key)`.
-    in_flight: HashMap<u64, (usize, u64)>,
-}
-
-impl TwoChoiceHashStrategy {
-    /// Creates the strategy; `seed` salts the two hash functions.
-    pub fn new(width: usize, seed: u64) -> Self {
-        let mut rng = SplitMix64::new(seed);
-        TwoChoiceHashStrategy {
-            salt1: rng.next_u64(),
-            salt2: rng.next_u64(),
-            outstanding: vec![0; width],
-            in_flight: HashMap::new(),
-        }
-    }
-
-    /// The slot `key` is currently bound to, if any of its tuples are
-    /// outstanding.
-    pub fn bound_slot(&self, key: u64) -> Option<usize> {
-        self.in_flight
-            .get(&key)
-            .filter(|&&(_, count)| count > 0)
-            .map(|&(slot, _)| slot)
-    }
-
-    /// The key's two candidate slots under the current width (they may
-    /// coincide for narrow regions).
-    pub fn candidates(&self, key: u64, width: usize) -> (usize, usize) {
-        let h = |salt: u64| (SplitMix64::new(key ^ salt).next_u64() % width.max(1) as u64) as usize;
-        (h(self.salt1), h(self.salt2))
-    }
-}
-
-impl Strategy for TwoChoiceHashStrategy {
-    fn name(&self) -> &'static str {
-        "PKG-2C"
-    }
-
-    fn pick(&mut self, key: u64, view: &SlotView<'_>) -> usize {
-        let n = view.width();
-        // A key with tuples still outstanding stays on its bound slot, so
-        // its tuples are never split across workers mid-flight.
-        if let Some(&(slot, count)) = self.in_flight.get(&key) {
-            if count > 0 && slot < n && view.attached[slot] {
-                self.in_flight.insert(key, (slot, count + 1));
-                if let Some(c) = self.outstanding.get_mut(slot) {
-                    *c += 1;
+            TupleRule::PowerOfTwoChoices(rng) => {
+                let a = rng.below(n as u64) as usize;
+                let mut b = rng.below(n as u64) as usize;
+                for _ in 0..REDRAWS {
+                    if b != a {
+                        break;
+                    }
+                    b = rng.below(n as u64) as usize;
                 }
-                return slot;
+                if score(b) < score(a) {
+                    b
+                } else {
+                    a
+                }
             }
-        }
-        let (c1, c2) = self.candidates(key, n);
-        let usable = |j: usize| j < n && view.attached[j];
-        let j = match (usable(c1), usable(c2)) {
-            (true, true) => {
-                let score = |j: usize| {
-                    self.outstanding.get(j).copied().unwrap_or(0) as f64 + view.pressure[j]
-                };
+            TupleRule::TwoChoiceHashing { salts } => *bound[key].get_or_insert_with(|| {
+                let [c1, c2] = salts.map(|salt| {
+                    (SplitMix64::new(key as u64 ^ salt).next_u64() % n as u64) as usize
+                });
                 if score(c2) < score(c1) {
                     c2
                 } else {
                     c1
                 }
-            }
-            (true, false) => c1,
-            (false, true) => c2,
-            (false, false) => first_attached(view),
-        };
-        self.in_flight.insert(key, (j, 1));
-        if let Some(c) = self.outstanding.get_mut(j) {
-            *c += 1;
+            }),
         }
-        j
-    }
-
-    fn complete(&mut self, key: u64, slot: usize) {
-        if let Some(c) = self.outstanding.get_mut(slot) {
-            *c = c.saturating_sub(1);
-        }
-        if let Some((_, count)) = self.in_flight.get_mut(&key) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                self.in_flight.remove(&key);
-            }
-        }
-    }
-
-    fn requeue(&mut self, key: u64, from: usize, to: usize) {
-        if from != to {
-            let moved = match self.outstanding.get_mut(from) {
-                Some(c) if *c > 0 => {
-                    *c -= 1;
-                    true
-                }
-                _ => false,
-            };
-            if moved {
-                if let Some(c) = self.outstanding.get_mut(to) {
-                    *c += 1;
-                }
-            }
-        }
-        // The whole key follows its requeued tuple, keeping the
-        // one-slot-at-a-time invariant.
-        if let Some((slot, _)) = self.in_flight.get_mut(&key) {
-            if *slot == from {
-                *slot = to;
-            }
-        }
-    }
-
-    fn on_resize(&mut self, new_width: usize) {
-        self.outstanding.resize(new_width, 0);
-        self.in_flight.retain(|_, (slot, _)| *slot < new_width);
     }
 }
 
-/// Size of the synthetic routing-key space the adapter draws from. Small
-/// enough that hot keys repeat within a round (exercising the hashing
-/// strategy's key bindings), large enough to spread over any region width
-/// the tournament uses.
-const KEY_SPACE: u64 = 64;
-
-/// How much one fully-blocked interval inflates a slot's per-unit
-/// pressure cost. A connection that blocked the whole interval costs
-/// `1 + PRESSURE_GAIN` per assigned unit, so load-sensitive strategies
-/// give it roughly `1 / (1 + PRESSURE_GAIN)` of an even share.
-const PRESSURE_GAIN: f64 = 8.0;
-
-/// Adapts a per-tuple [`Strategy`] to the engine's [`Policy`] contract.
+/// Plugs a [`TupleRule`] into the engine's [`Policy`] contract.
 ///
-/// Each control round the adapter routes [`DEFAULT_RESOLUTION`] simulated
-/// tuples (with keys from a seeded stream) through the strategy and
-/// installs the pick histogram as the next weight vector — the smooth WRR
-/// scheduler then reproduces the strategy's empirical routing distribution
-/// for the following interval. Per-unit pressure costs are derived from
-/// the measured blocking rates, so strategies that react to load see the
-/// imbalance the paper's controller sees.
-pub struct StrategyPolicy {
-    strategy: Box<dyn Strategy>,
-    rng: SplitMix64,
+/// Each control round routes [`DEFAULT_RESOLUTION`] simulated tuples (with
+/// keys from a seeded stream) through the rule and installs the pick
+/// histogram as the next weight vector — the smooth WRR scheduler then
+/// reproduces the rule's empirical routing distribution for the following
+/// interval. Per-unit pressure costs are derived from the measured
+/// blocking rates, so rules that react to load see the imbalance the
+/// paper's controller sees.
+#[derive(Debug)]
+struct SampledPolicy {
+    name: &'static str,
+    rule: TupleRule,
+    keys: SplitMix64,
     width: usize,
-    attached: Vec<bool>,
-    pressure: Vec<f64>,
-    picked: Vec<(u64, usize)>,
 }
 
-impl StrategyPolicy {
-    /// Wraps `strategy` for a region of `width` slots; `seed` drives the
-    /// adapter's synthetic key stream.
-    pub fn new(strategy: Box<dyn Strategy>, width: usize, seed: u64) -> Self {
-        StrategyPolicy {
-            strategy,
-            rng: SplitMix64::new(seed),
-            width,
-            attached: vec![true; width],
-            pressure: vec![0.0; width],
-            picked: Vec::with_capacity(DEFAULT_RESOLUTION as usize),
-        }
-    }
-}
-
-impl Policy for StrategyPolicy {
+impl Policy for SampledPolicy {
     fn name(&self) -> &str {
-        self.strategy.name()
+        self.name
     }
 
     fn on_sample(
@@ -491,38 +154,20 @@ impl Policy for StrategyPolicy {
                 cost[s.connection] = 1.0 + PRESSURE_GAIN * s.rate.clamp(0.0, 1.0);
             }
         }
-        self.pressure.iter_mut().for_each(|p| *p = 0.0);
         let mut units = vec![0u32; n];
-        self.picked.clear();
+        let mut pressure = vec![0.0; n];
+        let mut bound = [None; KEY_SPACE];
         for _ in 0..DEFAULT_RESOLUTION {
-            let key = self.rng.below(KEY_SPACE);
-            let j = self
-                .strategy
-                .pick(
-                    key,
-                    &SlotView {
-                        attached: &self.attached,
-                        pressure: &self.pressure,
-                    },
-                )
-                .min(n - 1);
+            let key = self.keys.below(KEY_SPACE as u64) as usize;
+            let j = self.rule.pick(key, &units, &pressure, &mut bound);
             units[j] += 1;
-            self.pressure[j] += cost[j];
-            self.picked.push((key, j));
-        }
-        // Round boundary: the simulated tuples of this histogram drain
-        // before the next round's histogram is computed.
-        for &(key, j) in &self.picked {
-            self.strategy.complete(key, j);
+            pressure[j] += cost[j];
         }
         Some(WeightVector::from_units(units, DEFAULT_RESOLUTION).expect("picks sum to resolution"))
     }
 
     fn on_resize(&mut self, new_width: usize) -> Option<WeightVector> {
         self.width = new_width;
-        self.attached.resize(new_width, true);
-        self.pressure.resize(new_width, 0.0);
-        self.strategy.on_resize(new_width);
         Some(WeightVector::even(new_width, DEFAULT_RESOLUTION))
     }
 }
@@ -600,30 +245,40 @@ impl StrategyKind {
 
     /// Builds a fresh policy instance for one run of `cfg`; `seed` drives
     /// any internal randomness (candidate sampling, hash salts, the
-    /// adapter's key stream), so a cell replays exactly from its seed.
+    /// sampled key stream), so a cell replays exactly from its seed.
     pub fn build(&self, cfg: &RegionConfig, seed: u64) -> Box<dyn Policy> {
         let n = cfg.num_workers();
         let mut rng = SplitMix64::new(seed);
-        let strategy_seed = rng.next_u64();
-        let adapter_seed = rng.next_u64();
-        let adapt = |s: Box<dyn Strategy>| Box::new(StrategyPolicy::new(s, n, adapter_seed));
-        match self {
-            StrategyKind::RoundRobin => Box::new(RoundRobinPolicy::new()),
-            StrategyKind::Random => adapt(Box::new(RandomStrategy::new(strategy_seed))),
-            StrategyKind::LeastOutstanding => adapt(Box::new(LeastOutstandingStrategy::new(n))),
+        let rule_seed = rng.next_u64();
+        let key_seed = rng.next_u64();
+        let rule = match self {
+            StrategyKind::RoundRobin => return Box::new(RoundRobinPolicy::new()),
+            StrategyKind::Controller => {
+                return Box::new(BalancerPolicy::new(
+                    BalancerConfig::builder(n)
+                        .clustering(ClusteringConfig::default())
+                        .build()
+                        .expect("tournament-sized balancer config is valid"),
+                ))
+            }
+            StrategyKind::Random => TupleRule::Random(SplitMix64::new(rule_seed)),
+            StrategyKind::LeastOutstanding => TupleRule::LeastOutstanding,
             StrategyKind::PowerOfTwoChoices => {
-                adapt(Box::new(PowerOfTwoStrategy::new(n, strategy_seed)))
+                TupleRule::PowerOfTwoChoices(SplitMix64::new(rule_seed))
             }
             StrategyKind::TwoChoiceHashing => {
-                adapt(Box::new(TwoChoiceHashStrategy::new(n, strategy_seed)))
+                let mut salts = SplitMix64::new(rule_seed);
+                TupleRule::TwoChoiceHashing {
+                    salts: [salts.next_u64(), salts.next_u64()],
+                }
             }
-            StrategyKind::Controller => Box::new(BalancerPolicy::new(
-                BalancerConfig::builder(n)
-                    .clustering(ClusteringConfig::default())
-                    .build()
-                    .expect("tournament-sized balancer config is valid"),
-            )),
-        }
+        };
+        Box::new(SampledPolicy {
+            name: self.name(),
+            rule,
+            keys: SplitMix64::new(key_seed),
+            width: n,
+        })
     }
 }
 
@@ -631,142 +286,110 @@ impl StrategyKind {
 mod tests {
     use super::*;
 
-    fn view<'a>(attached: &'a [bool], pressure: &'a [f64]) -> SlotView<'a> {
-        SlotView { attached, pressure }
-    }
-
-    #[test]
-    fn random_only_picks_attached() {
-        let mut s = RandomStrategy::new(7);
-        let attached = [false, true, false, true];
-        let pressure = [0.0; 4];
-        for _ in 0..1_000 {
-            let j = s.pick(0, &view(&attached, &pressure));
-            assert!(attached[j], "picked detached slot {j}");
+    fn ctx() -> SampleContext {
+        SampleContext {
+            now_ns: 1_000_000_000,
+            delivered: 0,
+            workload: None,
         }
     }
 
-    #[test]
-    fn least_outstanding_balances_counts() {
-        let mut s = LeastOutstandingStrategy::new(3);
-        let attached = [true; 3];
-        let pressure = [0.0; 3];
-        for _ in 0..9 {
-            s.pick(0, &view(&attached, &pressure));
-        }
-        assert_eq!(s.outstanding(), &[3, 3, 3]);
+    /// One sample per slot, slot `j` blocked for `rates[j]` of the
+    /// interval.
+    fn samples(rates: &[f64]) -> Vec<PolicySample> {
+        rates
+            .iter()
+            .enumerate()
+            .map(|(connection, &rate)| PolicySample {
+                connection,
+                rate,
+                weight: DEFAULT_RESOLUTION / rates.len() as u32,
+            })
+            .collect()
+    }
+
+    fn sampled(kind: StrategyKind, width: usize, seed: u64) -> Box<dyn Policy> {
+        kind.build(&RegionConfig::builder(width).build().unwrap(), seed)
     }
 
     #[test]
-    fn least_outstanding_avoids_pressured_slots() {
-        let mut s = LeastOutstandingStrategy::new(2);
-        let attached = [true; 2];
-        let pressure = [100.0, 0.0];
-        for _ in 0..10 {
-            assert_eq!(s.pick(0, &view(&attached, &pressure)), 1);
+    fn least_outstanding_balances_an_idle_round_exactly() {
+        let mut p = sampled(StrategyKind::LeastOutstanding, 4, 1);
+        let w = p.on_sample(&ctx(), &samples(&[0.0; 4])).unwrap();
+        assert_eq!(w.units(), &[250, 250, 250, 250]);
+    }
+
+    #[test]
+    fn load_sensitive_rules_avoid_pressured_slots() {
+        for kind in [
+            StrategyKind::LeastOutstanding,
+            StrategyKind::PowerOfTwoChoices,
+            StrategyKind::TwoChoiceHashing,
+        ] {
+            let mut p = sampled(kind, 2, 13);
+            let w = p.on_sample(&ctx(), &samples(&[0.9, 0.0])).unwrap();
+            assert!(
+                w.units()[0] < w.units()[1],
+                "{}: blocked slot must lose weight: {:?}",
+                kind.name(),
+                w.units()
+            );
         }
     }
 
     #[test]
     fn p2c_prefers_the_emptier_sample() {
-        let mut s = PowerOfTwoStrategy::new(2, 11);
-        let attached = [true; 2];
-        let pressure = [50.0, 0.0];
+        let mut rule = TupleRule::PowerOfTwoChoices(SplitMix64::new(11));
+        let mut bound = [None; KEY_SPACE];
         let mut picks = [0u32; 2];
         for _ in 0..200 {
-            picks[s.pick(0, &view(&attached, &pressure))] += 1;
+            picks[rule.pick(0, &[0, 0], &[50.0, 0.0], &mut bound)] += 1;
         }
-        assert!(
-            picks[1] > picks[0],
-            "slot 1 (no pressure) must win most picks: {picks:?}"
-        );
+        assert_eq!(picks, [0, 200], "two slots: both are always sampled");
     }
 
     #[test]
-    fn two_choice_hash_is_stable_per_key_while_outstanding() {
-        let mut s = TwoChoiceHashStrategy::new(8, 3);
-        let attached = [true; 8];
-        let pressure = [0.0; 8];
-        let first = s.pick(42, &view(&attached, &pressure));
-        for _ in 0..20 {
-            assert_eq!(s.pick(42, &view(&attached, &pressure)), first);
+    fn two_choice_hashing_binds_each_key_for_the_round() {
+        let salts = [3, 5];
+        let mut rule = TupleRule::TwoChoiceHashing { salts };
+        let mut rng = SplitMix64::new(99);
+        let mut bound = [None; KEY_SPACE];
+        let mut units = [0u32; 8];
+        let mut pressure = [0.0; 8];
+        let mut first = [None; KEY_SPACE];
+        for _ in 0..2_000 {
+            let key = rng.below(KEY_SPACE as u64) as usize;
+            let j = rule.pick(key, &units, &pressure, &mut bound);
+            let c = salts.map(|s| (SplitMix64::new(key as u64 ^ s).next_u64() % 8) as usize);
+            assert!(c.contains(&j), "key {key} routed to {j}, candidates {c:?}");
+            // Load moves on, the key stays put.
+            assert_eq!(*first[key].get_or_insert(j), j, "key {key} moved");
+            units[j] += 1;
+            pressure[j] += 1.0 + rng.frange(0.0, 8.0);
         }
-        // Drain the key completely; a rebind is now allowed (and must land
-        // on one of the two hash candidates).
-        for _ in 0..21 {
-            s.complete(42, first);
-        }
-        assert_eq!(s.bound_slot(42), None);
-        let (c1, c2) = s.candidates(42, 8);
-        let again = s.pick(42, &view(&attached, &pressure));
-        assert!(again == c1 || again == c2);
     }
 
     #[test]
-    fn adapter_installs_a_full_simplex_every_round() {
-        let mut p = StrategyPolicy::new(Box::new(RandomStrategy::new(5)), 4, 9);
-        let ctx = SampleContext {
-            now_ns: 1_000_000_000,
-            delivered: 0,
-            workload: None,
-        };
-        let samples: Vec<PolicySample> = (0..4)
-            .map(|j| PolicySample {
-                connection: j,
-                rate: 0.25 * j as f64,
-                weight: 250,
-            })
-            .collect();
-        for _ in 0..5 {
-            let w = p
-                .on_sample(&ctx, &samples)
-                .expect("adapter always installs");
-            assert_eq!(w.len(), 4);
+    fn sampled_rules_install_a_full_simplex_and_resize() {
+        for kind in [
+            StrategyKind::Random,
+            StrategyKind::LeastOutstanding,
+            StrategyKind::PowerOfTwoChoices,
+            StrategyKind::TwoChoiceHashing,
+        ] {
+            let mut p = sampled(kind, 4, 9);
+            for _ in 0..5 {
+                let w = p
+                    .on_sample(&ctx(), &samples(&[0.0, 0.25, 0.5, 0.75]))
+                    .unwrap();
+                assert_eq!(w.len(), 4);
+                assert_eq!(w.units().iter().sum::<u32>(), DEFAULT_RESOLUTION);
+            }
+            assert_eq!(p.on_resize(5).unwrap().len(), 5);
+            let w = p.on_sample(&ctx(), &[]).unwrap();
+            assert_eq!(w.len(), 5);
             assert_eq!(w.units().iter().sum::<u32>(), DEFAULT_RESOLUTION);
         }
-    }
-
-    #[test]
-    fn adapter_shifts_weight_away_from_blocked_slots() {
-        let mut p = StrategyPolicy::new(Box::new(LeastOutstandingStrategy::new(2)), 2, 13);
-        let ctx = SampleContext {
-            now_ns: 1_000_000_000,
-            delivered: 0,
-            workload: None,
-        };
-        let samples = [
-            PolicySample {
-                connection: 0,
-                rate: 0.9,
-                weight: 500,
-            },
-            PolicySample {
-                connection: 1,
-                rate: 0.0,
-                weight: 500,
-            },
-        ];
-        let w = p.on_sample(&ctx, &samples).unwrap();
-        assert!(
-            w.units()[0] < w.units()[1],
-            "blocked slot must lose weight: {:?}",
-            w.units()
-        );
-    }
-
-    #[test]
-    fn adapter_resizes_cleanly() {
-        let mut p = StrategyPolicy::new(Box::new(PowerOfTwoStrategy::new(2, 1)), 2, 2);
-        let w = p.on_resize(5).expect("adapter returns resized weights");
-        assert_eq!(w.len(), 5);
-        assert_eq!(w.units().iter().sum::<u32>(), DEFAULT_RESOLUTION);
-        let ctx = SampleContext {
-            now_ns: 1,
-            delivered: 0,
-            workload: None,
-        };
-        let w = p.on_sample(&ctx, &[]).unwrap();
-        assert_eq!(w.len(), 5);
     }
 
     #[test]

@@ -1,157 +1,62 @@
-//! Property tests for the tournament baseline strategies: routing picks
-//! must respect the attachment mask, outstanding-work counters must be
-//! conserved across pick/complete/requeue, and two-choice hashing must
-//! keep a key on one slot while any of its tuples are outstanding.
+//! Property tests for the tournament roster: every strategy builds a
+//! working policy at any width, and the sampled per-tuple rules are
+//! deterministic for a seed and always install a full simplex.
 
 use streambal_core::rng::SplitMix64;
 use streambal_core::weights::DEFAULT_RESOLUTION;
-use streambal_sim::policy::{Policy, PolicySample, SampleContext};
-use streambal_workloads::tournament::strategy::{
-    LeastOutstandingStrategy, PowerOfTwoStrategy, RandomStrategy, TwoChoiceHashStrategy,
-};
-use streambal_workloads::tournament::{SlotView, Strategy, StrategyKind, StrategyPolicy};
+use streambal_sim::config::RegionConfig;
+use streambal_sim::policy::{PolicySample, SampleContext};
+use streambal_workloads::tournament::StrategyKind;
 
 const WIDTH: usize = 8;
 
-fn view<'a>(attached: &'a [bool], pressure: &'a [f64]) -> SlotView<'a> {
-    SlotView { attached, pressure }
-}
-
-/// Every non-empty attachment mask over 8 slots, 100 picks each: the
-/// randomized strategies must never route to a detached slot.
+/// Two policies built from the same seed emit identical weight vectors
+/// under identical samples, and every vector sums to the full resolution
+/// (the simplex the engine asserts on).
 #[test]
-fn randomized_strategies_never_pick_detached() {
-    let pressure = [0.0; WIDTH];
-    for mask in 1u32..(1 << WIDTH) {
-        let attached: Vec<bool> = (0..WIDTH).map(|j| mask & (1 << j) != 0).collect();
-        let mut p2c = PowerOfTwoStrategy::new(WIDTH, 11 + u64::from(mask));
-        let mut random = RandomStrategy::new(17 + u64::from(mask));
-        for i in 0..100u64 {
-            let v = view(&attached, &pressure);
-            let j = p2c.pick(i, &v);
-            assert!(attached[j], "P2C picked detached slot {j} under {mask:#b}");
-            let j = random.pick(i, &v);
-            assert!(
-                attached[j],
-                "Random picked detached slot {j} under {mask:#b}"
+fn sampled_rules_are_deterministic_and_on_simplex() {
+    let cfg = RegionConfig::builder(WIDTH).build().unwrap();
+    for kind in [
+        StrategyKind::Random,
+        StrategyKind::LeastOutstanding,
+        StrategyKind::PowerOfTwoChoices,
+        StrategyKind::TwoChoiceHashing,
+    ] {
+        let mut a = kind.build(&cfg, 5678);
+        let mut b = kind.build(&cfg, 5678);
+        let mut rng = SplitMix64::new(7);
+        for round in 0..50u64 {
+            let ctx = SampleContext {
+                now_ns: round * 250_000_000,
+                delivered: round * 1000,
+                workload: None,
+            };
+            let samples: Vec<PolicySample> = (0..WIDTH)
+                .map(|j| PolicySample {
+                    connection: j,
+                    rate: rng.frange(0.0, 1.0),
+                    weight: (DEFAULT_RESOLUTION / WIDTH as u32),
+                })
+                .collect();
+            let wa = a
+                .on_sample(&ctx, &samples)
+                .expect("sampled rules always rebalance");
+            let wb = b
+                .on_sample(&ctx, &samples)
+                .expect("sampled rules always rebalance");
+            assert_eq!(
+                wa.units(),
+                wb.units(),
+                "{}: round {round} diverged",
+                kind.name()
+            );
+            assert_eq!(
+                wa.units().iter().sum::<u32>(),
+                DEFAULT_RESOLUTION,
+                "{}: round {round} left the simplex",
+                kind.name()
             );
         }
-    }
-}
-
-/// Least-outstanding against a reference counter model: a random walk of
-/// picks, completions and requeues must leave the strategy's per-slot
-/// outstanding counts exactly equal to the model's — nothing leaks, and
-/// requeued work moves rather than duplicates.
-#[test]
-fn least_outstanding_counts_are_conserved() {
-    let mut rng = SplitMix64::new(42);
-    let mut strategy = LeastOutstandingStrategy::new(WIDTH);
-    let attached = [true; WIDTH];
-    let pressure = [0.0; WIDTH];
-    let mut model = [0u64; WIDTH];
-    let mut in_flight: Vec<(u64, usize)> = Vec::new();
-    for step in 0..20_000u64 {
-        match rng.below(4) {
-            // Route a new tuple.
-            0 | 1 => {
-                let j = strategy.pick(step, &view(&attached, &pressure));
-                model[j] += 1;
-                in_flight.push((step, j));
-            }
-            // Finish a random outstanding tuple.
-            2 if !in_flight.is_empty() => {
-                let i = rng.range_usize(0, in_flight.len() - 1);
-                let (key, slot) = in_flight.swap_remove(i);
-                strategy.complete(key, slot);
-                model[slot] -= 1;
-            }
-            // Requeue a random outstanding tuple onto another slot.
-            3 if !in_flight.is_empty() => {
-                let i = rng.range_usize(0, in_flight.len() - 1);
-                let (key, from) = in_flight[i];
-                let to = rng.range_usize(0, WIDTH - 1);
-                strategy.requeue(key, from, to);
-                model[from] -= 1;
-                model[to] += 1;
-                in_flight[i] = (key, to);
-            }
-            _ => {}
-        }
-        assert_eq!(
-            strategy.outstanding(),
-            &model[..],
-            "diverged at step {step}"
-        );
-    }
-    // Drain everything: all counters must return to zero.
-    for (key, slot) in in_flight.drain(..) {
-        strategy.complete(key, slot);
-    }
-    assert!(strategy.outstanding().iter().all(|&c| c == 0));
-}
-
-/// PKG-style two-choice hashing: while a key has outstanding tuples it is
-/// bound to one slot, every pick for it returns that slot, and the slot is
-/// always one of the key's two hash candidates.
-#[test]
-fn two_choice_hashing_keeps_per_key_ordering() {
-    let mut strategy = TwoChoiceHashStrategy::new(WIDTH, 5);
-    let attached = [true; WIDTH];
-    let pressure = [0.0; WIDTH];
-    let mut rng = SplitMix64::new(99);
-    for _ in 0..500 {
-        let key = rng.below(64);
-        let v = view(&attached, &pressure);
-        let first = strategy.pick(key, &v);
-        let (a, b) = strategy.candidates(key, WIDTH);
-        assert!(
-            first == a || first == b,
-            "key {key} routed to {first}, candidates ({a}, {b})"
-        );
-        // While outstanding, further picks must not move the key.
-        for _ in 0..rng.range_u64(1, 6) {
-            let again = strategy.pick(key, &view(&attached, &pressure));
-            assert_eq!(again, first, "key {key} moved while outstanding");
-        }
-        assert_eq!(strategy.bound_slot(key), Some(first));
-    }
-}
-
-/// The adapter is a real policy: deterministic for a seed, and every
-/// weight vector it emits sums to the full resolution (the simplex the
-/// engine asserts on).
-#[test]
-fn adapter_is_deterministic_and_on_simplex() {
-    let build = || StrategyPolicy::new(Box::new(PowerOfTwoStrategy::new(WIDTH, 1234)), WIDTH, 5678);
-    let mut a = build();
-    let mut b = build();
-    let mut rng = SplitMix64::new(7);
-    for round in 0..50u64 {
-        let ctx = SampleContext {
-            now_ns: round * 250_000_000,
-            delivered: round * 1000,
-            workload: None,
-        };
-        let samples: Vec<PolicySample> = (0..WIDTH)
-            .map(|j| PolicySample {
-                connection: j,
-                rate: rng.frange(0.0, 1.0),
-                weight: (DEFAULT_RESOLUTION / WIDTH as u32),
-            })
-            .collect();
-        let wa = a
-            .on_sample(&ctx, &samples)
-            .expect("adapter always rebalances");
-        let wb = b
-            .on_sample(&ctx, &samples)
-            .expect("adapter always rebalances");
-        assert_eq!(wa.units(), wb.units(), "round {round} diverged");
-        assert_eq!(
-            wa.units().iter().sum::<u32>(),
-            DEFAULT_RESOLUTION,
-            "round {round} left the simplex"
-        );
     }
 }
 
@@ -159,9 +64,7 @@ fn adapter_is_deterministic_and_on_simplex() {
 /// scenarios use.
 #[test]
 fn roster_builds_for_all_kinds() {
-    let cfg = streambal_sim::config::RegionConfig::builder(6)
-        .build()
-        .unwrap();
+    let cfg = RegionConfig::builder(6).build().unwrap();
     for kind in StrategyKind::roster() {
         let mut policy = kind.build(&cfg, 3);
         assert_eq!(policy.name(), kind.name());

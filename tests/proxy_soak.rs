@@ -500,7 +500,7 @@ fn config_text(backends: &[SocketAddr]) -> String {
     let mut text = String::from(
         "listen 127.0.0.1:0\nio_threads 1\nsample_interval_ms 50\n\
          forward_timeout_ms 5000\nconnect_timeout_ms 1000\neject_after 200\n\
-         probe_interval_ms 500\nreload_poll_ms 200\ndrain_timeout_ms 10000\n\
+         probe_interval_ms 500\ndrain_timeout_ms 10000\n\
          backend_send_buffer_bytes 4096\n",
     );
     for b in backends {

@@ -1,0 +1,228 @@
+//! Structural guards: each test pins one simplification so that a later
+//! change cannot quietly bring back the path it removed. Each is a plain
+//! text search over the source tree, `grep -rn` style: it counts matching
+//! lines. This file is skipped by every search, because it spells out the
+//! very names it forbids.
+
+use std::fs;
+use std::path::Path;
+
+const SELF: &str = "tests/structure.rs";
+
+/// Every line under the repo-relative `roots` (files or directories, walked
+/// recursively) for which `matches` holds, as `path:line: text`.
+fn grep(roots: &[&str], matches: impl Fn(&str) -> bool) -> Vec<String> {
+    fn walk(root: &Path, rel: &str, out: &mut Vec<(String, String)>) {
+        let path = root.join(rel);
+        if path.is_dir() {
+            let mut entries: Vec<String> = fs::read_dir(&path)
+                .unwrap_or_else(|e| panic!("read {rel}: {e}"))
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            entries.sort();
+            for name in entries {
+                walk(root, &format!("{}/{name}", rel.trim_end_matches('/')), out);
+            }
+        } else if rel != SELF {
+            let bytes = fs::read(&path).unwrap_or_else(|e| panic!("read {rel}: {e}"));
+            out.push((rel.to_owned(), String::from_utf8_lossy(&bytes).into_owned()));
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for rel in roots {
+        walk(root, rel, &mut files);
+    }
+    let mut hits = Vec::new();
+    for (rel, text) in &files {
+        for (i, line) in text.lines().enumerate() {
+            if matches(line) {
+                hits.push(format!("{rel}:{}: {line}", i + 1));
+            }
+        }
+    }
+    hits
+}
+
+/// Lines containing any of `needles`.
+fn any_of<'a>(needles: &'a [&'a str]) -> impl Fn(&str) -> bool + 'a {
+    move |line| needles.iter().any(|n| line.contains(n))
+}
+
+/// Asserts that no line under `roots` contains any of `needles`.
+fn assert_absent(roots: &[&str], needles: &[&str]) {
+    let hits = grep(roots, any_of(needles));
+    assert!(
+        hits.is_empty(),
+        "forbidden names are back:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// How many lines of `file` contain `needle` (`grep -c`).
+fn count(file: &str, needle: &str) -> usize {
+    grep(&[file], any_of(&[needle])).len()
+}
+
+/// `impl(<[^>]*>)? DataPlane for`: a `DataPlane` implementation, generic
+/// or not.
+fn implements_data_plane(line: &str) -> bool {
+    line.match_indices("impl").any(|(i, _)| {
+        let rest = &line[i + 4..];
+        let rest = match rest.strip_prefix('<') {
+            Some(generics) => match generics.find('>') {
+                Some(end) => &generics[end + 1..],
+                None => return false,
+            },
+            None => rest,
+        };
+        rest.starts_with(" DataPlane for")
+    })
+}
+
+#[test]
+fn the_threaded_regions_share_one_data_plane() {
+    let impls = grep(
+        &["crates/runtime/src", "crates/dataflow/src"],
+        implements_data_plane,
+    );
+    assert!(impls.len() <= 1, "{}", impls.join("\n"));
+}
+
+#[test]
+fn the_simulator_has_one_event_engine() {
+    assert_eq!(count("crates/sim/src", "struct Scheduled"), 1);
+    assert_absent(&["crates/"], &["MultiEngine"]);
+}
+
+/// `run` / `run_chaos` (dedicated workers) and `multi::run_coupled`
+/// (shared hosts); a coupled region is a `RegionConfig`, and every figure
+/// is `all_experiments <name>`.
+#[test]
+fn the_simulator_has_three_run_entries_and_the_figures_one_binary() {
+    assert_absent(
+        &["crates/", "tests/", "examples/", "docs/"],
+        &[
+            "MultiConfig",
+            "MultiRegionSpec",
+            "fn run_multi",
+            "run_with_telemetry",
+        ],
+    );
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
+    let mut bins: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    bins.sort();
+    assert_eq!(bins, ["all_experiments.rs", "bench_gate.rs"]);
+}
+
+/// No flat mirror, no borrowed `Problem` form, no dead knobs; the
+/// controller reaches the solver through `fox::greedy` only (its test
+/// module keeps the allocating `fox::solve` as the dense oracle).
+#[test]
+fn the_controller_has_one_solve_path() {
+    assert_absent(
+        &["crates/"],
+        &[
+            "from_flat_parts",
+            "FunctionSet",
+            "flat_gen",
+            "max_step_up",
+            "max_step_down",
+            "record_zero_rates",
+            "fn rate_cap",
+        ],
+    );
+    assert_eq!(count("crates/core/src/controller.rs", "solve_with("), 0);
+}
+
+/// The length prefix is written and parsed only in `transport::frame`; a
+/// region picks its transport on `RegionBuilder`, not by builder.
+#[test]
+fn one_frame_codec_one_region_builder() {
+    // `crates/*/src`: the third path component is `src`.
+    let codec: Vec<String> = grep(
+        &["crates"],
+        any_of(&[
+            "struct FrameReader",
+            "struct FrameWriter",
+            "const MAX_FRAME",
+        ]),
+    )
+    .into_iter()
+    .filter(|hit| hit.split('/').nth(2) == Some("src"))
+    .collect();
+    assert_eq!(codec.len(), 3, "{}", codec.join("\n"));
+    for hit in &codec {
+        assert!(
+            hit.starts_with("crates/transport/src/frame.rs:"),
+            "codec outside transport::frame: {hit}"
+        );
+    }
+    assert_absent(
+        &["crates", "tests", "examples", "docs"],
+        &["TcpRegionBuilder", "proxy::frame", "fn encode_into"],
+    );
+}
+
+/// The wall-clock control loop is the only place a blocking rate is
+/// computed (a first difference over the measured interval), with no cap
+/// and no second copy; its only sleep is the `Instant` clock's.
+#[test]
+fn one_cadence_one_rate() {
+    assert_absent(&["crates/"], &["RATE_CAP", "from_blocked_ns"]);
+    assert_absent(
+        &[
+            "crates/proxy/src",
+            "crates/runtime/src",
+            "crates/dataflow/src",
+        ],
+        &["BlockingSampler"],
+    );
+    assert_eq!(count("crates/control/src/lib.rs", "thread::sleep"), 1);
+}
+
+/// Client and link sockets are registered edge-triggered once and never
+/// re-registered; the listener's pause is the one interest change left.
+/// There is no poll(2) backend to select.
+#[test]
+fn sockets_register_once() {
+    assert_eq!(count("crates/proxy/src/poll_core.rs", "reregister"), 1);
+    assert_absent(
+        &["crates/", "tests/"],
+        &["update_interest", "PollSyscall", "with_backend"],
+    );
+}
+
+/// Each shard accepts on its own listener clone, shard 0 runs the
+/// re-admission probes as nonblocking connects, and each shard ends its
+/// own drain: no hand-off queue, no prober thread, no sleep.
+#[test]
+fn every_proxy_wait_is_a_poller_wait() {
+    assert_absent(
+        &["crates/", "tests/", "docs/"],
+        &["Handoff", "HANDOFF_WAIT", "run_prober", "proxy-prober"],
+    );
+    assert_eq!(count("crates/proxy/src/server.rs", "thread::sleep"), 0);
+    assert_eq!(count("crates/proxy/src/poll_core.rs", "thread::sleep"), 0);
+}
+
+/// `sim::Policy` is the only decision trait: the tournament's per-tuple
+/// rules are one enum inside one sampled policy, and the width policies
+/// are one enum.
+#[test]
+fn one_decision_trait() {
+    assert_absent(
+        &["crates/"],
+        &[
+            "trait Strategy",
+            "SlotView",
+            "StrategyPolicy",
+            "trait WidthPolicy",
+            "dyn WidthPolicy",
+            "clone_box",
+        ],
+    );
+}

@@ -1,13 +1,32 @@
 //! Tournament sanity ordering: on the scenarios built around sustained
 //! skew — stragglers and hotspot-key churn — the paper's controller must
 //! strictly beat the static baselines (round-robin, random) on p99
-//! blocking rate, and no strategy may buy its score by violating the
-//! ordering-critical oracles.
+//! blocking rate, no strategy may buy its score by violating the
+//! ordering-critical oracles, and the full matrix reproduces the committed
+//! report byte for byte.
 
-use streambal::workloads::tournament::{run_matrix, scenarios, CellOutcome};
+use std::sync::OnceLock;
+
+use streambal::workloads::tournament::{
+    csv_table, markdown_report, run_matrix, scenarios, CellOutcome,
+};
 use streambal::workloads::StrategyKind;
 
 const SEED: u64 = 7;
+
+/// The full seed-7 matrix (every scenario × the whole roster), run once and
+/// shared by the tests that need all of it.
+fn full_matrix() -> &'static [CellOutcome] {
+    static CELLS: OnceLock<Vec<CellOutcome>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        run_matrix(
+            &scenarios::library(SEED),
+            &StrategyKind::roster(),
+            SEED,
+            streambal::sim::driver::default_threads(),
+        )
+    })
+}
 
 fn outcomes() -> Vec<CellOutcome> {
     let lib = vec![
@@ -58,16 +77,12 @@ fn controller_strictly_beats_static_baselines_on_sustained_skew() {
 /// invariants, and the controller must be clean under the whole suite.
 #[test]
 fn no_strategy_trades_ordering_for_score() {
-    let lib = scenarios::library(SEED);
-    let roster = StrategyKind::roster();
-    let cells = run_matrix(
-        &lib,
-        &roster,
-        SEED,
-        streambal::sim::driver::default_threads(),
+    let cells = full_matrix();
+    assert_eq!(
+        cells.len(),
+        scenarios::library(SEED).len() * StrategyKind::roster().len()
     );
-    assert_eq!(cells.len(), lib.len() * roster.len());
-    for cell in &cells {
+    for cell in cells {
         assert!(
             cell.ordering_violations().is_empty(),
             "{}/{}: ordering oracle fired: {}",
@@ -84,4 +99,24 @@ fn no_strategy_trades_ordering_for_score() {
             );
         }
     }
+}
+
+/// The full matrix renders exactly the committed `results/tournament.csv`
+/// and `results/tournament.md`: every strategy, the four sampled per-tuple
+/// rules included, replays byte for byte from its seed.
+#[test]
+fn full_matrix_reproduces_the_committed_report() {
+    let cells = full_matrix();
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let golden = |name: &str| std::fs::read_to_string(results.join(name)).unwrap();
+    assert!(
+        csv_table(cells, SEED).to_csv() == golden("tournament.csv"),
+        "tournament CSV drifted from results/tournament.csv"
+    );
+    let scenario_names: Vec<&str> = scenarios::library(SEED).iter().map(|s| s.name).collect();
+    let strategy_names: Vec<&str> = StrategyKind::roster().iter().map(|k| k.name()).collect();
+    assert!(
+        markdown_report(cells, &scenario_names, &strategy_names, SEED) == golden("tournament.md"),
+        "tournament report drifted from results/tournament.md"
+    );
 }
