@@ -38,7 +38,7 @@ fn dynamic_region(seconds: u64) -> RegionConfig {
 /// Seconds until the throttled worker regains at least `target` weight
 /// units after the load removal, if it ever does.
 fn recovery_seconds(
-    samples: &[streambal_sim::metrics::SampleTrace],
+    samples: &[streambal_sim::RoundSnapshot],
     removal_s: u64,
     target: u32,
 ) -> Option<u64> {

@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use streambal_core::controller::{BalancerConfig, ClusteringConfig};
+use streambal_core::controller::BalancerConfig;
 use streambal_sim::metrics::RunResult;
 use streambal_sim::policy::{BalancerPolicy, FixedPolicy};
 use streambal_sim::SECOND_NS;
@@ -151,7 +151,7 @@ pub fn fig05(out: &Path) -> Vec<Table> {
             .samples
             .windows(2)
             .filter(|p| {
-                let lead = |s: &streambal_sim::metrics::SampleTrace| s.rates[0] >= s.rates[1];
+                let lead = |s: &streambal_sim::RoundSnapshot| s.rates[0] >= s.rates[1];
                 lead(&p[0]) != lead(&p[1])
             })
             .count();
@@ -343,10 +343,4 @@ pub fn fig12(out: &Path) -> Vec<Table> {
     summary.push_row(vec!["1x".into(), "24".into(), fmt3(class_mean(40..64))]);
     println!("{summary}");
     vec![summary]
-}
-
-/// Clustering config shared by the fig12/fig13 experiments (re-exported for
-/// the integration tests).
-pub fn paper_clustering() -> ClusteringConfig {
-    ClusteringConfig::default()
 }

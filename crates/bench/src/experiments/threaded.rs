@@ -41,7 +41,7 @@ pub fn fig08_threaded(out: &Path) -> Vec<Table> {
     );
     for s in &report.snapshots {
         table.push_row(vec![
-            s.elapsed_ms.to_string(),
+            (s.t_ns / 1_000_000).to_string(),
             s.weights[0].to_string(),
             s.weights[1].to_string(),
             s.weights[2].to_string(),
@@ -61,7 +61,7 @@ pub fn fig08_threaded(out: &Path) -> Vec<Table> {
     );
     for s in report.snapshots.iter().step_by(4) {
         compact.push_row(vec![
-            s.elapsed_ms.to_string(),
+            (s.t_ns / 1_000_000).to_string(),
             s.weights[0].to_string(),
             s.weights[1].to_string(),
             s.weights[2].to_string(),

@@ -104,11 +104,6 @@ impl ClusterSpec {
         &self.regions
     }
 
-    /// Total PEs across all regions.
-    pub fn total_pes(&self) -> usize {
-        self.regions.iter().map(|r| r.pes).sum()
-    }
-
     /// PEs per host under `placement` (all regions combined) — the quantity
     /// that drives oversubscription.
     pub fn pes_per_host(&self, placement: &Placement) -> Vec<u32> {

@@ -11,7 +11,8 @@
 //! 2. [`LoadBalancer::observe`] + [`LoadBalancer::rebalance`],
 //! 3. install the weights into the routing fabric (via [`DataPlane`]),
 //! 4. emit metrics and trace events to [`streambal_telemetry`], and
-//! 5. record a [`RoundSnapshot`] per round for post-run reports.
+//! 5. build one [`RoundSnapshot`] per round, traced and optionally kept
+//!    for post-run reports.
 //!
 //! Data planes that drive their own cadence (the simulators, where time is
 //! virtual) call [`ControlPlane::round`] directly; wall-clock planes hand a
@@ -48,9 +49,10 @@ use std::time::{Duration, Instant};
 use streambal_core::controller::{BalancerConfig, ClusterOutcome, LoadBalancer};
 use streambal_core::rate::ConnectionSample;
 use streambal_core::weights::WeightVector;
-use streambal_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceEvent};
+use streambal_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Telemetry, TraceEvent};
 use streambal_transport::{BlockingCounter, BlockingSampler};
 
+pub use streambal_telemetry::RoundSnapshot;
 pub use width::{
     Autoscaler, AutoscalerConfig, ReactiveWidth, ScriptedWidth, WidthDecision, WidthPolicy,
     WidthView,
@@ -76,17 +78,50 @@ impl Clock for Instant {
     }
 }
 
-/// One control round's outcome, shared by every data plane's report type
-/// (`runtime`'s snapshots and `dataflow`'s region traces are aliases of
-/// this).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundSnapshot {
-    /// Milliseconds since the run started (wall clock or virtual).
-    pub elapsed_ms: u64,
-    /// The allocation weights installed after this round.
-    pub weights: Vec<u32>,
-    /// Per-connection blocking rates observed over the interval.
-    pub rates: Vec<f64>,
+/// The two metric families every control loop publishes per round:
+/// `<prefix>.controller.rounds` and `<prefix>.conn<j>.{blocking_rate,weight}`.
+#[derive(Debug, Clone)]
+pub struct RoundGauges {
+    prefix: String,
+    rounds: Counter,
+    /// `(blocking_rate, weight)` per connection slot.
+    per_conn: Vec<(Gauge, Gauge)>,
+}
+
+impl RoundGauges {
+    /// Binds the families under `prefix`, with gauges for `width` slots.
+    pub fn new(registry: &MetricsRegistry, prefix: &str, width: usize) -> Self {
+        let mut gauges = RoundGauges {
+            prefix: prefix.to_owned(),
+            rounds: registry.counter(&format!("{prefix}.controller.rounds")),
+            per_conn: Vec::new(),
+        };
+        gauges.extend_to(registry, width);
+        gauges
+    }
+
+    /// Binds the per-connection gauges of any slot below `width` not yet
+    /// bound; a narrower width keeps the gauges it has.
+    pub fn extend_to(&mut self, registry: &MetricsRegistry, width: usize) {
+        let prefix = &self.prefix;
+        for j in self.per_conn.len()..width {
+            self.per_conn.push((
+                registry.gauge(&format!("{prefix}.conn{j}.blocking_rate")),
+                registry.gauge(&format!("{prefix}.conn{j}.weight")),
+            ));
+        }
+    }
+
+    /// Counts one round and sets each connection's rate and weight gauges.
+    pub fn publish(&self, rates: &[f64], weights: &[u32]) {
+        self.rounds.incr();
+        for ((rate_g, weight_g), (&rate, &units)) in
+            self.per_conn.iter().zip(rates.iter().zip(weights))
+        {
+            rate_g.set(rate);
+            weight_g.set(f64::from(units));
+        }
+    }
 }
 
 /// What the control plane needs from a routing fabric: blocked-time
@@ -120,7 +155,8 @@ pub trait DataPlane {
     /// resizing its WRR scheduler in place).
     fn install_weights(&mut self, weights: &WeightVector);
 
-    /// Tuples delivered downstream so far, for trace events. Defaults to 0.
+    /// Tuples delivered downstream so far; each round's [`RoundSnapshot`]
+    /// carries the growth since the previous round. Defaults to 0.
     fn delivered(&self) -> u64 {
         0
     }
@@ -184,9 +220,11 @@ impl ControlPlaneBuilder {
         self
     }
 
-    /// Retains a [`RoundSnapshot`] per round (for post-run reports). Off by
-    /// default — and note a retained round allocates its snapshot, so
-    /// zero-allocation steady state requires this off.
+    /// Retains the [`RoundSnapshot`] that
+    /// [`run_threaded`](ControlPlane::run_threaded) builds each round (for
+    /// post-run reports). Off by default — and note a retained round
+    /// allocates its snapshot, so zero-allocation steady state requires
+    /// this off.
     pub fn keep_snapshots(mut self, keep: bool) -> Self {
         self.keep_snapshots = keep;
         self
@@ -194,7 +232,7 @@ impl ControlPlaneBuilder {
 
     /// Attaches a telemetry hub: the balancer's decision trace goes to the
     /// hub's trace buffer, and [`run_threaded`](ControlPlane::run_threaded)
-    /// pushes a [`TraceEvent::Sample`] per round.
+    /// pushes each round's [`RoundSnapshot`] as a [`TraceEvent::Sample`].
     pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = Some(telemetry.clone());
         self
@@ -248,9 +286,7 @@ impl ControlPlaneBuilder {
 /// `autoscale.{grow,shrink,hold,cooldown_suppressed}` decision counters.
 #[derive(Debug, Clone)]
 struct RoundMetrics {
-    rounds: Counter,
-    /// `(blocking_rate, weight)` per connection slot.
-    per_conn: Vec<(Gauge, Gauge)>,
+    round: RoundGauges,
     /// Clustered rounds that kept the previous partition.
     recluster_reused: Counter,
     /// Clustered rounds that clustered the live connections again.
@@ -324,8 +360,9 @@ impl ControlPlane {
         self.width_policy = Some(policy.into());
     }
 
-    /// Snapshots retained so far (empty unless
-    /// [`keep_snapshots`](ControlPlaneBuilder::keep_snapshots) is on).
+    /// Snapshots retained so far by [`run_threaded`](Self::run_threaded)
+    /// (empty unless [`keep_snapshots`](ControlPlaneBuilder::keep_snapshots)
+    /// is on).
     pub fn snapshots(&self) -> &[RoundSnapshot] {
         &self.snapshots
     }
@@ -421,15 +458,18 @@ impl ControlPlane {
     /// Runs one control round on the given per-connection blocking rates
     /// (`rates.len()` must equal the connection count) and returns the
     /// weights to install. Detached slots' rates are ignored; with
-    /// balancing off the initial split is returned unchanged.
+    /// balancing off the initial split is returned unchanged. The round
+    /// publishes its metrics but builds no [`RoundSnapshot`]: the caller
+    /// owns the record (see [`run_threaded`](Self::run_threaded)).
+    /// `_elapsed_ms` is not read; it stays for existing callers.
     ///
-    /// Steady-state rounds (no membership change, snapshots off) perform
-    /// no heap allocation.
+    /// Steady-state rounds (no membership change) perform no heap
+    /// allocation.
     ///
     /// # Panics
     ///
     /// Panics if `rates.len()` differs from the connection count.
-    pub fn round(&mut self, elapsed_ms: u64, rates: &[f64]) -> &WeightVector {
+    pub fn round(&mut self, _elapsed_ms: u64, rates: &[f64]) -> &WeightVector {
         let n = self.lb.config().connections();
         assert_eq!(rates.len(), n, "one rate per connection slot");
         if self.balancing {
@@ -443,7 +483,7 @@ impl ControlPlane {
             self.lb.observe(&self.samples_buf);
             self.lb.rebalance();
         }
-        self.emit(elapsed_ms, rates);
+        self.emit(rates);
         self.lb.weights()
     }
 
@@ -515,16 +555,11 @@ impl ControlPlane {
         decision
     }
 
-    /// Emits metrics and retains the snapshot for one completed round.
-    fn emit(&mut self, elapsed_ms: u64, rates: &[f64]) {
+    /// Emits metrics for one completed round.
+    fn emit(&mut self, rates: &[f64]) {
         self.bind_metrics();
         if let Some(m) = &self.metrics {
-            m.rounds.incr();
-            let units = self.lb.weights().units();
-            for (j, (rate_g, weight_g)) in m.per_conn.iter().enumerate() {
-                rate_g.set(rates[j]);
-                weight_g.set(f64::from(units[j]));
-            }
+            m.round.publish(rates, self.lb.weights().units());
             match self.lb.last_cluster_outcome() {
                 Some(ClusterOutcome::Reused) => m.recluster_reused.incr(),
                 Some(ClusterOutcome::Full { distinct, .. }) => {
@@ -534,13 +569,6 @@ impl ControlPlane {
                 None => {}
             }
             m.width.set(self.lb.config().connections() as f64);
-        }
-        if self.keep_snapshots {
-            self.snapshots.push(RoundSnapshot {
-                elapsed_ms,
-                weights: self.lb.weights().units().to_vec(),
-                rates: rates.to_vec(),
-            });
         }
     }
 
@@ -554,18 +582,8 @@ impl ControlPlane {
             return;
         };
         let reg = t.registry();
-        let rounds = reg.counter(&format!("{prefix}.controller.rounds"));
-        let per_conn = (0..self.lb.config().connections())
-            .map(|id| {
-                (
-                    reg.gauge(&format!("{prefix}.conn{id}.blocking_rate")),
-                    reg.gauge(&format!("{prefix}.conn{id}.weight")),
-                )
-            })
-            .collect();
         self.metrics = Some(RoundMetrics {
-            rounds,
-            per_conn,
+            round: RoundGauges::new(reg, prefix, self.lb.config().connections()),
             recluster_reused: reg.counter(&format!("{prefix}.recluster.reused")),
             recluster_full: reg.counter(&format!("{prefix}.recluster.full")),
             cluster_distinct: reg.gauge(&format!("{prefix}.cluster.distinct")),
@@ -580,8 +598,12 @@ impl ControlPlane {
 
     /// Owns a wall-clock control loop until `stop` is set: each round, apply
     /// the plane's prelude ([`DataPlane::begin_round`]), sample, run
-    /// [`round`](Self::round), install the weights, and push a
-    /// [`TraceEvent::Sample`] mirroring the round.
+    /// [`round`](Self::round), install the weights, and build the round's
+    /// [`RoundSnapshot`]: stamped with `clock`'s reading, its `delivered`
+    /// the growth of [`DataPlane::delivered`] since the previous round. The
+    /// snapshot goes to the trace as a [`TraceEvent::Sample`] when a
+    /// telemetry hub is attached, and is kept when
+    /// [`keep_snapshots`](ControlPlaneBuilder::keep_snapshots) is on.
     ///
     /// Round *k* is due at `t0 + k·interval` (`t0`: `clock`'s reading at the
     /// start; `interval` must be positive). Due times a round overran are
@@ -612,6 +634,7 @@ impl ControlPlane {
         let mut rates = vec![0.0; n];
         let mut samplers = Vec::with_capacity(n);
         let mut sampled = clock.now();
+        let mut delivered = 0;
         // The earliest due time not yet served.
         let mut due = sampled + interval;
         while !stop.load(Ordering::Acquire) {
@@ -628,13 +651,39 @@ impl ControlPlane {
             let now = clock.now();
             self.sample(&*plane, &mut samplers, now - sampled, &mut rates);
             sampled = now;
-            let elapsed_ms = u64::try_from(now.as_millis()).unwrap_or(u64::MAX);
-            self.round(elapsed_ms, &rates);
+            let t_ns = nanos(now);
+            self.round(t_ns / 1_000_000, &rates);
             self.install(plane);
-            self.apply_width_decision(plane, elapsed_ms, &rates);
+            let total = plane.delivered();
+            self.record(t_ns, &rates, total.saturating_sub(delivered));
+            delivered = total;
+            self.apply_width_decision(plane, t_ns / 1_000_000, &rates);
             // A slot closed here may reopen on a fresh counter by the next sample.
             samplers.truncate(self.lb.config().connections());
-            self.trace_sample(plane, now, &rates);
+        }
+    }
+
+    /// Builds the round's [`RoundSnapshot`] when someone takes it: the
+    /// trace, the retained snapshots, or both.
+    fn record(&mut self, t_ns: u64, rates: &[f64], delivered: u64) {
+        if self.telemetry.is_none() && !self.keep_snapshots {
+            return;
+        }
+        let snapshot = RoundSnapshot {
+            region: 0,
+            t_ns,
+            weights: self.lb.weights().units().to_vec(),
+            rates: rates.to_vec(),
+            delivered,
+            clusters: self.lb.last_clusters().map(|c| c.assignment.clone()),
+        };
+        match &self.telemetry {
+            Some(t) if self.keep_snapshots => {
+                t.trace().push(TraceEvent::Sample(snapshot.clone()));
+                self.snapshots.push(snapshot);
+            }
+            Some(t) => t.trace().push(TraceEvent::Sample(snapshot)),
+            None => self.snapshots.push(snapshot),
         }
     }
 
@@ -720,20 +769,6 @@ impl ControlPlane {
                 }
             }
             _ => {}
-        }
-    }
-
-    /// Pushes the [`TraceEvent::Sample`] mirroring the round.
-    fn trace_sample<P: DataPlane + ?Sized>(&self, plane: &P, elapsed: Duration, rates: &[f64]) {
-        if let Some(t) = &self.telemetry {
-            t.trace().push(TraceEvent::Sample {
-                region: 0,
-                t_ns: nanos(elapsed),
-                weights: self.lb.weights().units().to_vec(),
-                rates: rates.to_vec(),
-                delivered: plane.delivered(),
-                clusters: self.lb.last_clusters().map(|c| c.assignment.clone()),
-            });
         }
     }
 }
@@ -1089,6 +1124,52 @@ mod tests {
         assert_eq!(w.iter().map(|&u| u64::from(u)).sum::<u64>(), 1000);
         assert!(w[0] < w[1], "overloaded connection throttled: {w:?}");
         assert!(!p.snapshots().is_empty());
+    }
+
+    #[test]
+    fn run_threaded_records_deliveries_per_round() {
+        /// Delivers 10, 20 and 30 tuples in its three rounds.
+        struct DeliveringPlane<'a> {
+            rounds: u64,
+            stop: &'a AtomicBool,
+        }
+        impl DataPlane for DeliveringPlane<'_> {
+            fn connections(&self) -> usize {
+                2
+            }
+            fn begin_round(&mut self, _elapsed: Duration) {
+                self.rounds += 1;
+                self.stop.store(self.rounds == 3, Ordering::Release);
+            }
+            fn counter(&self, _j: usize) -> Arc<BlockingCounter> {
+                idle()
+            }
+            fn install_weights(&mut self, _weights: &WeightVector) {}
+            fn delivered(&self) -> u64 {
+                // Cumulative: 10, 30, 60.
+                5 * self.rounds * (self.rounds + 1)
+            }
+        }
+        let telemetry = Telemetry::new();
+        let stop = AtomicBool::new(false);
+        let mut p = ControlPlane::builder(BalancerConfig::builder(2).build().unwrap())
+            .telemetry(&telemetry)
+            .keep_snapshots(true)
+            .build();
+        run_manual(
+            &mut p,
+            &mut DeliveringPlane {
+                rounds: 0,
+                stop: &stop,
+            },
+            &stop,
+        );
+        let traced = RoundSnapshot::series_from_events(&telemetry.trace().events());
+        let delivered: Vec<u64> = traced.iter().map(|s| s.delivered).collect();
+        assert_eq!(delivered, [10, 20, 30], "per-interval, not cumulative");
+        assert_eq!(p.snapshots(), traced, "one record, kept and traced");
+        let stamps: Vec<u64> = traced.iter().map(|s| s.t_ns).collect();
+        assert_eq!(stamps, [5_000_000, 10_000_000, 15_000_000]);
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// The next 32-bit output (upper half of [`next_u64`](Self::next_u64)).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform draw from `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         // 53 mantissa bits / 2^53.

@@ -12,13 +12,12 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc;
+use std::thread;
 
-use streambal_runtime::ordered::{spawn_worker, Reorder};
+use streambal_runtime::ordered::{self, spawn_worker};
 
 use crate::flow::Flow;
-
-/// Why the merger's [`Reorder::push`] cannot meet a duplicate here.
-const STAMPED_ONCE: &str = "the router stamps each sequence number once";
 
 /// FNV-1a, fixed so partitioning is stable across platforms and runs.
 fn stable_hash<K: Hash>(key: &K) -> u64 {
@@ -91,15 +90,14 @@ impl<T: Send + 'static> Flow<T> {
         let mut ops: Vec<Option<Op>> = (0..replicas).map(|_| Some(factory())).collect();
 
         self.add_stage("parallel_keyed", move |rx, tx, consumed, emitted| {
-            // Partition channels and replica threads.
+            let (out_tx, out_rx) = mpsc::channel::<(u64, U)>();
             let mut part_tx = Vec::with_capacity(replicas);
-            let (out_tx, out_rx) = std::sync::mpsc::channel::<(u64, U)>();
-            let mut handles = Vec::with_capacity(replicas);
+            let mut workers = Vec::with_capacity(replicas);
             for op_slot in ops.iter_mut() {
                 let (ptx, prx) = streambal_transport::bounded::<(u64, T)>(capacity);
                 part_tx.push(ptx);
                 let op = op_slot.take().expect("each operator taken once");
-                handles.push(spawn_worker(
+                workers.push(spawn_worker(
                     "streambal-df-keyed".to_owned(),
                     std::iter::from_fn(move || prx.recv().ok()),
                     op,
@@ -107,73 +105,38 @@ impl<T: Send + 'static> Flow<T> {
                 ));
             }
             drop(out_tx);
-
-            // Router + in-order merger, interleaved on this stage's thread:
-            // route a tuple, then drain whatever is releasable.
-            let mut reorder = Reorder::default();
-            let mut seq = 0u64;
-            let mut route = |t: T,
-                             seq: &mut u64,
-                             consumed: &std::sync::Arc<std::sync::atomic::AtomicU64>|
-             -> bool {
+            // The merger releases downstream on a thread of its own, as in
+            // `Flow::parallel`; this stage's thread only routes.
+            let merger = thread::Builder::new()
+                .name("streambal-df-keyed-merger".to_owned())
+                .spawn(move || {
+                    ordered::merge(&out_rx, |u| {
+                        let sent = tx.send_recording(u).is_ok();
+                        if sent {
+                            emitted.fetch_add(1, Ordering::Relaxed);
+                        }
+                        sent
+                    });
+                })
+                .expect("spawning the keyed merger thread succeeds");
+            for (seq, t) in (0u64..).zip(std::iter::from_fn(|| rx.recv().ok())) {
                 consumed.fetch_add(1, Ordering::Relaxed);
                 let j = (stable_hash(&key(&t)) % replicas as u64) as usize;
-                let ok = part_tx[j].send_recording((*seq, t)).is_ok();
-                *seq += 1;
-                ok
-            };
-            // Drain loop: route everything, collecting outputs as they
-            // arrive; then drain the tail.
-            loop {
-                match rx.try_recv() {
-                    Ok(t) => {
-                        if !route(t, &mut seq, &consumed) {
-                            return;
-                        }
-                    }
-                    Err(streambal_transport::TryRecvError::Empty) => {
-                        // Nothing to route right now: move an output along
-                        // (blocking briefly keeps the stage from spinning).
-                        match out_rx.recv_timeout(std::time::Duration::from_micros(200)) {
-                            Ok((s, u)) => reorder.push(s, u).expect(STAMPED_ONCE),
-                            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    Err(streambal_transport::TryRecvError::Disconnected) => break,
-                }
-                while let Ok((s, u)) = out_rx.try_recv() {
-                    reorder.push(s, u).expect(STAMPED_ONCE);
-                }
-                if !release(&mut reorder, &tx, &emitted) {
-                    return;
+                if part_tx[j].send_recording((seq, t)).is_err() {
+                    break;
                 }
             }
-            // Input exhausted: close partitions, drain replicas fully.
+            // Closing the partitions lets the replicas drain in order and
+            // exit, which in turn ends the merge.
             drop(part_tx);
-            for h in handles {
-                let _ = h.join();
+            for worker in workers {
+                let _ = worker.join();
             }
-            while let Ok((s, u)) = out_rx.recv() {
-                reorder.push(s, u).expect(STAMPED_ONCE);
+            if let Err(panic) = merger.join() {
+                std::panic::resume_unwind(panic);
             }
-            let _ = release(&mut reorder, &tx, &emitted);
         })
     }
-}
-
-fn release<U: Send + 'static>(
-    reorder: &mut Reorder<U>,
-    tx: &streambal_transport::Sender<U>,
-    emitted: &std::sync::Arc<std::sync::atomic::AtomicU64>,
-) -> bool {
-    while let Some(value) = reorder.pop_ready() {
-        if tx.send_recording(value).is_err() {
-            return false;
-        }
-        emitted.fetch_add(1, Ordering::Relaxed);
-    }
-    true
 }
 
 #[cfg(test)]

@@ -38,8 +38,8 @@
 //! with this crate's parts plugged in: the source is the upstream channel,
 //! the links are instrumented channels, a worker runs one replica of the
 //! operator, and a merger thread releases into the downstream channel.
-//! [`Flow::parallel_keyed`] pins routing by key hash and shares only the
-//! worker loop and the reorder buffer.
+//! [`Flow::parallel_keyed`] pins routing by key hash and shares the worker
+//! loop and the merger thread.
 //!
 //! The parallel region preserves **sequential semantics**: tuples leave it
 //! in exactly the order they entered, whatever the relative speeds of the

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-pub use streambal_control::RoundSnapshot;
+pub use streambal_telemetry::RoundSnapshot;
 
 /// Statistics for one pipeline stage (one PE).
 #[derive(Debug, Clone, PartialEq, Eq)]

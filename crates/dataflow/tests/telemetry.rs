@@ -28,13 +28,13 @@ fn parallel_region_publishes_stage_counters_and_trace() {
     assert!(names.iter().any(|n| n == "transport.replica0.blocked_ns"));
 
     // The controller emitted both its own Sample events and the balancer's
-    // ControllerRound records, and the last Sample accounts for every tuple.
+    // ControllerRound records.
     let events = telemetry.trace().events();
     assert!(events
         .iter()
         .any(|e| matches!(e, TraceEvent::ControllerRound { .. })));
     let last_sample = events.iter().rev().find_map(|e| match e {
-        TraceEvent::Sample { delivered, .. } => Some(*delivered),
+        TraceEvent::Sample(s) => Some(s.delivered),
         _ => None,
     });
     assert!(last_sample.is_some(), "no Sample events traced");

@@ -10,10 +10,10 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use streambal_control::{ControlPlane, DataPlane, RoundSnapshot, ScriptedWidth};
+use streambal_control::{ControlPlane, DataPlane, ScriptedWidth};
 use streambal_core::controller::{BalancerConfig, BalancerMode};
 use streambal_core::weights::{WeightVector, WrrScheduler};
-use streambal_telemetry::Telemetry;
+use streambal_telemetry::{RoundSnapshot, Telemetry};
 use streambal_transport::{BlockingCounter, Sender, TrySendError};
 
 use crate::region::{LoadChange, LOAD_SCALE};
@@ -116,7 +116,8 @@ pub struct Spec {
     pub telemetry: Option<Telemetry>,
     pub metrics_prefix: Option<&'static str>,
     pub load_changes: Vec<LoadChange>,
-    /// The merger's released-tuple count, for trace events.
+    /// The merger's released-tuple count, which each round's snapshot
+    /// turns into its interval's deliveries.
     pub delivered: Option<Arc<AtomicU64>>,
 }
 

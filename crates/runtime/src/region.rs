@@ -5,18 +5,17 @@
 use std::fmt;
 use std::io;
 use std::iter;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
 use streambal_control::ScriptedWidth;
-use streambal_core::controller::BalancerMode;
 use streambal_telemetry::Telemetry;
 use streambal_transport::frame::MAX_FRAME;
 use streambal_transport::{bounded, BlockingCounter};
 
-pub use streambal_control::RoundSnapshot;
+pub use streambal_telemetry::RoundSnapshot;
 
 use crate::ordered::{self, Closed, Link, Slot, Spec};
 use crate::tcp_region::TcpLink;
@@ -123,7 +122,6 @@ pub struct RegionBuilder {
     stall: Option<(usize, u64, Duration)>,
     width_script: ScriptedWidth,
     scripted_grows: usize,
-    balancer_mode: BalancerMode,
     balancing: bool,
     reroute: bool,
     telemetry: Option<Telemetry>,
@@ -142,7 +140,6 @@ impl RegionBuilder {
             stall: None,
             width_script: ScriptedWidth::new(),
             scripted_grows: 0,
-            balancer_mode: BalancerMode::default(),
             balancing: true,
             reroute: false,
             telemetry: None,
@@ -221,12 +218,6 @@ impl RegionBuilder {
     /// worker.
     pub fn shrink_after(&mut self, after: Duration, count: usize) -> &mut Self {
         self.width_script.shrink_after(after, count);
-        self
-    }
-
-    /// Sets the balancer mode (default adaptive with 10% decay).
-    pub fn balancer_mode(&mut self, mode: BalancerMode) -> &mut Self {
-        self.balancer_mode = mode;
         self
     }
 
@@ -331,9 +322,9 @@ impl RegionBuilder {
                 })
             }
         };
+        let delivered = Arc::new(AtomicU64::new(0));
         let spec = Spec {
             width: self.workers,
-            mode: self.balancer_mode,
             balancing: self.balancing,
             reroute: self.reroute,
             interval: self.sample_interval,
@@ -341,18 +332,18 @@ impl RegionBuilder {
             telemetry: self.telemetry.clone(),
             metrics_prefix: Some("runtime"),
             load_changes: self.load_changes.clone(),
+            delivered: Some(Arc::clone(&delivered)),
             ..Spec::default()
         };
         let region = ordered::spawn(spec, (0..total_tuples).map(|_| ()), make_slot)
             .map_err(|e| RegionError::Io(e.kind()))?;
-        let mut delivered = 0u64;
         let clean = total_tuples == 0
             || ordered::merge(&merge_rx, |()| {
-                delivered += 1;
-                delivered < total_tuples
+                delivered.fetch_add(1, Ordering::Relaxed) + 1 < total_tuples
             });
         let duration = region.started.elapsed();
         let done = region.join(None).map_err(|_| RegionError::WorkerPanicked)?;
+        let delivered = delivered.load(Ordering::Relaxed);
         let report = RegionReport {
             delivered,
             in_order: clean && delivered == total_tuples,
@@ -491,6 +482,28 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::ControllerRound { .. })));
+    }
+
+    #[test]
+    fn traced_rounds_count_the_tuples_they_released() {
+        let telemetry = Telemetry::new();
+        let report = RegionBuilder::new(2)
+            .tuple_cost(500)
+            .sample_interval_ms(5)
+            .telemetry(&telemetry)
+            .run(20_000)
+            .unwrap();
+        assert!(report.in_order);
+        let delivered: u64 = RoundSnapshot::series_from_events(&telemetry.trace().events())
+            .iter()
+            .map(|s| s.delivered)
+            .sum();
+        // Rounds that ran while the merger released tuples saw them; any
+        // released after the last round are in no interval.
+        assert!(
+            (1..=20_000).contains(&delivered),
+            "per-round deliveries sum to {delivered}"
+        );
     }
 
     #[test]

@@ -34,14 +34,14 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use streambal_core::rng::SplitMix64;
 use streambal_core::weights::{WeightVector, WrrScheduler};
-use streambal_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceEvent};
+use streambal_telemetry::{Counter, Histogram, RoundSnapshot, Telemetry, TraceEvent};
 
-use streambal_control::WidthDecision;
+use streambal_control::{RoundGauges, WidthDecision};
 
 use crate::chaos::{ChaosPlan, FaultKind, RoundObserver, RoundView, Sabotage};
 use crate::config::{ConfigError, RegionConfig, StopCondition};
 use crate::host::Host;
-use crate::metrics::{RunResult, SampleTrace};
+use crate::metrics::RunResult;
 use crate::multi::{ResizeEvent, WidthChange};
 use crate::policy::{Policy, PolicySample, SampleContext};
 
@@ -139,7 +139,7 @@ pub fn run(cfg: &RegionConfig, policy: &mut dyn Policy) -> Result<RunResult, Con
 ///
 /// With `telemetry`, the splitter/merger hot paths publish counters under
 /// `sim.*`, every control round leaves a [`TraceEvent::Sample`] in the
-/// hub's trace buffer (mirroring the returned [`SampleTrace`]s exactly),
+/// hub's trace buffer (a clone of the returned [`RoundSnapshot`]),
 /// and the policy gets [`Policy::attach_telemetry`].
 ///
 /// # Errors
@@ -188,44 +188,28 @@ pub fn run_chaos<'c>(
 /// Pre-resolved metric handles for one region's hot paths, looked up once
 /// at start-of-run so per-tuple work is a single atomic op.
 struct Instruments {
-    /// `sim` for a dedicated run, `sim.region<r>` on shared hosts.
-    prefix: String,
     sent: Counter,
     delivered: Counter,
     rerouted: Counter,
     blocked_ns: Counter,
     block_events: Counter,
     latency_ns: Histogram,
-    rounds: Counter,
-    per_conn: Vec<(Gauge, Gauge)>,
+    round: RoundGauges,
 }
 
 impl Instruments {
-    fn new(telemetry: &Telemetry, prefix: String, n: usize) -> Self {
+    /// Binds the handles under `prefix` (`sim` for a dedicated run,
+    /// `sim.region<r>` on shared hosts) at width `n`.
+    fn new(telemetry: &Telemetry, prefix: &str, n: usize) -> Self {
         let reg = telemetry.registry();
-        let mut inst = Instruments {
+        Instruments {
             sent: reg.counter(&format!("{prefix}.splitter.sent")),
             delivered: reg.counter(&format!("{prefix}.merger.delivered")),
             rerouted: reg.counter(&format!("{prefix}.splitter.rerouted")),
             blocked_ns: reg.counter(&format!("{prefix}.splitter.blocked_ns")),
             block_events: reg.counter(&format!("{prefix}.splitter.block_events")),
             latency_ns: reg.histogram(&format!("{prefix}.latency_ns")),
-            rounds: reg.counter(&format!("{prefix}.controller.rounds")),
-            per_conn: Vec::new(),
-            prefix,
-        };
-        inst.bind_conns(telemetry, n);
-        inst
-    }
-
-    /// Resolves the per-connection gauges up to width `n`.
-    fn bind_conns(&mut self, telemetry: &Telemetry, n: usize) {
-        let reg = telemetry.registry();
-        for j in self.per_conn.len()..n {
-            self.per_conn.push((
-                reg.gauge(&format!("{}.conn{j}.blocking_rate", self.prefix)),
-                reg.gauge(&format!("{}.conn{j}.weight", self.prefix)),
-            ));
+            round: RoundGauges::new(reg, prefix, n),
         }
     }
 }
@@ -348,7 +332,7 @@ struct Region<'c> {
     fractions: Vec<(u64, usize, f64)>,
 
     // Control loop.
-    samples: Vec<SampleTrace>,
+    samples: Vec<RoundSnapshot>,
     last_sample_ns: u64,
     round: u64,
     /// Sampling-clock jitter amplitude (0 = exact clock).
@@ -519,7 +503,7 @@ impl<'c> Engine<'c> {
                     None => "sim".to_owned(),
                 };
                 let telemetry =
-                    telemetry.map(|t| (t.clone(), Instruments::new(t, prefix, workers.len())));
+                    telemetry.map(|t| (t.clone(), Instruments::new(t, &prefix, workers.len())));
                 Region::new(cfg, policy, workers, telemetry)
             })
             .collect();
@@ -960,7 +944,7 @@ impl<'c> Engine<'c> {
             w.load_override = None;
         }
         if let Some((t, inst)) = &mut reg.telemetry {
-            inst.bind_conns(t, new_width);
+            inst.round.extend_to(t.registry(), new_width);
         }
         reg.starve_from.get_or_insert(old);
         reg.width = new_width;
@@ -1087,7 +1071,8 @@ impl<'c> Engine<'c> {
             Some(Sabotage::FlappingWidth) | None => {}
         }
 
-        let sample = SampleTrace {
+        let sample = RoundSnapshot {
+            region: r,
             t_ns: now,
             weights: reg.weights.clone(),
             rates,
@@ -1095,21 +1080,10 @@ impl<'c> Engine<'c> {
             clusters: reg.policy.cluster_assignment(),
         };
         if let Some((t, inst)) = &reg.telemetry {
-            inst.rounds.incr();
-            for (j, (rate_g, weight_g)) in inst.per_conn.iter().take(n).enumerate() {
-                rate_g.set(sample.rates[j]);
-                weight_g.set(f64::from(sample.weights[j]));
-            }
-            // Mirror the in-memory SampleTrace exactly, so a run can be
+            inst.round.publish(&sample.rates, &sample.weights);
+            // The trace holds a clone of the kept record, so a run can be
             // reconstructed from the exported trace alone.
-            t.trace().push(TraceEvent::Sample {
-                region: r,
-                t_ns: sample.t_ns,
-                weights: sample.weights.clone(),
-                rates: sample.rates.clone(),
-                delivered: sample.delivered,
-                clusters: sample.clusters.clone(),
-            });
+            t.trace().push(TraceEvent::Sample(sample.clone()));
         }
         reg.samples.push(sample);
         reg.delivered_at_sample = reg.delivered;

@@ -70,8 +70,9 @@ pub use config::{RegionConfig, StopCondition};
 pub use engine::{run, run_chaos};
 pub use host::Host;
 pub use load::LoadSchedule;
-pub use metrics::{RunResult, SampleTrace};
+pub use metrics::RunResult;
 pub use policy::{BalancerPolicy, FixedPolicy, Policy, PolicySample, RoundRobinPolicy};
+pub use streambal_telemetry::RoundSnapshot;
 
 /// Nanoseconds in one simulated second.
 pub const SECOND_NS: u64 = 1_000_000_000;

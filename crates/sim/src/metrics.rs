@@ -1,72 +1,14 @@
-//! Run results and per-interval traces.
+//! Run results.
 //!
-//! This module sits on top of [`streambal_telemetry`]: a [`SampleTrace`]
-//! converts losslessly to and from a [`TraceEvent::Sample`], and a
-//! [`RunResult`] can publish its summary into a [`MetricsRegistry`] — so a
-//! run recorded through the telemetry subsystem (exported to JSONL/CSV and
-//! parsed back) reconstructs the exact in-memory sample series.
+//! This module sits on top of [`streambal_telemetry`]: a run's per-round
+//! records are [`RoundSnapshot`]s, pushed to the trace as they are built
+//! (so [`RoundSnapshot::series_from_events`] over an exported and parsed
+//! trace reconstructs the exact in-memory series), and a [`RunResult`]
+//! can publish its summary into a [`MetricsRegistry`].
 
-use streambal_telemetry::{MetricsRegistry, TraceEvent};
+use streambal_telemetry::{MetricsRegistry, RoundSnapshot};
 
 use crate::SECOND_NS;
-
-/// Everything recorded at one sampling interval (one control round).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampleTrace {
-    /// Simulated time of the sample, ns.
-    pub t_ns: u64,
-    /// Allocation weights in effect *after* this round's rebalance.
-    pub weights: Vec<u32>,
-    /// Per-connection blocking rates over the interval that just ended.
-    pub rates: Vec<f64>,
-    /// Tuples delivered by the merger during the interval.
-    pub delivered: u64,
-    /// Cluster id per connection, when the policy clusters.
-    pub clusters: Option<Vec<usize>>,
-}
-
-impl SampleTrace {
-    /// The equivalent telemetry event (what
-    /// [`run_chaos`](crate::run_chaos) with telemetry pushes each round).
-    pub fn to_trace_event(&self) -> TraceEvent {
-        TraceEvent::Sample {
-            region: 0,
-            t_ns: self.t_ns,
-            weights: self.weights.clone(),
-            rates: self.rates.clone(),
-            delivered: self.delivered,
-            clusters: self.clusters.clone(),
-        }
-    }
-
-    /// Reconstructs a sample from a telemetry event; `None` for non-sample
-    /// events.
-    pub fn from_trace_event(event: &TraceEvent) -> Option<SampleTrace> {
-        match event {
-            TraceEvent::Sample {
-                t_ns,
-                weights,
-                rates,
-                delivered,
-                clusters,
-                ..
-            } => Some(SampleTrace {
-                t_ns: *t_ns,
-                weights: weights.clone(),
-                rates: rates.clone(),
-                delivered: *delivered,
-                clusters: clusters.clone(),
-            }),
-            _ => None,
-        }
-    }
-
-    /// Reconstructs the ordered sample series from a recorded event stream,
-    /// skipping non-sample events.
-    pub fn series_from_events(events: &[TraceEvent]) -> Vec<SampleTrace> {
-        events.iter().filter_map(Self::from_trace_event).collect()
-    }
-}
 
 /// The outcome of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,8 +25,8 @@ pub struct RunResult {
     pub rerouted: u64,
     /// Cumulative splitter blocking time per connection, ns.
     pub blocked_ns: Vec<u64>,
-    /// One trace entry per sampling interval.
-    pub samples: Vec<SampleTrace>,
+    /// One record per sampling interval.
+    pub samples: Vec<RoundSnapshot>,
     /// Subsampled per-tuple region latencies (splitter entry to in-order
     /// exit), ns; every 16th tuple is recorded.
     pub latencies_ns: Vec<u64>,
@@ -210,7 +152,7 @@ impl RunResult {
 mod tests {
     use super::*;
 
-    fn result_with(samples: Vec<SampleTrace>, duration_ns: u64, delivered: u64) -> RunResult {
+    fn result_with(samples: Vec<RoundSnapshot>, duration_ns: u64, delivered: u64) -> RunResult {
         RunResult {
             policy: "test".to_owned(),
             duration_ns,
@@ -224,8 +166,9 @@ mod tests {
         }
     }
 
-    fn trace(t_ns: u64, delivered: u64) -> SampleTrace {
-        SampleTrace {
+    fn trace(t_ns: u64, delivered: u64) -> RoundSnapshot {
+        RoundSnapshot {
+            region: 0,
             t_ns,
             weights: vec![500, 500],
             rates: vec![0.0, 0.0],

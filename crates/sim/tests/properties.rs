@@ -174,8 +174,8 @@ fn blocked_time_bounded_by_duration() {
 /// reconstructs the in-memory one exactly.
 #[test]
 fn telemetry_run_is_observation_only() {
-    use streambal_sim::metrics::SampleTrace;
     use streambal_sim::ChaosPlan;
+    use streambal_sim::RoundSnapshot;
     use streambal_telemetry::Telemetry;
 
     let plan = ChaosPlan::default();
@@ -188,7 +188,7 @@ fn telemetry_run_is_observation_only() {
         let instrumented =
             streambal_sim::run_chaos(&cfg, &mut policy, &plan, Some(&telemetry), None).unwrap();
         assert_eq!(plain, instrumented);
-        let reconstructed = SampleTrace::series_from_events(&telemetry.trace().events());
+        let reconstructed = RoundSnapshot::series_from_events(&telemetry.trace().events());
         assert_eq!(reconstructed, instrumented.samples);
         assert_eq!(
             telemetry.registry().counter("sim.merger.delivered").get(),

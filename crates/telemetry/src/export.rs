@@ -8,7 +8,7 @@ use std::path::Path;
 
 use crate::json::{self, Json};
 use crate::registry::{HistogramSummary, MetricSnapshot, MetricValue};
-use crate::trace::{TraceEvent, TraceRecord};
+use crate::trace::{RoundSnapshot, TraceEvent, TraceRecord};
 
 // ---------------------------------------------------------------------------
 // CSV primitives (shared with `workloads::report::Table`)
@@ -250,14 +250,14 @@ pub fn trace_to_jsonl(records: &[TraceRecord]) -> String {
         let seq = r.seq;
         let kind = r.event.kind();
         match &r.event {
-            TraceEvent::Sample {
+            TraceEvent::Sample(RoundSnapshot {
                 region,
                 t_ns,
                 weights,
                 rates,
                 delivered,
                 clusters,
-            } => {
+            }) => {
                 let clusters = match clusters {
                     Some(c) => usizes(c),
                     None => "null".to_owned(),
@@ -384,7 +384,7 @@ pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceRecord>, String> {
                 .and_then(Json::as_str)
                 .ok_or("record missing type")?;
             let event = match kind {
-                "sample" => TraceEvent::Sample {
+                "sample" => TraceEvent::Sample(RoundSnapshot {
                     region: field_usize(d, "region")?,
                     t_ns: field_u64(d, "t_ns")?,
                     weights: arr_u32(d, "weights")?,
@@ -394,7 +394,7 @@ pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceRecord>, String> {
                         None | Some(Json::Null) => None,
                         Some(_) => Some(arr_usize(d, "clusters")?),
                     },
-                },
+                }),
                 "controller_round" => TraceEvent::ControllerRound {
                     round: field_u64(d, "round")?,
                     rates: arr_f64(d, "rates")?,
@@ -481,14 +481,14 @@ pub fn trace_to_csv(records: &[TraceRecord]) -> String {
             let mut row = vec![r.seq.to_string(), r.event.kind().to_owned()];
             let blank = String::new;
             match &r.event {
-                TraceEvent::Sample {
+                TraceEvent::Sample(RoundSnapshot {
                     region,
                     t_ns,
                     weights,
                     rates,
                     delivered,
                     clusters,
-                } => {
+                }) => {
                     row.push(region.to_string());
                     row.push(t_ns.to_string());
                     row.push(blank());
@@ -573,14 +573,14 @@ mod tests {
         vec![
             TraceRecord {
                 seq: 0,
-                event: TraceEvent::Sample {
+                event: TraceEvent::Sample(RoundSnapshot {
                     region: 0,
                     t_ns: 1_000_000_000,
                     weights: vec![500, 300, 200],
                     rates: vec![0.25, 0.0, 0.125],
                     delivered: 4_321,
                     clusters: Some(vec![0, 0, 1]),
-                },
+                }),
             },
             TraceRecord {
                 seq: 1,

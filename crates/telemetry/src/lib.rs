@@ -26,7 +26,7 @@ pub mod registry;
 pub mod trace;
 
 pub use registry::{Counter, Gauge, Histogram, MetricSnapshot, MetricValue, MetricsRegistry};
-pub use trace::{TraceBuffer, TraceEvent, TraceRecord};
+pub use trace::{RoundSnapshot, TraceBuffer, TraceEvent, TraceRecord};
 
 /// A bundle of one metrics registry and one trace buffer: the single
 /// handle a run threads through splitter, workers, merger and controller.

@@ -13,25 +13,49 @@ use std::sync::{Arc, Mutex};
 /// Default ring capacity: enough for ~18 hours of 1 s control rounds.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
+/// One control round's record: each connection's blocking rate over the
+/// interval that just ended and the weights installed from it. The
+/// simulator, the threaded planes and the proxy build one per round, push
+/// it to the trace as [`TraceEvent::Sample`] and may keep it for their
+/// reports.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundSnapshot {
+    /// Region index (0 for single-region runs).
+    pub region: usize,
+    /// Simulated/wall time of the round, ns since run start.
+    pub t_ns: u64,
+    /// Per-connection weights installed this round, in units of
+    /// 1/resolution.
+    pub weights: Vec<u32>,
+    /// Per-connection blocking rates observed over the interval.
+    pub rates: Vec<f64>,
+    /// Tuples released in order during the interval (0 where the plane
+    /// counts no deliveries, as the proxy does).
+    pub delivered: u64,
+    /// Cluster assignment per connection, when clustering is active.
+    pub clusters: Option<Vec<usize>>,
+}
+
+impl RoundSnapshot {
+    /// The round records in an event stream, in order, skipping every
+    /// other event.
+    #[must_use]
+    pub fn series_from_events(events: &[TraceEvent]) -> Vec<RoundSnapshot> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Sample(s) => Some(s.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
 /// One structured telemetry event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
-    /// A periodic engine sample: the state visible at one sampling
-    /// instant (mirrors `sim::metrics::SampleTrace`).
-    Sample {
-        /// Region index (0 for single-region runs).
-        region: usize,
-        /// Simulated/wall time of the sample, ns since run start.
-        t_ns: u64,
-        /// Per-connection weights in effect, in units of 1/resolution.
-        weights: Vec<u32>,
-        /// Per-connection blocking rates observed over the last interval.
-        rates: Vec<f64>,
-        /// Cumulative tuples delivered in order.
-        delivered: u64,
-        /// Cluster assignment per connection, when clustering is active.
-        clusters: Option<Vec<usize>>,
-    },
+    /// One control round's [`RoundSnapshot`].
+    Sample(RoundSnapshot),
     /// One controller round: solver input (observed rates), the weights
     /// it started from and the weights it produced.
     ControllerRound {
@@ -85,7 +109,7 @@ impl TraceEvent {
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            TraceEvent::Sample { .. } => "sample",
+            TraceEvent::Sample(_) => "sample",
             TraceEvent::ControllerRound { .. } => "controller_round",
             TraceEvent::Decay { .. } => "decay",
             TraceEvent::Exploration { .. } => "exploration",
@@ -317,14 +341,14 @@ mod tests {
     #[test]
     fn kinds_are_stable() {
         assert_eq!(decay(0).kind(), "decay");
-        let s = TraceEvent::Sample {
+        let s = TraceEvent::Sample(RoundSnapshot {
             region: 0,
             t_ns: 0,
             weights: vec![],
             rates: vec![],
             delivered: 0,
             clusters: None,
-        };
+        });
         assert_eq!(s.kind(), "sample");
     }
 }

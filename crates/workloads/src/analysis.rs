@@ -102,13 +102,14 @@ pub fn allocation_distance(mean_weights: &[f64], reference_units: &[u32]) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streambal_sim::metrics::SampleTrace;
+    use streambal_sim::RoundSnapshot;
 
     fn run_with_weights(series: Vec<Vec<u32>>) -> RunResult {
         let samples = series
             .into_iter()
             .enumerate()
-            .map(|(i, weights)| SampleTrace {
+            .map(|(i, weights)| RoundSnapshot {
+                region: 0,
                 t_ns: (i as u64 + 1) * SECOND_NS,
                 rates: vec![0.0; weights.len()],
                 weights,

@@ -37,6 +37,7 @@ use streambal_sim::policy::BalancerPolicy;
 use streambal_sim::{run_chaos, SECOND_NS};
 
 use crate::report::{fmt3, fmt_tput, sparkline, Table};
+use crate::tournament::runner::quantile;
 
 /// The live floor the run starts at (and the autoscaler's minimum).
 pub const BASE_WIDTH: usize = 4;
@@ -281,17 +282,6 @@ impl RampOutcome {
             names.join("+")
         }
     }
-}
-
-/// Nearest-rank quantile over an unsorted sample; `0.0` for empty input.
-fn quantile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Runs the ramp once under `kind`, scoring it with the standard oracle

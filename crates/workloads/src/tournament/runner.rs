@@ -135,7 +135,7 @@ impl RoundObserver for CellObserver {
 }
 
 /// Nearest-rank quantile over an unsorted sample; `0.0` for empty input.
-fn quantile(values: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile(values: &[f64], q: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }

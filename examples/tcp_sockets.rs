@@ -36,7 +36,7 @@ fn main() {
     );
     println!("\ncontrol rounds (every 8th):");
     for s in report.snapshots.iter().step_by(8) {
-        println!("t={:>5}ms weights {:?}", s.elapsed_ms, s.weights);
+        println!("t={:>5}ms weights {:?}", s.t_ns / 1_000_000, s.weights);
     }
     if let Some(w) = report.final_weights() {
         println!(

@@ -39,7 +39,7 @@ fn main() {
     println!("\ncontrol rounds (every 4th):");
     println!("t(ms)  weights");
     for s in report.snapshots.iter().step_by(4) {
-        println!("{:>5}  {:?}", s.elapsed_ms, s.weights);
+        println!("{:>5}  {:?}", s.t_ns / 1_000_000, s.weights);
     }
     println!(
         "\ncumulative splitter blocking per connection: {:?} ns",

@@ -154,8 +154,8 @@ fn stall_rebalances_and_never_hangs(transport: Transport) {
         let step_ms = |i: usize| {
             let prev_ms = i
                 .checked_sub(1)
-                .map_or(0, |p| report.snapshots[p].elapsed_ms);
-            report.snapshots[i].elapsed_ms - prev_ms
+                .map_or(0, |p| report.snapshots[p].t_ns / 1_000_000);
+            report.snapshots[i].t_ns / 1_000_000 - prev_ms
         };
         // Blocked time is charged as it accrues and a rate divides by Δ, so
         // one splitter reads at most 1 — never the whole stall in one lump.
@@ -166,7 +166,7 @@ fn stall_rebalances_and_never_hangs(transport: Transport) {
             assert!(
                 s.rates.iter().all(|&r| r <= bound),
                 "round at {} ms sampled {:?} (bound {bound})",
-                s.elapsed_ms,
+                s.t_ns / 1_000_000,
                 s.rates
             );
         }
@@ -211,7 +211,7 @@ fn stall_rebalances_and_never_hangs(transport: Transport) {
             assert!(
                 s.weights[0] <= w0 || s.rates[0] < 0.5 || s.rates[1] > 0.0,
                 "weight handed back to the stalled worker at {} ms: {w0} -> {:?}",
-                s.elapsed_ms,
+                s.t_ns / 1_000_000,
                 s.weights
             );
             w0 = s.weights[0];
@@ -256,7 +256,7 @@ fn cadence_holds_while_a_slot_opens(transport: Transport) {
             .iter()
             .any(|s| s.rates[0] >= 0.5),
         "width 3 was first recorded at {} ms, only after the stall had ended",
-        report.snapshots[grown].elapsed_ms
+        report.snapshots[grown].t_ns / 1_000_000
     );
     // And no round inside the stall — the longest run of rounds that saw
     // blocking on connection 0 — went missing.
@@ -267,11 +267,11 @@ fn cadence_holds_while_a_slot_opens(transport: Transport) {
         .max_by_key(|run| run.len())
         .expect("the stall must show up as rounds with connection 0 blocked");
     for pair in stall.windows(2) {
-        let gap = pair[1].elapsed_ms - pair[0].elapsed_ms;
+        let gap = pair[1].t_ns / 1_000_000 - pair[0].t_ns / 1_000_000;
         assert!(
             gap <= INTERVAL_MS + LATE_MS,
             "the control loop froze for {gap} ms at {} ms",
-            pair[0].elapsed_ms
+            pair[0].t_ns / 1_000_000
         );
     }
 }

@@ -226,3 +226,32 @@ fn one_decision_trait() {
         ],
     );
 }
+
+/// A control round leaves one record, `telemetry::RoundSnapshot`, which
+/// the trace's `Sample` event holds; its two metric families are bound in
+/// one place; and a keyed region merges on a thread of its own instead of
+/// polling.
+#[test]
+fn one_round_record() {
+    assert_absent(
+        &["crates/", "tests/", "examples/", "docs/"],
+        &["SampleTrace"],
+    );
+    let records = grep(&["crates/"], any_of(&["struct RoundSnapshot"]));
+    assert_eq!(records.len(), 1, "{}", records.join("\n"));
+    assert!(
+        records[0].starts_with("crates/telemetry/src/"),
+        "{}",
+        records[0]
+    );
+    for family in ["}.controller.rounds", "}.blocking_rate"] {
+        let mut files: Vec<String> = grep(&["crates"], any_of(&[family]))
+            .into_iter()
+            .filter(|hit| hit.split('/').nth(2) == Some("src"))
+            .map(|hit| hit.split(':').next().unwrap().to_owned())
+            .collect();
+        files.dedup();
+        assert_eq!(files.len(), 1, "{family} is formatted in {files:?}");
+    }
+    assert_absent(&["crates/dataflow/src"], &["recv_timeout"]);
+}

@@ -8,7 +8,7 @@ use streambal::core::controller::BalancerConfig;
 use streambal::sim::config::{RegionConfig, StopCondition};
 use streambal::sim::load::LoadSchedule;
 use streambal::sim::policy::BalancerPolicy;
-use streambal::sim::{ChaosPlan, SampleTrace, SECOND_NS};
+use streambal::sim::{ChaosPlan, RoundSnapshot, SECOND_NS};
 use streambal::telemetry::{export, MetricValue, Telemetry, TraceEvent};
 
 /// A scaled-down Figure 8 (top): 3 PEs, one under heavy external load that
@@ -43,7 +43,7 @@ fn exported_trace_reconstructs_weight_and_rate_trajectories() {
 
     // The sample series reconstructed from the exported trace alone must
     // equal the simulator's in-memory series, field for field.
-    let reconstructed = SampleTrace::series_from_events(&events);
+    let reconstructed = RoundSnapshot::series_from_events(&events);
     assert_eq!(reconstructed, result.samples);
 
     // And therefore the derived per-connection trajectories match too.
