@@ -24,7 +24,7 @@ use std::fmt;
 use streambal_telemetry::{TraceBuffer, TraceEvent};
 
 use crate::cluster::{self, AggregateScratch, ClusterScratch, Clustering, Knee};
-use crate::function::BlockingRateFunction;
+use crate::function::{BlockingRateFunction, SMOOTHING};
 use crate::rate::ConnectionSample;
 use crate::solver::fox::{self, FoxScratch, Limits};
 use crate::weights::{WeightVector, DEFAULT_RESOLUTION};
@@ -98,7 +98,7 @@ pub enum ConfigError {
     NoConnections,
     /// `resolution` was zero or smaller than the connection count.
     BadResolution,
-    /// A smoothing/decay factor was outside its valid range.
+    /// The adaptive decay factor was outside `[0, 1]`.
     BadFactor,
     /// The clustering distance threshold was negative or not finite.
     BadThreshold,
@@ -111,7 +111,7 @@ impl fmt::Display for ConfigError {
             ConfigError::BadResolution => {
                 write!(f, "resolution must be positive and >= connection count")
             }
-            ConfigError::BadFactor => write!(f, "smoothing/decay factors must be in (0, 1]"),
+            ConfigError::BadFactor => write!(f, "the decay factor must be in [0, 1]"),
             ConfigError::BadThreshold => {
                 write!(f, "clustering distance threshold must be finite and >= 0")
             }
@@ -222,7 +222,6 @@ fn check_predicted(connection: usize, predicted: &[f64]) -> Result<(), Invariant
 pub struct BalancerConfig {
     connections: usize,
     resolution: u32,
-    smoothing: f64,
     mode: BalancerMode,
     exploration_step: u32,
     clustering: Option<ClusteringConfig>,
@@ -234,7 +233,6 @@ impl BalancerConfig {
         BalancerConfigBuilder {
             connections,
             resolution: DEFAULT_RESOLUTION,
-            smoothing: 0.5,
             mode: BalancerMode::default(),
             exploration_step: 10,
             clustering: None,
@@ -262,7 +260,6 @@ impl BalancerConfig {
 pub struct BalancerConfigBuilder {
     connections: usize,
     resolution: u32,
-    smoothing: f64,
     mode: BalancerMode,
     exploration_step: u32,
     clustering: Option<ClusteringConfig>,
@@ -272,12 +269,6 @@ impl BalancerConfigBuilder {
     /// Sets the weight resolution `R` (default 1000, i.e. 0.1% units).
     pub fn resolution(&mut self, resolution: u32) -> &mut Self {
         self.resolution = resolution;
-        self
-    }
-
-    /// Sets the EWMA weight for new samples (default 0.5).
-    pub fn smoothing(&mut self, alpha: f64) -> &mut Self {
-        self.smoothing = alpha;
         self
     }
 
@@ -319,9 +310,6 @@ impl BalancerConfigBuilder {
         if self.resolution == 0 || (self.resolution as usize) < self.connections {
             return Err(ConfigError::BadResolution);
         }
-        if !(self.smoothing > 0.0 && self.smoothing <= 1.0) {
-            return Err(ConfigError::BadFactor);
-        }
         if let BalancerMode::Adaptive { decay } = self.mode {
             if !(0.0..=1.0).contains(&decay) {
                 return Err(ConfigError::BadFactor);
@@ -337,7 +325,6 @@ impl BalancerConfigBuilder {
         Ok(BalancerConfig {
             connections: self.connections,
             resolution: self.resolution,
-            smoothing: self.smoothing,
             mode: self.mode,
             exploration_step: self.exploration_step,
             clustering: self.clustering,
@@ -524,7 +511,7 @@ impl LoadBalancer {
     /// Creates a balancer starting from an even weight split.
     pub fn new(cfg: BalancerConfig) -> Self {
         let functions: Vec<BlockingRateFunction> = (0..cfg.connections)
-            .map(|_| BlockingRateFunction::new(cfg.resolution, cfg.smoothing))
+            .map(|_| BlockingRateFunction::new(cfg.resolution, SMOOTHING))
             .collect();
         let weights = WeightVector::even(cfg.connections, cfg.resolution);
         let pending_rates = vec![0.0; cfg.connections];
@@ -768,7 +755,7 @@ impl LoadBalancer {
     /// Replaces slot `j`'s function with a fresh one and invalidates every
     /// per-slot cache keyed on its generation.
     fn retire_slot(&mut self, j: usize) {
-        self.functions[j] = BlockingRateFunction::new(self.cfg.resolution, self.cfg.smoothing);
+        self.functions[j] = BlockingRateFunction::new(self.cfg.resolution, SMOOTHING);
         self.scratch.knee_gen[j] = u64::MAX;
         if let Some(k) = self.scratch.knees.get_mut(j) {
             *k = NO_KNEE;
@@ -809,7 +796,7 @@ impl LoadBalancer {
         );
         self.cfg.connections = new_n;
         self.functions.resize_with(new_n, || {
-            BlockingRateFunction::new(self.cfg.resolution, self.cfg.smoothing)
+            BlockingRateFunction::new(self.cfg.resolution, SMOOTHING)
         });
         self.pending_rates.resize(new_n, 0.0);
         // New slots are born detached at weight 0: extending the unit
@@ -2304,13 +2291,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ConfigError::BadResolution
-        );
-        assert_eq!(
-            BalancerConfig::builder(2)
-                .smoothing(0.0)
-                .build()
-                .unwrap_err(),
-            ConfigError::BadFactor
         );
         assert_eq!(
             BalancerConfig::builder(2)

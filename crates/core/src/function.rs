@@ -22,6 +22,11 @@ use std::fmt;
 
 use crate::pava::PavaScratch;
 
+/// The EWMA weight the balancer gives a new observation at an
+/// already-observed weight: the paper's "appropriately smoothed single
+/// blocking rate value".
+pub const SMOOTHING: f64 = 0.5;
+
 /// Predictive blocking-rate function for one connection.
 ///
 /// # Examples

@@ -32,14 +32,14 @@
 //!
 //! ## Blocking measurement
 //!
-//! The paper's blocked-send time is derived from readiness: a span
-//! starts when a link write returns `WouldBlock` and ends at the flush
-//! the next `EPOLLOUT` edge triggers. Long spans are flushed
-//! into the [`BlockingCounter`](streambal_transport::BlockingCounter)
-//! incrementally so a sampler mid-span still sees the accumulating
-//! time. One link per backend per shard means at most one span per
-//! backend is open at a time, so a one-shard proxy never charges a
-//! backend more blocked time than wall time.
+//! The paper's blocked-send time is derived from readiness: a span on
+//! the backend's [`BlockingCounter`](streambal_transport::BlockingCounter)
+//! starts when a link write returns `WouldBlock` and ends at the first
+//! write that drains the link, or when the link is dropped. The counter
+//! shows an open span to a sampler as it accrues. One link per backend
+//! per shard means at most one span per backend is open at a time, so a
+//! one-shard proxy never charges a backend more blocked time than wall
+//! time.
 //!
 //! ## Failure semantics
 //!
@@ -64,6 +64,7 @@ use streambal_transport::frame::{FrameReader, FrameWriter, Poll, WriteStatus};
 use streambal_transport::poll::{
     connect_finished, connect_nonblocking, set_send_buffer, Event, Interest, Poller,
 };
+use streambal_transport::BlockedSpan;
 
 use crate::pool::Backend;
 use crate::server::Shared;
@@ -72,10 +73,6 @@ const LISTENER_TOKEN: usize = usize::MAX;
 /// Wait bound: reaction time to the stop flag, the drain and deadlines,
 /// and shard 0's probe tick.
 const IDLE_WAIT: Duration = Duration::from_millis(50);
-/// A link still unwritable after this long has its accumulated span
-/// flushed into the counter, so samplers see blocking as it happens
-/// rather than one lump when the socket finally drains.
-const BLOCKED_FLUSH: Duration = Duration::from_millis(20);
 /// Back-off after a failed `accept` (fd pressure): the listener stays
 /// level-triggered readable, so without a pause the loop would spin.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
@@ -211,20 +208,11 @@ struct Link {
     connecting: bool,
     connect_deadline: Instant,
     inflight: VecDeque<Inflight>,
-    /// Start of the current unwritable span, when the last write blocked.
-    blocked_since: Option<Instant>,
+    /// The open unwritable span, while the last write blocked.
+    blocked: Option<BlockedSpan>,
 }
 
 impl Link {
-    /// Ends the current unwritable span, if any, charging it to the
-    /// backend's blocking counter.
-    fn charge_blocked(&mut self, now: Instant) {
-        if let Some(t0) = self.blocked_since.take() {
-            let ns = u64::try_from(now.duration_since(t0).as_nanos()).unwrap_or(u64::MAX);
-            self.backend.counter().add_ns(ns);
-        }
-    }
-
     /// Sends `from`'s front frame: queued while the link connects, else
     /// written through and booked.
     fn send(&mut self, from: &FrameReader, queued: &Counter) -> io::Result<()> {
@@ -237,15 +225,16 @@ impl Link {
         self.book(written)
     }
 
-    /// Books every link write: the open unwritable span ends here, and a
-    /// write that blocked opens the next; one place charges the counter.
+    /// Books every link write: a write that blocked opens an unwritable
+    /// span, or keeps the one already open, and any other write ends it.
     fn book(&mut self, written: io::Result<WriteStatus>) -> io::Result<()> {
-        let now = Instant::now();
-        self.charge_blocked(now);
-        if written? == WriteStatus::Blocked {
-            self.blocked_since = Some(now);
+        if matches!(written, Ok(WriteStatus::Blocked)) {
+            let counter = self.backend.counter();
+            self.blocked.get_or_insert_with(|| counter.start_span());
+        } else {
+            self.blocked = None;
         }
-        Ok(())
+        written.map(drop)
     }
 }
 
@@ -544,7 +533,7 @@ impl Shard {
             connecting: true,
             connect_deadline: Instant::now() + self.shared.cfg.connect_timeout,
             inflight: VecDeque::new(),
-            blocked_since: None,
+            blocked: None,
         }));
         // Connect completion or failure arrives as the first writable or
         // error edge.
@@ -572,7 +561,7 @@ impl Shard {
     }
 
     /// Writes as much of the link's out-queue as the socket accepts,
-    /// charging unwritable spans into the backend's blocking counter.
+    /// booking the write's unwritable span.
     fn flush_link(&mut self, tok: usize) {
         let Some(Entry::Link(l)) = self.entries.get_mut(tok).and_then(Option::as_mut) else {
             return;
@@ -648,10 +637,9 @@ impl Shard {
     /// backend's ejection and goes back to dispatch with this slot on
     /// its skip-list.
     fn fail_link(&mut self, tok: usize) {
-        let Some(mut l) = self.remove_link(tok) else {
+        let Some(l) = self.remove_link(tok) else {
             return;
         };
-        l.charge_blocked(Instant::now());
         for _ in 0..l.inflight.len().max(1) {
             self.record_failure(&l.backend);
         }
@@ -776,7 +764,7 @@ impl Shard {
             self.start_probes(now);
         }
 
-        // Link deadlines, blocked-span flushes, and retired backends.
+        // Link deadlines and retired backends.
         for slot in 0..self.links.len() {
             let Some(tok) = self.links[slot] else {
                 continue;
@@ -795,12 +783,6 @@ impl Shard {
                 // An idle link to a retired backend holds an fd (and a
                 // half-open socket) for nothing.
                 self.remove_link(tok);
-            } else if l
-                .blocked_since
-                .is_some_and(|t0| now.duration_since(t0) >= BLOCKED_FLUSH)
-            {
-                l.charge_blocked(now);
-                l.blocked_since = Some(now);
             }
         }
 

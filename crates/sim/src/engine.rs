@@ -868,6 +868,7 @@ impl<'c> Engine<'c> {
                     return;
                 }
                 w.alive = false;
+                let freed = w.busy.then_some(w.host);
                 if w.busy {
                     // Crash-restart semantics: the in-flight tuple is lost
                     // from the worker but not from the stream — it goes
@@ -876,6 +877,9 @@ impl<'c> Engine<'c> {
                     w.busy = false;
                     w.stamp += 1;
                     w.conn_q.push_front(w.seq);
+                    if self.shared.is_some() {
+                        w.busy_ns += now - w.started_at;
+                    }
                 }
                 // Real membership: retire the dead connection and
                 // renormalize the survivors immediately. The sabotage
@@ -888,6 +892,13 @@ impl<'c> Engine<'c> {
                             reg.install_balancer_weights();
                         }
                     }
+                }
+                if let (Some(host), Some(sh)) = (freed, &mut self.shared) {
+                    // The dead worker leaves its host, as a finished one
+                    // does: everyone left on it speeds up.
+                    let old_rate = sh.rate(host);
+                    sh.busy[host] -= 1;
+                    self.rescale_host(host, old_rate);
                 }
             }
             FaultKind::WorkerRestart { worker } => {
@@ -1460,6 +1471,38 @@ mod tests {
             r.delivered > baseline.delivered / 2,
             "the region must recover after the restart, delivered {}",
             r.delivered
+        );
+    }
+
+    #[test]
+    fn a_death_on_a_shared_host_frees_its_busy_slot() {
+        // Two saturated workers on a 2-thread host each run at full speed.
+        // Worker 1 dies mid-tuple and restarts: once it is back, the host
+        // must count two busy workers again, not a phantom third that
+        // would hold both at two thirds of their speed.
+        let cfg = quick(2)
+            .hosts(vec![crate::host::Host::new(2, 1.0)])
+            .stop(StopCondition::Duration(12 * SECOND_NS))
+            .build()
+            .unwrap();
+        let plan = ChaosPlan::new(vec![
+            fault(3, FaultKind::WorkerDeath { worker: 1 }),
+            fault(5, FaultKind::WorkerRestart { worker: 1 }),
+        ]);
+        let mut policy = RoundRobinPolicy::new();
+        let cfgs = std::slice::from_ref(&cfg);
+        let policies = [&mut policy as &mut dyn Policy];
+        let mut engine = Engine::new(cfgs, policies, Some(&cfg.hosts), &[], None);
+        engine.chaos = Some(&plan);
+        let r = engine.run().pop().unwrap();
+        let mean = |from: usize, to: usize| {
+            let rounds = &r.samples[from..to];
+            rounds.iter().map(|s| s.delivered).sum::<u64>() as f64 / rounds.len() as f64
+        };
+        let (before, after) = (mean(1, 3), mean(8, 12));
+        assert!(
+            after > 0.95 * before,
+            "{after} tuples/round after the restart vs {before} before the death"
         );
     }
 

@@ -6,8 +6,8 @@
 //!
 //! 1. [`Sender::try_send`] — the `MSG_DONTWAIT` analogue; never blocks.
 //! 2. [`Sender::send_recording`] — on a full buffer it *elects to block*
-//!    (like the paper's `select` with a timeout object) and charges the
-//!    blocked wall-clock duration to the connection's [`BlockingCounter`].
+//!    (like the paper's `select` with a timeout object), and the wait is
+//!    one span on the connection's [`BlockingCounter`].
 //!
 //! A sender can additionally be [instrumented](Sender::instrument) with a
 //! telemetry registry, publishing the same blocking signal as a named
@@ -17,11 +17,10 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
 
 use streambal_telemetry::{Counter, Histogram, MetricsRegistry};
 
-use crate::counters::{BlockingCounter, WAIT_SLICE};
+use crate::counters::BlockingCounter;
 
 /// Locks a mutex, ignoring poisoning (the queues hold plain data; a
 /// panicked peer cannot leave them logically inconsistent).
@@ -183,8 +182,8 @@ impl<T> Sender<T> {
         Ok(())
     }
 
-    /// Sends, electing to block when the buffer is full and charging the
-    /// blocked duration to this connection's [`BlockingCounter`].
+    /// Sends, electing to block when the buffer is full; the wait is a
+    /// span on this connection's [`BlockingCounter`].
     ///
     /// This is the paper's measurement path: first a non-blocking attempt,
     /// then — if it would block — a recorded wait until space frees up.
@@ -199,9 +198,8 @@ impl<T> Sender<T> {
             Err(TrySendError::Disconnected(v)) => return Err(SendError(v)),
             Err(TrySendError::Full(v)) => v,
         };
-        // Slow path: elect to block, charging the time on every wake (as TCP).
-        let mut since = Instant::now();
-        let mut total = 0;
+        // Slow path: elect to block; the counter shows the wait while it lasts.
+        let span = self.shared.counter.start_span();
         let mut q = lock(&self.shared.queue);
         let sent = loop {
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
@@ -211,37 +209,29 @@ impl<T> Sender<T> {
                 q.push_back(value);
                 break Ok(());
             }
-            let woke = self.shared.not_full.wait_timeout(q, WAIT_SLICE);
-            q = woke.unwrap_or_else(PoisonError::into_inner).0;
-            total += self.charge(&mut since);
+            q = self
+                .shared
+                .not_full
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
         };
         drop(q);
-        total += self.charge(&mut since);
+        let ns = span.end();
         if let Some(inst) = self.shared.instrument.get() {
+            inst.blocked_ns.add(ns);
             inst.block_waits.incr();
-            inst.wait_ns.record(total);
+            inst.wait_ns.record(ns);
         }
         self.shared.not_empty.notify_one();
         sent
     }
 
-    /// Charges the time blocked since `since`, and restarts `since` there.
-    fn charge(&self, since: &mut Instant) -> u64 {
-        let now = Instant::now();
-        let ns = u64::try_from((now - *since).as_nanos()).unwrap_or(u64::MAX);
-        *since = now;
-        self.shared.counter.add_ns(ns);
-        if let Some(inst) = self.shared.instrument.get() {
-            inst.blocked_ns.add(ns);
-        }
-        ns
-    }
-
     /// Publishes this connection's blocking signal into `registry` under
     /// `transport.<name>.blocked_ns` (cumulative counter, mirrors the
-    /// [`BlockingCounter`]), `transport.<name>.block_waits` (number of
-    /// recorded waits) and `transport.<name>.block_wait_ns` (per-wait
-    /// duration histogram).
+    /// [`BlockingCounter`] as of each wait's end),
+    /// `transport.<name>.block_waits` (number of recorded waits) and
+    /// `transport.<name>.block_wait_ns` (per-wait duration histogram), all
+    /// updated once, when a wait ends.
     ///
     /// Instrumentation can be attached once per channel; later calls are
     /// ignored. All clones of this sender share it.
@@ -374,6 +364,9 @@ impl<T> Receiver<T> {
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         if self.shared.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Take the lock first: a sender between its check and its wait
+            // would otherwise miss this wake-up and wait forever.
+            drop(lock(&self.shared.queue));
             self.shared.not_full.notify_all();
         }
     }
@@ -461,6 +454,32 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_receiver_wakes_a_blocked_sender() {
+        for round in 0..500 {
+            let (tx, rx) = bounded(1);
+            tx.try_send(0u32).unwrap();
+            let counter = tx.blocking_counter();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let sender = thread::spawn(move || done_tx.send(tx.send_recording(1)).unwrap());
+            // Hang up just as the sender heads for its wait: its span opens
+            // right before it takes the lock, checks and parks. Every other
+            // round hangs up a pause later, across the check.
+            while counter.cumulative_ns() == 0 {
+                std::hint::spin_loop();
+            }
+            if round % 2 == 1 {
+                std::hint::spin_loop();
+            }
+            drop(rx);
+            let sent = done_rx
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("round {round}: the sender missed the hang-up"));
+            assert_eq!(sent, Err(SendError(1)));
+            sender.join().unwrap();
+        }
+    }
+
+    #[test]
     fn non_blocking_send_records_nothing() {
         let (tx, rx) = bounded(4);
         tx.send_recording(1u32).unwrap();
@@ -491,8 +510,7 @@ mod tests {
     fn cloned_senders_share_counter() {
         let (tx, _rx) = bounded::<u8>(1);
         let tx2 = tx.clone();
-        tx.blocking_counter().add_ns(5);
-        assert_eq!(tx2.blocking_counter().cumulative_ns(), 5);
+        assert!(Arc::ptr_eq(&tx.blocking_counter(), &tx2.blocking_counter()));
     }
 
     #[test]

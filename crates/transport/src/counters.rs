@@ -4,24 +4,47 @@
 //! total time the sender has spent blocked (the paper's "cumulative blocking
 //! time", Figure 2). The balancer samples it periodically; the first
 //! difference divided by the sampling interval is the **blocking rate**.
-//! The counter may be reset at any time (the paper's transport resets it
-//! periodically); the sampler is reset-aware.
+//!
+//! A writer that elects to block marks the wait with a [`BlockedSpan`] and
+//! does nothing else: a read returns the time of every ended span plus every
+//! open one up to the moment of the read, so a stall shows while it lasts
+//! and the sampler's first difference is exact. The counter is never reset.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
-/// Budget for one wait inside an elective blocking send, on either link.
-/// Blocked time reaches the counter once per wake, so this is also the
-/// granularity at which a stall becomes visible to a sampler — keep it
-/// well under the shortest sampling interval in use (20 ms in the tests).
-pub(crate) const WAIT_SLICE: Duration = Duration::from_millis(5);
-
-/// A monotone (between resets) cumulative blocking-time counter, in
-/// nanoseconds. Cheap to update from the sending thread and to read from a
-/// sampling thread.
-#[derive(Debug, Default)]
+/// A monotone cumulative blocking-time counter, in nanoseconds. Cheap to
+/// update from the sending thread and to read from a sampling thread.
+///
+/// Overlapping spans (several writers blocked on one connection) read as
+/// the sum of their lengths.
+#[derive(Debug)]
 pub struct BlockingCounter {
-    blocked_ns: AtomicU64,
+    /// Time of every ended span, plus whatever [`add_ns`](Self::add_ns)
+    /// scripted.
+    closed_ns: AtomicU64,
+    /// How many spans are open; a read with none open takes no lock. It
+    /// changes only under `starts_ns`'s lock.
+    open: AtomicUsize,
+    /// Sum of the open spans' start times, in ns since `epoch`. A span
+    /// moves from here into `closed_ns` under this lock, so a locked read
+    /// counts it exactly once. The sum wraps: `open × now − starts_ns` is
+    /// the true, far smaller, sum of the open spans' lengths modulo 2⁶⁴.
+    starts_ns: Mutex<u64>,
+    /// Origin of the span start times.
+    epoch: Instant,
+}
+
+impl Default for BlockingCounter {
+    fn default() -> Self {
+        BlockingCounter {
+            closed_ns: AtomicU64::new(0),
+            open: AtomicUsize::new(0),
+            starts_ns: Mutex::new(0),
+            epoch: Instant::now(),
+        }
+    }
 }
 
 impl BlockingCounter {
@@ -30,24 +53,91 @@ impl BlockingCounter {
         Self::default()
     }
 
-    /// Adds a blocked duration.
+    /// Adds a blocked duration that was measured elsewhere.
     pub fn add_ns(&self, ns: u64) {
-        self.blocked_ns.fetch_add(ns, Ordering::Relaxed);
+        self.closed_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Reads the cumulative blocked time since the last reset.
+    /// Starts a blocked span: reads include it from now until the returned
+    /// span is dropped.
+    pub fn start_span(self: &Arc<Self>) -> BlockedSpan {
+        let mut starts = self.lock_starts();
+        let start_ns = self.now_ns();
+        *starts = starts.wrapping_add(start_ns);
+        self.open.fetch_add(1, Ordering::Release);
+        BlockedSpan {
+            counter: Arc::clone(self),
+            start_ns: Some(start_ns),
+        }
+    }
+
+    /// Reads the cumulative blocked time: every ended span, plus every
+    /// open one up to now. Successive reads never decrease.
     pub fn cumulative_ns(&self) -> u64 {
-        self.blocked_ns.load(Ordering::Relaxed)
+        // A span's time lands in `closed_ns` before its `open` decrement,
+        // so a read that sees no span open sees the time of every ended one.
+        if self.open.load(Ordering::Acquire) == 0 {
+            return self.closed_ns.load(Ordering::Relaxed);
+        }
+        let starts = self.lock_starts();
+        let open = self.open.load(Ordering::Relaxed) as u64;
+        let open_ns = open.wrapping_mul(self.now_ns()).wrapping_sub(*starts);
+        self.closed_ns.load(Ordering::Relaxed) + open_ns
     }
 
-    /// Resets the counter, returning the value it held.
-    pub fn reset(&self) -> u64 {
-        self.blocked_ns.swap(0, Ordering::Relaxed)
+    /// Moves the span that started at `start_ns` into closed time,
+    /// returning its length.
+    fn end_span(&self, start_ns: u64) -> u64 {
+        let mut starts = self.lock_starts();
+        let ns = self.now_ns() - start_ns;
+        self.closed_ns.fetch_add(ns, Ordering::Relaxed);
+        *starts = starts.wrapping_sub(start_ns);
+        self.open.fetch_sub(1, Ordering::Release);
+        ns
+    }
+
+    fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    fn lock_starts(&self) -> MutexGuard<'_, u64> {
+        self.starts_ns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// An open blocked span on a [`BlockingCounter`], from
+/// [`BlockingCounter::start_span`]. Dropping it ends it.
+#[derive(Debug)]
+#[must_use = "dropping a span ends it at once"]
+pub struct BlockedSpan {
+    counter: Arc<BlockingCounter>,
+    /// `None` once ended.
+    start_ns: Option<u64>,
+}
+
+impl BlockedSpan {
+    /// Ends the span, returning its length in nanoseconds.
+    pub fn end(mut self) -> u64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> u64 {
+        self.start_ns
+            .take()
+            .map_or(0, |start_ns| self.counter.end_span(start_ns))
+    }
+}
+
+impl Drop for BlockedSpan {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
 /// Derives per-interval blocking rates from a cumulative counter by first
-/// differences, tolerating counter resets.
+/// differences.
 ///
 /// # Examples
 ///
@@ -74,35 +164,26 @@ impl BlockingSampler {
     /// Samples the counter, returning the blocking *rate* over the interval
     /// (blocked time divided by interval length, dimensionless).
     ///
-    /// If the counter was reset since the previous sample (its value
-    /// decreased), the current value is taken as the whole delta — the same
-    /// recovery the paper's transport applies after its periodic resets.
-    ///
     /// # Panics
     ///
     /// Panics if `interval_ns == 0`.
     pub fn sample(&mut self, counter: &BlockingCounter, interval_ns: u64) -> f64 {
         assert!(interval_ns > 0, "interval must be positive");
         let now = counter.cumulative_ns();
-        let delta = if now >= self.last_cumulative_ns {
-            now - self.last_cumulative_ns
-        } else {
-            now
-        };
+        // Reads never decrease; the saturation guards a sampler moved to
+        // another counter.
+        let delta = now.saturating_sub(self.last_cumulative_ns);
         self.last_cumulative_ns = now;
         delta as f64 / interval_ns as f64
-    }
-
-    /// Forgets the sampling history (e.g. after an external counter reset
-    /// that should not be interpreted as a delta).
-    pub fn resync(&mut self, counter: &BlockingCounter) {
-        self.last_cumulative_ns = counter.cumulative_ns();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn counter_accumulates() {
@@ -110,14 +191,6 @@ mod tests {
         c.add_ns(10);
         c.add_ns(32);
         assert_eq!(c.cumulative_ns(), 42);
-    }
-
-    #[test]
-    fn counter_reset_returns_previous() {
-        let c = BlockingCounter::new();
-        c.add_ns(7);
-        assert_eq!(c.reset(), 7);
-        assert_eq!(c.cumulative_ns(), 0);
     }
 
     #[test]
@@ -133,29 +206,80 @@ mod tests {
     }
 
     #[test]
-    fn sampler_survives_counter_reset() {
-        let c = BlockingCounter::new();
-        let mut s = BlockingSampler::new();
-        c.add_ns(500);
-        s.sample(&c, 1000);
-        c.reset();
-        c.add_ns(200);
-        // Counter went 500 -> 200: treat 200 as the delta.
-        assert!((s.sample(&c, 1000) - 0.2).abs() < 1e-12);
+    fn an_open_span_shows_its_elapsed_time_before_it_ends() {
+        let c = Arc::new(BlockingCounter::new());
+        let span = c.start_span();
+        let started = Instant::now();
+        thread::sleep(Duration::from_millis(20));
+        let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap();
+        assert!(
+            c.cumulative_ns() >= elapsed,
+            "{} < {elapsed}",
+            c.cumulative_ns()
+        );
+        let len = span.end();
+        assert!(len >= elapsed);
+        assert_eq!(c.cumulative_ns(), len);
     }
 
     #[test]
-    fn resync_suppresses_stale_delta() {
-        let c = BlockingCounter::new();
-        let mut s = BlockingSampler::new();
-        c.add_ns(900);
-        s.resync(&c);
-        assert_eq!(s.sample(&c, 1000), 0.0);
+    fn overlapping_spans_read_as_their_sum() {
+        let c = Arc::new(BlockingCounter::new());
+        let first = c.start_span();
+        thread::sleep(Duration::from_millis(10));
+        let second = c.start_span();
+        thread::sleep(Duration::from_millis(10));
+        let open = c.cumulative_ns();
+        let (a, b) = (first.end(), second.end());
+        assert!(open <= a + b, "{open} > {a} + {b}");
+        assert!(open >= 30_000_000 && a > b, "{open}: {a} then {b}");
+        assert_eq!(c.cumulative_ns(), a + b);
+    }
+
+    #[test]
+    fn dropping_a_span_ends_it() {
+        let c = Arc::new(BlockingCounter::new());
+        drop(c.start_span());
+        let ended = c.cumulative_ns();
+        thread::sleep(Duration::from_millis(5));
+        assert_eq!(c.cumulative_ns(), ended, "a dropped span kept accruing");
+        assert_eq!(c.open.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn reads_never_decrease_while_spans_start_and_end() {
+        let c = Arc::new(BlockingCounter::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let writers: Vec<_> = (0..3)
+            .map(|_| {
+                let (c, stop) = (Arc::clone(&c), Arc::clone(&stop));
+                thread::spawn(move || {
+                    while !stop.load(Ordering::Acquire) {
+                        let span = c.start_span();
+                        thread::yield_now();
+                        drop(span);
+                        c.add_ns(1);
+                    }
+                })
+            })
+            .collect();
+        let mut last = 0;
+        for _ in 0..200_000 {
+            let now = c.cumulative_ns();
+            assert!(now >= last, "read went back from {last} to {now}");
+            last = now;
+        }
+        stop.store(true, Ordering::Release);
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert!(c.cumulative_ns() >= last);
     }
 
     #[test]
     fn counter_is_sync_and_send() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<BlockingCounter>();
+        assert_sync::<BlockedSpan>();
     }
 }

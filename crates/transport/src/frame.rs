@@ -41,7 +41,7 @@ pub fn write_frame_deadline(
         if now >= deadline {
             return Err(io::Error::new(ErrorKind::TimedOut, "write deadline"));
         }
-        wait_writable(stream, deadline - now)?;
+        wait_writable(stream, Some(deadline - now))?;
     }
     Ok(())
 }

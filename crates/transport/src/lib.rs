@@ -44,5 +44,5 @@ pub mod poll;
 pub mod tcp;
 
 pub use chan::{bounded, Receiver, RecvError, SendError, Sender, TryRecvError, TrySendError};
-pub use counters::{BlockingCounter, BlockingSampler};
+pub use counters::{BlockedSpan, BlockingCounter, BlockingSampler};
 pub use poll::{Event, Interest, Poller};

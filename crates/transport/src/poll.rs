@@ -434,16 +434,17 @@ fn timeout_to_ms(timeout: Option<Duration>) -> i32 {
 }
 
 /// Waits (one-shot, single fd) until `fd` is writable, has a pending
-/// error, or `timeout` expires. Returns whether the fd became ready —
-/// `false` means the timeout elapsed. This is the readiness-transition
-/// primitive the blocked-write measurement uses: instead of sleeping in
-/// fixed slices while the kernel buffer is full, the caller parks here
-/// and the wait span *is* the blocked span.
+/// error, or `timeout` expires (`None` waits for as long as it takes).
+/// Returns whether the fd became ready — `false` means the timeout
+/// elapsed or a signal interrupted the wait. This is the
+/// readiness-transition primitive the blocked-write measurement uses:
+/// instead of sleeping in fixed slices while the kernel buffer is full,
+/// the caller parks here and the wait span *is* the blocked span.
 ///
 /// # Errors
 ///
 /// Propagates `poll(2)` failures other than `EINTR`.
-pub fn wait_writable(fd: &impl AsRawFd, timeout: Duration) -> io::Result<bool> {
+pub fn wait_writable(fd: &impl AsRawFd, timeout: Option<Duration>) -> io::Result<bool> {
     wait_ready(fd.as_raw_fd(), sys::POLLOUT, timeout)
 }
 
@@ -454,17 +455,17 @@ pub fn wait_writable(fd: &impl AsRawFd, timeout: Duration) -> io::Result<bool> {
 ///
 /// Propagates `poll(2)` failures other than `EINTR`.
 pub fn wait_readable(fd: &impl AsRawFd, timeout: Duration) -> io::Result<bool> {
-    wait_ready(fd.as_raw_fd(), sys::POLLIN, timeout)
+    wait_ready(fd.as_raw_fd(), sys::POLLIN, Some(timeout))
 }
 
-fn wait_ready(fd: RawFd, events: i16, timeout: Duration) -> io::Result<bool> {
+fn wait_ready(fd: RawFd, events: i16, timeout: Option<Duration>) -> io::Result<bool> {
     let mut pfd = sys::pollfd {
         fd,
         events,
         revents: 0,
     };
     // SAFETY: one valid pollfd for the duration of the call.
-    let n = unsafe { sys::poll(&mut pfd, 1, timeout_to_ms(Some(timeout))) };
+    let n = unsafe { sys::poll(&mut pfd, 1, timeout_to_ms(timeout)) };
     if n < 0 {
         let e = io::Error::last_os_error();
         if e.kind() == io::ErrorKind::Interrupted {
@@ -830,7 +831,7 @@ mod tests {
     fn nonblocking_connect_completes_against_a_listener() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = connect_nonblocking(listener.local_addr().unwrap()).unwrap();
-        assert!(wait_writable(&stream, Duration::from_secs(2)).unwrap());
+        assert!(wait_writable(&stream, Some(Duration::from_secs(2))).unwrap());
         assert!(connect_finished(&stream).unwrap());
     }
 
@@ -845,7 +846,7 @@ mod tests {
             Err(_) => return, // refused synchronously: also correct
             Ok(s) => s,
         };
-        assert!(wait_writable(&stream, Duration::from_secs(2)).unwrap());
+        assert!(wait_writable(&stream, Some(Duration::from_secs(2))).unwrap());
         assert!(connect_finished(&stream).is_err());
     }
 

@@ -3,8 +3,8 @@
 //! Where [`chan`](crate::chan) models a connection with an in-process
 //! bounded buffer, this module runs the *actual* §3 protocol against the
 //! kernel's socket buffers: a non-blocking `write` (the `MSG_DONTWAIT`
-//! analogue), then, when the buffer is full, an *elective*, timed wait
-//! until the kernel drains it, charged to the connection's
+//! analogue), then, when the buffer is full, an *elective* wait until the
+//! kernel drains it, held as one span on the connection's
 //! [`BlockingCounter`]. The sender drains a [`FrameWriter`] and the
 //! receiver is a [`FrameReader`] over its blocking stream, so back-pressure
 //! — and the blocking signal the balancer feeds on — is the genuine article.
@@ -12,9 +12,8 @@
 use std::io::{self, ErrorKind};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Instant;
 
-use crate::counters::{BlockingCounter, WAIT_SLICE};
+use crate::counters::BlockingCounter;
 use crate::frame::{FrameReader, FrameWriter, Poll, WriteStatus};
 
 /// The sending half of an instrumented TCP connection.
@@ -140,19 +139,14 @@ impl TcpSender {
     }
 
     /// Drains a frame the kernel refused, parking on writability (no
-    /// sleep-polling) and charging the time to the blocking counter on
-    /// every wake, so a sampler mid-stall sees it accrue and (late wake-ups
-    /// aside) no sampled rate exceeds `1 + WAIT_SLICE / interval`.
+    /// sleep-polling, no timeout). The whole wait is one span on the
+    /// blocking counter, so a sampler mid-stall sees it accrue and no
+    /// sampled rate exceeds 1.
     fn finish_blocking(&mut self) -> io::Result<()> {
-        let mut since = Instant::now();
+        let _span = self.counter.start_span();
         loop {
-            let step = crate::poll::wait_writable(&self.stream, WAIT_SLICE)
-                .and_then(|_| self.out.write_to(&mut self.stream));
-            let now = Instant::now();
-            let ns = u64::try_from(now.duration_since(since).as_nanos()).unwrap_or(u64::MAX);
-            self.counter.add_ns(ns);
-            since = now;
-            if step? == WriteStatus::Drained {
+            crate::poll::wait_writable(&self.stream, None)?;
+            if self.out.write_to(&mut self.stream)? == WriteStatus::Drained {
                 return Ok(());
             }
         }
@@ -183,7 +177,7 @@ mod tests {
     use std::io::{Read, Write};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::thread;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn pair() -> (TcpSender, TcpReceiver) {
         let (addr, incoming) = listen().unwrap();

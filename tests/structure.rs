@@ -255,3 +255,24 @@ fn one_round_record() {
     }
     assert_absent(&["crates/dataflow/src"], &["recv_timeout"]);
 }
+
+/// Blocked time accrues in the counter: a writer that elects to block
+/// holds a span, and a read counts open spans up to now. No writer wakes
+/// on a slice to charge its wait, the proxy flushes no open span, and
+/// nothing resets the counter or resyncs a sampler.
+#[test]
+fn blocked_time_accrues_in_the_counter() {
+    assert_absent(
+        &["crates/", "tests/", "docs/"],
+        &["WAIT_SLICE", "BLOCKED_FLUSH", "charge_blocked", "fn resync"],
+    );
+    assert_absent(&["crates/transport/src/chan.rs"], &["wait_timeout"]);
+    assert_absent(
+        &[
+            "crates/transport/src/chan.rs",
+            "crates/transport/src/tcp.rs",
+            "crates/proxy/src",
+        ],
+        &["add_ns("],
+    );
+}
