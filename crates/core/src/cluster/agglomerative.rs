@@ -26,6 +26,8 @@
 //! All working memory lives in a [`ClusterScratch`] that callers retain
 //! across runs, so a controller round clusters without heap allocation.
 
+use std::collections::HashMap;
+
 use super::distance::fill_condensed;
 
 /// Number of entries in a condensed (strict upper-triangular, row-major)
@@ -67,10 +69,10 @@ impl Clustering {
 
 /// Retained working memory for the nearest-neighbor-chain clustering.
 ///
-/// Every buffer (the condensed working matrix, the chain, the dendrogram,
-/// the union-find for the threshold cut, and a pool of recycled member
-/// vectors) is reused across runs: after warm-up, re-clustering the same
-/// width performs no heap allocation.
+/// Every buffer (the grouping map, the condensed working matrix, the
+/// chain, the dendrogram, the union-find for the threshold cut, and a pool
+/// of recycled member vectors) is reused across runs: after warm-up,
+/// re-clustering the same width performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterScratch {
     /// Condensed working copy of the distance matrix, mutated in place by
@@ -87,14 +89,14 @@ pub struct ClusterScratch {
     parent: Vec<u32>,
     /// Packed item → cluster id, filled during the labelling pass.
     cluster_of: Vec<usize>,
-    /// [`cluster_features`](Self::cluster_features): live positions sorted
-    /// by feature vector, so identical vectors sit next to each other.
-    order: Vec<u32>,
+    /// [`cluster_features`](Self::cluster_features): the bits of each
+    /// distinct feature vector (`-0.0` read as `0.0`) → its packed label.
+    /// Cleared every run; its capacity is kept.
+    groups: HashMap<[u64; 3], u32>,
     /// Live position → packed label of its group of identical vectors.
     packed: Vec<u32>,
-    /// Sort-order group → packed label (`u32::MAX` = not seen yet).
-    label_of: Vec<u32>,
-    /// One feature vector per distinct group, in packed-label order.
+    /// One feature vector per distinct group, in packed-label order (the
+    /// vector of the group's smallest slot).
     reps: Vec<[f64; 3]>,
     /// Recycled member vectors (returned via [`recycle`](Self::recycle)).
     pool: Vec<Vec<usize>>,
@@ -165,17 +167,19 @@ impl ClusterScratch {
     /// for slots not in `live`. Returns the number of *distinct* vectors
     /// among the live slots.
     ///
-    /// Only the distinct vectors are agglomerated: live slots are grouped
-    /// by identical vector (`-0.0` equals `0.0`), each group is represented
-    /// by its smallest slot, and the nearest-neighbor chain runs over a
-    /// local condensed matrix of the `m` representatives. The partition is
-    /// the one a matrix over *all* live slots gives, not an approximation
-    /// of it: the distance is 0 exactly between identical vectors, which
-    /// also have identical distance rows, so complete linkage (ties to the
-    /// smallest label) first merges every group at height 0 — within any
-    /// `threshold >= 0` — and from then on the linkage between two groups
-    /// *is* their representatives' distance, with groups ordered by
-    /// smallest member just as the representatives are.
+    /// Only the distinct vectors are agglomerated: one hashed pass over
+    /// `live` groups the slots by identical vector (`-0.0` equals `0.0`),
+    /// each group is represented by its smallest slot, and the
+    /// nearest-neighbor chain runs over a local condensed matrix of the `m`
+    /// representatives, so a run costs `O(n + m²)` for `n` live slots.
+    /// The partition is the one a matrix over *all* live slots gives, not
+    /// an approximation of it: the distance is 0 exactly between identical
+    /// vectors, which also have identical distance rows, so complete
+    /// linkage (ties to the smallest label) first merges every group at
+    /// height 0 — within any `threshold >= 0` — and from then on the
+    /// linkage between two groups *is* their representatives' distance,
+    /// with groups ordered by smallest member just as the representatives
+    /// are.
     ///
     /// # Panics
     ///
@@ -199,43 +203,31 @@ impl ClusterScratch {
             live.iter().all(|&j| feat[j].iter().all(|v| v.is_finite())),
             "features must be finite"
         );
-        // Adding +0.0 maps -0.0 to +0.0 and leaves every other value alone,
-        // so `total_cmp` on the result orders equal vectors together.
-        let key = |p: u32| feat[live[p as usize]].map(|v| v + 0.0);
-        let by_vector = |a: &u32, b: &u32| {
-            let (ka, kb) = (key(*a), key(*b));
-            ka[0]
-                .total_cmp(&kb[0])
-                .then(ka[1].total_cmp(&kb[1]))
-                .then(ka[2].total_cmp(&kb[2]))
-        };
-        self.order.clear();
-        self.order.extend(0..live.len() as u32);
-        self.order
-            .sort_unstable_by(|a, b| by_vector(a, b).then(a.cmp(b)));
-        // Number the groups in sort order ...
+        // One pass in slot order: a vector's group is labelled when its
+        // smallest member is met, so the packed labels (and `reps`) come out
+        // ordered by representative. Adding +0.0 maps -0.0 to +0.0 and
+        // leaves every other value alone, so equal vectors share a key.
+        // Identical vectors often sit next to each other; the previous
+        // slot's key answers those without a lookup.
+        self.groups.clear();
         self.packed.clear();
-        self.packed.resize(live.len(), 0);
-        let mut groups = 0u32;
-        for i in 0..self.order.len() {
-            if i > 0 && by_vector(&self.order[i - 1], &self.order[i]).is_ne() {
-                groups += 1;
-            }
-            self.packed[self.order[i] as usize] = groups;
-        }
-        // ... then relabel them in slot order: walking the live slots
-        // ascending meets every group at its smallest member first, so the
-        // packed labels (and `reps`) come out ordered by representative.
-        self.label_of.clear();
-        self.label_of.resize(groups as usize + 1, u32::MAX);
         self.reps.clear();
-        for (p, &j) in live.iter().enumerate() {
-            let label = &mut self.label_of[self.packed[p] as usize];
-            if *label == u32::MAX {
-                *label = self.reps.len() as u32;
-                self.reps.push(feat[j]);
-            }
-            self.packed[p] = *label;
+        let mut prev: Option<([u64; 3], u32)> = None;
+        for &j in live {
+            let key = feat[j].map(|v| (v + 0.0).to_bits());
+            let label = match prev {
+                Some((k, label)) if k == key => label,
+                _ => {
+                    let next = self.reps.len() as u32;
+                    let label = *self.groups.entry(key).or_insert(next);
+                    if label == next {
+                        self.reps.push(feat[j]);
+                    }
+                    label
+                }
+            };
+            prev = Some((key, label));
+            self.packed.push(label);
         }
         let m = self.reps.len();
         self.work.clear();

@@ -67,9 +67,10 @@ pub fn knee_of(predicted: &[f64]) -> Knee {
 /// [`value`](BlockingRateFunction::value) point queries, which are
 /// bit-identical to reading the dense table — so the result equals
 /// `knee_of(f.predicted())` while costing `O(raw · log R)` instead of
-/// `O(R)` per changed function. At 10k+ connections, where every
-/// function's decay moves its generation every round, this is what keeps
-/// the knee refresh off the round's critical path.
+/// `O(R)` per changed function. Every round's decay can move the
+/// generation of each function that has blocked (an idle, all-zero function
+/// keeps its generation), so this is what keeps the knee refresh of a wide
+/// region's loaded connections off the round's critical path.
 pub fn knee_of_function(f: &mut BlockingRateFunction) -> Knee {
     let r = f.resolution();
     let service_weight = first_blocking_weight(f).unwrap_or(r).max(1);

@@ -1125,9 +1125,10 @@ impl LoadBalancer {
     /// Brings the live-slot list and every live slot's knee up to date;
     /// returns whether a knee *value* changed. Each live function whose
     /// generation moved gets a fresh knee via the fit-based fast path (no
-    /// dense table rebuild). Under per-round decay every generation moves
-    /// every round, but knees converge, so comparing values is what makes
-    /// the steady state cheap.
+    /// dense table rebuild). An idle slot's all-zero function keeps its
+    /// generation, so only the slots that have blocked are re-kneed; under
+    /// per-round decay their generations move every round, and comparing
+    /// knee values is what lets an unmoved partition be reused.
     fn refresh_knees(&mut self) -> bool {
         let scratch = &mut self.scratch;
         // Keyed on the membership generation, so rounds with detached slots

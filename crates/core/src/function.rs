@@ -58,9 +58,13 @@ pub struct BlockingRateFunction {
     /// the fit without paying for the table).
     table_dirty: bool,
     /// Bumped on every mutation that can change predictions; callers use it
-    /// to cache per-function derived state (predicted-table copies, knees,
-    /// clustering distance rows) across control rounds.
+    /// to cache per-function derived state (knees, predicted-table copies)
+    /// across control rounds.
     generation: u64,
+    /// Every raw value is exactly `+0.0`, so the function predicts 0 at
+    /// every weight whatever its raw weights and counts: a zero rate or a
+    /// decay changes the raw data but not a prediction.
+    all_zero: bool,
     /// Reusable rebuild scratch: raw points unzipped into parallel arrays
     /// (`xs`/`ys`/`ws`), the monotone fit over them, and the PAVA block
     /// stack. Contents are caches; only capacity persists meaningfully.
@@ -101,6 +105,7 @@ impl BlockingRateFunction {
             fit_dirty: false,
             table_dirty: true,
             generation: 0,
+            all_zero: true,
             xs: vec![0],
             ys: vec![0.0],
             ws: vec![1.0],
@@ -115,13 +120,18 @@ impl BlockingRateFunction {
         self.resolution
     }
 
-    /// A counter bumped on every mutation that can change predictions
-    /// ([`observe`](Self::observe), an effective
-    /// [`decay_above`](Self::decay_above), [`reset`](Self::reset)).
+    /// A counter that moves whenever the predictions may have changed:
+    /// [`observe`](Self::observe), an effective
+    /// [`decay_above`](Self::decay_above), [`reset`](Self::reset).
     ///
-    /// Callers cache derived per-function state (predicted-table snapshots,
-    /// clustering knees and distance-matrix rows) keyed by this value and
-    /// skip recomputation while it is unchanged.
+    /// A function whose raw values are all exactly zero predicts 0 at every
+    /// weight, so while that holds a zero-rate `observe` (which still
+    /// records the point and its count) and `decay_above` leave the
+    /// generation alone; the first positive rate moves it. A wide region's
+    /// idle connections therefore keep their generation round after round.
+    ///
+    /// Callers cache derived per-function state (clustering knees) keyed by
+    /// this value and skip recomputation while it is unchanged.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -130,7 +140,8 @@ impl BlockingRateFunction {
     ///
     /// Observations at weight zero are ignored — `(0, 0)` is an axiom of the
     /// model (a connection receiving no tuples cannot block). If the weight
-    /// was observed before, the new rate is folded in by EWMA.
+    /// was observed before, the new rate is folded in by EWMA. A zero rate
+    /// into an all-zero function moves no [`generation`](Self::generation).
     ///
     /// # Panics
     ///
@@ -152,7 +163,15 @@ impl BlockingRateFunction {
                 *count += 1.0;
             })
             .or_insert((rate, 1.0));
-        self.mark_changed();
+        // EWMA of +0.0 into +0.0 is +0.0; -0.0 would be stored as is, so
+        // only the bits of +0.0 keep the function all-zero.
+        if self.all_zero && rate.to_bits() == 0 {
+            self.fit_dirty = true;
+            self.table_dirty = true;
+        } else {
+            self.all_zero = false;
+            self.mark_changed();
+        }
     }
 
     /// Applies one round of exploration decay: every raw value at a weight
@@ -161,12 +180,16 @@ impl BlockingRateFunction {
     /// The paper reduces such values by a fixed 10% per round
     /// (`factor = 0.9`); combined with monotone regression this flattens the
     /// function beyond the current allocation and induces re-exploration.
+    /// An all-zero function is left as it is (0 × `factor` is 0).
     ///
     /// # Panics
     ///
     /// Panics unless `0 <= factor <= 1`.
     pub fn decay_above(&mut self, weight: u32, factor: f64) {
         assert!((0.0..=1.0).contains(&factor), "factor must be in [0, 1]");
+        if self.all_zero {
+            return;
+        }
         let mut changed = false;
         for (_, (v, _)) in self.raw.range_mut(weight.saturating_add(1)..) {
             *v *= factor;
@@ -250,6 +273,7 @@ impl BlockingRateFunction {
         self.fit.push(0.0);
         self.fit_dirty = false;
         self.table_dirty = self.predicted.is_empty();
+        self.all_zero = true;
         self.generation = self.generation.wrapping_add(1);
     }
 
@@ -280,6 +304,7 @@ impl BlockingRateFunction {
             }
             f.raw.insert(w, (sum / f64::from(n), f64::from(n)));
         }
+        f.all_zero = f.raw.values().all(|&(v, _)| v.to_bits() == 0);
         f.mark_changed();
         f
     }

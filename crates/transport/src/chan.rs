@@ -480,6 +480,41 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_last_sender_wakes_a_blocked_receiver() {
+        use std::sync::atomic::AtomicBool;
+        for round in 0..500 {
+            let (tx, rx) = bounded::<u32>(1);
+            let heading = Arc::new(AtomicBool::new(false));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let receiver = {
+                let heading = Arc::clone(&heading);
+                thread::spawn(move || {
+                    heading.store(true, Ordering::Release);
+                    done_tx.send(rx.recv()).unwrap();
+                })
+            };
+            // Hang up just as the receiver heads for its wait: the flag goes
+            // up right before it takes the lock, checks the sender count
+            // and parks. Every other round hangs up a pause later (of a
+            // length that sweeps across the check).
+            while !heading.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            if round % 2 == 1 {
+                for _ in 0..round % 64 {
+                    std::hint::spin_loop();
+                }
+            }
+            drop(tx);
+            let got = done_rx
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("round {round}: the receiver missed the hang-up"));
+            assert_eq!(got, Err(RecvError));
+            receiver.join().unwrap();
+        }
+    }
+
+    #[test]
     fn non_blocking_send_records_nothing() {
         let (tx, rx) = bounded(4);
         tx.send_recording(1u32).unwrap();

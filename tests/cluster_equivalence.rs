@@ -4,6 +4,8 @@
 //! - `ClusterScratch::cluster_features` (agglomerate the *distinct* knee
 //!   vectors) must give the partition `cluster_condensed` gives on a full
 //!   condensed matrix over every live slot;
+//! - a function's knee may be cached for as long as its `generation()`
+//!   stays put, and an idle (all-zero) function keeps its generation;
 //! - a membership change (`detach` / `attach` / `grow`) must install the
 //!   units a Fox solve over the dense predicted tables gives.
 //!
@@ -11,10 +13,13 @@
 //! and the retired renormalization body) live in `core`'s unit tests; this
 //! file is what `cargo test -q` at the root runs.
 
-use streambal::core::cluster::{condensed_len, fill_condensed, ClusterScratch, Clustering};
+use streambal::core::cluster::{
+    condensed_len, fill_condensed, knee_of_function, log_features, ClusterScratch, Clustering, Knee,
+};
 use streambal::core::controller::{BalancerConfig, ClusteringConfig, LoadBalancer};
+use streambal::core::function::SMOOTHING;
 use streambal::core::solver::{fox, Problem};
-use streambal::core::{ConnectionSample, SplitMix64, DELTA};
+use streambal::core::{BlockingRateFunction, ConnectionSample, SplitMix64, DELTA};
 
 /// `cluster_condensed` over the live slots' full matrix, in slot indices.
 fn matrix_form(live: &[usize], feat: &[[f64; 3]], threshold: f64) -> Clustering {
@@ -71,6 +76,152 @@ fn distinct_vector_clustering_equals_the_full_matrix_form() {
             let want = matrix_form(&live, &feat, threshold);
             assert_eq!(got, want, "case {case} n={n} threshold={threshold}");
         }
+    }
+
+    // Inputs on which grouping by a sort and grouping in slot order could
+    // part ways: no two neighbours alike, one vector almost everywhere
+    // (whole or with holes in the live set), and vectors that differ
+    // only in the sign of a zero.
+    let idle = log_features(
+        &knee_of_function(&mut BlockingRateFunction::new(4096, SMOOTHING)),
+        4096,
+    );
+    let mut run = vec![idle; 2000];
+    for j in [3, 411, 412, 977, 1500, 1998] {
+        run[j] = [0; 3].map(|_| rng.frange(0.0, 3.0));
+    }
+    run[1999] = run[3];
+    let mut holed: Vec<usize> = (0..2000).filter(|j| !(600..1400).contains(j)).collect();
+    holed.retain(|&j| j % 97 != 5 && j != 3);
+    let mut signed = Vec::new();
+    for j in 0..60 {
+        let mut v = [[0.0, 0.7, 1.4], [1.05, 0.0, 0.35], [0.35, 1.4, 0.0]][j % 3];
+        if j % 2 == 1 {
+            v[j % 3] = -0.0;
+        }
+        signed.push(v);
+    }
+    let cases = [
+        (
+            "interleaved classes",
+            interleaved_features(300, 1000),
+            (0..300).collect(),
+        ),
+        ("one long run", run.clone(), (0..2000).collect()),
+        ("one long run with detached slots", run, holed),
+        ("signed zeros", signed, (0..60).collect::<Vec<usize>>()),
+    ];
+    for (what, feat, live) in cases {
+        for threshold in [0.0, 0.7] {
+            let distinct = scratch.cluster_features(&live, &feat, threshold, &mut got);
+            assert_eq!(
+                got,
+                matrix_form(&live, &feat, threshold),
+                "{what} at {threshold}"
+            );
+            let mut seen: Vec<[f64; 3]> = Vec::new();
+            for &j in &live {
+                // `==` on floats reads -0.0 as 0.0.
+                if !seen.contains(&feat[j]) {
+                    seen.push(feat[j]);
+                }
+            }
+            assert_eq!(distinct, seen.len(), "{what} at {threshold}");
+        }
+    }
+}
+
+/// The knee vectors of `crates/bench/benches/cluster.rs`: three capacity
+/// classes by `j % 3` and seven spreads by `j / 3 % 7`, so neighbouring
+/// slots never share a vector.
+fn interleaved_features(n: usize, resolution: u32) -> Vec<[f64; 3]> {
+    (0..n)
+        .map(|j| {
+            let (knee_frac, peak) = [(0.01, 0.9), (0.15, 0.7), (0.40, 0.5)][j % 3];
+            let knee = ((f64::from(resolution) * knee_frac) as u32).max(1);
+            let mut f = BlockingRateFunction::new(resolution, 0.5);
+            f.observe(knee, 0.0);
+            f.observe(resolution, peak * (1.0 + 0.05 * ((j / 3 % 7) as f64) / 7.0));
+            log_features(&knee_of_function(&mut f), resolution)
+        })
+        .collect()
+}
+
+/// The contract the controller's knee cache rests on: while a function's
+/// `generation()` is the one its knee was taken at, the knee is unchanged
+/// bit for bit — through zero and positive observes and decays alike.
+#[test]
+fn an_unmoved_generation_means_an_unmoved_knee() {
+    let mut rng = SplitMix64::new(0x6E_4E27);
+    let bits = |k: Knee| {
+        (
+            k.service_weight,
+            k.rate_at_knee.to_bits(),
+            k.rate_at_max.to_bits(),
+        )
+    };
+    for r in [100u32, 1000, 4096] {
+        for case in 0..60 {
+            let mut f = BlockingRateFunction::new(r, SMOOTHING);
+            let mut cached = (f.generation(), bits(knee_of_function(&mut f)));
+            // Some histories stay idle for a while before mixing in blocking.
+            let idle_steps = rng.range_usize(0, 40);
+            for step in 0..120 {
+                if rng.range_usize(0, 3) == 0 {
+                    f.decay_above(rng.range_u32(0, r), 0.9);
+                } else {
+                    let w = rng.range_u32(1, r);
+                    let rate = if step < idle_steps || rng.chance(0.5) {
+                        0.0
+                    } else {
+                        match rng.range_usize(0, 3) {
+                            0 => -0.0,
+                            1 => DELTA * 0.4,
+                            2 => rng.frange(0.0, 0.01),
+                            _ => rng.frange(0.0, 2.0),
+                        }
+                    };
+                    f.observe(w, rate);
+                }
+                let knee = bits(knee_of_function(&mut f));
+                if f.generation() == cached.0 {
+                    assert_eq!(knee, cached.1, "r={r} case {case} step {step}");
+                } else {
+                    cached = (f.generation(), knee);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn an_idle_function_keeps_its_generation_until_it_blocks() {
+    let mut rng = SplitMix64::new(0x1D_1E);
+    for r in [100u32, 1000, 4096] {
+        let mut f = BlockingRateFunction::new(r, SMOOTHING);
+        let start = f.generation();
+        let mut observes = 0;
+        while f.raw_len() < 21 {
+            let w = rng.range_u32(1, r);
+            f.observe(w, 0.0);
+            f.observe(w, 0.0);
+            observes += 2;
+            f.decay_above(rng.range_u32(0, r - 1), 0.9);
+        }
+        assert_eq!(f.generation(), start, "r={r}");
+        // The zeros were recorded, counts included, for the fits to come.
+        let counts: f64 = f.raw_points_weighted().map(|(_, _, c)| c).sum();
+        assert_eq!(counts, f64::from(observes + 1));
+        assert!(f.predicted().iter().all(|v| v.to_bits() == 0), "r={r}");
+        let never = Knee {
+            service_weight: r,
+            rate_at_knee: DELTA,
+            rate_at_max: DELTA,
+        };
+        assert_eq!(knee_of_function(&mut f), never, "r={r}");
+        f.observe(rng.range_u32(1, r), 0.25);
+        assert_ne!(f.generation(), start, "r={r}");
+        assert_ne!(knee_of_function(&mut f), never, "r={r}");
     }
 }
 
