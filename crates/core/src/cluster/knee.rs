@@ -6,7 +6,7 @@
 //! distance compares three features: the knee position, the blocking at the
 //! knee, and the blocking at full load.
 
-use crate::function::BlockingRateFunction;
+use crate::function::{BlockingRateFunction, MonotoneFit};
 use crate::DELTA;
 
 /// The characteristic features of a predictive function.
@@ -58,55 +58,51 @@ pub fn knee_of(predicted: &[f64]) -> Knee {
     }
 }
 
-/// Extracts the knee of a [`BlockingRateFunction`] without forcing its
-/// dense `R + 1`-point table rebuild.
+/// Extracts the knee of a [`BlockingRateFunction`] from its monotone fit.
 ///
-/// The crossing segment is located on the function's monotone fit (one
-/// point per *raw observation*, typically a few dozen), then the exact
-/// crossing weight is binary-searched with
-/// [`value`](BlockingRateFunction::value) point queries, which are
-/// bit-identical to reading the dense table — so the result equals
-/// `knee_of(f.predicted())` while costing `O(raw · log R)` instead of
+/// The crossing segment is located on the fit's knots (one per *raw
+/// observation*, typically a few dozen), then the exact crossing weight is
+/// binary-searched with point queries on the fit — the same reads
+/// [`value`](BlockingRateFunction::value) answers — so the result equals
+/// `knee_of(&f.predicted())` while costing `O(raw · log R)` instead of
 /// `O(R)` per changed function. Every round's decay can move the
 /// generation of each function that has blocked (an idle, all-zero function
 /// keeps its generation), so this is what keeps the knee refresh of a wide
 /// region's loaded connections off the round's critical path.
 pub fn knee_of_function(f: &mut BlockingRateFunction) -> Knee {
     let r = f.resolution();
-    let service_weight = first_blocking_weight(f).unwrap_or(r).max(1);
+    let fit = f.fit();
+    let service_weight = first_blocking_weight(fit, r).unwrap_or(r).max(1);
     Knee {
         service_weight,
-        rate_at_knee: f.value(service_weight).max(DELTA),
-        rate_at_max: f.value(r).max(DELTA),
+        rate_at_knee: fit.value(service_weight).max(DELTA),
+        rate_at_max: fit.value(r).max(DELTA),
     }
 }
 
-/// The first weight at which `f` predicts blocking above [`DELTA`], if
-/// any — the position `predicted().iter().position(|&v| v > DELTA)` finds,
-/// located without the dense table.
-pub(crate) fn first_blocking_weight(f: &mut BlockingRateFunction) -> Option<u32> {
-    let r = f.resolution();
-    // The fit is non-decreasing and fit[0] == 0 (the (0, 0) axiom point is
-    // the global minimum, so PAVA can never pool block 0 upwards), hence
-    // the first fit point above DELTA — if any — ends the segment
-    // containing the first table crossing.
-    let (mut lo, mut hi) = {
-        let (xs, fit) = f.fit_points();
-        match fit.iter().position(|&v| v > DELTA) {
-            Some(k) => (xs[k - 1], xs[k]),
-            // All raw points predict no blocking: any crossing lies in the
-            // extrapolated tail (monotone as well).
-            None => (*xs.last().expect("fit holds the axiom point"), r),
-        }
+/// The first weight in `0..=r` at which `fit` predicts blocking above
+/// [`DELTA`], if any — the position a dense table's
+/// `iter().position(|&v| v > DELTA)` finds, located by point queries.
+pub(crate) fn first_blocking_weight(fit: &mut MonotoneFit, r: u32) -> Option<u32> {
+    // The fit is non-decreasing and its value at the (0, 0) axiom knot is
+    // 0 (the global minimum, so PAVA can never pool it upwards), hence the
+    // first knot above DELTA — if any — ends the segment containing the
+    // first crossing.
+    let (xs, ys) = fit.knots();
+    let (mut lo, mut hi) = match ys.iter().position(|&v| v > DELTA) {
+        Some(k) => (xs[k - 1], xs[k]),
+        // No knot predicts blocking: any crossing lies in the extrapolated
+        // tail (monotone as well).
+        None => (*xs.last().expect("a fit holds the axiom point"), r),
     };
-    if hi == lo || f.value(hi) <= DELTA {
+    if hi == lo || fit.value(hi) <= DELTA {
         return None;
     }
     // First weight in (lo, hi] whose prediction exceeds DELTA; the
     // invariant value(lo) <= DELTA < value(hi) holds throughout.
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if f.value(mid) > DELTA {
+        if fit.value(mid) > DELTA {
             hi = mid;
         } else {
             lo = mid;
@@ -177,7 +173,7 @@ mod tests {
                 }
             }
             let fast = knee_of_function(&mut f);
-            let dense = knee_of(f.predicted());
+            let dense = knee_of(&f.predicted());
             assert_eq!(fast.service_weight, dense.service_weight, "case {case}");
             assert_eq!(
                 fast.rate_at_knee.to_bits(),

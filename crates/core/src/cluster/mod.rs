@@ -20,8 +20,7 @@ pub use distance::{alpha, distance, feature_distance, fill_condensed, log_featur
 pub(crate) use knee::first_blocking_weight;
 pub use knee::{knee_of, knee_of_function, Knee};
 
-use crate::function::{fill_predicted, BlockingRateFunction};
-use crate::pava::PavaScratch;
+use crate::function::{BlockingRateFunction, MonotoneFit};
 
 /// Builds the pooled function for a cluster by merging the raw data points
 /// of all member functions (duplicate weights are averaged).
@@ -43,14 +42,14 @@ pub fn aggregate_functions(
     BlockingRateFunction::from_raw_points(resolution, alpha_smoothing, points)
 }
 
-/// Retained working memory that computes a cluster's pooled predicted-rate
-/// row without constructing a [`BlockingRateFunction`] (and hence without
-/// allocating): member raw points are accumulated into dense per-weight
-/// sum/count arrays, regressed with the shared PAVA scratch, and expanded
-/// through the same table fill the per-connection functions use — the
-/// resulting row is bit-identical to
-/// `aggregate_functions(members, _).predicted()` (averaging order included),
-/// which a unit test below pins down.
+/// Retained working memory that holds each cluster's pooled fit without
+/// constructing a [`BlockingRateFunction`] (and hence without allocating
+/// once warm): member raw points are accumulated into per-weight sum/count
+/// arrays and regressed into the cluster's [`MonotoneFit`], which the
+/// clustered round then reads by point query like a slot's own fit. A
+/// pooled fit's value at every weight is bit-identical to
+/// `aggregate_functions(members, _).predicted()` (averaging order
+/// included), which a unit test below pins down.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AggregateScratch {
     /// Per-weight rate sums (dense, `R + 1` wide once warmed).
@@ -59,12 +58,9 @@ pub(crate) struct AggregateScratch {
     cnt: Vec<u32>,
     /// Weights with data this run (reset targets for the next run).
     touched: Vec<u32>,
-    /// Parallel fit inputs/outputs, axiom point first.
-    xs: Vec<u32>,
-    ys: Vec<f64>,
-    ws: Vec<f64>,
-    fit: Vec<f64>,
-    pava: PavaScratch,
+    /// One pooled fit per cluster of the current partition (grows to the
+    /// largest cluster count seen; each keeps its buffers).
+    fits: Vec<MonotoneFit>,
 }
 
 impl AggregateScratch {
@@ -72,23 +68,23 @@ impl AggregateScratch {
         Self::default()
     }
 
-    /// Fills `out` (length `R + 1`) with the pooled predicted rates of
-    /// `members` (indices into `functions`).
+    /// Refits pooled fit `c` from the raw points of `members` (indices
+    /// into `functions`) and returns it.
     ///
     /// # Panics
     ///
-    /// Panics if `members` is empty or a member's raw weight falls outside
-    /// `out`'s domain.
-    pub(crate) fn pooled_row(
+    /// Panics if `members` is empty.
+    pub(crate) fn pool(
         &mut self,
+        c: usize,
         functions: &[BlockingRateFunction],
         members: &[usize],
-        out: &mut [f64],
-    ) {
+    ) -> &mut MonotoneFit {
         assert!(!members.is_empty(), "cluster must have at least one member");
-        if self.sum.len() < out.len() {
-            self.sum.resize(out.len(), 0.0);
-            self.cnt.resize(out.len(), 0);
+        let width = functions[members[0]].resolution() as usize + 1;
+        if self.sum.len() < width {
+            self.sum.resize(width, 0.0);
+            self.cnt.resize(width, 0);
         }
         // Reset only the weights the previous run touched.
         for &w in &self.touched {
@@ -112,21 +108,22 @@ impl AggregateScratch {
             }
         }
         self.touched.sort_unstable();
-        self.xs.clear();
-        self.ys.clear();
-        self.ws.clear();
-        // The (0, 0) axiom point every function carries.
-        self.xs.push(0);
-        self.ys.push(0.0);
-        self.ws.push(1.0);
-        for &w in &self.touched {
-            self.xs.push(w);
-            self.ys
-                .push(self.sum[w as usize] / f64::from(self.cnt[w as usize]));
-            self.ws.push(f64::from(self.cnt[w as usize]));
+        if self.fits.len() <= c {
+            self.fits.resize_with(c + 1, MonotoneFit::new);
         }
-        self.pava.fit_into(&self.ys, &self.ws, &mut self.fit);
-        fill_predicted(&self.xs, &self.fit, out);
+        let (sum, cnt) = (&self.sum, &self.cnt);
+        // The (0, 0) axiom point every function carries, then the averages.
+        let points = self.touched.iter().map(|&w| {
+            let n = f64::from(cnt[w as usize]);
+            (w, sum[w as usize] / n, n)
+        });
+        self.fits[c].refit(std::iter::once((0, 0.0, 1.0)).chain(points));
+        &mut self.fits[c]
+    }
+
+    /// The pooled fits [`pool`](Self::pool) built, by cluster index.
+    pub(crate) fn fits(&mut self) -> &mut [MonotoneFit] {
+        &mut self.fits
     }
 }
 
@@ -155,43 +152,80 @@ mod tests {
         let _ = aggregate_functions(&[], 0.5);
     }
 
-    #[test]
-    fn pooled_row_matches_aggregate_functions_bitwise() {
-        let mut state = 0xA66E_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let resolution = 200u32;
-        let functions: Vec<BlockingRateFunction> = (0..8)
+    /// Pools `members` into fit `c` of `scratch` and compares its value at
+    /// every weight with `aggregate_functions(..).predicted()`, bit for bit.
+    fn assert_pooled_fit_matches(
+        scratch: &mut AggregateScratch,
+        c: usize,
+        functions: &[BlockingRateFunction],
+        members: &[usize],
+    ) {
+        let fit = scratch.pool(c, functions, members);
+        let refs: Vec<&BlockingRateFunction> = members.iter().map(|&m| &functions[m]).collect();
+        let expect = aggregate_functions(&refs, 0.5).predicted();
+        assert_eq!(expect.len(), functions[0].resolution() as usize + 1);
+        for (w, want) in expect.iter().enumerate() {
+            assert_eq!(
+                fit.value(w as u32).to_bits(),
+                want.to_bits(),
+                "cluster {c} of {} members, weight {w}",
+                members.len()
+            );
+        }
+    }
+
+    /// `n` functions over `0..=resolution` with up to seven seeded
+    /// observations each.
+    fn random_functions(n: usize, resolution: u32, seed: u64) -> Vec<BlockingRateFunction> {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        (0..n)
             .map(|_| {
                 let mut f = BlockingRateFunction::new(resolution, 0.5);
-                for _ in 0..(next() % 8) {
-                    let w = (next() % u64::from(resolution) + 1) as u32;
-                    f.observe(w, (next() % 500) as f64 * 1e-3);
+                for _ in 0..rng.range_usize(0, 7) {
+                    f.observe(rng.range_u32(1, resolution), rng.frange(0.0, 0.5));
+                }
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pooled_fits_match_aggregate_functions_bitwise() {
+        let mut scratch = AggregateScratch::new();
+        // Re-use the scratch across clusters (overlapping members included)
+        // and refit each pooled fit with other members on a second pass, to
+        // prove the per-run reset is complete.
+        let clusters = [vec![0usize, 1, 2], vec![2, 5, 6, 7], vec![3], vec![0, 7]];
+        for resolution in [200, 4096] {
+            let functions = random_functions(8, resolution, 0xA66E);
+            for pass in 0..2 {
+                for (c, members) in clusters.iter().enumerate() {
+                    let c = if pass == 0 { c } else { clusters.len() - 1 - c };
+                    assert_pooled_fit_matches(&mut scratch, c, &functions, members);
+                }
+            }
+        }
+
+        // A wide region's idle cluster: 1 200 members that have only ever
+        // seen a zero rate, at weights of their own, plus one loaded member.
+        let resolution = 4096;
+        let mut rng = crate::rng::SplitMix64::new(0x1D1E);
+        let mut functions: Vec<BlockingRateFunction> = (0..1_200)
+            .map(|_| {
+                let mut f = BlockingRateFunction::new(resolution, 0.5);
+                for _ in 0..rng.range_usize(1, 3) {
+                    f.observe(rng.range_u32(1, 16), 0.0);
                 }
                 f
             })
             .collect();
-        let mut scratch = AggregateScratch::new();
-        let mut row = vec![0.0; resolution as usize + 1];
-        // Re-use the scratch across clusters (overlapping members included)
-        // to prove the per-run reset is complete.
-        for members in [vec![0usize, 1, 2], vec![2, 5, 6, 7], vec![3], vec![0, 7]] {
-            scratch.pooled_row(&functions, &members, &mut row);
-            let refs: Vec<&BlockingRateFunction> = members.iter().map(|&m| &functions[m]).collect();
-            let mut pooled = aggregate_functions(&refs, 0.5);
-            let expect = pooled.predicted();
-            assert_eq!(row.len(), expect.len());
-            for (w, (got, want)) in row.iter().zip(expect).enumerate() {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "members {members:?} weight {w}"
-                );
-            }
+        let mut loaded = BlockingRateFunction::new(resolution, 0.5);
+        for (w, rate) in [(3, 0.02), (5, 0.3), (8, 0.1), (12, 0.7)] {
+            loaded.observe(w, rate);
         }
+        functions.push(loaded);
+        let members: Vec<usize> = (0..functions.len()).collect();
+        assert_pooled_fit_matches(&mut scratch, 0, &functions, &members);
+        assert_pooled_fit_matches(&mut scratch, 1, &functions, &members[..1_200]);
     }
 }

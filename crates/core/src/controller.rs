@@ -24,11 +24,10 @@ use std::fmt;
 use streambal_telemetry::{TraceBuffer, TraceEvent};
 
 use crate::cluster::{self, AggregateScratch, ClusterScratch, Clustering, Knee};
-use crate::function::{BlockingRateFunction, SMOOTHING};
+use crate::function::{BlockingRateFunction, MonotoneFit, SMOOTHING};
 use crate::rate::ConnectionSample;
 use crate::solver::fox::{self, FoxScratch, Limits};
 use crate::weights::{WeightVector, DEFAULT_RESOLUTION};
-use crate::DELTA;
 
 /// Whether the balancer re-explores (decays stale data) each round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,12 +191,15 @@ impl fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
-/// Checks one connection's predicted curve for finiteness and
-/// monotonicity (the per-function half of
+/// Checks one connection's predicted curve — its values at weights 0, 1,
+/// 2, … — for finiteness and monotonicity (the per-function half of
 /// [`LoadBalancer::check_invariants`]).
-fn check_predicted(connection: usize, predicted: &[f64]) -> Result<(), InvariantViolation> {
+fn check_predicted(
+    connection: usize,
+    predicted: impl IntoIterator<Item = f64>,
+) -> Result<(), InvariantViolation> {
     let mut prev = f64::NEG_INFINITY;
-    for (w, &v) in predicted.iter().enumerate() {
+    for (w, v) in predicted.into_iter().enumerate() {
         if !v.is_finite() || v < 0.0 {
             return Err(InvariantViolation::NonFiniteFunction {
                 connection,
@@ -394,10 +396,10 @@ const NO_KNEE: Knee = Knee {
 /// Every buffer the control round needs lives here and is reused across
 /// rounds, so a steady-state round (no topology change) performs no heap
 /// allocation: the solver's item vectors are refilled in place, the Fox
-/// solver recycles its heap, per-slot solves read each function where it
-/// lives (no table is built or copied for them), and the clustering is
-/// redone — out of the retained [`ClusterScratch`] — only when a knee
-/// value moved.
+/// solver recycles its heap, every solve reads fits by point query (a
+/// slot's own, or a cluster's pooled fit refitted in place; no table is
+/// built or copied), and the clustering is redone — out of the retained
+/// [`ClusterScratch`] — only when a knee value moved.
 #[derive(Debug, Clone)]
 struct RoundScratch {
     /// Weight snapshot taken at the start of the round (for tracing and
@@ -436,11 +438,9 @@ struct RoundScratch {
     /// Recycled [`Clustering`] buffer, double-buffered against
     /// `LoadBalancer::last_clusters` so a recluster allocates nothing.
     spare_clusters: Clustering,
-    /// Pooled-row aggregation working memory (per-cluster PAVA refit).
+    /// The clustered solve's items: one pooled fit per cluster, refitted
+    /// in place each round.
     agg: AggregateScratch,
-    /// Row-major pooled predicted tables, `k × (R + 1)` for the current
-    /// cluster count `k` (grows monotonically to the largest `k` seen).
-    cflat: Vec<f64>,
     /// Cluster ordering for the remainder hand-out.
     corder: Vec<usize>,
     /// Expansion buffer for per-connection units in the clustered path.
@@ -482,7 +482,6 @@ impl RoundScratch {
             cluster_scratch: ClusterScratch::new(),
             spare_clusters: Clustering::default(),
             agg: AggregateScratch::new(),
-            cflat: Vec::new(),
             corder: Vec::new(),
             units_tmp: vec![0; n],
             spare_rates: Vec::new(),
@@ -564,12 +563,13 @@ impl LoadBalancer {
     /// Checks the balancer's structural invariants, as an oracle hook for
     /// chaos/fault-injection harnesses: the installed weights sum exactly
     /// to the resolution (the simplex the solver must never leave), and
-    /// every rebuilt [`BlockingRateFunction`] is finite, non-negative and
-    /// non-decreasing in the weight (PAVA's contract).
+    /// every [`BlockingRateFunction`]'s [`value`](BlockingRateFunction::value)
+    /// is finite, non-negative and non-decreasing over every weight in
+    /// `0..=R` (PAVA's contract, read through the same point queries the
+    /// round reads).
     ///
     /// Cheap enough to call every control round; takes `&mut self` because
-    /// checking a function's prediction may rebuild its interpolation
-    /// table.
+    /// a point query refits a function whose raw points changed.
     ///
     /// # Errors
     ///
@@ -590,8 +590,9 @@ impl LoadBalancer {
                 });
             }
         }
+        let r = self.cfg.resolution;
         for (j, f) in self.functions.iter_mut().enumerate() {
-            check_predicted(j, f.predicted())?;
+            check_predicted(j, (0..=r).map(|w| f.value(w)))?;
         }
         Ok(())
     }
@@ -655,9 +656,9 @@ impl LoadBalancer {
     /// policy watches (near zero: capacity headroom; high: the region is
     /// saturated and no reallocation can fix it).
     ///
-    /// Requires `&mut self` because a function's predicted table is
-    /// rebuilt lazily; right after [`rebalance`](Self::rebalance) the
-    /// tables are hot and this performs no allocation.
+    /// Requires `&mut self` because a function's fit is refitted lazily;
+    /// right after [`rebalance`](Self::rebalance) the fits are fresh and
+    /// this performs no allocation.
     pub fn solved_blocking(&mut self) -> f64 {
         let mut worst = 0.0f64;
         for j in 0..self.cfg.connections {
@@ -1124,8 +1125,8 @@ impl LoadBalancer {
 
     /// Brings the live-slot list and every live slot's knee up to date;
     /// returns whether a knee *value* changed. Each live function whose
-    /// generation moved gets a fresh knee via the fit-based fast path (no
-    /// dense table rebuild). An idle slot's all-zero function keeps its
+    /// generation moved gets a fresh knee from point queries on its fit.
+    /// An idle slot's all-zero function keeps its
     /// generation, so only the slots that have blocked are re-kneed; under
     /// per-round decay their generations move every round, and comparing
     /// knee values is what lets an unmoved partition be reused.
@@ -1173,13 +1174,14 @@ impl LoadBalancer {
     /// `[0, 0]` (they hold no units and the solver may not grant them any),
     /// attached slot `j` gets `[0, upper(j, frontier, current weight)]` and
     /// its clean frontier as tie priority. The frontier is bisected on
-    /// point queries, so no predicted table is built.
+    /// point queries of the slot's fit.
     fn bound_slots(&mut self, upper: impl Fn(usize, u32, u32) -> u32) {
+        let r = self.cfg.resolution;
         let scratch = &mut self.scratch;
         scratch.clear_items();
         for (j, &w) in self.weights.units().iter().enumerate() {
             if self.attached[j] {
-                let frontier = Self::clean_frontier_of(&mut self.functions[j]);
+                let frontier = clean_frontier(self.functions[j].fit(), r);
                 scratch.push_item(upper(j, frontier, w), 1, frontier);
             } else {
                 scratch.push_item(0, 1, 0);
@@ -1187,24 +1189,18 @@ impl LoadBalancer {
         }
     }
 
-    /// One solver item per cluster: member data is pooled into one
-    /// predicted row (in-place PAVA refit, bit-identical to
-    /// `aggregate_functions`), and granting the cluster one unit of
-    /// per-connection weight consumes `size` units of resource. The weight a
-    /// cluster may always keep is its best-served member's.
+    /// One solver item per cluster: member data is pooled into one fit
+    /// (in-place PAVA refit, bit-identical to `aggregate_functions`), read
+    /// by the same first-crossing search the slots use, and granting the
+    /// cluster one unit of per-connection weight consumes `size` units of
+    /// resource. The weight a cluster may always keep is its best-served
+    /// member's.
     fn bound_clusters(&mut self, clustering: &Clustering) {
         let (r, step) = (self.cfg.resolution, self.cfg.exploration_step);
-        let width = r as usize + 1;
         let scratch = &mut self.scratch;
-        let k = clustering.members.len();
-        if scratch.cflat.len() < k * width {
-            scratch.cflat.resize(k * width, 0.0);
-        }
         scratch.clear_items();
         for (c, members) in clustering.members.iter().enumerate() {
-            let row = &mut scratch.cflat[c * width..(c + 1) * width];
-            scratch.agg.pooled_row(&self.functions, members, row);
-            let frontier = Self::clean_frontier(row);
+            let frontier = clean_frontier(scratch.agg.pool(c, &self.functions, members), r);
             let keep = members
                 .iter()
                 .map(|&m| self.weights.units()[m])
@@ -1217,15 +1213,11 @@ impl LoadBalancer {
 
     /// Stage 5: Fox's greedy over the items the bound stage left in the
     /// scratch, into `scratch.fox.weights`; returns the units assigned.
-    /// Slot items read `F_j(w)` from the functions themselves (the dense
-    /// table when one happens to be built, the compact fit otherwise — bit
-    /// for bit the same value); cluster items read their pooled rows. One
-    /// greedy instance per source keeps the table read out of a loop that
-    /// also carries the point query.
+    /// Every item is read by point query: slot items on their functions'
+    /// fits, cluster items on their pooled fits.
     fn solve(&mut self, pooled: bool) -> u64 {
-        let width = self.cfg.resolution as usize + 1;
         let scratch = &mut self.scratch;
-        let (functions, cflat) = (&mut self.functions, &scratch.cflat);
+        let functions = &mut self.functions;
         let limits = Limits {
             resolution: self.cfg.resolution,
             lower: &scratch.lower,
@@ -1234,11 +1226,8 @@ impl LoadBalancer {
             tie_priority: &scratch.priority,
         };
         let stats = if pooled {
-            fox::greedy(
-                &limits,
-                |j, w| cflat[j * width + w as usize],
-                &mut scratch.fox,
-            )
+            let fits = scratch.agg.fits();
+            fox::greedy(&limits, |c, w| fits[c].value(w), &mut scratch.fox)
         } else {
             fox::greedy(&limits, |j, w| functions[j].value(w), &mut scratch.fox)
         };
@@ -1250,7 +1239,6 @@ impl LoadBalancer {
     /// largest cluster) unit by unit, cheapest marginal cluster first.
     fn expand(&mut self, clustering: &Clustering, assigned: u64) {
         let r = self.cfg.resolution;
-        let width = r as usize + 1;
         let scratch = &mut self.scratch;
         scratch.units_tmp.fill(0);
         for (c, members) in clustering.members.iter().enumerate() {
@@ -1264,9 +1252,10 @@ impl LoadBalancer {
         }
         scratch.corder.clear();
         scratch.corder.extend(0..clustering.members.len());
-        let (cflat, priority, weights) = (&scratch.cflat, &scratch.priority, &scratch.fox.weights);
+        let (fits, priority, weights) =
+            (scratch.agg.fits(), &scratch.priority, &scratch.fox.weights);
         scratch.corder.sort_unstable_by(|&a, &b| {
-            let next = |c: usize| cflat[c * width + (weights[c] + 1).min(r) as usize];
+            let mut next = |c: usize| fits[c].value((weights[c] + 1).min(r));
             next(a)
                 .total_cmp(&next(b))
                 .then(priority[b].cmp(&priority[a]))
@@ -1354,19 +1343,13 @@ impl LoadBalancer {
         }
         self.pending_rates.fill(0.0);
     }
+}
 
-    /// The largest weight at which `predicted` (monotone) still forecasts
-    /// no blocking.
-    fn clean_frontier(predicted: &[f64]) -> u32 {
-        predicted.iter().rposition(|&v| v <= DELTA).unwrap_or(0) as u32
-    }
-
-    /// [`clean_frontier`](Self::clean_frontier) of `f`'s predicted table,
-    /// found by bisection on point queries instead of building the table.
-    fn clean_frontier_of(f: &mut BlockingRateFunction) -> u32 {
-        // Weight 0 never blocks, so a first blocking weight is >= 1.
-        cluster::first_blocking_weight(f).map_or(f.resolution(), |w| w - 1)
-    }
+/// The largest weight in `0..=r` at which `fit` (monotone) still forecasts
+/// no blocking, found by bisection on point queries.
+fn clean_frontier(fit: &mut MonotoneFit, r: u32) -> u32 {
+    // Weight 0 never blocks, so a first blocking weight is >= 1.
+    cluster::first_blocking_weight(fit, r).map_or(r, |w| w - 1)
 }
 
 #[cfg(test)]
@@ -1374,6 +1357,7 @@ mod tests {
     use super::*;
     use crate::rate::ConnectionSample;
     use crate::solver::Problem;
+    use crate::DELTA;
 
     fn balancer(n: usize) -> LoadBalancer {
         LoadBalancer::new(BalancerConfig::builder(n).build().unwrap())
@@ -1616,21 +1600,21 @@ mod tests {
         // A decreasing or non-finite curve cannot come out of PAVA; drive
         // the checker directly to prove it would be seen if one did.
         assert_eq!(
-            check_predicted(1, &[0.1, 0.3, 0.2]),
+            check_predicted(1, [0.1, 0.3, 0.2]),
             Err(InvariantViolation::NonMonotoneFunction {
                 connection: 1,
                 weight: 2
             })
         );
         assert!(matches!(
-            check_predicted(0, &[0.0, f64::NAN]),
+            check_predicted(0, [0.0, f64::NAN]),
             Err(InvariantViolation::NonFiniteFunction {
                 connection: 0,
                 weight: 1,
                 ..
             })
         ));
-        assert!(check_predicted(0, &[0.0, 0.0, 0.5, 1.0]).is_ok());
+        assert!(check_predicted(0, [0.0, 0.0, 0.5, 1.0]).is_ok());
     }
 
     #[test]
@@ -1878,7 +1862,7 @@ mod tests {
         let live: Vec<usize> = (0..n).filter(|&j| lb.is_attached(j)).collect();
         let feat: Vec<[f64; 3]> = live
             .iter()
-            .map(|&j| cluster::log_features(&cluster::knee_of(lb.function_mut(j).predicted()), r))
+            .map(|&j| cluster::log_features(&cluster::knee_of(&lb.function_mut(j).predicted()), r))
             .collect();
         let mut condensed = vec![0.0; cluster::condensed_len(live.len())];
         cluster::fill_condensed(&feat, &mut condensed);
@@ -1965,6 +1949,12 @@ mod tests {
         assert!(full > 0, "the churn must exercise the recluster");
     }
 
+    /// The largest weight at which a dense predicted table still forecasts
+    /// no blocking: the oracle for the bisected [`clean_frontier`].
+    fn dense_clean_frontier(predicted: &[f64]) -> u32 {
+        predicted.iter().rposition(|&v| v <= DELTA).unwrap_or(0) as u32
+    }
+
     #[test]
     fn bisected_clean_frontier_matches_the_dense_table() {
         let mut rng = crate::rng::SplitMix64::new(0xF20_4713);
@@ -1985,12 +1975,8 @@ mod tests {
                     f.decay_above(rng.range_u32(0, resolution), 0.9);
                 }
             }
-            let fast = LoadBalancer::clean_frontier_of(&mut f);
-            assert_eq!(
-                fast,
-                LoadBalancer::clean_frontier(f.predicted()),
-                "case {case}"
-            );
+            let fast = clean_frontier(f.fit(), resolution);
+            assert_eq!(fast, dense_clean_frontier(&f.predicted()), "case {case}");
         }
     }
 
@@ -2013,12 +1999,12 @@ mod tests {
                 let predicted: Vec<Vec<f64>> = self
                     .functions
                     .iter_mut()
-                    .map(|f| f.predicted().to_vec())
+                    .map(BlockingRateFunction::predicted)
                     .collect();
                 let slices: Vec<&[f64]> = predicted.iter().map(Vec::as_slice).collect();
                 let priority: Vec<u64> = predicted
                     .iter()
-                    .map(|p| u64::from(Self::clean_frontier(p)))
+                    .map(|p| u64::from(dense_clean_frontier(p)))
                     .collect();
                 let lower = vec![0; n];
                 let upper: Vec<u32> = (0..n)

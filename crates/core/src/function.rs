@@ -12,6 +12,11 @@
 //! 3. missing points in the domain are filled by linear interpolation, with
 //!    linear extrapolation past the last observation.
 //!
+//! Only steps 1 and 2 are stored: the function *is* its monotone fit (one
+//! knot per raw point), and step 3 happens at read time, one weight per
+//! point query ([`BlockingRateFunction::value`]). No dense `R + 1`-point
+//! table is kept; [`BlockingRateFunction::predicted`] builds one on demand.
+//!
 //! The adaptive balancer additionally applies an *exploration decay*
 //! ([`BlockingRateFunction::decay_above`]): every round, all raw values above
 //! the current allocation weight shrink by 10%, so stale pessimism erodes
@@ -50,33 +55,17 @@ pub struct BlockingRateFunction {
     /// monotone regression — a frequently-confirmed point should not be
     /// pooled away by a single noisy neighbour). Always contains `(0, 0.0)`.
     raw: BTreeMap<u32, (f64, f64)>,
-    predicted: Vec<f64>,
-    /// The monotone fit (`xs`/`fit`) is stale relative to `raw`.
+    /// The monotone fit of `raw`, which answers every prediction.
+    fit: MonotoneFit,
+    /// `fit` is stale relative to `raw`.
     fit_dirty: bool,
-    /// The 1001-point `predicted` table is stale relative to the fit.
-    /// Invariant: `fit_dirty` implies `table_dirty` (point queries refresh
-    /// the fit without paying for the table).
-    table_dirty: bool,
     /// Bumped on every mutation that can change predictions; callers use it
-    /// to cache per-function derived state (knees, predicted-table copies)
-    /// across control rounds.
+    /// to cache per-function derived state (knees) across control rounds.
     generation: u64,
     /// Every raw value is exactly `+0.0`, so the function predicts 0 at
     /// every weight whatever its raw weights and counts: a zero rate or a
     /// decay changes the raw data but not a prediction.
     all_zero: bool,
-    /// Reusable rebuild scratch: raw points unzipped into parallel arrays
-    /// (`xs`/`ys`/`ws`), the monotone fit over them, and the PAVA block
-    /// stack. Contents are caches; only capacity persists meaningfully.
-    xs: Vec<u32>,
-    ys: Vec<f64>,
-    ws: Vec<f64>,
-    fit: Vec<f64>,
-    pava: PavaScratch,
-    /// The fit segment that answered the last point query (`seg` is the
-    /// first raw point at or above the queried weight). The solver asks
-    /// for consecutive weights, so it usually answers the next one too.
-    seg: usize,
 }
 
 impl BlockingRateFunction {
@@ -97,21 +86,10 @@ impl BlockingRateFunction {
             resolution,
             alpha,
             raw,
-            // The dense table is built on first use: a clustered controller
-            // answers every query from the compact fit, so at 10k+
-            // connections the `R + 1`-point tables would be pure dead weight
-            // (16,384 connections at resolution 32,768 is over 4 GB).
-            predicted: Vec::new(),
+            fit: MonotoneFit::new(),
             fit_dirty: false,
-            table_dirty: true,
             generation: 0,
             all_zero: true,
-            xs: vec![0],
-            ys: vec![0.0],
-            ws: vec![1.0],
-            fit: vec![0.0],
-            pava: PavaScratch::new(),
-            seg: 0,
         }
     }
 
@@ -167,7 +145,6 @@ impl BlockingRateFunction {
         // only the bits of +0.0 keep the function all-zero.
         if self.all_zero && rate.to_bits() == 0 {
             self.fit_dirty = true;
-            self.table_dirty = true;
         } else {
             self.all_zero = false;
             self.mark_changed();
@@ -202,42 +179,34 @@ impl BlockingRateFunction {
 
     fn mark_changed(&mut self) {
         self.fit_dirty = true;
-        self.table_dirty = true;
         self.generation = self.generation.wrapping_add(1);
     }
 
-    /// The predicted blocking rate at every weight in `0..=R`.
+    /// The predicted blocking rate at every weight in `0..=R`, as a freshly
+    /// allocated copy of length `R + 1` (non-decreasing).
     ///
-    /// The returned slice has length `R + 1` and is non-decreasing. Rebuilds
-    /// lazily: unchanged raw points skip both the monotone regression and
-    /// the table fill, and a stale table is refilled in place from reusable
-    /// scratch buffers (no allocation once capacities have warmed up).
-    pub fn predicted(&mut self) -> &[f64] {
-        if self.table_dirty {
-            self.ensure_fit();
-            self.fill_table();
-            self.table_dirty = false;
-        }
-        &self.predicted
+    /// The function keeps no such table: this fills one from the monotone
+    /// fit on every call, for tests, plots and dense-table solvers. The
+    /// control round reads [`value`](Self::value) instead; every entry
+    /// equals `value` at its weight bit for bit.
+    pub fn predicted(&mut self) -> Vec<f64> {
+        let mut out = vec![0.0; self.resolution as usize + 1];
+        let fit = self.fit();
+        fill_predicted(&fit.xs, &fit.fit, &mut out);
+        out
     }
 
-    /// The predicted blocking rate at a single weight.
-    ///
-    /// When the full table is stale, the query is answered directly from the
-    /// monotone fit over the raw points (`O(raw_len)`) instead of forcing
-    /// the `R + 1`-point table rebuild; the result is bit-identical to
-    /// `predicted()[weight]`.
+    /// The predicted blocking rate at a single weight: a point query on
+    /// the monotone fit (`O(1)` when the weight lies in the segment that
+    /// answered the previous query, `O(log raw_len)` otherwise), refitting
+    /// first if an observation or decay made the fit stale.
     ///
     /// # Panics
     ///
     /// Panics if `weight > resolution`.
     pub fn value(&mut self, weight: u32) -> f64 {
         assert!(weight <= self.resolution, "weight out of domain");
-        if !self.table_dirty {
-            return self.predicted[weight as usize];
-        }
-        self.ensure_fit();
-        self.point_from_fit(weight)
+        self.fit().value(weight)
     }
 
     /// Iterates over the raw (smoothed, pre-regression) data points.
@@ -260,19 +229,7 @@ impl BlockingRateFunction {
     pub fn reset(&mut self) {
         self.raw.clear();
         self.raw.insert(0, (0.0, 1.0));
-        // An unbuilt table stays unbuilt (and therefore stale): zeroing in
-        // place is only valid once the allocation exists.
-        self.predicted.iter_mut().for_each(|v| *v = 0.0);
-        self.xs.clear();
-        self.xs.push(0);
-        self.ys.clear();
-        self.ys.push(0.0);
-        self.ws.clear();
-        self.ws.push(1.0);
-        self.fit.clear();
-        self.fit.push(0.0);
-        self.fit_dirty = false;
-        self.table_dirty = self.predicted.is_empty();
+        self.fit_dirty = true;
         self.all_zero = true;
         self.generation = self.generation.wrapping_add(1);
     }
@@ -309,48 +266,82 @@ impl BlockingRateFunction {
         f
     }
 
-    /// The monotone fit as `(xs, fit)` parallel slices (one entry per raw
-    /// point, starting at the `(0, 0)` axiom), refreshing it if stale.
-    ///
-    /// This exposes the compact representation behind
-    /// [`predicted`](Self::predicted) so callers (knee extraction) can
-    /// avoid forcing the dense table rebuild.
-    pub(crate) fn fit_points(&mut self) -> (&[u32], &[f64]) {
-        self.ensure_fit();
-        (&self.xs, &self.fit)
+    /// The monotone fit every prediction is read from, refitted first if
+    /// an observation or decay changed the raw points.
+    pub(crate) fn fit(&mut self) -> &mut MonotoneFit {
+        if self.fit_dirty {
+            self.fit
+                .refit(self.raw.iter().map(|(&w, &(v, c))| (w, v, c)));
+            self.fit_dirty = false;
+        }
+        &mut self.fit
+    }
+}
+
+/// A monotone fit over raw points, read by point query: the knots `xs`
+/// (ascending, starting at the `(0, 0)` axiom) carry their PAVA values
+/// `fit`; between knots the function is linear, and past the last knot it
+/// continues along the final segment's slope.
+///
+/// A [`BlockingRateFunction`] holds one, and the clustered control round
+/// holds one per cluster for the members' pooled data
+/// ([`AggregateScratch`](crate::cluster::AggregateScratch)). Its buffers
+/// are refilled in place, so a refit allocates nothing once their
+/// capacities have warmed up.
+#[derive(Debug, Clone)]
+pub(crate) struct MonotoneFit {
+    xs: Vec<u32>,
+    fit: Vec<f64>,
+    /// The regression's inputs (raw values, observation counts) and its
+    /// block stack: refit scratch, of which only the capacity persists.
+    ys: Vec<f64>,
+    ws: Vec<f64>,
+    pava: PavaScratch,
+    /// The segment that answered the last point query (`seg` is the first
+    /// knot at or above the queried weight). The solver asks for
+    /// consecutive weights, so it usually answers the next one too.
+    seg: usize,
+}
+
+impl MonotoneFit {
+    /// The fit of the `(0, 0)` axiom alone: zero at every weight.
+    pub(crate) fn new() -> Self {
+        MonotoneFit {
+            xs: vec![0],
+            fit: vec![0.0],
+            ys: Vec::new(),
+            ws: Vec::new(),
+            pava: PavaScratch::new(),
+            seg: 0,
+        }
     }
 
-    /// Refreshes the monotone fit (`xs`/`fit` scratch) from the raw points.
-    fn ensure_fit(&mut self) {
-        if !self.fit_dirty {
-            return;
-        }
+    /// Refits from `(weight, value, count)` points in ascending weight
+    /// order, the `(0, 0)` axiom point first.
+    pub(crate) fn refit(&mut self, points: impl IntoIterator<Item = (u32, f64, f64)>) {
         self.xs.clear();
         self.ys.clear();
         self.ws.clear();
-        for (&w, &(v, c)) in &self.raw {
-            self.xs.push(w);
-            self.ys.push(v);
-            self.ws.push(c);
+        for (x, y, w) in points {
+            self.xs.push(x);
+            self.ys.push(y);
+            self.ws.push(w);
         }
         self.pava.fit_into(&self.ys, &self.ws, &mut self.fit);
-        self.fit_dirty = false;
     }
 
-    /// Fills the dense predicted table from the current fit, allocating it
-    /// on first use (point queries never force the allocation).
-    fn fill_table(&mut self) {
-        self.predicted.resize(self.resolution as usize + 1, 0.0);
-        fill_predicted(&self.xs, &self.fit, &mut self.predicted);
+    /// The knots and their fitted values, as parallel slices.
+    pub(crate) fn knots(&self) -> (&[u32], &[f64]) {
+        (&self.xs, &self.fit)
     }
 
-    /// Evaluates one weight from the fit, with arithmetic identical to
-    /// [`fill_table`](Self::fill_table) so point queries are bit-identical
-    /// to reading the dense table.
-    fn point_from_fit(&mut self, weight: u32) -> f64 {
+    /// The fitted rate at `weight`, with arithmetic identical to
+    /// [`BlockingRateFunction::predicted`]'s dense fill, so a point query
+    /// equals the table entry bit for bit.
+    pub(crate) fn value(&mut self, weight: u32) -> f64 {
         let xs = &self.xs;
         let fit = &self.fit;
-        // k = the first raw point at or above `weight` (xs.len() if none).
+        // k = the first knot at or above `weight` (xs.len() if none).
         let mut k = self.seg;
         if !(k <= xs.len() && (k == 0 || xs[k - 1] < weight) && (k == xs.len() || weight <= xs[k]))
         {
@@ -358,8 +349,8 @@ impl BlockingRateFunction {
             self.seg = k;
         }
         if k == xs.len() {
-            // Extrapolate past the last raw point.
-            let last = *xs.last().expect("raw always contains weight 0") as usize;
+            // Extrapolate past the last knot.
+            let last = *xs.last().expect("a fit holds the axiom point") as usize;
             let slope = if xs.len() >= 2 {
                 let x0 = xs[xs.len() - 2] as usize;
                 (fit[xs.len() - 1] - fit[xs.len() - 2]) / (last - x0) as f64
@@ -385,10 +376,11 @@ impl BlockingRateFunction {
 /// fit over raw points: piecewise-linear interpolation between the fit
 /// points, linear extrapolation past the last one.
 ///
-/// Shared by [`BlockingRateFunction`]'s own table rebuild and the
-/// controller's pooled-cluster rows, so both produce bit-identical tables
-/// from identical fits.
-pub(crate) fn fill_predicted(xs: &[u32], fit: &[f64], out: &mut [f64]) {
+/// The one dense form of a fit, behind
+/// [`BlockingRateFunction::predicted`]; it is written independently of
+/// [`MonotoneFit::value`] so that tests comparing the two check the point
+/// query's arithmetic.
+fn fill_predicted(xs: &[u32], fit: &[f64], out: &mut [f64]) {
     let r = out.len() - 1;
 
     // Piecewise-linear fill between consecutive raw points.
@@ -578,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn dirty_point_query_matches_full_table_bitwise() {
+    fn point_query_matches_the_dense_fill_bitwise() {
         let data = [(10u32, 0.9), (20, 0.1), (50, 0.5), (70, 0.2), (90, 2.0)];
         let mut a = BlockingRateFunction::new(100, 0.7);
         let mut b = BlockingRateFunction::new(100, 0.7);
@@ -586,12 +578,12 @@ mod tests {
             a.observe(w, v);
             b.observe(w, v);
         }
-        // `a` is queried point-by-point while dirty; `b` rebuilds the table.
+        // `a` is queried point by point; `b` fills the dense table.
         // Ascending (the remembered segment answers most queries), then
         // descending and in jumps of 37 (it rarely does), then again after
         // the raw points — and with them the segments — changed.
         let sweep = |a: &mut BlockingRateFunction, b: &mut BlockingRateFunction| {
-            let table: Vec<f64> = b.predicted().to_vec();
+            let table = b.predicted();
             let jumps = (0..=100u32).map(|i| i * 37 % 101);
             for w in (0..=100u32).chain((0..=100).rev()).chain(jumps) {
                 assert_eq!(

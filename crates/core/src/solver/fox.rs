@@ -157,8 +157,8 @@ pub(crate) struct Limits<'a> {
 /// w)` is `F_j(w)`, asked only for `lower[j] < w <= upper[j]` and, once
 /// for the objective, at the final weights. [`solve_with`] reads a
 /// [`Problem`]'s dense tables; the [controller](crate::controller) — whose
-/// only solver entry this is — answers slot items from the functions
-/// themselves and cluster items from pooled rows. The caller guarantees
+/// only solver entry this is — answers slot items from the functions' fits
+/// and cluster items from pooled fits, by point query. The caller guarantees
 /// well-formed, feasible limits.
 pub(crate) fn greedy(
     limits: &Limits<'_>,

@@ -6,10 +6,12 @@
 //! fit-based knee refresh, the distinct-vector grouping and
 //! nearest-neighbor-chain recluster, the in-place pooled PAVA refit and
 //! the cluster-level solve — and every one of them must run out of
-//! retained scratch. Adaptive decay moves every function's generation
-//! every round, so even the steady window exercises the knee refresh; the
-//! second window then moves a knee *value* every round, which forces the
-//! recluster itself. A detach may allocate (a fresh function for the slot,
+//! retained scratch. Adaptive decay moves the generation of every function
+//! that has blocked — the even slots, which the warm-up feeds positive
+//! rates — every round, so even the steady window re-knees those; the odd
+//! slots have only ever seen 0.0, keep all-zero functions and keep their
+//! generations. The second window then moves a knee *value* every round,
+//! which forces the recluster itself. A detach may allocate (a fresh function for the slot,
 //! the next round's first use of the spare clustering buffer), but only a
 //! sliver of what it did when renormalizing built and cloned every dense
 //! predicted table.
@@ -84,7 +86,7 @@ fn clustered_rounds_allocate_nothing_and_a_detach_stays_under_a_mebibyte() {
 
     // Warm up with two distinct load tiers so several clusters form and
     // every scratch buffer (condensed rows, member-vector pool, pooled
-    // rows, solver heap) reaches its steady-state capacity.
+    // fits, solver heap) reaches its steady-state capacity.
     for round in 0..200u32 {
         let j = (round as usize * 7) % N;
         let rate = if j.is_multiple_of(2) {

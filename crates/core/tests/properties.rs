@@ -255,7 +255,7 @@ fn function_predictions_stay_monotone() {
             f.decay_above(w, 0.9);
         }
         let p = f.predicted();
-        assert!(is_non_decreasing(p));
+        assert!(is_non_decreasing(&p));
         assert_eq!(p[0], 0.0);
         assert!(p.iter().all(|&v| v >= 0.0));
     }
@@ -264,11 +264,11 @@ fn function_predictions_stay_monotone() {
 #[test]
 fn incremental_rebuild_is_bit_identical_to_from_scratch() {
     // Two functions receive the identical randomized op sequence. `a` is
-    // additionally probed with point queries (`value`, which answers from
-    // the monotone fit while the dense table is dirty) and intermediate
-    // `predicted()` calls at random times, exercising every path of the
-    // incremental rebuild machinery; `b` only ever rebuilds from scratch at
-    // the comparison points. The tables must match bit for bit.
+    // additionally probed with point queries (`value`, which refits a stale
+    // fit and reads it) and intermediate `predicted()` calls at random
+    // times, exercising every path of the lazy refit; `b` only ever refits
+    // at the comparison points. Point queries and tables must match bit
+    // for bit.
     let mut rng = SplitMix64::new(0xC0DE_000E);
     for _ in 0..CASES {
         let r = 100;
@@ -288,8 +288,8 @@ fn incremental_rebuild_is_bit_identical_to_from_scratch() {
                     b.decay_above(w, 0.9);
                 }
                 8 => {
-                    // Point query on `a` only: refreshes its fit (not its
-                    // table) at a state `b` never materializes.
+                    // Point query on `a` only: refreshes its fit at a
+                    // state `b` never materializes.
                     let w = rng.range_u32(0, r);
                     let _ = a.value(w);
                 }
@@ -302,7 +302,7 @@ fn incremental_rebuild_is_bit_identical_to_from_scratch() {
                 let _ = a.predicted();
             }
         }
-        let table_b: Vec<f64> = b.predicted().to_vec();
+        let table_b = b.predicted();
         for (w, expect) in table_b.iter().enumerate() {
             assert_eq!(
                 a.value(w as u32).to_bits(),

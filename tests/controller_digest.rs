@@ -1,4 +1,4 @@
-//! Pins the controller bit for bit: four seeded scripts drive
+//! Pins the controller bit for bit: five seeded scripts drive
 //! `ControlPlane::round` plus the membership and width calls, and an FNV-1a
 //! digest covers every round's installed weights, cluster assignment and
 //! cluster outcome (and, for two scripts, the whole decision trace). Any
@@ -282,5 +282,47 @@ fn width_change_digest_is_pinned() {
     assert_eq!(
         digest.0, 17_135_917_757_891_607_599,
         "width-change controller behaviour changed"
+    );
+}
+
+/// Script (e): the wide clustered regime — width 512, R = 4096, default
+/// clustering. An idle majority never blocks (their functions stay all
+/// zero), every sixteenth slot is loaded, one hot slot moves every 20
+/// rounds, and slot 7 leaves at round 40 and returns at round 80. The
+/// clustered round pools the idle majority into one cluster, so this is
+/// the regime where the pooled fits, the first-crossing search on them
+/// and the remainder hand-out carry the solve.
+#[test]
+fn clustered_width_512_digest_is_pinned() {
+    let n = 512usize;
+    let cfg = BalancerConfig::builder(n)
+        .resolution(4096)
+        .clustering(ClusteringConfig::default())
+        .build()
+        .unwrap();
+    let mut plane = ControlPlane::builder(cfg).build();
+    let mut rng = SplitMix64::new(0x0005_12E5);
+    let mut digest = Digest::new();
+    let base: Vec<u32> = (0..n).map(|j| if j % 16 == 0 { 5 } else { 4096 }).collect();
+    let mut caps = base.clone();
+    let mut clustered = 0;
+    for t in 0..200u64 {
+        if t % 20 == 0 {
+            caps.clone_from(&base);
+            caps[rng.range_usize(0, n - 1)] = 1;
+        }
+        match t {
+            40 => assert!(plane.detach_connection(7)),
+            80 => assert!(plane.attach_connection(7)),
+            _ => {}
+        }
+        round(&mut plane, &mut rng, t, &caps);
+        digest.mix_round(&plane);
+        clustered += u32::from(plane.balancer().last_clusters().is_some());
+    }
+    assert!(clustered > 180, "only {clustered} rounds clustered");
+    assert_eq!(
+        digest.0, 2_863_506_102_725_276_282,
+        "wide clustered controller behaviour changed"
     );
 }

@@ -276,3 +276,23 @@ fn blocked_time_accrues_in_the_counter() {
         &["add_ns("],
     );
 }
+
+/// A blocking-rate function is its monotone fit: no dense `R + 1` table is
+/// cached beside it, the clustered round pools each cluster into a fit
+/// rather than a dense row, and the one dense fill — behind the allocating
+/// `predicted()` — lives with the fit it expands.
+#[test]
+fn a_blocking_rate_function_is_its_fit() {
+    assert_absent(
+        &["crates/"],
+        &["table_dirty", "fill_table", "cflat", "pooled_row"],
+    );
+    let fills = grep(&["crates/"], any_of(&["fill_predicted("]));
+    assert!(!fills.is_empty(), "the dense fill is gone");
+    for hit in &fills {
+        assert!(
+            hit.starts_with("crates/core/src/function.rs:"),
+            "dense fill outside the function: {hit}"
+        );
+    }
+}
