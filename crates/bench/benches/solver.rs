@@ -1,13 +1,13 @@
-//! Solver ablation: Fox greedy vs. threshold bisection vs. brute force.
+//! The production solver, Fox's greedy, on dense tables across N and R.
 //!
 //! The paper picks Fox's greedy scheme over the asymptotically faster
-//! alternatives it cites because N and R are modest; this bench quantifies
-//! that choice.
+//! alternatives it cites because N and R are modest; these rows time it at
+//! those sizes.
 
 use std::hint::black_box;
 
 use streambal_bench::Micro;
-use streambal_core::solver::{bisect, brute, fox, galil_megiddo, Problem};
+use streambal_core::solver::{fox, Problem};
 
 /// Deterministic pseudo-random monotone function over `0..=r`.
 fn monotone_function(r: u32, seed: u64) -> Vec<f64> {
@@ -35,18 +35,5 @@ fn main() {
         m.run(&format!("solver/fox/n{n}_r{r}"), || {
             fox::solve(black_box(&problem)).unwrap()
         });
-        m.run(&format!("solver/bisect/n{n}_r{r}"), || {
-            bisect::solve(black_box(&problem)).unwrap()
-        });
-        m.run(&format!("solver/galil_megiddo/n{n}_r{r}"), || {
-            galil_megiddo::solve(black_box(&problem)).unwrap()
-        });
     }
-    // Brute force only at toy sizes — it is the test oracle, not a solver.
-    let funcs: Vec<Vec<f64>> = (0..3).map(|j| monotone_function(16, j as u64)).collect();
-    let slices: Vec<&[f64]> = funcs.iter().map(Vec::as_slice).collect();
-    let problem = Problem::new(slices, 16).unwrap();
-    m.run("solver/brute/n3_r16", || {
-        brute::solve(black_box(&problem)).unwrap()
-    });
 }

@@ -186,7 +186,7 @@ impl BlockingRateFunction {
     /// allocated copy of length `R + 1` (non-decreasing).
     ///
     /// The function keeps no such table: this fills one from the monotone
-    /// fit on every call, for tests, plots and dense-table solvers. The
+    /// fit on every call, for tests, plots and dense-table solves. The
     /// control round reads [`value`](Self::value) instead; every entry
     /// equals `value` at its weight bit for bit.
     pub fn predicted(&mut self) -> Vec<f64> {

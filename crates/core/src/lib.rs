@@ -18,10 +18,9 @@
 //! 1. [`function::BlockingRateFunction`] — per-connection predictive model
 //!    `F_j(w_j)` over discrete allocation weights, built from smoothed raw
 //!    samples, [monotone regression](pava) and linear interpolation.
-//! 2. [`solver`] — exact solvers for the minimax separable resource
+//! 2. [`solver`] — the exact solver for the minimax separable resource
 //!    allocation problem `min max_j F_j(w_j)` s.t. `Σ w_j = R`,
-//!    `m_j ≤ w_j ≤ M_j` ([`solver::fox`] greedy, [`solver::bisect`] binary
-//!    search, and a brute-force reference for testing).
+//!    `m_j ≤ w_j ≤ M_j`: [`solver::fox`], Fox's greedy.
 //! 3. [`cluster`] — knee-based distance and agglomerative clustering to pool
 //!    data across connections when N is large.
 //! 4. [`controller::LoadBalancer`] — the control loop tying it all together,

@@ -1,4 +1,4 @@
-//! Minimax separable resource allocation problem (RAP) solvers.
+//! The minimax separable resource allocation problem (RAP) and its solver.
 //!
 //! The load-balancing optimization of §5.2: given per-connection
 //! non-decreasing blocking-rate functions `F_j` over discrete weights
@@ -7,24 +7,13 @@
 //! *multiplicity* — the number of identical connections a clustered item
 //! stands for; plain problems use multiplicity 1).
 //!
-//! Three solvers are provided:
-//!
-//! - [`fox::solve`] — the greedy marginal-allocation algorithm attributed to
-//!   Fox (1966), `O(N + R log N)` with a binary heap. This is what the paper
-//!   (and the [controller](crate::controller)) uses.
-//! - [`bisect::solve`] — a binary search over the *materialized* candidate
-//!   set (`O(NR log NR)` setup). Multiplicity-1 only; used to cross-check
-//!   Fox and for the solver ablation bench.
-//! - [`galil_megiddo::solve`] — the `O(N log² R)` selection scheme the
-//!   paper cites, probing weighted medians of per-function index ranges
-//!   without materializing candidates.
-//! - [`brute::solve`] — exhaustive search for tiny instances; the test
-//!   oracle.
+//! There is one solver, [`fox::solve`]: the greedy marginal-allocation
+//! algorithm attributed to Fox (1966), `O(N + R log N)` with a binary heap.
+//! It is what the paper and the [controller](crate::controller) use. The
+//! paper also cites Galil and Megiddo's `O(N log² R)` selection scheme as
+//! a faster exact alternative; it is not implemented here.
 
-pub mod bisect;
-pub mod brute;
 pub mod fox;
-pub mod galil_megiddo;
 
 use std::fmt;
 
@@ -57,8 +46,6 @@ pub enum SolveError {
     /// The bounds make the problem infeasible
     /// (`Σ mult·lower > R` or `Σ mult·upper < R`).
     Infeasible,
-    /// The solver requires multiplicity 1 for every item.
-    MultiplicityUnsupported,
 }
 
 impl fmt::Display for SolveError {
@@ -81,9 +68,6 @@ impl fmt::Display for SolveError {
                 write!(f, "multiplicity of item {index} is zero")
             }
             SolveError::Infeasible => write!(f, "bounds make the allocation infeasible"),
-            SolveError::MultiplicityUnsupported => {
-                write!(f, "this solver requires multiplicity 1")
-            }
         }
     }
 }
@@ -93,8 +77,8 @@ impl std::error::Error for SolveError {}
 /// A minimax separable RAP instance.
 ///
 /// Functions are borrowed slices of length `R + 1`, assumed non-decreasing
-/// (the model guarantees this via monotone regression; solvers do not
-/// re-check in release builds). The [controller](crate::controller) does
+/// (the model guarantees this via monotone regression; the solver does
+/// not re-check in release builds). The [controller](crate::controller) does
 /// not build one of these: it hands its per-round scratch to the greedy
 /// loop directly.
 #[derive(Debug, Clone)]
@@ -210,12 +194,6 @@ impl<'a> Problem<'a> {
         self.functions[j]
     }
 
-    /// The function slices as one vector. Allocates; solvers that iterate
-    /// items should prefer [`function`](Self::function).
-    pub fn functions_vec(&self) -> Vec<&'a [f64]> {
-        self.functions.clone()
-    }
-
     /// Per-item lower bounds.
     pub fn lower(&self) -> &[u32] {
         &self.lower
@@ -232,7 +210,7 @@ impl<'a> Problem<'a> {
     }
 
     /// Sets per-item tie-break priorities: among steps with *equal* marginal
-    /// values (typically zero), greedy solvers prefer higher priority.
+    /// values (typically zero), the solver prefers higher priority.
     ///
     /// The minimax objective is unaffected — this only selects among
     /// optimal solutions. The [controller](crate::controller) passes each
@@ -296,21 +274,6 @@ pub struct Allocation {
     pub assigned: u64,
 }
 
-/// Evaluates `max_j F_j(w_j)` for a candidate weight assignment.
-///
-/// # Panics
-///
-/// Panics if lengths mismatch or a weight indexes out of a function's
-/// domain.
-pub fn minimax_objective(functions: &[&[f64]], weights: &[u32]) -> f64 {
-    assert_eq!(functions.len(), weights.len(), "length mismatch");
-    functions
-        .iter()
-        .zip(weights)
-        .map(|(f, &w)| f[w as usize])
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,14 +325,6 @@ mod tests {
             .with_bounds(vec![6, 6], vec![10, 10])
             .unwrap();
         assert_eq!(p.check_feasible().unwrap_err(), SolveError::Infeasible);
-    }
-
-    #[test]
-    fn objective_evaluates_max() {
-        let f0 = vec![0.0, 0.1, 0.2];
-        let f1 = vec![0.0, 0.5, 0.9];
-        let obj = minimax_objective(&[&f0, &f1], &[2, 1]);
-        assert!((obj - 0.5).abs() < 1e-12);
     }
 
     #[test]

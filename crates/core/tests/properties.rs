@@ -11,7 +11,7 @@ use streambal_core::function::BlockingRateFunction;
 use streambal_core::pava::isotonic_non_decreasing;
 use streambal_core::rate::ConnectionSample;
 use streambal_core::rng::SplitMix64;
-use streambal_core::solver::{bisect, brute, fox, galil_megiddo, Problem};
+use streambal_core::solver::{fox, Problem};
 use streambal_core::weights::{WeightVector, WrrScheduler};
 
 const CASES: u64 = 64;
@@ -34,6 +34,115 @@ fn monotone_function(r: u32, rng: &mut SplitMix64) -> Vec<f64> {
 
 fn f64_vec(rng: &mut SplitMix64, len: usize, lo: f64, hi: f64) -> Vec<f64> {
     (0..len).map(|_| rng.frange(lo, hi)).collect()
+}
+
+/// Exhaustive reference solver for tiny instances: the test oracle for
+/// [`fox`]. Production code has no use for it, so it lives here.
+mod brute {
+    use streambal_core::solver::{Allocation, Problem};
+
+    /// Evaluates `max_j F_j(w_j)` for a candidate weight assignment.
+    pub fn minimax_objective(functions: &[&[f64]], weights: &[u32]) -> f64 {
+        assert_eq!(functions.len(), weights.len(), "length mismatch");
+        functions
+            .iter()
+            .zip(weights)
+            .map(|(f, &w)| f[w as usize])
+            .fold(0.0, f64::max)
+    }
+
+    /// Solves a feasible multiplicity-1 problem by enumerating every weight
+    /// composition. `O(binom(R + N - 1, N - 1))`: meant for `N <= 5`,
+    /// `R <= ~30`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a multiplicity is not 1 or the bounds cannot bracket `R`.
+    pub fn solve(problem: &Problem<'_>) -> Allocation {
+        assert!(
+            problem.multiplicity().iter().all(|&m| m == 1),
+            "brute force solves multiplicity-1 problems only"
+        );
+        let functions: Vec<&[f64]> = (0..problem.len()).map(|j| problem.function(j)).collect();
+        let mut best: Option<(f64, Vec<u32>)> = None;
+        let mut current = vec![0u32; problem.len()];
+
+        fn recurse(
+            j: usize,
+            remaining: u32,
+            current: &mut Vec<u32>,
+            functions: &[&[f64]],
+            lower: &[u32],
+            upper: &[u32],
+            best: &mut Option<(f64, Vec<u32>)>,
+        ) {
+            let n = current.len();
+            if j == n - 1 {
+                if remaining < lower[j] || remaining > upper[j] {
+                    return;
+                }
+                current[j] = remaining;
+                let obj = minimax_objective(functions, current);
+                match best {
+                    Some((b, _)) if *b <= obj => {}
+                    _ => *best = Some((obj, current.clone())),
+                }
+                return;
+            }
+            let hi = upper[j].min(remaining);
+            for w in lower[j]..=hi {
+                current[j] = w;
+                recurse(j + 1, remaining - w, current, functions, lower, upper, best);
+            }
+        }
+
+        recurse(
+            0,
+            problem.resolution(),
+            &mut current,
+            &functions,
+            problem.lower(),
+            problem.upper(),
+            &mut best,
+        );
+        let (objective, weights) = best.expect("bounds make the problem infeasible");
+        Allocation {
+            assigned: weights.iter().map(|&w| u64::from(w)).sum(),
+            weights,
+            objective,
+        }
+    }
+
+    #[test]
+    fn objective_evaluates_max() {
+        let f0 = vec![0.0, 0.1, 0.2];
+        let f1 = vec![0.0, 0.5, 0.9];
+        let obj = minimax_objective(&[&f0, &f1], &[2, 1]);
+        assert!((obj - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn finds_obvious_optimum() {
+        let steep: Vec<f64> = (0..=6).map(|i| i as f64).collect();
+        let flat = vec![0.0; 7];
+        let p = Problem::new(vec![&steep, &flat], 6).unwrap();
+        let a = solve(&p);
+        assert_eq!(a.weights, vec![0, 6]);
+        assert_eq!(a.objective, 0.0);
+    }
+
+    #[test]
+    fn bounds_are_respected() {
+        let steep: Vec<f64> = (0..=6).map(|i| i as f64).collect();
+        let flat = vec![0.0; 7];
+        let p = Problem::new(vec![&steep, &flat], 6)
+            .unwrap()
+            .with_bounds(vec![2, 0], vec![6, 6])
+            .unwrap();
+        let a = solve(&p);
+        assert_eq!(a.weights, vec![2, 4]);
+        assert_eq!(a.objective, 2.0);
+    }
 }
 
 #[test]
@@ -128,7 +237,7 @@ fn fox_matches_brute_force() {
         let slices: Vec<&[f64]> = funcs.iter().map(Vec::as_slice).collect();
         let p = Problem::new(slices, 12).unwrap();
         let a = fox::solve(&p).unwrap();
-        let b = brute::solve(&p).unwrap();
+        let b = brute::solve(&p);
         assert!(
             (a.objective - b.objective).abs() < 1e-9,
             "fox {} vs brute {}",
@@ -158,51 +267,11 @@ fn fox_matches_brute_force_with_bounds() {
         }
         cases += 1;
         let a = fox::solve(&p).unwrap();
-        let b = brute::solve(&p).unwrap();
+        let b = brute::solve(&p);
         assert!((a.objective - b.objective).abs() < 1e-9);
         for (j, &w) in a.weights.iter().enumerate() {
             assert!(w >= lower[j] && w <= upper[j]);
         }
-    }
-}
-
-#[test]
-fn bisect_matches_fox() {
-    let mut rng = SplitMix64::new(0xC0DE_0008);
-    for _ in 0..CASES {
-        let n = rng.range_usize(2, 7);
-        let funcs: Vec<Vec<f64>> = (0..n).map(|_| monotone_function(60, &mut rng)).collect();
-        let slices: Vec<&[f64]> = funcs.iter().map(Vec::as_slice).collect();
-        let p = Problem::new(slices, 60).unwrap();
-        let a = fox::solve(&p).unwrap();
-        let b = bisect::solve(&p).unwrap();
-        assert!(
-            (a.objective - b.objective).abs() < 1e-9,
-            "fox {} vs bisect {}",
-            a.objective,
-            b.objective
-        );
-        assert_eq!(b.weights.iter().sum::<u32>(), 60);
-    }
-}
-
-#[test]
-fn galil_megiddo_matches_fox() {
-    let mut rng = SplitMix64::new(0xC0DE_0009);
-    for _ in 0..CASES {
-        let n = rng.range_usize(2, 7);
-        let funcs: Vec<Vec<f64>> = (0..n).map(|_| monotone_function(60, &mut rng)).collect();
-        let slices: Vec<&[f64]> = funcs.iter().map(Vec::as_slice).collect();
-        let p = Problem::new(slices, 60).unwrap();
-        let a = fox::solve(&p).unwrap();
-        let b = galil_megiddo::solve(&p).unwrap();
-        assert!(
-            (a.objective - b.objective).abs() < 1e-9,
-            "fox {} vs gm {}",
-            a.objective,
-            b.objective
-        );
-        assert_eq!(b.weights.iter().sum::<u32>(), 60);
     }
 }
 

@@ -1,11 +1,11 @@
 //! The optimization layer in isolation: build predictive functions by hand,
-//! solve the minimax allocation with all three exact solvers, and print the
-//! allocation each produces — a worked §5.2 example.
+//! solve the minimax allocation with Fox's greedy, and print the allocation
+//! and its objective — a worked §5.2 example.
 //!
 //! Run with: `cargo run --release --example solver_playground`
 
 use streambal::core::function::BlockingRateFunction;
-use streambal::core::solver::{bisect, fox, galil_megiddo, Problem};
+use streambal::core::solver::{fox, Problem};
 
 fn main() {
     // Three connections with the paper's Figure 7 shapes:
@@ -44,26 +44,15 @@ fn main() {
     let slices: Vec<&[f64]> = functions.iter().map(Vec::as_slice).collect();
     let problem = Problem::new(slices, 1000).expect("valid problem");
 
-    println!("\nminimax allocations (light / medium / severe -> objective):");
-    for (name, allocation) in [
-        ("fox greedy    ", fox::solve(&problem).expect("feasible")),
-        ("bisection     ", bisect::solve(&problem).expect("feasible")),
-        (
-            "galil-megiddo ",
-            galil_megiddo::solve(&problem).expect("feasible"),
-        ),
-    ] {
-        println!(
-            "  {name} {:>4} / {:>4} / {:>4}  ->  {:.4}",
-            allocation.weights[0],
-            allocation.weights[1],
-            allocation.weights[2],
-            allocation.objective
-        );
-    }
+    let allocation = fox::solve(&problem).expect("feasible");
     println!(
-        "\nall three agree on the objective; the severe connection is pushed\n\
-         to a token allocation while light absorbs the bulk — the paper's\n\
-         'minimize the blocking of the weakest link' in action."
+        "\nminimax allocation (light / medium / severe -> objective):\n  \
+         {:>4} / {:>4} / {:>4}  ->  {:.4}",
+        allocation.weights[0], allocation.weights[1], allocation.weights[2], allocation.objective
+    );
+    println!(
+        "\nthe severe connection is pushed to a token allocation while light\n\
+         absorbs the bulk — the paper's 'minimize the blocking of the weakest\n\
+         link' in action."
     );
 }

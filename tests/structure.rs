@@ -64,6 +64,16 @@ fn count(file: &str, needle: &str) -> usize {
     grep(&[file], any_of(&[needle])).len()
 }
 
+/// The sorted entry names of the repo-relative directory `dir` (`ls`).
+fn ls(dir: &str) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join(dir))
+        .unwrap_or_else(|e| panic!("read {dir}: {e}"))
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 /// `impl(<[^>]*>)? DataPlane for`: a `DataPlane` implementation, generic
 /// or not.
 fn implements_data_plane(line: &str) -> bool {
@@ -109,18 +119,17 @@ fn the_simulator_has_three_run_entries_and_the_figures_one_binary() {
             "run_with_telemetry",
         ],
     );
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
-    let mut bins: Vec<String> = fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    bins.sort();
-    assert_eq!(bins, ["all_experiments.rs", "bench_gate.rs"]);
+    assert_eq!(
+        ls("crates/bench/src/bin"),
+        ["all_experiments.rs", "bench_gate.rs"]
+    );
 }
 
 /// No flat mirror, no borrowed `Problem` form, no dead knobs; the
 /// controller reaches the solver through `fox::greedy` only (its test
-/// module keeps the allocating `fox::solve` as the dense oracle).
+/// module keeps the allocating `fox::solve` as the dense oracle). Fox is
+/// the only solver in `core::solver`; the brute-force oracle is private to
+/// the property tests.
 #[test]
 fn the_controller_has_one_solve_path() {
     assert_absent(
@@ -136,6 +145,22 @@ fn the_controller_has_one_solve_path() {
         ],
     );
     assert_eq!(count("crates/core/src/controller.rs", "solve_with("), 0);
+
+    assert_eq!(ls("crates/core/src/solver"), ["fox.rs", "mod.rs"]);
+    let roots = ["crates/", "examples/", "tests/"];
+    assert_absent(
+        &roots,
+        &["bisect::", "galil_megiddo", "MultiplicityUnsupported"],
+    );
+    let hits: Vec<String> = grep(&roots, any_of(&["brute::"]))
+        .into_iter()
+        .filter(|hit| !hit.starts_with("crates/core/tests/properties.rs:"))
+        .collect();
+    assert!(
+        hits.is_empty(),
+        "brute force left the property tests:\n{}",
+        hits.join("\n")
+    );
 }
 
 /// The length prefix is written and parsed only in `transport::frame`; a
