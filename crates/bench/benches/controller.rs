@@ -131,6 +131,16 @@ fn main() {
     bench_grown_round(&m, "controller_round/grown/32to64", 32, 32, false);
     bench_grown_round(&m, "controller_round/grown_clustered/30to34", 30, 4, true);
 
+    // The steady round of the benchmark's `control-churn` workload (width
+    // 2048, resolution 4096, 32 loaded slots, every other slot idle), with
+    // no hot spot moving and no membership change.
+    let (mut plane, rates) = steady_clustered_plane(2048, 32);
+    let mut round = 300u64;
+    m.run("controller_round/clustered_steady/2048", || {
+        round += 1;
+        black_box(plane.round(round, &rates).units()[0])
+    });
+
     // Large-region budget check: one plain round at N=1024 (resolution
     // 2048) must stay under the wall-clock budget at the median.
     let n = 1024usize;
