@@ -69,6 +69,10 @@ pub fn knee_of(predicted: &[f64]) -> Knee {
 /// generation of each function that has blocked (an idle, all-zero function
 /// keeps its generation), so this is what keeps the knee refresh of a wide
 /// region's loaded connections off the round's critical path.
+///
+/// An all-zero function is not refitted for its zero observations, so a
+/// fresh one that only ever saw `+0.0` gets the never-blocks knee
+/// `(R, DELTA, DELTA)` from its one-knot fit in `O(1)`.
 pub fn knee_of_function(f: &mut BlockingRateFunction) -> Knee {
     let r = f.resolution();
     let fit = f.fit();
@@ -140,6 +144,21 @@ mod tests {
         f[10] = DELTA / 2.0;
         let k = knee_of(&f);
         assert_eq!(k.rate_at_max, DELTA);
+    }
+
+    #[test]
+    fn an_all_zero_function_has_the_never_blocks_knee() {
+        for resolution in [1, 100, 4096] {
+            let mut f = BlockingRateFunction::new(resolution, 0.5);
+            for w in [1, resolution / 3, resolution, resolution / 3] {
+                f.observe(w.max(1), 0.0);
+                let knee = knee_of_function(&mut f);
+                assert_eq!(knee, knee_of(&f.predicted()), "R {resolution}");
+                assert_eq!(knee.service_weight, resolution);
+                assert_eq!(f.fit().knots().0.len(), 1, "R {resolution}");
+                assert_eq!(first_blocking_weight(f.fit(), resolution), None);
+            }
+        }
     }
 
     #[test]

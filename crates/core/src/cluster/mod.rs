@@ -71,6 +71,12 @@ impl AggregateScratch {
     /// Refits pooled fit `c` from the raw points of `members` (indices
     /// into `functions`) and returns it.
     ///
+    /// `idle[m]` must imply that member `m`'s function is all-zero. When
+    /// every member is idle, every pooled average is `+0.0` and so is the
+    /// fit at every weight: fit `c` becomes the `(0, 0)` axiom's fit,
+    /// which answers every weight with the same bits, and no member is
+    /// read. A wide region's idle cluster costs one flag per member.
+    ///
     /// # Panics
     ///
     /// Panics if `members` is empty.
@@ -78,9 +84,17 @@ impl AggregateScratch {
         &mut self,
         c: usize,
         functions: &[BlockingRateFunction],
+        idle: &[bool],
         members: &[usize],
     ) -> &mut MonotoneFit {
         assert!(!members.is_empty(), "cluster must have at least one member");
+        if self.fits.len() <= c {
+            self.fits.resize_with(c + 1, MonotoneFit::new);
+        }
+        if members.iter().all(|&m| idle[m]) {
+            self.fits[c].set_axiom();
+            return &mut self.fits[c];
+        }
         let width = functions[members[0]].resolution() as usize + 1;
         if self.sum.len() < width {
             self.sum.resize(width, 0.0);
@@ -108,9 +122,6 @@ impl AggregateScratch {
             }
         }
         self.touched.sort_unstable();
-        if self.fits.len() <= c {
-            self.fits.resize_with(c + 1, MonotoneFit::new);
-        }
         let (sum, cnt) = (&self.sum, &self.cnt);
         // The (0, 0) axiom point every function carries, then the averages.
         let points = self.touched.iter().map(|&w| {
@@ -160,7 +171,8 @@ mod tests {
         functions: &[BlockingRateFunction],
         members: &[usize],
     ) {
-        let fit = scratch.pool(c, functions, members);
+        let idle: Vec<bool> = functions.iter().map(|f| f.is_all_zero()).collect();
+        let fit = scratch.pool(c, functions, &idle, members);
         let refs: Vec<&BlockingRateFunction> = members.iter().map(|&m| &functions[m]).collect();
         let expect = aggregate_functions(&refs, 0.5).predicted();
         assert_eq!(expect.len(), functions[0].resolution() as usize + 1);
@@ -227,5 +239,42 @@ mod tests {
         let members: Vec<usize> = (0..functions.len()).collect();
         assert_pooled_fit_matches(&mut scratch, 0, &functions, &members);
         assert_pooled_fit_matches(&mut scratch, 1, &functions, &members[..1_200]);
+    }
+
+    #[test]
+    fn an_idle_cluster_pools_the_axiom_fit() {
+        let resolution = 1000;
+        let mut rng = crate::rng::SplitMix64::new(0x001D_1EC1);
+        let mut functions: Vec<BlockingRateFunction> = (0..40)
+            .map(|_| {
+                let mut f = BlockingRateFunction::new(resolution, 0.5);
+                for _ in 0..rng.range_usize(0, 4) {
+                    let w = rng.range_u32(1, resolution);
+                    f.observe(w, 0.0);
+                    f.observe(w, 0.0);
+                }
+                f
+            })
+            .collect();
+        let mut loaded = BlockingRateFunction::new(resolution, 0.5);
+        loaded.observe(300, 0.2);
+        let mut signed = BlockingRateFunction::new(resolution, 0.5);
+        signed.observe(500, -0.0);
+        functions.extend([loaded, signed]);
+        let idle_members: Vec<usize> = (0..40).collect();
+        let mut scratch = AggregateScratch::new();
+        for extra in [40, 41] {
+            // Every member idle: the zero fit, as the pooled general path
+            // would give it bit for bit.
+            assert_pooled_fit_matches(&mut scratch, 0, &functions, &idle_members);
+            assert_eq!(scratch.fits()[0].knots(), (&[0u32][..], &[0.0][..]));
+            // One loaded or `-0.0` member sends the cluster down the pooled
+            // path, which must still clear what the pooled run before the
+            // idle one accumulated.
+            let mut members = idle_members.clone();
+            members.push(extra);
+            assert_pooled_fit_matches(&mut scratch, 0, &functions, &members);
+            assert!(scratch.fits()[0].knots().0.len() > 1, "member {extra}");
+        }
     }
 }

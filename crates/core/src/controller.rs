@@ -354,6 +354,15 @@ impl BalancerConfigBuilder {
 pub struct LoadBalancer {
     cfg: BalancerConfig,
     functions: Vec<BlockingRateFunction>,
+    /// `idle[j]` implies that slot `j`'s function is all-zero, so decay
+    /// and the pooled bound skip the slot after reading one byte instead
+    /// of a cache line of its function. It starts true for the fresh
+    /// functions of `new` and `grow`, and `retire_slot` leaves it alone (a
+    /// fresh function is all-zero whatever the flag says).
+    /// [`observe`](Self::observe) copies the function's own flag, and
+    /// [`function_mut`](Self::function_mut) clears it until the slot's
+    /// next sample, since the caller may give the function data.
+    idle: Vec<bool>,
     weights: WeightVector,
     round: u64,
     last_clusters: Option<Clustering>,
@@ -517,6 +526,7 @@ impl LoadBalancer {
         let scratch = RoundScratch::new(&cfg);
         let attached = vec![true; cfg.connections];
         LoadBalancer {
+            idle: vec![true; cfg.connections],
             cfg,
             functions,
             weights,
@@ -614,6 +624,7 @@ impl LoadBalancer {
     ///
     /// Panics if `j` is out of bounds.
     pub fn function_mut(&mut self, j: usize) -> &mut BlockingRateFunction {
+        self.idle[j] = false;
         &mut self.functions[j]
     }
 
@@ -799,6 +810,7 @@ impl LoadBalancer {
         self.functions.resize_with(new_n, || {
             BlockingRateFunction::new(self.cfg.resolution, SMOOTHING)
         });
+        self.idle.resize(new_n, true);
         self.pending_rates.resize(new_n, 0.0);
         // New slots are born detached at weight 0: extending the unit
         // vector with zeros preserves the Σw = R simplex exactly.
@@ -877,6 +889,7 @@ impl LoadBalancer {
         }
         self.cfg.connections = new_n;
         self.functions.truncate(new_n);
+        self.idle.truncate(new_n);
         self.pending_rates.truncate(new_n);
         self.attached.truncate(new_n);
         let mut units = std::mem::take(&mut self.scratch.units_tmp);
@@ -1010,7 +1023,9 @@ impl LoadBalancer {
             }
             let rate = s.rate.value();
             let w = self.weights.units()[s.connection];
-            self.functions[s.connection].observe(w, rate);
+            let f = &mut self.functions[s.connection];
+            f.observe(w, rate);
+            self.idle[s.connection] = f.is_all_zero();
             self.pending_rates[s.connection] = rate;
         }
     }
@@ -1047,13 +1062,16 @@ impl LoadBalancer {
     }
 
     /// Stage 2 (adaptive mode only): the exploration decay — every function
-    /// forgets a share of what it believes above its current weight.
+    /// forgets a share of what it believes above its current weight. An
+    /// idle slot is skipped: 0 × `decay` is 0.
     fn decay(&mut self) {
         let BalancerMode::Adaptive { decay } = self.cfg.mode else {
             return;
         };
         for (j, f) in self.functions.iter_mut().enumerate() {
-            f.decay_above(self.weights.units()[j], decay);
+            if !self.idle[j] {
+                f.decay_above(self.weights.units()[j], decay);
+            }
         }
         if let Some(trace) = &self.trace {
             trace.push(TraceEvent::Decay {
@@ -1174,7 +1192,9 @@ impl LoadBalancer {
     /// `[0, 0]` (they hold no units and the solver may not grant them any),
     /// attached slot `j` gets `[0, upper(j, frontier, current weight)]` and
     /// its clean frontier as tie priority. The frontier is bisected on
-    /// point queries of the slot's fit.
+    /// point queries of the slot's fit; an idle slot's all-zero function
+    /// keeps its one-knot fit, on which the search ends at `R` after one
+    /// query. The plain round and `renormalize_membership` share it.
     fn bound_slots(&mut self, upper: impl Fn(usize, u32, u32) -> u32) {
         let r = self.cfg.resolution;
         let scratch = &mut self.scratch;
@@ -1194,19 +1214,22 @@ impl LoadBalancer {
     /// by the same first-crossing search the slots use, and granting the
     /// cluster one unit of per-connection weight consumes `size` units of
     /// resource. The weight a cluster may always keep is its best-served
-    /// member's.
+    /// member's; a cluster whose frontier is `R` (an idle cluster's zero
+    /// fit) may take every unit, so its members' weights are not read.
     fn bound_clusters(&mut self, clustering: &Clustering) {
         let (r, step) = (self.cfg.resolution, self.cfg.exploration_step);
         let scratch = &mut self.scratch;
         scratch.clear_items();
         for (c, members) in clustering.members.iter().enumerate() {
-            let frontier = clean_frontier(scratch.agg.pool(c, &self.functions, members), r);
-            let keep = members
-                .iter()
-                .map(|&m| self.weights.units()[m])
-                .max()
-                .unwrap_or(0);
-            let upper = explore_upper(frontier, keep, step, r);
+            let fit = scratch.agg.pool(c, &self.functions, &self.idle, members);
+            let frontier = clean_frontier(fit, r);
+            let upper = if frontier == r {
+                r
+            } else {
+                let units = self.weights.units();
+                let keep = members.iter().map(|&m| units[m]).max().unwrap_or(0);
+                explore_upper(frontier, keep, step, r)
+            };
             scratch.push_item(upper, members.len() as u32, frontier);
         }
     }
@@ -1933,6 +1956,7 @@ mod tests {
             }
             lb.rebalance();
             lb.check_invariants().expect("healthy clustered balancer");
+            assert_idle_slots_are_all_zero(&lb);
             match lb.last_cluster_outcome().expect("clustering stays active") {
                 ClusterOutcome::Reused => {}
                 ClusterOutcome::Full { live, distinct } => {
@@ -1977,6 +2001,84 @@ mod tests {
             }
             let fast = clean_frontier(f.fit(), resolution);
             assert_eq!(fast, dense_clean_frontier(&f.predicted()), "case {case}");
+        }
+    }
+
+    /// Every idle slot's function is all-zero: the flag's invariant.
+    fn assert_idle_slots_are_all_zero(lb: &LoadBalancer) {
+        for (j, f) in lb.functions.iter().enumerate() {
+            assert!(
+                !lb.idle[j] || f.is_all_zero(),
+                "slot {j} idle but not all-zero"
+            );
+        }
+    }
+
+    #[test]
+    fn an_injected_sample_ends_idleness_like_an_observed_one() {
+        // Two clustered balancers with the same history. In round 30 one
+        // observes a 0.5 on an idle slot and the other gets it through
+        // `function_mut`, after the round's other samples (so no later
+        // `observe` of that slot can mend a stale flag). Every round from
+        // then on must install the same weights.
+        let n = 48;
+        let cfg = BalancerConfig::builder(n)
+            .clustering(ClusteringConfig::default())
+            .build()
+            .unwrap();
+        let j = 13;
+        let samples = |round: usize| -> Vec<ConnectionSample> {
+            (0..n)
+                .filter(|&k| round != 30 || k != j)
+                .map(|k| {
+                    let tier = 0.2 + (round % 3) as f64 * 0.1;
+                    ConnectionSample::new(k, if k % 8 == 0 { tier } else { 0.0 })
+                })
+                .collect()
+        };
+        let mut observed = LoadBalancer::new(cfg);
+        for round in 0..30 {
+            observed.observe(&samples(round));
+            observed.rebalance();
+        }
+        let mut injected = observed.clone();
+        assert!(injected.idle[j]);
+        for round in 30..60 {
+            for lb in [&mut observed, &mut injected] {
+                lb.observe(&samples(round));
+            }
+            if round == 30 {
+                let w = injected.weights().units()[j];
+                injected.function_mut(j).observe(w, 0.5);
+                observed.observe(&[ConnectionSample::new(j, 0.5)]);
+            }
+            for lb in [&mut observed, &mut injected] {
+                lb.rebalance();
+                assert_idle_slots_are_all_zero(lb);
+            }
+            assert_eq!(
+                observed.weights().units(),
+                injected.weights().units(),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_all_zero_function_bounds_at_the_bisected_frontier() {
+        // An all-zero function keeps its one-knot axiom fit, on which the
+        // bisection finds `R` as the dense table does.
+        let mut rng = crate::rng::SplitMix64::new(0x01D1_EF20);
+        for resolution in [100, 1000, 4096] {
+            let mut f = BlockingRateFunction::new(resolution, 0.5);
+            for _ in 0..rng.range_usize(1, 40) {
+                let w = rng.range_u32(1, resolution);
+                for _ in 0..rng.range_usize(1, 3) {
+                    f.observe(w, 0.0);
+                }
+            }
+            assert_eq!(clean_frontier(f.fit(), resolution), resolution);
+            assert_eq!(dense_clean_frontier(&f.predicted()), resolution);
         }
     }
 

@@ -57,7 +57,9 @@ pub struct BlockingRateFunction {
     raw: BTreeMap<u32, (f64, f64)>,
     /// The monotone fit of `raw`, which answers every prediction.
     fit: MonotoneFit,
-    /// `fit` is stale relative to `raw`.
+    /// `fit` is stale relative to `raw`. A zero rate into an all-zero
+    /// function leaves it clean: the fit it would refit to gives `+0.0` at
+    /// every weight, the same bits as the fit it has.
     fit_dirty: bool,
     /// Bumped on every mutation that can change predictions; callers use it
     /// to cache per-function derived state (knees) across control rounds.
@@ -142,10 +144,9 @@ impl BlockingRateFunction {
             })
             .or_insert((rate, 1.0));
         // EWMA of +0.0 into +0.0 is +0.0; -0.0 would be stored as is, so
-        // only the bits of +0.0 keep the function all-zero.
-        if self.all_zero && rate.to_bits() == 0 {
-            self.fit_dirty = true;
-        } else {
+        // only the bits of +0.0 keep the function all-zero, and its fit
+        // (`+0.0` at every knot, whatever the knots) stays as it is.
+        if !(self.all_zero && rate.to_bits() == 0) {
             self.all_zero = false;
             self.mark_changed();
         }
@@ -201,12 +202,27 @@ impl BlockingRateFunction {
     /// answered the previous query, `O(log raw_len)` otherwise), refitting
     /// first if an observation or decay made the fit stale.
     ///
+    /// An all-zero function is never refitted for its zero observations,
+    /// so a fresh one that only ever saw `+0.0` answers from the one-knot
+    /// `(0, 0)` axiom fit in `O(1)`.
+    ///
     /// # Panics
     ///
     /// Panics if `weight > resolution`.
     pub fn value(&mut self, weight: u32) -> f64 {
         assert!(weight <= self.resolution, "weight out of domain");
         self.fit().value(weight)
+    }
+
+    /// Every raw value is exactly `+0.0` (the zero rule of
+    /// [`generation`](Self::generation)), so the function predicts `+0.0`
+    /// at every weight and never blocks. A cluster of such functions is
+    /// pooled without reading their points
+    /// ([`AggregateScratch::pool`](crate::cluster::AggregateScratch::pool)).
+    /// A function that has seen `-0.0` is not all-zero: its fit keeps the
+    /// sign.
+    pub(crate) fn is_all_zero(&self) -> bool {
+        self.all_zero
     }
 
     /// Iterates over the raw (smoothed, pre-regression) data points.
@@ -314,6 +330,16 @@ impl MonotoneFit {
             pava: PavaScratch::new(),
             seg: 0,
         }
+    }
+
+    /// Makes this the fit of the `(0, 0)` axiom alone, as
+    /// [`new`](Self::new) builds it, keeping the buffers.
+    pub(crate) fn set_axiom(&mut self) {
+        self.xs.clear();
+        self.xs.push(0);
+        self.fit.clear();
+        self.fit.push(0.0);
+        self.seg = 0;
     }
 
     /// Refits from `(weight, value, count)` points in ascending weight
@@ -600,6 +626,44 @@ mod tests {
             f.decay_above(40, 0.5);
         }
         sweep(&mut a, &mut b);
+    }
+
+    #[test]
+    fn an_all_zero_function_answers_like_its_fit() {
+        // Zero rates at weights of their own and repeated ones, with decays
+        // in between: the fit is never refitted, and it must answer with
+        // the bits of a fit refitted from the raw points.
+        let mut rng = crate::rng::SplitMix64::new(0x01D1_EF17);
+        for resolution in [100, 1000, 4096] {
+            let mut f = BlockingRateFunction::new(resolution, 0.5);
+            for step in 0..40 {
+                let w = rng.range_u32(1, resolution);
+                f.observe(w, 0.0);
+                if step % 3 == 0 {
+                    f.observe(w, 0.0);
+                    f.decay_above(rng.range_u32(0, resolution), 0.9);
+                }
+                assert!(f.is_all_zero());
+                assert_eq!(f.fit().knots(), (&[0u32][..], &[0.0][..]));
+                let mut general = MonotoneFit::new();
+                general.refit(f.raw_points_weighted());
+                for w in [0, 1, w - 1, w, resolution / 2, resolution] {
+                    assert_eq!(
+                        f.value(w).to_bits(),
+                        general.value(w).to_bits(),
+                        "R {resolution}, w {w}"
+                    );
+                }
+            }
+        }
+        // A `-0.0` keeps its sign in the fit, so it takes the general path.
+        let mut f = BlockingRateFunction::new(100, 0.5);
+        f.observe(40, 0.0);
+        f.observe(60, -0.0);
+        assert!(!f.is_all_zero());
+        assert_eq!(f.value(60).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(f.value(80).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(f.value(50).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

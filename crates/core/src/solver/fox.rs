@@ -420,10 +420,7 @@ mod tests {
                     f
                 })
                 .collect();
-            let tables: Vec<Vec<f64>> = functions
-                .iter()
-                .map(|f| f.clone().predicted().to_vec())
-                .collect();
+            let tables: Vec<Vec<f64>> = functions.iter().map(|f| f.clone().predicted()).collect();
             let lower: Vec<u32> = (0..n)
                 .map(|_| rng.range_u32(0, r / (2 * n as u32)))
                 .collect();

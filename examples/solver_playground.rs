@@ -36,11 +36,7 @@ fn main() {
         );
     }
 
-    let functions = [
-        light.predicted().to_vec(),
-        medium.predicted().to_vec(),
-        severe.predicted().to_vec(),
-    ];
+    let functions = [light.predicted(), medium.predicted(), severe.predicted()];
     let slices: Vec<&[f64]> = functions.iter().map(Vec::as_slice).collect();
     let problem = Problem::new(slices, 1000).expect("valid problem");
 

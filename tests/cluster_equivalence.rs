@@ -6,6 +6,9 @@
 //!   condensed matrix over every live slot;
 //! - a function's knee may be cached for as long as its `generation()`
 //!   stays put, and an idle (all-zero) function keeps its generation;
+//! - an idle function, never refitted for its zero observations, answers
+//!   (`value`, `knee_of_function`) like its dense fill and like a refit of
+//!   its raw points, bit for bit;
 //! - a membership change (`detach` / `attach` / `grow`) must install the
 //!   units a Fox solve over the dense predicted tables gives.
 //!
@@ -14,7 +17,8 @@
 //! file is what `cargo test -q` at the root runs.
 
 use streambal::core::cluster::{
-    condensed_len, fill_condensed, knee_of_function, log_features, ClusterScratch, Clustering, Knee,
+    aggregate_functions, condensed_len, fill_condensed, knee_of, knee_of_function, log_features,
+    ClusterScratch, Clustering, Knee,
 };
 use streambal::core::controller::{BalancerConfig, ClusteringConfig, LoadBalancer};
 use streambal::core::function::SMOOTHING;
@@ -225,6 +229,82 @@ fn an_idle_function_keeps_its_generation_until_it_blocks() {
     }
 }
 
+/// Every `value(w)` equals the dense fill at `w` bit for bit, and the knee
+/// read off the fit equals the dense table's.
+fn assert_answers_like_its_dense_fill(f: &mut BlockingRateFunction, what: &str) {
+    let table = f.predicted();
+    for (w, want) in table.iter().enumerate() {
+        assert_eq!(
+            f.value(w as u32).to_bits(),
+            want.to_bits(),
+            "{what}, weight {w}"
+        );
+    }
+    let (knee, dense) = (knee_of_function(f), knee_of(&table));
+    assert_eq!(knee.service_weight, dense.service_weight, "{what}");
+    assert_eq!(
+        knee.rate_at_knee.to_bits(),
+        dense.rate_at_knee.to_bits(),
+        "{what}"
+    );
+    assert_eq!(
+        knee.rate_at_max.to_bits(),
+        dense.rate_at_max.to_bits(),
+        "{what}"
+    );
+}
+
+/// An idle (all-zero) function is never refitted for its zero
+/// observations: it answers `+0.0` at every weight and the never-blocks
+/// knee from the fit it has. Those answers must be the dense fill's and a
+/// refit's, for the idle functions themselves, for one that saw `-0.0`
+/// (not idle: its fit keeps the sign), and for an idle cluster's pooled
+/// function with and without one loaded member.
+#[test]
+fn an_idle_function_answers_like_its_dense_fill() {
+    let mut rng = SplitMix64::new(0x1D1E_F111);
+    for r in [100u32, 1000, 4096] {
+        let mut idle = Vec::new();
+        for case in 0..12 {
+            let mut f = BlockingRateFunction::new(r, SMOOTHING);
+            let distinct = rng.range_usize(1, 40);
+            for _ in 0..distinct {
+                let w = rng.range_u32(1, r);
+                for _ in 0..rng.range_usize(1, 4) {
+                    f.observe(w, 0.0);
+                }
+            }
+            assert_answers_like_its_dense_fill(&mut f, &format!("r={r} case {case}"));
+            let bits = |t: Vec<f64>| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut refit = BlockingRateFunction::from_raw_points(r, SMOOTHING, f.raw_points());
+            assert_eq!(
+                bits(f.predicted()),
+                bits(refit.predicted()),
+                "r={r} case {case}"
+            );
+            idle.push(f);
+        }
+        // At a weight of its own, so that no EWMA turns the sign to `+0.0`.
+        let mut signed = idle[0].clone();
+        let fresh = (1..=r).find(|&w| signed.raw_points().all(|(x, _)| x != w));
+        let fresh = fresh.expect("fewer than R observed weights");
+        signed.observe(fresh, -0.0);
+        assert_eq!(signed.value(fresh).to_bits(), (-0.0f64).to_bits(), "r={r}");
+        assert_answers_like_its_dense_fill(&mut signed, &format!("r={r} -0.0"));
+
+        let members: Vec<&BlockingRateFunction> = idle.iter().collect();
+        let mut pooled = aggregate_functions(&members, SMOOTHING);
+        assert_answers_like_its_dense_fill(&mut pooled, &format!("r={r} idle cluster"));
+        let mut loaded = BlockingRateFunction::new(r, SMOOTHING);
+        loaded.observe(r / 3, 0.4);
+        let mut members = members;
+        members.push(&loaded);
+        let mut pooled = aggregate_functions(&members, SMOOTHING);
+        assert!(pooled.value(r) > 0.0, "r={r}");
+        assert_answers_like_its_dense_fill(&mut pooled, &format!("r={r} loaded member"));
+    }
+}
+
 /// The units the dense formulation installs for `lb`'s current membership
 /// and functions: full predicted tables, clean frontiers read off them,
 /// newcomers in `capped` bounded by the exploration step (10, the default).
@@ -253,9 +333,7 @@ fn dense_renormalization(lb: &mut LoadBalancer, capped: &[usize]) -> Vec<u32> {
         }
         return units;
     }
-    let tables: Vec<Vec<f64>> = (0..n)
-        .map(|j| lb.function_mut(j).predicted().to_vec())
-        .collect();
+    let tables: Vec<Vec<f64>> = (0..n).map(|j| lb.function_mut(j).predicted()).collect();
     let priority = tables
         .iter()
         .map(|t| t.iter().rposition(|&v| v <= DELTA).unwrap_or(0) as u64)
