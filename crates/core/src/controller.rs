@@ -1237,7 +1237,12 @@ impl LoadBalancer {
     /// Stage 5: Fox's greedy over the items the bound stage left in the
     /// scratch, into `scratch.fox.weights`; returns the units assigned.
     /// Every item is read by point query: slot items on their functions'
-    /// fits, cluster items on their pooled fits.
+    /// fits, cluster items on their pooled fits. Slot items are marked
+    /// with the idle flags: an idle slot's all-zero function reads `+0.0`
+    /// at every weight, and [`bound_slots`](Self::bound_slots) gives every
+    /// attached one lower bound 0, multiplicity 1 and its frontier `R` as
+    /// priority, so Fox deals their tied units without the heap (a
+    /// detached slot's `[0, 0]` takes none whatever its flag).
     fn solve(&mut self, pooled: bool) -> u64 {
         let scratch = &mut self.scratch;
         let functions = &mut self.functions;
@@ -1247,6 +1252,7 @@ impl LoadBalancer {
             upper: &scratch.upper,
             multiplicity: &scratch.mult,
             tie_priority: &scratch.priority,
+            idle: if pooled { &[] } else { &self.idle },
         };
         let stats = if pooled {
             let fits = scratch.agg.fits();
@@ -2243,6 +2249,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn renormalization_matches_the_dense_oracle_with_an_idle_majority() {
+        // The regime the idle run is for: a clustered plane of 256 slots
+        // where only 8 are loaded, two more have seen `-0.0` (not idle: their
+        // keys sort before the run's) and every other slot only ever reads
+        // `+0.0`. At R = 4096 the run deals some 16 levels, past the
+        // newcomers' exploration step of 10, so capped slots leave it early.
+        // Seeded detaches, attaches and grows; every membership change must
+        // install exactly the units the dense oracle computes.
+        let n = 256;
+        let cfg = BalancerConfig::builder(n)
+            .resolution(4096)
+            .clustering(ClusteringConfig::default())
+            .build()
+            .unwrap();
+        let mut lb = LoadBalancer::new(cfg);
+        let mut rng = crate::rng::SplitMix64::new(0x1D1E_2560);
+        let mut changes = 0;
+        for round in 0..240 {
+            let width = lb.cfg.connections;
+            let r = lb.cfg.resolution;
+            for j in 0..width {
+                if !lb.is_attached(j) {
+                    continue;
+                }
+                let rate = match j {
+                    0..8 => {
+                        let cap = (j as u32 + 1) * r / 64;
+                        let w = lb.weights().units()[j];
+                        (f64::from(w.saturating_sub(cap)) / f64::from(r) * 8.0).min(1.0)
+                    }
+                    8..10 => -0.0,
+                    _ => 0.0,
+                };
+                lb.observe(&[ConnectionSample::new(j, rate)]);
+            }
+            lb.rebalance();
+            if round % 3 != 0 {
+                continue;
+            }
+            let idle = (0..width)
+                .filter(|&j| lb.is_attached(j) && lb.idle[j])
+                .count();
+            assert!(idle >= n / 2, "round {round}: only {idle} idle slots");
+            let what = format!("round {round}");
+            let j = rng.range_usize(0, width - 1);
+            changes += 1;
+            if round % 45 == 0 && width + 8 <= 320 {
+                assert_renormalizes_like_the_dense_oracle(&mut lb, &what, |lb| {
+                    lb.grow(8).collect()
+                });
+            } else if !lb.is_attached(j) {
+                assert_renormalizes_like_the_dense_oracle(&mut lb, &what, |lb| {
+                    lb.attach_connection(j);
+                    vec![j]
+                });
+            } else if lb.live_connections() > n / 2 {
+                assert_renormalizes_like_the_dense_oracle(&mut lb, &what, |lb| {
+                    lb.detach_connection(j);
+                    vec![]
+                });
+            } else {
+                changes -= 1;
+            }
+        }
+        assert!(changes > 60, "only {changes} membership changes");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! every item at its lower bound, then repeatedly grant one more unit to the
 //! item whose *next* value `F_j(w_j + 1)` is smallest. A simple interchange
 //! argument shows the result minimizes `max_j F_j(w_j)`. With a binary heap
-//! the complexity is `O(N + R log N)`.
+//! the complexity is `O(N + R log N)`; items the caller marks idle (they
+//! read `+0.0` everywhere and tie with each other) are dealt from a cursor
+//! instead, so `R_i` units granted to them cost `O(R_i)` and the heap holds
+//! only the other `N_h` items: `O(N + R_i + R_h log N_h)`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -17,7 +20,9 @@ use super::{Allocation, Problem, SolveError};
 /// priority (higher first — the controller passes each connection's clean
 /// frontier, so equal-value units land where the model shows headroom),
 /// then by the weight the step would reach (so remaining ties are dealt out
-/// evenly), then by item index for determinism.
+/// evenly), then by item index for determinism. A push or pop costs
+/// `O(log N_h)` over the `N_h` items on the heap; idle items never enter
+/// it, and their next entry is built by the cursor in [`greedy`].
 #[derive(Debug, Clone)]
 struct Entry {
     value: f64,
@@ -101,6 +106,8 @@ pub struct FoxScratch {
     /// Entries set aside mid-round because their multiplicity overshoots
     /// the remainder.
     skipped: Vec<Entry>,
+    /// The idle items still below their upper bound, ascending.
+    idle_run: Vec<usize>,
 }
 
 impl FoxScratch {
@@ -138,6 +145,7 @@ pub fn solve_with(problem: &Problem<'_>, scratch: &mut FoxScratch) -> Result<Fox
             upper: problem.upper(),
             multiplicity: problem.multiplicity(),
             tie_priority: problem.tie_priority(),
+            idle: &[],
         },
         |j, w| problem.function(j)[w as usize],
         scratch,
@@ -151,6 +159,12 @@ pub(crate) struct Limits<'a> {
     pub(crate) upper: &'a [u32],
     pub(crate) multiplicity: &'a [u32],
     pub(crate) tie_priority: &'a [u64],
+    /// Per item, empty meaning none: the item is idle. An idle item with
+    /// `lower < upper` must read `+0.0` (bits) at every weight in
+    /// `(lower, upper]`, have multiplicity 1, and share its lower bound and
+    /// tie priority with the other such idle items; one with
+    /// `lower == upper` is never dealt a unit whatever its mark.
+    pub(crate) idle: &'a [bool],
 }
 
 /// The greedy loop itself, over any source of function values: `value(j,
@@ -160,6 +174,17 @@ pub(crate) struct Limits<'a> {
 /// only solver entry this is — answers slot items from the functions' fits
 /// and cluster items from pooled fits, by point query. The caller guarantees
 /// well-formed, feasible limits.
+///
+/// Idle items (see [`Limits::idle`]) are never pushed on the heap, and
+/// only debug builds query them before the objective. Their entries would
+/// all read `(+0.0, P, w + 1, j)` with one `P`, so the smallest of them is
+/// the lowest-indexed item at the lowest weight: a cursor walks them in
+/// index order, one weight level at a time, and each step grants the
+/// cursor's unit or the heap's first entry that fits the remainder,
+/// whichever comes first under [`Entry`]'s order. The allocation is the
+/// all-heap loop's, tie for tie, at `O(1)` per idle unit plus
+/// `O((N_h + R_h) log N_h)` for the `N_h` items on the heap and the `R_h`
+/// units they take.
 pub(crate) fn greedy(
     limits: &Limits<'_>,
     mut value: impl FnMut(usize, u32) -> f64,
@@ -170,9 +195,11 @@ pub(crate) fn greedy(
         upper,
         multiplicity: mult,
         tie_priority: priority,
+        idle,
         ..
     } = *limits;
     let r = u64::from(limits.resolution);
+    debug_assert!(idle.is_empty() || idle.len() == lower.len());
 
     let weights = &mut scratch.weights;
     weights.clear();
@@ -188,8 +215,15 @@ pub(crate) fn greedy(
     let mut heap_vec = mem::take(&mut scratch.heap);
     heap_vec.clear();
     let mut heap = BinaryHeap::from(heap_vec);
+    let run = &mut scratch.idle_run;
+    run.clear();
     for (j, &w) in weights.iter().enumerate() {
-        if w < upper[j] {
+        if w >= upper[j] {
+            continue;
+        }
+        if idle.get(j) == Some(&true) {
+            run.push(j);
+        } else {
             heap.push(Entry {
                 value: value(j, w + 1),
                 priority: priority[j],
@@ -201,7 +235,47 @@ pub(crate) fn greedy(
 
     let skipped = &mut scratch.skipped;
     skipped.clear();
+    // The cursor: `run[..pos]` have reached `level`, `run[pos..]` are one
+    // below it, so `run[pos]` at `level` is the smallest idle entry.
+    let (run_priority, mut level) = run.first().map_or((0, 0), |&j| (priority[j], lower[j] + 1));
+    debug_assert!(run
+        .iter()
+        .all(|&j| mult[j] == 1 && priority[j] == run_priority && lower[j] + 1 == level));
+    let mut pos = 0;
+    let idle_entry = |j: usize, level: u32| Entry {
+        value: 0.0,
+        priority: run_priority,
+        weight: level,
+        item: j,
+    };
+    // Set when the heap entries that precede the cursor's all overshoot
+    // the remainder: the cursor's unit is the next step.
+    let mut idle_due = false;
+
     while assigned < r {
+        // Idle units go first while the cursor's entry precedes the heap's
+        // top; a multiplicity of 1 always fits.
+        while assigned < r {
+            let Some(&j) = run.get(pos) else { break };
+            if !idle_due && heap.peek().is_some_and(|top| *top > idle_entry(j, level)) {
+                break;
+            }
+            debug_assert_eq!(value(j, level).to_bits(), 0, "idle item {j} reads +0.0");
+            idle_due = false;
+            weights[j] += 1;
+            assigned += 1;
+            pos += 1;
+            if pos == run.len() {
+                // The level is dealt: the items it brought to their upper
+                // bound leave the run, the rest go round again.
+                run.retain(|&i| upper[i] > level);
+                level += 1;
+                pos = 0;
+            }
+        }
+        if assigned == r {
+            break;
+        }
         // Find the cheapest next step that still fits in the remainder.
         let step = loop {
             match heap.pop() {
@@ -210,15 +284,27 @@ pub(crate) fn greedy(
                     if assigned + u64::from(mult[e.item]) <= r {
                         break Some(e);
                     }
-                    // Too big for the remainder; set aside, try the next.
+                    // Too big for the remainder; set aside, try the next —
+                    // unless the cursor's entry comes before it.
                     skipped.push(e);
+                    if let Some(&j) = run.get(pos) {
+                        if heap.peek().is_none_or(|top| *top < idle_entry(j, level)) {
+                            idle_due = true;
+                            break None;
+                        }
+                    }
                 }
             }
         };
         for e in skipped.drain(..) {
             heap.push(e);
         }
-        let Some(e) = step else { break };
+        let Some(e) = step else {
+            if idle_due {
+                continue;
+            }
+            break;
+        };
         let j = e.item;
         weights[j] += 1;
         assigned += u64::from(mult[j]);
@@ -454,6 +540,7 @@ mod tests {
                     upper: &upper,
                     multiplicity: &mult,
                     tie_priority: &priority,
+                    idle: &[],
                 },
                 |j, w| functions[j].value(w),
                 &mut sparse,
@@ -467,6 +554,121 @@ mod tests {
             assert_eq!(got.assigned, want.assigned, "case {case}");
         }
         assert!(feasible > 100, "only {feasible} feasible cases");
+    }
+
+    #[test]
+    fn an_idle_run_deals_like_the_heap() {
+        use crate::rng::SplitMix64;
+        // The idle cursor against the all-heap loop on the same limits.
+        // Idle items are unbounded, capped at a small step, or detached at
+        // `[0, 0]`; beside them sit loaded items, items whose `-0.0` prefix
+        // sorts before the run's `+0.0`, and items that read `+0.0` over a
+        // prefix at the run's priority `R`, so their keys interleave with
+        // the run's by weight. Non-idle multiplicities range over 1..=4.
+        let mut rng = SplitMix64::new(0x1D1E_C0DE);
+        let (mut cursor, mut heap) = (FoxScratch::new(), FoxScratch::new());
+        let (mut feasible, mut interleaved) = (0, 0);
+        for case in 0..400u32 {
+            let r = rng.range_u32(16, 4096);
+            let n = rng.range_usize(2, 64);
+            let spread = r / (4 * n as u32);
+            let run_lower = if rng.chance(0.5) {
+                0
+            } else {
+                rng.range_u32(0, spread)
+            };
+            let step = rng.range_u32(1, 16);
+            let mut tables: Vec<Vec<f64>> = Vec::with_capacity(n);
+            let (mut lower, mut upper, mut mult) = (vec![], vec![], vec![]);
+            let (mut priority, mut idle, mut zero_prefixed) = (vec![], vec![], vec![]);
+            for _ in 0..n {
+                let kind = rng.range_usize(0, 4);
+                // The weight up to which the item reads a (signed) zero,
+                // then a random non-decreasing climb. A `-0.0` prefix is
+                // dealt before every `+0.0` unit, so it stays short enough
+                // to leave the run most of `R`.
+                let prefix = rng.range_u32(0, if kind == 3 { 2 * spread } else { r });
+                let slope = rng.frange(0.001, 1.0);
+                let climb = |zero: f64| -> Vec<f64> {
+                    (0..=r)
+                        .map(|w| {
+                            if w <= prefix {
+                                zero
+                            } else {
+                                f64::from(w - prefix) * slope
+                            }
+                        })
+                        .collect()
+                };
+                if kind <= 1 {
+                    tables.push(vec![0.0; r as usize + 1]);
+                    let detached = run_lower == 0 && rng.chance(0.15);
+                    upper.push(match rng.range_usize(0, 2) {
+                        _ if detached => 0,
+                        0 => (run_lower + step).min(r),
+                        _ => r,
+                    });
+                    lower.push(run_lower);
+                    mult.push(1);
+                    priority.push(if detached { 0 } else { u64::from(r) });
+                    idle.push(true);
+                    zero_prefixed.push(false);
+                    continue;
+                }
+                let (table, prio) = match kind {
+                    2 => (climb(0.0), u64::from(r)),
+                    3 => (climb(-0.0), rng.range_u64(0, u64::from(r) + 1)),
+                    _ => {
+                        let loaded = climb(0.0).iter().map(|&v| v + 0.5).collect();
+                        (loaded, rng.range_u64(0, u64::from(r)))
+                    }
+                };
+                tables.push(table);
+                let l = rng.range_u32(0, spread);
+                lower.push(l);
+                upper.push(rng.range_u32(l, r));
+                mult.push(rng.range_u32(1, 4));
+                priority.push(prio);
+                idle.push(false);
+                zero_prefixed.push(kind == 2);
+            }
+            let total = |bound: &[u32]| -> u64 {
+                bound
+                    .iter()
+                    .zip(&mult)
+                    .map(|(&b, &m)| u64::from(b) * u64::from(m))
+                    .sum()
+            };
+            if total(&lower) > u64::from(r) || total(&upper) < u64::from(r) {
+                continue;
+            }
+            feasible += 1;
+            let limits = |idle| Limits {
+                resolution: r,
+                lower: &lower,
+                upper: &upper,
+                multiplicity: &mult,
+                tie_priority: &priority,
+                idle,
+            };
+            let value = |j: usize, w: u32| tables[j][w as usize];
+            let got = greedy(&limits(&idle), value, &mut cursor);
+            let want = greedy(&limits(&[]), value, &mut heap);
+            assert_eq!(cursor.weights, heap.weights, "case {case}");
+            assert_eq!(
+                got.objective.to_bits(),
+                want.objective.to_bits(),
+                "case {case}"
+            );
+            assert_eq!(got.assigned, want.assigned, "case {case}");
+            let raised = |j: usize| heap.weights[j] > lower[j];
+            if (0..n).any(|j| idle[j] && raised(j)) && (0..n).any(|j| zero_prefixed[j] && raised(j))
+            {
+                interleaved += 1;
+            }
+        }
+        assert!(feasible > 350, "only {feasible} feasible cases");
+        assert!(interleaved > 300, "only {interleaved} interleaved cases");
     }
 
     #[test]

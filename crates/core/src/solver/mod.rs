@@ -8,8 +8,9 @@
 //! stands for; plain problems use multiplicity 1).
 //!
 //! There is one solver, [`fox::solve`]: the greedy marginal-allocation
-//! algorithm attributed to Fox (1966), `O(N + R log N)` with a binary heap.
-//! It is what the paper and the [controller](crate::controller) use. The
+//! algorithm attributed to Fox (1966), `O(N + R log N)` with a binary heap
+//! (less for the controller's idle slots, which it deals without the heap;
+//! see [`fox`]). It is what the paper and the [controller](crate::controller) use. The
 //! paper also cites Galil and Megiddo's `O(N log² R)` selection scheme as
 //! a faster exact alternative; it is not implemented here.
 
