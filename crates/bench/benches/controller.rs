@@ -20,7 +20,13 @@ fn round_budget_ms() -> u64 {
         .unwrap_or(100)
 }
 
-fn warmed_plane(n: usize, clustered: bool) -> (ControlPlane, Vec<f64>) {
+/// A plane that has run `max(100, n)` rounds of rotating observations:
+/// slot `7·round mod n` blocks each round, and since 7 is coprime to every
+/// width measured here, every slot has blocked at least once before the
+/// measured window opens. None is idle, so the measured rounds run the same
+/// regime however many iterations the harness takes. Returns the plane, a
+/// rate buffer and the first round number after the warm-up.
+fn warmed_plane(n: usize, clustered: bool) -> (ControlPlane, Vec<f64>, u64) {
     let mut b = BalancerConfig::builder(n);
     if n > 1024 / 2 {
         // The solver resolution must be >= the connection count.
@@ -31,19 +37,18 @@ fn warmed_plane(n: usize, clustered: bool) -> (ControlPlane, Vec<f64>) {
     }
     let mut plane = ControlPlane::builder(b.build().unwrap()).build();
     let mut rates = vec![0.0; n];
-    // Accumulate realistic history: 100 rounds of rotating observations.
-    for round in 0..100u64 {
+    let warm = 100.max(n as u64);
+    for round in 0..warm {
         let conn = (round as usize * 7) % n;
         rates.fill(0.0);
         rates[conn] = 0.1 + (round % 9) as f64 * 0.1;
         plane.round(round, &rates);
     }
-    (plane, rates)
+    (plane, rates, warm)
 }
 
 fn bench_round(m: &Micro, name: &str, n: usize, clustered: bool) -> streambal_bench::BenchStats {
-    let (mut plane, mut rates) = warmed_plane(n, clustered);
-    let mut round = 100u64;
+    let (mut plane, mut rates, mut round) = warmed_plane(n, clustered);
     m.run(name, || {
         round += 1;
         let conn = (round as usize * 13) % n;
@@ -66,16 +71,16 @@ fn bench_grown_round(
     clustered: bool,
 ) -> streambal_bench::BenchStats {
     let n = start + added;
-    let (mut plane, _) = warmed_plane(start, clustered);
+    let (mut plane, _, warm) = warmed_plane(start, clustered);
     plane.grow_width(added);
     let mut rates = vec![0.0; n];
-    for round in 100..120u64 {
+    for round in warm..warm + 20 {
         let conn = (round as usize * 7) % n;
         rates.fill(0.0);
         rates[conn] = 0.3;
         plane.round(round, &rates);
     }
-    let mut round = 120u64;
+    let mut round = warm + 20;
     m.run(name, || {
         round += 1;
         let conn = (round as usize * 13) % n;
