@@ -635,8 +635,8 @@ impl LoadBalancer {
     }
 
     /// What the most recent rebalance's clustering step did; `None` when
-    /// that round did not cluster (no data yet, clustering off, or too few
-    /// live connections).
+    /// that round did not cluster (clustering off, or too few live
+    /// connections).
     pub fn last_cluster_outcome(&self) -> Option<ClusterOutcome> {
         self.last_outcome
     }
@@ -716,15 +716,7 @@ impl LoadBalancer {
         self.membership_gen += 1;
         self.retire_slot(j);
         self.renormalize_membership(0..0);
-        if let Some(trace) = &self.trace {
-            trace.push(TraceEvent::Custom {
-                name: "membership.detach".to_owned(),
-                fields: vec![
-                    ("connection".to_owned(), j as f64),
-                    ("round".to_owned(), self.round as f64),
-                ],
-            });
-        }
+        self.trace_membership("detach", &[("connection", j as f64)]);
         true
     }
 
@@ -752,16 +744,24 @@ impl LoadBalancer {
         self.membership_gen += 1;
         self.retire_slot(j);
         self.renormalize_membership(j..j + 1);
+        self.trace_membership("attach", &[("connection", j as f64)]);
+        true
+    }
+
+    /// Records a membership change as a `membership.{kind}` trace event
+    /// carrying `fields` and then the current round.
+    fn trace_membership(&self, kind: &str, fields: &[(&str, f64)]) {
         if let Some(trace) = &self.trace {
+            let round = ("round", self.round as f64);
             trace.push(TraceEvent::Custom {
-                name: "membership.attach".to_owned(),
-                fields: vec![
-                    ("connection".to_owned(), j as f64),
-                    ("round".to_owned(), self.round as f64),
-                ],
+                name: format!("membership.{kind}"),
+                fields: fields
+                    .iter()
+                    .chain([&round])
+                    .map(|&(k, v)| (k.to_owned(), v))
+                    .collect(),
             });
         }
-        true
     }
 
     /// Replaces slot `j`'s function with a fresh one and invalidates every
@@ -826,16 +826,7 @@ impl LoadBalancer {
         self.membership_gen += 1;
         self.rebuild_scratch();
         self.last_clusters = None;
-        if let Some(trace) = &self.trace {
-            trace.push(TraceEvent::Custom {
-                name: "membership.grow".to_owned(),
-                fields: vec![
-                    ("from".to_owned(), old_n as f64),
-                    ("to".to_owned(), new_n as f64),
-                    ("round".to_owned(), self.round as f64),
-                ],
-            });
-        }
+        self.trace_membership("grow", &[("from", old_n as f64), ("to", new_n as f64)]);
         // Batch admission through the attach path: every new slot becomes
         // a member at once, and a single renormalization caps the whole
         // batch at the exploration step (attaching one by one would let an
@@ -846,16 +837,8 @@ impl LoadBalancer {
             self.retire_slot(j);
         }
         self.renormalize_membership(old_n..new_n);
-        if let Some(trace) = &self.trace {
-            for j in old_n..new_n {
-                trace.push(TraceEvent::Custom {
-                    name: "membership.attach".to_owned(),
-                    fields: vec![
-                        ("connection".to_owned(), j as f64),
-                        ("round".to_owned(), self.round as f64),
-                    ],
-                });
-            }
+        for j in old_n..new_n {
+            self.trace_membership("attach", &[("connection", j as f64)]);
         }
         old_n..new_n
     }
@@ -902,16 +885,7 @@ impl LoadBalancer {
         self.membership_gen += 1;
         self.rebuild_scratch();
         self.last_clusters = None;
-        if let Some(trace) = &self.trace {
-            trace.push(TraceEvent::Custom {
-                name: "membership.shrink".to_owned(),
-                fields: vec![
-                    ("from".to_owned(), old_n as f64),
-                    ("to".to_owned(), new_n as f64),
-                    ("round".to_owned(), self.round as f64),
-                ],
-            });
-        }
+        self.trace_membership("shrink", &[("from", old_n as f64), ("to", new_n as f64)]);
         new_n
     }
 
@@ -934,63 +908,17 @@ impl LoadBalancer {
     /// exploration step — `capped` is their slot range; a single attach
     /// passes one slot, a [`grow`](Self::grow) passes every new slot so
     /// none of the batch can soak up a full share before earning it. With
-    /// no observations yet the even split over the attached slots is
-    /// installed instead, mirroring [`rebalance`](Self::rebalance)'s
-    /// no-data behaviour.
+    /// no observations yet every slot is idle, and the solve deals the
+    /// attached slots an even split in which no newcomer passes the step.
     fn renormalize_membership(&mut self, capped: std::ops::Range<usize>) {
-        let n = self.cfg.connections;
-        let r = self.cfg.resolution;
-        let step = self.cfg.exploration_step;
-        let has_data = self
-            .functions
-            .iter()
-            .zip(&self.attached)
-            .any(|(f, &a)| a && f.raw_len() > 1);
-
-        if has_data {
-            debug_assert!(
-                (0..n).any(|j| self.attached[j] && !capped.contains(&j)),
-                "an uncapped attached slot keeps R units feasible"
-            );
-            self.bound_slots(|j, _, _| if capped.contains(&j) { step.min(r) } else { r });
-            self.solve(false);
-            self.install(None);
-            return;
-        }
-        let live = self.live_connections() as u32;
-        let (base, rem) = (r / live, r % live);
-        let units = &mut self.scratch.units_tmp;
-        units.clear();
-        units.resize(n, 0);
-        let mut idx = 0u32;
-        for (j, u) in units.iter_mut().enumerate() {
-            if self.attached[j] {
-                *u = base + u32::from(idx < rem);
-                idx += 1;
-            }
-        }
-        // Exploration-bounded admission: trim each newcomer to the
-        // step and hand the trimmed units back to the incumbents.
-        let mut excess = 0u32;
-        for a in capped.clone() {
-            let cap = step.min(units[a]);
-            excess += units[a] - cap;
-            units[a] = cap;
-        }
-        let others = live - capped.len() as u32;
-        if others > 0 && excess > 0 {
-            let (per, mut extra) = (excess / others, excess % others);
-            for (j, u) in units.iter_mut().enumerate() {
-                if self.attached[j] && !capped.contains(&j) {
-                    *u += per + u32::from(extra > 0);
-                    extra = extra.saturating_sub(1);
-                }
-            }
-        }
-        self.weights
-            .copy_from_units(units)
-            .expect("membership renormalization assigns exactly R units");
-        self.last_clusters = None;
+        let (r, step) = (self.cfg.resolution, self.cfg.exploration_step);
+        debug_assert!(
+            (0..self.cfg.connections).any(|j| self.attached[j] && !capped.contains(&j)),
+            "an uncapped attached slot keeps R units feasible"
+        );
+        self.bound_slots(|j, _, _| if capped.contains(&j) { step.min(r) } else { r });
+        self.solve(false);
+        self.install(None);
     }
 
     /// Folds one sampling interval's blocking-rate measurements into the
@@ -1032,23 +960,21 @@ impl LoadBalancer {
 
     /// Runs one optimization round and installs the new weights.
     ///
-    /// Until the first real observation arrives, the even split is kept
-    /// (with no data every allocation is equally "optimal", and an even
-    /// split is the only defensible prior).
+    /// Until the first real observation arrives every function reads 0 and
+    /// every frontier is `R`, so the solve's tie order deals the even split
+    /// over the attached slots (with no data every allocation is equally
+    /// "optimal", and an even split is the only defensible prior).
     pub fn rebalance(&mut self) -> &WeightVector {
         self.begin_round();
         self.decay();
-        let solved = self.functions.iter().any(|f| f.raw_len() > 1);
-        if solved {
-            let partition = self.partition();
-            self.bound(partition.as_ref());
-            let assigned = self.solve(partition.is_some());
-            if let Some(clustering) = &partition {
-                self.expand(clustering, assigned);
-            }
-            self.install(partition);
+        let partition = self.partition();
+        self.bound(partition.as_ref());
+        let assigned = self.solve(partition.is_some());
+        if let Some(clustering) = &partition {
+            self.expand(clustering, assigned);
         }
-        self.trace_round(solved);
+        self.install(partition);
+        self.trace_round();
         &self.weights
     }
 
@@ -1254,13 +1180,12 @@ impl LoadBalancer {
             tie_priority: &scratch.priority,
             idle: if pooled { &[] } else { &self.idle },
         };
-        let stats = if pooled {
+        if pooled {
             let fits = scratch.agg.fits();
             fox::greedy(&limits, |c, w| fits[c].value(w), &mut scratch.fox)
         } else {
             fox::greedy(&limits, |j, w| functions[j].value(w), &mut scratch.fox)
-        };
-        stats.assigned
+        }
     }
 
     /// Stage 6 (clusters only): expands per-cluster weights to the members
@@ -1327,10 +1252,10 @@ impl LoadBalancer {
     ///
     /// [`Exploration`]: TraceEvent::Exploration
     /// [`ControllerRound`]: TraceEvent::ControllerRound
-    fn trace_round(&mut self, solved: bool) {
+    fn trace_round(&mut self) {
         let scratch = &mut self.scratch;
         if let Some(trace) = &self.trace {
-            if solved && self.last_clusters.is_none() {
+            if self.last_clusters.is_none() {
                 let after = self.weights.units();
                 for (j, (&old, &new)) in scratch.weights_before.iter().zip(after).enumerate() {
                     if new > old && u64::from(new) > scratch.priority[j] {
@@ -1799,6 +1724,50 @@ mod tests {
         lb.check_invariants().expect("simplex on the next round");
     }
 
+    /// The largest gap between two incumbents' units (attached slots not
+    /// in `capped`).
+    fn incumbent_spread(lb: &LoadBalancer, capped: &[usize]) -> u32 {
+        let incumbents = || {
+            (0..lb.config().connections())
+                .filter(|&j| lb.is_attached(j) && !capped.contains(&j))
+                .map(|j| lb.weights().units()[j])
+        };
+        incumbents().max().unwrap() - incumbents().min().unwrap()
+    }
+
+    #[test]
+    fn a_pre_data_admission_is_dealt_by_the_solve() {
+        // Before any data every slot is idle and the solve deals the units
+        // level by level: the newcomer stops at the exploration step and
+        // the incumbents split the rest evenly.
+        let mut lb = balancer(12);
+        lb.detach_connection(1);
+        lb.attach_connection(1);
+        let mut want = vec![90; 12];
+        want[1] = 10;
+        assert_eq!(lb.weights().units(), want);
+
+        let mut lb = balancer(2);
+        assert_eq!(lb.grow(1), 2..3);
+        assert_eq!(lb.weights().units(), &[495, 495, 10]);
+
+        for width in 2..=40 {
+            for added in 1..=4 {
+                let mut lb = balancer(width);
+                let capped: Vec<usize> = lb.grow(added).collect();
+                let spread = incumbent_spread(&lb, &capped);
+                assert!(spread <= 1, "grow {width}+{added}: spread {spread}");
+            }
+            for j in [0, width / 2, width - 1] {
+                let mut lb = balancer(width);
+                lb.detach_connection(j);
+                lb.attach_connection(j);
+                let spread = incumbent_spread(&lb, &[j]);
+                assert!(spread <= 1, "attach {j} of {width}: spread {spread}");
+            }
+        }
+    }
+
     #[test]
     fn membership_crosses_the_clustering_threshold_both_ways() {
         // 33 connections with the default >=32 threshold: detaching two
@@ -2097,75 +2066,37 @@ mod tests {
             let n = self.cfg.connections;
             let r = self.cfg.resolution;
             let step = self.cfg.exploration_step;
-            let has_data = self
+            let predicted: Vec<Vec<f64>> = self
                 .functions
+                .iter_mut()
+                .map(BlockingRateFunction::predicted)
+                .collect();
+            let slices: Vec<&[f64]> = predicted.iter().map(Vec::as_slice).collect();
+            let priority: Vec<u64> = predicted
                 .iter()
-                .zip(&self.attached)
-                .any(|(f, &a)| a && f.raw_len() > 1);
-
-            if has_data {
-                let predicted: Vec<Vec<f64>> = self
-                    .functions
-                    .iter_mut()
-                    .map(BlockingRateFunction::predicted)
-                    .collect();
-                let slices: Vec<&[f64]> = predicted.iter().map(Vec::as_slice).collect();
-                let priority: Vec<u64> = predicted
-                    .iter()
-                    .map(|p| u64::from(dense_clean_frontier(p)))
-                    .collect();
-                let lower = vec![0; n];
-                let upper: Vec<u32> = (0..n)
-                    .map(|j| {
-                        if !self.attached[j] {
-                            0
-                        } else if capped.contains(&j) {
-                            step.min(r)
-                        } else {
-                            r
-                        }
-                    })
-                    .collect();
-                let problem = Problem::new(slices, r)
-                    .expect("function domains share the balancer's resolution")
-                    .with_bounds(lower, upper)
-                    .expect("membership bounds are within the resolution")
-                    .with_tie_priority(priority)
-                    .expect("priority vector matches the connection count");
-                fox::solve(&problem)
-                    .expect("at least one attached slot is unbounded, so R units always fit")
-                    .weights
-            } else {
-                let live = self.live_connections() as u32;
-                let (base, rem) = (r / live, r % live);
-                let mut units = vec![0u32; n];
-                let mut idx = 0u32;
-                for (j, u) in units.iter_mut().enumerate() {
-                    if self.attached[j] {
-                        *u = base + u32::from(idx < rem);
-                        idx += 1;
+                .map(|p| u64::from(dense_clean_frontier(p)))
+                .collect();
+            let lower = vec![0; n];
+            let upper: Vec<u32> = (0..n)
+                .map(|j| {
+                    if !self.attached[j] {
+                        0
+                    } else if capped.contains(&j) {
+                        step.min(r)
+                    } else {
+                        r
                     }
-                }
-                // Exploration-bounded admission: trim each newcomer to the
-                // step and hand the trimmed units back to the incumbents.
-                let mut excess = 0u32;
-                for &a in capped {
-                    let cap = step.min(units[a]);
-                    excess += units[a] - cap;
-                    units[a] = cap;
-                }
-                let others = live - capped.len() as u32;
-                if others > 0 && excess > 0 {
-                    let (per, mut extra) = (excess / others, excess % others);
-                    for (j, u) in units.iter_mut().enumerate() {
-                        if self.attached[j] && !capped.contains(&j) {
-                            *u += per + u32::from(extra > 0);
-                            extra = extra.saturating_sub(1);
-                        }
-                    }
-                }
-                units
-            }
+                })
+                .collect();
+            let problem = Problem::new(slices, r)
+                .expect("function domains share the balancer's resolution")
+                .with_bounds(lower, upper)
+                .expect("membership bounds are within the resolution")
+                .with_tie_priority(priority)
+                .expect("priority vector matches the connection count");
+            fox::solve(&problem)
+                .expect("at least one attached slot is unbounded, so R units always fit")
+                .weights
         }
     }
 
@@ -2198,7 +2129,7 @@ mod tests {
             }
             let mut lb = LoadBalancer::new(b.build().unwrap());
             let mut rng = crate::rng::SplitMix64::new(0xD15C_0000 + n as u64);
-            // A change before any data takes the even-split branch.
+            // A change before any data is the same solve over idle slots.
             assert_renormalizes_like_the_dense_oracle(&mut lb, "no-data detach", |lb| {
                 lb.detach_connection(1);
                 vec![]

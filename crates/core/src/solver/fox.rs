@@ -5,10 +5,13 @@
 //! every item at its lower bound, then repeatedly grant one more unit to the
 //! item whose *next* value `F_j(w_j + 1)` is smallest. A simple interchange
 //! argument shows the result minimizes `max_j F_j(w_j)`. With a binary heap
-//! the complexity is `O(N + R log N)`; items the caller marks idle (they
-//! read `+0.0` everywhere and tie with each other) are dealt from a cursor
-//! instead, so `R_i` units granted to them cost `O(R_i)` and the heap holds
-//! only the other `N_h` items: `O(N + R_i + R_h log N_h)`.
+//! the complexity is `O(N + R log N)`. In a problem whose multiplicities
+//! are all 1, items the caller marks idle (they read `+0.0` everywhere and
+//! tie with each other) are dealt from a cursor instead, so `R_i` units
+//! granted to them cost `O(R_i)` and the heap holds only the other `N_h`
+//! items: `O(N + R_i + R_h log N_h)`. The loop computes weights and the
+//! units they consume and nothing else; [`solve_with`] folds the objective
+//! from its dense tables.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -138,7 +141,8 @@ pub struct FoxStats {
 /// Returns [`SolveError::Infeasible`] when the bounds cannot bracket `R`.
 pub fn solve_with(problem: &Problem<'_>, scratch: &mut FoxScratch) -> Result<FoxStats, SolveError> {
     problem.check_feasible()?;
-    Ok(greedy(
+    let value = |j: usize, w: u32| problem.function(j)[w as usize];
+    let assigned = greedy(
         &Limits {
             resolution: problem.resolution(),
             lower: problem.lower(),
@@ -147,9 +151,19 @@ pub fn solve_with(problem: &Problem<'_>, scratch: &mut FoxScratch) -> Result<Fox
             tie_priority: problem.tie_priority(),
             idle: &[],
         },
-        |j, w| problem.function(j)[w as usize],
+        value,
         scratch,
-    ))
+    );
+    let objective = scratch
+        .weights
+        .iter()
+        .enumerate()
+        .map(|(j, &w)| value(j, w))
+        .fold(0.0, f64::max);
+    Ok(FoxStats {
+        objective,
+        assigned,
+    })
 }
 
 /// Everything about a RAP instance except its functions.
@@ -159,37 +173,39 @@ pub(crate) struct Limits<'a> {
     pub(crate) upper: &'a [u32],
     pub(crate) multiplicity: &'a [u32],
     pub(crate) tie_priority: &'a [u64],
-    /// Per item, empty meaning none: the item is idle. An idle item with
+    /// Per item, empty meaning none: the item is idle. It may be non-empty
+    /// only when every multiplicity is 1. An idle item with
     /// `lower < upper` must read `+0.0` (bits) at every weight in
-    /// `(lower, upper]`, have multiplicity 1, and share its lower bound and
-    /// tie priority with the other such idle items; one with
-    /// `lower == upper` is never dealt a unit whatever its mark.
+    /// `(lower, upper]` and share its lower bound and tie priority with
+    /// the other such idle items; one with `lower == upper` is never dealt
+    /// a unit whatever its mark.
     pub(crate) idle: &'a [bool],
 }
 
 /// The greedy loop itself, over any source of function values: `value(j,
-/// w)` is `F_j(w)`, asked only for `lower[j] < w <= upper[j]` and, once
-/// for the objective, at the final weights. [`solve_with`] reads a
-/// [`Problem`]'s dense tables; the [controller](crate::controller) — whose
-/// only solver entry this is — answers slot items from the functions' fits
-/// and cluster items from pooled fits, by point query. The caller guarantees
-/// well-formed, feasible limits.
+/// w)` is `F_j(w)`, asked only for `lower[j] < w <= upper[j]`. It leaves
+/// the weights in `scratch.weights` and returns the units they consume,
+/// `Σ mult_j · w_j`. [`solve_with`] reads a [`Problem`]'s dense tables; the
+/// [controller](crate::controller) — whose only solver entry this is —
+/// answers slot items from the functions' fits and cluster items from
+/// pooled fits, by point query. The caller guarantees well-formed, feasible
+/// limits.
 ///
 /// Idle items (see [`Limits::idle`]) are never pushed on the heap, and
-/// only debug builds query them before the objective. Their entries would
-/// all read `(+0.0, P, w + 1, j)` with one `P`, so the smallest of them is
-/// the lowest-indexed item at the lowest weight: a cursor walks them in
-/// index order, one weight level at a time, and each step grants the
-/// cursor's unit or the heap's first entry that fits the remainder,
-/// whichever comes first under [`Entry`]'s order. The allocation is the
-/// all-heap loop's, tie for tie, at `O(1)` per idle unit plus
-/// `O((N_h + R_h) log N_h)` for the `N_h` items on the heap and the `R_h`
-/// units they take.
+/// only debug builds query them. Their entries would all read
+/// `(+0.0, P, w + 1, j)` with one `P`, so the smallest of them is the
+/// lowest-indexed item at the lowest weight: a cursor walks them in index
+/// order, one weight level at a time, and each step grants the cursor's
+/// unit or the heap's top, whichever comes first under [`Entry`]'s order
+/// (with every multiplicity 1, the top always fits the remainder). The
+/// allocation is the all-heap loop's, tie for tie, at `O(1)` per idle unit
+/// plus `O((N_h + R_h) log N_h)` for the `N_h` items on the heap and the
+/// `R_h` units they take.
 pub(crate) fn greedy(
     limits: &Limits<'_>,
     mut value: impl FnMut(usize, u32) -> f64,
     scratch: &mut FoxScratch,
-) -> FoxStats {
+) -> u64 {
     let Limits {
         lower,
         upper,
@@ -199,7 +215,7 @@ pub(crate) fn greedy(
         ..
     } = *limits;
     let r = u64::from(limits.resolution);
-    debug_assert!(idle.is_empty() || idle.len() == lower.len());
+    debug_assert!(idle.is_empty() || (idle.len() == lower.len() && mult.iter().all(|&m| m == 1)));
 
     let weights = &mut scratch.weights;
     weights.clear();
@@ -240,7 +256,7 @@ pub(crate) fn greedy(
     let (run_priority, mut level) = run.first().map_or((0, 0), |&j| (priority[j], lower[j] + 1));
     debug_assert!(run
         .iter()
-        .all(|&j| mult[j] == 1 && priority[j] == run_priority && lower[j] + 1 == level));
+        .all(|&j| priority[j] == run_priority && lower[j] + 1 == level));
     let mut pos = 0;
     let idle_entry = |j: usize, level: u32| Entry {
         value: 0.0,
@@ -248,20 +264,16 @@ pub(crate) fn greedy(
         weight: level,
         item: j,
     };
-    // Set when the heap entries that precede the cursor's all overshoot
-    // the remainder: the cursor's unit is the next step.
-    let mut idle_due = false;
 
     while assigned < r {
         // Idle units go first while the cursor's entry precedes the heap's
-        // top; a multiplicity of 1 always fits.
+        // top.
         while assigned < r {
             let Some(&j) = run.get(pos) else { break };
-            if !idle_due && heap.peek().is_some_and(|top| *top > idle_entry(j, level)) {
+            if heap.peek().is_some_and(|top| *top > idle_entry(j, level)) {
                 break;
             }
             debug_assert_eq!(value(j, level).to_bits(), 0, "idle item {j} reads +0.0");
-            idle_due = false;
             weights[j] += 1;
             assigned += 1;
             pos += 1;
@@ -284,27 +296,15 @@ pub(crate) fn greedy(
                     if assigned + u64::from(mult[e.item]) <= r {
                         break Some(e);
                     }
-                    // Too big for the remainder; set aside, try the next —
-                    // unless the cursor's entry comes before it.
+                    // Too big for the remainder; set aside, try the next.
                     skipped.push(e);
-                    if let Some(&j) = run.get(pos) {
-                        if heap.peek().is_none_or(|top| *top < idle_entry(j, level)) {
-                            idle_due = true;
-                            break None;
-                        }
-                    }
                 }
             }
         };
         for e in skipped.drain(..) {
             heap.push(e);
         }
-        let Some(e) = step else {
-            if idle_due {
-                continue;
-            }
-            break;
-        };
+        let Some(e) = step else { break };
         let j = e.item;
         weights[j] += 1;
         assigned += u64::from(mult[j]);
@@ -318,16 +318,8 @@ pub(crate) fn greedy(
         }
     }
 
-    let objective = weights
-        .iter()
-        .enumerate()
-        .map(|(j, &w)| value(j, w))
-        .fold(0.0, f64::max);
     scratch.heap = heap.into_vec();
-    FoxStats {
-        objective,
-        assigned,
-    }
+    assigned
 }
 
 #[cfg(test)]
@@ -546,12 +538,7 @@ mod tests {
                 &mut sparse,
             );
             assert_eq!(sparse.weights, dense.weights, "case {case}");
-            assert_eq!(
-                got.objective.to_bits(),
-                want.objective.to_bits(),
-                "case {case}"
-            );
-            assert_eq!(got.assigned, want.assigned, "case {case}");
+            assert_eq!(got, want.assigned, "case {case}");
         }
         assert!(feasible > 100, "only {feasible} feasible cases");
     }
@@ -564,7 +551,8 @@ mod tests {
         // `[0, 0]`; beside them sit loaded items, items whose `-0.0` prefix
         // sorts before the run's `+0.0`, and items that read `+0.0` over a
         // prefix at the run's priority `R`, so their keys interleave with
-        // the run's by weight. Non-idle multiplicities range over 1..=4.
+        // the run's by weight. Every multiplicity is 1, as an idle run
+        // requires.
         let mut rng = SplitMix64::new(0x1D1E_C0DE);
         let (mut cursor, mut heap) = (FoxScratch::new(), FoxScratch::new());
         let (mut feasible, mut interleaved) = (0, 0);
@@ -627,7 +615,7 @@ mod tests {
                 let l = rng.range_u32(0, spread);
                 lower.push(l);
                 upper.push(rng.range_u32(l, r));
-                mult.push(rng.range_u32(1, 4));
+                mult.push(1);
                 priority.push(prio);
                 idle.push(false);
                 zero_prefixed.push(kind == 2);
@@ -655,12 +643,7 @@ mod tests {
             let got = greedy(&limits(&idle), value, &mut cursor);
             let want = greedy(&limits(&[]), value, &mut heap);
             assert_eq!(cursor.weights, heap.weights, "case {case}");
-            assert_eq!(
-                got.objective.to_bits(),
-                want.objective.to_bits(),
-                "case {case}"
-            );
-            assert_eq!(got.assigned, want.assigned, "case {case}");
+            assert_eq!(got, want, "case {case}");
             let raised = |j: usize| heap.weights[j] > lower[j];
             if (0..n).any(|j| idle[j] && raised(j)) && (0..n).any(|j| zero_prefixed[j] && raised(j))
             {

@@ -256,98 +256,37 @@ impl WrrScheduler {
         }
     }
 
-    /// Replaces the weights, resetting accumulated credit.
+    /// Installs new weights from raw units. At an unchanged width every
+    /// connection's accumulated credit is reset. When the width changes,
+    /// the surviving connections keep theirs — and with it their
+    /// interleaving phase — and new connections start at 0, the neutral
+    /// position a reset would give them; a shrink truncates the tail, so
+    /// use it only after the removed connections' weights have been
+    /// drained to zero.
+    ///
+    /// The units need not sum to a resolution: the WRR scheme itself only
+    /// needs relative weights. Production callers pass a [`WeightVector`]'s
+    /// [`units`](WeightVector::units); harnesses may drive the scheduler
+    /// with deliberately non-simplex allocations (e.g. the chaos harness's
+    /// sabotage modes, which mutation-test the invariant oracles).
     ///
     /// # Panics
     ///
-    /// Panics if the new vector has a different number of connections.
-    pub fn set_weights(&mut self, weights: &WeightVector) {
-        assert_eq!(
-            weights.len(),
-            self.weights.len(),
-            "connection count must not change"
-        );
-        self.weights.clear();
-        self.weights
-            .extend(weights.units().iter().map(|&u| i64::from(u)));
-        self.total = self.weights.iter().sum();
-        self.credit.iter_mut().for_each(|c| *c = 0);
-    }
-
-    /// Replaces the weights from raw units, resetting accumulated credit.
-    ///
-    /// Unlike [`set_weights`](Self::set_weights) this does **not** require
-    /// the units to sum to a resolution — the WRR scheme itself only needs
-    /// relative weights. It exists for harnesses that must drive the
-    /// scheduler with deliberately non-simplex allocations (e.g. the chaos
-    /// harness's sabotage mode, which mutation-tests the invariant
-    /// oracles); production callers go through [`WeightVector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length differs from the connection count or if
-    /// every unit is zero (the scheduler would have nothing to pick).
+    /// Panics if every unit is zero (the scheduler would have nothing to
+    /// pick).
     pub fn set_units(&mut self, units: &[u32]) {
-        assert_eq!(
-            units.len(),
-            self.weights.len(),
-            "connection count must not change"
-        );
         assert!(
             units.iter().any(|&u| u > 0),
             "at least one unit must be positive"
         );
+        if units.len() == self.weights.len() {
+            self.credit.fill(0);
+        } else {
+            self.credit.resize(units.len(), 0);
+        }
         self.weights.clear();
         self.weights.extend(units.iter().map(|&u| i64::from(u)));
         self.total = self.weights.iter().sum();
-        self.credit.iter_mut().for_each(|c| *c = 0);
-    }
-
-    /// Resizes the scheduler in place to match `weights`, preserving the
-    /// accumulated smooth-WRR credit of every surviving connection.
-    ///
-    /// Growing appends the new connections with zero credit — they start
-    /// from the same neutral position a freshly reset scheduler would give
-    /// them, while the existing connections keep their interleaving phase
-    /// (unlike [`set_weights`](Self::set_weights), which resets all credit).
-    /// Shrinking truncates the tail; use it only after the removed
-    /// connections' weights have already been drained to zero.
-    pub fn resize(&mut self, weights: &WeightVector) {
-        let old_len = self.weights.len();
-        let new_len = weights.len();
-        self.weights.clear();
-        self.weights
-            .extend(weights.units().iter().map(|&u| i64::from(u)));
-        self.total = self.weights.iter().sum();
-        if new_len < old_len {
-            self.credit.truncate(new_len);
-        } else {
-            self.credit.resize(new_len, 0);
-        }
-    }
-
-    /// [`resize`](Self::resize) from raw units (the harness-level
-    /// counterpart of [`set_units`](Self::set_units)); the units need not
-    /// sum to a resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every unit is zero.
-    pub fn resize_units(&mut self, units: &[u32]) {
-        assert!(
-            units.iter().any(|&u| u > 0),
-            "at least one unit must be positive"
-        );
-        let old_len = self.weights.len();
-        let new_len = units.len();
-        self.weights.clear();
-        self.weights.extend(units.iter().map(|&u| i64::from(u)));
-        self.total = self.weights.iter().sum();
-        if new_len < old_len {
-            self.credit.truncate(new_len);
-        } else {
-            self.credit.resize(new_len, 0);
-        }
     }
 
     /// Picks the next connection to route a tuple to.
@@ -504,11 +443,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one unit")]
     fn wrr_set_units_rejects_all_zero() {
-        let w = WeightVector::even(2, 1000);
-        let mut wrr = WrrScheduler::new(&w);
-        wrr.set_units(&[0, 0]);
+        // At the same width and at a new one alike.
+        for units in [&[0, 0][..], &[0, 0, 0]] {
+            let result = std::panic::catch_unwind(|| {
+                let mut wrr = WrrScheduler::new(&WeightVector::even(2, 1000));
+                wrr.set_units(units);
+            });
+            let message = result.expect_err("all-zero units must panic");
+            assert_eq!(
+                message.downcast_ref::<&str>(),
+                Some(&"at least one unit must be positive"),
+                "{units:?}"
+            );
+        }
     }
 
     #[test]
@@ -519,7 +467,7 @@ mod tests {
             wrr.pick();
         }
         let grown = WeightVector::from_units(vec![500, 300, 200], 1000).unwrap();
-        wrr.resize(&grown);
+        wrr.set_units(grown.units());
         assert_eq!(wrr.len(), 3);
         let mut counts = [0u32; 3];
         for _ in 0..3000 {
@@ -528,7 +476,7 @@ mod tests {
         assert_eq!(counts, [1500, 900, 600], "exact frequencies after grow");
 
         let shrunk = WeightVector::from_units(vec![700, 300], 1000).unwrap();
-        wrr.resize(&shrunk);
+        wrr.set_units(shrunk.units());
         assert_eq!(wrr.len(), 2);
         let mut counts = [0u32; 2];
         for _ in 0..1000 {
@@ -553,29 +501,29 @@ mod tests {
         }
         // Grow `a` with a zero-weight extra slot: picks must continue the
         // same sequence as the untouched scheduler.
-        a.resize_units(&[500, 500, 0]);
+        a.set_units(&[500, 500, 0]);
         for _ in 0..10 {
             assert_eq!(a.pick(), b.pick(), "resize must not disturb survivors");
         }
     }
 
     #[test]
-    #[should_panic(expected = "at least one unit")]
-    fn wrr_resize_units_rejects_all_zero() {
-        let w = WeightVector::even(2, 1000);
-        let mut wrr = WrrScheduler::new(&w);
-        wrr.resize_units(&[0, 0, 0]);
-    }
-
-    #[test]
-    fn wrr_set_weights_takes_effect() {
+    fn wrr_set_units_takes_effect() {
         let w = WeightVector::even(2, 1000);
         let mut wrr = WrrScheduler::new(&w);
         wrr.pick();
         let w2 = WeightVector::from_units(vec![1000, 0], 1000).unwrap();
-        wrr.set_weights(&w2);
+        wrr.set_units(w2.units());
         for _ in 0..100 {
             assert_eq!(wrr.pick(), 0);
+        }
+        // At the same width the credit is reset: the picks restart as a
+        // fresh scheduler's do.
+        let w3 = WeightVector::from_units(vec![300, 700], 1000).unwrap();
+        wrr.set_units(w3.units());
+        let mut fresh = WrrScheduler::new(&w3);
+        for _ in 0..20 {
+            assert_eq!(wrr.pick(), fresh.pick());
         }
     }
 }

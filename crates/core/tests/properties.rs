@@ -618,7 +618,7 @@ fn wrr_resize_is_frequency_exact_vs_a_fresh_scheduler() {
             } else {
                 units.truncate(rng.range_usize(2, units.len() - 1).max(2));
             }
-            wrr.resize_units(&units);
+            wrr.set_units(&units);
             assert_eq!(wrr.len(), units.len());
         }
         let total: u32 = units.iter().sum();

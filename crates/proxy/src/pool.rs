@@ -247,11 +247,7 @@ impl BackendPool {
         let gen = self.weights_gen.load(Ordering::Acquire);
         if state.gen != gen {
             let weights = self.weights.lock().expect("weights lock");
-            if weights.len() == state.wrr.len() {
-                state.wrr.set_weights(&weights);
-            } else {
-                state.wrr.resize(&weights);
-            }
+            state.wrr.set_units(weights.units());
             state.gen = gen;
         }
         // A few weighted picks first so healthy traffic follows the

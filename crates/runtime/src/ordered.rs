@@ -160,11 +160,7 @@ fn split<L: Link>(
                 hub.keep = usize::MAX;
             }
             if hub.weights != current {
-                if hub.weights.len() == current.len() {
-                    wrr.set_weights(&hub.weights);
-                } else {
-                    wrr.resize(&hub.weights);
-                }
+                wrr.set_units(hub.weights.units());
                 current.clone_from(&hub.weights);
             }
         }

@@ -437,7 +437,7 @@ impl<'c> Region<'c> {
             .unwrap_or_else(|| WeightVector::even(self.width, self.resolution));
         self.weights.clear();
         self.weights.extend_from_slice(weights.units());
-        self.wrr.resize(&weights);
+        self.wrr.set_units(weights.units());
     }
 
     /// Mirrors the balancer's weights into the splitter outside the
@@ -1044,7 +1044,7 @@ impl<'c> Engine<'c> {
             assert_eq!(new_weights.len(), n, "policy changed the region width");
             reg.weights.clear();
             reg.weights.extend_from_slice(new_weights.units());
-            reg.wrr.set_weights(&new_weights);
+            reg.wrr.set_units(new_weights.units());
         }
 
         match sabotage {

@@ -306,33 +306,13 @@ fn an_idle_function_answers_like_its_dense_fill() {
 }
 
 /// The units the dense formulation installs for `lb`'s current membership
-/// and functions: full predicted tables, clean frontiers read off them,
-/// newcomers in `capped` bounded by the exploration step (10, the default).
+/// and functions, with or without data: full predicted tables, clean
+/// frontiers read off them, newcomers in `capped` bounded by the
+/// exploration step (10, the default).
 fn dense_renormalization(lb: &mut LoadBalancer, capped: &[usize]) -> Vec<u32> {
     let n = lb.config().connections();
     let r = lb.config().resolution();
     let attached = lb.attached().to_vec();
-    if !(0..n).any(|j| attached[j] && lb.function(j).raw_len() > 1) {
-        // Even split over the attached slots, remainder to the first ones.
-        let live = lb.live_connections() as u32;
-        let mut units = vec![0u32; n];
-        for (idx, j) in (0..n).filter(|&j| attached[j]).enumerate() {
-            units[j] = r / live + u32::from((idx as u32) < r % live);
-        }
-        // Trim each newcomer to the step, hand the excess to the others.
-        let mut excess = 0;
-        for &a in capped {
-            excess += units[a].saturating_sub(10);
-            units[a] = units[a].min(10);
-        }
-        let others = live - capped.len() as u32;
-        let mut extra = if others > 0 { excess % others } else { 0 };
-        for j in (0..n).filter(|&j| attached[j] && !capped.contains(&j)) {
-            units[j] += excess / others + u32::from(extra > 0);
-            extra = extra.saturating_sub(1);
-        }
-        return units;
-    }
     let tables: Vec<Vec<f64>> = (0..n).map(|j| lb.function_mut(j).predicted()).collect();
     let priority = tables
         .iter()

@@ -127,9 +127,9 @@ fn the_simulator_has_three_run_entries_and_the_figures_one_binary() {
 
 /// No flat mirror, no borrowed `Problem` form, no dead knobs; the
 /// controller reaches the solver through `fox::greedy` only (its test
-/// module keeps the allocating `fox::solve` as the dense oracle). Fox is
-/// the only solver in `core::solver`; the brute-force oracle is private to
-/// the property tests.
+/// module keeps the allocating `fox::solve` as the dense oracle), with or
+/// without data. Fox is the only solver in `core::solver`; the brute-force
+/// oracle is private to the property tests.
 #[test]
 fn the_controller_has_one_solve_path() {
     assert_absent(
@@ -145,6 +145,23 @@ fn the_controller_has_one_solve_path() {
         ],
     );
     assert_eq!(count("crates/core/src/controller.rs", "solve_with("), 0);
+    // No no-data path: outside its tests the controller never asks whether
+    // a function has data, so rounds and membership changes with and
+    // without it run the same bound → solve → install.
+    let controller = fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/controller.rs"),
+    )
+    .expect("read the controller");
+    let (body, _) = controller
+        .split_once("#[cfg(test)]")
+        .expect("the controller has a test module");
+    assert!(
+        !body.contains("raw_len"),
+        "the controller reads raw_len again"
+    );
+    // Idle items never share a solve with multiplicities, so the cursor
+    // never waits on an overshooting heap entry.
+    assert_eq!(count("crates/core/src/solver/fox.rs", "idle_due"), 0);
 
     assert_eq!(ls("crates/core/src/solver"), ["fox.rs", "mod.rs"]);
     let roots = ["crates/", "examples/", "tests/"];
