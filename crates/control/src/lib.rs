@@ -262,7 +262,6 @@ impl ControlPlaneBuilder {
 
     /// Builds the plane, starting from an even weight split.
     pub fn build(self) -> ControlPlane {
-        let n = self.cfg.connections();
         let mut lb = LoadBalancer::new(self.cfg);
         if let Some(t) = &self.telemetry {
             lb.attach_trace(t.trace().clone());
@@ -275,7 +274,6 @@ impl ControlPlaneBuilder {
             telemetry: self.telemetry,
             metrics_prefix: self.metrics_prefix,
             metrics: None,
-            samples_buf: Vec::with_capacity(n),
             width_policy: self.width_policy,
         }
     }
@@ -313,7 +311,6 @@ pub struct ControlPlane {
     telemetry: Option<Telemetry>,
     metrics_prefix: Option<String>,
     metrics: Option<RoundMetrics>,
-    samples_buf: Vec<ConnectionSample>,
     width_policy: Option<WidthPolicy>,
 }
 
@@ -473,14 +470,13 @@ impl ControlPlane {
         let n = self.lb.config().connections();
         assert_eq!(rates.len(), n, "one rate per connection slot");
         if self.balancing {
-            self.samples_buf.clear();
+            // Each attached slot's sample goes straight into the model; a
+            // detached slot's rate is neither read nor validated.
             for (j, &rate) in rates.iter().enumerate() {
-                if !self.lb.is_attached(j) {
-                    continue;
+                if self.lb.is_attached(j) {
+                    self.lb.observe(&[ConnectionSample::new(j, rate)]);
                 }
-                self.samples_buf.push(ConnectionSample::new(j, rate));
             }
-            self.lb.observe(&self.samples_buf);
             self.lb.rebalance();
         }
         self.emit(rates);

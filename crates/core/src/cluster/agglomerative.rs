@@ -87,8 +87,11 @@ pub struct ClusterScratch {
     merges: Vec<(u32, u32, f64)>,
     /// Union-find parents for the threshold cut.
     parent: Vec<u32>,
-    /// Packed item → cluster id, filled during the labelling pass.
+    /// Union-find root → cluster id, filled during the labelling pass.
     cluster_of: Vec<usize>,
+    /// Packed label → cluster id, resolved once per label before the
+    /// items are written.
+    label_cluster: Vec<usize>,
     /// [`cluster_features`](Self::cluster_features): the bits of each
     /// distinct feature vector (`-0.0` read as `0.0`) → its packed label.
     /// Cleared every run; its capacity is kept.
@@ -353,10 +356,12 @@ impl ClusterScratch {
 
     /// Writes the cut partition over `m` packed labels into `out`, given
     /// every clustered item as `(slot, packed label)` in ascending slot
-    /// order (several slots may share a label). Roots are cluster minima
-    /// and a label's first slot is its smallest, so ids follow each
-    /// cluster's smallest member and member lists come out sorted — the
-    /// naive labelling.
+    /// order (several slots may share a label). Every label has an item,
+    /// and labels first appear in ascending order, so resolving the labels
+    /// in order numbers the clusters by their first item. Each label's
+    /// cluster is found once; an item then costs one table read. Member
+    /// lists come out sorted, and ids follow each cluster's smallest
+    /// member — the naive labelling.
     fn emit(
         &mut self,
         m: usize,
@@ -369,17 +374,25 @@ impl ClusterScratch {
         out.assignment.resize(n_out, usize::MAX);
         self.cluster_of.clear();
         self.cluster_of.resize(m, usize::MAX);
-        for (slot, label) in items {
+        self.label_cluster.clear();
+        for label in 0..m as u32 {
             let root = self.find(label) as usize;
             if self.cluster_of[root] == usize::MAX {
                 self.cluster_of[root] = out.members.len();
                 let fresh = self.grab();
                 out.members.push(fresh);
             }
-            let id = self.cluster_of[root];
+            self.label_cluster.push(self.cluster_of[root]);
+        }
+        for (slot, label) in items {
+            let id = self.label_cluster[label as usize];
             out.assignment[slot] = id;
             out.members[id].push(slot);
         }
+        debug_assert!(
+            out.members.iter().all(|members| !members.is_empty()),
+            "every packed label has an item"
+        );
     }
 }
 
@@ -778,6 +791,57 @@ mod tests {
             scratch.cluster_condensed(n, &condensed, 0.6, &mut out);
             let fresh = cluster(n, &square, 0.6);
             assert_eq!(out, fresh, "round {round} n={n}");
+        }
+    }
+
+    #[test]
+    fn emit_numbers_clusters_by_first_item_whatever_the_roots() {
+        // A forest over 6 packed labels in which no cluster's root is the
+        // first label that reaches it: {0, 1, 3} hangs under 3 (label 0
+        // through 1), {2, 5} under 5, and {4} alone. Slots repeat labels
+        // (as identical vectors do) and the labels first appear in
+        // ascending order. The clusters must be numbered by first slot and
+        // list their slots in order, as a `find` per slot numbers them.
+        let parent = vec![1, 3, 5, 3, 4, 5];
+        let items = [
+            (0, 0),
+            (1, 1),
+            (2, 0),
+            (4, 2),
+            (5, 3),
+            (6, 1),
+            (7, 4),
+            (9, 5),
+            (10, 2),
+        ];
+        let mut reference = Clustering {
+            assignment: vec![usize::MAX; 12],
+            members: Vec::new(),
+        };
+        let mut roots: Vec<u32> = Vec::new();
+        for &(slot, mut label) in &items {
+            while parent[label as usize] != label {
+                label = parent[label as usize];
+            }
+            let id = match roots.iter().position(|&r| r == label) {
+                Some(id) => id,
+                None => {
+                    roots.push(label);
+                    reference.members.push(Vec::new());
+                    roots.len() - 1
+                }
+            };
+            reference.assignment[slot] = id;
+            reference.members[id].push(slot);
+        }
+        assert_eq!(roots, [3, 5, 4]);
+        let mut scratch = ClusterScratch::new();
+        let mut out = Clustering::default();
+        // Twice through one scratch: the second run reuses its buffers.
+        for run in 0..2 {
+            scratch.parent = parent.clone();
+            scratch.emit(6, 12, items.iter().copied(), &mut out);
+            assert_eq!(out, reference, "run {run}");
         }
     }
 }

@@ -354,14 +354,17 @@ impl BalancerConfigBuilder {
 pub struct LoadBalancer {
     cfg: BalancerConfig,
     functions: Vec<BlockingRateFunction>,
-    /// `idle[j]` implies that slot `j`'s function is all-zero, so decay
-    /// and the pooled bound skip the slot after reading one byte instead
-    /// of a cache line of its function. It starts true for the fresh
-    /// functions of `new` and `grow`, and `retire_slot` leaves it alone (a
-    /// fresh function is all-zero whatever the flag says).
-    /// [`observe`](Self::observe) copies the function's own flag, and
+    /// `idle[j]` implies that slot `j`'s function is all-zero and, once
+    /// its knee is taken, still at the knee's generation, so decay, the
+    /// knee refresh and the pooled bound skip the slot after reading one
+    /// byte instead of a cache line of its function. It starts true for
+    /// the fresh functions of `new` and `grow`, and `retire_slot` sets it
+    /// with the fresh function it installs. [`observe`](Self::observe)
+    /// copies the function's own flag, and
     /// [`function_mut`](Self::function_mut) clears it until the slot's
-    /// next sample, since the caller may give the function data.
+    /// next sample, since the caller may give the function data (or a
+    /// new function, which may not be re-marked while the slot's cached
+    /// knee is another generation's).
     idle: Vec<bool>,
     weights: WeightVector,
     round: u64,
@@ -764,10 +767,12 @@ impl LoadBalancer {
         }
     }
 
-    /// Replaces slot `j`'s function with a fresh one and invalidates every
-    /// per-slot cache keyed on its generation.
+    /// Replaces slot `j`'s function with a fresh one, marks the slot idle
+    /// (a fresh function is all-zero) and invalidates every per-slot cache
+    /// keyed on its generation.
     fn retire_slot(&mut self, j: usize) {
         self.functions[j] = BlockingRateFunction::new(self.cfg.resolution, SMOOTHING);
+        self.idle[j] = true;
         self.scratch.knee_gen[j] = u64::MAX;
         if let Some(k) = self.scratch.knees.get_mut(j) {
             *k = NO_KNEE;
@@ -931,30 +936,44 @@ impl LoadBalancer {
     /// at higher allocation weights, and the new data is slowly changing
     /// that function" — without recording no-blocking rounds, stale
     /// pessimism at or below the current weight would never erode (the
-    /// exploration decay only touches weights *above* it).
+    /// exploration decay only touches weights *above* it). A zero into an
+    /// idle slot's all-zero function at an unchanged weight is counted in
+    /// place ([`BlockingRateFunction::observe`]), so a wide region's idle
+    /// majority costs a compare per slot.
+    ///
+    /// A sample for a detached slot is skipped before its rate is read.
+    /// Inlined, so a caller may pass one sample per call as it reads its
+    /// rates, without collecting them first (as
+    /// `ControlPlane::round` does).
     ///
     /// # Panics
     ///
     /// Panics if a sample's connection index is out of bounds.
+    #[inline]
     pub fn observe(&mut self, samples: &[ConnectionSample]) {
         for s in samples {
+            let j = s.connection;
             assert!(
-                s.connection < self.cfg.connections,
-                "sample for unknown connection {}",
-                s.connection
+                j < self.cfg.connections,
+                "sample for unknown connection {j}"
             );
-            if !self.attached[s.connection] {
+            if !self.attached[j] {
                 // A detached slot receives no traffic; any residual sample
                 // (e.g. a blocked span straddling the detach) would poison
                 // the fresh function the slot gets on re-attach.
                 continue;
             }
             let rate = s.rate.value();
-            let w = self.weights.units()[s.connection];
-            let f = &mut self.functions[s.connection];
-            f.observe(w, rate);
-            self.idle[s.connection] = f.is_all_zero();
-            self.pending_rates[s.connection] = rate;
+            let f = &mut self.functions[j];
+            f.observe(self.weights.units()[j], rate);
+            self.idle[j] = f.is_all_zero()
+                && (self.idle[j] || {
+                    // Back to idle after `function_mut` only while the
+                    // slot's cached knee (if any) is the function's own.
+                    let knee_gen = self.scratch.knee_gen[j];
+                    knee_gen == u64::MAX || knee_gen == f.generation()
+                });
+            self.pending_rates[j] = rate;
         }
     }
 
@@ -1070,10 +1089,12 @@ impl LoadBalancer {
     /// Brings the live-slot list and every live slot's knee up to date;
     /// returns whether a knee *value* changed. Each live function whose
     /// generation moved gets a fresh knee from point queries on its fit.
-    /// An idle slot's all-zero function keeps its
-    /// generation, so only the slots that have blocked are re-kneed; under
-    /// per-round decay their generations move every round, and comparing
-    /// knee values is what lets an unmoved partition be reused.
+    /// An idle slot's all-zero function keeps its generation, so once its
+    /// knee is taken the slot is skipped on its flag alone, without
+    /// reading the function; only the slots that have blocked are
+    /// re-kneed. Under per-round decay their generations move every round,
+    /// and comparing knee values is what lets an unmoved partition be
+    /// reused.
     fn refresh_knees(&mut self) -> bool {
         let scratch = &mut self.scratch;
         // Keyed on the membership generation, so rounds with detached slots
@@ -1087,6 +1108,14 @@ impl LoadBalancer {
         }
         let mut knee_moved = false;
         for &j in &scratch.live {
+            if self.idle[j] && scratch.knee_gen[j] != u64::MAX {
+                debug_assert_eq!(
+                    self.functions[j].generation(),
+                    scratch.knee_gen[j],
+                    "idle slot {j} has a stale knee"
+                );
+                continue;
+            }
             let f = &mut self.functions[j];
             let gen = f.generation();
             if scratch.knee_gen[j] == gen {
@@ -2248,6 +2277,111 @@ mod tests {
             }
         }
         assert!(changes > 60, "only {changes} membership changes");
+    }
+
+    #[test]
+    fn a_retired_slot_is_idle_from_its_membership_change_on() {
+        // A loaded slot that is detached and re-attached gets a fresh,
+        // all-zero function, so it is idle from the detach on: the attach's
+        // renormalisation deals it from Fox's idle run, and the next
+        // clustered round takes its knee once and then skips it. Both must
+        // install what the general path installs.
+        let n = 64;
+        let cfg = BalancerConfig::builder(n)
+            .clustering(ClusteringConfig::default())
+            .build()
+            .unwrap();
+        let mut lb = LoadBalancer::new(cfg);
+        let loaded = 5;
+        for _ in 0..20 {
+            for j in 0..n {
+                let rate = if j == loaded { 0.6 } else { 0.0 };
+                lb.observe(&[ConnectionSample::new(j, rate)]);
+            }
+            lb.rebalance();
+        }
+        assert!(!lb.idle[loaded]);
+        assert_renormalizes_like_the_dense_oracle(&mut lb, "detach", |lb| {
+            lb.detach_connection(loaded);
+            vec![]
+        });
+        assert!(lb.idle[loaded], "a detached slot's fresh function is idle");
+        assert_renormalizes_like_the_dense_oracle(&mut lb, "attach", |lb| {
+            lb.attach_connection(loaded);
+            vec![loaded]
+        });
+        assert!(
+            lb.idle[loaded],
+            "a re-attached slot's fresh function is idle"
+        );
+        assert_eq!(lb.scratch.knee_gen[loaded], u64::MAX);
+        let mut general = lb.clone();
+        general.idle.fill(false);
+        for _ in 0..3 {
+            for lb in [&mut lb, &mut general] {
+                lb.observe(&[ConnectionSample::new(loaded, 0.0)]);
+                lb.rebalance();
+            }
+            assert_eq!(lb.weights().units(), general.weights().units());
+            assert_eq!(lb.last_clusters(), general.last_clusters());
+            assert_eq!(lb.last_cluster_outcome(), general.last_cluster_outcome());
+        }
+        assert_eq!(
+            lb.scratch.knee_gen[loaded],
+            lb.functions[loaded].generation()
+        );
+        assert_idle_slots_are_all_zero(&lb);
+    }
+
+    #[test]
+    fn a_function_replaced_through_function_mut_gets_its_own_knee() {
+        // Slot 13 blocks, so its knee is taken; then its function is
+        // replaced by a fresh one through `function_mut`. Zero samples must
+        // not mark it idle while its cached knee is the old function's,
+        // or the knee refresh would skip it and keep the loaded knee. The
+        // twin re-knees every slot, and both must install the same weights
+        // and clusters.
+        let n = 48;
+        let cfg = BalancerConfig::builder(n)
+            .clustering(ClusteringConfig::default())
+            .build()
+            .unwrap();
+        let mut lb = LoadBalancer::new(cfg);
+        let j = 13;
+        let rate = |k: usize, round: usize| {
+            if k.is_multiple_of(8) || (k == j && round < 30) {
+                0.4
+            } else {
+                0.0
+            }
+        };
+        for round in 0..30 {
+            for k in 0..n {
+                lb.observe(&[ConnectionSample::new(k, rate(k, round))]);
+            }
+            lb.rebalance();
+        }
+        assert!(!lb.idle[j]);
+        let fresh = BlockingRateFunction::new(lb.cfg.resolution, SMOOTHING);
+        *lb.function_mut(j) = fresh;
+        let mut twin = lb.clone();
+        twin.scratch.knee_gen.fill(u64::MAX);
+        for round in 30..40 {
+            for lb in [&mut lb, &mut twin] {
+                for k in 0..n {
+                    lb.observe(&[ConnectionSample::new(k, rate(k, round))]);
+                }
+                lb.rebalance();
+                assert_idle_slots_are_all_zero(lb);
+            }
+            assert_eq!(
+                lb.weights().units(),
+                twin.weights().units(),
+                "round {round}"
+            );
+            assert_eq!(lb.last_clusters(), twin.last_clusters(), "round {round}");
+        }
+        assert!(lb.idle[j], "idle again once its own knee is taken");
     }
 
     #[test]

@@ -68,6 +68,13 @@ pub struct BlockingRateFunction {
     /// every weight whatever its raw weights and counts: a zero rate or a
     /// decay changes the raw data but not a prediction.
     all_zero: bool,
+    /// `(w, n)`: the function holds `n` more `+0.0` samples at weight `w`
+    /// than `raw`'s count at `w` says. Only an all-zero function has a run
+    /// (`w == 0` means none), and `w` is always a key of `raw`, so a zero
+    /// repeated at the weight of the last one costs `n += 1` instead of a
+    /// map entry. Every read of the counts adds `n` at `w`; any other
+    /// observation folds the run into `raw` first, and `reset` drops it.
+    zero_run: (u32, u32),
 }
 
 impl BlockingRateFunction {
@@ -92,6 +99,7 @@ impl BlockingRateFunction {
             fit_dirty: false,
             generation: 0,
             all_zero: true,
+            zero_run: (0, 0),
         }
     }
 
@@ -106,9 +114,10 @@ impl BlockingRateFunction {
     ///
     /// A function whose raw values are all exactly zero predicts 0 at every
     /// weight, so while that holds a zero-rate `observe` (which still
-    /// records the point and its count) and `decay_above` leave the
-    /// generation alone; the first positive rate moves it. A wide region's
-    /// idle connections therefore keep their generation round after round.
+    /// records the point and its count, if only in the zero run) and
+    /// `decay_above` leave the generation alone; the first positive rate
+    /// moves it. A wide region's idle connections therefore keep their
+    /// generation round after round.
     ///
     /// Callers cache derived per-function state (clustering knees) keyed by
     /// this value and skip recomputation while it is unchanged.
@@ -121,12 +130,30 @@ impl BlockingRateFunction {
     /// Observations at weight zero are ignored — `(0, 0)` is an axiom of the
     /// model (a connection receiving no tuples cannot block). If the weight
     /// was observed before, the new rate is folded in by EWMA. A zero rate
-    /// into an all-zero function moves no [`generation`](Self::generation).
+    /// into an all-zero function moves no [`generation`](Self::generation);
+    /// repeated at the weight of the previous zero, it only counts one
+    /// more sample in place (EWMA of `+0.0` into `+0.0` is `+0.0`), which
+    /// [`raw_points_weighted`](Self::raw_points_weighted) and the fit
+    /// read as a count like any other.
     ///
     /// # Panics
     ///
     /// Panics if `weight > resolution` or `rate` is negative/non-finite.
+    #[inline]
     pub fn observe(&mut self, weight: u32, rate: f64) {
+        // A run's weight is a raw key (so in the domain) and never 0, and
+        // a run exists only while the function is all-zero.
+        let (w, n) = self.zero_run;
+        if weight == w && w != 0 && rate.to_bits() == 0 && n < u32::MAX {
+            self.zero_run.1 = n + 1;
+            return;
+        }
+        self.observe_entry(weight, rate);
+    }
+
+    /// [`observe`](Self::observe) past the zero-run check: the map entry.
+    #[inline(never)]
+    fn observe_entry(&mut self, weight: u32, rate: f64) {
         assert!(weight <= self.resolution, "weight out of domain");
         assert!(
             rate.is_finite() && rate >= 0.0,
@@ -134,6 +161,14 @@ impl BlockingRateFunction {
         );
         if weight == 0 {
             return;
+        }
+        // Fold the zero run: its samples join its weight's count.
+        let (run_w, n) = std::mem::take(&mut self.zero_run);
+        if n > 0 {
+            self.raw
+                .get_mut(&run_w)
+                .expect("a run's weight is a raw key")
+                .1 += f64::from(n);
         }
         let alpha = self.alpha;
         self.raw
@@ -146,7 +181,9 @@ impl BlockingRateFunction {
         // EWMA of +0.0 into +0.0 is +0.0; -0.0 would be stored as is, so
         // only the bits of +0.0 keep the function all-zero, and its fit
         // (`+0.0` at every knot, whatever the knots) stays as it is.
-        if !(self.all_zero && rate.to_bits() == 0) {
+        if self.all_zero && rate.to_bits() == 0 {
+            self.zero_run = (weight, 0);
+        } else {
             self.all_zero = false;
             self.mark_changed();
         }
@@ -231,9 +268,11 @@ impl BlockingRateFunction {
     }
 
     /// Iterates over the raw points with their observation counts (the
-    /// weights used by the monotone regression).
+    /// weights used by the monotone regression). A zero run's samples are
+    /// counted at its weight: counts are integer-valued and exact below
+    /// 2⁵³, so the sum is the count one map entry per sample would hold.
     pub fn raw_points_weighted(&self) -> impl Iterator<Item = (u32, f64, f64)> + '_ {
-        self.raw.iter().map(|(&w, &(v, c))| (w, v, c))
+        weighted_points(&self.raw, self.zero_run)
     }
 
     /// Number of distinct weights with raw data (including the axiom point).
@@ -243,6 +282,7 @@ impl BlockingRateFunction {
 
     /// Discards all observations, returning to the empty function.
     pub fn reset(&mut self) {
+        self.zero_run = (0, 0);
         self.raw.clear();
         self.raw.insert(0, (0.0, 1.0));
         self.fit_dirty = true;
@@ -286,12 +326,21 @@ impl BlockingRateFunction {
     /// an observation or decay changed the raw points.
     pub(crate) fn fit(&mut self) -> &mut MonotoneFit {
         if self.fit_dirty {
-            self.fit
-                .refit(self.raw.iter().map(|(&w, &(v, c))| (w, v, c)));
+            self.fit.refit(weighted_points(&self.raw, self.zero_run));
             self.fit_dirty = false;
         }
         &mut self.fit
     }
+}
+
+/// `raw`'s `(weight, value, count)` points with a zero run's `n` samples
+/// added to its weight's count (see `BlockingRateFunction::zero_run`).
+fn weighted_points(
+    raw: &BTreeMap<u32, (f64, f64)>,
+    (run_w, n): (u32, u32),
+) -> impl Iterator<Item = (u32, f64, f64)> + '_ {
+    raw.iter()
+        .map(move |(&w, &(v, c))| (w, v, if w == run_w { c + f64::from(n) } else { c }))
 }
 
 /// A monotone fit over raw points, read by point query: the knots `xs`
@@ -664,6 +713,168 @@ mod tests {
         assert_eq!(f.value(60).to_bits(), (-0.0f64).to_bits());
         assert_eq!(f.value(80).to_bits(), (-0.0f64).to_bits());
         assert_eq!(f.value(50).to_bits(), 0.0f64.to_bits());
+    }
+
+    /// The map a function's raw data must equal: one entry update per
+    /// sample (EWMA per weight, counts as `f64`s) and the generation rule,
+    /// with no zero run.
+    struct RawModel {
+        raw: BTreeMap<u32, (f64, f64)>,
+        all_zero: bool,
+        generation: u64,
+    }
+
+    impl RawModel {
+        fn new() -> Self {
+            RawModel {
+                raw: BTreeMap::from([(0, (0.0, 1.0))]),
+                all_zero: true,
+                generation: 0,
+            }
+        }
+
+        fn observe(&mut self, weight: u32, rate: f64, alpha: f64) {
+            if weight == 0 {
+                return;
+            }
+            let e = self.raw.entry(weight).or_insert((rate, 0.0));
+            if e.1 > 0.0 {
+                e.0 = alpha * rate + (1.0 - alpha) * e.0;
+            }
+            e.1 += 1.0;
+            if !(self.all_zero && rate.to_bits() == 0) {
+                self.all_zero = false;
+                self.generation += 1;
+            }
+        }
+
+        fn decay_above(&mut self, weight: u32, factor: f64) {
+            if self.all_zero {
+                return;
+            }
+            let mut changed = false;
+            for (_, (v, _)) in self.raw.range_mut(weight + 1..) {
+                *v *= factor;
+                changed = true;
+            }
+            self.generation += u64::from(changed);
+        }
+
+        fn reset(&mut self) {
+            *self = RawModel {
+                generation: self.generation + 1,
+                ..RawModel::new()
+            };
+        }
+    }
+
+    /// Checks every read of `f` against the model: the weighted raw points
+    /// (value bits and counts), `raw_len`, the generation, the value bits
+    /// at every weight and the knee.
+    fn assert_matches_model(f: &mut BlockingRateFunction, model: &RawModel, what: &str) {
+        let got: Vec<(u32, u64, f64)> = f
+            .raw_points_weighted()
+            .map(|(w, v, c)| (w, v.to_bits(), c))
+            .collect();
+        let want: Vec<(u32, u64, f64)> = model
+            .raw
+            .iter()
+            .map(|(&w, &(v, c))| (w, v.to_bits(), c))
+            .collect();
+        assert_eq!(got, want, "{what}: raw points");
+        assert_eq!(f.raw_len(), model.raw.len(), "{what}: raw_len");
+        assert_eq!(f.generation(), model.generation, "{what}: generation");
+        let mut fit = MonotoneFit::new();
+        fit.refit(model.raw.iter().map(|(&w, &(v, c))| (w, v, c)));
+        let table: Vec<f64> = (0..=f.resolution()).map(|w| fit.value(w)).collect();
+        for (w, want) in (0..).zip(&table) {
+            assert_eq!(f.value(w).to_bits(), want.to_bits(), "{what}: value({w})");
+        }
+        assert_eq!(
+            crate::cluster::knee_of_function(f),
+            crate::cluster::knee_of(&table),
+            "{what}: knee"
+        );
+    }
+
+    #[test]
+    fn zero_runs_read_like_one_entry_per_sample() {
+        // Seeded sequences over 2-4 weights, mostly `+0.0` at the last
+        // zero's weight (the run), with weight changes, `-0.0`, positive
+        // rates, decays, resets, clones and samples at weight 0 mixed in.
+        let mut rng = crate::rng::SplitMix64::new(0x2E50_5E15);
+        let (mut run_hits, mut checks) = (0, 0);
+        for case in 0..120 {
+            let resolution = [16, 64, 100][case % 3];
+            let alpha = [0.5, 0.3, 1.0][case % 3];
+            let weights: Vec<u32> = (0..rng.range_usize(2, 4))
+                .map(|_| rng.range_u32(1, resolution))
+                .collect();
+            let mut f = BlockingRateFunction::new(resolution, alpha);
+            let mut model = RawModel::new();
+            let mut w = weights[0];
+            for step in 0..80 {
+                let what = format!("case {case}, step {step}");
+                let op = rng.below(100);
+                if op < 15 {
+                    w = weights[rng.range_usize(0, weights.len() - 1)];
+                }
+                match op {
+                    0..60 => {
+                        run_hits += usize::from(f.zero_run.0 == w);
+                        f.observe(w, 0.0);
+                        model.observe(w, 0.0, alpha);
+                    }
+                    60..66 => {
+                        f.observe(w, -0.0);
+                        model.observe(w, -0.0, alpha);
+                    }
+                    66..72 => {
+                        let rate = rng.frange(0.0, 1.0);
+                        f.observe(w, rate);
+                        model.observe(w, rate, alpha);
+                    }
+                    72..76 => {
+                        f.observe(0, 0.0);
+                        model.observe(0, 0.0, alpha);
+                    }
+                    76..86 => {
+                        let above = rng.range_u32(0, resolution);
+                        f.decay_above(above, 0.9);
+                        model.decay_above(above, 0.9);
+                    }
+                    86..90 => {
+                        f.reset();
+                        model.reset();
+                    }
+                    90..95 => f = f.clone(),
+                    _ => {}
+                }
+                // Reads refit the function, so check only now and then:
+                // runs must also survive steps that do not read.
+                if rng.chance(0.3) {
+                    assert_matches_model(&mut f, &model, &what);
+                    checks += 1;
+                }
+            }
+            assert_matches_model(&mut f, &model, &format!("case {case}, end"));
+        }
+        assert!(run_hits > 1_000, "only {run_hits} zeros extended a run");
+        assert!(checks > 2_000, "only {checks} checks");
+
+        // A run about to overflow its `u32` count folds and starts over.
+        let mut f = BlockingRateFunction::new(100, 0.5);
+        f.observe(40, 0.0);
+        f.observe(40, 0.0);
+        f.zero_run.1 = u32::MAX - 1;
+        for _ in 0..3 {
+            f.observe(40, 0.0);
+        }
+        // One map entry at the first zero, the full run folded, the entry
+        // that ended it, and the new run's one sample.
+        let count = 1.0 + f64::from(u32::MAX) + 1.0 + 1.0;
+        assert_eq!(f.raw_points_weighted().nth(1), Some((40, 0.0, count)));
+        assert_eq!(f.zero_run, (40, 1));
     }
 
     #[test]
