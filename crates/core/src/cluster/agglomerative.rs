@@ -21,7 +21,10 @@
 //! region has few distinct function shapes, so
 //! [`ClusterScratch::cluster_features`] collapses identical feature vectors
 //! first and agglomerates only their representatives (exactly — see its
-//! docs).
+//! docs). It keeps that grouping, and a steady round, in which the loaded
+//! slots' knees move in step while the grouping itself holds, regroups only
+//! the slots whose vector moved, re-agglomerates the representatives and
+//! rewrites the partition only when the cut moved.
 //!
 //! All working memory lives in a [`ClusterScratch`] that callers retain
 //! across runs, so a controller round clusters without heap allocation.
@@ -67,11 +70,27 @@ impl Clustering {
     }
 }
 
+/// One group of identical feature vectors carried between features runs.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    /// The vectors' bits, `-0.0` read as `0.0`.
+    key: [u64; 3],
+    /// Member count.
+    size: u32,
+    /// The smallest member slot: the group's representative.
+    first: usize,
+    /// During an update: how many members were seen moving (0 between
+    /// updates).
+    moved: u32,
+    /// During an update: the key the first moving member moved to.
+    next: [u64; 3],
+}
+
 /// Retained working memory for the nearest-neighbor-chain clustering.
 ///
-/// Every buffer (the grouping map, the condensed working matrix, the
-/// chain, the dendrogram, the union-find for the threshold cut, and a pool
-/// of recycled member vectors) is reused across runs: after warm-up,
+/// Every buffer (the grouping, the condensed working matrix, the chain,
+/// the dendrogram, the union-find for the threshold cut, and a pool of
+/// recycled member vectors) is reused across runs: after warm-up,
 /// re-clustering the same width performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterScratch {
@@ -92,15 +111,24 @@ pub struct ClusterScratch {
     /// Packed label → cluster id, resolved once per label before the
     /// items are written.
     label_cluster: Vec<usize>,
+    /// Packed label → cluster id of the cut before the latest one, which
+    /// [`update_features`](Self::update_features) compares against.
+    label_cluster_before: Vec<usize>,
     /// [`cluster_features`](Self::cluster_features): the bits of each
     /// distinct feature vector (`-0.0` read as `0.0`) → its packed label.
-    /// Cleared every run; its capacity is kept.
-    groups: HashMap<[u64; 3], u32>,
-    /// Live position → packed label of its group of identical vectors.
-    packed: Vec<u32>,
-    /// One feature vector per distinct group, in packed-label order (the
-    /// vector of the group's smallest slot).
+    /// Rebuilt by a full pass, kept in step by an update.
+    by_key: HashMap<[u64; 3], u32>,
+    /// Slot → packed label of its group of identical vectors, as of the
+    /// latest features run (stale for slots outside its live set).
+    label_of: Vec<u32>,
+    /// One entry per group, in packed-label order. Empty when no features
+    /// run is carried (none yet, or a matrix run came since).
+    groups: Vec<Group>,
+    /// One feature vector per group, in packed-label order (the vector of
+    /// the group's smallest slot).
     reps: Vec<[f64; 3]>,
+    /// Labels whose members moved to a new key in the current update.
+    touched: Vec<u32>,
     /// Recycled member vectors (returned via [`recycle`](Self::recycle)).
     pool: Vec<Vec<usize>>,
 }
@@ -158,6 +186,8 @@ impl ClusterScratch {
         self.work.clear();
         self.work.extend_from_slice(condensed);
         self.run(n, threshold);
+        // The cut no longer belongs to the carried grouping.
+        self.groups.clear();
         self.emit(n, n, (0..n).zip(0..n as u32), out);
     }
 
@@ -184,6 +214,13 @@ impl ClusterScratch {
     /// with groups ordered by smallest member just as the representatives
     /// are.
     ///
+    /// The grouping (each slot's label; each group's key, size and
+    /// smallest slot) and the cut are kept, so the controller's next round
+    /// over the same live set updates them from the slots whose vector
+    /// moved, at `O(moved + m²)`, whenever every group moved wholly or not
+    /// at all and the groups' keys stay distinct. The partition is then the
+    /// one this full pass gives, bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `live` is empty or `threshold` is negative or NaN. Debug
@@ -208,44 +245,172 @@ impl ClusterScratch {
         );
         // One pass in slot order: a vector's group is labelled when its
         // smallest member is met, so the packed labels (and `reps`) come out
-        // ordered by representative. Adding +0.0 maps -0.0 to +0.0 and
-        // leaves every other value alone, so equal vectors share a key.
-        // Identical vectors often sit next to each other; the previous
-        // slot's key answers those without a lookup.
+        // ordered by representative. Identical vectors often sit next to
+        // each other; the previous slot's key answers those without a
+        // lookup, and a run of them adds to its group's size once.
+        self.by_key.clear();
         self.groups.clear();
-        self.packed.clear();
         self.reps.clear();
+        self.label_of.resize(feat.len(), u32::MAX);
         let mut prev: Option<([u64; 3], u32)> = None;
+        let mut run = 0;
         for &j in live {
-            let key = feat[j].map(|v| (v + 0.0).to_bits());
+            let key = key_of(&feat[j]);
             let label = match prev {
-                Some((k, label)) if k == key => label,
+                Some((k, label)) if k == key => {
+                    run += 1;
+                    label
+                }
                 _ => {
-                    let next = self.reps.len() as u32;
-                    let label = *self.groups.entry(key).or_insert(next);
+                    if let Some((_, label)) = prev {
+                        self.groups[label as usize].size += run;
+                    }
+                    run = 1;
+                    let next = self.groups.len() as u32;
+                    let label = *self.by_key.entry(key).or_insert(next);
                     if label == next {
+                        self.groups.push(Group {
+                            key,
+                            size: 0,
+                            first: j,
+                            moved: 0,
+                            next: key,
+                        });
                         self.reps.push(feat[j]);
                     }
                     label
                 }
             };
             prev = Some((key, label));
-            self.packed.push(label);
+            self.label_of[j] = label;
         }
+        if let Some((_, label)) = prev {
+            self.groups[label as usize].size += run;
+        }
+        self.agglomerate(threshold);
+        self.emit_carried(live, feat.len(), out);
+        self.groups.len()
+    }
+
+    /// Re-clusters the live set of the last
+    /// [`cluster_features`](Self::cluster_features) run from the slots
+    /// whose feature vector may have changed since, when that keeps every
+    /// group of identical vectors intact. `moved` holds those slots
+    /// (distinct, all in `live`); every other slot's vector must be as the
+    /// last run saw it, and `out` must hold the last run's result.
+    ///
+    /// The grouping holds when each group's members either all moved to
+    /// one new key or all kept theirs, and no two groups share a key
+    /// afterwards. Then the groups, their labels and their smallest slots
+    /// are the ones a full pass would find, so only the representatives of
+    /// the moved slots are read again (bits and signed zeros included) and
+    /// the agglomeration reruns over the `m` representatives: `O(|moved| +
+    /// m²)`. If the cut's label → cluster map is the previous one, `out`
+    /// already holds the partition and is left untouched; otherwise it is
+    /// rewritten from the carried labels. Returns `(m, whether out
+    /// changed)`, exactly as a full pass would have it.
+    ///
+    /// Returns `None`, with `out` untouched, when the grouping does not
+    /// hold or no features run is carried; the caller then runs the full
+    /// pass.
+    pub(crate) fn update_features(
+        &mut self,
+        live: &[usize],
+        moved: &[usize],
+        feat: &[[f64; 3]],
+        threshold: f64,
+        out: &mut Clustering,
+    ) -> Option<(usize, bool)> {
+        assert!(threshold >= 0.0, "threshold must be >= 0, got {threshold}");
+        if self.groups.is_empty() || !self.regroup(moved, feat) {
+            return None;
+        }
+        for &j in moved {
+            let label = self.label_of[j] as usize;
+            if self.groups[label].first == j {
+                self.reps[label] = feat[j];
+            }
+        }
+        debug_assert!(
+            live.iter()
+                .all(|&j| self.groups[self.label_of[j] as usize].key == key_of(&feat[j])),
+            "a slot outside moved changed its vector"
+        );
+        std::mem::swap(&mut self.label_cluster, &mut self.label_cluster_before);
+        self.agglomerate(threshold);
+        let changed = self.label_cluster != self.label_cluster_before;
+        if changed {
+            self.emit_carried(live, feat.len(), out);
+        }
+        Some((self.groups.len(), changed))
+    }
+
+    /// Applies the moved slots' keys to the carried groups and the key map
+    /// if the grouping holds (see
+    /// [`update_features`](Self::update_features)); returns whether it
+    /// did. A group that moved in part leaves the groups as they were; a
+    /// key two groups share is found while the keys are applied and
+    /// leaves no grouping carried. Either way the caller runs the full
+    /// pass next.
+    fn regroup(&mut self, moved: &[usize], feat: &[[f64; 3]]) -> bool {
+        let mut holds = true;
+        for &j in moved {
+            let label = self.label_of[j];
+            let key = key_of(&feat[j]);
+            let group = &mut self.groups[label as usize];
+            if key == group.key {
+                continue;
+            }
+            if group.moved == 0 {
+                group.next = key;
+                self.touched.push(label);
+            } else {
+                holds &= group.next == key;
+            }
+            group.moved += 1;
+        }
+        for &label in &self.touched {
+            let group = &mut self.groups[label as usize];
+            holds &= group.moved == group.size;
+            group.moved = 0;
+        }
+        if holds {
+            // Every old key leaves before any new one enters, so a group
+            // may take the key another moved group left.
+            for &label in &self.touched {
+                self.by_key.remove(&self.groups[label as usize].key);
+            }
+            for &label in &self.touched {
+                let group = &mut self.groups[label as usize];
+                group.key = group.next;
+                if self.by_key.insert(group.key, label).is_some() {
+                    holds = false;
+                    self.groups.clear();
+                    break;
+                }
+            }
+        }
+        self.touched.clear();
+        holds
+    }
+
+    /// Fills the condensed matrix over `reps`, agglomerates it and cuts it
+    /// at `threshold`, resolving each label's cluster.
+    fn agglomerate(&mut self, threshold: f64) {
         let m = self.reps.len();
         self.work.clear();
         self.work.resize(condensed_len(m), 0.0);
         fill_condensed(&self.reps, &mut self.work);
         self.run(m, threshold);
-        let packed = std::mem::take(&mut self.packed);
-        self.emit(
-            m,
-            feat.len(),
-            live.iter().copied().zip(packed.iter().copied()),
-            out,
-        );
-        self.packed = packed;
-        m
+        self.resolve(m);
+    }
+
+    /// Writes the resolved cut over `live` from the carried labels.
+    fn emit_carried(&mut self, live: &[usize], n_out: usize, out: &mut Clustering) {
+        let label_of = std::mem::take(&mut self.label_of);
+        let items = live.iter().map(|&j| (j, label_of[j]));
+        self.write(n_out, items, out);
+        self.label_of = label_of;
     }
 
     /// Builds the full dendrogram for `m` packed items from `self.work`,
@@ -356,12 +521,7 @@ impl ClusterScratch {
 
     /// Writes the cut partition over `m` packed labels into `out`, given
     /// every clustered item as `(slot, packed label)` in ascending slot
-    /// order (several slots may share a label). Every label has an item,
-    /// and labels first appear in ascending order, so resolving the labels
-    /// in order numbers the clusters by their first item. Each label's
-    /// cluster is found once; an item then costs one table read. Member
-    /// lists come out sorted, and ids follow each cluster's smallest
-    /// member — the naive labelling.
+    /// order (several slots may share a label).
     fn emit(
         &mut self,
         m: usize,
@@ -369,20 +529,46 @@ impl ClusterScratch {
         items: impl Iterator<Item = (usize, u32)>,
         out: &mut Clustering,
     ) {
-        self.recycle(&mut out.members);
-        out.assignment.clear();
-        out.assignment.resize(n_out, usize::MAX);
+        self.resolve(m);
+        self.write(n_out, items, out);
+    }
+
+    /// Resolves each of the `m` packed labels' cluster id into
+    /// `label_cluster`. Every label has an item, and labels first appear
+    /// in ascending order, so resolving the labels in order numbers the
+    /// clusters by their first item — the naive labelling, ids following
+    /// each cluster's smallest member.
+    fn resolve(&mut self, m: usize) {
         self.cluster_of.clear();
         self.cluster_of.resize(m, usize::MAX);
         self.label_cluster.clear();
+        let mut clusters = 0;
         for label in 0..m as u32 {
             let root = self.find(label) as usize;
             if self.cluster_of[root] == usize::MAX {
-                self.cluster_of[root] = out.members.len();
-                let fresh = self.grab();
-                out.members.push(fresh);
+                self.cluster_of[root] = clusters;
+                clusters += 1;
             }
             self.label_cluster.push(self.cluster_of[root]);
+        }
+    }
+
+    /// Writes the items (as for [`emit`](Self::emit)) into `out` under the
+    /// resolved `label_cluster`: each item costs one table read, and member
+    /// lists come out sorted.
+    fn write(
+        &mut self,
+        n_out: usize,
+        items: impl Iterator<Item = (usize, u32)>,
+        out: &mut Clustering,
+    ) {
+        self.recycle(&mut out.members);
+        out.assignment.clear();
+        out.assignment.resize(n_out, usize::MAX);
+        let clusters = self.label_cluster.iter().max().map_or(0, |&c| c + 1);
+        for _ in 0..clusters {
+            let fresh = self.grab();
+            out.members.push(fresh);
         }
         for (slot, label) in items {
             let id = self.label_cluster[label as usize];
@@ -394,6 +580,14 @@ impl ClusterScratch {
             "every packed label has an item"
         );
     }
+}
+
+/// A feature vector's grouping key: its bits, with `-0.0` read as `0.0`
+/// (adding `+0.0` maps `-0.0` to `+0.0` and leaves every other value
+/// alone), so equal vectors share a key.
+#[inline]
+fn key_of(v: &[f64; 3]) -> [u64; 3] {
+    v.map(|x| (x + 0.0).to_bits())
 }
 
 /// Clusters `n` items given a symmetric pairwise `distances` matrix
@@ -792,6 +986,296 @@ mod tests {
             let fresh = cluster(n, &square, 0.6);
             assert_eq!(out, fresh, "round {round} n={n}");
         }
+    }
+
+    /// `out` against the condensed matrix over every live slot (duplicates
+    /// and all) through `cluster_condensed`, remapped to slot indices.
+    fn assert_matches_the_full_matrix(
+        out: &Clustering,
+        feat: &[[f64; 3]],
+        live: &[usize],
+        threshold: f64,
+        what: &str,
+    ) {
+        let sub: Vec<[f64; 3]> = live.iter().map(|&j| feat[j]).collect();
+        let mut condensed = vec![0.0; condensed_len(live.len())];
+        fill_condensed(&sub, &mut condensed);
+        let mut packed = Clustering::default();
+        ClusterScratch::new().cluster_condensed(live.len(), &condensed, threshold, &mut packed);
+        let mut assignment = vec![usize::MAX; feat.len()];
+        for (p, &j) in live.iter().enumerate() {
+            assignment[j] = packed.assignment[p];
+        }
+        let members: Vec<Vec<usize>> = packed
+            .members
+            .iter()
+            .map(|ms| ms.iter().map(|&p| live[p]).collect())
+            .collect();
+        assert_eq!(out.assignment, assignment, "{what}: matrix assignment");
+        assert_eq!(out.members, members, "{what}: matrix members");
+    }
+
+    /// What a step of the carried-grouping oracle does to the vectors.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Move {
+        /// Every live slot shifts by one exact offset: no distance moves.
+        Lockstep,
+        /// One group shifts by an offset, onto a vector nobody holds.
+        Group,
+        /// Some but not all members of a group move: the group splits.
+        Split,
+        /// Two groups move onto one vector nobody holds.
+        Merge,
+        /// A group lands on an unmoved group's vector.
+        Land,
+        /// Slots are reported moved with their key unchanged (a zero
+        /// flipping sign in a non-representative member).
+        SameKey,
+        /// A group's representative moves to `-0.0`; a larger member is
+        /// reported moved at `+0.0`.
+        RepZero,
+        /// Two groups exchange vectors.
+        Swap,
+    }
+
+    impl Move {
+        const ALL: [Move; 8] = [
+            Move::Lockstep,
+            Move::Group,
+            Move::Split,
+            Move::Merge,
+            Move::Land,
+            Move::SameKey,
+            Move::RepZero,
+            Move::Swap,
+        ];
+
+        /// Whether the grouping survives the move.
+        fn keeps_the_grouping(self) -> bool {
+            !matches!(self, Move::Split | Move::Merge | Move::Land)
+        }
+    }
+
+    #[test]
+    fn a_carried_grouping_updates_like_a_full_pass() {
+        // A retained scratch follows seeded moves through update_features,
+        // falling back to a full pass where the update declines, as the
+        // controller does. After every step it must equal a fresh scratch's
+        // full run, inside (grouping, representatives' bits, cut) and out,
+        // and the partition must be the full live matrix's. Coordinates are
+        // multiples of 0.5, so shifts are exact and distances land on the
+        // thresholds.
+        let mut rng = crate::rng::SplitMix64::new(0xCA77_1ED0);
+        let grid = |rng: &mut crate::rng::SplitMix64| (rng.range_usize(0, 8) as f64 - 4.0) * 0.5;
+        let mut took = [[0usize; 2]; Move::ALL.len()];
+        let (mut kept, mut rewritten) = (0, 0);
+        for case in 0..72usize {
+            let n = 6 + case % 43;
+            let threshold = [0.0, 0.5, 1.0][case % 3];
+            let live: Vec<usize> = if case % 2 == 0 {
+                (0..n).collect()
+            } else {
+                let some: Vec<usize> = (0..n).filter(|_| !rng.chance(0.3)).collect();
+                if some.is_empty() {
+                    vec![n - 1]
+                } else {
+                    some
+                }
+            };
+            let palette: Vec<[f64; 3]> = (0..1 + case % 5)
+                .map(|_| [0; 3].map(|_| if rng.chance(0.4) { 0.0 } else { grid(&mut rng) }))
+                .collect();
+            let mut feat: Vec<[f64; 3]> = (0..n)
+                .map(|_| palette[rng.range_usize(0, palette.len() - 1)])
+                .collect();
+            let mut carried = ClusterScratch::new();
+            let mut out = Clustering::default();
+            carried.cluster_features(&live, &feat, threshold, &mut out);
+            for step in 0..24usize {
+                let what = format!("case {case} step {step} n={n} t={threshold}");
+                // The live slots' groups, in order of smallest member.
+                let mut groups: Vec<([u64; 3], Vec<usize>)> = Vec::new();
+                for &j in &live {
+                    let key = key_of(&feat[j]);
+                    match groups.iter_mut().find(|(k, _)| *k == key) {
+                        Some((_, members)) => members.push(j),
+                        None => groups.push((key, vec![j])),
+                    }
+                }
+                let held = |feat: &[[f64; 3]], v: &[f64; 3]| {
+                    live.iter().any(|&j| key_of(&feat[j]) == key_of(v))
+                };
+                let fresh_vector = |feat: &[[f64; 3]], rng: &mut crate::rng::SplitMix64| loop {
+                    let v = [0; 3].map(|_| grid(rng));
+                    if !held(feat, &v) {
+                        break v;
+                    }
+                };
+                let pick = |rng: &mut crate::rng::SplitMix64, k: usize| rng.range_usize(0, k - 1);
+                let mut kind = Move::ALL[(case + step) % Move::ALL.len()];
+                let two = groups.len() >= 2;
+                let split = groups.iter().position(|(_, ms)| ms.len() >= 2);
+                let zeroed = groups
+                    .iter()
+                    .position(|(_, ms)| ms.len() >= 2 && feat[ms[0]].contains(&0.0));
+                kind = match kind {
+                    Move::Merge | Move::Land | Move::Swap if !two => Move::Group,
+                    Move::Split if split.is_none() => Move::Group,
+                    Move::RepZero if zeroed.is_none() => Move::SameKey,
+                    kind => kind,
+                };
+                let mut extra: Vec<usize> = Vec::new();
+                let before = feat.clone();
+                match kind {
+                    Move::Lockstep => {
+                        let d = [0; 3].map(|_| grid(&mut rng) * 0.5);
+                        for &j in &live {
+                            for (v, d) in feat[j].iter_mut().zip(d) {
+                                *v += d;
+                            }
+                        }
+                    }
+                    Move::Group => {
+                        let (_, ms) = &groups[pick(&mut rng, groups.len())];
+                        let v = fresh_vector(&feat, &mut rng);
+                        for &j in ms {
+                            feat[j] = v;
+                        }
+                    }
+                    Move::Split => {
+                        let (_, ms) = &groups[split.expect("checked above")];
+                        let v = fresh_vector(&feat, &mut rng);
+                        let stay = ms[pick(&mut rng, ms.len())];
+                        for &j in ms.iter().filter(|&&j| j != stay) {
+                            feat[j] = v;
+                        }
+                    }
+                    Move::Merge => {
+                        let a = pick(&mut rng, groups.len());
+                        let b = (a + 1 + pick(&mut rng, groups.len() - 1)) % groups.len();
+                        let v = fresh_vector(&feat, &mut rng);
+                        for &j in groups[a].1.iter().chain(&groups[b].1) {
+                            feat[j] = v;
+                        }
+                    }
+                    Move::Land => {
+                        let a = pick(&mut rng, groups.len());
+                        let b = (a + 1 + pick(&mut rng, groups.len() - 1)) % groups.len();
+                        let v = feat[groups[b].1[0]];
+                        for &j in &groups[a].1 {
+                            feat[j] = v;
+                        }
+                    }
+                    Move::SameKey => {
+                        for (_, ms) in &groups {
+                            for &j in &ms[1..] {
+                                for v in feat[j].iter_mut().filter(|v| **v == 0.0) {
+                                    *v = -*v;
+                                }
+                            }
+                        }
+                        extra.push(live[pick(&mut rng, live.len())]);
+                    }
+                    Move::RepZero => {
+                        let ms = &groups[zeroed.expect("checked above")].1;
+                        for v in feat[ms[0]].iter_mut().filter(|v| **v == 0.0) {
+                            *v = -0.0;
+                        }
+                        for v in feat[ms[1]].iter_mut().filter(|v| **v == 0.0) {
+                            *v = 0.0;
+                        }
+                        extra.extend([ms[0], ms[1]]);
+                    }
+                    Move::Swap => {
+                        let a = pick(&mut rng, groups.len());
+                        let b = (a + 1 + pick(&mut rng, groups.len() - 1)) % groups.len();
+                        let (va, vb) = (feat[groups[a].1[0]], feat[groups[b].1[0]]);
+                        for &j in &groups[a].1 {
+                            feat[j] = vb;
+                        }
+                        for &j in &groups[b].1 {
+                            feat[j] = va;
+                        }
+                    }
+                }
+                // Slots outside the live set are not reported and must not
+                // matter.
+                for j in (0..n).filter(|j| !live.contains(j)) {
+                    feat[j] = [0; 3].map(|_| grid(&mut rng));
+                }
+                let mut moved: Vec<usize> = live
+                    .iter()
+                    .copied()
+                    .filter(|&j| feat[j].map(f64::to_bits) != before[j].map(f64::to_bits))
+                    .chain(extra)
+                    .collect();
+                moved.sort_unstable();
+                moved.dedup();
+
+                let previous = out.clone();
+                let updated = carried.update_features(&live, &moved, &feat, threshold, &mut out);
+                took[kind as usize][usize::from(updated.is_none())] += 1;
+                let distinct = match updated {
+                    Some((distinct, changed)) => {
+                        assert_eq!(changed, out != previous, "{what}: changed flag");
+                        if kind == Move::Lockstep {
+                            assert!(!changed, "{what}: an exact shift keeps the cut");
+                        }
+                        if changed {
+                            rewritten += 1;
+                        } else {
+                            kept += 1;
+                        }
+                        distinct
+                    }
+                    None => carried.cluster_features(&live, &feat, threshold, &mut out),
+                };
+                let mut fresh = ClusterScratch::new();
+                let mut want = Clustering::default();
+                let want_distinct = fresh.cluster_features(&live, &feat, threshold, &mut want);
+                assert_eq!(distinct, want_distinct, "{what} ({kind:?}): distinct");
+                assert_eq!(out, want, "{what} ({kind:?}): partition");
+                let bits = |reps: &[[f64; 3]]| -> Vec<[u64; 3]> {
+                    reps.iter().map(|v| v.map(f64::to_bits)).collect()
+                };
+                assert_eq!(
+                    bits(&carried.reps),
+                    bits(&fresh.reps),
+                    "{what} ({kind:?}): reps"
+                );
+                let shape = |s: &ClusterScratch| -> Vec<([u64; 3], u32, usize)> {
+                    s.groups.iter().map(|g| (g.key, g.size, g.first)).collect()
+                };
+                assert_eq!(shape(&carried), shape(&fresh), "{what} ({kind:?}): groups");
+                assert_eq!(carried.by_key, fresh.by_key, "{what} ({kind:?}): key map");
+                for &j in &live {
+                    assert_eq!(
+                        carried.label_of[j], fresh.label_of[j],
+                        "{what}: label of {j}"
+                    );
+                }
+                assert_eq!(carried.label_cluster, fresh.label_cluster, "{what}: cut");
+                assert_matches_the_full_matrix(&out, &feat, &live, threshold, &what);
+            }
+        }
+        for kind in Move::ALL {
+            let [update, full] = took[kind as usize];
+            if kind.keeps_the_grouping() {
+                assert!(
+                    update > 0 && full == 0,
+                    "{kind:?}: {update} updates, {full} full"
+                );
+            } else {
+                assert!(
+                    update == 0 && full > 0,
+                    "{kind:?}: {update} updates, {full} full"
+                );
+            }
+        }
+        assert!(
+            kept > 0 && rewritten > 0,
+            "cut kept {kept}, rewritten {rewritten}"
+        );
     }
 
     #[test]

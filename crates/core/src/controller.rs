@@ -437,6 +437,9 @@ struct RoundScratch {
     knee_gen: Vec<u64>,
     /// Per-connection log-feature vectors, updated alongside `knees`.
     feat: Vec<[f64; 3]>,
+    /// The live slots whose knee value the current round's refresh
+    /// changed.
+    moved: Vec<usize>,
     /// Cached ascending list of attached slots, keyed on `live_gen`.
     live: Vec<usize>,
     /// The [`LoadBalancer::membership_gen`] the `live` cache was built at
@@ -488,6 +491,7 @@ impl RoundScratch {
             } else {
                 Vec::new()
             },
+            moved: Vec::new(),
             live: Vec::new(),
             live_gen: u64::MAX,
             clusters_gen: u64::MAX,
@@ -499,6 +503,29 @@ impl RoundScratch {
             spare_rates: Vec::new(),
             spare_units: Vec::new(),
         }
+    }
+
+    /// Clusters every live slot by its feature vector into the spare
+    /// clustering, recycling `prev` (the previous round's partition over
+    /// the same live set, if any) as the next spare. Returns the partition,
+    /// its distinct vector count, and whether its assignment differs from
+    /// `prev`'s.
+    fn recluster(&mut self, threshold: f64, prev: Option<Clustering>) -> (Clustering, usize, bool) {
+        let mut fresh = std::mem::take(&mut self.spare_clusters);
+        let distinct = self
+            .cluster_scratch
+            .cluster_features(&self.live, &self.feat, threshold, &mut fresh);
+        let changed = match prev {
+            Some(mut prev) => {
+                let changed = fresh.assignment != prev.assignment;
+                self.cluster_scratch.recycle(&mut prev.members);
+                prev.assignment.clear();
+                self.spare_clusters = prev;
+                changed
+            }
+            None => true,
+        };
+        (fresh, distinct, changed)
     }
 
     /// Empties the solver's item vectors ahead of a bound stage.
@@ -1032,73 +1059,66 @@ impl LoadBalancer {
     /// region below the threshold (back to the per-slot solve) and
     /// attaches can push it over again.
     ///
-    /// The previous partition is reused unless something can have changed.
     /// `last_clusters` is cleared by every membership change, so `Some`
-    /// implies the previous round clustered this exact live set; with no
-    /// knee moved either, the partition is identical by construction (the
-    /// pooled solve still runs — member data changes every round even when
-    /// knees do not). Otherwise the live slots are clustered again, which
-    /// costs an agglomeration over their *distinct* feature vectors only.
+    /// implies the previous round clustered this exact live set. With no
+    /// knee moved either, the partition is identical by construction and
+    /// is reused (the pooled solve still runs — member data changes every
+    /// round even when knees do not). With knees moved, the retained
+    /// grouping is updated from the moved slots alone
+    /// ([`ClusterScratch::update_features`]), and the previous partition
+    /// stands unless the cut moved. Otherwise, and whenever an update
+    /// finds the grouping broken, the live slots are clustered again,
+    /// which costs an agglomeration over their *distinct* feature vectors
+    /// only. Both ways give the same partition and report the same
+    /// outcome.
     fn partition(&mut self) -> Option<Clustering> {
-        let threshold = self
-            .cfg
-            .clustering
-            .filter(|c| self.live_connections() >= c.min_connections)?
-            .distance_threshold;
-        let knee_moved = self.refresh_knees();
+        let clustering = self.cfg.clustering?;
+        self.refresh_live();
+        if self.scratch.live.len() < clustering.min_connections {
+            return None;
+        }
+        let threshold = clustering.distance_threshold;
+        self.refresh_knees();
         let scratch = &mut self.scratch;
-        match self.last_clusters.take() {
-            Some(prev) if !knee_moved => {
+        let (partition, distinct, changed) = match self.last_clusters.take() {
+            Some(prev) if scratch.moved.is_empty() => {
                 debug_assert_eq!(scratch.clusters_gen, self.membership_gen);
                 self.last_outcome = Some(ClusterOutcome::Reused);
-                Some(prev)
+                return Some(prev);
             }
-            prev => {
-                let mut fresh = std::mem::take(&mut scratch.spare_clusters);
-                let distinct = scratch.cluster_scratch.cluster_features(
+            Some(mut prev) => {
+                debug_assert_eq!(scratch.clusters_gen, self.membership_gen);
+                match scratch.cluster_scratch.update_features(
                     &scratch.live,
+                    &scratch.moved,
                     &scratch.feat,
                     threshold,
-                    &mut fresh,
-                );
-                self.last_outcome = Some(ClusterOutcome::Full {
-                    live: scratch.live.len(),
-                    distinct,
-                });
-                let changed = match prev {
-                    Some(mut prev) => {
-                        let changed = fresh.assignment != prev.assignment;
-                        scratch.cluster_scratch.recycle(&mut prev.members);
-                        prev.assignment.clear();
-                        scratch.spare_clusters = prev;
-                        changed
-                    }
-                    None => true,
-                };
-                if let (true, Some(trace)) = (changed, &self.trace) {
-                    trace.push(TraceEvent::ClusterUpdate {
-                        round: self.round,
-                        assignment: fresh.assignment.clone(),
-                    });
+                    &mut prev,
+                ) {
+                    Some((distinct, changed)) => (prev, distinct, changed),
+                    None => scratch.recluster(threshold, Some(prev)),
                 }
-                Some(fresh)
             }
+            None => scratch.recluster(threshold, None),
+        };
+        self.last_outcome = Some(ClusterOutcome::Full {
+            live: scratch.live.len(),
+            distinct,
+        });
+        if let (true, Some(trace)) = (changed, &self.trace) {
+            trace.push(TraceEvent::ClusterUpdate {
+                round: self.round,
+                assignment: partition.assignment.clone(),
+            });
         }
+        Some(partition)
     }
 
-    /// Brings the live-slot list and every live slot's knee up to date;
-    /// returns whether a knee *value* changed. Each live function whose
-    /// generation moved gets a fresh knee from point queries on its fit.
-    /// An idle slot's all-zero function keeps its generation, so once its
-    /// knee is taken the slot is skipped on its flag alone, without
-    /// reading the function; only the slots that have blocked are
-    /// re-kneed. Under per-round decay their generations move every round,
-    /// and comparing knee values is what lets an unmoved partition be
-    /// reused.
-    fn refresh_knees(&mut self) -> bool {
+    /// Brings the cached ascending list of attached slots up to date. It
+    /// is keyed on the membership generation, so rounds with detached
+    /// slots do not rebuild it either.
+    fn refresh_live(&mut self) {
         let scratch = &mut self.scratch;
-        // Keyed on the membership generation, so rounds with detached slots
-        // do not rebuild the index list either.
         if scratch.live_gen != self.membership_gen {
             scratch.live.clear();
             scratch
@@ -1106,7 +1126,20 @@ impl LoadBalancer {
                 .extend((0..self.cfg.connections).filter(|&j| self.attached[j]));
             scratch.live_gen = self.membership_gen;
         }
-        let mut knee_moved = false;
+    }
+
+    /// Brings every live slot's knee up to date and records in
+    /// `scratch.moved` the slots whose knee *value* changed. Each live
+    /// function whose generation moved gets a fresh knee from point
+    /// queries on its fit. An idle slot's all-zero function keeps its
+    /// generation, so once its knee is taken the slot is skipped on its
+    /// flag alone, without reading the function; only the slots that have
+    /// blocked are re-kneed. Under per-round decay their generations move
+    /// every round, and comparing knee values is what lets an unmoved
+    /// partition be reused.
+    fn refresh_knees(&mut self) {
+        let scratch = &mut self.scratch;
+        scratch.moved.clear();
         for &j in &scratch.live {
             if self.idle[j] && scratch.knee_gen[j] != u64::MAX {
                 debug_assert_eq!(
@@ -1127,10 +1160,9 @@ impl LoadBalancer {
             if never || fresh != scratch.knees[j] {
                 scratch.knees[j] = fresh;
                 scratch.feat[j] = cluster::log_features(&fresh, self.cfg.resolution);
-                knee_moved = true;
+                scratch.moved.push(j);
             }
         }
-        knee_moved
     }
 
     /// Stage 4: this round's solver items — one per slot, or one per
